@@ -110,6 +110,12 @@ class ExperimentConfig:
             raise ConfigError(f"factor must lie in (0, 1), got {self.factor!r}")
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        # make_circles puts num_points // 2 samples in each class.
+        train = 2 * datagen.class_train_size(self.num_points // 2, self.train_fraction)
+        if train in (0, self.num_points):
+            raise ConfigError(f"train_fraction={self.train_fraction!r} leaves a split empty")
+        if self.clients > train:
+            raise ConfigError(f"clients={self.clients} exceeds the {train} training samples")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,11 @@ def make_circles(
     return features, labels
 
 
+def class_train_size(class_size: int, train_fraction: float) -> int:
+    """How many of one class's samples go to the training split."""
+    return int(round(train_fraction * class_size))
+
+
 def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     """Stratified shuffle/split, then min-max scale into [0, pi] from train stats.
 
@@ -104,7 +109,7 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     train_parts, test_parts = [], []
     for cls in (0, 1):
         idx = rng.permutation(np.flatnonzero(labs == cls))
-        k = int(round(train_fraction * idx.size))
+        k = class_train_size(idx.size, train_fraction)
         train_parts.append(idx[:k])
         test_parts.append(idx[k:])
     train_idx = rng.permutation(np.concatenate(train_parts))

@@ -101,36 +101,19 @@ def make_clients(
     ]
 
 
-def _circuit_logits(params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    if params.shape[1] == 2:
-        return vqc.forward_batch(params, features)
-    m = VqcModel(params, num_qubits=params.shape[1])
-    return np.stack([vqc.forward(m, row) for row in features])
-
-
-def _circuit_grad(params: np.ndarray, features: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    if params.shape[1] == 2:
-        return vqc.gradient_batch(params, features, dlogits)
-    m = VqcModel(params, num_qubits=params.shape[1])
-    total = np.zeros_like(params)
-    for row, up in zip(features, dlogits):
-        total += vqc.gradient(m, row, up)
-    return total
-
-
 def _batch_step(model: Model, feats: np.ndarray, labs: np.ndarray, opt: SgdOptimizer):
     """One SGD step on one mini-batch; returns (mean loss, updated model)."""
     if isinstance(model, ClassicalMlp):
         losses, grads = trainkit.mlp_batch_grads(model, feats, labs)
         return float(losses.mean()), trainkit.sgd_step_mlp(model, grads, opt)
     if isinstance(model, VqcModel):
-        losses, dlogits = trainkit.batch_loss_and_grad(_circuit_logits(model.params, feats), labs)
-        grad = _circuit_grad(model.params, feats, dlogits) / feats.shape[0]
+        losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(model.params, feats), labs)
+        grad = vqc.gradient_batch(model.params, feats, dlogits) / feats.shape[0]
         return float(losses.mean()), model.with_params(opt.step(model.params, grad))
     if isinstance(model, QuantumWeightStore):
         eff = qweights.materialize(model)
-        losses, dlogits = trainkit.batch_loss_and_grad(_circuit_logits(eff, feats), labs)
-        circuit_grad = _circuit_grad(eff, feats, dlogits) / feats.shape[0]
+        losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(eff, feats), labs)
+        circuit_grad = vqc.gradient_batch(eff, feats, dlogits) / feats.shape[0]
         angle_grad = qweights.weight_gradient(model, circuit_grad)
         new_angles = qweights.canonical_angles(opt.step(model.angles, angle_grad))
         return float(losses.mean()), model.with_angles(new_angles)

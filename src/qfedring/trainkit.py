@@ -217,15 +217,10 @@ def model_logits_batch(model: Model, features) -> np.ndarray:
     if isinstance(model, ClassicalMlp):
         return mlp_logits(model, feats)
     if isinstance(model, QuantumWeightStore):
-        params = qweights.materialize(model)
-    elif isinstance(model, VqcModel):
-        params = model.params
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if params.shape[1] == 2:
-        return vqc.forward_batch(params, feats)
-    m = VqcModel(params, num_qubits=params.shape[1])
-    return np.stack([vqc.forward(m, row) for row in feats])
+        return vqc.forward_batch(qweights.materialize(model), feats)
+    if isinstance(model, VqcModel):
+        return vqc.forward_batch(model.params, feats)
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def evaluate(model: Model, features, labels) -> float:

@@ -3,20 +3,22 @@ rotation layers, per-qubit Pauli-Z readout.
 
 Gradients use the two-point parameter shift (pi/2 shift, 1/2 coefficient),
 which is exact for these rotation gates.  ``forward``/``gradient`` walk the
-simulator gate by gate and define the semantics; ``forward_batch`` and
-``gradient_batch`` are algebraically identical two-qubit fast paths used by
-the training loops, and the tests pin them to the gate-by-gate versions.
+simulator gate by gate, define the semantics and serve the tests as oracle.
+``forward_batch``/``gradient_batch`` are one engine for any qubit count: all
+2P shifted circuits of a gradient in one pass, one matmul per layer, with
+the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .statevec import (
     StateVector,
-    _rot_matrix,
+    _z_signs,
     apply_gate,
     cnot,
     expectation,
@@ -144,88 +146,95 @@ def gradient(model: VqcModel, features, upstream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Two-qubit batched fast path.  Amplitude order |00>, |01>, |10>, |11>.
+# Batched engine: every row of a batch through S parameter sets at once.
 
-_CNOT_01 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CNOT_10 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-# CNOT(0->1) is applied first, so it sits rightmost in the product.
-_ENTANGLER_2Q = _CNOT_10 @ _CNOT_01
+# Cap on the (sets, layers, 2**n, 2**n) unitary tensor: 16 MB of complex128,
+# so a gradient reaches 7 qubits and a forward pass 10, well under MAX_QUBITS.
+_MAX_UNITARY_ENTRIES = 1 << 20
 
 
-def _layer_unitary(layer_params: np.ndarray) -> np.ndarray:
-    r0 = _rot_matrix(*layer_params[0])
-    r1 = _rot_matrix(*layer_params[1])
-    return np.kron(r0, r1) @ _ENTANGLER_2Q
+def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(params, dtype=float)
+    if p.ndim != 3 or 0 in p.shape or p.shape[2] != 3:
+        raise ValueError(f"params must have shape (layers, qubits, 3), got {p.shape}")
+    layers, n, _ = p.shape
+    if (2 * p.size if shifted else 1) * layers * 4**n > _MAX_UNITARY_ENTRIES:
+        raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != n:
+        raise ValueError(f"expected features (batch, {n}) for params {p.shape}, got {feats.shape}")
+    return p, feats
 
 
 def _encode_batch(features: np.ndarray) -> np.ndarray:
-    """Product-state amplitudes of RX(x1) x RX(x2) on |00>, one row per sample."""
+    """Product-state amplitudes of RX(x_q) on each qubit of |0...0>, one row per sample."""
     half = features / 2.0
-    c, s = np.cos(half), np.sin(half)
-    top = np.stack([c[:, 0], -1j * s[:, 0]], axis=1)
-    bot = np.stack([c[:, 1], -1j * s[:, 1]], axis=1)
-    return np.einsum("bi,bj->bij", top, bot).reshape(-1, 4)
+    cols = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # (batch, qubit, bit)
+    amps = cols[:, 0]
+    for q in range(1, features.shape[1]):
+        amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], -1)
+    return amps
 
 
-def _readout_2q(psi: np.ndarray) -> np.ndarray:
-    p = psi.real**2 + psi.imag**2
-    z0 = p[:, 0] + p[:, 1] - p[:, 2] - p[:, 3]
-    z1 = p[:, 0] - p[:, 1] + p[:, 2] - p[:, 3]
-    return np.stack([z0, z1], axis=1)
+@lru_cache(maxsize=16)
+def _entangler_image(n: int) -> np.ndarray:
+    """Basis index each |b> is sent to by the CNOT ring, pairs applied in order."""
+    idx = np.arange(2**n)
+    for control, target in entangler_pairs(n):
+        idx ^= ((idx >> (n - 1 - control)) & 1) << (n - 1 - target)
+    idx.flags.writeable = False
+    return idx
 
 
-def _check_batch(params: np.ndarray, features) -> np.ndarray:
-    if params.ndim != 3 or params.shape[1:] != (2, 3):
-        raise ValueError(f"batched path supports (layers, 2, 3) params, got {params.shape}")
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != 2:
-        raise ValueError(f"expected features of shape (batch, 2), got {feats.shape}")
-    return feats
+def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
+    """(sets, layers, n, 3) angles -> (sets, layers, 2**n, 2**n) layer unitaries.
+
+    ROT(phi, theta, omega) = RZ(omega) RY(theta) RZ(phi) in closed form per
+    qubit, then kron over qubits, then @ E for the CNOT ring; E is a
+    permutation, so right-multiplying by it is a column gather.
+    """
+    phi, theta, omega = np.moveaxis(angles, -1, 0)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    a, b = np.exp(-0.5j * omega), np.exp(-0.5j * phi)
+    entries = [a * c * b, -a * s * b.conj(), a.conj() * s * b, a.conj() * c * b.conj()]
+    rots = np.stack(entries, axis=-1).reshape(*phi.shape, 2, 2)
+    u = rots[..., 0, :, :]
+    for q in range(1, angles.shape[-2]):
+        size = 2 * u.shape[-1]
+        u = (u[..., :, None, :, None] * rots[..., q, None, :, None, :]).reshape(
+            *u.shape[:-2], size, size
+        )
+    return u[..., _entangler_image(angles.shape[-2])]
+
+
+def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, n) -> (S, B, n)."""
+    unitaries = _layer_unitaries(angles)
+    psi = _encode_batch(features)
+    for layer in range(angles.shape[1]):
+        psi = psi @ unitaries[:, layer].swapaxes(-1, -2)
+    signs = np.stack([_z_signs(angles.shape[2], q) for q in range(angles.shape[2])])
+    return (psi.real**2 + psi.imag**2) @ signs.T
 
 
 def forward_batch(params: np.ndarray, features) -> np.ndarray:
     """Logits for a whole batch at once; rows match forward() to float precision."""
-    feats = _check_batch(params, features)
-    psi = _encode_batch(feats)
-    for layer in params:
-        psi = psi @ _layer_unitary(layer).T
-    return _readout_2q(psi)
+    p, feats = _check_batch(params, features, shifted=False)
+    return _expectations(p[None], feats)[0]
 
 
 def gradient_batch(params: np.ndarray, features, upstream) -> np.ndarray:
     """Sum over the batch of per-sample parameter-shift gradients.
 
-    upstream has shape (batch, 2); the caller divides by the batch size when
-    it wants a mean.  Matches summing gradient() over the rows.
+    upstream has shape (batch, qubits); the caller divides by the batch size
+    when it wants a mean.  All 2P shifted circuits (the +shift block, then
+    the -shift block) run in one pass.  Matches summing gradient() over rows.
     """
-    feats = _check_batch(params, features)
+    p, feats = _check_batch(params, features, shifted=True)
     up = np.asarray(upstream, dtype=float)
-    if up.shape != (feats.shape[0], 2):
-        raise ValueError(f"upstream must have shape {(feats.shape[0], 2)}, got {up.shape}")
-    psi0 = _encode_batch(feats)
-    base = [_layer_unitary(layer) for layer in params]
-    grads = np.zeros_like(params)
-    for layer in range(params.shape[0]):
-        for q in range(2):
-            for k in range(3):
-                shifted = np.array(params[layer])
-                shifted[q, k] += SHIFT_RULE.shift
-                f_plus = _eval_with_layer(psi0, base, layer, _layer_unitary(shifted))
-                shifted[q, k] -= 2.0 * SHIFT_RULE.shift
-                f_minus = _eval_with_layer(psi0, base, layer, _layer_unitary(shifted))
-                delta = SHIFT_RULE.coefficient * (f_plus - f_minus)
-                grads[layer, q, k] = float(np.sum(up * delta))
-    return grads
-
-
-def _eval_with_layer(
-    psi0: np.ndarray, base: list[np.ndarray], index: int, unitary: np.ndarray
-) -> np.ndarray:
-    psi = psi0
-    for i, layer_u in enumerate(base):
-        psi = psi @ (unitary.T if i == index else layer_u.T)
-    return _readout_2q(psi)
+    if up.shape != (feats.shape[0], p.shape[1]):
+        raise ValueError(f"upstream must have shape {(feats.shape[0], p.shape[1])}, got {up.shape}")
+    shifts = SHIFT_RULE.shift * np.eye(p.size).reshape(p.size, *p.shape)
+    out = _expectations(np.concatenate([p + shifts, p - shifts]), feats)
+    delta = SHIFT_RULE.coefficient * (out[: p.size] - out[p.size :])
+    return np.sum(up * delta, axis=(1, 2)).reshape(p.shape)

@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qfedring import cli
 from qfedring import datagen as dg
@@ -325,6 +326,7 @@ def test_criterion_7_hubspoke_average_oracle(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_learning(capsys):
     summary = []
     failures = []

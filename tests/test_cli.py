@@ -7,6 +7,8 @@ import pytest
 
 from qfedring import cli
 from qfedring import datagen as dg
+from qfedring import fedring as fr
+from qfedring.teleport import TransferError
 from qfedring.trainkit import RoundMetrics
 
 FAST = [
@@ -48,6 +50,16 @@ class TestConfig:
             cli.ExperimentConfig(model="qfl-quantum", gamma=0.0)
         with pytest.raises(cli.ConfigError, match="train_fraction"):
             cli.ExperimentConfig(model="cfl", train_fraction=1.5)
+
+    def test_split_sizes_checked_against_datagen(self):
+        config = cli.ExperimentConfig(model="cfl", num_points=20, clients=16)
+        assert cli.build_dataset(config).train_labels.size == 16
+        with pytest.raises(cli.ConfigError, match="clients"):
+            cli.ExperimentConfig(model="cfl", num_points=20, clients=17)
+        with pytest.raises(cli.ConfigError, match="train_fraction"):
+            cli.ExperimentConfig(model="cfl", num_points=20, train_fraction=0.04)
+        config = cli.ExperimentConfig(model="cfl", num_points=20, train_fraction=0.06, clients=2)
+        assert cli.build_dataset(config).train_labels.size == 2
 
 
 class TestParsing:
@@ -218,14 +230,35 @@ class TestEndToEnd:
         assert cli.main([]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        # More clients than training samples fails inside the run, not parsing.
+    def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A hand-off that fails mid-run is a runtime error, not a config error.
+        def lose_weight(model, channel_rng):
+            raise TransferError("decode residual above the purity gate", (0, 0, 0))
+
+        monkeypatch.setattr(fr, "teleport_weights", lose_weight)
         code = cli.main(
-            ["--model", "cfl", "--num-points", "20", "--clients", "17",
-             "--rounds", "1", "--out", str(tmp_path / "m.csv")]
+            ["--model", "qfl-quantum", "--transport", "teleport", *FAST,
+             "--out", str(tmp_path / "m.csv")]
         )
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "round 1, client 0" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--num-points", "20", "--clients", "17"], "clients"),
+            (["--clients", "2000"], "clients"),
+            (["--train-fraction", "0.0001"], "train_fraction"),
+            (["--train-fraction", "0.9999"], "train_fraction"),
+        ],
+    )
+    def test_unsplittable_data_exits_2(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "m.csv"
+        code = cli.main(["--model", "cfl", "--rounds", "1", *flags, "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_exits_1(self, tmp_path):
         code = cli.main(
@@ -263,6 +296,18 @@ class TestCompare:
         code = cli.main(["--compare", a, b, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "share the dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, field",
+        [({"clients": 2000}, "clients"), ({"train_fraction": 0.0001}, "train_fraction")],
+    )
+    def test_unsplittable_data_exits_2(self, tmp_path, capsys, setting, field):
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1, **setting)
+        b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1, **setting)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_differing_rounds_allowed(self, tmp_path):
         shared = dict(clients=2, local_epochs=1, num_points=80, batch_size=16)

@@ -1,6 +1,7 @@
 """Circuit classifier checks: shift-rule gradients against finite differences,
-batched fast path pinned to the gate-by-gate reference."""
+the batched engine pinned to the gate-by-gate reference."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,3 +230,49 @@ class TestBatchedPath:
             vqc.forward(model, x),
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_engine_matches_gate_by_gate(self, rng, num_qubits, num_layers, batch):
+        model = random_model(rng, num_layers=num_layers, num_qubits=num_qubits)
+        feats = rng.uniform(0, math.pi, size=(batch, num_qubits))
+        upstream = rng.normal(size=(batch, num_qubits))
+        batched = vqc.forward_batch(model.params, feats)
+        assert batched.shape == (batch, num_qubits)
+        for row, x in zip(batched, feats):
+            assert_allclose(row, vqc.forward(model, x), atol=1e-12)
+        summed = np.zeros_like(model.params)
+        for x, up in zip(feats, upstream):
+            summed += vqc.gradient(model, x, up)
+        assert_allclose(vqc.gradient_batch(model.params, feats, upstream), summed, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_entangler_permutation_matches_cnot_gates(self, num_qubits):
+        """Sending each basis state through the CNOT ring gate by gate lands on
+        the basis state the engine's permutation names; one qubit has no
+        pairs, so its permutation is the identity."""
+        image = vqc._entangler_image(num_qubits)
+        for b in range(2**num_qubits):
+            amps = np.zeros(2**num_qubits, dtype=complex)
+            amps[b] = 1.0
+            state = sv.StateVector(num_qubits, amps)
+            for control, target in vqc.entangler_pairs(num_qubits):
+                state = sv.apply_gate(state, sv.cnot(control, target))
+            assert np.flatnonzero(state.amplitudes) == [image[b]]
+        if num_qubits == 1:
+            assert list(image) == [0, 1]
+
+    def test_oversized_params_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="params"):
+                vqc.gradient_batch(np.zeros((1, 9, 3)), np.zeros((2, 9)), np.zeros((2, 9)))
+            with pytest.raises(ValueError, match="params"):
+                vqc.forward_batch(np.zeros((1, 11, 3)), np.zeros((2, 11)))
+            with pytest.raises(ValueError, match="params"):
+                vqc.gradient_batch(np.zeros((500, 2, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
