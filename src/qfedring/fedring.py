@@ -76,6 +76,15 @@ def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray
     return [(feats[chunk], labs[chunk]) for chunk in np.array_split(order, num_clients)]
 
 
+def _check_readout(model: Model) -> None:
+    """Circuits must have two qubits: the readout gives one class score per qubit."""
+    if isinstance(model, (VqcModel, QuantumWeightStore)) and model.num_qubits != 2:
+        raise ValueError(
+            f"num_qubits must be 2 for the two-class loss, got {model.num_qubits}: "
+            "the circuit readout gives one class score per qubit"
+        )
+
+
 def make_clients(
     features,
     labels,
@@ -87,6 +96,7 @@ def make_clients(
     learning_rate: float = 0.02,
 ) -> list[ClientState]:
     """Partition the data and stand up clients that all start from ``model``."""
+    _check_readout(model)
     shards = partition(features, labels, num_clients, partition_seed)
     return [
         ClientState(
@@ -293,6 +303,7 @@ def centralized_train(
     A one-client ring over R rounds of E epochs reproduces this exactly
     (same rng consumption, same updates) with epochs = R * E.
     """
+    _check_readout(model)
     feats = np.asarray(features, dtype=float)
     labs = np.asarray(labels)
     client = ClientState(0, feats, labs, model, rng, optimizer)

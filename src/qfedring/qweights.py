@@ -1,19 +1,28 @@
 """Circuit weights held as single-qubit states instead of raw floats.
 
-Each weight is an angle ``a``; the usable parameter value is gamma * <Z> of
-RX(a)|0>, read out through the simulator rather than computed as gamma*cos(a)
-directly, so the value path is the same one the teleportation transport acts
-on.  Gradients with respect to the stored angles follow by one more
-application of the parameter-shift rule through the encoding.
+Each weight is an angle ``a`` carried by the state RX(a)|0> =
+[cos(a/2), -i sin(a/2)]; the usable parameter value is gamma * <Z> of that
+carrier.  ``_carrier_amplitudes`` builds the carrier amplitudes for a whole
+array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2 from them,
+so ``materialize`` reads a whole store in one pass and ``weight_gradient``
+chains the circuit gradient back through the same two-point shift rule as
+the circuit parameters, with the +shift and -shift carriers as two arrays.
+``encode_weight`` wraps one carrier as a validated StateVector for the
+teleport channel, and ``state_expectations`` reads (<Z>, <Y>) back from the
+raw amplitudes of what arrives.  Every value is the same float the
+gate-by-gate simulator gives (RX on |0>, then the Pauli-Z expectation), and
+the tests hold these functions to that oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .statevec import StateVector, apply_gate, expectation, pauli_z, rx, zero_state
+from .statevec import StateVector, _rx_matrix
+from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
 from .vqc import SHIFT_RULE
 
 ANGLE_INIT_CENTER = math.pi / 2
@@ -67,20 +76,29 @@ def init_store(
     return QuantumWeightStore(angles, gamma=gamma)
 
 
+def _carrier_amplitudes(angles) -> np.ndarray:
+    """RX(a)|0> for every angle a: shape ``angles.shape + (2,)``."""
+    half = np.asarray(angles, dtype=float) / 2
+    amps = np.empty(half.shape + (2,), dtype=complex)
+    amps[..., 0] = np.cos(half)
+    amps[..., 1] = -1j * np.sin(half)
+    return amps
+
+
+def _z_expectation(amps: np.ndarray) -> np.ndarray:
+    """<Z> of single-qubit amplitudes along the last axis."""
+    probs = amps.real**2 + amps.imag**2
+    return probs[..., 0] - probs[..., 1]
+
+
 def encode_weight(angle: float) -> StateVector:
     """The carrier state RX(angle)|0> for one stored weight."""
-    return apply_gate(zero_state(1), rx(0, float(angle)))
-
-
-def _encoded_z(angle: float) -> float:
-    return expectation(encode_weight(angle), pauli_z(0))
+    return StateVector(1, _carrier_amplitudes(float(angle)))
 
 
 def materialize(store: QuantumWeightStore) -> np.ndarray:
     """Effective circuit parameters gamma * <Z>, one per stored angle."""
-    flat = store.angles.reshape(-1)
-    out = np.array([store.gamma * _encoded_z(a) for a in flat])
-    return out.reshape(store.angles.shape)
+    return store.gamma * _z_expectation(_carrier_amplitudes(store.angles))
 
 
 def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.ndarray:
@@ -95,15 +113,21 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
     if not np.all(np.isfinite(cg)):
         raise ValueError("circuit_grad must be finite")
-    flat = store.angles.reshape(-1)
-    inner = np.array(
-        [
-            SHIFT_RULE.coefficient
-            * (_encoded_z(a + SHIFT_RULE.shift) - _encoded_z(a - SHIFT_RULE.shift))
-            for a in flat
-        ]
-    ).reshape(store.angles.shape)
-    return cg * store.gamma * inner
+    plus = _z_expectation(_carrier_amplitudes(store.angles + SHIFT_RULE.shift))
+    minus = _z_expectation(_carrier_amplitudes(store.angles - SHIFT_RULE.shift))
+    return cg * store.gamma * (SHIFT_RULE.coefficient * (plus - minus))
+
+
+@lru_cache(maxsize=1)
+def _rx_half_pi_t() -> np.ndarray:
+    """amps @ this applies RX(pi/2), the basis change that turns <Y> into <Z>.
+
+    Built on first use: a complex constant made at import would add memory
+    to every run, including those that never read a carrier back.
+    """
+    m = _rx_matrix(math.pi / 2).T
+    m.flags.writeable = False
+    return m
 
 
 def state_expectations(state: StateVector) -> tuple[float, float]:
@@ -114,9 +138,8 @@ def state_expectations(state: StateVector) -> tuple[float, float]:
     """
     if state.num_qubits != 1:
         raise ValueError("expected a single-qubit state")
-    ez = expectation(state, pauli_z(0))
-    ey = expectation(apply_gate(state, rx(0, math.pi / 2)), pauli_z(0))
-    return ez, ey
+    amps = state.amplitudes
+    return float(_z_expectation(amps)), float(_z_expectation(amps @ _rx_half_pi_t()))
 
 
 def decode_angle(expect_z: float, expect_y: float) -> float:

@@ -63,9 +63,13 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        # One dot product checks both: any NaN or inf amplitude makes the
+        # squared norm non-finite, so the element-wise scan runs only then
+        # (finite amplitudes whose squares overflow fall through to the norm).
+        squared = np.vdot(amps, amps).real
+        if not math.isfinite(squared) and not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        norm = np.sqrt(squared)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
         amps.flags.writeable = False
@@ -88,20 +92,12 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def from_amplitudes(amplitudes) -> StateVector:
-    """Build a StateVector from a raw amplitude sequence, inferring the qubit count."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    n = int(round(math.log2(amps.size))) if amps.size else 0
-    if amps.size == 0 or 2**n != amps.size:
-        raise ValueError(f"amplitude count {amps.size} is not a power of two")
-    return StateVector(n, amps)
-
-
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Joint state with ``a``'s qubits in the high bits of the basis index."""
     if a.num_qubits + b.num_qubits > MAX_QUBITS:
         raise ValueError("combined register exceeds the qubit limit")
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    joint = np.multiply.outer(a.amplitudes, b.amplitudes).ravel()
+    return StateVector(a.num_qubits + b.num_qubits, joint)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -6,17 +6,30 @@ receiver fixes up bell_B with X (if the second bit is 1) then Z (if the
 first bit is 1).  Noiseless, so the recovered state always has fidelity 1
 with the message up to float rounding.
 
-``teleport_weights`` moves a whole weight store by teleporting each angle's
-carrier state in a fixed order and decoding it on the far side.
+``teleport_state`` runs the register on raw amplitudes: the outer product
+of the message with the Bell amplitudes (built once from ``bell_pair``),
+CNOT as an index permutation, H as one 2x4 matmul.  The measurement goes
+through ``measure_qubits``/``collapse_qubits`` unchanged, so the channel
+rng is drawn exactly as before, and the corrections act on the receiver's
+two amplitudes alone.  The tests replay the protocol gate by gate with
+``apply_gate`` as the oracle.
+
+``teleport_weights`` moves a whole weight store one channel use per angle:
+``encode_weight`` -> ``teleport_state`` -> ``state_expectations`` ->
+``decode_angle`` for each weight in (layer, qubit, k) order, two channel
+rng draws per weight.  It looks these names up in this module on every
+call, so a test or a tracer can wrap any one of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .qweights import QuantumWeightStore, decode_angle, encode_weight, state_expectations
 from .statevec import (
+    _H,
     StateVector,
     apply_gate,
     cnot,
@@ -24,9 +37,6 @@ from .statevec import (
     fidelity,
     h,
     measure_qubits,
-    tensor_product,
-    x,
-    z,
     zero_state,
 )
 
@@ -46,7 +56,6 @@ class TeleportRecord:
     bell_outcome: tuple[int, int]
     recovered_state: StateVector
     fidelity: float
-    input_angle: float | None = None
 
 
 def bell_pair() -> StateVector:
@@ -55,11 +64,23 @@ def bell_pair() -> StateVector:
     return apply_gate(state, cnot(0, 1))
 
 
+@lru_cache(maxsize=1)
+def _bell_amplitudes() -> np.ndarray:
+    """``bell_pair()``'s read-only amplitudes, built on first use so that
+    importing the package costs no simulation and no memory for it."""
+    return bell_pair().amplitudes
+
+
+# Basis index after CNOT(0 -> 1) on three qubits: |1 b c> <-> |1 (1-b) c>.
+_CNOT_01 = np.array([0, 1, 2, 3, 6, 7, 4, 5])
+
+_Z_FIX = np.array([1.0, -1.0])
+
+
 def teleport_state(
     message: StateVector,
     rng: np.random.Generator | None = None,
     force_outcome: tuple[int, int] | None = None,
-    input_angle: float | None = None,
 ) -> TeleportRecord:
     """Teleport a single-qubit state, sampling the Bell measurement from ``rng``.
 
@@ -71,26 +92,26 @@ def teleport_state(
         raise ValueError("teleportation moves exactly one qubit")
     if force_outcome is None and rng is None:
         raise ValueError("provide an rng or force an outcome")
-    reg = tensor_product(message, bell_pair())
-    reg = apply_gate(reg, cnot(0, 1))
-    reg = apply_gate(reg, h(0))
+    joint = np.multiply.outer(message.amplitudes, _bell_amplitudes()).ravel()
+    # H acts on qubit 0, the leading axis once the register is split 2 x 4.
+    reg = StateVector(3, (_H @ joint[_CNOT_01].reshape(2, 4)).ravel())
     if force_outcome is not None:
         m1, m2 = force_outcome
         _, reg = collapse_qubits(reg, [0, 1], [m1, m2])
     else:
         (m1, m2), reg = measure_qubits(reg, [0, 1], rng)
-    if m2:
-        reg = apply_gate(reg, x(2))
-    if m1:
-        reg = apply_gate(reg, z(2))
-    # Qubits 0 and 1 are collapsed to (m1, m2); slice out the receiver's qubit.
+    # Qubits 0 and 1 are collapsed to (m1, m2); the receiver holds the rest.
+    # X swaps its two amplitudes and Z flips the sign of the |1> one.
     block = reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
+    if m2:
+        block = block[::-1]
+    if m1:
+        block = block * _Z_FIX
     recovered = StateVector(1, block)
     return TeleportRecord(
         bell_outcome=(m1, m2),
         recovered_state=recovered,
         fidelity=fidelity(message, recovered),
-        input_angle=input_angle,
     )
 
 
@@ -105,7 +126,7 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
         for q in range(store.angles.shape[1]):
             for k in range(3):
                 angle = float(store.angles[layer, q, k])
-                record = teleport_state(encode_weight(angle), rng, input_angle=angle)
+                record = teleport_state(encode_weight(angle), rng)
                 try:
                     out[layer, q, k] = decode_angle(*state_expectations(record.recovered_state))
                 except ValueError as exc:

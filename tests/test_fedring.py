@@ -77,6 +77,23 @@ class TestMakeClients:
         )
         assert clients[0].optimizer.learning_rate == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("num_qubits", [1, 3])
+    @pytest.mark.parametrize("kind", ["circuit", "store"])
+    def test_circuits_need_two_qubits(self, rng, kind, num_qubits):
+        # The loss takes two class scores and the readout gives one per qubit,
+        # so any other width must fail here, not deep inside the first step.
+        fx, fy, _, _ = small_shard()
+        if kind == "circuit":
+            model = vqc.VqcModel(np.zeros((2, num_qubits, 3)), num_qubits=num_qubits)
+        else:
+            model = qw.init_store(rng, num_qubits=num_qubits)
+        with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
+            fr.make_clients(fx, fy, 2, model, partition_seed=1, client_seed=2)
+        with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
+            fr.centralized_train(
+                model, fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+            )
+
 
 class TestLocalTrain:
     def expected_single_batch_update(self, model, feats, labels, order, lr):

@@ -9,8 +9,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfedring import qweights as qw
+from qfedring import statevec as sv
+from qfedring.vqc import SHIFT_RULE
 
 ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=False)
+
+
+def reference_z(angle: float) -> float:
+    """<Z> of the carrier built gate by gate: RX(angle) on |0>, then the Z readout."""
+    return sv.expectation(sv.apply_gate(sv.zero_state(1), sv.rx(0, angle)), sv.pauli_z(0))
+
+
+def oracle_angles(rng) -> np.ndarray:
+    """Store-shaped angles: in-branch, out-of-branch and the branch edges."""
+    inside = rng.uniform(-math.pi, math.pi, 18)
+    above = rng.uniform(math.pi, 5 * math.pi, 6)
+    below = rng.uniform(-5 * math.pi, -math.pi, 6)
+    edges = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, 2 * math.pi]
+    return np.concatenate([inside, above, below, edges]).reshape(6, 2, 3)
 
 
 class TestStore:
@@ -81,6 +97,37 @@ class TestReadout:
         store = qw.QuantumWeightStore(np.full((1, 2, 3), a), gamma=gamma)
         values = qw.materialize(store)
         assert np.all(np.abs(values) <= gamma + 1e-12)
+
+
+class TestGateByGateOracle:
+    """The array readout against the simulator, to within an ulp or so of pi."""
+
+    @pytest.mark.parametrize("gamma", [1.0, math.pi])
+    def test_materialize(self, rng, gamma):
+        store = qw.QuantumWeightStore(oracle_angles(rng), gamma=gamma)
+        want = gamma * np.vectorize(reference_z)(store.angles)
+        assert_allclose(qw.materialize(store), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1.0, math.pi])
+    def test_weight_gradient(self, rng, gamma):
+        store = qw.QuantumWeightStore(oracle_angles(rng), gamma=gamma)
+        cg = rng.normal(size=store.angles.shape)
+        ref = np.vectorize(reference_z)
+        inner = SHIFT_RULE.coefficient * (
+            ref(store.angles + SHIFT_RULE.shift) - ref(store.angles - SHIFT_RULE.shift)
+        )
+        assert_allclose(qw.weight_gradient(store, cg), cg * gamma * inner, rtol=0, atol=1e-15)
+
+    def test_encode_weight_and_readout(self, rng):
+        y_basis = sv.rx(0, math.pi / 2)
+        for a in oracle_angles(rng).reshape(-1):
+            gates = sv.apply_gate(sv.zero_state(1), sv.rx(0, a))
+            carrier = qw.encode_weight(a)
+            assert_allclose(carrier.amplitudes, gates.amplitudes, rtol=0, atol=1e-15)
+            ez, ey = qw.state_expectations(carrier)
+            assert ez == pytest.approx(sv.expectation(gates, sv.pauli_z(0)), rel=0, abs=1e-15)
+            want_y = sv.expectation(sv.apply_gate(gates, y_basis), sv.pauli_z(0))
+            assert ey == pytest.approx(want_y, rel=0, abs=1e-15)
 
 
 class TestGradient:

@@ -77,11 +77,38 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
 
-    def test_from_amplitudes_infers_size(self):
-        s = sv.from_amplitudes([0, 1, 0, 0])
-        assert s.num_qubits == 2
-        with pytest.raises(ValueError, match="power of two"):
-            sv.from_amplitudes([1, 0, 0])
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0),
+         complex(-math.inf, 0), complex(0, math.inf), complex(0, -math.inf)],
+    )
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            sv.StateVector(1, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="must be finite"):
+            sv.StateVector(2, np.array([bad, 0, 0, 0]))
+
+    def test_overflowing_norm_is_not_normalized(self):
+        # Finite amplitudes whose squares overflow are a norm error, not a finiteness one.
+        for amps in ([1e200, 0], [0, 1e200j], [1e155, 1e155]):
+            with pytest.raises(ValueError, match="not normalized"):
+                sv.StateVector(1, np.array(amps, dtype=complex))
+
+    def test_norm_tolerance_edge(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            sv.StateVector(1, np.array([1.0 + 2e-10, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            sv.StateVector(1, np.array([0.0, 1j * (1.0 - 2e-10)]))
+        assert sv.StateVector(1, np.array([1.0 + 5e-11, 0.0])).num_qubits == 1
+        assert sv.StateVector(1, np.array([0.0, 1j * (1.0 - 5e-11)])).num_qubits == 1
+
+    def test_tensor_product_is_kron_bitwise(self, rng):
+        for na in (1, 2):
+            for nb in (1, 2):
+                a, b = random_state(rng, na), random_state(rng, nb)
+                joint = sv.tensor_product(a, b).amplitudes
+                kron = np.kron(a.amplitudes, b.amplitudes)
+                assert np.array_equal(joint.view(float), kron.view(float))
 
     def test_tensor_product_ordering(self):
         one = sv.apply_gate(sv.zero_state(1), sv.x(0))

@@ -14,6 +14,30 @@ from tests.conftest import random_state
 OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def reference_register(message):
+    """Sender's side gate by gate: message (x) Bell pair, CNOT(0 -> 1), H(0)."""
+    reg = sv.tensor_product(message, tp.bell_pair())
+    reg = sv.apply_gate(reg, sv.cnot(0, 1))
+    return sv.apply_gate(reg, sv.h(0))
+
+
+def reference_receiver(reg, outcome):
+    """Receiver's side gate by gate: collapse, then X and Z fix-ups on qubit 2."""
+    m1, m2 = outcome
+    _, reg = sv.collapse_qubits(reg, [0, 1], [m1, m2])
+    if m2:
+        reg = sv.apply_gate(reg, sv.x(2))
+    if m1:
+        reg = sv.apply_gate(reg, sv.z(2))
+    return reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
+
+
+def oracle_messages(rng):
+    basis = [sv.zero_state(1), sv.apply_gate(sv.zero_state(1), sv.x(0))]
+    carriers = [qw.encode_weight(a) for a in (0.0, math.pi, -math.pi, 2.5)]
+    return basis + carriers + [random_state(rng, 1) for _ in range(20)]
+
+
 class TestBellPair:
     def test_amplitudes(self):
         s = tp.bell_pair()
@@ -37,6 +61,27 @@ class TestTeleportState:
                 assert_allclose(amps, phase * ref, atol=1e-12)
                 assert abs(abs(phase) - 1) < 1e-12
 
+    def test_forced_branches_match_gate_by_gate(self, rng):
+        for message in oracle_messages(rng):
+            reg = reference_register(message)
+            for outcome in OUTCOMES:
+                record = tp.teleport_state(message, force_outcome=outcome)
+                want = reference_receiver(reg, outcome)
+                assert_allclose(record.recovered_state.amplitudes, want, rtol=0, atol=1e-15)
+                assert record.fidelity == pytest.approx(
+                    sv.fidelity(message, sv.StateVector(1, want)), rel=0, abs=1e-15
+                )
+
+    def test_sampled_outcome_matches_gate_by_gate(self, rng):
+        # Same seed, same register: measure_qubits must draw the same bits.
+        for seed, message in enumerate(oracle_messages(rng)):
+            record = tp.teleport_state(message, rng=np.random.default_rng(seed))
+            reg = reference_register(message)
+            bits, _ = sv.measure_qubits(reg, [0, 1], np.random.default_rng(seed))
+            assert record.bell_outcome == tuple(bits)
+            want = reference_receiver(reg, record.bell_outcome)
+            assert_allclose(record.recovered_state.amplitudes, want, rtol=0, atol=1e-15)
+
     def test_sampled_outcomes_recover(self, rng):
         for _ in range(20):
             message = random_state(rng, 1)
@@ -59,10 +104,6 @@ class TestTeleportState:
     def test_requires_rng_or_outcome(self):
         with pytest.raises(ValueError, match="rng"):
             tp.teleport_state(sv.zero_state(1))
-
-    def test_input_angle_carried(self, rng):
-        record = tp.teleport_state(qw.encode_weight(0.4), rng=rng, input_angle=0.4)
-        assert record.input_angle == 0.4
 
     def test_basis_state_roundtrip(self, rng):
         record = tp.teleport_state(sv.zero_state(1), rng=rng)
@@ -113,6 +154,14 @@ class TestTeleportWeights:
         monkeypatch.setattr(tp, "teleport_state", counting)
         tp.teleport_weights(store, rng)
         assert calls["n"] == store.angles.size == 6
+
+    def test_two_channel_draws_per_weight(self, rng):
+        store = qw.init_store(rng, num_layers=3)  # 18 weights
+        channel = np.random.default_rng(99)
+        tp.teleport_weights(store, channel)
+        twin = np.random.default_rng(99)
+        twin.random(2 * store.angles.size)
+        assert channel.random() == twin.random()
 
     def test_store_transfer_deterministic_per_seed(self, rng):
         store = qw.init_store(rng)
