@@ -20,7 +20,7 @@ from .fedring import (
     run_ring,
 )
 from .qweights import QuantumWeightStore, decode_angle, init_store, materialize, weight_gradient
-from .statevec import GateOp, ObservableSpec, StateVector, apply_gate, expectation, zero_state
+from .statevec import GateOp, StateVector, apply_gate, expectation, zero_state
 from .teleport import TeleportRecord, TransferError, bell_pair, teleport_state, teleport_weights
 from .trainkit import (
     ClassicalMlp,
@@ -37,7 +37,6 @@ __all__ = [
     "ClientState",
     "Dataset",
     "GateOp",
-    "ObservableSpec",
     "QuantumWeightStore",
     "RingSchedule",
     "RoundMetrics",

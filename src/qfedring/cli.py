@@ -94,6 +94,12 @@ class ExperimentConfig:
         for name in ("clients", "rounds", "local_epochs", "layers", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # The CLI builds two-qubit circuits; a gradient step must fit the engine.
+        if self.model != "cfl" and not vqc.fits_unitary_cap(self.layers, 2, shifted=True):
+            raise ConfigError(
+                f"layers={self.layers} is too deep for a {self.model} circuit: its gradient "
+                "would exceed the batched circuit engine's unitary cap"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):

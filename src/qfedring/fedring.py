@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import qweights, trainkit, vqc
+from . import trainkit, vqc
 from .qweights import QuantumWeightStore
 from .teleport import TransferError, teleport_weights
 from .trainkit import ClassicalMlp, Model, RoundMetrics, SgdOptimizer
-from .vqc import VqcModel
 
 # Namespace for per-client rng streams, kept clear of caller-side seed tags.
 _CLIENT_STREAM = 101
@@ -77,8 +76,11 @@ def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray
 
 
 def _check_readout(model: Model) -> None:
-    """Circuits must have two qubits: the readout gives one class score per qubit."""
-    if isinstance(model, (VqcModel, QuantumWeightStore)) and model.num_qubits != 2:
+    """The model must be a known kind, and a circuit must have two qubits:
+    the readout gives one class score per qubit."""
+    if not isinstance(model, Model):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    if not isinstance(model, ClassicalMlp) and model.num_qubits != 2:
         raise ValueError(
             f"num_qubits must be 2 for the two-class loss, got {model.num_qubits}: "
             "the circuit readout gives one class score per qubit"
@@ -112,22 +114,18 @@ def make_clients(
 
 
 def _batch_step(model: Model, feats: np.ndarray, labs: np.ndarray, opt: SgdOptimizer):
-    """One SGD step on one mini-batch; returns (mean loss, updated model)."""
+    """One SGD step on one mini-batch; returns (mean loss, updated model).
+
+    The MLP takes its analytic gradient; a circuit model takes the batch-mean
+    parameter-shift gradient of its effective parameters and applies it itself.
+    """
     if isinstance(model, ClassicalMlp):
         losses, grads = trainkit.mlp_batch_grads(model, feats, labs)
         return float(losses.mean()), trainkit.sgd_step_mlp(model, grads, opt)
-    if isinstance(model, VqcModel):
-        losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(model.params, feats), labs)
-        grad = vqc.gradient_batch(model.params, feats, dlogits) / feats.shape[0]
-        return float(losses.mean()), model.with_params(opt.step(model.params, grad))
-    if isinstance(model, QuantumWeightStore):
-        eff = qweights.materialize(model)
-        losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(eff, feats), labs)
-        circuit_grad = vqc.gradient_batch(eff, feats, dlogits) / feats.shape[0]
-        angle_grad = qweights.weight_gradient(model, circuit_grad)
-        new_angles = qweights.canonical_angles(opt.step(model.angles, angle_grad))
-        return float(losses.mean()), model.with_angles(new_angles)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    params = model.effective_params()
+    losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(params, feats), labs)
+    grad = vqc.gradient_batch(params, feats, dlogits) / feats.shape[0]
+    return float(losses.mean()), model.step(grad, opt)
 
 
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
@@ -237,16 +235,10 @@ def average_models(models: list[Model]) -> Model:
     if len(kinds) != 1:
         raise ValueError("models must share one kind")
     first = models[0]
-    if isinstance(first, VqcModel):
-        return first.with_params(_fsum_mean([m.params for m in models]))
-    if isinstance(first, ClassicalMlp):
-        return ClassicalMlp(
-            _fsum_mean([m.w1 for m in models]),
-            _fsum_mean([m.b1 for m in models]),
-            _fsum_mean([m.w2 for m in models]),
-            _fsum_mean([m.b2 for m in models]),
-        )
-    raise TypeError(f"cannot average models of type {type(first).__name__}")
+    if type(first) is QuantumWeightStore:
+        raise TypeError("cannot average quantum-held weights")
+    means = {f.name: _fsum_mean([getattr(m, f.name) for m in models]) for f in fields(first)}
+    return replace(first, **means)
 
 
 def run_hubspoke(

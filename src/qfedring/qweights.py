@@ -7,6 +7,11 @@ array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2 from them,
 so ``materialize`` reads a whole store in one pass and ``weight_gradient``
 chains the circuit gradient back through the same two-point shift rule as
 the circuit parameters, with the +shift and -shift carriers as two arrays.
+``QuantumWeightStore`` shares the circuit-model interface with
+``vqc.VqcModel``: ``effective_params()`` is ``materialize`` and
+``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
+and ``canonical_angles``, each called through its module-level name so
+that rebinding one (as a tracer does) also covers this path.
 ``encode_weight`` wraps one carrier as a validated StateVector for the
 teleport channel, and ``state_expectations`` reads (<Z>, <Y>) back from the
 raw amplitudes of what arrives.  Every value is the same float the
@@ -59,6 +64,19 @@ class QuantumWeightStore:
 
     def with_angles(self, angles: np.ndarray) -> "QuantumWeightStore":
         return replace(self, angles=angles)
+
+    def effective_params(self) -> np.ndarray:
+        """The circuit parameters the stored angles stand for (``materialize``)."""
+        return materialize(self)
+
+    def step(self, circuit_grad: np.ndarray, optimizer) -> "QuantumWeightStore":
+        """One optimizer step on the angles, chained from a circuit gradient.
+
+        The angles are wrapped back to the branch decode_angle returns, so
+        both transports hand on the same store.
+        """
+        angle_grad = weight_gradient(self, circuit_grad)
+        return self.with_angles(canonical_angles(optimizer.step(self.angles, angle_grad)))
 
 
 def init_store(

@@ -209,24 +209,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(n, amps)
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
-    """Single-qubit Pauli-Z observable on a target qubit."""
-
-    kind: str = "PAULI_Z"
-    target: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind != "PAULI_Z":
-            raise ValueError(f"unsupported observable kind {self.kind!r}")
-        if self.target < 0:
-            raise ValueError(f"target index must be non-negative, got {self.target}")
-
-
-def pauli_z(target: int) -> ObservableSpec:
-    return ObservableSpec("PAULI_Z", target)
-
-
 @lru_cache(maxsize=64)
 def _z_signs(num_qubits: int, target: int) -> np.ndarray:
     bits = (np.arange(2**num_qubits) >> (num_qubits - 1 - target)) & 1
@@ -235,10 +217,10 @@ def _z_signs(num_qubits: int, target: int) -> np.ndarray:
     return signs
 
 
-def expectation(state: StateVector, obs: ObservableSpec) -> float:
+def expectation(state: StateVector, target: int) -> float:
     """<state| Z_target |state>, computed exactly from the amplitudes."""
-    _check_qubit(obs.target, state.num_qubits, "observable target")
-    return float(_z_signs(state.num_qubits, obs.target) @ state.probabilities())
+    _check_qubit(target, state.num_qubits, "observable target")
+    return float(_z_signs(state.num_qubits, target) @ state.probabilities())
 
 
 def _bit_probability(amps: np.ndarray, num_qubits: int, target: int) -> float:

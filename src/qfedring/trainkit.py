@@ -3,7 +3,10 @@
 All three model kinds (ClassicalMlp, VqcModel, QuantumWeightStore) expose two
 class scores; classification is argmax over them and the training loss is
 softmax cross-entropy on the same pair, so the variants are comparable run
-for run.
+for run.  Model dispatch has two cases: the MLP's own forward pass, and the
+batched circuit engine on ``effective_params()`` for both circuit kinds.
+``loss_and_grad`` and ``mlp_forward_backward`` are the single-sample forms
+the tests pin to finite differences; training runs the batched ones.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from . import qweights, vqc
+from . import vqc
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel
 
@@ -25,8 +28,6 @@ MLP_HIDDEN = 4
 # and training stalls near 60% accuracy.  Sharpening the softmax restores
 # the ordering (measured: best reachable accuracy is loss-optimal again).
 LOGIT_SCALE = 8.0
-
-Model = Union["ClassicalMlp", VqcModel, QuantumWeightStore]
 
 
 def loss_and_grad(logits, label: int, scale: float = LOGIT_SCALE) -> tuple[float, np.ndarray]:
@@ -75,20 +76,6 @@ def batch_loss_and_grad(logits, labels, scale: float = LOGIT_SCALE) -> tuple[np.
 
 
 @dataclass(frozen=True)
-class SoftmaxCrossEntropyLoss:
-    """Callable form of loss_and_grad with a fixed temperature."""
-
-    scale: float = LOGIT_SCALE
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
-
-    def __call__(self, logits, label: int) -> tuple[float, np.ndarray]:
-        return loss_and_grad(logits, label, self.scale)
-
-
-@dataclass(frozen=True)
 class SgdOptimizer:
     """Plain gradient descent, p <- p - lr * g."""
 
@@ -124,6 +111,10 @@ class ClassicalMlp:
 
     def num_params(self) -> int:
         return self.w1.size + self.b1.size + self.w2.size + self.b2.size
+
+
+# isinstance accepts this union, so it doubles as the list of known kinds.
+Model = Union[ClassicalMlp, VqcModel, QuantumWeightStore]
 
 
 class MlpGrads(NamedTuple):
@@ -196,19 +187,6 @@ def sgd_step_mlp(model: ClassicalMlp, grads: MlpGrads, opt: SgdOptimizer) -> Cla
     )
 
 
-def model_logits(model: Model, features) -> np.ndarray:
-    """Two class scores for a single sample, for any model kind."""
-    feats = np.asarray(features, dtype=float)
-    if isinstance(model, ClassicalMlp):
-        return mlp_logits(model, feats)
-    if isinstance(model, VqcModel):
-        return vqc.forward(model, feats)
-    if isinstance(model, QuantumWeightStore):
-        eff = qweights.materialize(model)
-        return vqc.forward(VqcModel(eff, num_qubits=model.num_qubits), feats)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def model_logits_batch(model: Model, features) -> np.ndarray:
     """Two class scores per row of ``features``."""
     feats = np.asarray(features, dtype=float)
@@ -216,11 +194,7 @@ def model_logits_batch(model: Model, features) -> np.ndarray:
         raise ValueError(f"expected a batch of samples, got shape {feats.shape}")
     if isinstance(model, ClassicalMlp):
         return mlp_logits(model, feats)
-    if isinstance(model, QuantumWeightStore):
-        return vqc.forward_batch(qweights.materialize(model), feats)
-    if isinstance(model, VqcModel):
-        return vqc.forward_batch(model.params, feats)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return vqc.forward_batch(model.effective_params(), feats)
 
 
 def evaluate(model: Model, features, labels) -> float:

@@ -6,12 +6,18 @@ which is exact for these rotation gates.  ``forward``/``gradient`` walk the
 simulator gate by gate, define the semantics and serve the tests as oracle.
 ``forward_batch``/``gradient_batch`` are one engine for any qubit count: all
 2P shifted circuits of a gradient in one pass, one matmul per layer, with
-the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``.
+the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``; ``fits_unitary_cap``
+is that test, shared with the CLI's config check.
+
+``VqcModel`` holds only its parameter array.  It shares the circuit-model
+interface with ``qweights.QuantumWeightStore``: ``effective_params()`` gives
+the circuit parameters and ``step(circuit_grad, optimizer)`` applies a
+circuit gradient, so training and evaluation never ask which kind they hold.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +28,6 @@ from .statevec import (
     apply_gate,
     cnot,
     expectation,
-    pauli_z,
     rot,
     rx,
     zero_state,
@@ -41,29 +46,15 @@ SHIFT_RULE = ShiftRule()
 
 
 @dataclass(frozen=True)
-class EncoderSpec:
-    kind: str = "VARIATIONAL_RX"
-
-    def __post_init__(self) -> None:
-        if self.kind != "VARIATIONAL_RX":
-            raise ValueError(f"unsupported encoder kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class VqcModel:
     """Trainable circuit parameters, shaped [layer][qubit][(phi, theta, omega)]."""
 
     params: np.ndarray
-    num_qubits: int = 2
-    encoder: EncoderSpec = field(default_factory=EncoderSpec)
 
     def __post_init__(self) -> None:
         p = np.array(self.params, dtype=float)
-        if p.ndim != 3 or p.shape[1:] != (self.num_qubits, 3) or p.shape[0] < 1:
-            raise ValueError(
-                f"params must have shape (layers, {self.num_qubits}, 3) with layers >= 1, "
-                f"got {p.shape}"
-            )
+        if p.ndim != 3 or p.shape[2] != 3 or 0 in p.shape:
+            raise ValueError(f"params must have shape (layers, qubits, 3), got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("params must be finite")
         p.flags.writeable = False
@@ -73,8 +64,20 @@ class VqcModel:
     def num_layers(self) -> int:
         return self.params.shape[0]
 
+    @property
+    def num_qubits(self) -> int:
+        return self.params.shape[1]
+
     def with_params(self, params: np.ndarray) -> "VqcModel":
         return replace(self, params=params)
+
+    def effective_params(self) -> np.ndarray:
+        """The circuit parameters, as stored."""
+        return self.params
+
+    def step(self, circuit_grad: np.ndarray, optimizer) -> "VqcModel":
+        """The model after one optimizer step along ``circuit_grad``."""
+        return self.with_params(optimizer.step(self.params, circuit_grad))
 
 
 def init_model(rng: np.random.Generator, num_layers: int = 2, num_qubits: int = 2) -> VqcModel:
@@ -82,7 +85,7 @@ def init_model(rng: np.random.Generator, num_layers: int = 2, num_qubits: int = 
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     params = rng.uniform(-math.pi / 4, math.pi / 4, size=(num_layers, num_qubits, 3))
-    return VqcModel(params, num_qubits=num_qubits)
+    return VqcModel(params)
 
 
 def entangler_pairs(num_qubits: int) -> list[tuple[int, int]]:
@@ -118,7 +121,7 @@ def _run_layers(state: StateVector, params: np.ndarray) -> StateVector:
 def forward(model: VqcModel, features) -> np.ndarray:
     """Logits: <Z_q> for each qubit q, each in [-1, 1]."""
     state = _run_layers(encode(model, features), model.params)
-    return np.array([expectation(state, pauli_z(q)) for q in range(model.num_qubits)])
+    return np.array([expectation(state, q) for q in range(model.num_qubits)])
 
 
 def gradient(model: VqcModel, features, upstream) -> np.ndarray:
@@ -153,12 +156,23 @@ def gradient(model: VqcModel, features, upstream) -> np.ndarray:
 _MAX_UNITARY_ENTRIES = 1 << 20
 
 
+def fits_unitary_cap(num_layers: int, num_qubits: int, *, shifted: bool) -> bool:
+    """Whether the engine's unitary tensor stays within ``_MAX_UNITARY_ENTRIES``.
+
+    A gradient (``shifted``) builds 2P parameter sets of P = 3 * layers *
+    qubits angles each, a forward pass one set; every set holds one
+    (2**n, 2**n) unitary per layer.
+    """
+    sets = 6 * num_layers * num_qubits if shifted else 1
+    return sets * num_layers * 4**num_qubits <= _MAX_UNITARY_ENTRIES
+
+
 def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(params, dtype=float)
     if p.ndim != 3 or 0 in p.shape or p.shape[2] != 3:
         raise ValueError(f"params must have shape (layers, qubits, 3), got {p.shape}")
     layers, n, _ = p.shape
-    if (2 * p.size if shifted else 1) * layers * 4**n > _MAX_UNITARY_ENTRIES:
+    if not fits_unitary_cap(layers, n, shifted=shifted):
         raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != n:

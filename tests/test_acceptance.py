@@ -130,7 +130,7 @@ def test_criterion_2_shift_rule_is_exact(capsys):
     def measured_z(values):
         state = sv.apply_gate(sv.zero_state(1), sv.rx(0, values[0]))
         state = sv.apply_gate(state, sv.rot(0, values[1], values[2], values[3]))
-        return sv.expectation(state, sv.pauli_z(0))
+        return sv.expectation(state, 0)
 
     rng = np.random.default_rng(555)
     worst = 0.0

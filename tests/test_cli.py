@@ -1,9 +1,12 @@
 """Command-line interface checks: config parsing and precedence, CSV output
 stability, convergence reporting, end-to-end runs and exit codes."""
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfedring import cli
 from qfedring import datagen as dg
@@ -60,6 +63,77 @@ class TestConfig:
             cli.ExperimentConfig(model="cfl", num_points=20, train_fraction=0.04)
         config = cli.ExperimentConfig(model="cfl", num_points=20, train_fraction=0.06, clients=2)
         assert cli.build_dataset(config).train_labels.size == 2
+
+    def test_circuit_depth_checked_against_engine(self):
+        # 73 two-qubit layers are the deepest whose gradient fits the engine's
+        # unitary cap; 74 must fail here, not after the data is built.
+        for model in ("qfl-classical", "qfl-quantum"):
+            assert cli.ExperimentConfig(model=model, layers=73).layers == 73
+            with pytest.raises(cli.ConfigError, match="layers=74"):
+                cli.ExperimentConfig(model=model, layers=74)
+        cli.ExperimentConfig(model="cfl", layers=74)  # the MLP has no circuit layers
+
+
+# Values each setting's parser reads back unchanged from its str() form.
+_FIELD_VALUES = {
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(string.ascii_letters + string.digits + "._-/=", min_size=1, max_size=12),
+}
+_FILLER = st.sampled_from(["", "   ", "# a comment", "  # indented comment"])
+
+
+@st.composite
+def config_files(draw):
+    """(values, lines): a subset of settings written one per line with spacing,
+    trailing comments and filler lines around them."""
+    keys = draw(st.lists(st.sampled_from(sorted(cli._FIELD_TYPES)), unique=True))
+    values = {k: draw(_FIELD_VALUES[cli._FIELD_TYPES[k]]) for k in keys}
+    lines = []
+    for key, value in values.items():
+        lines.extend(draw(st.lists(_FILLER, max_size=2)))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        comment = draw(st.sampled_from(["", "  # why", "#"]))
+        lines.append(f"{pad}{key}{pad}={pad}{value}{comment}")
+    lines.extend(draw(st.lists(_FILLER, max_size=2)))
+    return values, lines
+
+
+class TestConfigFileProperties:
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(config=config_files())
+    def test_round_trips(self, tmp_path, config):
+        values, lines = config
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli._load_config_file(str(path)) == values
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        config=config_files(),
+        data=st.data(),
+        bad=st.one_of(
+            st.text(string.ascii_lowercase + "_", min_size=1, max_size=10)
+            .filter(lambda k: k not in cli._FIELD_TYPES)
+            .map(lambda k: (f"{k} = 1", "unknown setting")),
+            st.tuples(
+                st.sampled_from(sorted(k for k, t in cli._FIELD_TYPES.items() if t is not str)),
+                st.text(string.ascii_lowercase, max_size=6),
+            ).map(lambda kv: (f"{kv[0]} = {kv[1]}?", f"bad value for {kv[0]}")),
+        ),
+    )
+    def test_bad_line_is_named(self, tmp_path, config, data, bad):
+        _, lines = config
+        line, message = bad
+        at = data.draw(st.integers(0, len(lines)))
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join([*lines[:at], line, *lines[at:]]) + "\n")
+        with pytest.raises(cli.ConfigError, match=f"run.cfg:{at + 1}: {message}"):
+            cli._load_config_file(str(path))
 
 
 class TestParsing:
@@ -169,6 +243,17 @@ class TestConvergence:
         with pytest.raises(ValueError, match="no accuracies"):
             cli.convergence_round([])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        accs=st.lists(st.floats(0, 1), min_size=1, max_size=30),
+        tolerance=st.floats(0, 0.5),
+    )
+    def test_names_first_round_within_tolerance(self, accs, tolerance):
+        found = cli.convergence_round(accs, tolerance)
+        assert 1 <= found <= len(accs)
+        assert abs(accs[found - 1] - accs[-1]) <= tolerance
+        assert all(abs(acc - accs[-1]) > tolerance for acc in accs[: found - 1])
+
 
 class TestDataset:
     def test_build_dataset_deterministic(self):
@@ -260,6 +345,13 @@ class TestEndToEnd:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["qfl-classical", "qfl-quantum"])
+    def test_too_deep_circuit_exits_2(self, tmp_path, capsys, model):
+        out = tmp_path / "m.csv"
+        assert cli.main(["--model", model, "--layers", "74", "--out", str(out)]) == 2
+        assert "layers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_1(self, tmp_path):
         code = cli.main(
             ["--model", "qfl-classical", *FAST,
@@ -307,6 +399,14 @@ class TestCompare:
         out = tmp_path / "x.csv"
         assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_deep_circuit_exits_2(self, tmp_path, capsys):
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1, layers=74)
+        b = write_config(tmp_path / "b.cfg", model="qfl-quantum", rounds=1, layers=74)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
+        assert "layers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_differing_rounds_allowed(self, tmp_path):

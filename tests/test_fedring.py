@@ -84,7 +84,7 @@ class TestMakeClients:
         # so any other width must fail here, not deep inside the first step.
         fx, fy, _, _ = small_shard()
         if kind == "circuit":
-            model = vqc.VqcModel(np.zeros((2, num_qubits, 3)), num_qubits=num_qubits)
+            model = vqc.VqcModel(np.zeros((2, num_qubits, 3)))
         else:
             model = qw.init_store(rng, num_qubits=num_qubits)
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
@@ -92,6 +92,16 @@ class TestMakeClients:
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
             fr.centralized_train(
                 model, fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+            )
+
+    def test_rejects_unknown_model(self, rng):
+        # The one place an unknown kind is named, before any data is split.
+        fx, fy, _, _ = small_shard()
+        with pytest.raises(TypeError, match="unsupported model type object"):
+            fr.make_clients(fx, fy, 2, object(), partition_seed=1, client_seed=2)
+        with pytest.raises(TypeError, match="unsupported model type object"):
+            fr.centralized_train(
+                object(), fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
             )
 
 

@@ -17,7 +17,7 @@ ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=Fa
 
 def reference_z(angle: float) -> float:
     """<Z> of the carrier built gate by gate: RX(angle) on |0>, then the Z readout."""
-    return sv.expectation(sv.apply_gate(sv.zero_state(1), sv.rx(0, angle)), sv.pauli_z(0))
+    return sv.expectation(sv.apply_gate(sv.zero_state(1), sv.rx(0, angle)), 0)
 
 
 def oracle_angles(rng) -> np.ndarray:
@@ -125,8 +125,8 @@ class TestGateByGateOracle:
             carrier = qw.encode_weight(a)
             assert_allclose(carrier.amplitudes, gates.amplitudes, rtol=0, atol=1e-15)
             ez, ey = qw.state_expectations(carrier)
-            assert ez == pytest.approx(sv.expectation(gates, sv.pauli_z(0)), rel=0, abs=1e-15)
-            want_y = sv.expectation(sv.apply_gate(gates, y_basis), sv.pauli_z(0))
+            assert ez == pytest.approx(sv.expectation(gates, 0), rel=0, abs=1e-15)
+            want_y = sv.expectation(sv.apply_gate(gates, y_basis), 0)
             assert ey == pytest.approx(want_y, rel=0, abs=1e-15)
 
 

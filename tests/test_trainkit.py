@@ -76,16 +76,6 @@ class TestLoss:
         with pytest.raises(ValueError, match="labels"):
             tk.batch_loss_and_grad(np.zeros((2, 2)), np.array([0, 5]))
 
-    def test_loss_object(self):
-        head = tk.SoftmaxCrossEntropyLoss()
-        assert head.scale == tk.LOGIT_SCALE
-        loss, grad = head([0.2, -0.2], 0)
-        want_loss, want_grad = tk.loss_and_grad([0.2, -0.2], 0)
-        assert loss == want_loss
-        assert_allclose(grad, want_grad)
-        with pytest.raises(ValueError, match="scale"):
-            tk.SoftmaxCrossEntropyLoss(scale=0.0)
-
     @settings(max_examples=60, deadline=None)
     @given(a=FINITE, b=FINITE, label=st.integers(0, 1))
     def test_loss_nonnegative_and_finite(self, a, b, label):
@@ -183,29 +173,31 @@ class TestMlp:
 
 class TestModelDispatch:
     def test_logits_for_each_kind(self, rng):
-        x = np.array([0.4, 1.2])
-        mlp = tk.init_mlp(rng)
-        assert_allclose(tk.model_logits(mlp, x), tk.mlp_logits(mlp, x))
-        circuit = vqc.init_model(rng)
-        assert_allclose(tk.model_logits(circuit, x), vqc.forward(circuit, x))
-        store = qw.init_store(rng)
-        eff = qw.materialize(store)
-        assert_allclose(
-            tk.model_logits(store, x), vqc.forward(vqc.VqcModel(eff), x), atol=1e-12
-        )
+        # Each row against the single-sample oracle of its kind; a store reads
+        # as the gate-by-gate circuit on its materialized parameters.
+        feats = rng.uniform(0, math.pi, size=(5, 2))
+        mlp, circuit, store = tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)
+        stored_circuit = vqc.VqcModel(qw.materialize(store))
+        for model, oracle in [
+            (mlp, lambda x: tk.mlp_logits(mlp, x)),
+            (circuit, lambda x: vqc.forward(circuit, x)),
+            (store, lambda x: vqc.forward(stored_circuit, x)),
+        ]:
+            batched = tk.model_logits_batch(model, feats)
+            assert batched.shape == (5, 2)
+            for i in range(5):
+                assert_allclose(batched[i], oracle(feats[i]), atol=1e-12)
 
     def test_batch_matches_single(self, rng):
+        # A row's scores do not depend on the rest of the batch.
         feats = rng.uniform(0, math.pi, size=(5, 2))
         for model in (tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)):
             batched = tk.model_logits_batch(model, feats)
             for i in range(5):
-                assert_allclose(batched[i], tk.model_logits(model, feats[i]), atol=1e-12)
-
-    def test_rejects_unknown_model(self):
-        with pytest.raises(TypeError, match="unsupported"):
-            tk.model_logits(object(), np.zeros(2))
-        with pytest.raises(TypeError, match="unsupported"):
-            tk.model_logits_batch(object(), np.zeros((1, 2)))
+                alone = tk.model_logits_batch(model, feats[i : i + 1])
+                assert_allclose(batched[i], alone[0], atol=1e-12)
+            with pytest.raises(ValueError, match="batch"):
+                tk.model_logits_batch(model, feats[0])
 
     def test_evaluate_trivials(self, rng):
         model = vqc.VqcModel(np.zeros((1, 2, 3)))
