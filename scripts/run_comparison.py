@@ -22,11 +22,12 @@ VARIANTS = {
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out-dir", default="comparison", help="where configs and the CSV land")
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--clients", type=int, default=3)
-    p.add_argument("--local-epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--noise", type=float, default=0.1)
+    # Settings left unset are not written, so each run keeps ExperimentConfig's default.
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--clients", type=int)
+    p.add_argument("--local-epochs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--noise", type=float)
     return p.parse_args(argv)
 
 
@@ -34,17 +35,11 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    shared = {k: v for k, v in vars(args).items() if k != "out_dir" and v is not None}
 
     config_paths = []
     for name, settings in VARIANTS.items():
-        lines = dict(settings)
-        lines.update(
-            rounds=args.rounds,
-            clients=args.clients,
-            local_epochs=args.local_epochs,
-            seed=args.seed,
-            noise=args.noise,
-        )
+        lines = {**settings, **shared}
         path = out_dir / f"{name}.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         config_paths.append(str(path))

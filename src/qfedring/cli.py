@@ -5,6 +5,11 @@ Compare mode loads several config files that must agree on the dataset,
 trains each on the shared data, and writes one combined CSV tagged with the
 dataset checksum.
 
+``ExperimentConfig`` declares every setting once: each of its fields is a
+config-file key and a flag (``local_epochs`` is ``--local-epochs``), parsed
+by the field's annotation, and its checks make a bad value exit 2 before
+any data is built.
+
 Seed discipline: every random stream is derived from the experiment seed
 with a fixed tag ([seed, 0] dataset, [seed, 1] split, [seed, 2] partition,
 [seed, 3] model init, [seed, 4] teleport channel; client shuffles get their
@@ -17,6 +22,7 @@ import argparse
 import math
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,26 +41,6 @@ METRICS_HEADER = "round,client,mean_train_loss,test_accuracy,wall_ms"
 COMPARE_HEADER = "model,transport,round,client,mean_train_loss,test_accuracy,wall_ms,dataset_checksum"
 
 CONVERGENCE_TOLERANCE = 0.02
-
-# Fields a config file may set, with their parsers.
-_FIELD_TYPES = {
-    "model": str,
-    "clients": int,
-    "rounds": int,
-    "local_epochs": int,
-    "layers": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "gamma": float,
-    "num_points": int,
-    "noise": float,
-    "factor": float,
-    "train_fraction": float,
-    "transport": str,
-    "seed": int,
-    "out": str,
-    "dump_dataset": str,
-}
 
 # Settings that determine the generated dataset; compare mode requires these
 # to agree across all configs.
@@ -104,16 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
-        if self.num_points < 4:
-            raise ConfigError(f"num_points must be >= 4, got {self.num_points}")
-        if self.num_points % 2:
-            raise ConfigError(
-                f"num_points must be even to balance the classes, got {self.num_points}"
-            )
-        if self.noise < 0 or not math.isfinite(self.noise):
-            raise ConfigError(f"noise must be a finite non-negative sigma, got {self.noise!r}")
-        if not 0 < self.factor < 1:
-            raise ConfigError(f"factor must lie in (0, 1), got {self.factor!r}")
+        try:
+            datagen.check_circles(self.num_points, self.noise, self.factor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
         # make_circles puts num_points // 2 samples in each class.
@@ -122,6 +102,14 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction={self.train_fraction!r} leaves a split empty")
         if self.clients > train:
             raise ConfigError(f"clients={self.clients} exceeds the {train} training samples")
+
+
+# Each setting's parser, read off its annotation: int, float, or else str.
+_FIELD_TYPES = {
+    name: hint if hint in (int, float) else str
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}
+_FIELD_CHOICES = {"model": MODELS, "transport": TRANSPORTS}
 
 
 @dataclass(frozen=True)
@@ -135,22 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config file of key = value lines; flags override it")
     p.add_argument("--compare", nargs="+", metavar="CFG",
                    help="run several config files on a shared dataset and merge the metrics")
-    p.add_argument("--model", choices=MODELS)
-    p.add_argument("--clients", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--local-epochs", type=int, dest="local_epochs")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--num-points", type=int, dest="num_points")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--factor", type=float)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--transport", choices=TRANSPORTS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--dump-dataset", dest="dump_dataset")
+    for name, parse in _FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=parse, choices=_FIELD_CHOICES.get(name))
     return p
 
 
@@ -213,14 +188,14 @@ def _format(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _csv_row(m: RoundMetrics) -> str:
+    """One round's metrics columns; wall_ms is always 0 so reruns match byte for byte."""
+    loss, accuracy = _format(m.mean_train_loss), _format(m.test_accuracy)
+    return f"{m.round_index},{m.client_id},{loss},{accuracy},0"
+
+
 def metrics_csv_text(metrics: list[RoundMetrics]) -> str:
-    lines = [METRICS_HEADER]
-    for m in metrics:
-        lines.append(
-            f"{m.round_index},{m.client_id},{_format(m.mean_train_loss)},"
-            f"{_format(m.test_accuracy)},{_format(m.wall_ms)}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([METRICS_HEADER, *map(_csv_row, metrics)]) + "\n"
 
 
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
@@ -331,12 +306,8 @@ def compare(request: CompareRequest) -> int:
     lines = [COMPARE_HEADER]
     for path, config in zip(request.config_paths, configs):
         _, metrics, elapsed = run_single(config, dataset)
-        for m in metrics:
-            lines.append(
-                f"{config.model},{config.transport},{m.round_index},{m.client_id},"
-                f"{_format(m.mean_train_loss)},{_format(m.test_accuracy)},"
-                f"{_format(m.wall_ms)},{checksum}"
-            )
+        prefix = f"{config.model},{config.transport}"
+        lines.extend(f"{prefix},{_csv_row(m)},{checksum}" for m in metrics)
         _print_summary(config, dataset, metrics, elapsed)
     with open(request.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -54,14 +54,8 @@ class Dataset:
             raise ValueError("both splits must be non-empty")
 
 
-def make_circles(
-    num_points: int, noise: float, factor: float, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two concentric circles: outer radius 1 is class 0, inner radius ``factor`` class 1.
-
-    Points sit at evenly spaced angles with isotropic Gaussian jitter of
-    standard deviation ``noise`` added to both coordinates.
-    """
+def check_circles(num_points: int, noise: float, factor: float) -> None:
+    """Raise ``ValueError`` naming the first ``make_circles`` argument out of range."""
     if num_points < 4:
         raise ValueError(f"num_points must be >= 4, got {num_points}")
     if num_points % 2:
@@ -70,6 +64,17 @@ def make_circles(
         raise ValueError(f"noise must be a finite non-negative sigma, got {noise!r}")
     if not 0 < factor < 1:
         raise ValueError(f"factor must lie in (0, 1), got {factor!r}")
+
+
+def make_circles(
+    num_points: int, noise: float, factor: float, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two concentric circles: outer radius 1 is class 0, inner radius ``factor`` class 1.
+
+    Points sit at evenly spaced angles with isotropic Gaussian jitter of
+    standard deviation ``noise`` added to both coordinates.
+    """
+    check_circles(num_points, noise, factor)
     rng = np.random.default_rng(seed)
     n_outer = num_points // 2
     n_inner = num_points - n_outer

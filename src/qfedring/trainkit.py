@@ -79,7 +79,7 @@ def batch_loss_and_grad(logits, labels, scale: float = LOGIT_SCALE) -> tuple[np.
 class SgdOptimizer:
     """Plain gradient descent, p <- p - lr * g."""
 
-    learning_rate: float = 0.1
+    learning_rate: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -208,17 +208,12 @@ def evaluate(model: Model, features, labels) -> float:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """One evaluation row: which round, whose parameters, loss and accuracy.
-
-    wall_ms is carried for schema stability but always written as 0 so that
-    repeated runs serialize byte for byte; timing is reported separately.
-    """
+    """One evaluation row: which round, whose parameters, loss and accuracy."""
 
     round_index: int
     client_id: int
     mean_train_loss: float
     test_accuracy: float
-    wall_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.round_index < 1:
@@ -227,5 +222,3 @@ class RoundMetrics:
             raise ValueError(f"mean_train_loss must be finite, got {self.mean_train_loss!r}")
         if not 0.0 <= self.test_accuracy <= 1.0:
             raise ValueError(f"test_accuracy must lie in [0, 1], got {self.test_accuracy!r}")
-        if self.wall_ms < 0:
-            raise ValueError(f"wall_ms must be >= 0, got {self.wall_ms!r}")

@@ -1,7 +1,9 @@
 """Command-line interface checks: config parsing and precedence, CSV output
 stability, convergence reporting, end-to-end runs and exit codes."""
+import dataclasses
 import math
 import string
+import typing
 
 import numpy as np
 import pytest
@@ -134,6 +136,59 @@ class TestConfigFileProperties:
         path.write_text("\n".join([*lines[:at], line, *lines[at:]]) + "\n")
         with pytest.raises(cli.ConfigError, match=f"run.cfg:{at + 1}: {message}"):
             cli._load_config_file(str(path))
+
+
+# A valid value other than the default for every ExperimentConfig field.
+_SAMPLE_VALUES = {
+    "model": "qfl-classical",
+    "clients": 4,
+    "rounds": 7,
+    "local_epochs": 2,
+    "layers": 3,
+    "learning_rate": 0.05,
+    "batch_size": 8,
+    "gamma": 2.5,
+    "num_points": 100,
+    "noise": 0.25,
+    "factor": 0.3,
+    "train_fraction": 0.7,
+    "transport": "teleport",
+    "seed": 7,
+    "out": "run.csv",
+    "dump_dataset": "points.csv",
+}
+
+
+class TestDerivedFlags:
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(cli.ExperimentConfig), ids=lambda f: f.name
+    )
+    def test_every_field_is_a_typed_flag(self, field):
+        value = _SAMPLE_VALUES[field.name]
+        assert isinstance(value, typing.get_type_hints(cli.ExperimentConfig)[field.name])
+        assert value != field.default
+        base = [] if field.name == "model" else ["--model", "qfl-quantum"]
+        flag = "--" + field.name.replace("_", "-")
+        config = cli.parse_config([*base, flag, str(value)])
+        parsed = getattr(config, field.name)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_help_lists_choices(self):
+        text = cli._build_parser().format_help()
+        assert "--model {cfl,qfl-classical,qfl-quantum}" in text
+        assert "--transport {copy,teleport}" in text
+
+    @pytest.mark.parametrize(
+        "num_points, noise, factor",
+        [(3, 0.1, 0.5), (5, 0.1, 0.5), (100, -1.0, 0.5), (100, math.inf, 0.5),
+         (100, 0.1, 0.0), (100, 0.1, 1.0)],
+    )
+    def test_circles_checks_shared_with_datagen(self, num_points, noise, factor):
+        with pytest.raises(ValueError) as data_error:
+            dg.make_circles(num_points, noise, factor, seed=0)
+        with pytest.raises(cli.ConfigError) as config_error:
+            cli.ExperimentConfig(model="cfl", num_points=num_points, noise=noise, factor=factor)
+        assert str(config_error.value) == str(data_error.value)
 
 
 class TestParsing:
@@ -281,6 +336,16 @@ class TestDataset:
         assert store.gamma == pytest.approx(2.0)
 
 
+# One out-of-range value per setting that is checked before any data is built.
+_BAD_SETTINGS = [
+    ("model", "resnet"),
+    ("transport", "pigeon"),
+    ("num_points", "3"),
+    ("noise", "-1"),
+    ("factor", "1"),
+]
+
+
 class TestEndToEnd:
     def test_run_writes_metrics_and_returns_zero(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -345,6 +410,14 @@ class TestEndToEnd:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", _BAD_SETTINGS)
+    def test_bad_setting_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "m.csv"
+        flag = "--" + key.replace("_", "-")
+        assert cli.main(["--model", "cfl", flag, value, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model", ["qfl-classical", "qfl-quantum"])
     def test_too_deep_circuit_exits_2(self, tmp_path, capsys, model):
         out = tmp_path / "m.csv"
@@ -399,6 +472,16 @@ class TestCompare:
         out = tmp_path / "x.csv"
         assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", _BAD_SETTINGS)
+    def test_bad_setting_exits_2(self, tmp_path, capsys, key, value):
+        settings = {"model": "cfl", "rounds": 1, key: value}
+        a = write_config(tmp_path / "a.cfg", **settings)
+        b = write_config(tmp_path / "b.cfg", **settings)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_deep_circuit_exits_2(self, tmp_path, capsys):

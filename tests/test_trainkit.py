@@ -213,10 +213,6 @@ class TestModelDispatch:
 
 
 class TestRoundMetrics:
-    def test_defaults(self):
-        m = tk.RoundMetrics(round_index=1, client_id=0, mean_train_loss=0.5, test_accuracy=0.9)
-        assert m.wall_ms == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="round_index"):
             tk.RoundMetrics(0, 0, 0.5, 0.9)
@@ -224,5 +220,3 @@ class TestRoundMetrics:
             tk.RoundMetrics(1, 0, float("nan"), 0.9)
         with pytest.raises(ValueError, match="test_accuracy"):
             tk.RoundMetrics(1, 0, 0.5, 1.5)
-        with pytest.raises(ValueError, match="wall_ms"):
-            tk.RoundMetrics(1, 0, 0.5, 0.9, wall_ms=-1.0)
