@@ -198,6 +198,21 @@ def metrics_csv_text(metrics: list[RoundMetrics]) -> str:
     return "\n".join([METRICS_HEADER, *map(_csv_row, metrics)]) + "\n"
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing ``path`` would, before any training.
+
+    An existing file is opened for append, which does not change it; a new
+    one is created exclusively and removed again, so a later failure leaves
+    no empty file behind.
+    """
+    target = Path(path)
+    if target.exists():
+        open(target, "a").close()
+    else:
+        open(target, "x").close()
+        target.unlink()
+
+
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(metrics_csv_text(metrics))
@@ -279,6 +294,7 @@ def _print_summary(config: ExperimentConfig, dataset: Dataset, metrics, elapsed:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
+    _check_writable(config.out)
     dataset = build_dataset(config)
     if config.dump_dataset:
         datagen.dump_csv(dataset, config.dump_dataset)
@@ -301,6 +317,7 @@ def compare(request: CompareRequest) -> int:
                     f"{request.config_paths[0]}'s {getattr(first, name)!r}; "
                     "compared runs must share the dataset"
                 )
+    _check_writable(request.out)
     dataset = build_dataset(first)
     checksum = datagen.dataset_checksum(dataset)
     lines = [COMPARE_HEADER]

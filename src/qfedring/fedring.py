@@ -116,16 +116,16 @@ def make_clients(
 def _batch_step(model: Model, feats: np.ndarray, labs: np.ndarray, opt: SgdOptimizer):
     """One SGD step on one mini-batch; returns (mean loss, updated model).
 
-    The MLP takes its analytic gradient; a circuit model takes the batch-mean
-    parameter-shift gradient of its effective parameters and applies it itself.
+    The MLP takes its analytic gradient; a circuit model takes the loss and the
+    batch-mean parameter-shift gradient of its effective parameters from one
+    engine pass and applies the gradient itself.
     """
     if isinstance(model, ClassicalMlp):
         losses, grads = trainkit.mlp_batch_grads(model, feats, labs)
         return float(losses.mean()), trainkit.sgd_step_mlp(model, grads, opt)
-    params = model.effective_params()
-    losses, dlogits = trainkit.batch_loss_and_grad(vqc.forward_batch(params, feats), labs)
-    grad = vqc.gradient_batch(params, feats, dlogits) / feats.shape[0]
-    return float(losses.mean()), model.step(grad, opt)
+    losses, grad = vqc.gradient_batch(model.effective_params(), feats,
+                                      lambda logits: trainkit.batch_loss_and_grad(logits, labs))
+    return float(losses.mean()), model.step(grad / feats.shape[0], opt)
 
 
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:

@@ -4,10 +4,17 @@ rotation layers, per-qubit Pauli-Z readout.
 Gradients use the two-point parameter shift (pi/2 shift, 1/2 coefficient),
 which is exact for these rotation gates.  ``forward``/``gradient`` walk the
 simulator gate by gate, define the semantics and serve the tests as oracle.
-``forward_batch``/``gradient_batch`` are one engine for any qubit count: all
-2P shifted circuits of a gradient in one pass, one matmul per layer, with
-the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``; ``fits_unitary_cap``
-is that test, shared with the CLI's config check.
+
+``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
+every row of a batch through S parameter sets at once, one matmul per layer,
+with the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``
+(``fits_unitary_cap`` is that test, shared with the CLI's config check).
+``forward_batch`` runs one set, for evaluation.  ``gradient_batch`` is one
+SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
+parameters, then the +shift block, then the -shift block.  It hands the
+unshifted logits to a loss callable, ``loss(logits) -> (losses, upstream)``,
+and contracts the shifted sets with that upstream, so a step encodes its
+batch and builds its unitaries once.
 
 ``VqcModel`` holds only its parameter array.  It shares the circuit-model
 interface with ``qweights.QuantumWeightStore``: ``effective_params()`` gives
@@ -159,11 +166,11 @@ _MAX_UNITARY_ENTRIES = 1 << 20
 def fits_unitary_cap(num_layers: int, num_qubits: int, *, shifted: bool) -> bool:
     """Whether the engine's unitary tensor stays within ``_MAX_UNITARY_ENTRIES``.
 
-    A gradient (``shifted``) builds 2P parameter sets of P = 3 * layers *
-    qubits angles each, a forward pass one set; every set holds one
-    (2**n, 2**n) unitary per layer.
+    A gradient pass (``shifted``) builds 2P + 1 parameter sets (the unshifted
+    set and the 2P shifted ones, P = 3 * layers * qubits), a forward pass one
+    set; every set holds one (2**n, 2**n) unitary per layer.
     """
-    sets = 6 * num_layers * num_qubits if shifted else 1
+    sets = 6 * num_layers * num_qubits + 1 if shifted else 1
     return sets * num_layers * 4**num_qubits <= _MAX_UNITARY_ENTRIES
 
 
@@ -237,18 +244,22 @@ def forward_batch(params: np.ndarray, features) -> np.ndarray:
     return _expectations(p[None], feats)[0]
 
 
-def gradient_batch(params: np.ndarray, features, upstream) -> np.ndarray:
-    """Sum over the batch of per-sample parameter-shift gradients.
+def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step's circuit pass: ``(losses, batch-summed parameter-shift gradient)``.
 
-    upstream has shape (batch, qubits); the caller divides by the batch size
-    when it wants a mean.  All 2P shifted circuits (the +shift block, then
-    the -shift block) run in one pass.  Matches summing gradient() over rows.
+    The unshifted set, the +shift block and the -shift block (1 + 2P sets)
+    run in one pass.  ``loss`` is called once with the unshifted logits
+    (batch, qubits) and returns ``(losses, upstream)``; upstream, shaped like
+    the logits, weighs the shifted sets, and ``losses`` is passed back as is.
+    The caller divides the gradient by the batch size when it wants a mean.
+    Matches forward() per row, then summing gradient() over rows.
     """
     p, feats = _check_batch(params, features, shifted=True)
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != (feats.shape[0], p.shape[1]):
-        raise ValueError(f"upstream must have shape {(feats.shape[0], p.shape[1])}, got {up.shape}")
     shifts = SHIFT_RULE.shift * np.eye(p.size).reshape(p.size, *p.shape)
-    out = _expectations(np.concatenate([p + shifts, p - shifts]), feats)
-    delta = SHIFT_RULE.coefficient * (out[: p.size] - out[p.size :])
-    return np.sum(up * delta, axis=(1, 2)).reshape(p.shape)
+    out = _expectations(np.concatenate([p[None], p + shifts, p - shifts]), feats)
+    losses, upstream = loss(out[0])
+    up = np.asarray(upstream, dtype=float)
+    if up.shape != out.shape[1:]:
+        raise ValueError(f"upstream must have shape {out.shape[1:]}, got {up.shape}")
+    delta = SHIFT_RULE.coefficient * (out[1 : p.size + 1] - out[p.size + 1 :])
+    return losses, np.sum(up * delta, axis=(1, 2)).reshape(p.shape)

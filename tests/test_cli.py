@@ -22,6 +22,16 @@ FAST = [
 ]
 
 
+def refuse_training(monkeypatch):
+    """Make building the data or running a round fail the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "build_dataset", fail)
+    monkeypatch.setattr(fr, "run_ring", fail)
+
+
 def write_config(path, **values):
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return str(path)
@@ -425,15 +435,41 @@ class TestEndToEnd:
         assert "layers" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_exits_1(self, tmp_path):
-        code = cli.main(
-            ["--model", "qfl-classical", *FAST,
-             "--out", str(tmp_path / "missing-dir" / "m.csv")]
-        )
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, monkeypatch):
+        refuse_training(monkeypatch)
+        out = tmp_path / "missing-dir" / "m.csv"
+        code = cli.main(["--model", "qfl-classical", *FAST, "--out", str(out)])
         assert code == 1
+        assert str(out) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_out_check_leaves_no_file_behind(self, tmp_path, monkeypatch):
+        """Checking --out neither creates an empty file nor truncates an old
+        one that a failure after the check would leave behind."""
+
+        def fail(*args, **kwargs):
+            raise ValueError("training failed")
+
+        monkeypatch.setattr(fr, "run_ring", fail)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("keep\n")
+        assert cli.main(["--model", "cfl", *FAST, "--out", str(new)]) == 1
+        assert cli.main(["--model", "cfl", *FAST, "--out", str(old)]) == 1
+        assert not new.exists()
+        assert old.read_text() == "keep\n"
 
 
 class TestCompare:
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, monkeypatch):
+        refuse_training(monkeypatch)
+        shared = dict(rounds=2, clients=2, local_epochs=1, num_points=80, batch_size=16)
+        a = write_config(tmp_path / "a.cfg", model="cfl", **shared)
+        b = write_config(tmp_path / "b.cfg", model="qfl-classical", **shared)
+        out = tmp_path / "missing-dir" / "all.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_combined_csv(self, tmp_path, capsys):
         shared = dict(rounds=2, clients=2, local_epochs=1, num_points=80, batch_size=16)
         a = write_config(tmp_path / "a.cfg", model="cfl", **shared)

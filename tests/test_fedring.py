@@ -113,13 +113,15 @@ class TestLocalTrain:
         if isinstance(model, vqc.VqcModel):
             logits = vqc.forward_batch(model.params, fx)
             _, dlogits = tk.batch_loss_and_grad(logits, fy)
-            grad = vqc.gradient_batch(model.params, fx, dlogits) / n
+            _, grad = vqc.gradient_batch(model.params, fx, lambda _: (None, dlogits))
+            grad = grad / n
             return model.params - lr * grad
         if isinstance(model, qw.QuantumWeightStore):
             eff = qw.materialize(model)
             logits = vqc.forward_batch(eff, fx)
             _, dlogits = tk.batch_loss_and_grad(logits, fy)
-            circuit_grad = vqc.gradient_batch(eff, fx, dlogits) / n
+            _, circuit_grad = vqc.gradient_batch(eff, fx, lambda _: (None, dlogits))
+            circuit_grad = circuit_grad / n
             angle_grad = qw.weight_gradient(model, circuit_grad)
             return qw.canonical_angles(model.angles - lr * angle_grad)
         losses, grads = tk.mlp_batch_grads(model, fx, fy)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from qfedring import qweights as qw
 from qfedring import statevec as sv
+from qfedring import trainkit as tk
 from qfedring import vqc
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
@@ -32,6 +34,17 @@ def fd_gradient(model, features, upstream, eps=1e-6):
 def random_model(rng, num_layers=2, num_qubits=2, scale=math.pi):
     params = rng.uniform(-scale, scale, size=(num_layers, num_qubits, 3))
     return vqc.VqcModel(params)
+
+
+def two_call_step(params, feats, labels):
+    """The step gradient_batch fuses, as two engine calls: forward_batch, the
+    loss, then the +shift/-shift contraction of the 2P shifted sets."""
+    losses, upstream = tk.batch_loss_and_grad(vqc.forward_batch(params, feats), labels)
+    p = np.asarray(params, dtype=float)
+    shifts = vqc.SHIFT_RULE.shift * np.eye(p.size).reshape(p.size, *p.shape)
+    out = vqc._expectations(np.concatenate([p + shifts, p - shifts]), feats)
+    delta = vqc.SHIFT_RULE.coefficient * (out[: p.size] - out[p.size :])
+    return losses, np.sum(upstream * delta, axis=(1, 2)).reshape(p.shape)
 
 
 class TestModel:
@@ -204,7 +217,7 @@ class TestBatchedPath:
         model = random_model(rng)
         feats = rng.uniform(0, math.pi, size=(8, 2))
         upstream = rng.normal(size=(8, 2))
-        batched = vqc.gradient_batch(model.params, feats, upstream)
+        _, batched = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
             summed += vqc.gradient(model, x, up)
@@ -216,8 +229,11 @@ class TestBatchedPath:
             vqc.forward_batch(model.params, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="params"):
             vqc.forward_batch(np.zeros((1, 3, 3)), np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="upstream"):
-            vqc.gradient_batch(model.params, np.zeros((4, 2)), np.zeros((3, 2)))
+        for shape in [(3, 2), (4,), (2, 4), (4, 3)]:
+            with pytest.raises(ValueError, match="upstream"):
+                vqc.gradient_batch(
+                    model.params, np.zeros((4, 2)), lambda _: (None, np.zeros(shape))
+                )
 
     def test_single_row_batch(self, rng):
         model = random_model(rng)
@@ -242,7 +258,8 @@ class TestBatchedPath:
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
             summed += vqc.gradient(model, x, up)
-        assert_allclose(vqc.gradient_batch(model.params, feats, upstream), summed, atol=1e-12)
+        _, batched_grad = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
+        assert_allclose(batched_grad, summed, atol=1e-12)
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_entangler_permutation_matches_cnot_gates(self, num_qubits):
@@ -264,12 +281,56 @@ class TestBatchedPath:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="params"):
-                vqc.gradient_batch(np.zeros((1, 9, 3)), np.zeros((2, 9)), np.zeros((2, 9)))
+                vqc.gradient_batch(
+                    np.zeros((1, 9, 3)), np.zeros((2, 9)), lambda _: (None, np.zeros((2, 9)))
+                )
             with pytest.raises(ValueError, match="params"):
                 vqc.forward_batch(np.zeros((1, 11, 3)), np.zeros((2, 11)))
             with pytest.raises(ValueError, match="params"):
-                vqc.gradient_batch(np.zeros((500, 2, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
+                vqc.gradient_batch(
+                    np.zeros((500, 2, 3)), np.zeros((2, 2)), lambda _: (None, np.zeros((2, 2)))
+                )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_cap_counts_the_unshifted_set(self):
+        """A gradient pass holds 2P + 1 sets; the deepest two-qubit circuit and
+        the widest one-layer circuit that fit are the same as with 2P."""
+        assert vqc.fits_unitary_cap(73, 2, shifted=True)
+        assert not vqc.fits_unitary_cap(74, 2, shifted=True)
+        assert vqc.fits_unitary_cap(1, 7, shifted=True)
+        assert not vqc.fits_unitary_cap(1, 8, shifted=True)
+
+    @pytest.mark.parametrize("kind", ["circuit", "store"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_bit_equal_to_two_call_step(self, kind, num_layers):
+        rng = np.random.default_rng(1234)
+        for batch in range(1, 41):
+            if kind == "circuit":
+                params = random_model(rng, num_layers=num_layers).params
+            else:
+                params = qw.materialize(qw.init_store(rng, num_layers=num_layers))
+            feats = rng.uniform(0, math.pi, size=(batch, 2))
+            labels = rng.integers(0, 2, size=batch)
+            want_losses, want_grad = two_call_step(params, feats, labels)
+            losses, grad = vqc.gradient_batch(
+                params, feats, lambda logits: tk.batch_loss_and_grad(logits, labels)
+            )
+            assert np.array_equal(losses, want_losses)
+            assert np.array_equal(grad, want_grad)
+
+    def test_loss_called_once_with_unshifted_logits(self, rng):
+        model = random_model(rng, num_layers=2)
+        feats = rng.uniform(0, math.pi, size=(9, 2))
+        labels = rng.integers(0, 2, size=9)
+        seen = []
+
+        def loss(logits):
+            seen.append(np.array(logits))
+            return tk.batch_loss_and_grad(logits, labels)
+
+        vqc.gradient_batch(model.params, feats, loss)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], vqc.forward_batch(model.params, feats))
