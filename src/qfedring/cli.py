@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 import typing
@@ -134,6 +135,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# A comment starts at a '#' that opens the line or follows whitespace, so a
+# value such as run#1.csv reads the same in a file as after its flag.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -141,7 +147,7 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")

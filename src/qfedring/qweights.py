@@ -6,7 +6,7 @@ carrier.  ``_carrier_amplitudes`` builds the carrier amplitudes for a whole
 array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2 from them,
 so ``materialize`` reads a whole store in one pass and ``weight_gradient``
 chains the circuit gradient back through the same two-point shift rule as
-the circuit parameters, with the +shift and -shift carriers as two arrays.
+the circuit parameters, with the +shift and -shift carriers as one array.
 ``QuantumWeightStore`` shares the circuit-model interface with
 ``vqc.VqcModel``: ``effective_params()`` is ``materialize`` and
 ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
@@ -34,6 +34,10 @@ ANGLE_INIT_CENTER = math.pi / 2
 ANGLE_INIT_HALF_WIDTH = 0.5
 
 _PURITY_TOL = 1e-6
+
+# Added to a store's angles, gives the +shift and the -shift angles as one array.
+_SHIFT_PAIR = np.array([SHIFT_RULE.shift, -SHIFT_RULE.shift]).reshape(2, 1, 1, 1)
+_SHIFT_PAIR.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -131,8 +135,7 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
     if not np.all(np.isfinite(cg)):
         raise ValueError("circuit_grad must be finite")
-    plus = _z_expectation(_carrier_amplitudes(store.angles + SHIFT_RULE.shift))
-    minus = _z_expectation(_carrier_amplitudes(store.angles - SHIFT_RULE.shift))
+    plus, minus = _z_expectation(_carrier_amplitudes(store.angles + _SHIFT_PAIR))
     return cg * store.gamma * (SHIFT_RULE.coefficient * (plus - minus))
 
 

@@ -9,12 +9,16 @@ simulator gate by gate, define the semantics and serve the tests as oracle.
 every row of a batch through S parameter sets at once, one matmul per layer,
 with the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``
 (``fits_unitary_cap`` is that test, shared with the CLI's config check).
+Every set starts from the same encoded batch, so the first layer is a single
+2-D product against all sets' first-layer unitaries side by side.
 ``forward_batch`` runs one set, for evaluation.  ``gradient_batch`` is one
 SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
-parameters, then the +shift block, then the -shift block.  It hands the
-unshifted logits to a loss callable, ``loss(logits) -> (losses, upstream)``,
-and contracts the shifted sets with that upstream, so a step encodes its
-batch and builds its unitaries once.
+parameters, then the +shift block, then the -shift block, made by adding a
+cached read-only offset tensor to the parameters.  It hands the unshifted
+logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
+contracts the shifted sets with that upstream, so a step encodes its batch
+and builds its unitaries once.  The offsets and the readout signs are built
+on first use per shape and qubit count, not at import.
 
 ``VqcModel`` holds only its parameter array.  It shares the circuit-model
 interface with ``qweights.QuantumWeightStore``: ``effective_params()`` gives
@@ -190,7 +194,9 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
 def _encode_batch(features: np.ndarray) -> np.ndarray:
     """Product-state amplitudes of RX(x_q) on each qubit of |0...0>, one row per sample."""
     half = features / 2.0
-    cols = np.stack([np.cos(half), -1j * np.sin(half)], axis=-1)  # (batch, qubit, bit)
+    cols = np.empty(features.shape + (2,), dtype=complex)  # (batch, qubit, bit)
+    cols[..., 0] = np.cos(half)
+    cols[..., 1] = -1j * np.sin(half)
     amps = cols[:, 0]
     for q in range(1, features.shape[1]):
         amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], -1)
@@ -207,6 +213,29 @@ def _entangler_image(n: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=16)
+def _readout_signs(n: int) -> np.ndarray:
+    """(n, 2**n) Pauli-Z eigenvalue of each basis state, one row per qubit."""
+    signs = np.stack([_z_signs(n, q) for q in range(n)])
+    signs.flags.writeable = False
+    return signs
+
+
+@lru_cache(maxsize=16)
+def _shift_offsets(shape: tuple[int, ...]) -> np.ndarray:
+    """(1 + 2P, *shape) offsets that turn params of ``shape`` into a gradient
+    pass's parameter sets: a zero block, the +shift block, the -shift block.
+
+    The zero block is -0.0 and the -shift block is the negated +shift block,
+    so ``p + offsets`` gives p, p + shift and p - shift bit for bit.
+    """
+    size = math.prod(shape)
+    plus = SHIFT_RULE.shift * np.eye(size).reshape(size, *shape)
+    offsets = np.concatenate([np.full((1, *shape), -0.0), plus, -plus])
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     """(sets, layers, n, 3) angles -> (sets, layers, 2**n, 2**n) layer unitaries.
 
@@ -214,11 +243,15 @@ def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     qubit, then kron over qubits, then @ E for the CNOT ring; E is a
     permutation, so right-multiplying by it is a column gather.
     """
-    phi, theta, omega = np.moveaxis(angles, -1, 0)
+    phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     a, b = np.exp(-0.5j * omega), np.exp(-0.5j * phi)
-    entries = [a * c * b, -a * s * b.conj(), a.conj() * s * b, a.conj() * c * b.conj()]
-    rots = np.stack(entries, axis=-1).reshape(*phi.shape, 2, 2)
+    a_conj, b_conj = a.conj(), b.conj()
+    rots = np.empty(phi.shape + (2, 2), dtype=complex)
+    rots[..., 0, 0] = a * c * b
+    rots[..., 0, 1] = -a * s * b_conj
+    rots[..., 1, 0] = a_conj * s * b
+    rots[..., 1, 1] = a_conj * c * b_conj
     u = rots[..., 0, :, :]
     for q in range(1, angles.shape[-2]):
         size = 2 * u.shape[-1]
@@ -228,14 +261,24 @@ def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     return u[..., _entangler_image(angles.shape[-2])]
 
 
+def _first_layer(psi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """(B, 2**n) batch through every set's first layer -> (S, B, 2**n).
+
+    Every set starts from the same batch, so this is one (B, 2**n) @
+    (2**n, S * 2**n) product with all sets' first-layer unitaries side by side.
+    """
+    sets, dim = unitaries.shape[0], unitaries.shape[-1]
+    first = unitaries[:, 0].transpose(2, 0, 1).reshape(dim, sets * dim)
+    return (psi @ first).reshape(-1, sets, dim).swapaxes(0, 1)
+
+
 def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
     """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, n) -> (S, B, n)."""
     unitaries = _layer_unitaries(angles)
-    psi = _encode_batch(features)
-    for layer in range(angles.shape[1]):
+    psi = _first_layer(_encode_batch(features), unitaries)
+    for layer in range(1, angles.shape[1]):
         psi = psi @ unitaries[:, layer].swapaxes(-1, -2)
-    signs = np.stack([_z_signs(angles.shape[2], q) for q in range(angles.shape[2])])
-    return (psi.real**2 + psi.imag**2) @ signs.T
+    return (psi.real**2 + psi.imag**2) @ _readout_signs(angles.shape[2]).T
 
 
 def forward_batch(params: np.ndarray, features) -> np.ndarray:
@@ -255,8 +298,7 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     Matches forward() per row, then summing gradient() over rows.
     """
     p, feats = _check_batch(params, features, shifted=True)
-    shifts = SHIFT_RULE.shift * np.eye(p.size).reshape(p.size, *p.shape)
-    out = _expectations(np.concatenate([p[None], p + shifts, p - shifts]), feats)
+    out = _expectations(p + _shift_offsets(p.shape), feats)
     losses, upstream = loss(out[0])
     up = np.asarray(upstream, dtype=float)
     if up.shape != out.shape[1:]:

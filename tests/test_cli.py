@@ -90,7 +90,10 @@ class TestConfig:
 _FIELD_VALUES = {
     int: st.integers(-10**6, 10**6),
     float: st.floats(allow_nan=False, allow_infinity=False),
-    str: st.text(string.ascii_letters + string.digits + "._-/=", min_size=1, max_size=12),
+    # A '#' inside a value is kept; only a leading one would read as a comment.
+    str: st.text(string.ascii_letters + string.digits + "._-/=#", min_size=1, max_size=12).filter(
+        lambda v: not v.startswith("#")
+    ),
 }
 _FILLER = st.sampled_from(["", "   ", "# a comment", "  # indented comment"])
 
@@ -105,7 +108,7 @@ def config_files(draw):
     for key, value in values.items():
         lines.extend(draw(st.lists(_FILLER, max_size=2)))
         pad = draw(st.sampled_from(["", " ", "\t"]))
-        comment = draw(st.sampled_from(["", "  # why", "#"]))
+        comment = draw(st.sampled_from(["", "  # why", "\t#"]))
         lines.append(f"{pad}{key}{pad}={pad}{value}{comment}")
     lines.extend(draw(st.lists(_FILLER, max_size=2)))
     return values, lines
@@ -234,6 +237,21 @@ class TestParsing:
         path.write_text("# experiment\nmodel = cfl\n\nrounds = 4  # short\n")
         c = cli.parse_config(["--config", str(path)])
         assert c.rounds == 4
+
+    @pytest.mark.parametrize("field", ["out", "dump_dataset"])
+    def test_hash_in_value_reads_as_the_flag_does(self, tmp_path, field):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"model = cfl\n{field} = run#1.csv  # keeps the name\n")
+        from_file = cli.parse_config(["--config", str(path)])
+        flag = "--" + field.replace("_", "-")
+        assert from_file == cli.parse_config(["--model", "cfl", flag, "run#1.csv"])
+        assert getattr(from_file, field) == "run#1.csv"
+
+    def test_hash_glued_to_a_number_is_a_bad_value(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("model = cfl\nrounds = 4#\n")
+        with pytest.raises(cli.ConfigError, match=r"run.cfg:2: bad value for rounds: '4#'"):
+            cli.parse_config(["--config", str(path)])
 
     def test_file_errors(self, tmp_path):
         missing_eq = tmp_path / "a.cfg"

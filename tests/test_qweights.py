@@ -156,6 +156,21 @@ class TestGradient:
             atol=1e-12,
         )
 
+    def test_one_carrier_pass_is_bit_equal_to_two(self):
+        """Both shifted carriers from one array give the bits that evaluating
+        the +shift and -shift carriers separately gives."""
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            layers, qubits = rng.integers(1, 4, size=2)
+            store = qw.QuantumWeightStore(
+                rng.uniform(-4, 4, size=(layers, qubits, 3)), gamma=rng.uniform(0.5, 4)
+            )
+            cg = rng.normal(size=store.angles.shape)
+            plus = qw._z_expectation(qw._carrier_amplitudes(store.angles + SHIFT_RULE.shift))
+            minus = qw._z_expectation(qw._carrier_amplitudes(store.angles - SHIFT_RULE.shift))
+            want = cg * store.gamma * (SHIFT_RULE.coefficient * (plus - minus))
+            assert np.array_equal(qw.weight_gradient(store, cg), want)
+
     def test_weight_gradient_validation(self, rng):
         store = qw.init_store(rng)
         with pytest.raises(ValueError, match="shape"):

@@ -321,6 +321,48 @@ class TestBatchedPath:
             assert np.array_equal(losses, want_losses)
             assert np.array_equal(grad, want_grad)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_shared_first_layer_matches_per_set_product(self, num_qubits):
+        """One (B, 2**n) @ (2**n, S * 2**n) product gives what each set's own
+        batched product gives, for one set and for a gradient pass's 2P + 1.
+        At two and three qubits the bits agree.  At one qubit the BLAS may
+        round a two-column product apart from the same two columns inside a
+        wider one, so that case is held to a few ulps; no run uses one qubit."""
+        rng = np.random.default_rng(99)
+        for num_layers in (1, 2, 3):
+            for batch in range(1, 41):
+                params = rng.uniform(-math.pi, math.pi, size=(num_layers, num_qubits, 3))
+                psi0 = vqc._encode_batch(rng.uniform(0, math.pi, size=(batch, num_qubits)))
+                for angles in (params[None], params + vqc._shift_offsets(params.shape)):
+                    unitaries = vqc._layer_unitaries(angles)
+                    want = psi0 @ unitaries[:, 0].swapaxes(-1, -2)
+                    got = vqc._first_layer(psi0, unitaries)
+                    if num_qubits == 1:
+                        assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps)
+                    else:
+                        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 2, 3), (3, 2, 3), (1, 3, 3)])
+    def test_shift_offsets_match_eye_construction(self, shape):
+        size = math.prod(shape)
+        shifts = vqc.SHIFT_RULE.shift * np.eye(size).reshape(size, *shape)
+        offsets = vqc._shift_offsets(shape)
+        assert np.array_equal(offsets, np.concatenate([np.zeros((1, *shape)), shifts, -shifts]))
+        # Adding them reproduces the sets built from p itself, signed zeros included.
+        p = np.random.default_rng(5).uniform(-math.pi, math.pi, size=shape)
+        p.flat[:2] = [0.0, -0.0]
+        want = np.concatenate([p[None], p + shifts, p - shifts])
+        assert np.array_equal((p + offsets).view(np.uint64), want.view(np.uint64))
+
+    def test_cached_constants_are_read_only(self):
+        offsets = vqc._shift_offsets((2, 2, 3))
+        assert offsets is vqc._shift_offsets((2, 2, 3))
+        signs = vqc._readout_signs(2)
+        assert signs is vqc._readout_signs(2)
+        for cached in (offsets, signs):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+
     def test_loss_called_once_with_unshifted_logits(self, rng):
         model = random_model(rng, num_layers=2)
         feats = rng.uniform(0, math.pi, size=(9, 2))
