@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from qfedring.cli import _FIELD_TYPES
 from qfedring.cli import main as cli_main
 
 VARIANTS = {
@@ -22,12 +23,10 @@ VARIANTS = {
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--out-dir", default="comparison", help="where configs and the CSV land")
-    # Settings left unset are not written, so each run keeps ExperimentConfig's default.
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--clients", type=int)
-    p.add_argument("--local-epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise", type=float)
+    # Each shared setting parses as its ExperimentConfig field; one left unset
+    # is not written, so each run keeps ExperimentConfig's default.
+    for name in ("rounds", "clients", "local_epochs", "seed", "noise"):
+        p.add_argument("--" + name.replace("_", "-"), type=_FIELD_TYPES[name])
     return p.parse_args(argv)
 
 

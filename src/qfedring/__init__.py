@@ -6,7 +6,7 @@ weights, and the same circuit with every weight held as a single-qubit state
 that moves between clients by simulated teleportation.
 """
 
-from .datagen import Dataset, dataset_checksum, dump_csv, load_csv, make_circles, scale_and_split
+from .datagen import Dataset, dataset_checksum, dump_csv, make_circles, scale_and_split
 from .fedring import (
     ClientState,
     RingSchedule,
@@ -30,7 +30,7 @@ from .trainkit import (
     init_mlp,
     loss_and_grad,
 )
-from .vqc import ShiftRule, VqcModel, forward, gradient, init_model
+from .vqc import VqcModel, forward, gradient, init_model
 
 __all__ = [
     "ClassicalMlp",
@@ -41,7 +41,6 @@ __all__ = [
     "RingSchedule",
     "RoundMetrics",
     "SgdOptimizer",
-    "ShiftRule",
     "StateVector",
     "TeleportRecord",
     "TransferError",
@@ -61,7 +60,6 @@ __all__ = [
     "init_mlp",
     "init_model",
     "init_store",
-    "load_csv",
     "local_train",
     "loss_and_grad",
     "make_circles",

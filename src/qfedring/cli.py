@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, fedring, qweights, trainkit, vqc
-from .datagen import Dataset
+from .datagen import Dataset, _format
 from .fedring import RingSchedule, Transport
 from .teleport import TransferError
 from .trainkit import RoundMetrics
@@ -81,8 +81,9 @@ class ExperimentConfig:
         for name in ("clients", "rounds", "local_epochs", "layers", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # The CLI builds two-qubit circuits; a gradient step must fit the engine.
-        if self.model != "cfl" and not vqc.fits_unitary_cap(self.layers, 2, shifted=True):
+        # A circuit's gradient step must fit the engine.
+        fits = vqc.fits_unitary_cap(self.layers, vqc.NUM_QUBITS, shifted=True)
+        if self.model != "cfl" and not fits:
             raise ConfigError(
                 f"layers={self.layers} is too deep for a {self.model} circuit: its gradient "
                 "would exceed the batched circuit engine's unitary cap"
@@ -190,10 +191,6 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
     return ExperimentConfig(**values)
 
 
-def _format(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _csv_row(m: RoundMetrics) -> str:
     """One round's metrics columns; wall_ms is always 0 so reruns match byte for byte."""
     loss, accuracy = _format(m.mean_train_loss), _format(m.test_accuracy)
@@ -224,14 +221,14 @@ def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
         fh.write(metrics_csv_text(metrics))
 
 
-def convergence_round(accuracies, tolerance: float = CONVERGENCE_TOLERANCE) -> int:
-    """First round (1-based) whose accuracy is within ``tolerance`` of the final one."""
+def convergence_round(accuracies) -> int:
+    """First round (1-based) whose accuracy is within CONVERGENCE_TOLERANCE of the final one."""
     accs = list(accuracies)
     if not accs:
         raise ValueError("no accuracies to scan")
     final = accs[-1]
     for index, acc in enumerate(accs, start=1):
-        if abs(acc - final) <= tolerance:
+        if abs(acc - final) <= CONVERGENCE_TOLERANCE:
             return index
     raise AssertionError("unreachable: the final round always qualifies")
 

@@ -8,7 +8,6 @@ dataset checksum, so two runs agree on the data iff their checksums match.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import math
@@ -21,14 +20,12 @@ SCALE_MAX = math.pi
 
 @dataclass(frozen=True)
 class Dataset:
-    """Scaled train/test arrays plus the scaling metadata that produced them."""
+    """Scaled train/test arrays and how many test values were clamped."""
 
     train_features: np.ndarray
     train_labels: np.ndarray
     test_features: np.ndarray
     test_labels: np.ndarray
-    feature_min: np.ndarray | None = None
-    feature_max: np.ndarray | None = None
     num_clamped: int = 0
 
     def __post_init__(self) -> None:
@@ -140,13 +137,12 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
         train_labels=labs[train_idx],
         test_features=test_scaled,
         test_labels=labs[test_idx],
-        feature_min=lo,
-        feature_max=hi,
         num_clamped=int(out_of_range.sum()),
     )
 
 
 def _format(value: float) -> str:
+    """The one float format of every CSV the package writes: 9 significant digits."""
     return f"{value:.9g}"
 
 
@@ -166,32 +162,6 @@ def csv_text(dataset: Dataset) -> str:
 def dump_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(csv_text(dataset))
-
-
-def load_csv(path) -> Dataset:
-    """Rebuild a Dataset from dump_csv output (scaling metadata is not stored)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x1", "x2", "label", "split"]:
-            raise ValueError(f"unexpected header {header!r}")
-        rows = {"train": ([], []), "test": ([], [])}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            x1, x2, label, split = row
-            if split not in rows:
-                raise ValueError(f"line {lineno}: unknown split {split!r}")
-            rows[split][0].append([float(x1), float(x2)])
-            rows[split][1].append(int(label))
-    if not rows["train"][0] or not rows["test"][0]:
-        raise ValueError("file must contain both train and test rows")
-    return Dataset(
-        train_features=np.array(rows["train"][0]),
-        train_labels=np.array(rows["train"][1]),
-        test_features=np.array(rows["test"][0]),
-        test_labels=np.array(rows["test"][1]),
-    )
 
 
 def dataset_checksum(dataset: Dataset) -> str:

@@ -76,13 +76,13 @@ def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray
 
 
 def _check_readout(model: Model) -> None:
-    """The model must be a known kind, and a circuit must have two qubits:
-    the readout gives one class score per qubit."""
+    """The model must be a known kind, and a circuit must have NUM_QUBITS
+    qubits: the readout gives one class score per qubit."""
     if not isinstance(model, Model):
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    if not isinstance(model, ClassicalMlp) and model.num_qubits != 2:
+    if not isinstance(model, ClassicalMlp) and model.num_qubits != vqc.NUM_QUBITS:
         raise ValueError(
-            f"num_qubits must be 2 for the two-class loss, got {model.num_qubits}: "
+            f"num_qubits must be {vqc.NUM_QUBITS} for the two-class loss, got {model.num_qubits}: "
             "the circuit readout gives one class score per qubit"
         )
 

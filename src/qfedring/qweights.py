@@ -28,7 +28,7 @@ import numpy as np
 
 from .statevec import StateVector, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
-from .vqc import SHIFT_RULE
+from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT
 
 ANGLE_INIT_CENTER = math.pi / 2
 ANGLE_INIT_HALF_WIDTH = 0.5
@@ -36,7 +36,7 @@ ANGLE_INIT_HALF_WIDTH = 0.5
 _PURITY_TOL = 1e-6
 
 # Added to a store's angles, gives the +shift and the -shift angles as one array.
-_SHIFT_PAIR = np.array([SHIFT_RULE.shift, -SHIFT_RULE.shift]).reshape(2, 1, 1, 1)
+_SHIFT_PAIR = np.array([SHIFT, -SHIFT]).reshape(2, 1, 1, 1)
 _SHIFT_PAIR.flags.writeable = False
 
 
@@ -86,7 +86,6 @@ class QuantumWeightStore:
 def init_store(
     rng: np.random.Generator,
     num_layers: int = 2,
-    num_qubits: int = 2,
     gamma: float = math.pi,
 ) -> QuantumWeightStore:
     """Angles drawn uniformly around pi/2, where <Z> crosses zero at full slope."""
@@ -94,7 +93,7 @@ def init_store(
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     lo = ANGLE_INIT_CENTER - ANGLE_INIT_HALF_WIDTH
     hi = ANGLE_INIT_CENTER + ANGLE_INIT_HALF_WIDTH
-    angles = rng.uniform(lo, hi, size=(num_layers, num_qubits, 3))
+    angles = rng.uniform(lo, hi, size=(num_layers, NUM_QUBITS, 3))
     return QuantumWeightStore(angles, gamma=gamma)
 
 
@@ -136,7 +135,7 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
     if not np.all(np.isfinite(cg)):
         raise ValueError("circuit_grad must be finite")
     plus, minus = _z_expectation(_carrier_amplitudes(store.angles + _SHIFT_PAIR))
-    return cg * store.gamma * (SHIFT_RULE.coefficient * (plus - minus))
+    return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
 
 
 @lru_cache(maxsize=1)

@@ -6,8 +6,7 @@ state built as ``tensor_product(a, b)`` puts ``a``'s qubits in the high
 bits.  This convention is fixed here and used by every other module.
 
 States are immutable values: every operation returns a fresh StateVector
-and never mutates its input, which keeps snapshots taken by the federated
-orchestration (and by tests) unambiguous.
+and never mutates its input.
 """
 from __future__ import annotations
 
@@ -74,9 +73,6 @@ class StateVector:
             raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         a = self.amplitudes

@@ -30,12 +30,12 @@ MLP_HIDDEN = 4
 LOGIT_SCALE = 8.0
 
 
-def loss_and_grad(logits, label: int, scale: float = LOGIT_SCALE) -> tuple[float, np.ndarray]:
+def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over two class scores and its gradient.
 
-    The softmax is taken over scale * logits (see LOGIT_SCALE), so equal
-    scores still cost ln 2.  Stable under large scores (max subtraction);
-    gradient is scale * (softmax(scale * logits) - onehot(label)).
+    The softmax is taken over LOGIT_SCALE * logits, so equal scores still
+    cost ln 2.  Stable under large scores (max subtraction); the gradient is
+    LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
     """
     lg = np.asarray(logits, dtype=float)
     if lg.shape != (2,):
@@ -44,17 +44,17 @@ def loss_and_grad(logits, label: int, scale: float = LOGIT_SCALE) -> tuple[float
         raise ValueError(f"logits must be finite, got {lg}")
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
-    scaled = scale * lg
+    scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max()
     exps = np.exp(shifted)
     total = exps.sum()
     loss = math.log(total) - shifted[label]
-    dlogits = exps * (scale / total)
-    dlogits[label] -= scale
+    dlogits = exps * (LOGIT_SCALE / total)
+    dlogits[label] -= LOGIT_SCALE
     return float(loss), dlogits
 
 
-def batch_loss_and_grad(logits, labels, scale: float = LOGIT_SCALE) -> tuple[np.ndarray, np.ndarray]:
+def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized loss_and_grad: per-sample losses (B,) and gradients (B, 2)."""
     lg = np.asarray(logits, dtype=float)
     y = np.asarray(labels)
@@ -64,14 +64,14 @@ def batch_loss_and_grad(logits, labels, scale: float = LOGIT_SCALE) -> tuple[np.
         raise ValueError("logits must be finite")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
-    scaled = scale * lg
+    scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     totals = exps.sum(axis=1)
     rows = np.arange(lg.shape[0])
     losses = np.log(totals) - shifted[rows, y]
-    dlogits = exps * (scale / totals[:, None])
-    dlogits[rows, y] -= scale
+    dlogits = exps * (LOGIT_SCALE / totals[:, None])
+    dlogits[rows, y] -= LOGIT_SCALE
     return losses, dlogits
 
 
@@ -108,9 +108,6 @@ class ClassicalMlp:
                 raise ValueError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def num_params(self) -> int:
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
 
 
 # isinstance accepts this union, so it doubles as the list of known kinds.

@@ -1,9 +1,11 @@
 """Variational circuit classifier: RX feature encoding, ring-entangled
 rotation layers, per-qubit Pauli-Z readout.
 
-Gradients use the two-point parameter shift (pi/2 shift, 1/2 coefficient),
-which is exact for these rotation gates.  ``forward``/``gradient`` walk the
-simulator gate by gate, define the semantics and serve the tests as oracle.
+Gradients use the two-point parameter shift (``SHIFT`` = pi/2,
+``SHIFT_COEFFICIENT`` = 1/2), which is exact for these rotation gates.
+``forward``/``gradient`` walk the simulator gate by gate, define the
+semantics and serve the tests as oracle.  ``init_model`` builds the
+experiment's ``NUM_QUBITS`` = 2 qubits; the engine takes any qubit count.
 
 ``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
 every row of a batch through S parameter sets at once, one matmul per layer,
@@ -45,15 +47,12 @@ from .statevec import (
 )
 
 
-@dataclass(frozen=True)
-class ShiftRule:
-    """Two-point shift rule: grad = coefficient * (f(p + shift) - f(p - shift))."""
+# One qubit per circles feature, and one Pauli-Z class score per qubit.
+NUM_QUBITS = 2
 
-    shift: float = math.pi / 2
-    coefficient: float = 0.5
-
-
-SHIFT_RULE = ShiftRule()
+# Two-point shift rule: grad = SHIFT_COEFFICIENT * (f(p + SHIFT) - f(p - SHIFT)).
+SHIFT = math.pi / 2
+SHIFT_COEFFICIENT = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,11 @@ class VqcModel:
         return self.with_params(optimizer.step(self.params, circuit_grad))
 
 
-def init_model(rng: np.random.Generator, num_layers: int = 2, num_qubits: int = 2) -> VqcModel:
-    """Fresh model with angles drawn uniformly from [-pi/4, pi/4]."""
+def init_model(rng: np.random.Generator, num_layers: int = 2) -> VqcModel:
+    """Fresh NUM_QUBITS-qubit model with angles drawn uniformly from [-pi/4, pi/4]."""
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-    params = rng.uniform(-math.pi / 4, math.pi / 4, size=(num_layers, num_qubits, 3))
+    params = rng.uniform(-math.pi / 4, math.pi / 4, size=(num_layers, NUM_QUBITS, 3))
     return VqcModel(params)
 
 
@@ -151,11 +150,11 @@ def gradient(model: VqcModel, features, upstream) -> np.ndarray:
             for k in range(3):
                 plus = np.array(model.params)
                 minus = np.array(model.params)
-                plus[layer, q, k] += SHIFT_RULE.shift
-                minus[layer, q, k] -= SHIFT_RULE.shift
+                plus[layer, q, k] += SHIFT
+                minus[layer, q, k] -= SHIFT
                 f_plus = forward(model.with_params(plus), features)
                 f_minus = forward(model.with_params(minus), features)
-                grads[layer, q, k] = up @ (SHIFT_RULE.coefficient * (f_plus - f_minus))
+                grads[layer, q, k] = up @ (SHIFT_COEFFICIENT * (f_plus - f_minus))
     return grads
 
 
@@ -230,7 +229,7 @@ def _shift_offsets(shape: tuple[int, ...]) -> np.ndarray:
     so ``p + offsets`` gives p, p + shift and p - shift bit for bit.
     """
     size = math.prod(shape)
-    plus = SHIFT_RULE.shift * np.eye(size).reshape(size, *shape)
+    plus = SHIFT * np.eye(size).reshape(size, *shape)
     offsets = np.concatenate([np.full((1, *shape), -0.0), plus, -plus])
     offsets.flags.writeable = False
     return offsets
@@ -303,5 +302,5 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     up = np.asarray(upstream, dtype=float)
     if up.shape != out.shape[1:]:
         raise ValueError(f"upstream must have shape {out.shape[1:]}, got {up.shape}")
-    delta = SHIFT_RULE.coefficient * (out[1 : p.size + 1] - out[p.size + 1 :])
+    delta = SHIFT_COEFFICIENT * (out[1 : p.size + 1] - out[p.size + 1 :])
     return losses, np.sum(up * delta, axis=(1, 2)).reshape(p.shape)

@@ -140,9 +140,9 @@ def test_criterion_2_shift_rule_is_exact(capsys):
         for k in range(4):
             plus = np.array(values)
             minus = np.array(values)
-            plus[k] += vqc.SHIFT_RULE.shift
-            minus[k] -= vqc.SHIFT_RULE.shift
-            shift_value = vqc.SHIFT_RULE.coefficient * (measured_z(plus) - measured_z(minus))
+            plus[k] += vqc.SHIFT
+            minus[k] -= vqc.SHIFT
+            shift_value = vqc.SHIFT_COEFFICIENT * (measured_z(plus) - measured_z(minus))
             analytic = derivatives[k](*values)
             worst = max(worst, abs(shift_value - analytic))
             checks += 1
@@ -346,8 +346,9 @@ def test_criterion_8_end_to_end_learning(capsys):
         summary.append(f"{model_name} {final:.3f}@r{conv} ({elapsed:.0f}s)")
         if final < 0.85:
             failures.append(f"{model_name}: final accuracy {final:.3f} < 0.85")
-        # Expected settling region is rounds 20-25; allow +-20 for seed-level
-        # variation (a convergence round can never precede round 1).
+        # On seeds 1-8 the noisy defaults converged at rounds 1-9 for the
+        # circuit models and 9-15 for cfl.  The bands leave room for other
+        # seeds; a convergence round can never precede round 1.
         band = (5, 45) if model_name == "cfl" else (1, 40)
         if not band[0] <= conv <= band[1]:
             failures.append(f"{model_name}: convergence round {conv} outside {band}")

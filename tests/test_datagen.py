@@ -44,6 +44,18 @@ class TestMakeCircles:
             dg.make_circles(10, noise=0.1, factor=1.5, seed=0)
 
 
+def replay_split(labels, train_fraction, seed):
+    """The (train, test) row indices scale_and_split draws, replayed from its rng."""
+    rng = np.random.default_rng(seed)
+    train_parts, test_parts = [], []
+    for cls in (0, 1):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        k = int(round(train_fraction * idx.size))
+        train_parts.append(idx[:k])
+        test_parts.append(idx[k:])
+    return rng.permutation(np.concatenate(train_parts)), rng.permutation(np.concatenate(test_parts))
+
+
 class TestScaleAndSplit:
     def test_split_sizes_stratified(self):
         feats, labels = dg.make_circles(200, noise=0.1, factor=0.5, seed=1)
@@ -65,11 +77,14 @@ class TestScaleAndSplit:
     def test_scaling_uses_train_statistics_only(self):
         feats, labels = dg.make_circles(300, noise=0.1, factor=0.5, seed=1)
         ds = dg.scale_and_split(feats, labels, train_fraction=0.8, seed=2)
-        lo, hi = ds.feature_min, ds.feature_max
-        # Recover the raw training block and confirm lo/hi come from it alone.
-        scaled_back = ds.train_features / math.pi * (hi - lo) + lo
-        assert_allclose(scaled_back.min(axis=0), lo, atol=1e-9)
-        assert_allclose(scaled_back.max(axis=0), hi, atol=1e-9)
+        train_idx, test_idx = replay_split(labels, 0.8, seed=2)
+        lo, hi = feats[train_idx].min(axis=0), feats[train_idx].max(axis=0)
+        # The whole data's range differs, so scaling by it would fail below.
+        assert np.any(lo != feats.min(axis=0)) or np.any(hi != feats.max(axis=0))
+        want = np.clip((feats[test_idx] - lo) / (hi - lo) * math.pi, 0.0, math.pi)
+        assert_allclose(ds.test_features, want, rtol=0, atol=1e-12)
+        assert_allclose(ds.train_features, (feats[train_idx] - lo) / (hi - lo) * math.pi,
+                        rtol=0, atol=1e-12)
 
     def test_test_features_clamped_and_counted(self):
         feats, labels = dg.make_circles(400, noise=0.15, factor=0.5, seed=9)
@@ -79,15 +94,7 @@ class TestScaleAndSplit:
         assert ds.num_clamped >= 0
         # Count is consistent with the raw data falling outside the train range.
         raw = feats
-        rng = np.random.default_rng(10)
-        train_parts, test_parts = [], []
-        for cls in (0, 1):
-            idx = rng.permutation(np.flatnonzero(labels == cls))
-            k = int(round(0.8 * idx.size))
-            train_parts.append(idx[:k])
-            test_parts.append(idx[k:])
-        train_idx = rng.permutation(np.concatenate(train_parts))
-        test_idx = rng.permutation(np.concatenate(test_parts))
+        train_idx, test_idx = replay_split(labels, 0.8, seed=10)
         lo = raw[train_idx].min(axis=0)
         hi = raw[train_idx].max(axis=0)
         outside = ((raw[test_idx] < lo) | (raw[test_idx] > hi)).sum()
@@ -134,6 +141,23 @@ class TestScaleAndSplit:
             )
 
 
+def read_dumped(path) -> dg.Dataset:
+    """Rebuild a Dataset from a dump_csv file (header x1,x2,label,split)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x1,x2,label,split"
+    rows = {"train": ([], []), "test": ([], [])}
+    for line in lines[1:]:
+        x1, x2, label, split = line.split(",")
+        rows[split][0].append([float(x1), float(x2)])
+        rows[split][1].append(int(label))
+    return dg.Dataset(
+        train_features=np.array(rows["train"][0]),
+        train_labels=np.array(rows["train"][1]),
+        test_features=np.array(rows["test"][0]),
+        test_labels=np.array(rows["test"][1]),
+    )
+
+
 class TestSerialization:
     def test_csv_shape_and_header(self, small_dataset):
         text = dg.csv_text(small_dataset)
@@ -143,11 +167,19 @@ class TestSerialization:
         assert len(lines) == n + 1
         assert lines[1].endswith(",train")
         assert lines[-1].endswith(",test")
+        x1, x2 = small_dataset.train_features[0]
+        assert lines[1] == f"{x1:.9g},{x2:.9g},{small_dataset.train_labels[0]},train"
+
+    def test_dump_writes_the_canonical_bytes(self, small_dataset, tmp_path):
+        # The file is exactly the text the checksum hashes: ASCII, LF endings.
+        path = tmp_path / "data.csv"
+        dg.dump_csv(small_dataset, path)
+        assert path.read_bytes() == dg.csv_text(small_dataset).encode("ascii")
 
     def test_round_trip(self, small_dataset, tmp_path):
         path = tmp_path / "data.csv"
         dg.dump_csv(small_dataset, path)
-        loaded = dg.load_csv(path)
+        loaded = read_dumped(path)
         # Values survive at 9 significant digits.
         assert_allclose(loaded.train_features, small_dataset.train_features, rtol=1e-8)
         assert np.array_equal(loaded.train_labels, small_dataset.train_labels)
@@ -157,21 +189,7 @@ class TestSerialization:
     def test_round_trip_preserves_checksum(self, small_dataset, tmp_path):
         path = tmp_path / "data.csv"
         dg.dump_csv(small_dataset, path)
-        assert dg.dataset_checksum(dg.load_csv(path)) == dg.dataset_checksum(small_dataset)
-
-    def test_load_rejects_bad_files(self, tmp_path):
-        bad_header = tmp_path / "a.csv"
-        bad_header.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="header"):
-            dg.load_csv(bad_header)
-        bad_split = tmp_path / "b.csv"
-        bad_split.write_text("x1,x2,label,split\n1,2,0,weird\n")
-        with pytest.raises(ValueError, match="split"):
-            dg.load_csv(bad_split)
-        missing_test = tmp_path / "c.csv"
-        missing_test.write_text("x1,x2,label,split\n1,2,0,train\n")
-        with pytest.raises(ValueError, match="both"):
-            dg.load_csv(missing_test)
+        assert dg.dataset_checksum(read_dumped(path)) == dg.dataset_checksum(small_dataset)
 
     def test_checksum_distinguishes_datasets(self, small_dataset):
         feats, labels = dg.make_circles(100, noise=0.1, factor=0.5, seed=99)

@@ -86,7 +86,7 @@ class TestMakeClients:
         if kind == "circuit":
             model = vqc.VqcModel(np.zeros((2, num_qubits, 3)))
         else:
-            model = qw.init_store(rng, num_qubits=num_qubits)
+            model = qw.QuantumWeightStore(np.full((2, num_qubits, 3), math.pi / 2))
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
             fr.make_clients(fx, fy, 2, model, partition_seed=1, client_seed=2)
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from qfedring import qweights as qw
 from qfedring import statevec as sv
-from qfedring.vqc import SHIFT_RULE
+from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
 
 ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=False)
 
@@ -31,7 +31,7 @@ def oracle_angles(rng) -> np.ndarray:
 
 class TestStore:
     def test_init_store_window(self, rng):
-        store = qw.init_store(rng, num_layers=3, num_qubits=2)
+        store = qw.init_store(rng, num_layers=3)
         assert store.angles.shape == (3, 2, 3)
         lo = qw.ANGLE_INIT_CENTER - qw.ANGLE_INIT_HALF_WIDTH
         hi = qw.ANGLE_INIT_CENTER + qw.ANGLE_INIT_HALF_WIDTH
@@ -113,8 +113,8 @@ class TestGateByGateOracle:
         store = qw.QuantumWeightStore(oracle_angles(rng), gamma=gamma)
         cg = rng.normal(size=store.angles.shape)
         ref = np.vectorize(reference_z)
-        inner = SHIFT_RULE.coefficient * (
-            ref(store.angles + SHIFT_RULE.shift) - ref(store.angles - SHIFT_RULE.shift)
+        inner = SHIFT_COEFFICIENT * (
+            ref(store.angles + SHIFT) - ref(store.angles - SHIFT)
         )
         assert_allclose(qw.weight_gradient(store, cg), cg * gamma * inner, rtol=0, atol=1e-15)
 
@@ -166,9 +166,9 @@ class TestGradient:
                 rng.uniform(-4, 4, size=(layers, qubits, 3)), gamma=rng.uniform(0.5, 4)
             )
             cg = rng.normal(size=store.angles.shape)
-            plus = qw._z_expectation(qw._carrier_amplitudes(store.angles + SHIFT_RULE.shift))
-            minus = qw._z_expectation(qw._carrier_amplitudes(store.angles - SHIFT_RULE.shift))
-            want = cg * store.gamma * (SHIFT_RULE.coefficient * (plus - minus))
+            plus = qw._z_expectation(qw._carrier_amplitudes(store.angles + SHIFT))
+            minus = qw._z_expectation(qw._carrier_amplitudes(store.angles - SHIFT))
+            want = cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
             assert np.array_equal(qw.weight_gradient(store, cg), want)
 
     def test_weight_gradient_validation(self, rng):

@@ -186,7 +186,7 @@ class TestGates:
         state = random_state(rng, n)
         for _ in range(10):
             state = sv.apply_gate(state, random_gate(rng, n) if n > 1 else sv.h(0))
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_h_self_inverse(self, rng):
         state = random_state(rng, 3)
@@ -269,7 +269,7 @@ class TestMeasurement:
             if (j >> 2) & 1 == 1 and j & 1 == 0
         )
         assert prob == pytest.approx(marginal, abs=1e-12)
-        assert abs(post.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(post.amplitudes) - 1.0) < 1e-10
 
     def test_collapse_rejects_impossible_branch(self):
         with pytest.raises(ValueError, match="probability"):

@@ -17,17 +17,16 @@ FINITE = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 class TestLoss:
     def test_equal_logits_cost_ln2(self):
-        for scale in (1.0, tk.LOGIT_SCALE, 20.0):
-            loss, _ = tk.loss_and_grad([0.3, 0.3], 0, scale=scale)
-            assert loss == pytest.approx(math.log(2), abs=1e-12)
+        loss, _ = tk.loss_and_grad([0.3, 0.3], 0)
+        assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_confidence_costs_little(self):
         loss, _ = tk.loss_and_grad([1.0, -1.0], 0)
         assert loss < 1e-4
 
     def test_stable_under_huge_scores(self):
-        loss, grad = tk.loss_and_grad([100.0, -100.0], 1, scale=1.0)
-        assert math.isfinite(loss) and loss == pytest.approx(200.0, rel=1e-9)
+        loss, grad = tk.loss_and_grad([100.0, -100.0], 1)
+        assert math.isfinite(loss) and loss == pytest.approx(200.0 * tk.LOGIT_SCALE, rel=1e-9)
         assert np.all(np.isfinite(grad))
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -46,12 +45,11 @@ class TestLoss:
 
     def test_gradient_closed_form(self):
         # Two-class softmax: dlogits[wrong] = scale * sigmoid(-scale * margin).
-        for scale in (1.0, tk.LOGIT_SCALE):
-            _, grad = tk.loss_and_grad([0.1, -0.1], 0, scale=scale)
-            margin = 0.2
-            p_wrong = 1 / (1 + math.exp(scale * margin))
-            assert grad[1] == pytest.approx(scale * p_wrong, abs=1e-12)
-            assert grad[0] == pytest.approx(-scale * p_wrong, abs=1e-12)
+        scale, margin = tk.LOGIT_SCALE, 0.2
+        _, grad = tk.loss_and_grad([0.1, -0.1], 0)
+        p_wrong = 1 / (1 + math.exp(scale * margin))
+        assert grad[1] == pytest.approx(scale * p_wrong, abs=1e-12)
+        assert grad[0] == pytest.approx(-scale * p_wrong, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two logits"):
@@ -99,7 +97,8 @@ class TestOptimizer:
 
 class TestMlp:
     def test_parameter_count(self, rng):
-        assert tk.init_mlp(rng).num_params() == 22
+        mlp = tk.init_mlp(rng)
+        assert sum(getattr(mlp, name).size for name in ("w1", "b1", "w2", "b2")) == 22
 
     def test_validation(self):
         with pytest.raises(ValueError, match="w1"):

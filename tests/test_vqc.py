@@ -41,19 +41,20 @@ def two_call_step(params, feats, labels):
     loss, then the +shift/-shift contraction of the 2P shifted sets."""
     losses, upstream = tk.batch_loss_and_grad(vqc.forward_batch(params, feats), labels)
     p = np.asarray(params, dtype=float)
-    shifts = vqc.SHIFT_RULE.shift * np.eye(p.size).reshape(p.size, *p.shape)
+    shifts = vqc.SHIFT * np.eye(p.size).reshape(p.size, *p.shape)
     out = vqc._expectations(np.concatenate([p + shifts, p - shifts]), feats)
-    delta = vqc.SHIFT_RULE.coefficient * (out[: p.size] - out[p.size :])
+    delta = vqc.SHIFT_COEFFICIENT * (out[: p.size] - out[p.size :])
     return losses, np.sum(upstream * delta, axis=(1, 2)).reshape(p.shape)
 
 
 class TestModel:
     def test_shift_rule_defaults(self):
-        assert vqc.SHIFT_RULE.shift == pytest.approx(math.pi / 2)
-        assert vqc.SHIFT_RULE.coefficient == pytest.approx(0.5)
+        assert vqc.SHIFT == pytest.approx(math.pi / 2)
+        assert vqc.SHIFT_COEFFICIENT == pytest.approx(0.5)
+        assert vqc.NUM_QUBITS == 2
 
     def test_init_model_bounds(self, rng):
-        model = vqc.init_model(rng, num_layers=4, num_qubits=2)
+        model = vqc.init_model(rng, num_layers=4)
         assert model.params.shape == (4, 2, 3)
         assert np.all(np.abs(model.params) <= math.pi / 4)
         assert model.num_layers == 4
@@ -345,7 +346,7 @@ class TestBatchedPath:
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 2, 3), (3, 2, 3), (1, 3, 3)])
     def test_shift_offsets_match_eye_construction(self, shape):
         size = math.prod(shape)
-        shifts = vqc.SHIFT_RULE.shift * np.eye(size).reshape(size, *shape)
+        shifts = vqc.SHIFT * np.eye(size).reshape(size, *shape)
         offsets = vqc._shift_offsets(shape)
         assert np.array_equal(offsets, np.concatenate([np.zeros((1, *shape)), shifts, -shifts]))
         # Adding them reproduces the sets built from p itself, signed zeros included.
