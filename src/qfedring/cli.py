@@ -36,7 +36,7 @@ from .teleport import TransferError
 from .trainkit import RoundMetrics
 
 MODELS = ("cfl", "qfl-classical", "qfl-quantum")
-TRANSPORTS = ("copy", "teleport")
+TRANSPORTS = tuple(t.value for t in Transport)
 
 METRICS_HEADER = "round,client,mean_train_loss,test_accuracy,wall_ms"
 COMPARE_HEADER = "model,transport,round,client,mean_train_loss,test_accuracy,wall_ms,dataset_checksum"
@@ -81,6 +81,8 @@ class ExperimentConfig:
         for name in ("clients", "rounds", "local_epochs", "layers", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A circuit's gradient step must fit the engine.
         fits = vqc.fits_unitary_cap(self.layers, vqc.NUM_QUBITS, shifted=True)
         if self.model != "cfl" and not fits:
@@ -168,7 +170,10 @@ def config_from_file(path: str) -> ExperimentConfig:
     values = _load_config_file(path)
     if "model" not in values:
         raise ConfigError(f"{path}: config file must set 'model'")
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(argv) -> ExperimentConfig | CompareRequest:
@@ -264,7 +269,7 @@ def run_single(config: ExperimentConfig, dataset: Dataset):
         num_clients=config.clients,
         num_rounds=config.rounds,
         local_epochs=config.local_epochs,
-        transport=Transport.CLASSICAL_COPY if config.transport == "copy" else Transport.TELEPORT,
+        transport=Transport(config.transport),
     )
     channel = (
         np.random.default_rng([config.seed, 4]) if config.transport == "teleport" else None

@@ -2,11 +2,12 @@
 
 Each weight is an angle ``a`` carried by the state RX(a)|0> =
 [cos(a/2), -i sin(a/2)]; the usable parameter value is gamma * <Z> of that
-carrier.  ``_carrier_amplitudes`` builds the carrier amplitudes for a whole
-array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2 from them,
-so ``materialize`` reads a whole store in one pass and ``weight_gradient``
-chains the circuit gradient back through the same two-point shift rule as
-the circuit parameters, with the +shift and -shift carriers as one array.
+carrier.  ``statevec._rx_carriers`` builds the carrier amplitudes for a
+whole array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2
+from them, so ``materialize`` reads a whole store in one pass and
+``weight_gradient`` chains the circuit gradient back through the same
+two-point shift rule as the circuit parameters, with the +shift and -shift
+carriers as one array.
 ``QuantumWeightStore`` shares the circuit-model interface with
 ``vqc.VqcModel``: ``effective_params()`` is ``materialize`` and
 ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
@@ -26,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevec import StateVector, _rx_matrix
+from .statevec import StateVector, _rx_carriers, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
-from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT
+from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT, _layer_angles
 
 ANGLE_INIT_CENTER = math.pi / 2
 ANGLE_INIT_HALF_WIDTH = 0.5
@@ -48,15 +49,10 @@ class QuantumWeightStore:
     gamma: float = math.pi
 
     def __post_init__(self) -> None:
-        a = np.array(self.angles, dtype=float)
-        if a.ndim != 3 or a.shape[2] != 3 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ValueError(f"angles must have shape (layers, qubits, 3), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("angles must be finite")
+        angles = _layer_angles(self.angles, "angles")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
-        a.flags.writeable = False
-        object.__setattr__(self, "angles", a)
+        object.__setattr__(self, "angles", angles)
 
     @property
     def num_layers(self) -> int:
@@ -97,15 +93,6 @@ def init_store(
     return QuantumWeightStore(angles, gamma=gamma)
 
 
-def _carrier_amplitudes(angles) -> np.ndarray:
-    """RX(a)|0> for every angle a: shape ``angles.shape + (2,)``."""
-    half = np.asarray(angles, dtype=float) / 2
-    amps = np.empty(half.shape + (2,), dtype=complex)
-    amps[..., 0] = np.cos(half)
-    amps[..., 1] = -1j * np.sin(half)
-    return amps
-
-
 def _z_expectation(amps: np.ndarray) -> np.ndarray:
     """<Z> of single-qubit amplitudes along the last axis."""
     probs = amps.real**2 + amps.imag**2
@@ -114,12 +101,12 @@ def _z_expectation(amps: np.ndarray) -> np.ndarray:
 
 def encode_weight(angle: float) -> StateVector:
     """The carrier state RX(angle)|0> for one stored weight."""
-    return StateVector(1, _carrier_amplitudes(float(angle)))
+    return StateVector(1, _rx_carriers(float(angle)))
 
 
 def materialize(store: QuantumWeightStore) -> np.ndarray:
     """Effective circuit parameters gamma * <Z>, one per stored angle."""
-    return store.gamma * _z_expectation(_carrier_amplitudes(store.angles))
+    return store.gamma * _z_expectation(_rx_carriers(store.angles))
 
 
 def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.ndarray:
@@ -134,7 +121,7 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
     if not np.all(np.isfinite(cg)):
         raise ValueError("circuit_grad must be finite")
-    plus, minus = _z_expectation(_carrier_amplitudes(store.angles + _SHIFT_PAIR))
+    plus, minus = _z_expectation(_rx_carriers(store.angles + _SHIFT_PAIR))
     return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
 
 

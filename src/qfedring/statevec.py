@@ -3,7 +3,9 @@
 Basis convention: qubit 0 is the most significant bit of the basis index,
 so a two-qubit amplitude vector is ordered |00>, |01>, |10>, |11> and a
 state built as ``tensor_product(a, b)`` puts ``a``'s qubits in the high
-bits.  This convention is fixed here and used by every other module.
+bits.  This convention is fixed here and used by every other module, which
+take the array primitives built on it from here: ``_rx_carriers``,
+``_z_signs`` and ``_cnot_image``.
 
 States are immutable values: every operation returns a fresh StateVector
 and never mutates its input.
@@ -73,10 +75,6 @@ class StateVector:
             raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def probabilities(self) -> np.ndarray:
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -205,18 +203,41 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(n, amps)
 
 
-@lru_cache(maxsize=64)
-def _z_signs(num_qubits: int, target: int) -> np.ndarray:
-    bits = (np.arange(2**num_qubits) >> (num_qubits - 1 - target)) & 1
+def _rx_carriers(angles) -> np.ndarray:
+    """RX(a)|0> = [cos(a/2), -i sin(a/2)] for every angle a: shape ``angles.shape + (2,)``."""
+    half = np.asarray(angles, dtype=float) / 2
+    amps = np.empty(half.shape + (2,), dtype=complex)
+    amps[..., 0] = np.cos(half)
+    amps[..., 1] = -1j * np.sin(half)
+    return amps
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _z_signs(num_qubits: int) -> np.ndarray:
+    """Read-only (num_qubits, 2**num_qubits) Pauli-Z eigenvalues, one row per qubit."""
+    shifts = num_qubits - 1 - np.arange(num_qubits)
+    bits = (np.arange(2**num_qubits) >> shifts[:, None]) & 1
     signs = 1.0 - 2.0 * bits
     signs.flags.writeable = False
     return signs
 
 
+@lru_cache(maxsize=16)
+def _cnot_image(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only basis index each |b> is sent to by the CNOT pairs in order;
+    a single CNOT is its own inverse, so ``amps[image]`` applies it."""
+    idx = np.arange(2**num_qubits)
+    for control, target in pairs:
+        idx ^= ((idx >> (num_qubits - 1 - control)) & 1) << (num_qubits - 1 - target)
+    idx.flags.writeable = False
+    return idx
+
+
 def expectation(state: StateVector, target: int) -> float:
     """<state| Z_target |state>, computed exactly from the amplitudes."""
     _check_qubit(target, state.num_qubits, "observable target")
-    return float(_z_signs(state.num_qubits, target) @ state.probabilities())
+    a = state.amplitudes
+    return float(_z_signs(state.num_qubits)[target] @ (a.real**2 + a.imag**2))
 
 
 def _bit_probability(amps: np.ndarray, num_qubits: int, target: int) -> float:

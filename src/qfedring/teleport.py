@@ -8,11 +8,11 @@ with the message up to float rounding.
 
 ``teleport_state`` runs the register on raw amplitudes: the outer product
 of the message with the Bell amplitudes (built once from ``bell_pair``),
-CNOT as an index permutation, H as one 2x4 matmul.  The measurement goes
-through ``measure_qubits``/``collapse_qubits`` unchanged, so the channel
-rng is drawn exactly as before, and the corrections act on the receiver's
-two amplitudes alone.  The tests replay the protocol gate by gate with
-``apply_gate`` as the oracle.
+CNOT as the index permutation ``statevec._cnot_image``, H as one 2x4
+matmul.  The measurement goes through ``measure_qubits``/``collapse_qubits``
+unchanged, so the channel rng is drawn as in the gate-by-gate protocol,
+and the corrections act on the receiver's two amplitudes alone.  The tests
+replay the protocol gate by gate with ``apply_gate`` as the oracle.
 
 ``teleport_weights`` moves a whole weight store one channel use per angle:
 ``encode_weight`` -> ``teleport_state`` -> ``state_expectations`` ->
@@ -31,6 +31,8 @@ from .qweights import QuantumWeightStore, decode_angle, encode_weight, state_exp
 from .statevec import (
     _H,
     StateVector,
+    _cnot_image,
+    _z_signs,
     apply_gate,
     cnot,
     collapse_qubits,
@@ -71,12 +73,6 @@ def _bell_amplitudes() -> np.ndarray:
     return bell_pair().amplitudes
 
 
-# Basis index after CNOT(0 -> 1) on three qubits: |1 b c> <-> |1 (1-b) c>.
-_CNOT_01 = np.array([0, 1, 2, 3, 6, 7, 4, 5])
-
-_Z_FIX = np.array([1.0, -1.0])
-
-
 def teleport_state(
     message: StateVector,
     rng: np.random.Generator | None = None,
@@ -94,7 +90,7 @@ def teleport_state(
         raise ValueError("provide an rng or force an outcome")
     joint = np.multiply.outer(message.amplitudes, _bell_amplitudes()).ravel()
     # H acts on qubit 0, the leading axis once the register is split 2 x 4.
-    reg = StateVector(3, (_H @ joint[_CNOT_01].reshape(2, 4)).ravel())
+    reg = StateVector(3, (_H @ joint[_cnot_image(3, ((0, 1),))].reshape(2, 4)).ravel())
     if force_outcome is not None:
         m1, m2 = force_outcome
         _, reg = collapse_qubits(reg, [0, 1], [m1, m2])
@@ -106,7 +102,7 @@ def teleport_state(
     if m2:
         block = block[::-1]
     if m1:
-        block = block * _Z_FIX
+        block = block * _z_signs(1)[0]
     recovered = StateVector(1, block)
     return TeleportRecord(
         bell_outcome=(m1, m2),

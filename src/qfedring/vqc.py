@@ -19,8 +19,8 @@ parameters, then the +shift block, then the -shift block, made by adding a
 cached read-only offset tensor to the parameters.  It hands the unshifted
 logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
 contracts the shifted sets with that upstream, so a step encodes its batch
-and builds its unitaries once.  The offsets and the readout signs are built
-on first use per shape and qubit count, not at import.
+and builds its unitaries once.  The offsets are built on first use per
+shape, not at import; the RX carriers, CNOT map and Z signs are statevec's.
 
 ``VqcModel`` holds only its parameter array.  It shares the circuit-model
 interface with ``qweights.QuantumWeightStore``: ``effective_params()`` gives
@@ -37,6 +37,8 @@ import numpy as np
 
 from .statevec import (
     StateVector,
+    _cnot_image,
+    _rx_carriers,
     _z_signs,
     apply_gate,
     cnot,
@@ -62,13 +64,7 @@ class VqcModel:
     params: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.params, dtype=float)
-        if p.ndim != 3 or p.shape[2] != 3 or 0 in p.shape:
-            raise ValueError(f"params must have shape (layers, qubits, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("params must be finite")
-        p.flags.writeable = False
-        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "params", _layer_angles(self.params, "params"))
 
     @property
     def num_layers(self) -> int:
@@ -88,6 +84,17 @@ class VqcModel:
     def step(self, circuit_grad: np.ndarray, optimizer) -> "VqcModel":
         """The model after one optimizer step along ``circuit_grad``."""
         return self.with_params(optimizer.step(self.params, circuit_grad))
+
+
+def _layer_angles(values, name: str) -> np.ndarray:
+    """Read-only finite float copy of a (layers, qubits, 3) array; errors call it ``name``."""
+    a = np.array(values, dtype=float)
+    if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
+        raise ValueError(f"{name} must have shape (layers, qubits, 3), got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def init_model(rng: np.random.Generator, num_layers: int = 2) -> VqcModel:
@@ -178,9 +185,7 @@ def fits_unitary_cap(num_layers: int, num_qubits: int, *, shifted: bool) -> bool
 
 
 def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(params, dtype=float)
-    if p.ndim != 3 or 0 in p.shape or p.shape[2] != 3:
-        raise ValueError(f"params must have shape (layers, qubits, 3), got {p.shape}")
+    p = _layer_angles(params, "params")
     layers, n, _ = p.shape
     if not fits_unitary_cap(layers, n, shifted=shifted):
         raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")
@@ -192,32 +197,11 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
 
 def _encode_batch(features: np.ndarray) -> np.ndarray:
     """Product-state amplitudes of RX(x_q) on each qubit of |0...0>, one row per sample."""
-    half = features / 2.0
-    cols = np.empty(features.shape + (2,), dtype=complex)  # (batch, qubit, bit)
-    cols[..., 0] = np.cos(half)
-    cols[..., 1] = -1j * np.sin(half)
+    cols = _rx_carriers(features)  # (batch, qubit, bit)
     amps = cols[:, 0]
     for q in range(1, features.shape[1]):
         amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], -1)
     return amps
-
-
-@lru_cache(maxsize=16)
-def _entangler_image(n: int) -> np.ndarray:
-    """Basis index each |b> is sent to by the CNOT ring, pairs applied in order."""
-    idx = np.arange(2**n)
-    for control, target in entangler_pairs(n):
-        idx ^= ((idx >> (n - 1 - control)) & 1) << (n - 1 - target)
-    idx.flags.writeable = False
-    return idx
-
-
-@lru_cache(maxsize=16)
-def _readout_signs(n: int) -> np.ndarray:
-    """(n, 2**n) Pauli-Z eigenvalue of each basis state, one row per qubit."""
-    signs = np.stack([_z_signs(n, q) for q in range(n)])
-    signs.flags.writeable = False
-    return signs
 
 
 @lru_cache(maxsize=16)
@@ -251,13 +235,14 @@ def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     rots[..., 0, 1] = -a * s * b_conj
     rots[..., 1, 0] = a_conj * s * b
     rots[..., 1, 1] = a_conj * c * b_conj
+    n = angles.shape[-2]
     u = rots[..., 0, :, :]
-    for q in range(1, angles.shape[-2]):
+    for q in range(1, n):
         size = 2 * u.shape[-1]
         u = (u[..., :, None, :, None] * rots[..., q, None, :, None, :]).reshape(
             *u.shape[:-2], size, size
         )
-    return u[..., _entangler_image(angles.shape[-2])]
+    return u[..., _cnot_image(n, tuple(entangler_pairs(n)))]
 
 
 def _first_layer(psi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -277,7 +262,7 @@ def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
     psi = _first_layer(_encode_batch(features), unitaries)
     for layer in range(1, angles.shape[1]):
         psi = psi @ unitaries[:, layer].swapaxes(-1, -2)
-    return (psi.real**2 + psi.imag**2) @ _readout_signs(angles.shape[2]).T
+    return (psi.real**2 + psi.imag**2) @ _z_signs(angles.shape[2]).T
 
 
 def forward_batch(params: np.ndarray, features) -> np.ndarray:

@@ -367,6 +367,7 @@ _BAD_SETTINGS = [
     ("num_points", "3"),
     ("noise", "-1"),
     ("factor", "1"),
+    ("seed", "-1"),
 ]
 
 
@@ -532,7 +533,9 @@ class TestCompare:
         b = write_config(tmp_path / "b.cfg", **settings)
         out = tmp_path / "x.csv"
         assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert a in err
         assert not out.exists()
 
     def test_too_deep_circuit_exits_2(self, tmp_path, capsys):

@@ -166,8 +166,8 @@ class TestGradient:
                 rng.uniform(-4, 4, size=(layers, qubits, 3)), gamma=rng.uniform(0.5, 4)
             )
             cg = rng.normal(size=store.angles.shape)
-            plus = qw._z_expectation(qw._carrier_amplitudes(store.angles + SHIFT))
-            minus = qw._z_expectation(qw._carrier_amplitudes(store.angles - SHIFT))
+            plus = qw._z_expectation(sv._rx_carriers(store.angles + SHIFT))
+            minus = qw._z_expectation(sv._rx_carriers(store.angles - SHIFT))
             want = cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
             assert np.array_equal(qw.weight_gradient(store, cg), want)
 

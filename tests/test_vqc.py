@@ -262,17 +262,22 @@ class TestBatchedPath:
         _, batched_grad = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
         assert_allclose(batched_grad, summed, atol=1e-12)
 
-    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
-    def test_entangler_permutation_matches_cnot_gates(self, num_qubits):
-        """Sending each basis state through the CNOT ring gate by gate lands on
-        the basis state the engine's permutation names; one qubit has no
-        pairs, so its permutation is the identity."""
-        image = vqc._entangler_image(num_qubits)
+    @pytest.mark.parametrize(
+        "num_qubits, pairs",
+        [pytest.param(n, tuple(vqc.entangler_pairs(n)), id=str(n)) for n in (1, 2, 3)]
+        + [pytest.param(3, ((0, 1),), id="teleport")],
+    )
+    def test_entangler_permutation_matches_cnot_gates(self, num_qubits, pairs):
+        """Sending each basis state through the CNOTs gate by gate lands on the
+        basis state the shared map names: the engine's CNOT ring (one qubit
+        has no pairs, so its map is the identity) and the teleport channel's
+        CNOT(0 -> 1) on three qubits."""
+        image = sv._cnot_image(num_qubits, pairs)
         for b in range(2**num_qubits):
             amps = np.zeros(2**num_qubits, dtype=complex)
             amps[b] = 1.0
             state = sv.StateVector(num_qubits, amps)
-            for control, target in vqc.entangler_pairs(num_qubits):
+            for control, target in pairs:
                 state = sv.apply_gate(state, sv.cnot(control, target))
             assert np.flatnonzero(state.amplitudes) == [image[b]]
         if num_qubits == 1:
@@ -358,9 +363,11 @@ class TestBatchedPath:
     def test_cached_constants_are_read_only(self):
         offsets = vqc._shift_offsets((2, 2, 3))
         assert offsets is vqc._shift_offsets((2, 2, 3))
-        signs = vqc._readout_signs(2)
-        assert signs is vqc._readout_signs(2)
-        for cached in (offsets, signs):
+        signs = sv._z_signs(2)
+        assert signs is sv._z_signs(2)
+        image = sv._cnot_image(2, ((0, 1), (1, 0)))
+        assert image is sv._cnot_image(2, ((0, 1), (1, 0)))
+        for cached in (offsets, signs, image):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
 
