@@ -9,6 +9,12 @@ take the array primitives built on it from here: ``_rx_carriers``,
 
 States are immutable values: every operation returns a fresh StateVector
 and never mutates its input.
+
+Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
+complex numbers, which at a few qubits is cheaper than numpy's per-call
+cost.  ``measure_qubits`` samples each bit with ``_sampling_rule``,
+``collapse_qubits`` pins it with ``_forcing_rule``, and the teleport
+channel calls the kernel directly.
 """
 from __future__ import annotations
 
@@ -240,20 +246,85 @@ def expectation(state: StateVector, target: int) -> float:
     return float(_z_signs(state.num_qubits)[target] @ (a.real**2 + a.imag**2))
 
 
-def _bit_probability(amps: np.ndarray, num_qubits: int, target: int) -> float:
-    """Probability that ``target`` reads 1."""
-    t = (amps.real**2 + amps.imag**2).reshape((2,) * num_qubits)
-    sel: list = [slice(None)] * num_qubits
-    sel[target] = 1
-    return float(t[tuple(sel)].sum())
+@lru_cache(maxsize=128)
+def _bit_sides(num_qubits: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Basis indices whose ``target`` bit is 0, then those whose bit is 1, ascending."""
+    mask = 1 << (num_qubits - 1 - target)
+    indices = range(2**num_qubits)
+    return tuple(j for j in indices if not j & mask), tuple(j for j in indices if j & mask)
 
 
-def _project(amps: np.ndarray, num_qubits: int, target: int, outcome: int, prob: float) -> np.ndarray:
-    t = amps.reshape((2,) * num_qubits).copy()
-    sel: list = [slice(None)] * num_qubits
-    sel[target] = 1 - outcome
-    t[tuple(sel)] = 0.0
-    return t.reshape(-1) / math.sqrt(prob)
+def _sampling_rule(rng: np.random.Generator):
+    """Outcome rule of ``measure_qubits``: a near-certain bit is taken without
+    a draw, any other is one ``rng.random() < p1`` draw."""
+
+    def pick(q: int, p1: float) -> tuple[int, float]:
+        if p1 < _MIN_OUTCOME_PROB:
+            outcome = 0
+        elif p1 > 1.0 - _MIN_OUTCOME_PROB:
+            outcome = 1
+        else:
+            outcome = 1 if rng.random() < p1 else 0
+        return outcome, p1 if outcome else 1.0 - p1
+
+    return pick
+
+
+def _forcing_rule(targets, outcomes):
+    """Outcome rule of ``collapse_qubits``: the given bit on each target,
+    refused when its probability is below 1e-15."""
+    if len(targets) != len(outcomes):
+        raise ValueError("targets and outcomes must pair up")
+    for outcome in outcomes:
+        if outcome not in (0, 1):
+            raise ValueError(f"outcome bits must be 0 or 1, got {outcome!r}")
+    forced = dict(zip(targets, outcomes))
+
+    def pick(q: int, p1: float) -> tuple[int, float]:
+        outcome = forced[q]
+        p = p1 if outcome else 1.0 - p1
+        if p < _MIN_OUTCOME_PROB:
+            raise ValueError(f"outcome {outcome} on qubit {q} has probability {p:.3e}")
+        return outcome, p
+
+    return pick
+
+
+def _born_measure(amps: list, num_qubits: int, targets, pick) -> tuple[list[int], float, list]:
+    """Measure ``targets`` in order on plain Python complex amplitudes.
+
+    ``pick(q, p1)`` gets the probability that qubit ``q`` reads 1 (the sum
+    of |a|^2 over the basis states with that bit set, in index order) and
+    returns the outcome and its probability p.  The kept amplitudes are
+    multiplied by 1 / sqrt(p), which is what numpy's complex-by-real division
+    does, and the others become 0.  Returns the outcome bits, their joint
+    probability and the post-measurement amplitudes; validation is the
+    caller's.
+    """
+    outcomes: list[int] = []
+    joint = 1.0
+    for q in targets:
+        sides = _bit_sides(num_qubits, q)
+        p1 = 0.0
+        for j in sides[1]:
+            a = amps[j]
+            p1 += a.real * a.real + a.imag * a.imag
+        outcome, p = pick(q, p1)
+        scale = 1.0 / math.sqrt(p)
+        kept = [0j] * len(amps)
+        for j in sides[outcome]:
+            kept[j] = amps[j] * scale
+        amps = kept
+        outcomes.append(outcome)
+        joint *= p
+    return outcomes, joint, amps
+
+
+def _check_targets(targets, num_qubits: int, role: str) -> None:
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"{role} targets must be distinct, got {targets}")
+    for q in targets:
+        _check_qubit(q, num_qubits, role)
 
 
 def measure_qubits(
@@ -263,24 +334,12 @@ def measure_qubits(
 
     Returns the outcome bits and the renormalized post-measurement state.
     Deterministic for a given rng state; outcomes whose probability falls
-    below 1e-15 are never drawn.
+    below 1e-15 are never drawn, and a bit that certain takes no draw.
     """
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"measurement targets must be distinct, got {targets}")
-    for q in targets:
-        _check_qubit(q, state.num_qubits, "measurement")
-    amps = state.amplitudes
-    outcomes: list[int] = []
-    for q in targets:
-        p1 = _bit_probability(amps, state.num_qubits, q)
-        if p1 < _MIN_OUTCOME_PROB:
-            outcome = 0
-        elif p1 > 1.0 - _MIN_OUTCOME_PROB:
-            outcome = 1
-        else:
-            outcome = 1 if rng.random() < p1 else 0
-        amps = _project(amps, state.num_qubits, q, outcome, p1 if outcome else 1.0 - p1)
-        outcomes.append(outcome)
+    _check_targets(targets, state.num_qubits, "measurement")
+    outcomes, _, amps = _born_measure(
+        state.amplitudes.tolist(), state.num_qubits, targets, _sampling_rule(rng)
+    )
     return outcomes, StateVector(state.num_qubits, amps)
 
 
@@ -292,20 +351,7 @@ def collapse_qubits(
     Companion to measure_qubits for tests and protocols that enumerate
     branches explicitly; rejects branches of probability below 1e-15.
     """
-    if len(targets) != len(outcomes):
-        raise ValueError("targets and outcomes must pair up")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"collapse targets must be distinct, got {targets}")
-    amps = state.amplitudes
-    joint = 1.0
-    for q, outcome in zip(targets, outcomes):
-        _check_qubit(q, state.num_qubits, "collapse")
-        if outcome not in (0, 1):
-            raise ValueError(f"outcome bits must be 0 or 1, got {outcome!r}")
-        p1 = _bit_probability(amps, state.num_qubits, q)
-        p = p1 if outcome else 1.0 - p1
-        if p < _MIN_OUTCOME_PROB:
-            raise ValueError(f"outcome {outcome} on qubit {q} has probability {p:.3e}")
-        amps = _project(amps, state.num_qubits, q, outcome, p)
-        joint *= p
+    pick = _forcing_rule(targets, outcomes)
+    _check_targets(targets, state.num_qubits, "collapse")
+    _, joint, amps = _born_measure(state.amplitudes.tolist(), state.num_qubits, targets, pick)
     return joint, StateVector(state.num_qubits, amps)

@@ -9,10 +9,13 @@ with the message up to float rounding.
 ``teleport_state`` runs the register on raw amplitudes: the outer product
 of the message with the Bell amplitudes (built once from ``bell_pair``),
 CNOT as the index permutation ``statevec._cnot_image``, H as one 2x4
-matmul.  The measurement goes through ``measure_qubits``/``collapse_qubits``
-unchanged, so the channel rng is drawn as in the gate-by-gate protocol,
-and the corrections act on the receiver's two amplitudes alone.  The tests
-replay the protocol gate by gate with ``apply_gate`` as the oracle.
+matmul.  The pre-measurement register is validated as a StateVector, then
+measured by ``statevec._born_measure``, the kernel behind
+``measure_qubits`` and ``collapse_qubits``, with the same outcome rules, so
+the channel rng is drawn as in the gate-by-gate protocol.  Only the
+receiver's two amplitudes are kept: the corrections act on them and they
+are the one state validated after the measurement.  The tests replay the
+protocol gate by gate with ``apply_gate`` as the oracle.
 
 ``teleport_weights`` moves a whole weight store one channel use per angle:
 ``encode_weight`` -> ``teleport_state`` -> ``state_expectations`` ->
@@ -31,16 +34,17 @@ from .qweights import QuantumWeightStore, decode_angle, encode_weight, state_exp
 from .statevec import (
     _H,
     StateVector,
+    _born_measure,
     _cnot_image,
-    _z_signs,
+    _forcing_rule,
+    _sampling_rule,
     apply_gate,
     cnot,
-    collapse_qubits,
     fidelity,
     h,
-    measure_qubits,
     zero_state,
 )
+from .statevec import measure_qubits  # noqa: F401  (wrapped by perfbench/spans.py)
 
 
 class TransferError(RuntimeError):
@@ -91,19 +95,18 @@ def teleport_state(
     joint = np.multiply.outer(message.amplitudes, _bell_amplitudes()).ravel()
     # H acts on qubit 0, the leading axis once the register is split 2 x 4.
     reg = StateVector(3, (_H @ joint[_cnot_image(3, ((0, 1),))].reshape(2, 4)).ravel())
-    if force_outcome is not None:
-        m1, m2 = force_outcome
-        _, reg = collapse_qubits(reg, [0, 1], [m1, m2])
-    else:
-        (m1, m2), reg = measure_qubits(reg, [0, 1], rng)
-    # Qubits 0 and 1 are collapsed to (m1, m2); the receiver holds the rest.
-    # X swaps its two amplitudes and Z flips the sign of the |1> one.
-    block = reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
+    pick = _sampling_rule(rng) if force_outcome is None else _forcing_rule((0, 1), force_outcome)
+    (m1, m2), _, amps = _born_measure(reg.amplitudes.tolist(), 3, (0, 1), pick)
+    # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver's two
+    # amplitudes are the register's only non-zero ones.  X swaps them and Z
+    # flips the sign of the |1> one.
+    base = 4 * m1 + 2 * m2
+    zero, one = amps[base], amps[base + 1]
     if m2:
-        block = block[::-1]
+        zero, one = one, zero
     if m1:
-        block = block * _z_signs(1)[0]
-    recovered = StateVector(1, block)
+        one = -one
+    recovered = StateVector(1, [zero, one])
     return TeleportRecord(
         bell_outcome=(m1, m2),
         recovered_state=recovered,
@@ -115,19 +118,19 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
     """Move every stored angle through its own Bell pair, in (layer, qubit, k) order.
 
     Returns a new store with the decoded angles; raises TransferError naming
-    the first weight whose carrier failed to decode.
+    the first weight whose channel use (encode, teleport, read out, decode)
+    raised a ValueError.
     """
     out = np.empty_like(store.angles)
     for layer in range(store.angles.shape[0]):
         for q in range(store.angles.shape[1]):
             for k in range(3):
-                angle = float(store.angles[layer, q, k])
-                record = teleport_state(encode_weight(angle), rng)
                 try:
+                    record = teleport_state(encode_weight(float(store.angles[layer, q, k])), rng)
                     out[layer, q, k] = decode_angle(*state_expectations(record.recovered_state))
                 except ValueError as exc:
                     raise TransferError(
-                        f"weight (layer={layer}, qubit={q}, k={k}) failed to decode: {exc}",
+                        f"weight (layer={layer}, qubit={q}, k={k}) failed in transfer: {exc}",
                         weight_index=(layer, q, k),
                     ) from exc
     return store.with_angles(out)

@@ -192,6 +192,8 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != n:
         raise ValueError(f"expected features (batch, {n}) for params {p.shape}, got {feats.shape}")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features must be finite")
     return p, feats
 
 

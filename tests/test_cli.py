@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
+from qfedring import teleport as tp
 from qfedring.teleport import TransferError
 from qfedring.trainkit import RoundMetrics
 
@@ -419,6 +420,28 @@ class TestEndToEnd:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "round 1, client 0" in err
+
+    def test_channel_failure_names_its_weight_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A ValueError inside the channel itself, not only in decoding,
+        # reaches the user as a TransferError naming the (layer, qubit, k) slot.
+        calls = {"n": 0}
+        real = tp.teleport_state
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise ValueError("register lost its norm")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tp, "teleport_state", flaky)
+        code = cli.main(
+            ["--model", "qfl-quantum", "--transport", "teleport", *FAST,
+             "--out", str(tmp_path / "m.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "round 1, client 0" in err
+        assert "(layer=0, qubit=0, k=2)" in err and "register lost its norm" in err
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -1,4 +1,5 @@
 """Simulator checks against brute-force linear algebra oracles."""
+import itertools
 import math
 
 import numpy as np
@@ -227,6 +228,23 @@ class TestExpectation:
                 sv.expectation(sv.zero_state(1), target)
 
 
+def oracle_collapse(amps, num_qubits, targets, outcomes):
+    """Joint probability and post-state of forcing ``outcomes`` on ``targets``,
+    by enumerating the basis indices whose target bits match."""
+    match = [
+        all((j >> (num_qubits - 1 - q)) & 1 == b for q, b in zip(targets, outcomes))
+        for j in range(2**num_qubits)
+    ]
+    joint = sum(abs(a) ** 2 for a, keep in zip(amps, match) if keep)
+    post = np.array([a / math.sqrt(joint) if keep else 0 for a, keep in zip(amps, match)])
+    return joint, post
+
+
+def ordered_target_lists(num_qubits):
+    for k in range(num_qubits + 1):
+        yield from itertools.permutations(range(num_qubits), k)
+
+
 class TestMeasurement:
     def test_deterministic_on_basis_state(self, rng):
         outcomes, post = sv.measure_qubits(sv.zero_state(3), [0, 1, 2], rng)
@@ -281,3 +299,39 @@ class TestMeasurement:
         a = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         b = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         assert a == b
+
+    def test_certain_bits_take_no_draw(self):
+        # Basis states never reach the rng: every bit is certain.
+        for state in (sv.zero_state(3), sv.apply_gate(sv.zero_state(2), sv.x(1))):
+            rng = np.random.default_rng(8)
+            before = rng.bit_generator.state
+            sv.measure_qubits(state, list(range(state.num_qubits)), rng)
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_kernel_matches_enumerated_oracle(self, rng, num_qubits):
+        for targets in ordered_target_lists(num_qubits):
+            state = random_state(rng, num_qubits)
+            bits, measured = sv.measure_qubits(state, list(targets), rng)
+            joint, post = oracle_collapse(state.amplitudes, num_qubits, targets, bits)
+            assert_allclose(measured.amplitudes, post, rtol=0, atol=1e-12)
+            # Forcing the drawn bits replays the same arithmetic exactly.
+            prob, forced = sv.collapse_qubits(state, list(targets), bits)
+            assert np.array_equal(forced.amplitudes, measured.amplitudes)
+            assert prob == pytest.approx(joint, rel=0, abs=1e-12)
+            for outcome in itertools.product((0, 1), repeat=len(targets)):
+                joint, post = oracle_collapse(state.amplitudes, num_qubits, targets, outcome)
+                prob, forced = sv.collapse_qubits(state, list(targets), list(outcome))
+                assert prob == pytest.approx(joint, rel=0, abs=1e-12)
+                assert_allclose(forced.amplitudes, post, rtol=0, atol=1e-12)
+
+    def test_collapse_validation(self):
+        state = sv.zero_state(2)
+        with pytest.raises(ValueError, match="pair up"):
+            sv.collapse_qubits(state, [0, 1], [0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            sv.collapse_qubits(state, [0], [2])
+        with pytest.raises(ValueError, match="distinct"):
+            sv.collapse_qubits(state, [1, 1], [0, 0])
+        with pytest.raises(ValueError, match="collapse qubit 2 out of range"):
+            sv.collapse_qubits(state, [2], [0])

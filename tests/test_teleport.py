@@ -109,6 +109,23 @@ class TestTeleportState:
         record = tp.teleport_state(sv.zero_state(1), rng=rng)
         assert record.fidelity == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampled_call_takes_exactly_two_draws(self, seed):
+        # Each Bell bit is near 1/2 for any message, so both are drawn.
+        message = qw.encode_weight(0.4 * seed - 1.3)
+        channel = np.random.default_rng(seed)
+        tp.teleport_state(message, rng=channel)
+        twin = np.random.default_rng(seed)
+        twin.random()
+        twin.random()
+        assert channel.bit_generator.state == twin.bit_generator.state
+
+    def test_forced_call_takes_no_draw(self):
+        channel = np.random.default_rng(3)
+        before = channel.bit_generator.state
+        tp.teleport_state(qw.encode_weight(0.8), rng=channel, force_outcome=(1, 0))
+        assert channel.bit_generator.state == before
+
     def test_deterministic_per_seed(self):
         message = sv.apply_gate(sv.zero_state(1), sv.rx(0, 0.9))
         a = tp.teleport_state(message, rng=np.random.default_rng(17))
@@ -185,6 +202,26 @@ class TestTeleportWeights:
             tp.teleport_weights(store, rng)
         assert excinfo.value.weight_index == (0, 1, 1)
         assert "layer=0" in str(excinfo.value)
+
+    @pytest.mark.parametrize("slot", [0, 4, 11])
+    def test_channel_failure_names_its_weight(self, rng, monkeypatch, slot):
+        store = qw.init_store(rng)  # shape (2, 2, 3)
+        calls = {"n": 0}
+        real = tp.teleport_state
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == slot + 1:
+                raise ValueError("register lost its norm")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tp, "teleport_state", flaky)
+        with pytest.raises(tp.TransferError, match="register lost its norm") as excinfo:
+            tp.teleport_weights(store, rng)
+        want = tuple(int(i) for i in np.unravel_index(slot, store.angles.shape))
+        assert excinfo.value.weight_index == want
+        assert "(layer={}, qubit={}, k={})".format(*want) in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_transfer_error_is_runtime_error(self):
         assert issubclass(tp.TransferError, RuntimeError)

@@ -235,6 +235,13 @@ class TestBatchedPath:
                 vqc.gradient_batch(
                     model.params, np.zeros((4, 2)), lambda _: (None, np.zeros(shape))
                 )
+        # Refused as encode() refuses them, not turned into NaN logits.
+        for bad in (math.nan, math.inf, -math.inf):
+            feats = np.array([[0.3, 0.1], [bad, 0.0]])
+            with pytest.raises(ValueError, match="features must be finite"):
+                vqc.forward_batch(model.params, feats)
+            with pytest.raises(ValueError, match="features must be finite"):
+                vqc.gradient_batch(model.params, feats, lambda out: (None, np.ones_like(out)))
 
     def test_single_row_batch(self, rng):
         model = random_model(rng)
