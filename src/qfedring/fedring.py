@@ -3,7 +3,8 @@
 In the ring, clients train in a fixed order; each hands its model to the next
 client, either by value (CLASSICAL_COPY) or by teleporting every stored angle
 (TELEPORT, quantum weight stores only).  After the last client of a round the
-model it just trained is evaluated on the held-out set.
+model it just trained is evaluated on the held-out set.  Every model kind
+takes the same SGD step: ``loss_grad`` on the batch, then ``step`` by the mean.
 
 Each client owns a private rng for batch shuffling; the teleport channel uses
 its own rng so the two transports consume identical client streams and stay
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,17 +115,8 @@ def make_clients(
 
 
 def _batch_step(model: Model, feats: np.ndarray, labs: np.ndarray, opt: SgdOptimizer):
-    """One SGD step on one mini-batch; returns (mean loss, updated model).
-
-    The MLP takes its analytic gradient; a circuit model takes the loss and the
-    batch-mean parameter-shift gradient of its effective parameters from one
-    engine pass and applies the gradient itself.
-    """
-    if isinstance(model, ClassicalMlp):
-        losses, grads = trainkit.mlp_batch_grads(model, feats, labs)
-        return float(losses.mean()), trainkit.sgd_step_mlp(model, grads, opt)
-    losses, grad = vqc.gradient_batch(model.effective_params(), feats,
-                                      lambda logits: trainkit.batch_loss_and_grad(logits, labs))
+    """One SGD step on one mini-batch; returns (mean loss, updated model)."""
+    losses, grad = model.loss_grad(feats, lambda logits: trainkit.batch_loss_and_grad(logits, labs))
     return float(losses.mean()), model.step(grad / feats.shape[0], opt)
 
 
@@ -139,6 +131,11 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = client.labels.shape[0]
+    if client.features.shape[0] != n:
+        raise ValueError(
+            f"client {client.client_id} has {client.features.shape[0]} feature rows "
+            f"but {n} labels"
+        )
     if n == 0:
         raise ValueError(f"client {client.client_id} has no data")
     losses: list[float] = []
@@ -237,8 +234,7 @@ def average_models(models: list[Model]) -> Model:
     first = models[0]
     if type(first) is QuantumWeightStore:
         raise TypeError("cannot average quantum-held weights")
-    means = {f.name: _fsum_mean([getattr(m, f.name) for m in models]) for f in fields(first)}
-    return replace(first, **means)
+    return replace(first, params=_fsum_mean([m.params for m in models]))
 
 
 def run_hubspoke(

@@ -8,9 +8,9 @@ from them, so ``materialize`` reads a whole store in one pass and
 ``weight_gradient`` chains the circuit gradient back through the same
 two-point shift rule as the circuit parameters, with the +shift and -shift
 carriers as one array.
-``QuantumWeightStore`` shares the circuit-model interface with
-``vqc.VqcModel``: ``effective_params()`` is ``materialize`` and
-``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
+``QuantumWeightStore`` has the model interface ``trainkit`` describes: its
+``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
+and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
 that rebinding one (as a tracer does) also covers this path.
 ``encode_weight`` wraps one carrier as a validated StateVector for the
@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import vqc
 from .statevec import StateVector, _rx_carriers, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
 from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT, _layer_angles
@@ -65,9 +66,11 @@ class QuantumWeightStore:
     def with_angles(self, angles: np.ndarray) -> "QuantumWeightStore":
         return replace(self, angles=angles)
 
-    def effective_params(self) -> np.ndarray:
-        """The circuit parameters the stored angles stand for (``materialize``)."""
-        return materialize(self)
+    def logits(self, features) -> np.ndarray:
+        return vqc.forward_batch(materialize(self), features)
+
+    def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
+        return vqc.gradient_batch(materialize(self), features, loss)
 
     def step(self, circuit_grad: np.ndarray, optimizer) -> "QuantumWeightStore":
         """One optimizer step on the angles, chained from a circuit gradient.

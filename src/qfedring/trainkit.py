@@ -3,20 +3,23 @@
 All three model kinds (ClassicalMlp, VqcModel, QuantumWeightStore) expose two
 class scores; classification is argmax over them and the training loss is
 softmax cross-entropy on the same pair, so the variants are comparable run
-for run.  Model dispatch has two cases: the MLP's own forward pass, and the
-batched circuit engine on ``effective_params()`` for both circuit kinds.
+for run.  Every kind has the same three methods, so training, evaluation
+and averaging never ask which kind they hold: ``logits(features)``,
+``loss_grad(features, loss) -> (losses, batch-summed gradient)`` and
+``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
+``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
+so that rebinding one (as a tracer does) also covers this path.
 ``loss_and_grad`` and ``mlp_forward_backward`` are the single-sample forms
-the tests pin to finite differences; training runs the batched ones.
+the tests pin to finite differences.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
-from . import vqc
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel
 
@@ -89,55 +92,64 @@ class SgdOptimizer:
         return np.asarray(params, dtype=float) - self.learning_rate * np.asarray(grad, dtype=float)
 
 
+# Where b1, w2 and b2 start in the MLP's flat parameter vector, and its length.
+_B1 = 2 * MLP_HIDDEN
+_W2 = _B1 + MLP_HIDDEN
+_B2 = _W2 + 2 * MLP_HIDDEN
+MLP_PARAMS = _B2 + 2
+
+
 @dataclass(frozen=True)
 class ClassicalMlp:
-    """2 -> 4 -> 2 network with tanh hidden units (22 parameters)."""
+    """2 -> 4 -> 2 network with tanh hidden units (22 parameters).
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    ``params`` is one read-only vector: w1 (2, 4) row-major, b1, w2 (4, 2)
+    row-major, b2.  The four arrays are read-only views of it.
+    """
+
+    params: np.ndarray
+    w1: np.ndarray = field(init=False, repr=False, compare=False)
+    b1: np.ndarray = field(init=False, repr=False, compare=False)
+    w2: np.ndarray = field(init=False, repr=False, compare=False)
+    b2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shapes = {"w1": (2, MLP_HIDDEN), "b1": (MLP_HIDDEN,), "w2": (MLP_HIDDEN, 2), "b2": (2,)}
-        for name, want in shapes.items():
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != want:
-                raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        p = np.array(self.params, dtype=float)
+        if p.shape != (MLP_PARAMS,):
+            raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("params must be finite")
+        p.flags.writeable = False
+        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "w1", p[:_B1].reshape(2, MLP_HIDDEN))
+        object.__setattr__(self, "b1", p[_B1:_W2])
+        object.__setattr__(self, "w2", p[_W2:_B2].reshape(MLP_HIDDEN, 2))
+        object.__setattr__(self, "b2", p[_B2:])
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        return np.tanh(features @ self.w1 + self.b1) @ self.w2 + self.b2
+
+    def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
+        return mlp_batch_grads(self, features, loss)
+
+    def step(self, grad: np.ndarray, optimizer: SgdOptimizer) -> "ClassicalMlp":
+        """The model after one optimizer step along ``grad``."""
+        return sgd_step_mlp(self, grad, optimizer)
 
 
 # isinstance accepts this union, so it doubles as the list of known kinds.
 Model = Union[ClassicalMlp, VqcModel, QuantumWeightStore]
 
 
-class MlpGrads(NamedTuple):
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
 def init_mlp(rng: np.random.Generator) -> ClassicalMlp:
     """Gaussian weights scaled by 1/sqrt(fan_in), zero biases."""
     w1 = rng.normal(0.0, 1.0 / math.sqrt(2), size=(2, MLP_HIDDEN))
     w2 = rng.normal(0.0, 1.0 / math.sqrt(MLP_HIDDEN), size=(MLP_HIDDEN, 2))
-    return ClassicalMlp(w1, np.zeros(MLP_HIDDEN), w2, np.zeros(2))
+    return ClassicalMlp(np.concatenate([w1, np.zeros(MLP_HIDDEN), w2, np.zeros(2)], axis=None))
 
 
-def mlp_logits(model: ClassicalMlp, features: np.ndarray) -> np.ndarray:
-    """Forward pass; ``features`` may be one sample (2,) or a batch (B, 2)."""
-    hid = np.tanh(features @ model.w1 + model.b1)
-    return hid @ model.w2 + model.b2
-
-
-def mlp_forward_backward(
-    model: ClassicalMlp, features, label: int
-) -> tuple[float, MlpGrads]:
-    """Loss and exact gradients for one sample."""
+def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[float, np.ndarray]:
+    """Loss and exact gradient for one sample, laid out like ``params``."""
     feats = np.asarray(features, dtype=float)
     if feats.shape != (2,):
         raise ValueError(f"expected 2 features, got shape {feats.shape}")
@@ -147,60 +159,46 @@ def mlp_forward_backward(
     loss, dlogits = loss_and_grad(logits, label)
     dhid = model.w2 @ dlogits
     dpre = dhid * (1.0 - hid**2)
-    return loss, MlpGrads(
-        w1=np.outer(feats, dpre),
-        b1=dpre,
-        w2=np.outer(hid, dlogits),
-        b2=dlogits,
+    return loss, np.concatenate(
+        [np.outer(feats, dpre), dpre, np.outer(hid, dlogits), dlogits], axis=None
     )
 
 
-def mlp_batch_grads(model: ClassicalMlp, features, labels) -> tuple[np.ndarray, MlpGrads]:
-    """Per-sample losses and batch-mean gradients, vectorized over the batch."""
+def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np.ndarray]:
+    """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient
+    laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``, as for
+    ``vqc.gradient_batch``."""
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != 2:
         raise ValueError(f"expected features of shape (batch, 2), got {feats.shape}")
     pre = feats @ model.w1 + model.b1
     hid = np.tanh(pre)
     logits = hid @ model.w2 + model.b2
-    losses, dlogits = batch_loss_and_grad(logits, labels)
-    n = feats.shape[0]
+    losses, dlogits = loss(logits)
     dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
-    grads = MlpGrads(
-        w1=feats.T @ dpre / n,
-        b1=dpre.sum(axis=0) / n,
-        w2=hid.T @ dlogits / n,
-        b2=dlogits.sum(axis=0) / n,
+    grad = np.concatenate(
+        [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
     )
-    return losses, grads
+    return losses, grad
 
 
-def sgd_step_mlp(model: ClassicalMlp, grads: MlpGrads, opt: SgdOptimizer) -> ClassicalMlp:
-    return ClassicalMlp(
-        opt.step(model.w1, grads.w1),
-        opt.step(model.b1, grads.b1),
-        opt.step(model.w2, grads.w2),
-        opt.step(model.b2, grads.b2),
-    )
-
-
-def model_logits_batch(model: Model, features) -> np.ndarray:
-    """Two class scores per row of ``features``."""
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2:
-        raise ValueError(f"expected a batch of samples, got shape {feats.shape}")
-    if isinstance(model, ClassicalMlp):
-        return mlp_logits(model, feats)
-    return vqc.forward_batch(model.effective_params(), feats)
+def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:
+    return ClassicalMlp(opt.step(model.params, grad))
 
 
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
+    feats = np.asarray(features, dtype=float)
     y = np.asarray(labels)
+    if feats.ndim != 2:
+        raise ValueError(f"expected a batch of samples, got shape {feats.shape}")
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")
-    logits = model_logits_batch(model, features)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    if y.shape != (feats.shape[0],):
+        raise ValueError(f"got labels of shape {y.shape} for {feats.shape[0]} samples")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return float(np.mean(np.argmax(model.logits(feats), axis=1) == y))
 
 
 @dataclass(frozen=True)

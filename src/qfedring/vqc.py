@@ -22,10 +22,9 @@ contracts the shifted sets with that upstream, so a step encodes its batch
 and builds its unitaries once.  The offsets are built on first use per
 shape, not at import; the RX carriers, CNOT map and Z signs are statevec's.
 
-``VqcModel`` holds only its parameter array.  It shares the circuit-model
-interface with ``qweights.QuantumWeightStore``: ``effective_params()`` gives
-the circuit parameters and ``step(circuit_grad, optimizer)`` applies a
-circuit gradient, so training and evaluation never ask which kind they hold.
+``VqcModel`` holds only its parameter array; its ``logits``, ``loss_grad``
+and ``step`` (the model interface ``trainkit`` describes) are
+``forward_batch``, ``gradient_batch`` and one optimizer step.
 """
 from __future__ import annotations
 
@@ -77,13 +76,15 @@ class VqcModel:
     def with_params(self, params: np.ndarray) -> "VqcModel":
         return replace(self, params=params)
 
-    def effective_params(self) -> np.ndarray:
-        """The circuit parameters, as stored."""
-        return self.params
+    def logits(self, features) -> np.ndarray:
+        return forward_batch(self.params, features)
 
-    def step(self, circuit_grad: np.ndarray, optimizer) -> "VqcModel":
-        """The model after one optimizer step along ``circuit_grad``."""
-        return self.with_params(optimizer.step(self.params, circuit_grad))
+    def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
+        return gradient_batch(self.params, features, loss)
+
+    def step(self, grad: np.ndarray, optimizer) -> "VqcModel":
+        """The model after one optimizer step along ``grad``."""
+        return self.with_params(optimizer.step(self.params, grad))
 
 
 def _layer_angles(values, name: str) -> np.ndarray:

@@ -84,15 +84,12 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         # (c) classical MLP baseline
         mlp = tk.init_mlp(rng)
         feats = rng.normal(size=2)
-        _, grads = tk.mlp_forward_backward(mlp, feats, label)
-        for name in ("w1", "b1", "w2", "b2"):
+        _, grad = tk.mlp_forward_backward(mlp, feats, label)
 
-            def mlp_loss(arr, _name=name, _mlp=mlp, _f=feats, _label=label):
-                fields = {n: getattr(_mlp, n) for n in ("w1", "b1", "w2", "b2")}
-                fields[_name] = arr
-                return tk.mlp_forward_backward(tk.ClassicalMlp(**fields), _f, _label)[0]
+        def mlp_loss(params, _f=feats, _label=label):
+            return tk.mlp_forward_backward(tk.ClassicalMlp(params), _f, _label)[0]
 
-            check(mlp_loss, getattr(grads, name), getattr(mlp, name))
+        check(mlp_loss, grad, mlp.params)
 
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 10.0

@@ -124,8 +124,9 @@ class TestLocalTrain:
             circuit_grad = circuit_grad / n
             angle_grad = qw.weight_gradient(model, circuit_grad)
             return qw.canonical_angles(model.angles - lr * angle_grad)
-        losses, grads = tk.mlp_batch_grads(model, fx, fy)
-        return tk.sgd_step_mlp(model, grads, tk.SgdOptimizer(lr))
+        _, grad = tk.mlp_batch_grads(model, fx, lambda lg: tk.batch_loss_and_grad(lg, fy))
+        grad = grad / n
+        return model.params - lr * grad
 
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_one_step_matches_hand_computation(self, rng, kind):
@@ -148,13 +149,8 @@ class TestLocalTrain:
         want = self.expected_single_batch_update(init, fx, fy, order, lr)
         losses = fr.local_train(client, epochs=1, batch_size=fy.size)
         assert len(losses) == 1
-        if kind == "circuit":
-            assert np.array_equal(client.model.params, want)
-        elif kind == "store":
-            assert np.array_equal(client.model.angles, want)
-        else:
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(client.model, name), getattr(want, name))
+        held = client.model.angles if kind == "store" else client.model.params
+        assert np.array_equal(held, want)
 
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()
@@ -182,6 +178,22 @@ class TestLocalTrain:
         losses = fr.local_train(client, epochs=50, batch_size=labels.size)
         assert len(losses) == 50
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("num_labels", [8, 12])
+    def test_rejects_features_and_labels_of_different_lengths(self, rng, num_labels):
+        # Training used to run on the shorter of the two without complaint.
+        feats = rng.uniform(0, math.pi, size=(10, 2))
+        labels = rng.integers(0, 2, size=num_labels)
+        message = f"client 0 has 10 feature rows but {num_labels} labels"
+        with pytest.raises(ValueError, match=message):
+            fr.centralized_train(
+                tk.init_mlp(rng), feats, labels, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+            )
+        client = fr.ClientState(
+            3, feats, labels, vqc.init_model(rng), np.random.default_rng(0), tk.SgdOptimizer(0.02)
+        )
+        with pytest.raises(ValueError, match="client 3 has 10 feature rows"):
+            fr.local_train(client, epochs=1, batch_size=4)
 
     def test_validation(self, rng):
         fx, fy, _, _ = small_shard()
@@ -354,15 +366,10 @@ class TestCentralizedEquivalence:
             epochs=6,
             batch_size=8,
         )
-        if kind == "circuit":
-            assert np.array_equal(ring_model.params, central_model.params)
-        elif kind == "store":
+        if kind == "store":
             assert np.array_equal(ring_model.angles, central_model.angles)
         else:
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(
-                    getattr(ring_model, name), getattr(central_model, name)
-                )
+            assert np.array_equal(ring_model.params, central_model.params)
 
 
 class TestAveraging:
@@ -381,7 +388,8 @@ class TestAveraging:
     def test_average_models_mlp(self, rng):
         models = [tk.init_mlp(np.random.default_rng(s)) for s in range(3)]
         avg = fr.average_models(models)
-        for name in ("w1", "b1", "w2", "b2"):
+        assert isinstance(avg, tk.ClassicalMlp)
+        for name in ("params", "w1", "b1", "w2", "b2"):
             want = np.mean([getattr(m, name) for m in models], axis=0)
             assert_allclose(getattr(avg, name), want, atol=1e-15)
 
@@ -440,13 +448,7 @@ class TestHubSpoke:
             epochs=6,
             batch_size=8,
         )
-        if kind == "circuit":
-            assert np.array_equal(hub_model.params, central_model.params)
-        else:
-            for name in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(
-                    getattr(hub_model, name), getattr(central_model, name)
-                )
+        assert np.array_equal(hub_model.params, central_model.params)
 
     def test_rejects_stores_and_teleport(self, rng):
         fx, fy, tx, ty = small_shard()

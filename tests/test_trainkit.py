@@ -95,79 +95,92 @@ class TestOptimizer:
             tk.SgdOptimizer(learning_rate=float("inf"))
 
 
+def mlp_from(w1, b1, w2, b2):
+    return tk.ClassicalMlp(np.concatenate([w1, b1, w2, b2], axis=None))
+
+
 class TestMlp:
     def test_parameter_count(self, rng):
         mlp = tk.init_mlp(rng)
         assert sum(getattr(mlp, name).size for name in ("w1", "b1", "w2", "b2")) == 22
 
+    def test_flat_layout(self):
+        # w1 row-major, then b1, then w2 row-major, then b2; all read-only views.
+        mlp = tk.ClassicalMlp(np.arange(22.0))
+        assert np.array_equal(mlp.w1, np.arange(8.0).reshape(2, 4))
+        assert np.array_equal(mlp.b1, np.arange(8.0, 12.0))
+        assert np.array_equal(mlp.w2, np.arange(12.0, 20.0).reshape(4, 2))
+        assert np.array_equal(mlp.b2, [20.0, 21.0])
+        for arr in (mlp.params, mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+            assert not arr.flags.writeable
+            assert np.shares_memory(arr, mlp.params)
+
+    def test_init_draws_weights_in_order(self):
+        # The same numbers in the same order as drawing w1, then w2, by hand.
+        gen = np.random.default_rng(9)
+        w1 = gen.normal(0.0, 1.0 / math.sqrt(2), size=(2, 4))
+        w2 = gen.normal(0.0, 0.5, size=(4, 2))
+        mlp = tk.init_mlp(np.random.default_rng(9))
+        assert np.array_equal(mlp.params, mlp_from(w1, np.zeros(4), w2, np.zeros(2)).params)
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="w1"):
-            tk.ClassicalMlp(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="params must have shape"):
+            tk.ClassicalMlp(np.zeros(21))
+        with pytest.raises(ValueError, match="params must have shape"):
+            tk.ClassicalMlp(np.zeros((2, 11)))
         with pytest.raises(ValueError, match="finite"):
-            tk.ClassicalMlp(
-                np.full((2, 4), np.nan), np.zeros(4), np.zeros((4, 2)), np.zeros(2)
-            )
+            tk.ClassicalMlp(np.full(22, np.nan))
 
     def test_zero_weights_give_zero_logits(self):
-        model = tk.ClassicalMlp(np.zeros((2, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2))
-        assert_allclose(tk.mlp_logits(model, np.array([1.0, 2.0])), [0.0, 0.0])
+        model = tk.ClassicalMlp(np.zeros(22))
+        assert_allclose(model.logits(np.array([[1.0, 2.0]])), [[0.0, 0.0]])
 
     def test_gradients_match_finite_differences(self, rng):
         model = tk.init_mlp(rng)
         feats = rng.normal(size=2)
         label = 1
-        _, grads = tk.mlp_forward_backward(model, feats, label)
+        _, grad = tk.mlp_forward_backward(model, feats, label)
+        assert grad.shape == (22,)
         eps = 1e-6
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = getattr(model, name)
-            got = getattr(grads, name)
-            for idx in np.ndindex(*arr.shape):
-                fields = {
-                    n: np.array(getattr(model, n)) for n in ("w1", "b1", "w2", "b2")
-                }
-                fields[name][idx] += eps
-                up, _ = tk.mlp_forward_backward(tk.ClassicalMlp(**fields), feats, label)
-                fields[name][idx] -= 2 * eps
-                down, _ = tk.mlp_forward_backward(tk.ClassicalMlp(**fields), feats, label)
-                assert got[idx] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
+        for i in range(22):
+            params = np.array(model.params)
+            params[i] += eps
+            up, _ = tk.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            params[i] -= 2 * eps
+            down, _ = tk.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            assert grad[i] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
 
     def test_batch_grads_are_means_of_singles(self, rng):
         model = tk.init_mlp(rng)
         feats = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
-        losses, grads = tk.mlp_batch_grads(model, feats, labels)
+        losses, grad = model.loss_grad(feats, lambda lg: tk.batch_loss_and_grad(lg, labels))
         singles = [tk.mlp_forward_backward(model, feats[i], int(labels[i])) for i in range(6)]
         assert_allclose(losses, [s[0] for s in singles], atol=1e-12)
-        for name in ("w1", "b1", "w2", "b2"):
-            mean = np.mean([getattr(s[1], name) for s in singles], axis=0)
-            assert_allclose(getattr(grads, name), mean, atol=1e-12)
+        # loss_grad returns the batch sum; a step applies the mean.
+        assert_allclose(grad / 6, np.mean([s[1] for s in singles], axis=0), atol=1e-12)
 
     def test_sgd_step_applies_everywhere(self, rng):
         model = tk.init_mlp(rng)
-        _, grads = tk.mlp_batch_grads(model, rng.normal(size=(4, 2)), np.array([0, 1, 0, 1]))
+        labels = np.array([0, 1, 0, 1])
+        _, grad = tk.mlp_batch_grads(
+            model, rng.normal(size=(4, 2)), lambda lg: tk.batch_loss_and_grad(lg, labels)
+        )
         opt = tk.SgdOptimizer(learning_rate=0.5)
-        stepped = tk.sgd_step_mlp(model, grads, opt)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert_allclose(
-                getattr(stepped, name),
-                getattr(model, name) - 0.5 * getattr(grads, name),
-                atol=1e-15,
-            )
+        stepped = model.step(grad, opt)
+        assert_allclose(stepped.params, model.params - 0.5 * grad, atol=1e-15)
+        assert np.array_equal(tk.sgd_step_mlp(model, grad, opt).params, stepped.params)
 
     def test_hidden_unit_permutation_symmetry(self, rng):
         # Relabeling hidden units (and their fan-in/fan-out weights) cannot
         # change the function the network computes.
-        model = tk.ClassicalMlp(
+        model = mlp_from(
             rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=2)
         )
         perm = np.array([2, 0, 3, 1])
-        permuted = tk.ClassicalMlp(
-            model.w1[:, perm], model.b1[perm], model.w2[perm, :], model.b2
-        )
+        permuted = mlp_from(model.w1[:, perm], model.b1[perm], model.w2[perm, :], model.b2)
         batch = rng.normal(size=(8, 2))
-        assert_allclose(
-            tk.mlp_logits(permuted, batch), tk.mlp_logits(model, batch), atol=1e-12
-        )
+        assert_allclose(permuted.logits(batch), model.logits(batch), atol=1e-12)
 
 
 class TestModelDispatch:
@@ -178,11 +191,11 @@ class TestModelDispatch:
         mlp, circuit, store = tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)
         stored_circuit = vqc.VqcModel(qw.materialize(store))
         for model, oracle in [
-            (mlp, lambda x: tk.mlp_logits(mlp, x)),
+            (mlp, lambda x: np.tanh(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2),
             (circuit, lambda x: vqc.forward(circuit, x)),
             (store, lambda x: vqc.forward(stored_circuit, x)),
         ]:
-            batched = tk.model_logits_batch(model, feats)
+            batched = model.logits(feats)
             assert batched.shape == (5, 2)
             for i in range(5):
                 assert_allclose(batched[i], oracle(feats[i]), atol=1e-12)
@@ -191,12 +204,12 @@ class TestModelDispatch:
         # A row's scores do not depend on the rest of the batch.
         feats = rng.uniform(0, math.pi, size=(5, 2))
         for model in (tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)):
-            batched = tk.model_logits_batch(model, feats)
+            batched = model.logits(feats)
             for i in range(5):
-                alone = tk.model_logits_batch(model, feats[i : i + 1])
+                alone = model.logits(feats[i : i + 1])
                 assert_allclose(batched[i], alone[0], atol=1e-12)
             with pytest.raises(ValueError, match="batch"):
-                tk.model_logits_batch(model, feats[0])
+                tk.evaluate(model, feats[0], np.array([0, 1]))
 
     def test_evaluate_trivials(self, rng):
         model = vqc.VqcModel(np.zeros((1, 2, 3)))
@@ -209,6 +222,22 @@ class TestModelDispatch:
     def test_evaluate_rejects_empty(self, rng):
         with pytest.raises(ValueError, match="empty"):
             tk.evaluate(vqc.init_model(rng), np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_evaluate_rejects_label_count_mismatch(self, rng):
+        # One label against five rows used to broadcast and score 1.0.
+        feats = rng.uniform(0, math.pi, size=(5, 2))
+        for model in (tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)):
+            with pytest.raises(ValueError, match="labels of shape \\(1,\\) for 5 samples"):
+                tk.evaluate(model, feats, np.array([1]))
+            with pytest.raises(ValueError, match="labels of shape \\(6,\\) for 5 samples"):
+                tk.evaluate(model, feats, np.zeros(6, dtype=int))
+
+    def test_evaluate_rejects_labels_outside_0_1(self, rng):
+        # Labels of 2 used to score 0.0 without complaint.
+        feats = rng.uniform(0, math.pi, size=(5, 2))
+        for bad in (np.full(5, 2), np.array([0, 1, 0, 1, -1])):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                tk.evaluate(tk.init_mlp(rng), feats, bad)
 
 
 class TestRoundMetrics:
