@@ -29,26 +29,41 @@ class Dataset:
     num_clamped: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("train_features", "test_features"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError(f"{name} must have shape (n, 2), got {arr.shape}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("train_labels", "test_labels"):
-            arr = np.array(getattr(self, name), dtype=int)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ValueError(f"{name} must contain only 0/1 labels")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.train_features.shape[0] != self.train_labels.shape[0]:
-            raise ValueError("train features and labels disagree on length")
-        if self.test_features.shape[0] != self.test_labels.shape[0]:
-            raise ValueError("test features and labels disagree on length")
-        if self.train_labels.size == 0 or self.test_labels.size == 0:
-            raise ValueError("both splits must be non-empty")
+        for split in ("train", "test"):
+            labels = getattr(self, f"{split}_labels")
+            feats = check_features(getattr(self, f"{split}_features"), labels, f"{split} split")
+            labels = check_labels(labels, feats.shape[0])
+            if feats.shape[1] != 2:
+                raise ValueError(f"{split}_features must have shape (n, 2), got {feats.shape}")
+            if labels.size == 0:
+                raise ValueError("both splits must be non-empty")
+            for name, arr in ((f"{split}_features", feats), (f"{split}_labels", labels)):
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
+
+
+def check_labels(labels, num_samples: int) -> np.ndarray:
+    """The label rule: shape ``(num_samples,)``, every entry 0 or 1.  Ints,
+    bools and integral floats pass and come back as a new int array."""
+    y = np.asarray(labels)
+    if y.shape != (num_samples,):
+        raise ValueError(f"got labels of shape {y.shape} for {num_samples} samples")
+    if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(int)
+
+
+def check_features(features, labels, owner: str) -> np.ndarray:
+    """The feature rule: a finite 2-D float array with one row per label,
+    returned as a new array.  Errors start with ``owner``."""
+    feats = np.array(features, dtype=float)
+    if feats.ndim != 2 or not np.all(np.isfinite(feats)):
+        raise ValueError(f"{owner} features must be finite and 2-D, got shape {feats.shape}")
+    rows, shape = feats.shape[0], np.shape(labels)
+    if shape[:1] != (rows,):
+        count = shape[0] if shape else "no"
+        raise ValueError(f"{owner} has {rows} feature rows but {count} labels; lengths differ")
+    return feats
 
 
 def check_circles(num_points: int, noise: float, factor: float) -> None:
@@ -98,10 +113,8 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     across classes), so both splits stay balanced.  Test features falling
     outside the training range are clamped and counted.
     """
-    feats = np.asarray(features, dtype=float)
-    labs = np.asarray(labels, dtype=int)
-    if feats.ndim != 2 or feats.shape[1] != 2 or feats.shape[0] != labs.shape[0]:
-        raise ValueError(f"got features {feats.shape} against labels {labs.shape}")
+    feats = check_features(features, labels, "the data")
+    labs = check_labels(labels, feats.shape[0])
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
     classes = np.unique(labs)

@@ -4,7 +4,8 @@ In the ring, clients train in a fixed order; each hands its model to the next
 client, either by value (CLASSICAL_COPY) or by teleporting every stored angle
 (TELEPORT, quantum weight stores only).  After the last client of a round the
 model it just trained is evaluated on the held-out set.  Every model kind
-takes the same SGD step: ``loss_grad`` on the batch, then ``step`` by the mean.
+takes the same SGD step: ``loss_grad`` on the batch, then ``step`` by the mean,
+on a shard ``local_train`` checked once per call with ``datagen``'s rule.
 
 Each client owns a private rng for batch shuffling; the teleport channel uses
 its own rng so the two transports consume identical client streams and stay
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import trainkit, vqc
+from . import datagen, trainkit, vqc
 from .qweights import QuantumWeightStore
 from .teleport import TransferError, teleport_weights
 from .trainkit import ClassicalMlp, Model, RoundMetrics, SgdOptimizer
@@ -63,16 +64,14 @@ class ClientState:
 
 
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffle once (seeded) and split into contiguous shards of size within one."""
-    feats = np.asarray(features, dtype=float)
-    labs = np.asarray(labels)
-    if feats.shape[0] != labs.shape[0]:
-        raise ValueError("features and labels disagree on length")
+    """Shuffle once (seeded) and split into contiguous shards of size within one.
+    Labels are moved, not read: ``local_train`` checks their values."""
+    feats, labs = datagen.check_features(features, labels, "the data"), np.asarray(labels)
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if num_clients > labs.shape[0]:
-        raise ValueError(f"cannot split {labs.shape[0]} samples across {num_clients} clients")
-    order = np.random.default_rng(seed).permutation(labs.shape[0])
+    if num_clients > len(labs):
+        raise ValueError(f"cannot split {len(labs)} samples across {num_clients} clients")
+    order = np.random.default_rng(seed).permutation(len(labs))
     return [(feats[chunk], labs[chunk]) for chunk in np.array_split(order, num_clients)]
 
 
@@ -114,39 +113,37 @@ def make_clients(
     ]
 
 
-def _batch_step(model: Model, feats: np.ndarray, labs: np.ndarray, opt: SgdOptimizer):
-    """One SGD step on one mini-batch; returns (mean loss, updated model)."""
-    losses, grad = model.loss_grad(feats, lambda logits: trainkit.batch_loss_and_grad(logits, labs))
-    return float(losses.mean()), model.step(grad / feats.shape[0], opt)
-
-
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
     """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
 
     Batch order is a fresh permutation per epoch from the client's own rng,
-    so a client's stream depends only on how many epochs it has run.
+    so a client's stream depends only on how many epochs it has run.  A
+    step's ``ValueError`` is re-raised naming the client, epoch and step.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = client.labels.shape[0]
-    if client.features.shape[0] != n:
-        raise ValueError(
-            f"client {client.client_id} has {client.features.shape[0]} feature rows "
-            f"but {n} labels"
-        )
+    owner = f"client {client.client_id}"
+    feats = datagen.check_features(client.features, client.labels, owner)
+    labels = datagen.check_labels(client.labels, feats.shape[0])
+    n = labels.size
     if n == 0:
-        raise ValueError(f"client {client.client_id} has no data")
+        raise ValueError(f"{owner} has no data")
     losses: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         order = client.rng.permutation(n)
-        for start in range(0, n, batch_size):
+        for step, start in enumerate(range(0, n, batch_size), 1):
             idx = order[start : start + batch_size]
-            loss, client.model = _batch_step(
-                client.model, client.features[idx], client.labels[idx], client.optimizer
-            )
-            losses.append(loss)
+            fy = labels[idx]
+            try:
+                batch, grad = client.model.loss_grad(
+                    feats[idx], lambda logits: trainkit.batch_loss_and_grad(logits, fy)
+                )
+                client.model = client.model.step(grad / fy.size, client.optimizer)
+            except ValueError as exc:
+                raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc
+            losses.append(float(batch.mean()))
     return losses
 
 
@@ -292,8 +289,6 @@ def centralized_train(
     (same rng consumption, same updates) with epochs = R * E.
     """
     _check_readout(model)
-    feats = np.asarray(features, dtype=float)
-    labs = np.asarray(labels)
-    client = ClientState(0, feats, labs, model, rng, optimizer)
+    client = ClientState(0, features, labels, model, rng, optimizer)
     losses = local_train(client, epochs, batch_size)
     return client.model, losses

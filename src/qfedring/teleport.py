@@ -7,14 +7,14 @@ first bit is 1).  Noiseless, so the recovered state always has fidelity 1
 with the message up to float rounding.
 
 ``teleport_state`` runs the register on raw amplitudes: the outer product
-of the message with the Bell amplitudes (built once from ``bell_pair``),
-CNOT as the index permutation ``statevec._cnot_image``, H as one 2x4
-matmul.  The pre-measurement register is validated as a StateVector, then
-measured by ``statevec._born_measure``, the kernel behind
-``measure_qubits`` and ``collapse_qubits``, with the same outcome rules, so
-the channel rng is drawn as in the gate-by-gate protocol.  Only the
-receiver's two amplitudes are kept: the corrections act on them and they
-are the one state validated after the measurement.  The tests replay the
+of the message with ``bell_pair``'s amplitudes (a constant), CNOT as the
+index permutation ``statevec._cnot_image``, H as one 2x4 matmul.  The
+message is a validated StateVector; the register built from it is measured
+as it is by ``statevec._born_measure``, the kernel behind ``measure_qubits``
+and ``collapse_qubits``, with the same outcome rules, so the channel rng is
+drawn as in the gate-by-gate protocol.  The corrections act on the
+receiver's two amplitudes, and the recovered StateVector and
+``decode_angle``'s purity gate check the way out.  The tests replay the
 protocol gate by gate with ``apply_gate`` as the oracle.
 
 ``teleport_weights`` moves a whole weight store one channel use per angle:
@@ -26,7 +26,6 @@ call, so a test or a tracer can wrap any one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +69,9 @@ def bell_pair() -> StateVector:
     return apply_gate(state, cnot(0, 1))
 
 
-@lru_cache(maxsize=1)
-def _bell_amplitudes() -> np.ndarray:
-    """``bell_pair()``'s read-only amplitudes, built on first use so that
-    importing the package costs no simulation and no memory for it."""
-    return bell_pair().amplitudes
+# ``bell_pair().amplitudes`` bit for bit; a complex division would lose its -0.0.
+_BELL_AMPLITUDES = (np.array([1.0, 0.0, -0.0, 1.0]) / np.sqrt(2)).astype(complex)
+_BELL_AMPLITUDES.flags.writeable = False
 
 
 def teleport_state(
@@ -92,11 +89,11 @@ def teleport_state(
         raise ValueError("teleportation moves exactly one qubit")
     if force_outcome is None and rng is None:
         raise ValueError("provide an rng or force an outcome")
-    joint = np.multiply.outer(message.amplitudes, _bell_amplitudes()).ravel()
+    joint = np.multiply.outer(message.amplitudes, _BELL_AMPLITUDES).ravel()
     # H acts on qubit 0, the leading axis once the register is split 2 x 4.
-    reg = StateVector(3, (_H @ joint[_cnot_image(3, ((0, 1),))].reshape(2, 4)).ravel())
+    reg = _H @ joint[_cnot_image(3, ((0, 1),))].reshape(2, 4)
     pick = _sampling_rule(rng) if force_outcome is None else _forcing_rule((0, 1), force_outcome)
-    (m1, m2), _, amps = _born_measure(reg.amplitudes.tolist(), 3, (0, 1), pick)
+    (m1, m2), _, amps = _born_measure(reg.ravel().tolist(), 3, (0, 1), pick)
     # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver's two
     # amplitudes are the register's only non-zero ones.  X swaps them and Z
     # flips the sign of the |1> one.

@@ -10,7 +10,7 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path.
 ``loss_and_grad`` and ``mlp_forward_backward`` are the single-sample forms
-the tests pin to finite differences.
+the tests pin to finite differences.  Labels pass ``datagen.check_labels``.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from typing import Union
 
 import numpy as np
 
+from .datagen import check_labels
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel
 
@@ -45,8 +46,7 @@ def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
         raise ValueError(f"expected two logits, got shape {lg.shape}")
     if not np.all(np.isfinite(lg)):
         raise ValueError(f"logits must be finite, got {lg}")
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
+    label = int(check_labels([label], 1)[0])
     scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max()
     exps = np.exp(shifted)
@@ -60,13 +60,11 @@ def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
 def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized loss_and_grad: per-sample losses (B,) and gradients (B, 2)."""
     lg = np.asarray(logits, dtype=float)
-    y = np.asarray(labels)
-    if lg.ndim != 2 or lg.shape[1] != 2 or lg.shape[0] != y.shape[0]:
-        raise ValueError(f"got logits {lg.shape} against labels {y.shape}")
+    if lg.ndim != 2 or lg.shape[1] != 2:
+        raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
+    y = check_labels(labels, lg.shape[0])
     if not np.all(np.isfinite(lg)):
         raise ValueError("logits must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be 0 or 1")
     scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
@@ -189,15 +187,11 @@ def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> Cl
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
     feats = np.asarray(features, dtype=float)
-    y = np.asarray(labels)
     if feats.ndim != 2:
         raise ValueError(f"expected a batch of samples, got shape {feats.shape}")
+    y = check_labels(labels, feats.shape[0])
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")
-    if y.shape != (feats.shape[0],):
-        raise ValueError(f"got labels of shape {y.shape} for {feats.shape[0]} samples")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be 0 or 1")
     return float(np.mean(np.argmax(model.logits(feats), axis=1) == y))
 
 

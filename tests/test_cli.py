@@ -443,6 +443,17 @@ class TestEndToEnd:
         assert "round 1, client 0" in err
         assert "(layer=0, qubit=0, k=2)" in err and "register lost its norm" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_its_client_and_step_and_exits_1(self, tmp_path, capsys):
+        # This used to exit with only "error: params must be finite".
+        code = cli.main(
+            ["--model", "cfl", "--learning-rate", "1e308", "--rounds", "3",
+             "--out", str(tmp_path / "m.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: client 0, epoch 1, step \d+: params must be finite", err)
+
     @pytest.mark.parametrize(
         "flags, field",
         [

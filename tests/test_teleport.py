@@ -44,6 +44,13 @@ class TestBellPair:
         r = 1 / math.sqrt(2)
         assert_allclose(s.amplitudes, [r, 0, 0, r], atol=1e-15)
 
+    def test_channel_constant_is_bell_pair_bit_for_bit(self):
+        # Signed zeros included: H's minus sign leaves -0.0 at index 2.
+        const = tp._BELL_AMPLITUDES
+        assert const.dtype == complex and not const.flags.writeable
+        assert const.tobytes() == tp.bell_pair().amplitudes.tobytes()
+        assert np.signbit(const.real[2]) and not np.signbit(const.real[1])
+
 
 class TestTeleportState:
     def test_all_branches_recover_exactly(self, rng):
