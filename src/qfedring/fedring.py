@@ -131,19 +131,23 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     if n == 0:
         raise ValueError(f"{owner} has no data")
     losses: list[float] = []
-    for epoch in range(1, epochs + 1):
-        order = client.rng.permutation(n)
-        for step, start in enumerate(range(0, n, batch_size), 1):
-            idx = order[start : start + batch_size]
-            fy = labels[idx]
-            try:
-                batch, grad = client.model.loss_grad(
-                    feats[idx], lambda logits: trainkit.batch_loss_and_grad(logits, fy)
-                )
-                client.model = client.model.step(grad / fy.size, client.optimizer)
-            except ValueError as exc:
-                raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc
-            losses.append(float(batch.mean()))
+    # A diverging step overflows inside numpy before a check sees it; the
+    # logits bound and the finite-parameter checks then raise the error that
+    # names it, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = client.rng.permutation(n)
+            for step, start in enumerate(range(0, n, batch_size), 1):
+                idx = order[start : start + batch_size]
+                fy = labels[idx]
+                try:
+                    batch, grad = client.model.loss_grad(
+                        feats[idx], lambda logits: trainkit.batch_loss_and_grad(logits, fy)
+                    )
+                    client.model = client.model.step(grad / fy.size, client.optimizer)
+                except ValueError as exc:
+                    raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc
+                losses.append(float(batch.mean()))
     return losses
 
 

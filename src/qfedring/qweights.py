@@ -13,11 +13,13 @@ carriers as one array.
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
 that rebinding one (as a tracer does) also covers this path.
-``encode_weight`` wraps one carrier as a validated StateVector for the
-teleport channel, and ``state_expectations`` reads (<Z>, <Y>) back from the
-raw amplitudes of what arrives.  Every value is the same float the
-gate-by-gate simulator gives (RX on |0>, then the Pauli-Z expectation), and
-the tests hold these functions to that oracle.
+``encode_weight`` wraps one carrier as a validated StateVector; the
+teleport channel builds a whole store's carriers at once instead, and
+``state_expectations`` reads (<Z>, <Y>) back from what arrives on its two
+amplitudes as Python complex scalars, the same arithmetic as
+``_z_expectation`` without numpy's per-call cost.  Every value is the same
+float the gate-by-gate simulator gives (RX on |0>, then the Pauli-Z
+expectation), and the tests hold these functions to that oracle.
 """
 from __future__ import annotations
 
@@ -102,6 +104,11 @@ def _z_expectation(amps: np.ndarray) -> np.ndarray:
     return probs[..., 0] - probs[..., 1]
 
 
+def _z_of(c0: complex, c1: complex) -> float:
+    """``_z_expectation`` of one qubit's two amplitudes, on Python scalars."""
+    return (c0.real * c0.real + c0.imag * c0.imag) - (c1.real * c1.real + c1.imag * c1.imag)
+
+
 def encode_weight(angle: float) -> StateVector:
     """The carrier state RX(angle)|0> for one stored weight."""
     return StateVector(1, _rx_carriers(float(angle)))
@@ -148,8 +155,9 @@ def state_expectations(state: StateVector) -> tuple[float, float]:
     """
     if state.num_qubits != 1:
         raise ValueError("expected a single-qubit state")
-    amps = state.amplitudes
-    return float(_z_expectation(amps)), float(_z_expectation(amps @ _rx_half_pi_t()))
+    c0, c1 = state.amplitudes.tolist()
+    (r00, r01), (r10, r11) = _rx_half_pi_t().tolist()
+    return _z_of(c0, c1), _z_of(c0 * r00 + c1 * r10, c0 * r01 + c1 * r11)
 
 
 def decode_angle(expect_z: float, expect_y: float) -> float:

@@ -62,24 +62,22 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_qubits, int) or not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits!r}")
+        n = self.num_qubits
+        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes for {self.num_qubits} qubits, "
-                f"got shape {amps.shape}"
-            )
+        if amps.shape != (2**n,):
+            raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}")
         # One dot product checks both: any NaN or inf amplitude makes the
         # squared norm non-finite, so the element-wise scan runs only then
         # (finite amplitudes whose squares overflow fall through to the norm).
         squared = np.vdot(amps, amps).real
         if not math.isfinite(squared) and not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        norm = np.sqrt(squared)
+        norm = math.sqrt(squared)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
-        amps.flags.writeable = False
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 

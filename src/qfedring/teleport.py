@@ -6,22 +6,26 @@ receiver fixes up bell_B with X (if the second bit is 1) then Z (if the
 first bit is 1).  Noiseless, so the recovered state always has fidelity 1
 with the message up to float rounding.
 
-``teleport_state`` runs the register on raw amplitudes: the outer product
-of the message with ``bell_pair``'s amplitudes (a constant), CNOT as the
-index permutation ``statevec._cnot_image``, H as one 2x4 matmul.  The
+``teleport_state`` runs the register on Python complex scalars, which at
+eight amplitudes is cheaper than numpy's per-call cost: the message times
+``bell_pair``'s amplitudes (a constant), CNOT as the index permutation
+``statevec._cnot_image``, H written out with ``_H``'s four entries.  The
 message is a validated StateVector; the register built from it is measured
 as it is by ``statevec._born_measure``, the kernel behind ``measure_qubits``
 and ``collapse_qubits``, with the same outcome rules, so the channel rng is
 drawn as in the gate-by-gate protocol.  The corrections act on the
 receiver's two amplitudes, and the recovered StateVector and
 ``decode_angle``'s purity gate check the way out.  The tests replay the
-protocol gate by gate with ``apply_gate`` as the oracle.
+protocol gate by gate with ``apply_gate`` as the oracle, and hold the
+register to its numpy form bit for bit.
 
-``teleport_weights`` moves a whole weight store one channel use per angle:
-``encode_weight`` -> ``teleport_state`` -> ``state_expectations`` ->
-``decode_angle`` for each weight in (layer, qubit, k) order, two channel
-rng draws per weight.  It looks these names up in this module on every
-call, so a test or a tracer can wrap any one of them.
+``teleport_weights`` builds every carrier of a store with one
+``statevec._rx_carriers`` call, then moves it one channel use per angle:
+the carrier as a validated StateVector -> ``teleport_state`` ->
+``state_expectations`` -> ``decode_angle`` for each weight in
+(layer, qubit, k) order, two channel rng draws per weight.  It looks these
+three names up in this module on every call, so a test or a tracer can wrap
+any one of them.
 """
 from __future__ import annotations
 
@@ -29,13 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qweights import QuantumWeightStore, decode_angle, encode_weight, state_expectations
+from .qweights import QuantumWeightStore, decode_angle, state_expectations
+from .qweights import encode_weight  # noqa: F401  (wrapped by perfbench/spans.py)
 from .statevec import (
     _H,
     StateVector,
     _born_measure,
     _cnot_image,
     _forcing_rule,
+    _rx_carriers,
     _sampling_rule,
     apply_gate,
     cnot,
@@ -73,6 +79,12 @@ def bell_pair() -> StateVector:
 _BELL_AMPLITUDES = (np.array([1.0, 0.0, -0.0, 1.0]) / np.sqrt(2)).astype(complex)
 _BELL_AMPLITUDES.flags.writeable = False
 
+# The register's constants as Python scalars: the Bell amplitudes, the
+# CNOT(0 -> 1) index map on three qubits, and H's entries.
+_BELL = tuple(_BELL_AMPLITUDES.tolist())
+_CNOT_01 = tuple(_cnot_image(3, ((0, 1),)).tolist())
+_H_ROWS = tuple(map(tuple, _H.tolist()))
+
 
 def teleport_state(
     message: StateVector,
@@ -89,11 +101,14 @@ def teleport_state(
         raise ValueError("teleportation moves exactly one qubit")
     if force_outcome is None and rng is None:
         raise ValueError("provide an rng or force an outcome")
-    joint = np.multiply.outer(message.amplitudes, _BELL_AMPLITUDES).ravel()
-    # H acts on qubit 0, the leading axis once the register is split 2 x 4.
-    reg = _H @ joint[_cnot_image(3, ((0, 1),))].reshape(2, 4)
+    joint = [m * b for m in message.amplitudes.tolist() for b in _BELL]
+    permuted = [joint[j] for j in _CNOT_01]
+    # H acts on qubit 0: each row of H mixes amplitude j with amplitude j + 4.
+    # Each sum starts from 0j, as a matmul's does, so a -0.0 comes out +0.0
+    # and the register equals ``_H @ permuted.reshape(2, 4)`` bit for bit.
+    reg = [0j + h0 * permuted[j] + h1 * permuted[j + 4] for h0, h1 in _H_ROWS for j in range(4)]
     pick = _sampling_rule(rng) if force_outcome is None else _forcing_rule((0, 1), force_outcome)
-    (m1, m2), _, amps = _born_measure(reg.ravel().tolist(), 3, (0, 1), pick)
+    (m1, m2), _, amps = _born_measure(reg, 3, (0, 1), pick)
     # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver's two
     # amplitudes are the register's only non-zero ones.  X swaps them and Z
     # flips the sign of the |1> one.
@@ -115,15 +130,16 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
     """Move every stored angle through its own Bell pair, in (layer, qubit, k) order.
 
     Returns a new store with the decoded angles; raises TransferError naming
-    the first weight whose channel use (encode, teleport, read out, decode)
-    raised a ValueError.
+    the first weight whose channel use (validate the carrier, teleport, read
+    out, decode) raised a ValueError.
     """
+    carriers = _rx_carriers(store.angles)
     out = np.empty_like(store.angles)
     for layer in range(store.angles.shape[0]):
         for q in range(store.angles.shape[1]):
             for k in range(3):
                 try:
-                    record = teleport_state(encode_weight(float(store.angles[layer, q, k])), rng)
+                    record = teleport_state(StateVector(1, carriers[layer, q, k]), rng)
                     out[layer, q, k] = decode_angle(*state_expectations(record.recovered_state))
                 except ValueError as exc:
                     raise TransferError(

@@ -33,19 +33,27 @@ MLP_HIDDEN = 4
 # the ordering (measured: best reachable accuracy is loss-optimal again).
 LOGIT_SCALE = 8.0
 
+# Largest logit magnitude the loss takes: below it neither LOGIT_SCALE * logits
+# nor the max-shift after it (a difference of two scaled logits) can overflow.
+# NaN fails the comparison too, so this one bound is the finiteness check.
+_LOGIT_BOUND = float(np.finfo(float).max) / (2 * LOGIT_SCALE)
+
 
 def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over two class scores and its gradient.
 
     The softmax is taken over LOGIT_SCALE * logits, so equal scores still
-    cost ln 2.  Stable under large scores (max subtraction); the gradient is
+    cost ln 2.  Stable under large scores (max subtraction); scores whose
+    scaling or shift would overflow are refused.  The gradient is
     LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
     """
     lg = np.asarray(logits, dtype=float)
     if lg.shape != (2,):
         raise ValueError(f"expected two logits, got shape {lg.shape}")
-    if not np.all(np.isfinite(lg)):
-        raise ValueError(f"logits must be finite, got {lg}")
+    if not np.abs(lg).max() <= _LOGIT_BOUND:
+        raise ValueError(
+            f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}, got {lg}"
+        )
     label = int(check_labels([label], 1)[0])
     scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max()
@@ -63,8 +71,8 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
-    if not np.all(np.isfinite(lg)):
-        raise ValueError("logits must be finite")
+    if not np.abs(lg).max(initial=0.0) <= _LOGIT_BOUND:
+        raise ValueError(f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}")
     scaled = LOGIT_SCALE * lg
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
@@ -187,8 +195,8 @@ def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> Cl
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
     feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2:
-        raise ValueError(f"expected a batch of samples, got shape {feats.shape}")
+    if feats.ndim != 2 or not np.all(np.isfinite(feats)):
+        raise ValueError(f"features must be a finite 2-D batch, got shape {feats.shape}")
     y = check_labels(labels, feats.shape[0])
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")

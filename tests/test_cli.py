@@ -445,14 +445,16 @@ class TestEndToEnd:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_its_client_and_step_and_exits_1(self, tmp_path, capsys):
-        # This used to exit with only "error: params must be finite".
+        # This used to exit with only "error: params must be finite", and
+        # later one step late, after numpy's overflow warnings.
         code = cli.main(
             ["--model", "cfl", "--learning-rate", "1e308", "--rounds", "3",
              "--out", str(tmp_path / "m.csv")]
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert re.search(r"error: client 0, epoch 1, step \d+: params must be finite", err)
+        assert re.search(r"error: client 0, epoch 1, step \d+: logits must be finite", err)
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize(
         "flags, field",

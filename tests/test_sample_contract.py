@@ -15,7 +15,9 @@ import pytest
 
 from qfedring import datagen as dg
 from qfedring import fedring as fr
+from qfedring import qweights as qw
 from qfedring import trainkit as tk
+from qfedring import vqc
 
 FEATS = np.random.default_rng(5).uniform(0, np.pi, size=(8, 2))
 LOGITS = np.random.default_rng(6).normal(size=(8, 2))
@@ -60,7 +62,7 @@ ENTRY_POINTS = {
     "partition": (lambda f, y: fr.partition(f, y, 2, seed=3), {"rows", "features"}),
     "local_train": (_local_train, {"values", "rows", "features"}),
     "centralized_train": (_centralized_train, {"values", "rows", "features"}),
-    "evaluate": (lambda f, y: tk.evaluate(_mlp(), f, y), {"values", "rows"}),
+    "evaluate": (lambda f, y: tk.evaluate(_mlp(), f, y), {"values", "rows", "features"}),
     "batch_loss_and_grad": (lambda f, y: tk.batch_loss_and_grad(LOGITS, y), {"values", "rows"}),
     "loss_and_grad": (
         lambda f, y: [tk.loss_and_grad(lg, label) for lg, label in zip(LOGITS, y)],
@@ -140,3 +142,12 @@ def test_a_nan_feature_is_named_as_the_shard_s_features():
     )
     with pytest.raises(ValueError, match="client 4 features must be finite and 2-D"):
         fr.local_train(client, epochs=1, batch_size=8)
+
+
+@pytest.mark.parametrize("init", [tk.init_mlp, vqc.init_model, qw.init_store])
+@pytest.mark.parametrize("case", ["nan feature", "inf feature"])
+def test_evaluate_refuses_non_finite_features_for_every_kind(init, case):
+    # An MLP used to score a NaN row as class 0; circuits refused it deeper down.
+    _, feats, labels, _ = CASES[case]
+    with pytest.raises(ValueError, match="features must be a finite 2-D batch"):
+        tk.evaluate(init(np.random.default_rng(0)), feats, labels)

@@ -32,6 +32,44 @@ def reference_receiver(reg, outcome):
     return reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
 
 
+def numpy_register(message):
+    """The register in numpy: outer product, CNOT index map, one 2x4 matmul."""
+    joint = np.multiply.outer(message.amplitudes, tp._BELL_AMPLITUDES).ravel()
+    return (sv._H @ joint[sv._cnot_image(3, ((0, 1),))].reshape(2, 4)).ravel()
+
+
+def numpy_readout(amps):
+    """(<Z>, <Y>) through the array readout and the RX(pi/2) matmul."""
+    return float(qw._z_expectation(amps)), float(qw._z_expectation(amps @ qw._rx_half_pi_t()))
+
+
+def replay_channel(message, pick):
+    """One channel use on numpy arrays: register, measurement, fix-ups, readout."""
+    (m1, m2), _, amps = sv._born_measure(numpy_register(message).tolist(), 3, (0, 1), pick)
+    base = 4 * m1 + 2 * m2
+    zero, one = amps[base], amps[base + 1]
+    if m2:
+        zero, one = one, zero
+    if m1:
+        one = -one
+    recovered = np.array([zero, one])
+    return (m1, m2), recovered, numpy_readout(recovered)
+
+
+def replay_weights(store, rng):
+    """``teleport_weights`` one weight at a time through the numpy forms."""
+    out = np.empty_like(store.angles)
+    for slot in np.ndindex(store.angles.shape):
+        message = qw.encode_weight(float(store.angles[slot]))
+        _, _, readout = replay_channel(message, sv._sampling_rule(rng))
+        out[slot] = qw.decode_angle(*readout)
+    return out
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 def oracle_messages(rng):
     basis = [sv.zero_state(1), sv.apply_gate(sv.zero_state(1), sv.x(0))]
     carriers = [qw.encode_weight(a) for a in (0.0, math.pi, -math.pi, 2.5)]
@@ -139,6 +177,51 @@ class TestTeleportState:
         b = tp.teleport_state(message, rng=np.random.default_rng(17))
         assert a.bell_outcome == b.bell_outcome
         assert np.array_equal(a.recovered_state.amplitudes, b.recovered_state.amplitudes)
+
+
+class TestScalarChannelIsBitEqual:
+    """The channel on Python scalars against its numpy form, every bit,
+    signed zeros included (angle 0 leaves zeros in the register)."""
+
+    def messages(self, rng):
+        edges = np.array([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e-300])
+        carriers = [sv.StateVector(1, c) for c in sv._rx_carriers(edges)]
+        return oracle_messages(rng) + carriers
+
+    def test_register_matches_numpy_on_every_branch(self, rng, monkeypatch):
+        seen = []
+        real = tp._born_measure
+
+        def capture(amps, *args):
+            seen.append(list(amps))
+            return real(amps, *args)
+
+        monkeypatch.setattr(tp, "_born_measure", capture)
+        for message in self.messages(rng):
+            want = numpy_register(message)
+            for outcome in OUTCOMES:
+                seen.clear()
+                record = tp.teleport_state(message, force_outcome=outcome)
+                assert np.array(seen[0], dtype=complex).tobytes() == want.tobytes()
+                pick = sv._forcing_rule((0, 1), outcome)
+                bits, recovered, readout = replay_channel(message, pick)
+                assert record.bell_outcome == tuple(bits)
+                assert record.recovered_state.amplitudes.tobytes() == recovered.tobytes()
+                assert float_bits(qw.state_expectations(record.recovered_state)) == float_bits(
+                    readout
+                )
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_store_matches_per_weight_replay(self, layers, seed):
+        gen = np.random.default_rng(seed)
+        angles = gen.uniform(-math.pi, math.pi, size=(layers, 2, 3))
+        angles.reshape(-1)[: 2 * layers] = [0.0, math.pi] * layers
+        store = qw.QuantumWeightStore(angles)
+        channel, twin = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
+        moved = tp.teleport_weights(store, channel)
+        assert moved.angles.tobytes() == replay_weights(store, twin).tobytes()
+        assert channel.bit_generator.state == twin.bit_generator.state
 
 
 class TestTeleportWeights:

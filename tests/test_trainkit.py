@@ -74,6 +74,31 @@ class TestLoss:
         with pytest.raises(ValueError, match="labels"):
             tk.batch_loss_and_grad(np.zeros((2, 2)), np.array([0, 5]))
 
+    @pytest.mark.parametrize("size", [1e308, 2.2e307, np.inf])
+    def test_overflowing_logits_are_refused(self, size):
+        # 1e308 used to give a NaN loss and 2.2e307 an inf one, each with
+        # numpy RuntimeWarnings: the scaling or the max-shift overflowed.
+        refused = "logits must be finite and of magnitude at most"
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match=refused):
+                tk.batch_loss_and_grad([[size, -size]], [1])
+            with pytest.raises(ValueError, match=refused):
+                tk.loss_and_grad([size, -size], 1)
+
+    def test_largest_accepted_logits_give_a_finite_loss(self):
+        edge = tk._LOGIT_BOUND
+        with np.errstate(over="raise", invalid="raise"):
+            losses, grads = tk.batch_loss_and_grad([[edge, -edge], [-edge, edge]], [1, 1])
+            loss, grad = tk.loss_and_grad([edge, -edge], 1)
+        assert np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))
+        assert math.isfinite(loss) and np.all(np.isfinite(grad))
+        with pytest.raises(ValueError, match="logits"):
+            tk.batch_loss_and_grad([[np.nextafter(edge, np.inf), 0.0]], [0])
+
+    def test_empty_batch_has_no_losses(self):
+        losses, grads = tk.batch_loss_and_grad(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        assert losses.shape == (0,) and grads.shape == (0, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(a=FINITE, b=FINITE, label=st.integers(0, 1))
     def test_loss_nonnegative_and_finite(self, a, b, label):
