@@ -170,6 +170,9 @@ def config_from_file(path: str) -> ExperimentConfig:
     values = _load_config_file(path)
     if "model" not in values:
         raise ConfigError(f"{path}: config file must set 'model'")
+    for key in ("out", "dump_dataset"):
+        if key in values:
+            raise ConfigError(f"{path}: compare mode writes only --out; remove {key!r}")
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:

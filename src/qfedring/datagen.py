@@ -66,6 +66,16 @@ def check_features(features, labels, owner: str) -> np.ndarray:
     return feats
 
 
+def check_batch(features, width: int) -> np.ndarray:
+    """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0."""
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2 or feats.shape[1] != width:
+        raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+    return feats
+
+
 def check_circles(num_points: int, noise: float, factor: float) -> None:
     """Raise ``ValueError`` naming the first ``make_circles`` argument out of range."""
     if num_points < 4:

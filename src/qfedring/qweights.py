@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +42,9 @@ _PURITY_TOL = 1e-6
 _SHIFT_PAIR = np.array([SHIFT, -SHIFT]).reshape(2, 1, 1, 1)
 _SHIFT_PAIR.flags.writeable = False
 
+# RX(pi/2).T as Python complex rows: amps @ it is the basis change <Y> -> <Z>.
+_RX_HALF_PI_T = tuple(map(tuple, _rx_matrix(math.pi / 2).T.tolist()))
+
 
 @dataclass(frozen=True)
 class QuantumWeightStore:
@@ -56,10 +58,6 @@ class QuantumWeightStore:
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         object.__setattr__(self, "angles", angles)
-
-    @property
-    def num_layers(self) -> int:
-        return self.angles.shape[0]
 
     @property
     def num_qubits(self) -> int:
@@ -135,18 +133,6 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
     return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
 
 
-@lru_cache(maxsize=1)
-def _rx_half_pi_t() -> np.ndarray:
-    """amps @ this applies RX(pi/2), the basis change that turns <Y> into <Z>.
-
-    Built on first use: a complex constant made at import would add memory
-    to every run, including those that never read a carrier back.
-    """
-    m = _rx_matrix(math.pi / 2).T
-    m.flags.writeable = False
-    return m
-
-
 def state_expectations(state: StateVector) -> tuple[float, float]:
     """(<Z>, <Y>) of a single-qubit state.
 
@@ -156,7 +142,7 @@ def state_expectations(state: StateVector) -> tuple[float, float]:
     if state.num_qubits != 1:
         raise ValueError("expected a single-qubit state")
     c0, c1 = state.amplitudes.tolist()
-    (r00, r01), (r10, r11) = _rx_half_pi_t().tolist()
+    (r00, r01), (r10, r11) = _RX_HALF_PI_T
     return _z_of(c0, c1), _z_of(c0 * r00 + c1 * r10, c0 * r01 + c1 * r11)
 
 
@@ -165,10 +151,10 @@ def decode_angle(expect_z: float, expect_y: float) -> float:
 
     RX(a)|0> has <Z> = cos a and <Y> = -sin a, so the pair must sit on the
     unit circle; anything off it by more than 1e-6 means the carrier was not
-    a clean RX encoding and is rejected.  Result lies in (-pi, pi].
+    a clean RX encoding and is rejected, as is NaN or inf.  Result lies in (-pi, pi].
     """
     residual = expect_z * expect_z + expect_y * expect_y - 1.0
-    if abs(residual) > _PURITY_TOL:
+    if not abs(residual) <= _PURITY_TOL:
         raise ValueError(
             f"expectation pair ({expect_z!r}, {expect_y!r}) is off the unit circle "
             f"by {residual:.3e}"

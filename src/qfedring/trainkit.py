@@ -11,6 +11,10 @@ and averaging never ask which kind they hold: ``logits(features)``,
 so that rebinding one (as a tracer does) also covers this path.
 ``loss_and_grad`` and ``mlp_forward_backward`` are the single-sample forms
 the tests pin to finite differences.  Labels pass ``datagen.check_labels``.
+Every kind's features pass ``datagen.check_batch`` (finite, shape ``(rows,
+width)``, width 2 for the MLP and the qubit count for a circuit), and
+``loss`` must return an upstream shaped like the logits (``vqc.call_loss``).
+Zero rows give ``(0, 2)`` logits, empty losses and an all-zero gradient.
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import check_labels
+from .datagen import check_batch, check_labels
 from .qweights import QuantumWeightStore
-from .vqc import VqcModel
+from .vqc import VqcModel, call_loss
 
 MLP_HIDDEN = 4
 
@@ -132,8 +136,8 @@ class ClassicalMlp:
         object.__setattr__(self, "w2", p[_W2:_B2].reshape(MLP_HIDDEN, 2))
         object.__setattr__(self, "b2", p[_B2:])
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return np.tanh(features @ self.w1 + self.b1) @ self.w2 + self.b2
+    def logits(self, features) -> np.ndarray:
+        return np.tanh(check_batch(features, 2) @ self.w1 + self.b1) @ self.w2 + self.b2
 
     def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
         return mlp_batch_grads(self, features, loss)
@@ -174,18 +178,13 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient
     laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``, as for
     ``vqc.gradient_batch``."""
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != 2:
-        raise ValueError(f"expected features of shape (batch, 2), got {feats.shape}")
-    pre = feats @ model.w1 + model.b1
-    hid = np.tanh(pre)
-    logits = hid @ model.w2 + model.b2
-    losses, dlogits = loss(logits)
+    feats = check_batch(features, 2)
+    hid = np.tanh(feats @ model.w1 + model.b1)
+    losses, dlogits = call_loss(loss, hid @ model.w2 + model.b2)
     dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
-    grad = np.concatenate(
+    return losses, np.concatenate(
         [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
     )
-    return losses, grad
 
 
 def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:
@@ -194,13 +193,11 @@ def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> Cl
 
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or not np.all(np.isfinite(feats)):
-        raise ValueError(f"features must be a finite 2-D batch, got shape {feats.shape}")
-    y = check_labels(labels, feats.shape[0])
+    scores = model.logits(features)
+    y = check_labels(labels, scores.shape[0])
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")
-    return float(np.mean(np.argmax(model.logits(feats), axis=1) == y))
+    return float(np.mean(np.argmax(scores, axis=1) == y))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ parameters, then the +shift block, then the -shift block, made by adding a
 cached read-only offset tensor to the parameters.  It hands the unshifted
 logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
 contracts the shifted sets with that upstream, so a step encodes its batch
-and builds its unitaries once.  The offsets are built on first use per
-shape, not at import; the RX carriers, CNOT map and Z signs are statevec's.
+and builds its unitaries once.  ``_check_batch`` applies ``_layer_angles``,
+the cap and ``datagen.check_batch``; ``call_loss`` is the upstream rule.
+The offsets are built on first use per shape, not at import; the RX
+carriers, CNOT map and Z signs are statevec's.
 
 ``VqcModel`` holds only its parameter array; its ``logits``, ``loss_grad``
 and ``step`` (the model interface ``trainkit`` describes) are
@@ -34,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .datagen import check_batch
 from .statevec import (
     StateVector,
     _cnot_image,
@@ -190,12 +193,16 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
     layers, n, _ = p.shape
     if not fits_unitary_cap(layers, n, shifted=shifted):
         raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2 or feats.shape[1] != n:
-        raise ValueError(f"expected features (batch, {n}) for params {p.shape}, got {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("features must be finite")
-    return p, feats
+    return p, check_batch(features, n)
+
+
+def call_loss(loss, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upstream rule: ``loss(logits)`` returns an upstream shaped like the logits."""
+    losses, upstream = loss(logits)
+    up = np.asarray(upstream, dtype=float)
+    if up.shape != logits.shape:
+        raise ValueError(f"upstream must have shape {logits.shape}, got {up.shape}")
+    return losses, up
 
 
 def _encode_batch(features: np.ndarray) -> np.ndarray:
@@ -203,7 +210,7 @@ def _encode_batch(features: np.ndarray) -> np.ndarray:
     cols = _rx_carriers(features)  # (batch, qubit, bit)
     amps = cols[:, 0]
     for q in range(1, features.shape[1]):
-        amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], -1)
+        amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], 2 ** (q + 1))
     return amps
 
 
@@ -286,9 +293,6 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     """
     p, feats = _check_batch(params, features, shifted=True)
     out = _expectations(p + _shift_offsets(p.shape), feats)
-    losses, upstream = loss(out[0])
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != out.shape[1:]:
-        raise ValueError(f"upstream must have shape {out.shape[1:]}, got {up.shape}")
+    losses, up = call_loss(loss, out[0])
     delta = SHIFT_COEFFICIENT * (out[1 : p.size + 1] - out[p.size + 1 :])
     return losses, np.sum(up * delta, axis=(1, 2)).reshape(p.shape)

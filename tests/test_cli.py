@@ -574,6 +574,20 @@ class TestCompare:
         assert a in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["out", "dump_dataset"])
+    def test_output_setting_in_a_file_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        # Compare mode writes one combined CSV, so an output of a file's own is refused.
+        refuse_training(monkeypatch)
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
+        b = write_config(
+            tmp_path / "b.cfg", model="qfl-classical", rounds=1, **{key: tmp_path / "own.csv"}
+        )
+        out = tmp_path / "merged.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert b in err and repr(key) in err
+        assert not out.exists() and not (tmp_path / "own.csv").exists()
+
     def test_too_deep_circuit_exits_2(self, tmp_path, capsys):
         a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1, layers=74)
         b = write_config(tmp_path / "b.cfg", model="qfl-quantum", rounds=1, layers=74)

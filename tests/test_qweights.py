@@ -200,6 +200,14 @@ class TestDecode:
         with pytest.raises(ValueError, match="unit circle"):
             qw.decode_angle(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "ez, ey", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (math.inf, 0.0)]
+    )
+    def test_rejects_non_finite_pair(self, ez, ey):
+        # NaN fails every comparison, so the gate must accept only residuals <= tol.
+        with pytest.raises(ValueError, match="unit circle"):
+            qw.decode_angle(ez, ey)
+
     def test_accepts_tiny_numerical_drift(self):
         ez = math.cos(0.7) + 1e-9
         ey = -math.sin(0.7)

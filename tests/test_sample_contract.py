@@ -1,4 +1,5 @@
-"""One sample contract at every entry point that takes labels or a shard.
+"""One sample contract at every entry point that takes labels, a shard or a
+feature batch.
 
 ``datagen.check_labels`` and ``datagen.check_features`` are the rule: labels
 of shape ``(n,)`` with every entry 0 or 1 (ints, bools and integral floats
@@ -8,7 +9,9 @@ reach the same verdict: an accepted form gives results bit-equal to the
 integer labels, a rejected one raises a ``ValueError`` naming labels or
 features.  ``partition`` moves labels without reading them (its own tests
 tag rows with labels 0..n-1), so it takes part in the row and feature
-contract only.
+contract only; it serves no model, so it does not check the width either.
+Every model kind's ``logits`` and ``loss_grad`` take no labels and apply
+``datagen.check_batch``, the feature part with the model's width.
 """
 import numpy as np
 import pytest
@@ -24,8 +27,19 @@ LOGITS = np.random.default_rng(6).normal(size=(8, 2))
 INT = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
 
-def _mlp():
-    return tk.init_mlp(np.random.default_rng(0))
+KINDS = {"mlp": tk.init_mlp, "vqc": vqc.init_model, "store": qw.init_store}
+
+
+def _model(kind="mlp"):
+    return KINDS[kind](np.random.default_rng(0))
+
+
+def _logits(kind):
+    return lambda f, y: _model(kind).logits(f)
+
+
+def _loss_grad(kind):
+    return lambda f, y: _model(kind).loss_grad(f, lambda lg: tk.batch_loss_and_grad(lg, y))
 
 
 def _dataset(feats, labels):
@@ -42,14 +56,14 @@ def _scale_and_split(feats, labels):
 
 def _local_train(feats, labels):
     client = fr.ClientState(
-        0, feats, labels, _mlp(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
+        0, feats, labels, _model(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
     )
     return fr.local_train(client, epochs=2, batch_size=3), client.model.params
 
 
 def _centralized_train(feats, labels):
     model, losses = fr.centralized_train(
-        _mlp(), feats, labels, rng=np.random.default_rng(1), optimizer=tk.SgdOptimizer(0.05),
+        _model(), feats, labels, rng=np.random.default_rng(1), optimizer=tk.SgdOptimizer(0.05),
         epochs=2, batch_size=3,
     )
     return losses, model.params
@@ -57,17 +71,19 @@ def _centralized_train(feats, labels):
 
 # name -> (call, the parts of the rule it applies)
 ENTRY_POINTS = {
-    "Dataset": (_dataset, {"values", "rows", "features"}),
-    "scale_and_split": (_scale_and_split, {"values", "rows", "features"}),
+    "Dataset": (_dataset, {"values", "rows", "features", "width"}),
+    "scale_and_split": (_scale_and_split, {"values", "rows", "features", "width"}),
     "partition": (lambda f, y: fr.partition(f, y, 2, seed=3), {"rows", "features"}),
-    "local_train": (_local_train, {"values", "rows", "features"}),
-    "centralized_train": (_centralized_train, {"values", "rows", "features"}),
-    "evaluate": (lambda f, y: tk.evaluate(_mlp(), f, y), {"values", "rows", "features"}),
+    "local_train": (_local_train, {"values", "rows", "features", "width"}),
+    "centralized_train": (_centralized_train, {"values", "rows", "features", "width"}),
+    "evaluate": (lambda f, y: tk.evaluate(_model(), f, y), {"values", "rows", "features", "width"}),
     "batch_loss_and_grad": (lambda f, y: tk.batch_loss_and_grad(LOGITS, y), {"values", "rows"}),
     "loss_and_grad": (
         lambda f, y: [tk.loss_and_grad(lg, label) for lg, label in zip(LOGITS, y)],
         {"values"},
     ),
+    **{f"{kind} logits": (_logits(kind), {"features", "width"}) for kind in KINDS},
+    **{f"{kind} loss_grad": (_loss_grad(kind), {"features", "width"}) for kind in KINDS},
 }
 
 _NAN_FEATS = FEATS.copy()
@@ -94,6 +110,9 @@ CASES = {
     "nan feature": ("features", _NAN_FEATS, INT, False),
     "inf feature": ("features", _INF_FEATS, INT, False),
     "1-D features": ("features", FEATS[:, 0], INT, False),
+    "1-D row": ("features", FEATS[0], INT, False),
+    "3-D features": ("features", FEATS[:, None, :], INT, False),
+    "3 columns": ("width", np.column_stack([FEATS, FEATS[:, 0]]), INT, False),
 }
 
 
@@ -116,7 +135,7 @@ def test_same_verdict_at_every_entry_point(entry, case):
     if accepted:
         assert _canon(call(feats, labels)) == _canon(call(FEATS, INT))
     else:
-        with pytest.raises(ValueError, match="features" if part == "features" else "label"):
+        with pytest.raises(ValueError, match="label" if part in ("values", "rows") else "features"):
             call(feats, labels)
 
 
@@ -138,16 +157,37 @@ def test_check_features_returns_a_new_float_array():
 def test_a_nan_feature_is_named_as_the_shard_s_features():
     # The MLP used to fail this one step later, as "logits must be finite".
     client = fr.ClientState(
-        4, _NAN_FEATS, INT, _mlp(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
+        4, _NAN_FEATS, INT, _model(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
     )
     with pytest.raises(ValueError, match="client 4 features must be finite and 2-D"):
         fr.local_train(client, epochs=1, batch_size=8)
 
 
-@pytest.mark.parametrize("init", [tk.init_mlp, vqc.init_model, qw.init_store])
+@pytest.mark.parametrize("init", KINDS.values())
 @pytest.mark.parametrize("case", ["nan feature", "inf feature"])
 def test_evaluate_refuses_non_finite_features_for_every_kind(init, case):
     # An MLP used to score a NaN row as class 0; circuits refused it deeper down.
     _, feats, labels, _ = CASES[case]
-    with pytest.raises(ValueError, match="features must be a finite 2-D batch"):
+    with pytest.raises(ValueError, match="features must be finite"):
         tk.evaluate(init(np.random.default_rng(0)), feats, labels)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(1, 2), (8,)])
+def test_a_wrong_shaped_upstream_is_named_for_every_kind(kind, shape):
+    # The upstream is named for every kind, not left to fail inside numpy's matmul.
+    model = _model(kind)
+    with pytest.raises(ValueError, match=r"upstream must have shape \(8, 2\)"):
+        model.loss_grad(FEATS, lambda logits: (np.zeros(len(logits)), np.zeros(shape)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_rows_give_empty_scores_and_a_zero_gradient_for_every_kind(kind):
+    # An empty batch is a valid batch for every kind, the circuit encoder included.
+    model = _model(kind)
+    empty = np.zeros((0, 2))
+    assert model.logits(empty).shape == (0, 2)
+    losses, grad = model.loss_grad(empty, lambda lg: tk.batch_loss_and_grad(lg, INT[:0]))
+    params = model.angles if kind == "store" else model.params
+    assert losses.shape == (0,)
+    assert grad.shape == params.shape and not grad.any()

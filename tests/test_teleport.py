@@ -40,7 +40,7 @@ def numpy_register(message):
 
 def numpy_readout(amps):
     """(<Z>, <Y>) through the array readout and the RX(pi/2) matmul."""
-    return float(qw._z_expectation(amps)), float(qw._z_expectation(amps @ qw._rx_half_pi_t()))
+    return float(qw._z_expectation(amps)), float(qw._z_expectation(amps @ sv._rx_matrix(math.pi / 2).T))
 
 
 def replay_channel(message, pick):

@@ -228,7 +228,7 @@ class TestBatchedPath:
         model = random_model(rng)
         with pytest.raises(ValueError, match="batch"):
             vqc.forward_batch(model.params, np.zeros((4, 3)))
-        with pytest.raises(ValueError, match="params"):
+        with pytest.raises(ValueError, match=r"features of shape \(batch, 3\), got \(4, 2\)"):
             vqc.forward_batch(np.zeros((1, 3, 3)), np.zeros((4, 2)))
         for shape in [(3, 2), (4,), (2, 4), (4, 3)]:
             with pytest.raises(ValueError, match="upstream"):
