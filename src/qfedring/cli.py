@@ -160,9 +160,12 @@ def _load_config_file(path: str) -> dict:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
         try:
-            values[key] = _FIELD_TYPES[key](value)
+            parsed = _FIELD_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate setting {key!r}")
+        values[key] = parsed
     return values
 
 

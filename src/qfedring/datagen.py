@@ -30,14 +30,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for split in ("train", "test"):
-            labels = getattr(self, f"{split}_labels")
-            feats = check_features(getattr(self, f"{split}_features"), labels, f"{split} split")
-            labels = check_labels(labels, feats.shape[0])
-            if feats.shape[1] != 2:
-                raise ValueError(f"{split}_features must have shape (n, 2), got {feats.shape}")
-            if labels.size == 0:
-                raise ValueError("both splits must be non-empty")
-            for name, arr in ((f"{split}_features", feats), (f"{split}_labels", labels)):
+            names = (f"{split}_features", f"{split}_labels")
+            arrays = check_samples(*(getattr(self, name) for name in names), f"{split} split")
+            for name, arr in zip(names, arrays):
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
 
@@ -53,19 +48,6 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
     return y.astype(int)
 
 
-def check_features(features, labels, owner: str) -> np.ndarray:
-    """The feature rule: a finite 2-D float array with one row per label,
-    returned as a new array.  Errors start with ``owner``."""
-    feats = np.array(features, dtype=float)
-    if feats.ndim != 2 or not np.all(np.isfinite(feats)):
-        raise ValueError(f"{owner} features must be finite and 2-D, got shape {feats.shape}")
-    rows, shape = feats.shape[0], np.shape(labels)
-    if shape[:1] != (rows,):
-        count = shape[0] if shape else "no"
-        raise ValueError(f"{owner} has {rows} feature rows but {count} labels; lengths differ")
-    return feats
-
-
 def check_batch(features, width: int) -> np.ndarray:
     """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0."""
     feats = np.asarray(features, dtype=float)
@@ -74,6 +56,23 @@ def check_batch(features, width: int) -> np.ndarray:
     if not np.isfinite(feats).all():
         raise ValueError("features must be finite")
     return feats
+
+
+def check_samples(features, labels, owner: str) -> tuple[np.ndarray, np.ndarray]:
+    """The shard rule: ``check_batch`` features of width 2, one row per label,
+    ``check_labels`` labels, at least one row.  New arrays; errors start with ``owner``."""
+    try:
+        feats = check_batch(np.array(features, dtype=float), 2)
+        rows, shape = feats.shape[0], np.shape(labels)
+        labs = check_labels(labels, rows) if shape[:1] == (rows,) else None
+    except ValueError as exc:
+        raise ValueError(f"{owner}: {exc}") from exc
+    if labs is None:
+        count = shape[0] if shape else "no"
+        raise ValueError(f"{owner} has {rows} feature rows but {count} labels; lengths differ")
+    if rows == 0:
+        raise ValueError(f"{owner} has no samples; a shard must be non-empty")
+    return feats, labs
 
 
 def check_circles(num_points: int, noise: float, factor: float) -> None:
@@ -123,8 +122,7 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     across classes), so both splits stay balanced.  Test features falling
     outside the training range are clamped and counted.
     """
-    feats = check_features(features, labels, "the data")
-    labs = check_labels(labels, feats.shape[0])
+    feats, labs = check_samples(features, labels, "the data")
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
     classes = np.unique(labs)

@@ -64,9 +64,8 @@ class ClientState:
 
 
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffle once (seeded) and split into contiguous shards of size within one.
-    Labels are moved, not read: ``local_train`` checks their values."""
-    feats, labs = datagen.check_features(features, labels, "the data"), np.asarray(labels)
+    """Shuffle once (seeded) and split into contiguous shards of size within one."""
+    feats, labs = datagen.check_samples(features, labels, "the data")
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if num_clients > len(labs):
@@ -125,19 +124,15 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     owner = f"client {client.client_id}"
-    feats = datagen.check_features(client.features, client.labels, owner)
-    labels = datagen.check_labels(client.labels, feats.shape[0])
-    n = labels.size
-    if n == 0:
-        raise ValueError(f"{owner} has no data")
+    feats, labels = datagen.check_samples(client.features, client.labels, owner)
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
     # logits bound and the finite-parameter checks then raise the error that
     # names it, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
-            order = client.rng.permutation(n)
-            for step, start in enumerate(range(0, n, batch_size), 1):
+            order = client.rng.permutation(len(labels))
+            for step, start in enumerate(range(0, len(labels), batch_size), 1):
                 idx = order[start : start + batch_size]
                 fy = labels[idx]
                 try:
@@ -235,6 +230,9 @@ def average_models(models: list[Model]) -> Model:
     first = models[0]
     if type(first) is QuantumWeightStore:
         raise TypeError("cannot average quantum-held weights")
+    shapes = sorted({m.params.shape for m in models})
+    if len(shapes) != 1:
+        raise ValueError(f"models must share one parameter shape, got {shapes}")
     return replace(first, params=_fsum_mean([m.params for m in models]))
 
 

@@ -127,7 +127,7 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
     cg = np.asarray(circuit_grad, dtype=float)
     if cg.shape != store.angles.shape:
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
-    if not np.all(np.isfinite(cg)):
+    if not np.isfinite(cg).all():
         raise ValueError("circuit_grad must be finite")
     plus, minus = _z_expectation(_rx_carriers(store.angles + _SHIFT_PAIR))
     return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))

@@ -72,7 +72,7 @@ class StateVector:
         # squared norm non-finite, so the element-wise scan runs only then
         # (finite amplitudes whose squares overflow fall through to the norm).
         squared = np.vdot(amps, amps).real
-        if not math.isfinite(squared) and not np.all(np.isfinite(amps.view(float))):
+        if not math.isfinite(squared) and not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
         norm = math.sqrt(squared)
         if abs(norm - 1.0) > _NORM_TOL:

@@ -127,7 +127,7 @@ class ClassicalMlp:
         p = np.array(self.params, dtype=float)
         if p.shape != (MLP_PARAMS,):
             raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("params must be finite")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)

@@ -95,7 +95,7 @@ def _layer_angles(values, name: str) -> np.ndarray:
     a = np.array(values, dtype=float)
     if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
         raise ValueError(f"{name} must have shape (layers, qubits, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     a.flags.writeable = False
     return a
@@ -121,7 +121,7 @@ def encode(model: VqcModel, features) -> StateVector:
     feats = np.asarray(features, dtype=float)
     if feats.shape != (model.num_qubits,):
         raise ValueError(f"expected {model.num_qubits} features, got shape {feats.shape}")
-    if not np.all(np.isfinite(feats)):
+    if not np.isfinite(feats).all():
         raise ValueError("features must be finite")
     state = zero_state(model.num_qubits)
     for q, angle in enumerate(feats):
@@ -153,7 +153,7 @@ def gradient(model: VqcModel, features, upstream) -> np.ndarray:
     up = np.asarray(upstream, dtype=float)
     if up.shape != (model.num_qubits,):
         raise ValueError(f"upstream must have shape ({model.num_qubits},), got {up.shape}")
-    if not np.all(np.isfinite(up)):
+    if not np.isfinite(up).all():
         raise ValueError("upstream weights must be finite")
     grads = np.zeros_like(model.params)
     for layer in range(model.num_layers):

@@ -272,6 +272,19 @@ class TestParsing:
         with pytest.raises(cli.ConfigError, match="cannot read"):
             cli.parse_config(["--config", str(tmp_path / "nope.cfg")])
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_duplicate_setting_exits_2(self, tmp_path, capsys, monkeypatch, compare):
+        # The last value used to win without a word: rounds 5, then 7, gave 7.
+        refuse_training(monkeypatch)
+        path = tmp_path / "run.cfg"
+        path.write_text("model = cfl\nrounds = 5\n# again\nrounds = 7\n")
+        other = write_config(tmp_path / "other.cfg", model="qfl-classical")
+        argv = ["--compare", other, str(path)] if compare else ["--config", str(path)]
+        out = tmp_path / "x.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"{path}:4: duplicate setting 'rounds'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_request(self, tmp_path):
         a = write_config(tmp_path / "a.cfg", model="cfl")
         b = write_config(tmp_path / "b.cfg", model="qfl-classical")

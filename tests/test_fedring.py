@@ -20,31 +20,35 @@ def small_shard(n=24, seed=11):
 
 
 class TestPartition:
+    # Rows are tagged by their first feature; labels are the tag's parity, so
+    # a shard's labels must still match its rows.
     def test_sizes_within_one_and_cover_everything(self):
-        feats = np.arange(20, dtype=float).reshape(10, 2)
-        labels = np.arange(10)
-        shards = fr.partition(feats, labels, 3, seed=0)
+        tags = np.arange(10)
+        feats = np.column_stack([tags, np.zeros(10)])
+        shards = fr.partition(feats, tags % 2, 3, seed=0)
         sizes = [s[1].size for s in shards]
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
-        seen = np.sort(np.concatenate([s[1] for s in shards]))
-        assert np.array_equal(seen, labels)
+        seen = np.sort(np.concatenate([s[0][:, 0] for s in shards]))
+        assert np.array_equal(seen, tags)
+        for fx, fy in shards:
+            assert np.array_equal(fy, fx[:, 0].astype(int) % 2)
 
     def test_divisible_counts_split_evenly(self):
         feats = np.zeros((960, 2))
-        labels = np.arange(960)
+        labels = np.arange(960) % 2
         shards = fr.partition(feats, labels, 3, seed=0)
         assert [s[1].size for s in shards] == [320, 320, 320]
 
     def test_deterministic_per_seed(self):
         feats = np.arange(40, dtype=float).reshape(20, 2)
-        labels = np.arange(20)
+        labels = np.arange(20) % 2
         a = fr.partition(feats, labels, 4, seed=7)
         b = fr.partition(feats, labels, 4, seed=7)
         c = fr.partition(feats, labels, 4, seed=8)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa[0], sb[0])
-        assert any(not np.array_equal(sa[1], sc[1]) for sa, sc in zip(a, c))
+        assert any(not np.array_equal(sa[0], sc[0]) for sa, sc in zip(a, c))
 
     def test_validation(self):
         feats = np.zeros((4, 2))
@@ -212,7 +216,7 @@ class TestLocalTrain:
             np.random.default_rng(0),
             tk.SgdOptimizer(0.02),
         )
-        with pytest.raises(ValueError, match="no data"):
+        with pytest.raises(ValueError, match="client 1 has no samples"):
             fr.local_train(empty, epochs=1, batch_size=8)
 
 
@@ -400,6 +404,12 @@ class TestAveraging:
             fr.average_models([vqc.init_model(rng), tk.init_mlp(rng)])
         with pytest.raises(TypeError, match="average"):
             fr.average_models([qw.init_store(rng), qw.init_store(rng)])
+
+    def test_average_models_names_both_shapes(self):
+        # Used to fail inside numpy as "all input arrays must have the same shape".
+        models = [vqc.VqcModel(np.zeros((layers, 2, 3))) for layers in (2, 1)]
+        with pytest.raises(ValueError, match=r"shape, got \[\(1, 2, 3\), \(2, 2, 3\)\]"):
+            fr.average_models(models)
 
 
 class TestHubSpoke:

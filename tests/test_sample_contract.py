@@ -1,17 +1,18 @@
 """One sample contract at every entry point that takes labels, a shard or a
 feature batch.
 
-``datagen.check_labels`` and ``datagen.check_features`` are the rule: labels
-of shape ``(n,)`` with every entry 0 or 1 (ints, bools and integral floats
-pass and are used as integers), and features a finite 2-D float array with
-one row per label.  Each entry point below gets the same inputs and must
-reach the same verdict: an accepted form gives results bit-equal to the
-integer labels, a rejected one raises a ``ValueError`` naming labels or
-features.  ``partition`` moves labels without reading them (its own tests
-tag rows with labels 0..n-1), so it takes part in the row and feature
-contract only; it serves no model, so it does not check the width either.
-Every model kind's ``logits`` and ``loss_grad`` take no labels and apply
-``datagen.check_batch``, the feature part with the model's width.
+A shard is checked by ``datagen.check_samples``: features pass
+``datagen.check_batch`` at width 2 (finite, shape ``(rows, 2)``), there is
+one row per label, labels pass ``datagen.check_labels`` (shape ``(n,)``,
+every entry 0 or 1; ints, bools and integral floats pass and are used as
+integers), and a shard has at least one row.  ``Dataset``,
+``scale_and_split``, ``partition`` (so ``make_clients``) and ``local_train``
+(so ``centralized_train``) call it.  Each entry point below gets the same
+inputs and must reach the same verdict: an accepted form gives results
+bit-equal to the integer labels, a rejected one raises a ``ValueError``
+naming labels or features, or saying that the set is empty.  A model batch
+may be empty: every model kind's ``logits`` and ``loss_grad`` take no labels
+and apply ``datagen.check_batch`` with the model's width.
 """
 import numpy as np
 import pytest
@@ -69,14 +70,22 @@ def _centralized_train(feats, labels):
     return losses, model.params
 
 
+def _make_clients(feats, labels):
+    clients = fr.make_clients(feats, labels, 2, _model(), partition_seed=3, client_seed=1)
+    return [(c.features, c.labels) for c in clients]
+
+
+SHARD = {"values", "rows", "features", "width", "size"}
+
 # name -> (call, the parts of the rule it applies)
 ENTRY_POINTS = {
-    "Dataset": (_dataset, {"values", "rows", "features", "width"}),
-    "scale_and_split": (_scale_and_split, {"values", "rows", "features", "width"}),
-    "partition": (lambda f, y: fr.partition(f, y, 2, seed=3), {"rows", "features"}),
-    "local_train": (_local_train, {"values", "rows", "features", "width"}),
-    "centralized_train": (_centralized_train, {"values", "rows", "features", "width"}),
-    "evaluate": (lambda f, y: tk.evaluate(_model(), f, y), {"values", "rows", "features", "width"}),
+    "Dataset": (_dataset, SHARD),
+    "scale_and_split": (_scale_and_split, SHARD),
+    "partition": (lambda f, y: fr.partition(f, y, 2, seed=3), SHARD),
+    "make_clients": (_make_clients, SHARD),
+    "local_train": (_local_train, SHARD),
+    "centralized_train": (_centralized_train, SHARD),
+    "evaluate": (lambda f, y: tk.evaluate(_model(), f, y), SHARD),
     "batch_loss_and_grad": (lambda f, y: tk.batch_loss_and_grad(LOGITS, y), {"values", "rows"}),
     "loss_and_grad": (
         lambda f, y: [tk.loss_and_grad(lg, label) for lg, label in zip(LOGITS, y)],
@@ -101,6 +110,7 @@ CASES = {
     "fraction": ("values", FEATS, np.where(INT == 0, 0.7, 1.0), False),
     "two": ("values", FEATS, np.where(INT == 1, 2, 0), False),
     "negative": ("values", FEATS, -INT, False),
+    "0..n-1": ("values", FEATS, np.arange(8), False),
     "nan label": ("values", FEATS, np.where(INT == 1, np.nan, 0.0), False),
     "text": ("values", FEATS, INT.astype(str), False),
     "column": ("values", FEATS, INT[:, None], False),
@@ -113,6 +123,12 @@ CASES = {
     "1-D row": ("features", FEATS[0], INT, False),
     "3-D features": ("features", FEATS[:, None, :], INT, False),
     "3 columns": ("width", np.column_stack([FEATS, FEATS[:, 0]]), INT, False),
+    "empty": ("size", FEATS[:0], INT[:0], False),
+}
+
+# part of the rule -> what a refusal's message must name
+NAMED = {
+    "values": "label", "rows": "label", "features": "features", "width": "features", "size": "empty"
 }
 
 
@@ -135,7 +151,7 @@ def test_same_verdict_at_every_entry_point(entry, case):
     if accepted:
         assert _canon(call(feats, labels)) == _canon(call(FEATS, INT))
     else:
-        with pytest.raises(ValueError, match="label" if part in ("values", "rows") else "features"):
+        with pytest.raises(ValueError, match=NAMED[part]):
             call(feats, labels)
 
 
@@ -146,12 +162,28 @@ def test_check_labels_returns_a_new_integer_array():
         assert not np.shares_memory(out, labels)
 
 
-def test_check_features_returns_a_new_float_array():
+def test_check_samples_returns_new_arrays():
     ints = np.arange(16).reshape(8, 2)
-    out = dg.check_features(ints, INT, "shard")
-    assert out.dtype == float and np.array_equal(out, ints)
-    out = dg.check_features(FEATS, INT, "shard")
-    assert not np.shares_memory(out, FEATS)
+    feats, labels = dg.check_samples(ints, INT.astype(bool), "shard")
+    assert feats.dtype == float and np.array_equal(feats, ints)
+    assert labels.dtype == int and np.array_equal(labels, INT)
+    feats, labels = dg.check_samples(FEATS, INT, "shard")
+    assert not np.shares_memory(feats, FEATS) and not np.shares_memory(labels, INT)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("3 columns", r"the data: expected features of shape \(batch, 2\), got \(8, 3\)"),
+        ("0..n-1", "the data: labels must be 0 or 1"),
+        ("empty", "the data has no samples; a shard must be non-empty"),
+    ],
+)
+def test_make_clients_refuses_a_bad_shard_before_any_client_exists(case, message):
+    # The first two used to pass make_clients and fail at client 0, epoch 1, step 1.
+    _, feats, labels, _ = CASES[case]
+    with pytest.raises(ValueError, match=message):
+        fr.make_clients(feats, labels, 2, _model(), partition_seed=3, client_seed=1)
 
 
 def test_a_nan_feature_is_named_as_the_shard_s_features():
@@ -159,7 +191,7 @@ def test_a_nan_feature_is_named_as_the_shard_s_features():
     client = fr.ClientState(
         4, _NAN_FEATS, INT, _model(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
     )
-    with pytest.raises(ValueError, match="client 4 features must be finite and 2-D"):
+    with pytest.raises(ValueError, match="client 4: features must be finite"):
         fr.local_train(client, epochs=1, batch_size=8)
 
 
