@@ -20,23 +20,15 @@ from .fedring import (
     run_ring,
 )
 from .qweights import QuantumWeightStore, decode_angle, init_store, materialize, weight_gradient
-from .statevec import GateOp, StateVector, apply_gate, expectation, zero_state
-from .teleport import TeleportRecord, TransferError, bell_pair, teleport_state, teleport_weights
-from .trainkit import (
-    ClassicalMlp,
-    RoundMetrics,
-    SgdOptimizer,
-    evaluate,
-    init_mlp,
-    loss_and_grad,
-)
-from .vqc import VqcModel, forward, gradient, init_model
+from .statevec import StateVector
+from .teleport import TeleportRecord, TransferError, teleport_state, teleport_weights
+from .trainkit import ClassicalMlp, RoundMetrics, SgdOptimizer, evaluate, init_mlp
+from .vqc import VqcModel, init_model
 
 __all__ = [
     "ClassicalMlp",
     "ClientState",
     "Dataset",
-    "GateOp",
     "QuantumWeightStore",
     "RingSchedule",
     "RoundMetrics",
@@ -46,22 +38,16 @@ __all__ = [
     "TransferError",
     "Transport",
     "VqcModel",
-    "apply_gate",
     "average_models",
-    "bell_pair",
     "centralized_train",
     "dataset_checksum",
     "decode_angle",
     "dump_csv",
     "evaluate",
-    "expectation",
-    "forward",
-    "gradient",
     "init_mlp",
     "init_model",
     "init_store",
     "local_train",
-    "loss_and_grad",
     "make_circles",
     "make_clients",
     "materialize",
@@ -72,7 +58,6 @@ __all__ = [
     "teleport_state",
     "teleport_weights",
     "weight_gradient",
-    "zero_state",
 ]
 
 __version__ = "0.1.0"

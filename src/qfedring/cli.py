@@ -194,12 +194,29 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
         extras = sorted(set(flag_values) - {"out"})
         if ns.config or extras:
             raise ConfigError("compare mode takes config files plus --out only")
-        return CompareRequest(tuple(ns.compare), out=ns.out or "compare.csv")
+        request = CompareRequest(tuple(ns.compare), out=ns.out or "compare.csv")
+        _check_distinct_files([("--out", request.out)], [("--compare", p) for p in ns.compare])
+        return request
     values = _load_config_file(ns.config) if ns.config else {}
     values.update(flag_values)
     if "model" not in values:
         raise ConfigError("--model is required (or set model in a config file)")
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    outputs = [("--out", config.out), ("--dump-dataset", config.dump_dataset)]
+    _check_distinct_files(outputs, [("--config", ns.config)])
+    return config
+
+
+def _check_distinct_files(outputs, inputs) -> None:
+    """Refuse an output that resolves to the same file as another output or
+    an input, naming both; ``outputs`` and ``inputs`` are (flag, path) pairs
+    and an unset path is skipped.  Two inputs may be one file."""
+    named = [(flag, path, True) for flag, path in outputs if path]
+    named += [(flag, path, False) for flag, path in inputs if path]
+    for i, (flag, path, written) in enumerate(named):
+        for other, other_path, other_written in named[i + 1 :]:
+            if (written or other_written) and Path(path).resolve() == Path(other_path).resolve():
+                raise ConfigError(f"{flag} {path} and {other} {other_path} are the same file")
 
 
 def _csv_row(m: RoundMetrics) -> str:

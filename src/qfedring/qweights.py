@@ -13,13 +13,15 @@ carriers as one array.
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
 that rebinding one (as a tracer does) also covers this path.
-``encode_weight`` wraps one carrier as a validated StateVector; the
-teleport channel builds a whole store's carriers at once instead, and
-``state_expectations`` reads (<Z>, <Y>) back from what arrives on its two
-amplitudes as Python complex scalars, the same arithmetic as
-``_z_expectation`` without numpy's per-call cost.  Every value is the same
-float the gate-by-gate simulator gives (RX on |0>, then the Pauli-Z
-expectation), and the tests hold these functions to that oracle.
+``encode_weight`` wraps one carrier as a validated StateVector; no run
+calls it (the teleport channel builds a whole store's carriers at once),
+and it stays only because the benchmark tracer wraps it, as it does the
+``apply_gate`` and ``expectation`` imported here.  ``state_expectations``
+reads (<Z>, <Y>) back from what arrives on its two amplitudes as Python
+complex scalars, the same arithmetic as ``_z_expectation`` without numpy's
+per-call cost.  Every value is the same float the gate-by-gate simulator
+gives (RX on |0>, then the Pauli-Z expectation), and the tests hold these
+functions to that oracle.
 """
 from __future__ import annotations
 

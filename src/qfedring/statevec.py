@@ -2,19 +2,25 @@
 
 Basis convention: qubit 0 is the most significant bit of the basis index,
 so a two-qubit amplitude vector is ordered |00>, |01>, |10>, |11> and a
-state built as ``tensor_product(a, b)`` puts ``a``'s qubits in the high
-bits.  This convention is fixed here and used by every other module, which
-take the array primitives built on it from here: ``_rx_carriers``,
-``_z_signs`` and ``_cnot_image``.
+joint register puts its first factor's qubits in the high bits.  This
+convention is fixed here and used by every other module, which take the
+array primitives built on it from here: ``_rx_carriers``, ``_z_signs`` and
+``_cnot_image``.
 
 States are immutable values: every operation returns a fresh StateVector
 and never mutates its input.
 
 Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
 complex numbers, which at a few qubits is cheaper than numpy's per-call
-cost.  ``measure_qubits`` samples each bit with ``_sampling_rule``,
-``collapse_qubits`` pins it with ``_forcing_rule``, and the teleport
-channel calls the kernel directly.
+cost.  The teleport channel calls it with ``_sampling_rule``, or with
+``_forcing_rule`` when its outcome is forced.
+
+A run calls none of the gate-by-gate names: ``GateOp``, ``gate_matrix``,
+``apply_gate`` with ``_check_qubit`` and its matrices (``_ry_matrix``,
+``_rz_matrix``, ``_rot_matrix``, ``_X``, ``_Z``), ``expectation``, and
+``measure_qubits`` with ``_check_targets``.  They stay here only because the
+benchmark tracer (``perfbench/spans.py``) wraps them by module attribute;
+the tests drive them with the gate builders in ``tests/oracle.py``.
 """
 from __future__ import annotations
 
@@ -81,23 +87,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def zero_state(num_qubits: int) -> StateVector:
-    """|0...0> on the given number of qubits."""
-    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits!r}")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Joint state with ``a``'s qubits in the high bits of the basis index."""
-    if a.num_qubits + b.num_qubits > MAX_QUBITS:
-        raise ValueError("combined register exceeds the qubit limit")
-    joint = np.multiply.outer(a.amplitudes, b.amplitudes).ravel()
-    return StateVector(a.num_qubits + b.num_qubits, joint)
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.num_qubits != b.num_qubits:
@@ -105,6 +94,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
+# Gate-by-gate simulation: no run calls it, the tracer wraps it (see the module docstring).
 _GATE_NUM_ANGLES = {"RX": 1, "ROT": 3, "CNOT": 0, "H": 0, "X": 0, "Z": 0}
 
 
@@ -137,30 +127,6 @@ class GateOp:
                 raise ValueError("CNOT control and target must differ")
         elif self.control is not None:
             raise ValueError(f"{self.kind} takes no control qubit")
-
-
-def rx(target: int, angle: float) -> GateOp:
-    return GateOp("RX", target, angles=(float(angle),))
-
-
-def rot(target: int, phi: float, theta: float, omega: float) -> GateOp:
-    return GateOp("ROT", target, angles=(float(phi), float(theta), float(omega)))
-
-
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp("CNOT", target, control=control)
-
-
-def h(target: int) -> GateOp:
-    return GateOp("H", target)
-
-
-def x(target: int) -> GateOp:
-    return GateOp("X", target)
-
-
-def z(target: int) -> GateOp:
-    return GateOp("Z", target)
 
 
 def gate_matrix(gate: GateOp) -> np.ndarray:
@@ -253,8 +219,8 @@ def _bit_sides(num_qubits: int, target: int) -> tuple[tuple[int, ...], tuple[int
 
 
 def _sampling_rule(rng: np.random.Generator):
-    """Outcome rule of ``measure_qubits``: a near-certain bit is taken without
-    a draw, any other is one ``rng.random() < p1`` draw."""
+    """Outcome rule of a sampled measurement: a near-certain bit is taken
+    without a draw, any other is one ``rng.random() < p1`` draw."""
 
     def pick(q: int, p1: float) -> tuple[int, float]:
         if p1 < _MIN_OUTCOME_PROB:
@@ -269,7 +235,7 @@ def _sampling_rule(rng: np.random.Generator):
 
 
 def _forcing_rule(targets, outcomes):
-    """Outcome rule of ``collapse_qubits``: the given bit on each target,
+    """Outcome rule of a forced measurement: the given bit on each target,
     refused when its probability is below 1e-15."""
     if len(targets) != len(outcomes):
         raise ValueError("targets and outcomes must pair up")
@@ -340,16 +306,3 @@ def measure_qubits(
     )
     return outcomes, StateVector(state.num_qubits, amps)
 
-
-def collapse_qubits(
-    state: StateVector, targets: list[int], outcomes: list[int]
-) -> tuple[float, StateVector]:
-    """Force the given measurement outcomes, returning their joint probability.
-
-    Companion to measure_qubits for tests and protocols that enumerate
-    branches explicitly; rejects branches of probability below 1e-15.
-    """
-    pick = _forcing_rule(targets, outcomes)
-    _check_targets(targets, state.num_qubits, "collapse")
-    _, joint, amps = _born_measure(state.amplitudes.tolist(), state.num_qubits, targets, pick)
-    return joint, StateVector(state.num_qubits, amps)

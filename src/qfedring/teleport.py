@@ -8,16 +8,14 @@ with the message up to float rounding.
 
 ``teleport_state`` runs the register on Python complex scalars, which at
 eight amplitudes is cheaper than numpy's per-call cost: the message times
-``bell_pair``'s amplitudes (a constant), CNOT as the index permutation
+the Bell pair's amplitudes (a constant), CNOT as the index permutation
 ``statevec._cnot_image``, H written out with ``_H``'s four entries.  The
 message is a validated StateVector; the register built from it is measured
-as it is by ``statevec._born_measure``, the kernel behind ``measure_qubits``
-and ``collapse_qubits``, with the same outcome rules, so the channel rng is
-drawn as in the gate-by-gate protocol.  The corrections act on the
-receiver's two amplitudes, and the recovered StateVector and
-``decode_angle``'s purity gate check the way out.  The tests replay the
-protocol gate by gate with ``apply_gate`` as the oracle, and hold the
-register to its numpy form bit for bit.
+by ``statevec._born_measure``, the kernel behind ``measure_qubits``, with
+its sampling or forcing outcome rule, so the channel rng is drawn as in the
+gate-by-gate protocol.  The corrections act on the receiver's two
+amplitudes, and the recovered StateVector and ``decode_angle``'s purity
+gate check the way out.
 
 ``teleport_weights`` builds every carrier of a store with one
 ``statevec._rx_carriers`` call, then moves it one channel use per angle:
@@ -29,6 +27,7 @@ any one of them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +42,9 @@ from .statevec import (
     _forcing_rule,
     _rx_carriers,
     _sampling_rule,
-    apply_gate,
-    cnot,
     fidelity,
-    h,
-    zero_state,
 )
-from .statevec import measure_qubits  # noqa: F401  (wrapped by perfbench/spans.py)
+from .statevec import apply_gate, measure_qubits  # noqa: F401  (wrapped by perfbench/spans.py)
 
 
 class TransferError(RuntimeError):
@@ -69,19 +64,11 @@ class TeleportRecord:
     fidelity: float
 
 
-def bell_pair() -> StateVector:
-    """(|00> + |11>) / sqrt(2)."""
-    state = apply_gate(zero_state(2), h(0))
-    return apply_gate(state, cnot(0, 1))
-
-
-# ``bell_pair().amplitudes`` bit for bit; a complex division would lose its -0.0.
-_BELL_AMPLITUDES = (np.array([1.0, 0.0, -0.0, 1.0]) / np.sqrt(2)).astype(complex)
-_BELL_AMPLITUDES.flags.writeable = False
-
-# The register's constants as Python scalars: the Bell amplitudes, the
-# CNOT(0 -> 1) index map on three qubits, and H's entries.
-_BELL = tuple(_BELL_AMPLITUDES.tolist())
+# The register's constants as Python scalars: the Bell pair
+# (|00> + |11>) / sqrt(2), the CNOT(0 -> 1) index map on three qubits, and
+# H's entries.  The Bell amplitudes are those H then CNOT give on |00>, bit
+# for bit: H's minus sign leaves -0.0 on |10>.
+_BELL = (complex(1 / math.sqrt(2), 0.0), 0j, complex(-0.0, 0.0), complex(1 / math.sqrt(2), 0.0))
 _CNOT_01 = tuple(_cnot_image(3, ((0, 1),)).tolist())
 _H_ROWS = tuple(map(tuple, _H.tolist()))
 

@@ -9,8 +9,7 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path.
-``loss_and_grad`` and ``mlp_forward_backward`` are the single-sample forms
-the tests pin to finite differences.  Labels pass ``datagen.check_labels``.
+Labels pass ``datagen.check_labels``.
 Every kind's features pass ``datagen.check_batch`` (finite, shape ``(rows,
 width)``, width 2 for the MLP and the qubit count for a circuit), and
 ``loss`` must return an upstream shaped like the logits (``vqc.call_loss``).
@@ -43,34 +42,15 @@ LOGIT_SCALE = 8.0
 _LOGIT_BOUND = float(np.finfo(float).max) / (2 * LOGIT_SCALE)
 
 
-def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy over two class scores and its gradient.
+def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy over two class scores per row and its gradient:
+    per-sample losses (B,) and gradients (B, 2).
 
     The softmax is taken over LOGIT_SCALE * logits, so equal scores still
     cost ln 2.  Stable under large scores (max subtraction); scores whose
     scaling or shift would overflow are refused.  The gradient is
     LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
     """
-    lg = np.asarray(logits, dtype=float)
-    if lg.shape != (2,):
-        raise ValueError(f"expected two logits, got shape {lg.shape}")
-    if not np.abs(lg).max() <= _LOGIT_BOUND:
-        raise ValueError(
-            f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}, got {lg}"
-        )
-    label = int(check_labels([label], 1)[0])
-    scaled = LOGIT_SCALE * lg
-    shifted = scaled - scaled.max()
-    exps = np.exp(shifted)
-    total = exps.sum()
-    loss = math.log(total) - shifted[label]
-    dlogits = exps * (LOGIT_SCALE / total)
-    dlogits[label] -= LOGIT_SCALE
-    return float(loss), dlogits
-
-
-def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized loss_and_grad: per-sample losses (B,) and gradients (B, 2)."""
     lg = np.asarray(logits, dtype=float)
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
@@ -156,22 +136,6 @@ def init_mlp(rng: np.random.Generator) -> ClassicalMlp:
     w1 = rng.normal(0.0, 1.0 / math.sqrt(2), size=(2, MLP_HIDDEN))
     w2 = rng.normal(0.0, 1.0 / math.sqrt(MLP_HIDDEN), size=(MLP_HIDDEN, 2))
     return ClassicalMlp(np.concatenate([w1, np.zeros(MLP_HIDDEN), w2, np.zeros(2)], axis=None))
-
-
-def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[float, np.ndarray]:
-    """Loss and exact gradient for one sample, laid out like ``params``."""
-    feats = np.asarray(features, dtype=float)
-    if feats.shape != (2,):
-        raise ValueError(f"expected 2 features, got shape {feats.shape}")
-    pre = feats @ model.w1 + model.b1
-    hid = np.tanh(pre)
-    logits = hid @ model.w2 + model.b2
-    loss, dlogits = loss_and_grad(logits, label)
-    dhid = model.w2 @ dlogits
-    dpre = dhid * (1.0 - hid**2)
-    return loss, np.concatenate(
-        [np.outer(feats, dpre), dpre, np.outer(hid, dlogits), dlogits], axis=None
-    )
 
 
 def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np.ndarray]:

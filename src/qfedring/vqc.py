@@ -3,9 +3,8 @@ rotation layers, per-qubit Pauli-Z readout.
 
 Gradients use the two-point parameter shift (``SHIFT`` = pi/2,
 ``SHIFT_COEFFICIENT`` = 1/2), which is exact for these rotation gates.
-``forward``/``gradient`` walk the simulator gate by gate, define the
-semantics and serve the tests as oracle.  ``init_model`` builds the
-experiment's ``NUM_QUBITS`` = 2 qubits; the engine takes any qubit count.
+``init_model`` builds the experiment's ``NUM_QUBITS`` = 2 qubits; the
+engine takes any qubit count.
 
 ``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
 every row of a batch through S parameter sets at once, one matmul per layer,
@@ -37,18 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .datagen import check_batch
-from .statevec import (
-    StateVector,
-    _cnot_image,
-    _rx_carriers,
-    _z_signs,
-    apply_gate,
-    cnot,
-    expectation,
-    rot,
-    rx,
-    zero_state,
-)
+from .statevec import _cnot_image, _rx_carriers, _z_signs
 
 
 # One qubit per circles feature, and one Pauli-Z class score per qubit.
@@ -67,10 +55,6 @@ class VqcModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", _layer_angles(self.params, "params"))
-
-    @property
-    def num_layers(self) -> int:
-        return self.params.shape[0]
 
     @property
     def num_qubits(self) -> int:
@@ -114,59 +98,6 @@ def entangler_pairs(num_qubits: int) -> list[tuple[int, int]]:
     if num_qubits < 2:
         return []
     return [(q, (q + 1) % num_qubits) for q in range(num_qubits)]
-
-
-def encode(model: VqcModel, features) -> StateVector:
-    """RX(feature) on each qubit of |0...0>; one feature per qubit."""
-    feats = np.asarray(features, dtype=float)
-    if feats.shape != (model.num_qubits,):
-        raise ValueError(f"expected {model.num_qubits} features, got shape {feats.shape}")
-    if not np.isfinite(feats).all():
-        raise ValueError("features must be finite")
-    state = zero_state(model.num_qubits)
-    for q, angle in enumerate(feats):
-        state = apply_gate(state, rx(q, angle))
-    return state
-
-
-def _run_layers(state: StateVector, params: np.ndarray) -> StateVector:
-    num_qubits = params.shape[1]
-    for layer in params:
-        for control, target in entangler_pairs(num_qubits):
-            state = apply_gate(state, cnot(control, target))
-        for q in range(num_qubits):
-            state = apply_gate(state, rot(q, *layer[q]))
-    return state
-
-
-def forward(model: VqcModel, features) -> np.ndarray:
-    """Logits: <Z_q> for each qubit q, each in [-1, 1]."""
-    state = _run_layers(encode(model, features), model.params)
-    return np.array([expectation(state, q) for q in range(model.num_qubits)])
-
-
-def gradient(model: VqcModel, features, upstream) -> np.ndarray:
-    """Parameter-shift gradient of upstream . logits, one array entry per angle.
-
-    Each scalar parameter costs exactly two full shifted forward passes.
-    """
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != (model.num_qubits,):
-        raise ValueError(f"upstream must have shape ({model.num_qubits},), got {up.shape}")
-    if not np.isfinite(up).all():
-        raise ValueError("upstream weights must be finite")
-    grads = np.zeros_like(model.params)
-    for layer in range(model.num_layers):
-        for q in range(model.num_qubits):
-            for k in range(3):
-                plus = np.array(model.params)
-                minus = np.array(model.params)
-                plus[layer, q, k] += SHIFT
-                minus[layer, q, k] -= SHIFT
-                f_plus = forward(model.with_params(plus), features)
-                f_minus = forward(model.with_params(minus), features)
-                grads[layer, q, k] = up @ (SHIFT_COEFFICIENT * (f_plus - f_minus))
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +207,7 @@ def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(params: np.ndarray, features) -> np.ndarray:
-    """Logits for a whole batch at once; rows match forward() to float precision."""
+    """Logits for a whole batch at once, one row per sample."""
     p, feats = _check_batch(params, features, shifted=False)
     return _expectations(p[None], feats)[0]
 
@@ -289,7 +220,6 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     (batch, qubits) and returns ``(losses, upstream)``; upstream, shaped like
     the logits, weighs the shifted sets, and ``losses`` is passed back as is.
     The caller divides the gradient by the batch size when it wants a mean.
-    Matches forward() per row, then summing gradient() over rows.
     """
     p, feats = _check_batch(params, features, shifted=True)
     out = _expectations(p + _shift_offsets(p.shape), feats)

@@ -1,0 +1,231 @@
+"""Gate-by-gate and single-sample references for the package's batched paths.
+
+A training run never calls these; the tests hold the package to them.  Each
+one walks the computation the plain way, one gate or one sample at a time:
+
+- statevec: ``zero_state``, ``tensor_product``, the gate builders ``rx``,
+  ``rot``, ``cnot``, ``h``, ``x`` and ``z`` for ``statevec.apply_gate``, and
+  ``collapse_qubits``, which forces measurement outcomes through the same
+  kernel as ``measure_qubits``;
+- vqc: ``encode``, ``_run_layers``, ``forward`` and ``gradient``, the
+  circuit one sample and one shifted parameter at a time;
+- trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample;
+- teleport: ``bell_pair``, H then CNOT on |00>;
+- ``rx_z``: <Z> of a stored weight's carrier RX(angle)|0>.
+
+``sv``, ``tk`` and ``vqc`` are the package modules with the references the
+acceptance criteria call beside their own names, so those tests read
+``vqc.forward`` next to ``vqc.VqcModel``.
+"""
+from __future__ import annotations
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+
+from qfedring import statevec as _sv
+from qfedring import trainkit as _tk
+from qfedring import vqc as _vqc
+from qfedring.datagen import check_labels
+from qfedring.statevec import (
+    MAX_QUBITS,
+    GateOp,
+    StateVector,
+    _born_measure,
+    _check_targets,
+    _forcing_rule,
+    apply_gate,
+    expectation,
+)
+from qfedring.trainkit import _LOGIT_BOUND, LOGIT_SCALE, ClassicalMlp
+from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT, VqcModel, entangler_pairs
+
+# ---------------------------------------------------------------------------
+# statevec
+
+
+def zero_state(num_qubits: int) -> StateVector:
+    """|0...0> on the given number of qubits."""
+    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits!r}")
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Joint state with ``a``'s qubits in the high bits of the basis index."""
+    if a.num_qubits + b.num_qubits > MAX_QUBITS:
+        raise ValueError("combined register exceeds the qubit limit")
+    joint = np.multiply.outer(a.amplitudes, b.amplitudes).ravel()
+    return StateVector(a.num_qubits + b.num_qubits, joint)
+
+
+def rx(target: int, angle: float) -> GateOp:
+    return GateOp("RX", target, angles=(float(angle),))
+
+
+def rot(target: int, phi: float, theta: float, omega: float) -> GateOp:
+    return GateOp("ROT", target, angles=(float(phi), float(theta), float(omega)))
+
+
+def cnot(control: int, target: int) -> GateOp:
+    return GateOp("CNOT", target, control=control)
+
+
+def h(target: int) -> GateOp:
+    return GateOp("H", target)
+
+
+def x(target: int) -> GateOp:
+    return GateOp("X", target)
+
+
+def z(target: int) -> GateOp:
+    return GateOp("Z", target)
+
+
+def collapse_qubits(
+    state: StateVector, targets: list[int], outcomes: list[int]
+) -> tuple[float, StateVector]:
+    """Force the given measurement outcomes, returning their joint probability.
+
+    Companion to measure_qubits for tests and protocols that enumerate
+    branches explicitly; rejects branches of probability below 1e-15.
+    """
+    pick = _forcing_rule(targets, outcomes)
+    _check_targets(targets, state.num_qubits, "collapse")
+    _, joint, amps = _born_measure(state.amplitudes.tolist(), state.num_qubits, targets, pick)
+    return joint, StateVector(state.num_qubits, amps)
+
+
+def rx_z(angle: float) -> float:
+    """<Z> of a stored weight's carrier RX(angle)|0>, gate by gate."""
+    return expectation(apply_gate(zero_state(1), rx(0, angle)), 0)
+
+
+# ---------------------------------------------------------------------------
+# vqc
+
+
+def encode(model: VqcModel, features) -> StateVector:
+    """RX(feature) on each qubit of |0...0>; one feature per qubit."""
+    feats = np.asarray(features, dtype=float)
+    if feats.shape != (model.num_qubits,):
+        raise ValueError(f"expected {model.num_qubits} features, got shape {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+    state = zero_state(model.num_qubits)
+    for q, angle in enumerate(feats):
+        state = apply_gate(state, rx(q, angle))
+    return state
+
+
+def _run_layers(state: StateVector, params: np.ndarray) -> StateVector:
+    num_qubits = params.shape[1]
+    for layer in params:
+        for control, target in entangler_pairs(num_qubits):
+            state = apply_gate(state, cnot(control, target))
+        for q in range(num_qubits):
+            state = apply_gate(state, rot(q, *layer[q]))
+    return state
+
+
+def forward(model: VqcModel, features) -> np.ndarray:
+    """Logits: <Z_q> for each qubit q, each in [-1, 1]."""
+    state = _run_layers(encode(model, features), model.params)
+    return np.array([expectation(state, q) for q in range(model.num_qubits)])
+
+
+def gradient(model: VqcModel, features, upstream) -> np.ndarray:
+    """Parameter-shift gradient of upstream . logits, one array entry per angle.
+
+    Each scalar parameter costs exactly two full shifted forward passes.
+    """
+    up = np.asarray(upstream, dtype=float)
+    if up.shape != (model.num_qubits,):
+        raise ValueError(f"upstream must have shape ({model.num_qubits},), got {up.shape}")
+    if not np.isfinite(up).all():
+        raise ValueError("upstream weights must be finite")
+    grads = np.zeros_like(model.params)
+    for layer in range(model.params.shape[0]):
+        for q in range(model.num_qubits):
+            for k in range(3):
+                plus = np.array(model.params)
+                minus = np.array(model.params)
+                plus[layer, q, k] += SHIFT
+                minus[layer, q, k] -= SHIFT
+                f_plus = forward(model.with_params(plus), features)
+                f_minus = forward(model.with_params(minus), features)
+                grads[layer, q, k] = up @ (SHIFT_COEFFICIENT * (f_plus - f_minus))
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# trainkit
+
+
+def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy over two class scores and its gradient.
+
+    The softmax is taken over LOGIT_SCALE * logits, so equal scores still
+    cost ln 2.  Stable under large scores (max subtraction); scores whose
+    scaling or shift would overflow are refused.  The gradient is
+    LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
+    """
+    lg = np.asarray(logits, dtype=float)
+    if lg.shape != (2,):
+        raise ValueError(f"expected two logits, got shape {lg.shape}")
+    if not np.abs(lg).max() <= _LOGIT_BOUND:
+        raise ValueError(
+            f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}, got {lg}"
+        )
+    label = int(check_labels([label], 1)[0])
+    scaled = LOGIT_SCALE * lg
+    shifted = scaled - scaled.max()
+    exps = np.exp(shifted)
+    total = exps.sum()
+    loss = math.log(total) - shifted[label]
+    dlogits = exps * (LOGIT_SCALE / total)
+    dlogits[label] -= LOGIT_SCALE
+    return float(loss), dlogits
+
+
+def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[float, np.ndarray]:
+    """Loss and exact gradient for one sample, laid out like ``params``."""
+    feats = np.asarray(features, dtype=float)
+    if feats.shape != (2,):
+        raise ValueError(f"expected 2 features, got shape {feats.shape}")
+    pre = feats @ model.w1 + model.b1
+    hid = np.tanh(pre)
+    logits = hid @ model.w2 + model.b2
+    loss, dlogits = loss_and_grad(logits, label)
+    dhid = model.w2 @ dlogits
+    dpre = dhid * (1.0 - hid**2)
+    return loss, np.concatenate(
+        [np.outer(feats, dpre), dpre, np.outer(hid, dlogits), dlogits], axis=None
+    )
+
+
+# ---------------------------------------------------------------------------
+# teleport
+
+
+def bell_pair() -> StateVector:
+    """(|00> + |11>) / sqrt(2)."""
+    state = apply_gate(zero_state(2), h(0))
+    return apply_gate(state, cnot(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Package modules with the references beside their own names.
+
+
+def _with_references(module, **references) -> SimpleNamespace:
+    return SimpleNamespace(**{**vars(module), **references})
+
+
+sv = _with_references(_sv, zero_state=zero_state, rx=rx, rot=rot)
+tk = _with_references(_tk, loss_and_grad=loss_and_grad, mlp_forward_backward=mlp_forward_backward)
+vqc = _with_references(_vqc, forward=forward, gradient=gradient)

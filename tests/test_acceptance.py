@@ -13,11 +13,9 @@ from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
 from qfedring import qweights as qw
-from qfedring import statevec as sv
 from qfedring import teleport as tp
-from qfedring import trainkit as tk
-from qfedring import vqc
 from tests.conftest import random_state
+from tests.oracle import sv, tk, vqc
 from tests.test_statevec import random_gate
 
 

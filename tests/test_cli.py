@@ -523,6 +523,29 @@ class TestEndToEnd:
         assert not new.exists()
         assert old.read_text() == "keep\n"
 
+    def test_dump_dataset_onto_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Writing both would leave only the metrics in the file.
+        refuse_training(monkeypatch)
+        path = tmp_path / "x.csv"
+        path.write_text("keep\n")
+        argv = ["--model", "cfl", *FAST, "--out", str(path),
+                "--dump-dataset", str(tmp_path / "." / "x.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--dump-dataset" in err
+        assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("output", ["--out", "--dump-dataset"])
+    def test_output_onto_config_file_exits_2(self, tmp_path, capsys, monkeypatch, output):
+        refuse_training(monkeypatch)
+        path = tmp_path / "run.cfg"
+        write_config(path, model="cfl")
+        argv = ["--config", str(path), "--out", str(tmp_path / "m.csv"), output, str(path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert output in err and "--config" in err
+        assert path.read_text() == "model = cfl\n"
+
 
 class TestCompare:
     def test_unwritable_out_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -600,6 +623,17 @@ class TestCompare:
         err = capsys.readouterr().err
         assert b in err and repr(key) in err
         assert not out.exists() and not (tmp_path / "own.csv").exists()
+
+    def test_out_onto_a_config_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        refuse_training(monkeypatch)
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
+        b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1)
+        assert cli.main(["--compare", a, b, "--out", a]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {a}" in err and f"--compare {a}" in err
+        assert (tmp_path / "a.cfg").read_text() == "model = cfl\nrounds = 1\n"
+        # Reading one file twice overwrites nothing.
+        assert cli.parse_config(["--compare", a, a]).config_paths == (a, a)
 
     def test_too_deep_circuit_exits_2(self, tmp_path, capsys):
         a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1, layers=74)

@@ -2,10 +2,11 @@
 
 ``local_train`` and ``run_ring`` run the batched paths: the circuit engine,
 the vectorized loss and the MLP's batch gradient.  Here the same runs are
-replayed from the single-sample oracles instead: the gate-by-gate
-``vqc.forward``/``gradient``, ``loss_and_grad`` and ``mlp_forward_backward``
-per row, ``SgdOptimizer.step``, a stored weight's <Z> read gate by gate, and
-the same client and channel rng streams.  Parameters and losses must agree
+replayed from the single-sample references in ``tests/oracle.py`` instead:
+the gate-by-gate ``forward``/``gradient``, ``loss_and_grad`` and
+``mlp_forward_backward`` per row, ``SgdOptimizer.step``, a stored weight's
+<Z> read gate by gate (``rx_z``), and the same client and channel rng
+streams.  Parameters and losses must agree
 to 1e-12 and every rng must end in the same state.
 
 The shapes are drawn small (the oracle simulates every shifted circuit of
@@ -24,20 +25,15 @@ from qfedring import fedring as fr
 from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
-from qfedring.statevec import apply_gate, expectation, rx, zero_state
 from qfedring.teleport import teleport_weights
+from tests import oracle
 
 TOL = 1e-12
 KINDS = ("mlp", "circuit", "store")
 
 
-def _z(angle: float) -> float:
-    """<Z> of a stored weight's carrier RX(angle)|0>, gate by gate."""
-    return expectation(apply_gate(zero_state(1), rx(0, angle)), 0)
-
-
 def _z_all(angles: np.ndarray) -> np.ndarray:
-    return np.array([_z(a) for a in angles.reshape(-1)]).reshape(angles.shape)
+    return np.array([oracle.rx_z(a) for a in angles.reshape(-1)]).reshape(angles.shape)
 
 
 def _mlp_arrays(flat: np.ndarray) -> SimpleNamespace:
@@ -62,7 +58,7 @@ def _oracle_logits(kind: str, held: np.ndarray, gamma: float, x: np.ndarray) -> 
     if kind == "mlp":
         m = _mlp_arrays(held)
         return np.tanh(x @ m.w1 + m.b1) @ m.w2 + m.b2
-    return vqc.forward(vqc.VqcModel(_circuit_params(kind, held, gamma)), x)
+    return oracle.forward(vqc.VqcModel(_circuit_params(kind, held, gamma)), x)
 
 
 def _oracle_step(kind, held, gamma, feats, labels, opt):
@@ -71,11 +67,11 @@ def _oracle_step(kind, held, gamma, feats, labels, opt):
     circuit = None if kind == "mlp" else vqc.VqcModel(_circuit_params(kind, held, gamma))
     for x, y in zip(feats, labels):
         if kind == "mlp":
-            loss, grad = tk.mlp_forward_backward(_mlp_arrays(held), x, int(y))
+            loss, grad = oracle.mlp_forward_backward(_mlp_arrays(held), x, int(y))
             grad = np.concatenate(grad, axis=None)
         else:
-            loss, upstream = tk.loss_and_grad(vqc.forward(circuit, x), int(y))
-            grad = vqc.gradient(circuit, x, upstream)
+            loss, upstream = oracle.loss_and_grad(oracle.forward(circuit, x), int(y))
+            grad = oracle.gradient(circuit, x, upstream)
         losses.append(loss)
         grads.append(grad)
     grad = np.sum(grads, axis=0) / len(labels)

@@ -11,13 +11,9 @@ from numpy.testing import assert_allclose
 from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
+from tests import oracle
 
 ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=False)
-
-
-def reference_z(angle: float) -> float:
-    """<Z> of the carrier built gate by gate: RX(angle) on |0>, then the Z readout."""
-    return sv.expectation(sv.apply_gate(sv.zero_state(1), sv.rx(0, angle)), 0)
 
 
 def oracle_angles(rng) -> np.ndarray:
@@ -86,10 +82,8 @@ class TestReadout:
             assert ey == pytest.approx(-math.sin(a), abs=1e-12)
 
     def test_state_expectations_rejects_two_qubits(self):
-        from qfedring.statevec import zero_state
-
         with pytest.raises(ValueError, match="single-qubit"):
-            qw.state_expectations(zero_state(2))
+            qw.state_expectations(oracle.zero_state(2))
 
     @settings(max_examples=50, deadline=None)
     @given(a=ANGLES, gamma=st.floats(0.5, 4.0))
@@ -105,23 +99,23 @@ class TestGateByGateOracle:
     @pytest.mark.parametrize("gamma", [1.0, math.pi])
     def test_materialize(self, rng, gamma):
         store = qw.QuantumWeightStore(oracle_angles(rng), gamma=gamma)
-        want = gamma * np.vectorize(reference_z)(store.angles)
+        want = gamma * np.vectorize(oracle.rx_z)(store.angles)
         assert_allclose(qw.materialize(store), want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("gamma", [1.0, math.pi])
     def test_weight_gradient(self, rng, gamma):
         store = qw.QuantumWeightStore(oracle_angles(rng), gamma=gamma)
         cg = rng.normal(size=store.angles.shape)
-        ref = np.vectorize(reference_z)
+        ref = np.vectorize(oracle.rx_z)
         inner = SHIFT_COEFFICIENT * (
             ref(store.angles + SHIFT) - ref(store.angles - SHIFT)
         )
         assert_allclose(qw.weight_gradient(store, cg), cg * gamma * inner, rtol=0, atol=1e-15)
 
     def test_encode_weight_and_readout(self, rng):
-        y_basis = sv.rx(0, math.pi / 2)
+        y_basis = oracle.rx(0, math.pi / 2)
         for a in oracle_angles(rng).reshape(-1):
-            gates = sv.apply_gate(sv.zero_state(1), sv.rx(0, a))
+            gates = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a))
             carrier = qw.encode_weight(a)
             assert_allclose(carrier.amplitudes, gates.amplitudes, rtol=0, atol=1e-15)
             ez, ey = qw.state_expectations(carrier)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qfedring import statevec as sv
+from tests import oracle
 from tests.conftest import random_state
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
@@ -43,22 +44,22 @@ def random_gate(rng, num_qubits):
     kind = rng.choice(kinds)
     target = int(rng.integers(num_qubits))
     if kind == "RX":
-        return sv.rx(target, rng.uniform(-np.pi, np.pi))
+        return oracle.rx(target, rng.uniform(-np.pi, np.pi))
     if kind == "ROT":
-        return sv.rot(target, *rng.uniform(-np.pi, np.pi, 3))
+        return oracle.rot(target, *rng.uniform(-np.pi, np.pi, 3))
     if kind == "CNOT":
         control = int(rng.integers(num_qubits))
         while control == target:
             control = int(rng.integers(num_qubits))
-        return sv.cnot(control, target)
-    return {"H": sv.h, "X": sv.x, "Z": sv.z}[kind](target)
+        return oracle.cnot(control, target)
+    return {"H": oracle.h, "X": oracle.x, "Z": oracle.z}[kind](target)
 
 
 class TestStateVector:
     def test_zero_state(self):
-        s = sv.zero_state(1)
+        s = oracle.zero_state(1)
         assert_allclose(s.amplitudes, [1, 0])
-        s3 = sv.zero_state(3)
+        s3 = oracle.zero_state(3)
         assert s3.amplitudes[0] == 1 and np.count_nonzero(s3.amplitudes) == 1
 
     def test_rejects_unnormalized(self):
@@ -69,12 +70,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             sv.StateVector(2, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            sv.zero_state(0)
+            oracle.zero_state(0)
         with pytest.raises(ValueError):
-            sv.zero_state(sv.MAX_QUBITS + 1)
+            oracle.zero_state(sv.MAX_QUBITS + 1)
 
     def test_amplitudes_frozen(self):
-        s = sv.zero_state(2)
+        s = oracle.zero_state(2)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.5
 
@@ -107,13 +108,13 @@ class TestStateVector:
         for na in (1, 2):
             for nb in (1, 2):
                 a, b = random_state(rng, na), random_state(rng, nb)
-                joint = sv.tensor_product(a, b).amplitudes
+                joint = oracle.tensor_product(a, b).amplitudes
                 kron = np.kron(a.amplitudes, b.amplitudes)
                 assert np.array_equal(joint.view(float), kron.view(float))
 
     def test_tensor_product_ordering(self):
-        one = sv.apply_gate(sv.zero_state(1), sv.x(0))
-        joint = sv.tensor_product(one, sv.zero_state(1))
+        one = sv.apply_gate(oracle.zero_state(1), oracle.x(0))
+        joint = oracle.tensor_product(one, oracle.zero_state(1))
         # first factor occupies the high bit: |1> (x) |0> = |10>
         assert_allclose(joint.amplitudes, [0, 0, 1, 0])
 
@@ -126,7 +127,7 @@ class TestGates:
             assert_allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=1e-12)
 
     def test_rx_matrix_values(self):
-        m = sv.gate_matrix(sv.rx(0, math.pi))
+        m = sv.gate_matrix(oracle.rx(0, math.pi))
         assert_allclose(m, [[0, -1j], [-1j, 0]], atol=1e-15)
 
     def test_rot_is_rz_ry_rz(self):
@@ -136,7 +137,7 @@ class TestGates:
             [[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]]
         )
         expected = rz(omega) @ ry @ rz(phi)
-        assert_allclose(sv.gate_matrix(sv.rot(0, phi, theta, omega)), expected, atol=1e-15)
+        assert_allclose(sv.gate_matrix(oracle.rot(0, phi, theta, omega)), expected, atol=1e-15)
 
     def test_gateop_validation(self):
         with pytest.raises(ValueError, match="unknown gate"):
@@ -144,9 +145,9 @@ class TestGates:
         with pytest.raises(ValueError, match="angle"):
             sv.GateOp("RX", 0)
         with pytest.raises(ValueError, match="finite"):
-            sv.rx(0, math.nan)
+            oracle.rx(0, math.nan)
         with pytest.raises(ValueError, match="differ"):
-            sv.cnot(1, 1)
+            oracle.cnot(1, 1)
         with pytest.raises(ValueError, match="control"):
             sv.GateOp("H", 0, control=1)
 
@@ -163,21 +164,21 @@ class TestGates:
     def test_apply_leaves_input_untouched(self, rng):
         state = random_state(rng, 2)
         before = state.amplitudes.copy()
-        sv.apply_gate(state, sv.h(0))
+        sv.apply_gate(state, oracle.h(0))
         assert_allclose(state.amplitudes, before)
 
     def test_bad_targets_rejected(self):
-        s = sv.zero_state(2)
+        s = oracle.zero_state(2)
         with pytest.raises(ValueError, match="out of range"):
-            sv.apply_gate(s, sv.h(2))
+            sv.apply_gate(s, oracle.h(2))
         with pytest.raises(ValueError, match="out of range"):
-            sv.apply_gate(s, sv.cnot(3, 0))
+            sv.apply_gate(s, oracle.cnot(3, 0))
 
     @given(a=ANGLES, b=ANGLES)
     @settings(max_examples=40, deadline=None)
     def test_rx_composition(self, a, b):
-        s = sv.apply_gate(sv.apply_gate(sv.zero_state(1), sv.rx(0, a)), sv.rx(0, b))
-        direct = sv.apply_gate(sv.zero_state(1), sv.rx(0, a + b))
+        s = sv.apply_gate(sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a)), oracle.rx(0, b))
+        direct = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a + b))
         assert_allclose(s.amplitudes, direct.amplitudes, atol=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
@@ -186,12 +187,12 @@ class TestGates:
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)
         for _ in range(10):
-            state = sv.apply_gate(state, random_gate(rng, n) if n > 1 else sv.h(0))
+            state = sv.apply_gate(state, random_gate(rng, n) if n > 1 else oracle.h(0))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_h_self_inverse(self, rng):
         state = random_state(rng, 3)
-        back = sv.apply_gate(sv.apply_gate(state, sv.h(1)), sv.h(1))
+        back = sv.apply_gate(sv.apply_gate(state, oracle.h(1)), oracle.h(1))
         assert sv.fidelity(state, back) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -212,20 +213,20 @@ class TestExpectation:
                 assert got == pytest.approx(self.oracle(state, q), abs=1e-12)
 
     def test_basis_states(self):
-        assert sv.expectation(sv.zero_state(2), 0) == 1.0
-        flipped = sv.apply_gate(sv.zero_state(2), sv.x(1))
+        assert sv.expectation(oracle.zero_state(2), 0) == 1.0
+        flipped = sv.apply_gate(oracle.zero_state(2), oracle.x(1))
         assert sv.expectation(flipped, 1) == -1.0
         assert sv.expectation(flipped, 0) == 1.0
 
     def test_rx_gives_cos(self):
         for a in np.linspace(-3, 3, 13):
-            s = sv.apply_gate(sv.zero_state(1), sv.rx(0, a))
+            s = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a))
             assert sv.expectation(s, 0) == pytest.approx(math.cos(a), abs=1e-12)
 
     def test_observable_validation(self):
         for target in (1, -1):
             with pytest.raises(ValueError, match="observable target qubit .* out of range"):
-                sv.expectation(sv.zero_state(1), target)
+                sv.expectation(oracle.zero_state(1), target)
 
 
 def oracle_collapse(amps, num_qubits, targets, outcomes):
@@ -247,21 +248,21 @@ def ordered_target_lists(num_qubits):
 
 class TestMeasurement:
     def test_deterministic_on_basis_state(self, rng):
-        outcomes, post = sv.measure_qubits(sv.zero_state(3), [0, 1, 2], rng)
+        outcomes, post = sv.measure_qubits(oracle.zero_state(3), [0, 1, 2], rng)
         assert outcomes == [0, 0, 0]
-        assert_allclose(post.amplitudes, sv.zero_state(3).amplitudes)
+        assert_allclose(post.amplitudes, oracle.zero_state(3).amplitudes)
 
     def test_never_samples_zero_probability(self):
         # rng.random() == p1 would pick outcome 0 anyway; a zero-amplitude
         # branch must never appear no matter the draw
-        state = sv.apply_gate(sv.zero_state(1), sv.x(0))
+        state = sv.apply_gate(oracle.zero_state(1), oracle.x(0))
         for seed in range(50):
             outcomes, _ = sv.measure_qubits(state, [0], np.random.default_rng(seed))
             assert outcomes == [1]
 
     def test_born_frequencies(self):
         # RX(2*pi/3)|0>: p(0) = cos^2(pi/3) = 1/4
-        state = sv.apply_gate(sv.zero_state(1), sv.rx(0, 2 * math.pi / 3))
+        state = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 2 * math.pi / 3))
         rng = np.random.default_rng(99)
         zeros = sum(
             sv.measure_qubits(state, [0], rng)[0][0] == 0 for _ in range(10_000)
@@ -269,18 +270,18 @@ class TestMeasurement:
         assert zeros / 10_000 == pytest.approx(0.25, abs=0.02)
 
     def test_post_state_collapsed(self, rng):
-        state = sv.apply_gate(sv.zero_state(2), sv.h(0))
+        state = sv.apply_gate(oracle.zero_state(2), oracle.h(0))
         outcomes, post = sv.measure_qubits(state, [0], rng)
         # measuring the control of a superposition pins the bit
         assert sv.expectation(post, 0) == pytest.approx(1.0 - 2.0 * outcomes[0])
 
     def test_duplicate_targets_rejected(self, rng):
         with pytest.raises(ValueError, match="distinct"):
-            sv.measure_qubits(sv.zero_state(2), [0, 0], rng)
+            sv.measure_qubits(oracle.zero_state(2), [0, 0], rng)
 
     def test_collapse_probability_product(self, rng):
         state = random_state(rng, 3)
-        prob, post = sv.collapse_qubits(state, [0, 2], [1, 0])
+        prob, post = oracle.collapse_qubits(state, [0, 2], [1, 0])
         marginal = sum(
             abs(a) ** 2
             for j, a in enumerate(state.amplitudes)
@@ -291,18 +292,18 @@ class TestMeasurement:
 
     def test_collapse_rejects_impossible_branch(self):
         with pytest.raises(ValueError, match="probability"):
-            sv.collapse_qubits(sv.zero_state(1), [0], [1])
+            oracle.collapse_qubits(oracle.zero_state(1), [0], [1])
 
     def test_measurement_reproducible(self):
-        state = sv.apply_gate(sv.zero_state(2), sv.h(0))
-        state = sv.apply_gate(state, sv.h(1))
+        state = sv.apply_gate(oracle.zero_state(2), oracle.h(0))
+        state = sv.apply_gate(state, oracle.h(1))
         a = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         b = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         assert a == b
 
     def test_certain_bits_take_no_draw(self):
         # Basis states never reach the rng: every bit is certain.
-        for state in (sv.zero_state(3), sv.apply_gate(sv.zero_state(2), sv.x(1))):
+        for state in (oracle.zero_state(3), sv.apply_gate(oracle.zero_state(2), oracle.x(1))):
             rng = np.random.default_rng(8)
             before = rng.bit_generator.state
             sv.measure_qubits(state, list(range(state.num_qubits)), rng)
@@ -316,22 +317,22 @@ class TestMeasurement:
             joint, post = oracle_collapse(state.amplitudes, num_qubits, targets, bits)
             assert_allclose(measured.amplitudes, post, rtol=0, atol=1e-12)
             # Forcing the drawn bits replays the same arithmetic exactly.
-            prob, forced = sv.collapse_qubits(state, list(targets), bits)
+            prob, forced = oracle.collapse_qubits(state, list(targets), bits)
             assert np.array_equal(forced.amplitudes, measured.amplitudes)
             assert prob == pytest.approx(joint, rel=0, abs=1e-12)
             for outcome in itertools.product((0, 1), repeat=len(targets)):
                 joint, post = oracle_collapse(state.amplitudes, num_qubits, targets, outcome)
-                prob, forced = sv.collapse_qubits(state, list(targets), list(outcome))
+                prob, forced = oracle.collapse_qubits(state, list(targets), list(outcome))
                 assert prob == pytest.approx(joint, rel=0, abs=1e-12)
                 assert_allclose(forced.amplitudes, post, rtol=0, atol=1e-12)
 
     def test_collapse_validation(self):
-        state = sv.zero_state(2)
+        state = oracle.zero_state(2)
         with pytest.raises(ValueError, match="pair up"):
-            sv.collapse_qubits(state, [0, 1], [0])
+            oracle.collapse_qubits(state, [0, 1], [0])
         with pytest.raises(ValueError, match="0 or 1"):
-            sv.collapse_qubits(state, [0], [2])
+            oracle.collapse_qubits(state, [0], [2])
         with pytest.raises(ValueError, match="distinct"):
-            sv.collapse_qubits(state, [1, 1], [0, 0])
+            oracle.collapse_qubits(state, [1, 1], [0, 0])
         with pytest.raises(ValueError, match="collapse qubit 2 out of range"):
-            sv.collapse_qubits(state, [2], [0])
+            oracle.collapse_qubits(state, [2], [0])

