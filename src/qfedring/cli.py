@@ -229,19 +229,20 @@ def metrics_csv_text(metrics: list[RoundMetrics]) -> str:
     return "\n".join([METRICS_HEADER, *map(_csv_row, metrics)]) + "\n"
 
 
-def _check_writable(path) -> None:
-    """Raise the OSError that writing ``path`` would, before any training.
-
-    An existing file is opened for append, which does not change it; a new
-    one is created exclusively and removed again, so a later failure leaves
-    no empty file behind.
-    """
+def _check_writable(flag: str, path) -> None:
+    """Raise the OSError that writing ``path`` would, naming ``flag``, before
+    any data is built.  An existing file is opened for append, which does not
+    change it; a new one is created exclusively and removed again, so a later
+    failure leaves no empty file behind."""
     target = Path(path)
-    if target.exists():
-        open(target, "a").close()
-    else:
-        open(target, "x").close()
-        target.unlink()
+    try:
+        if target.exists():
+            open(target, "a").close()
+        else:
+            open(target, "x").close()
+            target.unlink()
+    except OSError as exc:
+        raise OSError(f"{flag} {path}: {exc}") from exc
 
 
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
@@ -325,7 +326,9 @@ def _print_summary(config: ExperimentConfig, dataset: Dataset, metrics, elapsed:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    _check_writable(config.out)
+    _check_writable("--out", config.out)
+    if config.dump_dataset:
+        _check_writable("--dump-dataset", config.dump_dataset)
     dataset = build_dataset(config)
     if config.dump_dataset:
         datagen.dump_csv(dataset, config.dump_dataset)
@@ -348,7 +351,7 @@ def compare(request: CompareRequest) -> int:
                     f"{request.config_paths[0]}'s {getattr(first, name)!r}; "
                     "compared runs must share the dataset"
                 )
-    _check_writable(request.out)
+    _check_writable("--out", request.out)
     dataset = build_dataset(first)
     checksum = datagen.dataset_checksum(dataset)
     lines = [COMPARE_HEADER]
@@ -366,10 +369,6 @@ def compare(request: CompareRequest) -> int:
 def main(argv=None) -> int:
     try:
         request = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if isinstance(request, CompareRequest):
             return compare(request)
         return run_experiment(request)

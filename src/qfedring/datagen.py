@@ -125,9 +125,9 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     feats, labs = check_samples(features, labels, "the data")
     if not 0 < train_fraction < 1:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
-    classes = np.unique(labs)
-    if not np.array_equal(classes, [0, 1]):
-        raise ValueError(f"need both classes present, got labels {classes}")
+    # labs is a non-empty 0/1 array, so both classes are present iff min != max.
+    if labs.min() == labs.max():
+        raise ValueError(f"need both classes present, got only label {labs[0]}")
     rng = np.random.default_rng(seed)
     train_parts, test_parts = [], []
     for cls in (0, 1):

@@ -505,8 +505,18 @@ class TestEndToEnd:
         out = tmp_path / "missing-dir" / "m.csv"
         code = cli.main(["--model", "qfl-classical", *FAST, "--out", str(out)])
         assert code == 1
-        assert str(out) in capsys.readouterr().err
+        assert f"--out {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("dump", ["missing-dir/d.csv", "a-directory"])
+    def test_unwritable_dump_dataset_exits_1(self, tmp_path, capsys, monkeypatch, dump):
+        refuse_training(monkeypatch)
+        (tmp_path / "a-directory").mkdir()
+        path, out = tmp_path / dump, tmp_path / "m.csv"
+        code = cli.main(["--model", "cfl", *FAST, "--out", str(out), "--dump-dataset", str(path)])
+        assert code == 1
+        assert f"--dump-dataset {path}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
 
     def test_out_check_leaves_no_file_behind(self, tmp_path, monkeypatch):
         """Checking --out neither creates an empty file nor truncates an old
@@ -555,7 +565,7 @@ class TestCompare:
         b = write_config(tmp_path / "b.cfg", model="qfl-classical", **shared)
         out = tmp_path / "missing-dir" / "all.csv"
         assert cli.main(["--compare", a, b, "--out", str(out)]) == 1
-        assert str(out) in capsys.readouterr().err
+        assert f"--out {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
     def test_combined_csv(self, tmp_path, capsys):

@@ -109,12 +109,13 @@ class TestScaleAndSplit:
         assert np.array_equal(a.train_labels, b.train_labels)
         assert not np.array_equal(a.train_labels, c.train_labels)
 
-    def test_validation(self):
+    @pytest.mark.parametrize("lone", [0, 1])
+    def test_validation(self, lone):
         feats, labels = dg.make_circles(50, noise=0.1, factor=0.5, seed=0)
         with pytest.raises(ValueError, match="train_fraction"):
             dg.scale_and_split(feats, labels, train_fraction=1.0, seed=0)
-        with pytest.raises(ValueError, match="classes"):
-            dg.scale_and_split(feats[:10], np.zeros(10, dtype=int), 0.8, seed=0)
+        with pytest.raises(ValueError, match=f"classes present, got only label {lone}$"):
+            dg.scale_and_split(feats[:10], np.full(10, lone), 0.8, seed=0)
         with pytest.raises(ValueError, match="constant"):
             fixed = np.array(feats)
             fixed[:, 0] = 1.0

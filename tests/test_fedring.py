@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
 from qfedring import qweights as qw
@@ -481,3 +482,40 @@ class TestHubSpoke:
                 tx,
                 ty,
             )
+
+
+class TestSeed7Probe:
+    """Seed 7 of the hand-off shape reads about 0.5 at every round end, yet
+    the model handed round the ring is good for most of each round: the last
+    client's step sends it back to one class, and the metrics evaluate only
+    that model, as the protocol does.  This replays the rounds, evaluating
+    after every client, until the run itself can report per-hand-off accuracy."""
+
+    def test_round_end_accuracy_hides_a_good_model_mid_round(self):
+        config = cli.ExperimentConfig(
+            model="qfl-quantum", clients=24, rounds=25, local_epochs=1, batch_size=64, seed=7
+        )
+        dataset = cli.build_dataset(config)
+        _, metrics, _ = cli.run_single(config, dataset)
+        clients = fr.make_clients(
+            dataset.train_features,
+            dataset.train_labels,
+            config.clients,
+            cli._init_model(config),
+            partition_seed=[7, 2],
+            client_seed=7,
+        )
+        per_client = []
+        for _ in range(config.rounds):
+            accuracies = []
+            for sender, client in enumerate(clients):
+                fr.local_train(client, config.local_epochs, config.batch_size)
+                clients[(sender + 1) % config.clients].model = client.model
+                accuracies.append(
+                    tk.evaluate(client.model, dataset.test_features, dataset.test_labels)
+                )
+            per_client.append(accuracies)
+        # The replay is faithful: its round ends are the run's own metrics.
+        assert [acc[-1] for acc in per_client] == [m.test_accuracy for m in metrics]
+        for accuracies in per_client[1:]:
+            assert max(accuracies) >= 0.95 and accuracies[-1] <= 0.6

@@ -1,6 +1,9 @@
-"""The package namespace: every name it exports must resolve, and every
-function in it runs in a CLI run or is named below with its reason."""
+"""The package namespace: every name it exports must resolve, every
+function in it runs in a CLI run or is named below with its reason, and no
+run imports what it does not use."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,3 +103,24 @@ def test_every_function_runs_or_is_listed(tmp_path, capsys):
         assert code == 0, capsys.readouterr().err
     never = {name for key, name in defined_functions().items() if key not in called}
     assert never == NOT_RUN
+
+
+def test_no_run_imports_numpy_ma(tmp_path):
+    """The four variants' CLI runs leave numpy's masked-array package
+    unimported: no run uses it, and loading it costs each fresh process about
+    15 ms and 1 MB.  A fresh interpreter, because pytest's imports may load it."""
+    script = "\n".join([
+        "import sys",
+        "from qfedring import cli",
+        f"for index, run in enumerate({RUNS!r}):",
+        "    argv = [*run, '--rounds', '1', '--num-points', '200', '--out', f'{index}.csv']",
+        "    assert cli.main(argv) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
