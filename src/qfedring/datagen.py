@@ -43,7 +43,9 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (num_samples,):
         raise ValueError(f"got labels of shape {y.shape} for {num_samples} samples")
-    if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
+    kind = y.dtype.kind  # an integer is 0 or 1 iff shifting out its lowest bit leaves 0
+    ints = kind in "iu" and not np.right_shift(y, 1).any()
+    if not (ints or kind in "bf" and ((y == 0) | (y == 1)).all()):
         raise ValueError("labels must be 0 or 1")
     return y.astype(int)
 
@@ -53,7 +55,7 @@ def check_batch(features, width: int) -> np.ndarray:
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != width:
         raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
-    if not np.isfinite(feats).all():
+    if not np.logical_and.reduce(np.isfinite(feats), axis=None):
         raise ValueError("features must be finite")
     return feats
 
@@ -93,7 +95,8 @@ def make_circles(
     """Two concentric circles: outer radius 1 is class 0, inner radius ``factor`` class 1.
 
     Points sit at evenly spaced angles with isotropic Gaussian jitter of
-    standard deviation ``noise`` added to both coordinates.
+    standard deviation ``noise`` added to both coordinates.  Jitter that takes a
+    feature, or a feature's span, past the float range is refused.
     """
     check_circles(num_points, noise, factor)
     rng = np.random.default_rng(seed)
@@ -106,6 +109,10 @@ def make_circles(
     features = np.stack([xs, ys], axis=1)
     if noise > 0:
         features = features + rng.normal(0.0, noise, size=features.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.ptp(features, axis=0)
+        if not np.isfinite(span).all():
+            raise ValueError(f"noise={noise!r} jitters a feature or its span past the float range")
     labels = np.concatenate([np.zeros(n_outer, dtype=int), np.ones(n_inner, dtype=int)])
     return features, labels
 
@@ -142,12 +149,15 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
 
     train_raw = feats[train_idx]
     lo = train_raw.min(axis=0)
-    hi = train_raw.max(axis=0)
-    if np.any(hi - lo <= 0):
+    with np.errstate(over="ignore"):
+        span = train_raw.max(axis=0) - lo
+    if not np.isfinite(span).all():
+        raise ValueError("a feature's span on the training split overflows; cannot scale")
+    if np.any(span <= 0):
         raise ValueError("a feature is constant on the training split; cannot scale")
 
     def rescale(block: np.ndarray) -> np.ndarray:
-        return (block - lo) / (hi - lo) * SCALE_MAX
+        return (block - lo) / span * SCALE_MAX
 
     train_scaled = rescale(train_raw)
     test_scaled = rescale(feats[test_idx])

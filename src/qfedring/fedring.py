@@ -142,7 +142,7 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
                     client.model = client.model.step(grad / fy.size, client.optimizer)
                 except ValueError as exc:
                     raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc
-                losses.append(float(batch.mean()))
+                losses.append(float(np.add.reduce(batch) / batch.size))  # np.mean: sum, then divide
     return losses
 
 

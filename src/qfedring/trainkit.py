@@ -55,16 +55,17 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
-    if not np.abs(lg).max(initial=0.0) <= _LOGIT_BOUND:
+    # .max()/.sum() without their wrappers; row i's label entry is flat index 2 * i + y[i].
+    if not np.maximum.reduce(np.abs(lg), axis=None, initial=0.0) <= _LOGIT_BOUND:
         raise ValueError(f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}")
     scaled = LOGIT_SCALE * lg
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    shifted = scaled - np.maximum.reduce(scaled, axis=1, keepdims=True)
     exps = np.exp(shifted)
-    totals = exps.sum(axis=1)
-    rows = np.arange(lg.shape[0])
-    losses = np.log(totals) - shifted[rows, y]
+    totals = np.add.reduce(exps, axis=1)
+    flat = y + np.arange(0, 2 * lg.shape[0], 2)
+    losses = np.log(totals) - shifted.take(flat)
     dlogits = exps * (LOGIT_SCALE / totals[:, None])
-    dlogits[rows, y] -= LOGIT_SCALE
+    dlogits.reshape(-1)[flat] -= LOGIT_SCALE
     return losses, dlogits
 
 
@@ -107,7 +108,7 @@ class ClassicalMlp:
         p = np.array(self.params, dtype=float)
         if p.shape != (MLP_PARAMS,):
             raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-        if not np.isfinite(p).all():
+        if not np.logical_and.reduce(np.isfinite(p), axis=None):
             raise ValueError("params must be finite")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
@@ -147,7 +148,7 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     losses, dlogits = call_loss(loss, hid @ model.w2 + model.b2)
     dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
     return losses, np.concatenate(
-        [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
+        [feats.T @ dpre, np.add.reduce(dpre), hid.T @ dlogits, np.add.reduce(dlogits)], axis=None
     )
 
 

@@ -9,7 +9,8 @@ one walks the computation the plain way, one gate or one sample at a time:
   kernel as ``measure_qubits``;
 - vqc: ``encode``, ``_run_layers``, ``forward`` and ``gradient``, the
   circuit one sample and one shifted parameter at a time;
-- trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample;
+- trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample, and
+  ``batch_loss_reference``, the batched loss in its first form;
 - teleport: ``bell_pair``, H then CNOT on |00>;
 - ``rx_z``: <Z> of a stored weight's carrier RX(angle)|0>.
 
@@ -190,6 +191,27 @@ def loss_and_grad(logits, label: int) -> tuple[float, np.ndarray]:
     dlogits = exps * (LOGIT_SCALE / total)
     dlogits[label] -= LOGIT_SCALE
     return float(loss), dlogits
+
+
+def batch_loss_reference(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``trainkit.batch_loss_and_grad`` as first written, with row-index
+    gathers and the ndarray reductions; the package's form must match it bit
+    for bit and refuse the same inputs with the same message."""
+    lg = np.asarray(logits, dtype=float)
+    if lg.ndim != 2 or lg.shape[1] != 2:
+        raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
+    y = check_labels(labels, lg.shape[0])
+    if not np.abs(lg).max(initial=0.0) <= _LOGIT_BOUND:
+        raise ValueError(f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}")
+    scaled = LOGIT_SCALE * lg
+    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    totals = exps.sum(axis=1)
+    rows = np.arange(lg.shape[0])
+    losses = np.log(totals) - shifted[rows, y]
+    dlogits = exps * (LOGIT_SCALE / totals[:, None])
+    dlogits[rows, y] -= LOGIT_SCALE
+    return losses, dlogits
 
 
 def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[float, np.ndarray]:

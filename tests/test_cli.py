@@ -3,9 +3,13 @@ stability, convergence reporting, end-to-end runs and exit codes."""
 import dataclasses
 import hashlib
 import math
+import os
 import re
 import string
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,6 +472,24 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert re.search(r"error: client 0, epoch 1, step \d+: logits must be finite", err)
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("noise", ["3e307", "6e307"])
+    def test_overflowing_noise_is_named_and_exits_1(self, tmp_path, noise):
+        # 3e307 used to print two numpy RuntimeWarnings, then "train split:
+        # features must be finite"; 6e307 "the data: features must be finite".
+        # A fresh interpreter, so that numpy's warnings reach stderr.
+        out = tmp_path / "m.csv"
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "qfedring", "--model", "cfl",
+             "--noise", noise, "--rounds", "2", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 1
+        assert f"error: noise={float(noise)!r} jitters" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -1,6 +1,8 @@
 """Dataset generation, stratified splitting, scaling, and canonical CSV
 serialization checks."""
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,16 @@ class TestMakeCircles:
             dg.make_circles(10, noise=-0.1, factor=0.5, seed=0)
         with pytest.raises(ValueError, match="factor"):
             dg.make_circles(10, noise=0.1, factor=1.5, seed=0)
+
+    @pytest.mark.parametrize("noise", [3e307, 6e307])
+    def test_overflowing_noise_is_named_without_warnings(self, noise):
+        # 3e307 used to fail later, in scale_and_split's span, after numpy's
+        # overflow warnings; 6e307 drew infinite features, named only as "the data".
+        # A RuntimeWarning would be raised here in place of the ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"noise={noise!r} jitters")):
+                dg.make_circles(1200, noise=noise, factor=0.5, seed=42)
 
 
 def replay_split(labels, train_fraction, seed):
@@ -120,6 +132,17 @@ class TestScaleAndSplit:
             fixed = np.array(feats)
             fixed[:, 0] = 1.0
             dg.scale_and_split(fixed, labels, train_fraction=0.8, seed=0)
+
+    def test_overflowing_training_span_is_named_without_warnings(self):
+        # Each class has two rows at each extreme, so any 3 of its 4 training
+        # rows span 2e308, which used to overflow with numpy warnings (raised
+        # here as errors).
+        feats = np.column_stack([np.tile([-1e308, 1e308], 4), np.arange(8.0)])
+        labels = np.repeat([0, 1], 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="span on the training split overflows"):
+                dg.scale_and_split(feats, labels, train_fraction=0.75, seed=0)
 
     def test_dataset_validation(self):
         ok = dict(

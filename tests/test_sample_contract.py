@@ -14,6 +14,8 @@ naming labels or features, or saying that the set is empty.  A model batch
 may be empty: every model kind's ``logits`` and ``loss_grad`` take no labels
 and apply ``datagen.check_batch`` with the model's width.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -108,12 +110,22 @@ CASES = {
     "integral float": ("values", FEATS, INT.astype(float), True),
     "uint8": ("values", FEATS, INT.astype(np.uint8), True),
     "list": ("values", FEATS, INT.tolist(), True),
+    "float16": ("values", FEATS, INT.astype(np.float16), True),
     "fraction": ("values", FEATS, np.where(INT == 0, 0.7, 1.0), False),
     "two": ("values", FEATS, np.where(INT == 1, 2, 0), False),
     "negative": ("values", FEATS, -INT, False),
     "0..n-1": ("values", FEATS, np.arange(8), False),
     "nan label": ("values", FEATS, np.where(INT == 1, np.nan, 0.0), False),
     "text": ("values", FEATS, INT.astype(str), False),
+    "int8 -1": ("values", FEATS, np.where(INT == 1, -1, 0).astype(np.int8), False),
+    "int8 -128": ("values", FEATS, np.where(INT == 1, -128, 0).astype(np.int8), False),
+    "uint8 255": ("values", FEATS, np.where(INT == 1, 255, 0).astype(np.uint8), False),
+    "uint64 2**63": ("values", FEATS, INT.astype(np.uint64) << np.uint64(63), False),
+    "int64 2**40": ("values", FEATS, np.where(INT == 1, 2**40, 0).astype(np.int64), False),
+    "float16 0.5": ("values", FEATS, np.where(INT == 1, 0.5, 0).astype(np.float16), False),
+    "complex": ("values", FEATS, INT.astype(complex), False),
+    # Fractions equal 0 and 1, so only the dtype rule refuses them.
+    "object": ("values", FEATS, np.array([Fraction(v) for v in INT], dtype=object), False),
     "column": ("values", FEATS, INT[:, None], False),
     "short": ("rows", FEATS, INT[:7], False),
     "long": ("rows", FEATS, np.append(INT, 1), False),

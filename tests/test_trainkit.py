@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from qfedring import qweights as qw
@@ -14,6 +15,56 @@ from qfedring import vqc
 from tests import oracle
 
 FINITE = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
+
+
+_BOUND = tk._LOGIT_BOUND
+_LOGIT = st.one_of(
+    st.sampled_from([0.0, -0.0, _BOUND, -_BOUND, 1e-3, -1e-3, 1e3, -1e3]),
+    st.floats(-1e3, 1e3),
+    st.floats(-_BOUND, _BOUND),
+)
+# Ways to spoil a valid batch that both functions must refuse alike.
+_BAD_LOGITS = {"nan": np.nan, "-inf": -np.inf, "past the bound": np.nextafter(_BOUND, np.inf)}
+_BAD_LABELS = {"label 2": 2, "label -1": -1, "label 0.5": 0.5}
+_SPOILS = [*_BAD_LOGITS, *_BAD_LABELS, "short labels", "3 columns", "1-D logits"]
+
+
+def _spoil(logits, labels, how):
+    if how in _BAD_LOGITS:
+        logits[-1, 1] = _BAD_LOGITS[how]
+    elif how in _BAD_LABELS:
+        labels = np.append(labels[1:], _BAD_LABELS[how])
+    elif how == "short labels":
+        labels = labels[1:]
+    elif how == "3 columns":
+        logits = np.column_stack([logits, logits[:, 0]])
+    else:
+        logits = logits[:, 0]
+    return logits, labels
+
+
+@st.composite
+def _loss_inputs(draw):
+    """Logits (B, 2) with B in 0..70, tied rows, signed zeros and values at
+    the bound, labels as int, bool, uint8 or integral float, and at most one
+    spoil that one function or both must refuse.  Every logit is drawn on its
+    own (no fill value), so a last-bit change shows within a few examples."""
+    spoil = draw(st.sampled_from([None, *_SPOILS]))
+    rows = draw(st.integers(0 if spoil is None else 1, 70))
+    logits = draw(hnp.arrays(float, (rows, 2), elements=_LOGIT, fill=st.nothing()))
+    tied = draw(hnp.arrays(bool, rows))
+    logits[tied, 1] = logits[tied, 0]
+    labels = draw(hnp.arrays(int, rows, elements=st.integers(0, 1)))
+    labels = labels.astype(draw(st.sampled_from([int, bool, np.uint8, float])))
+    return (logits, labels) if spoil is None else _spoil(logits, labels, spoil)
+
+
+def _loss_outcome(loss, logits, labels):
+    try:
+        losses, dlogits = loss(logits, labels)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in (losses, dlogits))
 
 
 class TestLoss:
@@ -106,6 +157,17 @@ class TestLoss:
         loss, grad = oracle.loss_and_grad([a, b], label)
         assert loss >= -1e-12
         assert np.all(np.isfinite(grad))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_loss_inputs())
+    def test_batch_is_bit_equal_to_the_reference(self, case):
+        # The package's loss must give the same bytes as the form it was
+        # first written in, and refuse the same inputs with the same message.
+        logits, labels = case
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _loss_outcome(tk.batch_loss_and_grad, logits, labels)
+            want = _loss_outcome(oracle.batch_loss_reference, logits, labels)
+        assert got == want
 
 
 class TestOptimizer:
