@@ -55,7 +55,7 @@ def check_batch(features, width: int) -> np.ndarray:
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] != width:
         raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
-    if not np.logical_and.reduce(np.isfinite(feats), axis=None):
+    if not np.isfinite(feats).all():
         raise ValueError("features must be finite")
     return feats
 

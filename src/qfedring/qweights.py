@@ -175,9 +175,6 @@ def canonical_angles(angles: np.ndarray) -> np.ndarray:
     already inside the branch pass through bit for bit.
     """
     a = np.asarray(angles, dtype=float)
-    outside = (a > math.pi) | (a <= -math.pi)
-    if not outside.any():
-        return a.copy()
     wrapped = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
-    return np.where(outside, wrapped, a)
+    return np.where((a > math.pi) | (a <= -math.pi), wrapped, a)

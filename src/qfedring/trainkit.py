@@ -51,7 +51,7 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     scaling or shift would overflow are refused.  The gradient is
     LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
     """
-    lg = np.asarray(logits, dtype=float)
+    lg = np.asarray(logits, dtype=float, order="C")  # C order: dlogits.reshape(-1) is a view
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
@@ -108,7 +108,7 @@ class ClassicalMlp:
         p = np.array(self.params, dtype=float)
         if p.shape != (MLP_PARAMS,):
             raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-        if not np.logical_and.reduce(np.isfinite(p), axis=None):
+        if not np.isfinite(p).all():
             raise ValueError("params must be finite")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
@@ -148,7 +148,7 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     losses, dlogits = call_loss(loss, hid @ model.w2 + model.b2)
     dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
     return losses, np.concatenate(
-        [feats.T @ dpre, np.add.reduce(dpre), hid.T @ dlogits, np.add.reduce(dlogits)], axis=None
+        [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
     )
 
 

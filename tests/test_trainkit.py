@@ -27,6 +27,12 @@ _LOGIT = st.one_of(
 _BAD_LOGITS = {"nan": np.nan, "-inf": -np.inf, "past the bound": np.nextafter(_BOUND, np.inf)}
 _BAD_LABELS = {"label 2": 2, "label -1": -1, "label 0.5": 0.5}
 _SPOILS = [*_BAD_LOGITS, *_BAD_LABELS, "short labels", "3 columns", "1-D logits"]
+# Memory layouts of the same (B, 2) logits; the result must not depend on them.
+_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "Fortran": np.asfortranarray,
+    "transposed view": lambda a: np.ascontiguousarray(a.T).T,
+}
 
 
 def _spoil(logits, labels, how):
@@ -46,9 +52,10 @@ def _spoil(logits, labels, how):
 @st.composite
 def _loss_inputs(draw):
     """Logits (B, 2) with B in 0..70, tied rows, signed zeros and values at
-    the bound, labels as int, bool, uint8 or integral float, and at most one
-    spoil that one function or both must refuse.  Every logit is drawn on its
-    own (no fill value), so a last-bit change shows within a few examples."""
+    the bound, laid out in C or Fortran order or as a transposed view, labels
+    as int, bool, uint8 or integral float, and at most one spoil that one
+    function or both must refuse.  Every logit is drawn on its own (no fill
+    value), so a last-bit change shows within a few examples."""
     spoil = draw(st.sampled_from([None, *_SPOILS]))
     rows = draw(st.integers(0 if spoil is None else 1, 70))
     logits = draw(hnp.arrays(float, (rows, 2), elements=_LOGIT, fill=st.nothing()))
@@ -56,7 +63,9 @@ def _loss_inputs(draw):
     logits[tied, 1] = logits[tied, 0]
     labels = draw(hnp.arrays(int, rows, elements=st.integers(0, 1)))
     labels = labels.astype(draw(st.sampled_from([int, bool, np.uint8, float])))
-    return (logits, labels) if spoil is None else _spoil(logits, labels, spoil)
+    if spoil is not None:
+        logits, labels = _spoil(logits, labels, spoil)
+    return _LAYOUTS[draw(st.sampled_from(list(_LAYOUTS)))](logits), labels
 
 
 def _loss_outcome(loss, logits, labels):
