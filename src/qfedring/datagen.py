@@ -52,7 +52,7 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
 
 def check_batch(features, width: int) -> np.ndarray:
     """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0."""
-    feats = np.asarray(features, dtype=float)
+    feats = np.asarray(features, dtype=float, order="C")
     if feats.ndim != 2 or feats.shape[1] != width:
         raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
     if not np.isfinite(feats).all():

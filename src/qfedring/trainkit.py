@@ -55,13 +55,13 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
-    # .max()/.sum() without their wrappers; row i's label entry is flat index 2 * i + y[i].
+    # Two-column ops beat axis-1 reductions here; row i's label is flat index 2 * i + y[i].
     if not np.maximum.reduce(np.abs(lg), axis=None, initial=0.0) <= _LOGIT_BOUND:
         raise ValueError(f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}")
     scaled = LOGIT_SCALE * lg
-    shifted = scaled - np.maximum.reduce(scaled, axis=1, keepdims=True)
+    shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])
     exps = np.exp(shifted)
-    totals = np.add.reduce(exps, axis=1)
+    totals = exps[:, 0] + exps[:, 1]
     flat = y + np.arange(0, 2 * lg.shape[0], 2)
     losses = np.log(totals) - shifted.take(flat)
     dlogits = exps * (LOGIT_SCALE / totals[:, None])
@@ -118,7 +118,8 @@ class ClassicalMlp:
         object.__setattr__(self, "b2", p[_B2:])
 
     def logits(self, features) -> np.ndarray:
-        return np.tanh(check_batch(features, 2) @ self.w1 + self.b1) @ self.w2 + self.b2
+        hid = np.tanh(np.dot(check_batch(features, 2), self.w1) + self.b1)  # see mlp_batch_grads
+        return np.dot(hid, self.w2) + self.b2
 
     def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
         return mlp_batch_grads(self, features, loss)
@@ -143,12 +144,16 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient
     laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``, as for
     ``vqc.gradient_batch``."""
+    # np.dot, not @ (here and in ClassicalMlp.logits): @ pays gufunc dispatch on
+    # each of these tiny 2-D products, and dot matches it bit for bit only on the
+    # C-ordered features and upstream that check_batch and call_loss guarantee.
     feats = check_batch(features, 2)
-    hid = np.tanh(feats @ model.w1 + model.b1)
-    losses, dlogits = call_loss(loss, hid @ model.w2 + model.b2)
-    dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
+    hid = np.tanh(np.dot(feats, model.w1) + model.b1)
+    losses, dlogits = call_loss(loss, np.dot(hid, model.w2) + model.b2)
+    dpre = np.dot(dlogits, model.w2.T) * (1.0 - hid**2)
     return losses, np.concatenate(
-        [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
+        [np.dot(feats.T, dpre), dpre.sum(axis=0), np.dot(hid.T, dlogits), dlogits.sum(axis=0)],
+        axis=None,
     )
 
 

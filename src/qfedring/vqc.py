@@ -130,7 +130,7 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
 def call_loss(loss, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The upstream rule: ``loss(logits)`` returns an upstream shaped like the logits."""
     losses, upstream = loss(logits)
-    up = np.asarray(upstream, dtype=float)
+    up = np.asarray(upstream, dtype=float, order="C")
     if up.shape != logits.shape:
         raise ValueError(f"upstream must have shape {logits.shape}, got {up.shape}")
     return losses, up

@@ -9,8 +9,9 @@ one walks the computation the plain way, one gate or one sample at a time:
   kernel as ``measure_qubits``;
 - vqc: ``encode``, ``_run_layers``, ``forward`` and ``gradient``, the
   circuit one sample and one shifted parameter at a time;
-- trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample, and
-  ``batch_loss_reference``, the batched loss in its first form;
+- trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample,
+  ``batch_loss_reference``, the batched loss in its first form, and
+  ``mlp_batch_reference``, the batched MLP pass on ``@`` products;
 - teleport: ``bell_pair``, H then CNOT on |00>;
 - ``rx_z``: <Z> of a stored weight's carrier RX(angle)|0>.
 
@@ -227,6 +228,22 @@ def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[flo
     dpre = dhid * (1.0 - hid**2)
     return loss, np.concatenate(
         [np.outer(feats, dpre), dpre, np.outer(hid, dlogits), dlogits], axis=None
+    )
+
+
+def mlp_batch_reference(model: ClassicalMlp, features, loss):
+    """``(logits, losses, batch-summed gradient)`` for a feature batch, the
+    bodies of ``ClassicalMlp.logits`` and ``trainkit.mlp_batch_grads`` as they
+    were on ``@`` products.  ``loss(logits) -> (losses, dlogits)``.  The
+    package must match it bit for bit on C-ordered copies of any input."""
+    feats = np.asarray(features, dtype=float)
+    hid = np.tanh(feats @ model.w1 + model.b1)
+    logits = hid @ model.w2 + model.b2
+    losses, upstream = loss(logits)
+    dlogits = np.asarray(upstream, dtype=float)
+    dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
+    return logits, losses, np.concatenate(
+        [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
     )
 
 

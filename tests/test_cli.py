@@ -23,6 +23,18 @@ from qfedring import teleport as tp
 from qfedring.teleport import TransferError
 from qfedring.trainkit import RoundMetrics
 
+
+def _run_fresh_cli(*args) -> subprocess.CompletedProcess:
+    """``python -W default -m qfedring *args`` in a fresh interpreter, so that
+    numpy's warnings reach its stderr (in-process, pytest captures them)."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "qfedring", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 FAST = [
     "--clients", "2", "--rounds", "2", "--local-epochs", "1",
     "--num-points", "80", "--batch-size", "16",
@@ -460,31 +472,26 @@ class TestEndToEnd:
         assert "round 1, client 0" in err
         assert "(layer=0, qubit=0, k=2)" in err and "register lost its norm" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_names_its_client_and_step_and_exits_1(self, tmp_path, capsys):
+    def test_divergence_names_its_client_and_step_and_exits_1(self, tmp_path):
         # This used to exit with only "error: params must be finite", and
         # later one step late, after numpy's overflow warnings.
-        code = cli.main(
-            ["--model", "cfl", "--learning-rate", "1e308", "--rounds", "3",
-             "--out", str(tmp_path / "m.csv")]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert re.search(r"error: client 0, epoch 1, step \d+: logits must be finite", err)
-        assert "RuntimeWarning" not in err
+        for model, culprit in [("cfl", "logits"), ("qfl-quantum", "angles")]:
+            done = _run_fresh_cli(
+                "--model", model, "--learning-rate", "1e308", "--rounds", "3",
+                "--out", str(tmp_path / "m.csv"),
+            )
+            assert done.returncode == 1, model
+            pattern = rf"error: client 0, epoch 1, step \d+: {culprit} must be finite"
+            assert re.search(pattern, done.stderr), done.stderr
+            assert "RuntimeWarning" not in done.stderr, done.stderr
 
     @pytest.mark.parametrize("noise", ["3e307", "6e307"])
     def test_overflowing_noise_is_named_and_exits_1(self, tmp_path, noise):
         # 3e307 used to print two numpy RuntimeWarnings, then "train split:
         # features must be finite"; 6e307 "the data: features must be finite".
-        # A fresh interpreter, so that numpy's warnings reach stderr.
         out = tmp_path / "m.csv"
-        src = str(Path(cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "qfedring", "--model", "cfl",
-             "--noise", noise, "--rounds", "2", "--out", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        done = _run_fresh_cli(
+            "--model", "cfl", "--noise", noise, "--rounds", "2", "--out", str(out)
         )
         assert done.returncode == 1
         assert f"error: noise={float(noise)!r} jitters" in done.stderr

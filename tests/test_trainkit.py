@@ -27,11 +27,23 @@ _LOGIT = st.one_of(
 _BAD_LOGITS = {"nan": np.nan, "-inf": -np.inf, "past the bound": np.nextafter(_BOUND, np.inf)}
 _BAD_LABELS = {"label 2": 2, "label -1": -1, "label 0.5": 0.5}
 _SPOILS = [*_BAD_LOGITS, *_BAD_LABELS, "short labels", "3 columns", "1-D logits"]
-# Memory layouts of the same (B, 2) logits; the result must not depend on them.
+
+
+def _strided_view(a):
+    """``a``'s values as every other row and column of a larger array."""
+    every_other = (slice(None, None, 2),) * a.ndim
+    big = np.zeros(tuple(2 * n for n in a.shape))
+    big[every_other] = a
+    return big[every_other]
+
+
+# Memory layouts of the same (B, 2) array; no result may depend on them.
 _LAYOUTS = {
     "C": np.ascontiguousarray,
     "Fortran": np.asfortranarray,
     "transposed view": lambda a: np.ascontiguousarray(a.T).T,
+    "reversed rows": lambda a: np.ascontiguousarray(a[::-1])[::-1],
+    "strided view": _strided_view,
 }
 
 
@@ -52,7 +64,7 @@ def _spoil(logits, labels, how):
 @st.composite
 def _loss_inputs(draw):
     """Logits (B, 2) with B in 0..70, tied rows, signed zeros and values at
-    the bound, laid out in C or Fortran order or as a transposed view, labels
+    the bound, in any ``_LAYOUTS`` memory layout, labels
     as int, bool, uint8 or integral float, and at most one spoil that one
     function or both must refuse.  Every logit is drawn on its own (no fill
     value), so a last-bit change shows within a few examples."""
@@ -267,6 +279,34 @@ class TestMlp:
         stepped = model.step(grad, opt)
         assert_allclose(stepped.params, model.params - 0.5 * grad, atol=1e-15)
         assert np.array_equal(tk.sgd_step_mlp(model, grad, opt).params, stepped.params)
+
+    @pytest.mark.parametrize("up_layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("feat_layout", list(_LAYOUTS))
+    def test_batch_is_bit_equal_to_the_reference_in_any_layout(self, feat_layout, up_layout):
+        # Losses, gradient and logits for features and an upstream in any
+        # memory layout must be the reference's bytes on C-ordered copies.
+        rng = np.random.default_rng(19)
+        model = mlp_from(*(rng.normal(size=n) for n in [(2, 4), 4, (4, 2), 2]))
+        lay_feats, lay_up = _LAYOUTS[feat_layout], _LAYOUTS[up_layout]
+        differ = []
+        for rows in range(131):
+            feats = rng.uniform(0.0, np.pi, size=(rows, 2))
+            labels = rng.integers(0, 2, size=rows)
+
+            def loss(logits):
+                return tk.batch_loss_and_grad(logits, labels)
+
+            def laid_out_loss(logits):
+                losses, dlogits = loss(logits)
+                return losses, lay_up(dlogits)
+
+            x = lay_feats(feats)
+            got = (model.logits(x), *tk.mlp_batch_grads(model, x, laid_out_loss))
+            want = oracle.mlp_batch_reference(model, feats, loss)
+            as_bytes = [[(a.dtype, a.shape, a.tobytes()) for a in r] for r in (got, want)]
+            if as_bytes[0] != as_bytes[1]:
+                differ.append(rows)
+        assert differ == []
 
     def test_hidden_unit_permutation_symmetry(self, rng):
         # Relabeling hidden units (and their fan-in/fan-out weights) cannot
