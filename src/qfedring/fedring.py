@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,12 @@ class Transport(enum.Enum):
     TELEPORT = "teleport"
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse anything but an integer >= 1 (a bool or a float too), naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RingSchedule:
     num_clients: int = 3
@@ -41,12 +48,9 @@ class RingSchedule:
     transport: Transport = Transport.CLASSICAL_COPY
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.num_rounds < 1:
-            raise ValueError(f"num_rounds must be >= 1, got {self.num_rounds}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        _check_count(self.num_clients, "num_clients")
+        _check_count(self.num_rounds, "num_rounds")
+        _check_count(self.local_epochs, "local_epochs")
         if not isinstance(self.transport, Transport):
             raise ValueError(f"transport must be a Transport, got {self.transport!r}")
 
@@ -66,8 +70,7 @@ class ClientState:
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffle once (seeded) and split into contiguous shards of size within one."""
     feats, labs = datagen.check_samples(features, labels, "the data")
-    if num_clients < 1:
-        raise ValueError(f"num_clients must be >= 1, got {num_clients}")
+    _check_count(num_clients, "num_clients")
     if num_clients > len(labs):
         raise ValueError(f"cannot split {len(labs)} samples across {num_clients} clients")
     order = np.random.default_rng(seed).permutation(len(labs))
@@ -119,10 +122,8 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     so a client's stream depends only on how many epochs it has run.  A
     step's ``ValueError`` is re-raised naming the client, epoch and step.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_count(epochs, "epochs")
+    _check_count(batch_size, "batch_size")
     owner = f"client {client.client_id}"
     feats, labels = datagen.check_samples(client.features, client.labels, owner)
     losses: list[float] = []

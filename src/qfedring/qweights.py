@@ -2,12 +2,13 @@
 
 Each weight is an angle ``a`` carried by the state RX(a)|0> =
 [cos(a/2), -i sin(a/2)]; the usable parameter value is gamma * <Z> of that
-carrier.  ``statevec._rx_carriers`` builds the carrier amplitudes for a
-whole array of angles and ``_z_expectation`` reads <Z> = |c0|^2 - |c1|^2
-from them, so ``materialize`` reads a whole store in one pass and
-``weight_gradient`` chains the circuit gradient back through the same
-two-point shift rule as the circuit parameters, with the +shift and -shift
-carriers as one array.
+carrier.  ``_rx_z`` reads <Z> = cos(a/2)^2 - sin(a/2)^2 for a whole array
+of angles straight from the cosines and sines, bit-equal to building the
+carriers with ``statevec._rx_carriers`` and reading |c0|^2 - |c1|^2 (the
+form ``tests/oracle.py`` keeps as ``_z_expectation``), so
+``materialize`` reads a whole store in one pass and ``weight_gradient``
+chains the circuit gradient back through the same two-point shift rule as
+the circuit parameters, with the +shift and -shift angles as one array.
 ``QuantumWeightStore`` has the model interface ``trainkit`` describes: its
 ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
@@ -18,15 +19,14 @@ calls it (the teleport channel builds a whole store's carriers at once),
 and it stays only because the benchmark tracer wraps it, as it does the
 ``apply_gate`` and ``expectation`` imported here.  ``state_expectations``
 reads (<Z>, <Y>) back from what arrives on its two amplitudes as Python
-complex scalars, the same arithmetic as ``_z_expectation`` without numpy's
-per-call cost.  Every value is the same float the gate-by-gate simulator
-gives (RX on |0>, then the Pauli-Z expectation), and the tests hold these
-functions to that oracle.
+complex scalars, |c0|^2 - |c1|^2 without numpy's per-call cost.  Every
+value is the same float the gate-by-gate simulator gives (RX on |0>, then
+the Pauli-Z expectation), and the tests hold these functions to that oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class QuantumWeightStore:
         return self.angles.shape[1]
 
     def with_angles(self, angles: np.ndarray) -> "QuantumWeightStore":
-        return replace(self, angles=angles)
+        return QuantumWeightStore(angles, self.gamma)
 
     def logits(self, features) -> np.ndarray:
         return vqc.forward_batch(materialize(self), features)
@@ -98,14 +98,15 @@ def init_store(
     return QuantumWeightStore(angles, gamma=gamma)
 
 
-def _z_expectation(amps: np.ndarray) -> np.ndarray:
-    """<Z> of single-qubit amplitudes along the last axis."""
-    probs = amps.real**2 + amps.imag**2
-    return probs[..., 0] - probs[..., 1]
+def _rx_z(angles) -> np.ndarray:
+    """<Z> of RX(a)|0> for every angle a, as cos(a/2)^2 - sin(a/2)^2."""
+    half = np.asarray(angles, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
+    return c * c - s * s
 
 
 def _z_of(c0: complex, c1: complex) -> float:
-    """``_z_expectation`` of one qubit's two amplitudes, on Python scalars."""
+    """<Z> = |c0|^2 - |c1|^2 of one qubit's two amplitudes, on Python scalars."""
     return (c0.real * c0.real + c0.imag * c0.imag) - (c1.real * c1.real + c1.imag * c1.imag)
 
 
@@ -116,7 +117,7 @@ def encode_weight(angle: float) -> StateVector:
 
 def materialize(store: QuantumWeightStore) -> np.ndarray:
     """Effective circuit parameters gamma * <Z>, one per stored angle."""
-    return store.gamma * _z_expectation(_rx_carriers(store.angles))
+    return store.gamma * _rx_z(store.angles)
 
 
 def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.ndarray:
@@ -131,7 +132,7 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
     if not np.isfinite(cg).all():
         raise ValueError("circuit_grad must be finite")
-    plus, minus = _z_expectation(_rx_carriers(store.angles + _SHIFT_PAIR))
+    plus, minus = _rx_z(store.angles + _SHIFT_PAIR)
     return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
 
 

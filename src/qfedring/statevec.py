@@ -69,7 +69,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         n = self.num_qubits
-        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        if type(n) is not int or not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**n,):

@@ -7,15 +7,15 @@ first bit is 1).  Noiseless, so the recovered state always has fidelity 1
 with the message up to float rounding.
 
 ``teleport_state`` runs the register on Python complex scalars, which at
-eight amplitudes is cheaper than numpy's per-call cost: the message times
-the Bell pair's amplitudes (a constant), CNOT as the index permutation
-``statevec._cnot_image``, H written out with ``_H``'s four entries.  The
-message is a validated StateVector; the register built from it is measured
-by ``statevec._born_measure``, the kernel behind ``measure_qubits``, with
-its sampling or forcing outcome rule, so the channel rng is drawn as in the
-gate-by-gate protocol.  The corrections act on the receiver's two
-amplitudes, and the recovered StateVector and ``decode_angle``'s purity
-gate check the way out.
+eight amplitudes is cheaper than numpy's per-call cost: each amplitude is
+written out on the message's two and the constants ``_B0``..``_B3`` (the
+Bell pair) and ``_H00``..``_H11`` (H), with CNOT(0 -> 1) as the order of
+the products.  The message is a validated StateVector; the register built
+from it is measured by ``statevec._born_measure``, the kernel behind
+``measure_qubits``, with its sampling or forcing outcome rule, so the
+channel rng is drawn as in the gate-by-gate protocol.  The corrections act
+on the receiver's two amplitudes, and the recovered StateVector and
+``decode_angle``'s purity gate check the way out.
 
 ``teleport_weights`` builds every carrier of a store with one
 ``statevec._rx_carriers`` call, then moves it one channel use per angle:
@@ -38,7 +38,6 @@ from .statevec import (
     _H,
     StateVector,
     _born_measure,
-    _cnot_image,
     _forcing_rule,
     _rx_carriers,
     _sampling_rule,
@@ -65,12 +64,11 @@ class TeleportRecord:
 
 
 # The register's constants as Python scalars: the Bell pair
-# (|00> + |11>) / sqrt(2), the CNOT(0 -> 1) index map on three qubits, and
-# H's entries.  The Bell amplitudes are those H then CNOT give on |00>, bit
-# for bit: H's minus sign leaves -0.0 on |10>.
+# (|00> + |11>) / sqrt(2) and H's entries.  The Bell amplitudes are those H
+# then CNOT give on |00>, bit for bit: H's minus sign leaves -0.0 on |10>.
 _BELL = (complex(1 / math.sqrt(2), 0.0), 0j, complex(-0.0, 0.0), complex(1 / math.sqrt(2), 0.0))
-_CNOT_01 = tuple(_cnot_image(3, ((0, 1),)).tolist())
-_H_ROWS = tuple(map(tuple, _H.tolist()))
+_B0, _B1, _B2, _B3 = _BELL
+(_H00, _H01), (_H10, _H11) = _H.tolist()
 
 
 def teleport_state(
@@ -88,12 +86,18 @@ def teleport_state(
         raise ValueError("teleportation moves exactly one qubit")
     if force_outcome is None and rng is None:
         raise ValueError("provide an rng or force an outcome")
-    joint = [m * b for m in message.amplitudes.tolist() for b in _BELL]
-    permuted = [joint[j] for j in _CNOT_01]
+    # The message times the Bell pair, then CNOT(0 -> 1): where qubit 0 is 1
+    # it flips qubit 1, so the |1..> half takes the Bell pair as _B2, _B3, _B0, _B1.
+    c0, c1 = message.amplitudes.tolist()
+    p0, p1, p2, p3 = c0 * _B0, c0 * _B1, c0 * _B2, c0 * _B3
+    p4, p5, p6, p7 = c1 * _B2, c1 * _B3, c1 * _B0, c1 * _B1
     # H acts on qubit 0: each row of H mixes amplitude j with amplitude j + 4.
     # Each sum starts from 0j, as a matmul's does, so a -0.0 comes out +0.0
-    # and the register equals ``_H @ permuted.reshape(2, 4)`` bit for bit.
-    reg = [0j + h0 * permuted[j] + h1 * permuted[j + 4] for h0, h1 in _H_ROWS for j in range(4)]
+    # and the register equals ``_H @ [p0..p7].reshape(2, 4)`` bit for bit.
+    reg = [0j + _H00 * p0 + _H01 * p4, 0j + _H00 * p1 + _H01 * p5,
+           0j + _H00 * p2 + _H01 * p6, 0j + _H00 * p3 + _H01 * p7,
+           0j + _H10 * p0 + _H11 * p4, 0j + _H10 * p1 + _H11 * p5,
+           0j + _H10 * p2 + _H11 * p6, 0j + _H10 * p3 + _H11 * p7]
     pick = _sampling_rule(rng) if force_outcome is None else _forcing_rule((0, 1), force_outcome)
     (m1, m2), _, amps = _born_measure(reg, 3, (0, 1), pick)
     # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver's two

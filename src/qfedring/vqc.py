@@ -30,7 +30,7 @@ and ``step`` (the model interface ``trainkit`` describes) are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -61,7 +61,7 @@ class VqcModel:
         return self.params.shape[1]
 
     def with_params(self, params: np.ndarray) -> "VqcModel":
-        return replace(self, params=params)
+        return VqcModel(params)
 
     def logits(self, features) -> np.ndarray:
         return forward_batch(self.params, features)

@@ -13,7 +13,10 @@ one walks the computation the plain way, one gate or one sample at a time:
   ``batch_loss_reference``, the batched loss in its first form, and
   ``mlp_batch_reference``, the batched MLP pass on ``@`` products;
 - teleport: ``bell_pair``, H then CNOT on |00>;
-- ``rx_z``: <Z> of a stored weight's carrier RX(angle)|0>.
+- qweights: ``rx_z``, <Z> of a stored weight's carrier RX(angle)|0> gate by
+  gate, and ``_z_expectation``, <Z> = |c0|^2 - |c1|^2 read from any array
+  of single-qubit amplitudes, the form ``qweights._rx_z`` is held to bit
+  for bit on ``statevec._rx_carriers``.
 
 ``sv``, ``tk`` and ``vqc`` are the package modules with the references the
 acceptance criteria call beside their own names, so those tests read
@@ -105,6 +108,12 @@ def collapse_qubits(
 def rx_z(angle: float) -> float:
     """<Z> of a stored weight's carrier RX(angle)|0>, gate by gate."""
     return expectation(apply_gate(zero_state(1), rx(0, angle)), 0)
+
+
+def _z_expectation(amps: np.ndarray) -> np.ndarray:
+    """<Z> of single-qubit amplitudes along the last axis."""
+    probs = amps.real**2 + amps.imag**2
+    return probs[..., 0] - probs[..., 1]
 
 
 # ---------------------------------------------------------------------------

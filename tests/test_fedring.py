@@ -1,6 +1,7 @@
 """Federated orchestration checks: partitioning, a hand-computed SGD step,
 ring hand-offs, hub-spoke averaging, and centralized equivalence."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,15 @@ from qfedring import fedring as fr
 from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
+
+
+# Counts that are not integers >= 1: a fraction, an integral float, bools
+# (True would quietly count as 1) and a string.
+NOT_COUNTS = [2.5, 1.0, np.float64(3.0), True, False, "3"]
+
+
+def count_refusal(name, value) -> str:
+    return re.escape(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def small_shard(n=24, seed=11):
@@ -60,6 +70,13 @@ class TestPartition:
             fr.partition(feats, labels, 5, seed=0)
         with pytest.raises(ValueError, match="length"):
             fr.partition(feats, np.zeros(3, dtype=int), 2, seed=0)
+
+    def test_num_clients_must_be_an_integer(self):
+        feats, labels = np.zeros((4, 2)), np.zeros(4, dtype=int)
+        for bad in NOT_COUNTS:
+            with pytest.raises(ValueError, match=count_refusal("num_clients", bad)):
+                fr.partition(feats, labels, bad, seed=0)
+        assert len(fr.partition(feats, labels, np.int64(2), seed=0)) == 2
 
 
 class TestMakeClients:
@@ -220,6 +237,18 @@ class TestLocalTrain:
         with pytest.raises(ValueError, match="client 1 has no samples"):
             fr.local_train(empty, epochs=1, batch_size=8)
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    def test_counts_must_be_integers(self, rng, name):
+        fx, fy, _, _ = small_shard()
+        model = vqc.init_model(rng)
+        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        for bad in NOT_COUNTS:
+            with pytest.raises(ValueError, match=count_refusal(name, bad)):
+                fr.local_train(client, **{"epochs": 1, "batch_size": 8, name: bad})
+        # Refused before any step: the model and the client's rng are untouched.
+        assert client.model is model
+        assert client.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
 
 class TestSchedule:
     def test_defaults(self):
@@ -240,6 +269,13 @@ class TestSchedule:
             fr.RingSchedule(local_epochs=0)
         with pytest.raises(ValueError, match="transport"):
             fr.RingSchedule(transport="copy")
+
+    @pytest.mark.parametrize("name", ["num_clients", "num_rounds", "local_epochs"])
+    def test_counts_must_be_integers(self, name):
+        for bad in NOT_COUNTS:
+            with pytest.raises(ValueError, match=count_refusal(name, bad)):
+                fr.RingSchedule(**{name: bad})
+        assert getattr(fr.RingSchedule(**{name: np.int64(2)}), name) == 2
 
 
 class TestRunRing:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from qfedring import qweights as qw
@@ -14,6 +15,21 @@ from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
 from tests import oracle
 
 ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=False)
+
+
+# Any finite angle, with the ones where cos and sin of a/2 are exact or
+# extreme drawn often: signed zeros, the quarter and half turns, subnormals
+# and magnitudes near the float range.
+EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 2 * math.pi,
+               5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300]
+ANY_ANGLE = st.one_of(
+    st.sampled_from(EDGE_ANGLES), st.floats(allow_nan=False, allow_infinity=False)
+)
+STORE_SHAPES = st.one_of(
+    st.just(()),
+    st.integers(0, 12).map(lambda n: (n,)),
+    st.integers(1, 3).map(lambda layers: (2, layers, 2, 3)),
+)
 
 
 def oracle_angles(rng) -> np.ndarray:
@@ -93,6 +109,19 @@ class TestReadout:
         assert np.all(np.abs(values) <= gamma + 1e-12)
 
 
+class TestRxZ:
+    @settings(max_examples=300, deadline=None)
+    @given(a=hnp.arrays(float, STORE_SHAPES, elements=ANY_ANGLE, fill=st.nothing()))
+    def test_bit_equal_to_the_carrier_readout(self, a):
+        """cos(a/2)^2 - sin(a/2)^2 gives the same bits as |c0|^2 - |c1|^2 of
+        the carrier amplitudes, in any shape."""
+        got = qw._rx_z(a)
+        want = oracle._z_expectation(sv._rx_carriers(a))
+        assert np.shape(got) == np.shape(want) == a.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGateByGateOracle:
     """The array readout against the simulator, to within an ulp or so of pi."""
 
@@ -160,8 +189,8 @@ class TestGradient:
                 rng.uniform(-4, 4, size=(layers, qubits, 3)), gamma=rng.uniform(0.5, 4)
             )
             cg = rng.normal(size=store.angles.shape)
-            plus = qw._z_expectation(sv._rx_carriers(store.angles + SHIFT))
-            minus = qw._z_expectation(sv._rx_carriers(store.angles - SHIFT))
+            plus = oracle._z_expectation(sv._rx_carriers(store.angles + SHIFT))
+            minus = oracle._z_expectation(sv._rx_carriers(store.angles - SHIFT))
             want = cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
             assert np.array_equal(qw.weight_gradient(store, cg), want)
 

@@ -1,6 +1,7 @@
 """Simulator checks against brute-force linear algebra oracles."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ class TestStateVector:
             oracle.zero_state(0)
         with pytest.raises(ValueError):
             oracle.zero_state(sv.MAX_QUBITS + 1)
+
+    def test_num_qubits_must_be_an_int(self):
+        # True == 1 and 1.0 == 1, but a register has a whole number of qubits.
+        for bad in (True, 1.0, "1"):
+            message = f"num_qubits must be in [1, {sv.MAX_QUBITS}], got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sv.StateVector(bad, np.array([1.0, 0.0]))
 
     def test_amplitudes_frozen(self):
         s = oracle.zero_state(2)

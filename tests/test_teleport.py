@@ -1,5 +1,6 @@
 """Teleportation checks: exact recovery on every measurement branch, uniform
 branch statistics, whole-store round trips."""
+import itertools
 import math
 
 import numpy as np
@@ -41,7 +42,8 @@ def numpy_register(message):
 
 def numpy_readout(amps):
     """(<Z>, <Y>) through the array readout and the RX(pi/2) matmul."""
-    return float(qw._z_expectation(amps)), float(qw._z_expectation(amps @ sv._rx_matrix(math.pi / 2).T))
+    y_basis = amps @ sv._rx_matrix(math.pi / 2).T
+    return float(oracle._z_expectation(amps)), float(oracle._z_expectation(y_basis))
 
 
 def replay_channel(message, pick):
@@ -187,7 +189,20 @@ class TestScalarChannelIsBitEqual:
     def messages(self, rng):
         edges = np.array([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 1e-300])
         carriers = [sv.StateVector(1, c) for c in sv._rx_carriers(edges)]
-        return oracle_messages(rng) + carriers
+        # Every sign of zero in either part of either amplitude: a sum of two
+        # -0.0 products is -0.0 unless it starts from 0j, as the matmul's does.
+        parts = [
+            complex(*p)
+            for size in (0.6, 0.8)
+            for p in itertools.product((size, -size), (0.0, -0.0))
+        ]
+        parts += [complex(p.imag, p.real) for p in parts]
+        signed_zeros = [
+            sv.StateVector(1, [c0, c1])
+            for c0, c1 in itertools.product(parts, parts)
+            if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1) < 1e-12
+        ]
+        return oracle_messages(rng) + carriers + signed_zeros
 
     def test_register_matches_numpy_on_every_branch(self, rng, monkeypatch):
         seen = []

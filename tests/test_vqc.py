@@ -277,8 +277,8 @@ class TestBatchedPath:
     def test_entangler_permutation_matches_cnot_gates(self, num_qubits, pairs):
         """Sending each basis state through the CNOTs gate by gate lands on the
         basis state the shared map names: the engine's CNOT ring (one qubit
-        has no pairs, so its map is the identity) and the teleport channel's
-        CNOT(0 -> 1) on three qubits."""
+        has no pairs, so its map is the identity) and CNOT(0 -> 1) on three
+        qubits, which the teleport tests' numpy register form uses."""
         image = sv._cnot_image(num_qubits, pairs)
         for b in range(2**num_qubits):
             amps = np.zeros(2**num_qubits, dtype=complex)
