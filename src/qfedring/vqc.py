@@ -7,11 +7,13 @@ Gradients use the two-point parameter shift (``SHIFT`` = pi/2,
 engine takes any qubit count.
 
 ``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
-every row of a batch through S parameter sets at once, one matmul per layer,
-with the unitary tensor capped at ``_MAX_UNITARY_ENTRIES``
-(``fits_unitary_cap`` is that test, shared with the CLI's config check).
-Every set starts from the same encoded batch, so the first layer is a single
-2-D product against all sets' first-layer unitaries side by side.
+every row of a batch through S parameter sets at once, with the unitary
+tensor capped at ``_MAX_UNITARY_ENTRIES`` (``fits_unitary_cap`` is that
+test, shared with the CLI's config check).  Every ROT comes from one sine
+(``_ROT_MIX``), and every complex product runs as a real one on float views,
+against the layer unitaries' real 2x2-block forms.  Every set starts from the
+same encoded batch, so the first layer is one 2-D product against all sets'
+blocks side by side; later layers and the readout are per-set products.
 ``forward_batch`` runs one set, for evaluation.  ``gradient_batch`` is one
 SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
 parameters, then the +shift block, then the -shift block, made by adding a
@@ -36,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .datagen import check_batch
-from .statevec import _cnot_image, _rx_carriers, _z_signs
+from .statevec import MAX_QUBITS, _cnot_image, _rx_carriers, _z_signs
 
 
 # One qubit per circles feature, and one Pauli-Z class score per qubit.
@@ -103,8 +105,9 @@ def entangler_pairs(num_qubits: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Batched engine: every row of a batch through S parameter sets at once.
 
-# Cap on the (sets, layers, 2**n, 2**n) unitary tensor: 16 MB of complex128,
-# so a gradient reaches 7 qubits and a forward pass 10, well under MAX_QUBITS.
+# Cap on the (sets, layers, 2**n, 2**n) unitary tensor: a gradient reaches 7 qubits
+# and a forward pass 10.  With their real block forms, these widest passes peak at
+# 33 MiB (7-qubit one-layer gradient) and 48 MiB (10-qubit forward) of allocations.
 _MAX_UNITARY_ENTRIES = 1 << 20
 
 
@@ -160,22 +163,32 @@ def _shift_offsets(shape: tuple[int, ...]) -> np.ndarray:
     return offsets
 
 
+# ROT(phi, theta, omega) = RZ(omega) RY(theta) RZ(phi) has entries cos(h) e^{-+ia}
+# and -+sin(h) e^{-+ib} (h = theta/2, a = (omega + phi)/2, b = (omega - phi)/2), whose
+# real and imaginary parts are half sums of the sines and cosines of h +- a and h +- b.
+# One sine of angles @ _ROT_ARGS + _ROT_PHASE gives those eight (a cosine is the sine
+# a quarter turn on); @ _ROT_MIX gives the (re, im) pairs of the four entries.
+_ROT_ARGS = 0.5 * np.array([[1, -1, -1, 1] * 2, [1] * 8, [1, -1, 1, -1] * 2])
+_ROT_PHASE = np.repeat([0.0, math.pi / 2], 4)
+_ROT_MIX = 0.5 * np.array([  # rows: sin(h + a), sin(h - a), sin(h + b), sin(h - b), then cos
+    [0, -1, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, -1],
+    [0, 0, -1, 0, 1, 0, 0, 0], [0, 0, -1, 0, 1, 0, 0, 0],
+    [1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, -1, 0, -1, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0],
+])
+
+
 def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     """(sets, layers, n, 3) angles -> (sets, layers, 2**n, 2**n) layer unitaries.
 
-    ROT(phi, theta, omega) = RZ(omega) RY(theta) RZ(phi) in closed form per
-    qubit, then kron over qubits, then @ E for the CNOT ring; E is a
-    permutation, so right-multiplying by it is a column gather.
+    Every qubit's ROT from one sine and one 8x8 product (``_ROT_MIX``), then
+    kron over qubits, then @ E for the CNOT ring; E is a permutation, so
+    right-multiplying by it is a column gather.  The sums h +- a are rounded
+    before the sine, so a ROT is within 2 * eps * (1 + max |angle|) of the
+    gate-built one, not bit-equal to it.
     """
-    phi, theta, omega = angles[..., 0], angles[..., 1], angles[..., 2]
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    a, b = np.exp(-0.5j * omega), np.exp(-0.5j * phi)
-    a_conj, b_conj = a.conj(), b.conj()
-    rots = np.empty(phi.shape + (2, 2), dtype=complex)
-    rots[..., 0, 0] = a * c * b
-    rots[..., 0, 1] = -a * s * b_conj
-    rots[..., 1, 0] = a_conj * s * b
-    rots[..., 1, 1] = a_conj * c * b_conj
+    mixed = np.sin(angles.reshape(-1, 3) @ _ROT_ARGS + _ROT_PHASE) @ _ROT_MIX
+    rots = mixed.view(complex).reshape(*angles.shape[:-1], 2, 2)
     n = angles.shape[-2]
     u = rots[..., 0, :, :]
     for q in range(1, n):
@@ -186,24 +199,34 @@ def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
     return u[..., _cnot_image(n, tuple(entangler_pairs(n)))]
 
 
-def _first_layer(psi: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """(B, 2**n) batch through every set's first layer -> (S, B, 2**n).
-
-    Every set starts from the same batch, so this is one (B, 2**n) @
-    (2**n, S * 2**n) product with all sets' first-layer unitaries side by side.
-    """
-    sets, dim = unitaries.shape[0], unitaries.shape[-1]
-    first = unitaries[:, 0].transpose(2, 0, 1).reshape(dim, sets * dim)
-    return (psi @ first).reshape(-1, sets, dim).swapaxes(0, 1)
+@lru_cache(maxsize=MAX_QUBITS)
+def _readout_signs(num_qubits: int) -> np.ndarray:
+    """Read-only (2 * 2**n, n) Z signs for squared (re, im) pairs: each row of
+    ``_z_signs(n).T`` twice."""
+    signs = np.repeat(_z_signs(num_qubits).T, 2, axis=0)
+    signs.flags.writeable = False
+    return signs
 
 
 def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, n) -> (S, B, n)."""
-    unitaries = _layer_unitaries(angles)
-    psi = _first_layer(_encode_batch(features), unitaries)
-    for layer in range(1, angles.shape[1]):
-        psi = psi @ unitaries[:, layer].swapaxes(-1, -2)
-    return (psi.real**2 + psi.imag**2) @ _z_signs(angles.shape[2]).T
+    """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, n) -> (S, B, n).
+
+    Each product psi @ U^T runs on float views: psi's (re, im) pairs times the
+    real 2x2-block form of U^T, whose even rows are U^T and odd rows 1j * U^T
+    as complex.  Each layer's blocks lie side by side, (2d, S * 2d), so layer
+    0 is one product from the shared batch; later layers are per-set products.
+    """
+    u = _layer_unitaries(angles)
+    sets, layers, dim = u.shape[0], u.shape[1], u.shape[-1]
+    blocks = np.empty((layers, dim, 2, sets, dim), dtype=complex)
+    blocks[:, :, 0] = u.transpose(1, 3, 0, 2)
+    np.multiply(blocks[:, :, 0], 1j, out=blocks[:, :, 1])
+    real = blocks.view(float).reshape(layers, 2 * dim, sets, 2 * dim)
+    psi = _encode_batch(features).view(float) @ real[0].reshape(2 * dim, -1)
+    psi = psi.reshape(-1, sets, 2 * dim).swapaxes(0, 1)
+    for layer in real[1:]:
+        psi = psi @ layer.swapaxes(0, 1)
+    return (psi * psi) @ _readout_signs(angles.shape[2])
 
 
 def forward_batch(params: np.ndarray, features) -> np.ndarray:

@@ -308,6 +308,19 @@ class TestBatchedPath:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_largest_gradient_pass_memory(self):
+        """The 7-qubit one-layer gradient, the widest the cap admits, peaks at
+        33 MiB of numpy allocations (the complex engine it replaced peaked at
+        21.6 MiB); the real block forms may cost at most twice that."""
+        up = np.zeros((4, 7))
+        tracemalloc.start()
+        try:
+            vqc.gradient_batch(np.zeros((1, 7, 3)), np.zeros((4, 7)), lambda _: (None, up))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 21.6 * (1 << 20)
+
     def test_cap_counts_the_unshifted_set(self):
         """A gradient pass holds 2P + 1 sets; the deepest two-qubit circuit and
         the widest one-layer circuit that fit are the same as with 2P."""
@@ -335,25 +348,34 @@ class TestBatchedPath:
             assert np.array_equal(grad, want_grad)
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
-    def test_shared_first_layer_matches_per_set_product(self, num_qubits):
-        """One (B, 2**n) @ (2**n, S * 2**n) product gives what each set's own
-        batched product gives, for one set and for a gradient pass's 2P + 1.
-        At two and three qubits the bits agree.  At one qubit the BLAS may
-        round a two-column product apart from the same two columns inside a
-        wider one, so that case is held to a few ulps; no run uses one qubit."""
+    def test_side_by_side_first_layer_matches_per_set_product(self, num_qubits):
+        """Layer 0 is one real (B, 2d) @ (2d, S * 2d) product with every set's
+        block form side by side; run alone, each set's layer 0 is its own
+        (B, 2d) @ (2d, 2d) product.  Each of a gradient pass's 1 + 2P sets
+        gives the same bits in the pass as on its own, at every qubit count."""
         rng = np.random.default_rng(99)
         for num_layers in (1, 2, 3):
             for batch in range(1, 41):
                 params = rng.uniform(-math.pi, math.pi, size=(num_layers, num_qubits, 3))
-                psi0 = vqc._encode_batch(rng.uniform(0, math.pi, size=(batch, num_qubits)))
-                for angles in (params[None], params + vqc._shift_offsets(params.shape)):
-                    unitaries = vqc._layer_unitaries(angles)
-                    want = psi0 @ unitaries[:, 0].swapaxes(-1, -2)
-                    got = vqc._first_layer(psi0, unitaries)
-                    if num_qubits == 1:
-                        assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps)
-                    else:
-                        assert np.array_equal(got, want)
+                feats = rng.uniform(0, math.pi, size=(batch, num_qubits))
+                angles = params + vqc._shift_offsets(params.shape)
+                together = vqc._expectations(angles, feats)
+                for s in range(angles.shape[0]):
+                    alone = vqc._expectations(angles[s : s + 1], feats)[0]
+                    assert np.array_equal(together[s], alone)
+
+    def test_rotation_build_matches_gate_built_rot(self):
+        """Each qubit's ROT from one sine matches RZ(omega) RY(theta) RZ(phi)
+        built gate by gate to 2 * eps * (1 + max |angle|): the arguments
+        h +- a are rounded before the sine, so the error grows with the angle
+        (measured up to 0.8 * eps * (1 + max |angle|) for |angle| up to 1e3;
+        runs stay at |angle| below about 5)."""
+        rng = np.random.default_rng(3)
+        for scale in (1, 10, 100, 1e3):
+            angles = rng.uniform(-scale, scale, size=(2000, 3))
+            got = vqc._layer_unitaries(angles[:, None, None, :])[:, 0]
+            want = np.array([sv._rot_matrix(*a) for a in angles])
+            assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * (1 + scale)
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 2, 3), (3, 2, 3), (1, 3, 3)])
     def test_shift_offsets_match_eye_construction(self, shape):
@@ -374,7 +396,10 @@ class TestBatchedPath:
         assert signs is sv._z_signs(2)
         image = sv._cnot_image(2, ((0, 1), (1, 0)))
         assert image is sv._cnot_image(2, ((0, 1), (1, 0)))
-        for cached in (offsets, signs, image):
+        readout = vqc._readout_signs(2)
+        assert readout is vqc._readout_signs(2)
+        assert np.array_equal(readout[::2], signs.T) and np.array_equal(readout[1::2], signs.T)
+        for cached in (offsets, signs, image, readout):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
 
