@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Mutation probes: show that the bit-equality and refusal tests can still fail.
+
+Each entry of ``MUTANTS`` is a file under ``src/``, an old text that occurs
+in it exactly once, the new text that replaces it, and the test node ids
+that must then fail.  For each entry the script copies ``src/`` to a
+temporary directory, applies the mutant there and runs only the named tests
+against that copy.  The mutant is killed when pytest reports a failed test
+(exit status 1) and survives when the tests pass; any other outcome, or an
+old text that no longer occurs exactly once, is an error.  The working tree
+is never changed.
+
+    python scripts/mutants.py
+
+It prints one line per mutant, then ``killed / total``, and exits 0 only
+when every mutant is killed.  Each mutant costs one pytest start, so this
+runs beside the test suite, not in it.  Standard library and pytest only.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+REGISTER = "tests/test_teleport.py::TestScalarChannelIsBitEqual::test_register_matches_numpy_on_every_branch"
+LOSS_BITS = "tests/test_trainkit.py::TestLoss::test_batch_is_bit_equal_to_the_reference"
+RX_Z_BITS = "tests/test_qweights.py::TestRxZ::test_bit_equal_to_the_carrier_readout"
+
+# The eight register amplitudes, each written as 0j + _H?? * p? + _H?? * p?.
+_AMPLITUDES = [f"_H{row}0 * p{j} + _H{row}1 * p{j + 4}" for row in (0, 1) for j in range(4)]
+
+MUTANTS = (
+    # The teleport channel's Bell measurement on the register's halves.
+    Mutant("measurement: second scale dropped", "qfedring/teleport.py",
+           "(h0 * s1 * s2, h1 * s1 * s2)", "(h0 * s1, h1 * s1)", (REGISTER,)),
+    Mutant("measurement: halves swapped", "qfedring/teleport.py",
+           "reg[4:] if m1 else reg[:4]", "reg[:4] if m1 else reg[4:]", (REGISTER,)),
+    *(
+        Mutant(f"register: amplitude {index} without 0j +", "qfedring/teleport.py",
+               f"0j + {amplitude}", amplitude, (REGISTER,))
+        for index, amplitude in enumerate(_AMPLITUDES)
+    ),
+    # The in-branch early return of the angle wrap, and the one-shift label test.
+    Mutant("canonical_angles: -pi taken as in branch", "qfedring/qweights.py",
+           "initial=math.inf) > -math.pi", "initial=math.inf) >= -math.pi",
+           ("tests/test_qweights.py::TestCanonicalAngles::test_bit_equal_to_the_mod_where_form",)),
+    Mutant("check_labels: 2 and 3 pass as labels", "qfedring/datagen.py",
+           "axis=None)) >> 1", "axis=None)) >> 2",
+           ("tests/test_sample_contract.py::test_check_labels_matches_the_elementwise_shift_rule",)),
+    # <Z> of the stored weights' carriers.
+    Mutant("_rx_z: (c - s) * (c + s)", "qfedring/qweights.py",
+           "return c * c - s * s", "return (c - s) * (c + s)", (RX_Z_BITS,)),
+    Mutant("_rx_z: cos(a)", "qfedring/qweights.py",
+           "return c * c - s * s", "return np.cos(np.asarray(angles, dtype=float))", (RX_Z_BITS,)),
+    # The two-class loss.
+    Mutant("loss: last bit of the gathered label column", "qfedring/trainkit.py",
+           "- shifted.take(flat)", "- shifted.take(flat) * (1 + 2**-52)", (LOSS_BITS,)),
+    Mutant("loss: < in place of <= in the logits bound", "qfedring/trainkit.py",
+           "initial=0.0) <= _LOGIT_BOUND", "initial=0.0) < _LOGIT_BOUND",
+           ("tests/test_trainkit.py::TestLoss::test_largest_accepted_logits_give_a_finite_loss",)),
+    Mutant("loss: logits not made C-ordered", "qfedring/trainkit.py",
+           'np.asarray(logits, dtype=float, order="C")', "np.asarray(logits, dtype=float)",
+           (LOSS_BITS,)),
+    # A numpy warning on the way out of the command line.
+    Mutant("cli.main: an np.exp overflow", "qfedring/cli.py",
+           "    try:\n        request = parse_config(",
+           "    try:\n        np.exp(np.float64(1000.0))\n        request = parse_config(",
+           ("tests/test_cli.py::TestEndToEnd::test_divergence_names_its_client_and_step_and_exits_1",)),
+)
+
+# Runs pytest on the mutated copy, after checking that the copy is what imports.
+_BOOT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import qfedring
+if not qfedring.__file__.startswith(sys.argv[1]):
+    sys.exit(f"qfedring imported from {qfedring.__file__}, not the mutated copy")
+import pytest
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """(verdict, pytest output) for one mutant: killed, SURVIVED or ERROR."""
+    with tempfile.TemporaryDirectory(prefix="qfedring-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = src / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "ERROR", f"{mutant.old!r} occurs {text.count(mutant.old)} times in src/{mutant.path}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        # Tests that start a fresh interpreter find the copy through PYTHONPATH.
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BOOT, str(src), "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=ROOT, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+    verdict = {0: "SURVIVED", 1: "killed"}.get(done.returncode, "ERROR")
+    return verdict, done.stdout + done.stderr
+
+
+def main() -> int:
+    killed = 0
+    for mutant in MUTANTS:
+        verdict, output = run(mutant)
+        print(f"{verdict:8}  {mutant.name}", flush=True)
+        if verdict == "killed":
+            killed += 1
+        else:
+            print("\n".join("    " + line for line in output.strip().splitlines()[-15:]))
+    print(f"{killed} / {len(MUTANTS)} killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,16 +43,26 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.shape != (num_samples,):
         raise ValueError(f"got labels of shape {y.shape} for {num_samples} samples")
-    kind = y.dtype.kind  # an integer is 0 or 1 iff shifting out its lowest bit leaves 0
-    ints = kind in "iu" and not np.right_shift(y, 1).any()
+    # Integers are all 0 or 1 iff their OR is, iff it shifts to 0.  As a Python
+    # int, a uint64 OR shifts under numpy 1.x too, where uint64 >> int fails.
+    kind = y.dtype.kind
+    ints = kind in "iu" and not int(np.bitwise_or.reduce(y, axis=None)) >> 1
     if not (ints or kind in "bf" and ((y == 0) | (y == 1)).all()):
         raise ValueError("labels must be 0 or 1")
     return y.astype(int)
 
 
 def check_batch(features, width: int) -> np.ndarray:
-    """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0."""
-    feats = np.asarray(features, dtype=float, order="C")
+    """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0.
+
+    Bool, int, uint and float values pass; any other dtype (complex, text,
+    bytes, object, ...) is refused by name rather than cast.  A C-ordered
+    float64 array comes back as is, not copied.
+    """
+    feats = np.asarray(features)
+    if feats.dtype.kind not in "biuf":
+        raise ValueError(f"features must be bool, int or float numbers, got dtype {feats.dtype}")
+    feats = np.asarray(feats, dtype=float, order="C")
     if feats.ndim != 2 or feats.shape[1] != width:
         raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
     if not np.isfinite(feats).all():
@@ -64,7 +74,7 @@ def check_samples(features, labels, owner: str) -> tuple[np.ndarray, np.ndarray]
     """The shard rule: ``check_batch`` features of width 2, one row per label,
     ``check_labels`` labels, at least one row.  New arrays; errors start with ``owner``."""
     try:
-        feats = check_batch(np.array(features, dtype=float), 2)
+        feats = check_batch(np.array(features), 2)
         rows, shape = feats.shape[0], np.shape(labels)
         labs = check_labels(labels, rows) if shape[:1] == (rows,) else None
     except ValueError as exc:

@@ -173,9 +173,15 @@ def canonical_angles(angles: np.ndarray) -> np.ndarray:
 
     Applied after every optimizer step so that stored angles stay on the same
     branch decode_angle returns, keeping transports interchangeable.  Angles
-    already inside the branch pass through bit for bit.
+    already inside the branch pass through bit for bit.  When every angle is
+    inside it, the result is ``np.asarray(angles, dtype=float)`` itself, so
+    it aliases a float64 input array (``QuantumWeightStore`` copies its
+    angles either way); a NaN fails both bounds and takes the wrapping path.
     """
     a = np.asarray(angles, dtype=float)
+    top = np.maximum.reduce(a, axis=None, initial=-math.inf)
+    if top <= math.pi and np.minimum.reduce(a, axis=None, initial=math.inf) > -math.pi:
+        return a
     wrapped = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     return np.where((a > math.pi) | (a <= -math.pi), wrapped, a)

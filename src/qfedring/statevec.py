@@ -12,8 +12,10 @@ and never mutates its input.
 
 Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
 complex numbers, which at a few qubits is cheaper than numpy's per-call
-cost.  The teleport channel calls it with ``_sampling_rule``, or with
-``_forcing_rule`` when its outcome is forced.
+cost; ``measure_qubits`` runs it with ``_sampling_rule``.  The teleport
+channel measures on its register's halves instead, calling
+``_sampling_rule`` or ``_forcing_rule`` the same way, and its tests replay
+``_born_measure`` as the reference, so no run calls it or ``_bit_sides``.
 
 A run calls none of the gate-by-gate names: ``GateOp``, ``gate_matrix``,
 ``apply_gate`` with ``_check_qubit`` and its matrices (``_ry_matrix``,

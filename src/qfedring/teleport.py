@@ -11,19 +11,23 @@ eight amplitudes is cheaper than numpy's per-call cost: each amplitude is
 written out on the message's two and the constants ``_B0``..``_B3`` (the
 Bell pair) and ``_H00``..``_H11`` (H), with CNOT(0 -> 1) as the order of
 the products.  The message is a validated StateVector; the register built
-from it is measured by ``statevec._born_measure``, the kernel behind
-``measure_qubits``, with its sampling or forcing outcome rule, so the
-channel rng is drawn as in the gate-by-gate protocol.  The corrections act
-on the receiver's two amplitudes, and the recovered StateVector and
-``decode_angle``'s purity gate check the way out.
+from it is measured on its halves (qubit 0 is the high bit), with the
+sampling or forcing outcome rule called as ``statevec._born_measure`` calls
+it and the same sums and products, so the outcomes, the channel rng draws
+and the recovered amplitudes are bit-equal to that kernel's, which the tests
+replay as the reference.  The corrections act on the receiver's two
+amplitudes, and the recovered StateVector and ``decode_angle``'s purity gate
+check the way out.
 
 ``teleport_weights`` builds every carrier of a store with one
-``statevec._rx_carriers`` call, then moves it one channel use per angle:
-the carrier as a validated StateVector -> ``teleport_state`` ->
-``state_expectations`` -> ``decode_angle`` for each weight in
-(layer, qubit, k) order, two channel rng draws per weight.  It looks these
-three names up in this module on every call, so a test or a tracer can wrap
-any one of them.
+``statevec._rx_carriers`` call, then walks them as one flat ``(N, 2)``
+array, one channel use per angle: the carrier as a validated StateVector ->
+``teleport_state`` -> ``state_expectations`` -> ``decode_angle`` for each
+weight in (layer, qubit, k) order, two channel rng draws per weight.  The
+decoded angles are reshaped once, and a weight's (layer, qubit, k) slot is
+worked out only when its channel use fails.  It looks these three names up
+in this module on every call, so a test or a tracer can wrap any one of
+them.
 """
 from __future__ import annotations
 
@@ -37,7 +41,6 @@ from .qweights import encode_weight  # noqa: F401  (wrapped by perfbench/spans.p
 from .statevec import (
     _H,
     StateVector,
-    _born_measure,
     _forcing_rule,
     _rx_carriers,
     _sampling_rule,
@@ -99,14 +102,24 @@ def teleport_state(
            0j + _H10 * p0 + _H11 * p4, 0j + _H10 * p1 + _H11 * p5,
            0j + _H10 * p2 + _H11 * p6, 0j + _H10 * p3 + _H11 * p7]
     pick = _sampling_rule(rng) if force_outcome is None else _forcing_rule((0, 1), force_outcome)
-    (m1, m2), _, amps = _born_measure(reg, 3, (0, 1), pick)
-    # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver's two
-    # amplitudes are the register's only non-zero ones.  X swaps them and Z
-    # flips the sign of the |1> one.
-    base = 4 * m1 + 2 * m2
-    zero, one = amps[base], amps[base + 1]
-    if m2:
-        zero, one = one, zero
+    # Qubit 0 is the high bit, so its probability of 1 sums the |1..> half; the
+    # kept half is scaled by s1 = 1 / sqrt(p), and qubit 1's sums that half's
+    # |.1.> pair.  Sums start from 0.0 in index order and scales are
+    # complex-by-float products, as in ``_born_measure``, so every bit is the same.
+    p_one = 0.0
+    for a in reg[4:]:
+        p_one += a.real * a.real + a.imag * a.imag
+    m1, p = pick(0, p_one)
+    s1 = 1.0 / math.sqrt(p)
+    h0, h1, h2, h3 = reg[4:] if m1 else reg[:4]
+    h2, h3 = h2 * s1, h3 * s1
+    m2, p = pick(1, 0.0 + (h2.real * h2.real + h2.imag * h2.imag)
+                 + (h3.real * h3.real + h3.imag * h3.imag))
+    s2 = 1.0 / math.sqrt(p)
+    # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver holds the kept
+    # half's pair 2 * m2, scaled by s2 as well.  X (m2 = 1) swaps its two
+    # amplitudes and Z (m1 = 1) flips the sign of the |1> one.
+    zero, one = (h3 * s2, h2 * s2) if m2 else (h0 * s1 * s2, h1 * s1 * s2)
     if m1:
         one = -one
     recovered = StateVector(1, [zero, one])
@@ -124,17 +137,16 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
     the first weight whose channel use (validate the carrier, teleport, read
     out, decode) raised a ValueError.
     """
-    carriers = _rx_carriers(store.angles)
-    out = np.empty_like(store.angles)
-    for layer in range(store.angles.shape[0]):
-        for q in range(store.angles.shape[1]):
-            for k in range(3):
-                try:
-                    record = teleport_state(StateVector(1, carriers[layer, q, k]), rng)
-                    out[layer, q, k] = decode_angle(*state_expectations(record.recovered_state))
-                except ValueError as exc:
-                    raise TransferError(
-                        f"weight (layer={layer}, qubit={q}, k={k}) failed in transfer: {exc}",
-                        weight_index=(layer, q, k),
-                    ) from exc
-    return store.with_angles(out)
+    shape = store.angles.shape
+    out = []
+    for carrier in _rx_carriers(store.angles).reshape(-1, 2):
+        try:
+            record = teleport_state(StateVector(1, carrier), rng)
+            out.append(decode_angle(*state_expectations(record.recovered_state)))
+        except ValueError as exc:
+            layer, q, k = (int(i) for i in np.unravel_index(len(out), shape))
+            raise TransferError(
+                f"weight (layer={layer}, qubit={q}, k={k}) failed in transfer: {exc}",
+                weight_index=(layer, q, k),
+            ) from exc
+    return store.with_angles(np.array(out).reshape(shape))

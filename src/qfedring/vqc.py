@@ -196,7 +196,13 @@ def _layer_unitaries(angles: np.ndarray) -> np.ndarray:
         u = (u[..., :, None, :, None] * rots[..., q, None, :, None, :]).reshape(
             *u.shape[:-2], size, size
         )
-    return u[..., _cnot_image(n, tuple(entangler_pairs(n)))]
+    return u[..., _ring_image(n)]
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _ring_image(num_qubits: int) -> np.ndarray:
+    """The CNOT ring's basis index map (``_cnot_image`` of ``entangler_pairs``)."""
+    return _cnot_image(num_qubits, tuple(entangler_pairs(num_qubits)))
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -248,4 +254,4 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     out = _expectations(p + _shift_offsets(p.shape), feats)
     losses, up = call_loss(loss, out[0])
     delta = SHIFT_COEFFICIENT * (out[1 : p.size + 1] - out[p.size + 1 :])
-    return losses, np.sum(up * delta, axis=(1, 2)).reshape(p.shape)
+    return losses, np.add.reduce(up * delta, axis=(1, 2)).reshape(p.shape)

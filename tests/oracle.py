@@ -13,10 +13,13 @@ one walks the computation the plain way, one gate or one sample at a time:
   ``batch_loss_reference``, the batched loss in its first form, and
   ``mlp_batch_reference``, the batched MLP pass on ``@`` products;
 - teleport: ``bell_pair``, H then CNOT on |00>;
+- datagen: ``check_labels_reference``, the label rule with the integer test
+  as first written (``np.right_shift(y, 1).any()``);
 - qweights: ``rx_z``, <Z> of a stored weight's carrier RX(angle)|0> gate by
   gate, and ``_z_expectation``, <Z> = |c0|^2 - |c1|^2 read from any array
   of single-qubit amplitudes, the form ``qweights._rx_z`` is held to bit
-  for bit on ``statevec._rx_carriers``.
+  for bit on ``statevec._rx_carriers``, and ``canonical_angles_reference``,
+  the wrap as first written, with no early return for in-branch angles.
 
 ``sv``, ``tk`` and ``vqc`` are the package modules with the references the
 acceptance criteria call beside their own names, so those tests read
@@ -264,6 +267,32 @@ def bell_pair() -> StateVector:
     """(|00> + |11>) / sqrt(2)."""
     state = apply_gate(zero_state(2), h(0))
     return apply_gate(state, cnot(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# datagen and qweights: the forms the package's one-reduction tests replaced.
+
+
+def check_labels_reference(labels, num_samples: int) -> np.ndarray:
+    """``datagen.check_labels`` as first written: an integer is 0 or 1 iff
+    shifting out its lowest bit leaves 0, tested element by element."""
+    y = np.asarray(labels)
+    if y.shape != (num_samples,):
+        raise ValueError(f"got labels of shape {y.shape} for {num_samples} samples")
+    kind = y.dtype.kind
+    ints = kind in "iu" and not np.right_shift(y, 1).any()
+    if not (ints or kind in "bf" and ((y == 0) | (y == 1)).all()):
+        raise ValueError("labels must be 0 or 1")
+    return y.astype(int)
+
+
+def canonical_angles_reference(angles) -> np.ndarray:
+    """``qweights.canonical_angles`` as first written: every angle through
+    the mod and the two wheres, in branch or not."""
+    a = np.asarray(angles, dtype=float)
+    wrapped = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
+    wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
+    return np.where((a > math.pi) | (a <= -math.pi), wrapped, a)
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,40 @@ class TestDecode:
         assert qw.decode_angle(ez, ey) == pytest.approx(0.7, abs=1e-6)
 
 
+IN_BRANCH = st.floats(-math.pi, math.pi, exclude_min=True)
+BRANCH_EDGES = [math.pi, -math.pi, 0.0, -0.0, math.nextafter(math.pi, math.inf),
+                math.nextafter(-math.pi, math.inf), math.nextafter(-math.pi, -math.inf),
+                3 * math.pi, -3 * math.pi, 1e300, -1e300, math.nan]
+
+
+@st.composite
+def wrap_arrays(draw):
+    """In-branch angles of a store's shapes with up to three entries set to a
+    branch edge, its neighbours, a far turn, NaN or any angle up to 3 pi."""
+    a = draw(hnp.arrays(float, STORE_SHAPES, elements=IN_BRANCH, fill=st.nothing()))
+    if a.size:
+        flat = a.reshape(-1)
+        for index in draw(st.lists(st.integers(0, a.size - 1), max_size=3)):
+            flat[index] = draw(st.one_of(st.sampled_from(BRANCH_EDGES), ANGLES))
+    return a
+
+
 class TestCanonicalAngles:
     def test_in_branch_is_bitwise_identity(self, rng):
         a = rng.uniform(-math.pi + 1e-9, math.pi, size=(2, 2, 3))
         out = qw.canonical_angles(a)
         assert np.all(out == a)
+        assert out is a  # the documented alias of an in-branch float64 array
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=wrap_arrays())
+    def test_bit_equal_to_the_mod_where_form(self, a):
+        """The early return for in-branch arrays changes no bit, NaN included."""
+        got = qw.canonical_angles(a)
+        want = oracle.canonical_angles_reference(a)
+        assert got.shape == want.shape == a.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_wraps_out_of_branch(self):
         assert qw.canonical_angles(np.array([3 * math.pi / 2]))[0] == pytest.approx(

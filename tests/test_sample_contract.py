@@ -2,7 +2,8 @@
 feature batch.
 
 A shard is checked by ``datagen.check_samples``: features pass
-``datagen.check_batch`` at width 2 (finite, shape ``(rows, 2)``), there is
+``datagen.check_batch`` at width 2 (bool, int, uint or float values, finite,
+shape ``(rows, 2)``), there is
 one row per label, labels pass ``datagen.check_labels`` (shape ``(n,)``,
 every entry 0 or 1; ints, bools and integral floats pass and are used as
 integers), and a shard has at least one row.  ``Dataset``,
@@ -18,6 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qfedring import datagen as dg
 from qfedring import fedring as fr
@@ -136,6 +140,12 @@ CASES = {
     "1-D row": ("features", FEATS[0], INT, False),
     "3-D features": ("features", FEATS[:, None, :], INT, False),
     "3 columns": ("width", np.column_stack([FEATS, FEATS[:, 0]]), INT, False),
+    "feature list": ("features", FEATS.tolist(), INT, True),
+    # A cast to float would drop the imaginary part or read text as numbers.
+    "complex features": ("features", FEATS + 0j, INT, False),
+    "complex in a list": ("features", [[1.0, 1j], *FEATS[1:].tolist()], INT, False),
+    "text features": ("features", FEATS.astype(str), INT, False),
+    "object features": ("features", FEATS.astype(object), INT, False),
     "empty": ("size", FEATS[:0], INT[:0], False),
 }
 
@@ -173,6 +183,47 @@ def test_check_labels_returns_a_new_integer_array():
         out = dg.check_labels(labels, 8)
         assert out.dtype == int and np.array_equal(out, INT)
         assert not np.shares_memory(out, labels)
+
+
+def test_check_batch_keeps_a_c_ordered_float_batch():
+    # Every SGD step runs this check, so the common batch is not copied.
+    assert dg.check_batch(FEATS, 2) is FEATS
+    assert dg.check_batch(np.asfortranarray(FEATS), 2).flags.c_contiguous
+
+
+LABEL_DTYPES = [np.int8, np.int64, np.uint8, np.uint64]
+EDGE_LABELS = [-1, -128, 2, 255, 2**40, 2**63]
+
+
+@st.composite
+def integer_labels(draw):
+    """0/1 integer labels, empty ones included, with up to three entries
+    swapped for an edge value or any value of the dtype."""
+    dtype = np.dtype(draw(st.sampled_from(LABEL_DTYPES)))
+    info = np.iinfo(dtype)
+    y = draw(hnp.arrays(dtype, st.integers(0, 12), elements=st.integers(0, 1)))
+    edges = [v for v in EDGE_LABELS if info.min <= v <= info.max]
+    odd = st.one_of(st.sampled_from(edges), st.integers(int(info.min), int(info.max)))
+    if y.size:
+        for index in draw(st.lists(st.integers(0, y.size - 1), max_size=3)):
+            y[index] = draw(odd)
+    return y
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=integer_labels())
+def test_check_labels_matches_the_elementwise_shift_rule(y):
+    """One OR-reduction and one shift give the verdict and the output of
+    shifting every label."""
+    try:
+        want = oracle.check_labels_reference(y, y.size)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            dg.check_labels(y, y.size)
+        assert str(refused.value) == str(exc)
+    else:
+        got = dg.check_labels(y, y.size)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_check_samples_returns_new_arrays():

@@ -2,6 +2,7 @@
 branch statistics, whole-store round trips."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def replay_channel(message, pick):
         one = -one
     recovered = np.array([zero, one])
     return (m1, m2), recovered, numpy_readout(recovered)
+
+
+def forced_with_register(message, outcome):
+    """``teleport_state`` forced to ``outcome``, and the eight register
+    amplitudes it measured: its local ``reg``, read as each call returns."""
+    code, registers = tp.teleport_state.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            registers.append(list(frame.f_locals["reg"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        record = tp.teleport_state(message, force_outcome=outcome)
+    finally:
+        sys.setprofile(previous)
+    return record, registers
 
 
 def replay_weights(store, rng):
@@ -204,21 +223,13 @@ class TestScalarChannelIsBitEqual:
         ]
         return oracle_messages(rng) + carriers + signed_zeros
 
-    def test_register_matches_numpy_on_every_branch(self, rng, monkeypatch):
-        seen = []
-        real = tp._born_measure
-
-        def capture(amps, *args):
-            seen.append(list(amps))
-            return real(amps, *args)
-
-        monkeypatch.setattr(tp, "_born_measure", capture)
+    def test_register_matches_numpy_on_every_branch(self, rng):
         for message in self.messages(rng):
             want = numpy_register(message)
             for outcome in OUTCOMES:
-                seen.clear()
-                record = tp.teleport_state(message, force_outcome=outcome)
-                assert np.array(seen[0], dtype=complex).tobytes() == want.tobytes()
+                record, registers = forced_with_register(message, outcome)
+                assert len(registers) == 1
+                assert np.array(registers[0], dtype=complex).tobytes() == want.tobytes()
                 pick = sv._forcing_rule((0, 1), outcome)
                 bits, recovered, readout = replay_channel(message, pick)
                 assert record.bell_outcome == tuple(bits)
@@ -326,6 +337,7 @@ class TestTeleportWeights:
             tp.teleport_weights(store, rng)
         want = tuple(int(i) for i in np.unravel_index(slot, store.angles.shape))
         assert excinfo.value.weight_index == want
+        assert all(type(i) is int for i in excinfo.value.weight_index)
         assert "(layer={}, qubit={}, k={})".format(*want) in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
