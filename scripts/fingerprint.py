@@ -14,7 +14,9 @@ rounds each).  Any arguments are ``python -m qfedring`` flags for one run::
     PYTHONPATH=src python scripts/fingerprint.py
     PYTHONPATH=src python scripts/fingerprint.py --model qfl-classical --rounds 10
 
-Each line is ``<sha256>  <flags>``.  Standard library and qfedring only.
+Each line is ``<fingerprint>  <csv sha256>  <flags>``, where the middle
+field is the sha256 of the metrics CSV ``python -m qfedring`` writes for the
+same flags, so one training gives both.  Standard library and qfedring only.
 """
 import hashlib
 import sys
@@ -55,7 +57,9 @@ def run(flags) -> tuple[list, list[float]]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     for flags in [argv] if argv else DEFAULT_RUNS:
-        print(f"{fingerprint(*run(flags))}  {' '.join(flags)}")
+        metrics, values = run(flags)
+        csv_sha = hashlib.sha256(cli.metrics_csv_text(metrics).encode()).hexdigest()
+        print(f"{fingerprint(metrics, values)}  {csv_sha}  {' '.join(flags)}")
     return 0
 
 

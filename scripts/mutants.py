@@ -76,6 +76,14 @@ MUTANTS = (
     Mutant("loss: logits not made C-ordered", "qfedring/trainkit.py",
            'np.asarray(logits, dtype=float, order="C")', "np.asarray(logits, dtype=float)",
            (LOSS_BITS,)),
+    # The one rule for counts and the one for rates.
+    Mutant("check_count: a bool passes as a count", "qfedring/datagen.py",
+           "isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+           "not isinstance(value, numbers.Integral)",
+           ("tests/test_setting_rules.py::test_count_refused_by_the_one_rule",)),
+    Mutant("check_positive: 0 taken as positive", "qfedring/datagen.py",
+           "not 0 < value < math.inf", "not 0 <= value < math.inf",
+           ("tests/test_setting_rules.py::test_rate_refused_by_the_one_rule",)),
     # A numpy warning on the way out of the command line.
     Mutant("cli.main: an np.exp overflow", "qfedring/cli.py",
            "    try:\n        request = parse_config(",

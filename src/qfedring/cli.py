@@ -7,8 +7,8 @@ dataset checksum.
 
 ``ExperimentConfig`` declares every setting once: each of its fields is a
 config-file key and a flag (``local_epochs`` is ``--local-epochs``), parsed
-by the field's annotation, and its checks make a bad value exit 2 before
-any data is built.
+by the field's annotation.  Counts and rates pass ``datagen.check_count`` and
+``check_positive``, so a bad value exits 2 before any data is built.
 
 Seed discipline: every random stream is derived from the experiment seed
 with a fixed tag ([seed, 0] dataset, [seed, 1] split, [seed, 2] partition,
@@ -78,9 +78,14 @@ class ExperimentConfig:
             raise ConfigError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
         if self.transport == "teleport" and self.model != "qfl-quantum":
             raise ConfigError("transport=teleport only applies to model=qfl-quantum")
-        for name in ("clients", "rounds", "local_epochs", "layers", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        try:
+            for name in ("clients", "rounds", "local_epochs", "layers", "batch_size"):
+                datagen.check_count(getattr(self, name), name)
+            datagen.check_positive(self.learning_rate, "learning_rate")
+            datagen.check_positive(self.gamma, "gamma")
+            datagen.check_circles(self.num_points, self.noise, self.factor)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A circuit's gradient step must fit the engine.
@@ -90,14 +95,6 @@ class ExperimentConfig:
                 f"layers={self.layers} is too deep for a {self.model} circuit: its gradient "
                 "would exceed the batched circuit engine's unitary cap"
             )
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
-        try:
-            datagen.check_circles(self.num_points, self.noise, self.factor)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
         # make_circles puts num_points // 2 samples in each class.

@@ -1,16 +1,18 @@
-"""Concentric-circles dataset: generation, stratified split, feature scaling.
+"""Concentric-circles dataset (generation, split, scaling) and the input rules.
 
-Scaling maps each feature into [0, pi] using statistics of the training
-split only; test features are clamped into that range and the number of
-clamped values is kept on the dataset.  Serialization goes through one
-canonical CSV form (9 significant digits, LF endings) that also backs the
-dataset checksum, so two runs agree on the data iff their checksums match.
+Scaling maps each feature into [0, pi] from training-split statistics only;
+clamped test values are counted on the dataset.  One canonical CSV form (9
+significant digits, LF endings) backs the dataset checksum, so two runs agree
+on the data iff their checksums match.  Every count (clients, rounds, epochs,
+layers, batch size, round index, ``num_points``) goes through ``check_count``
+and every rate (learning rate, gamma) through ``check_positive``.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,18 @@ class Dataset:
             for name, arr in zip(names, arrays):
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
+
+
+def check_count(value, name: str) -> None:
+    """Refuse anything but an integer >= 1 (a bool or a float too), naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_positive(value, name: str) -> None:
+    """Refuse anything but a finite real > 0 (a bool or a string too), naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def check_labels(labels, num_samples: int) -> np.ndarray:
@@ -89,6 +103,7 @@ def check_samples(features, labels, owner: str) -> tuple[np.ndarray, np.ndarray]
 
 def check_circles(num_points: int, noise: float, factor: float) -> None:
     """Raise ``ValueError`` naming the first ``make_circles`` argument out of range."""
+    check_count(num_points, "num_points")
     if num_points < 4:
         raise ValueError(f"num_points must be >= 4, got {num_points}")
     if num_points % 2:

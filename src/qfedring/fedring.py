@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,12 +33,6 @@ class Transport(enum.Enum):
     TELEPORT = "teleport"
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse anything but an integer >= 1 (a bool or a float too), naming it ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RingSchedule:
     num_clients: int = 3
@@ -48,9 +41,8 @@ class RingSchedule:
     transport: Transport = Transport.CLASSICAL_COPY
 
     def __post_init__(self) -> None:
-        _check_count(self.num_clients, "num_clients")
-        _check_count(self.num_rounds, "num_rounds")
-        _check_count(self.local_epochs, "local_epochs")
+        for name in ("num_clients", "num_rounds", "local_epochs"):
+            datagen.check_count(getattr(self, name), name)
         if not isinstance(self.transport, Transport):
             raise ValueError(f"transport must be a Transport, got {self.transport!r}")
 
@@ -70,7 +62,7 @@ class ClientState:
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffle once (seeded) and split into contiguous shards of size within one."""
     feats, labs = datagen.check_samples(features, labels, "the data")
-    _check_count(num_clients, "num_clients")
+    datagen.check_count(num_clients, "num_clients")
     if num_clients > len(labs):
         raise ValueError(f"cannot split {len(labs)} samples across {num_clients} clients")
     order = np.random.default_rng(seed).permutation(len(labs))
@@ -122,8 +114,8 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     so a client's stream depends only on how many epochs it has run.  A
     step's ``ValueError`` is re-raised naming the client, epoch and step.
     """
-    _check_count(epochs, "epochs")
-    _check_count(batch_size, "batch_size")
+    datagen.check_count(epochs, "epochs")
+    datagen.check_count(batch_size, "batch_size")
     owner = f"client {client.client_id}"
     feats, labels = datagen.check_samples(client.features, client.labels, owner)
     losses: list[float] = []

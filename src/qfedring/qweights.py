@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vqc
+from .datagen import check_count, check_positive
 from .statevec import StateVector, _rx_carriers, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
 from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT, _layer_angles
@@ -57,8 +58,7 @@ class QuantumWeightStore:
 
     def __post_init__(self) -> None:
         angles = _layer_angles(self.angles, "angles")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        check_positive(self.gamma, "gamma")
         object.__setattr__(self, "angles", angles)
 
     @property
@@ -90,8 +90,7 @@ def init_store(
     gamma: float = math.pi,
 ) -> QuantumWeightStore:
     """Angles drawn uniformly around pi/2, where <Z> crosses zero at full slope."""
-    if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    check_count(num_layers, "num_layers")
     lo = ANGLE_INIT_CENTER - ANGLE_INIT_HALF_WIDTH
     hi = ANGLE_INIT_CENTER + ANGLE_INIT_HALF_WIDTH
     angles = rng.uniform(lo, hi, size=(num_layers, NUM_QUBITS, 3))

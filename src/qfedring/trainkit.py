@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import check_batch, check_labels
+from .datagen import check_batch, check_count, check_labels, check_positive
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel, call_loss
 
@@ -76,8 +76,7 @@ class SgdOptimizer:
     learning_rate: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        check_positive(self.learning_rate, "learning_rate")
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.asarray(params, dtype=float) - self.learning_rate * np.asarray(grad, dtype=float)
@@ -180,8 +179,7 @@ class RoundMetrics:
     test_accuracy: float
 
     def __post_init__(self) -> None:
-        if self.round_index < 1:
-            raise ValueError(f"round_index must be >= 1, got {self.round_index}")
+        check_count(self.round_index, "round_index")
         if not math.isfinite(self.mean_train_loss):
             raise ValueError(f"mean_train_loss must be finite, got {self.mean_train_loss!r}")
         if not 0.0 <= self.test_accuracy <= 1.0:

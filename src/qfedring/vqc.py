@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datagen import check_batch
+from .datagen import check_batch, check_count
 from .statevec import MAX_QUBITS, _cnot_image, _rx_carriers, _z_signs
 
 
@@ -89,8 +89,7 @@ def _layer_angles(values, name: str) -> np.ndarray:
 
 def init_model(rng: np.random.Generator, num_layers: int = 2) -> VqcModel:
     """Fresh NUM_QUBITS-qubit model with angles drawn uniformly from [-pi/4, pi/4]."""
-    if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    check_count(num_layers, "num_layers")
     params = rng.uniform(-math.pi / 4, math.pi / 4, size=(num_layers, NUM_QUBITS, 3))
     return VqcModel(params)
 

@@ -1,9 +1,12 @@
 """scripts/fingerprint.py: equal for reruns, moved by a one-ulp change."""
+import hashlib
 import importlib.util
 import math
 from pathlib import Path
 
 import pytest
+
+from qfedring import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
 
@@ -45,5 +48,15 @@ def test_one_ulp_changes_the_fingerprint(script, short_runs):
 
 def test_main_prints_one_line_per_run(script, capsys):
     assert script.main(["--model", "cfl", "--rounds", "1"]) == 0
-    digest, flags = capsys.readouterr().out.rstrip("\n").split("  ")
-    assert len(digest) == 64 and flags == "--model cfl --rounds 1"
+    digest, csv_sha, flags = capsys.readouterr().out.rstrip("\n").split("  ")
+    assert len(digest) == len(csv_sha) == 64 and digest != csv_sha
+    assert flags == "--model cfl --rounds 1"
+
+
+def test_printed_csv_sha_is_that_of_the_written_csv(script, capsys, tmp_path):
+    flags = ["--model", "qfl-quantum", "--transport", "teleport", "--rounds", "3"]
+    assert script.main(flags) == 0
+    csv_sha = capsys.readouterr().out.split("  ")[1]
+    out = tmp_path / "metrics.csv"
+    assert cli.main([*flags, "--out", str(out)]) == 0
+    assert csv_sha == hashlib.sha256(out.read_bytes()).hexdigest()
