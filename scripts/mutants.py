@@ -40,6 +40,8 @@ class Mutant(NamedTuple):
 REGISTER = "tests/test_teleport.py::TestScalarChannelIsBitEqual::test_register_matches_numpy_on_every_branch"
 LOSS_BITS = "tests/test_trainkit.py::TestLoss::test_batch_is_bit_equal_to_the_reference"
 RX_Z_BITS = "tests/test_qweights.py::TestRxZ::test_bit_equal_to_the_carrier_readout"
+EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
+FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 
 # The eight register amplitudes, each written as 0j + _H?? * p? + _H?? * p?.
 _AMPLITUDES = [f"_H{row}0 * p{j} + _H{row}1 * p{j + 4}" for row in (0, 1) for j in range(4)]
@@ -84,6 +86,27 @@ MUTANTS = (
     Mutant("check_positive: 0 taken as positive", "qfedring/datagen.py",
            "not 0 < value < math.inf", "not 0 <= value < math.inf",
            ("tests/test_setting_rules.py::test_rate_refused_by_the_one_rule",)),
+    # The dataset settings' rules: the seed, the noise and the two fractions.
+    Mutant("check_count: the seed's minimum ignored, so that 0 is refused",
+           "qfedring/datagen.py", "or value < minimum:", "or value < 1:", (EDGE_VALUES,)),
+    Mutant("ExperimentConfig: the seed left unchecked", "qfedring/cli.py",
+           '            datagen.check_count(self.seed, "seed", minimum=0)\n', "",
+           ("tests/test_setting_rules.py::test_seed_refused_by_the_count_rule",)),
+    Mutant("check_circles: a bool passes as a sigma", "qfedring/datagen.py",
+           "isinstance(noise, bool) or ", "",
+           ("tests/test_setting_rules.py::test_noise_refused_by_its_rule",)),
+    Mutant("check_fraction: a string reaches the comparison", "qfedring/datagen.py",
+           "not isinstance(value, numbers.Real) or not 0 < value < 1", "not 0 < value < 1",
+           (FRACTIONS,)),
+    Mutant("check_fraction: 1 taken as inside", "qfedring/datagen.py",
+           "not 0 < value < 1", "not 0 < value <= 1", (FRACTIONS,)),
+    Mutant("train_split_size: an empty test split passes", "qfedring/datagen.py",
+           "if train in (0, num_points):", "if train == 0:",
+           ("tests/test_cli.py::TestEndToEnd::test_unsplittable_data_exits_2",)),
+    Mutant("cli: an empty output path passes", "qfedring/cli.py",
+           'if path == "":', 'if path == "-":',
+           ("tests/test_cli.py::TestEndToEnd::test_empty_output_path_exits_2",
+            "tests/test_cli.py::TestCompare::test_empty_out_exits_2")),
     # A numpy warning on the way out of the command line.
     Mutant("cli.main: an np.exp overflow", "qfedring/cli.py",
            "    try:\n        request = parse_config(",

@@ -7,8 +7,8 @@ dataset checksum.
 
 ``ExperimentConfig`` declares every setting once: each of its fields is a
 config-file key and a flag (``local_epochs`` is ``--local-epochs``), parsed
-by the field's annotation.  Counts and rates pass ``datagen.check_count`` and
-``check_positive``, so a bad value exits 2 before any data is built.
+by the field's annotation.  Each setting passes its one ``datagen`` rule,
+so a bad value exits 2 before any data is built.
 
 Seed discipline: every random stream is derived from the experiment seed
 with a fixed tag ([seed, 0] dataset, [seed, 1] split, [seed, 2] partition,
@@ -84,10 +84,10 @@ class ExperimentConfig:
             datagen.check_positive(self.learning_rate, "learning_rate")
             datagen.check_positive(self.gamma, "gamma")
             datagen.check_circles(self.num_points, self.noise, self.factor)
+            datagen.check_count(self.seed, "seed", minimum=0)
+            train = datagen.train_split_size(self.num_points, self.train_fraction)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # A circuit's gradient step must fit the engine.
         fits = vqc.fits_unitary_cap(self.layers, vqc.NUM_QUBITS, shifted=True)
         if self.model != "cfl" and not fits:
@@ -95,12 +95,6 @@ class ExperimentConfig:
                 f"layers={self.layers} is too deep for a {self.model} circuit: its gradient "
                 "would exceed the batched circuit engine's unitary cap"
             )
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
-        # make_circles puts num_points // 2 samples in each class.
-        train = 2 * datagen.class_train_size(self.num_points // 2, self.train_fraction)
-        if train in (0, self.num_points):
-            raise ConfigError(f"train_fraction={self.train_fraction!r} leaves a split empty")
         if self.clients > train:
             raise ConfigError(f"clients={self.clients} exceeds the {train} training samples")
 
@@ -191,8 +185,9 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
         extras = sorted(set(flag_values) - {"out"})
         if ns.config or extras:
             raise ConfigError("compare mode takes config files plus --out only")
-        request = CompareRequest(tuple(ns.compare), out=ns.out or "compare.csv")
-        _check_distinct_files([("--out", request.out)], [("--compare", p) for p in ns.compare])
+        out = "compare.csv" if ns.out is None else ns.out
+        request = CompareRequest(tuple(ns.compare), out=out)
+        _check_files([("--out", request.out)], [("--compare", p) for p in ns.compare])
         return request
     values = _load_config_file(ns.config) if ns.config else {}
     values.update(flag_values)
@@ -200,14 +195,18 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
         raise ConfigError("--model is required (or set model in a config file)")
     config = ExperimentConfig(**values)
     outputs = [("--out", config.out), ("--dump-dataset", config.dump_dataset)]
-    _check_distinct_files(outputs, [("--config", ns.config)])
+    _check_files(outputs, [("--config", ns.config)])
     return config
 
 
-def _check_distinct_files(outputs, inputs) -> None:
-    """Refuse an output that resolves to the same file as another output or
-    an input, naming both; ``outputs`` and ``inputs`` are (flag, path) pairs
-    and an unset path is skipped.  Two inputs may be one file."""
+def _check_files(outputs, inputs) -> None:
+    """Refuse an empty output path, naming its flag, and an output that
+    resolves to the same file as another output or an input, naming both;
+    ``outputs`` and ``inputs`` are (flag, path) pairs and an unset (None)
+    path is skipped.  Two inputs may be one file."""
+    for flag, path in outputs:
+        if path == "":
+            raise ConfigError(f"{flag} needs a file name, got an empty path")
     named = [(flag, path, True) for flag, path in outputs if path]
     named += [(flag, path, False) for flag, path in inputs if path]
     for i, (flag, path, written) in enumerate(named):

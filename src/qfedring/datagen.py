@@ -4,8 +4,9 @@ Scaling maps each feature into [0, pi] from training-split statistics only;
 clamped test values are counted on the dataset.  One canonical CSV form (9
 significant digits, LF endings) backs the dataset checksum, so two runs agree
 on the data iff their checksums match.  Every count (clients, rounds, epochs,
-layers, batch size, round index, ``num_points``) goes through ``check_count``
-and every rate (learning rate, gamma) through ``check_positive``.
+layers, batch size, round index, ``num_points``, the seed from 0) goes through
+``check_count``, every rate (learning rate, gamma) through ``check_positive``
+and each fraction (``factor``, ``train_fraction``) through ``check_fraction``.
 """
 from __future__ import annotations
 
@@ -39,16 +40,22 @@ class Dataset:
                 object.__setattr__(self, name, arr)
 
 
-def check_count(value, name: str) -> None:
-    """Refuse anything but an integer >= 1 (a bool or a float too), naming it ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Refuse all but an integer >= ``minimum`` (a bool or a float too), naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_positive(value, name: str) -> None:
     """Refuse anything but a finite real > 0 (a bool or a string too), naming it ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_fraction(value, name: str) -> None:
+    """Refuse anything but a real strictly inside (0, 1), naming it ``name``; a bool never is."""
+    if not isinstance(value, numbers.Real) or not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 def check_labels(labels, num_samples: int) -> np.ndarray:
@@ -108,10 +115,9 @@ def check_circles(num_points: int, noise: float, factor: float) -> None:
         raise ValueError(f"num_points must be >= 4, got {num_points}")
     if num_points % 2:
         raise ValueError(f"num_points must be even to balance the classes, got {num_points}")
-    if noise < 0 or not math.isfinite(noise):
+    if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < math.inf:
         raise ValueError(f"noise must be a finite non-negative sigma, got {noise!r}")
-    if not 0 < factor < 1:
-        raise ValueError(f"factor must lie in (0, 1), got {factor!r}")
+    check_fraction(factor, "factor")
 
 
 def make_circles(
@@ -142,9 +148,20 @@ def make_circles(
     return features, labels
 
 
-def class_train_size(class_size: int, train_fraction: float) -> int:
+def _class_train_size(class_size: int, train_fraction: float) -> int:
     """How many of one class's samples go to the training split."""
     return int(round(train_fraction * class_size))
+
+
+def train_split_size(num_points: int, train_fraction: float) -> int:
+    """How many rows ``scale_and_split`` puts in the training split of
+    ``make_circles(num_points, ...)`` data, whose classes hold ``num_points // 2``
+    samples each; a fraction that leaves either side empty is refused."""
+    check_fraction(train_fraction, "train_fraction")
+    train = 2 * _class_train_size(num_points // 2, train_fraction)
+    if train in (0, num_points):
+        raise ValueError(f"train_fraction={train_fraction!r} leaves a split empty")
+    return train
 
 
 def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
@@ -155,8 +172,7 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     outside the training range are clamped and counted.
     """
     feats, labs = check_samples(features, labels, "the data")
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
+    check_fraction(train_fraction, "train_fraction")
     # labs is a non-empty 0/1 array, so both classes are present iff min != max.
     if labs.min() == labs.max():
         raise ValueError(f"need both classes present, got only label {labs[0]}")
@@ -164,7 +180,7 @@ def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     train_parts, test_parts = [], []
     for cls in (0, 1):
         idx = rng.permutation(np.flatnonzero(labs == cls))
-        k = class_train_size(idx.size, train_fraction)
+        k = _class_train_size(idx.size, train_fraction)
         train_parts.append(idx[:k])
         test_parts.append(idx[k:])
     train_idx = rng.permutation(np.concatenate(train_parts))

@@ -547,6 +547,16 @@ class TestEndToEnd:
         assert f"--dump-dataset {path}: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-dataset"])
+    def test_empty_output_path_exits_2(self, tmp_path, capsys, monkeypatch, flag):
+        # An empty --dump-dataset used to be ignored, an empty --out to exit 1
+        # on the directory '.'.
+        refuse_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--model", "cfl", *FAST, flag, ""]) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs a file name, got an empty path\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_check_leaves_no_file_behind(self, tmp_path, monkeypatch):
         """Checking --out neither creates an empty file nor truncates an old
         one that a failure after the check would leave behind."""
@@ -596,6 +606,16 @@ class TestCompare:
         assert cli.main(["--compare", a, b, "--out", str(out)]) == 1
         assert f"--out {out}: " in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An empty --out used to write compare.csv.
+        refuse_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
+        b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1)
+        assert cli.main(["--compare", a, b, "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: --out needs a file name, got an empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
     def test_combined_csv(self, tmp_path, capsys):
         shared = dict(rounds=2, clients=2, local_epochs=1, num_points=80, batch_size=16)

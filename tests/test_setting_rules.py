@@ -1,6 +1,8 @@
-"""The two setting rules, ``datagen.check_count`` and ``datagen.check_positive``:
-every entry point that takes a count or a rate refuses a bad one with the
-rule's one message, and the config agrees with the rule on any value."""
+"""The setting rules in ``datagen``: ``check_count`` (counts, and the seed
+from 0), ``check_positive`` (rates), ``check_fraction`` (``factor`` and
+``train_fraction``) and the noise rule of ``check_circles``.  Every entry
+point that takes such a setting refuses a bad one with the rule's one
+message, and the config agrees with the rule on any value."""
 import math
 
 import numpy as np
@@ -18,6 +20,10 @@ from tests.test_fedring import NOT_COUNTS
 
 BAD_COUNTS = [*NOT_COUNTS, 0, -1]
 BAD_RATES = [0, -1.0, math.nan, math.inf, -math.inf, True, "0.1", None]
+NOT_REALS = [True, "0.5", None, math.nan, math.inf, -math.inf]
+BAD_SEEDS = [*NOT_REALS, False, 1.5, -1]
+BAD_NOISES = [*NOT_REALS, False, -0.1]
+BAD_FRACTIONS = [*NOT_REALS, False, 0, 1, -0.5, 1.5]
 
 
 def _client():
@@ -28,6 +34,10 @@ def _client():
 
 def _config(field):
     return lambda v: cli.ExperimentConfig(model="qfl-quantum", **{field: v})
+
+
+def _split(fraction):
+    return dg.scale_and_split(*dg.make_circles(8, 0.1, 0.5, seed=0), fraction, seed=0)
 
 
 # (entry point, the name its message gives, a call that passes it the value)
@@ -49,6 +59,17 @@ RATE_ENTRIES = [
     ("QuantumWeightStore", "gamma", lambda v: qw.QuantumWeightStore(np.zeros((1, 2, 3)), v)),
     ("qweights.init_store", "gamma", lambda v: qw.init_store(np.random.default_rng(0), gamma=v)),
     *((f"ExperimentConfig.{n}", n, _config(n)) for n in ("learning_rate", "gamma")),
+]
+SEED_ENTRIES = [("ExperimentConfig.seed", "seed", _config("seed"))]
+NOISE_ENTRIES = [
+    ("make_circles", "noise", lambda v: dg.make_circles(8, v, 0.5, seed=0)),
+    ("ExperimentConfig.noise", "noise", _config("noise")),
+]
+FRACTION_ENTRIES = [
+    ("make_circles", "factor", lambda v: dg.make_circles(8, 0.1, v, seed=0)),
+    ("scale_and_split", "train_fraction", _split),
+    ("train_split_size", "train_fraction", lambda v: dg.train_split_size(8, v)),
+    *((f"ExperimentConfig.{n}", n, _config(n)) for n in ("factor", "train_fraction")),
 ]
 
 
@@ -77,6 +98,40 @@ def test_rate_refused_by_the_one_rule(name, call, value, error):
     assert str(refused.value) == f"{name} must be positive and finite, got {value!r}"
 
 
+@pytest.mark.parametrize("name, call, value, error", _cases(SEED_ENTRIES, BAD_SEEDS))
+def test_seed_refused_by_the_count_rule(name, call, value, error):
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert type(refused.value) is error
+    assert str(refused.value) == f"{name} must be an integer >= 0, got {value!r}"
+
+
+@pytest.mark.parametrize("name, call, value, error", _cases(NOISE_ENTRIES, BAD_NOISES))
+def test_noise_refused_by_its_rule(name, call, value, error):
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert type(refused.value) is error
+    assert str(refused.value) == f"{name} must be a finite non-negative sigma, got {value!r}"
+
+
+@pytest.mark.parametrize("name, call, value, error", _cases(FRACTION_ENTRIES, BAD_FRACTIONS))
+def test_fraction_refused_by_the_one_rule(name, call, value, error):
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert type(refused.value) is error
+    assert str(refused.value) == f"{name} must lie in (0, 1), got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 0), ("seed", np.int64(2**40)), ("noise", 0), ("noise", np.float32(0.5)),
+     ("factor", 1e-9), ("train_fraction", np.float64(0.5))],
+)
+def test_edge_values_pass(field, value):
+    """The seed's minimum is 0 and noise may be 0; numpy scalars pass as Python numbers do."""
+    assert getattr(_config(field)(value), field) == value
+
+
 # Ints stay within +-64: a larger count can be refused by another config rule
 # (clients beyond the training samples, layers past the engine's cap).
 SMALL_INTS = st.integers(-64, 64)
@@ -90,14 +145,16 @@ VALUES = st.one_of(
     st.booleans().map(np.bool_),
     st.text(max_size=4),
 )
+# Each field's rule as (value, name) -> None; noise and the split size are
+# checked at the config's defaults of 1200 points and factor 0.5.
 CONFIG_RULES = {
-    "clients": "check_count",
-    "rounds": "check_count",
-    "local_epochs": "check_count",
-    "layers": "check_count",
-    "batch_size": "check_count",
-    "learning_rate": "check_positive",
-    "gamma": "check_positive",
+    **dict.fromkeys(("clients", "rounds", "local_epochs", "layers", "batch_size"), dg.check_count),
+    "learning_rate": dg.check_positive,
+    "gamma": dg.check_positive,
+    "seed": lambda v, name: dg.check_count(v, name, minimum=0),
+    "noise": lambda v, name: dg.check_circles(1200, v, 0.5),
+    "factor": dg.check_fraction,
+    "train_fraction": lambda v, name: dg.train_split_size(1200, v),
 }
 
 
@@ -114,8 +171,8 @@ def _refusal(call, error):
 @settings(max_examples=150, deadline=None)
 @given(value=VALUES)
 def test_config_refuses_exactly_what_the_rule_refuses(field, value):
-    rule = getattr(dg, CONFIG_RULES[field])
-    want = _refusal(lambda: rule(value, field), ValueError)
-    got = _refusal(lambda: cli.ExperimentConfig(model="qfl-quantum", **{field: value}),
-                   cli.ConfigError)
+    want = _refusal(lambda: CONFIG_RULES[field](value, field), ValueError)
+    # One client, so that no fraction the rule passes leaves too few training rows.
+    values = {"model": "qfl-quantum", "clients": 1, field: value}
+    got = _refusal(lambda: cli.ExperimentConfig(**values), cli.ConfigError)
     assert got == want
