@@ -42,6 +42,7 @@ LOSS_BITS = "tests/test_trainkit.py::TestLoss::test_batch_is_bit_equal_to_the_re
 RX_Z_BITS = "tests/test_qweights.py::TestRxZ::test_bit_equal_to_the_carrier_readout"
 EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
 FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
+NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 
 # The eight register amplitudes, each written as 0j + _H?? * p? + _H?? * p?.
 _AMPLITUDES = [f"_H{row}0 * p{j} + _H{row}1 * p{j + 4}" for row in (0, 1) for j in range(4)]
@@ -107,6 +108,20 @@ MUTANTS = (
            'if path == "":', 'if path == "-":',
            ("tests/test_cli.py::TestEndToEnd::test_empty_output_path_exits_2",
             "tests/test_cli.py::TestCompare::test_empty_out_exits_2")),
+    Mutant("cli: an empty --config beside --compare passes", "qfedring/cli.py",
+           "if ns.config is not None or extras:", "if ns.config or extras:",
+           ("tests/test_cli.py::TestCompare::test_empty_config_exits_2",)),
+    # The one number-array rule, and the circuit's copy of weights and angles.
+    Mutant("check_floats: a complex array passes", "qfedring/datagen.py",
+           'not in "biuf":', 'not in "biufc":', (NUMBER_RULE,)),
+    Mutant("_layer_angles: values cast to float before the rule", "qfedring/vqc.py",
+           "np.array(values), name)", "np.array(values, dtype=float), name)",
+           (NUMBER_RULE,)),
+    # The pinned default-run CSVs see a readout off by a part in 1e9.
+    Mutant("_expectations: readout scaled by 1 + 1e-9", "qfedring/vqc.py",
+           "_readout_signs(angles.shape[2])",
+           "_readout_signs(angles.shape[2]) * (1 + 1e-9)",
+           ("tests/test_acceptance.py::test_criterion_8_end_to_end_learning",)),
     # A numpy warning on the way out of the command line.
     Mutant("cli.main: an np.exp overflow", "qfedring/cli.py",
            "    try:\n        request = parse_config(",

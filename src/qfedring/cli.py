@@ -8,7 +8,11 @@ dataset checksum.
 ``ExperimentConfig`` declares every setting once: each of its fields is a
 config-file key and a flag (``local_epochs`` is ``--local-epochs``), parsed
 by the field's annotation.  Each setting passes its one ``datagen`` rule,
-so a bad value exits 2 before any data is built.
+then three cross-field checks run: teleport needs ``qfl-quantum``, a
+circuit's depth must pass ``vqc.fits_unitary_cap`` (``--layers`` above 73 is
+refused), and ``clients`` may not exceed the training rows.  So a bad value
+exits 2 before any data is built, as does an empty ``--config``, ``--out`` or
+``--dump-dataset`` path, named by its flag.
 
 Seed discipline: every random stream is derived from the experiment seed
 with a fixed tag ([seed, 0] dataset, [seed, 1] split, [seed, 2] partition,
@@ -183,13 +187,15 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
         if len(ns.compare) < 2:
             raise ConfigError("--compare needs at least two config files")
         extras = sorted(set(flag_values) - {"out"})
-        if ns.config or extras:
+        if ns.config is not None or extras:
             raise ConfigError("compare mode takes config files plus --out only")
         out = "compare.csv" if ns.out is None else ns.out
         request = CompareRequest(tuple(ns.compare), out=out)
         _check_files([("--out", request.out)], [("--compare", p) for p in ns.compare])
         return request
-    values = _load_config_file(ns.config) if ns.config else {}
+    if ns.config == "":
+        raise ConfigError("--config needs a file name, got an empty path")
+    values = _load_config_file(ns.config) if ns.config is not None else {}
     values.update(flag_values)
     if "model" not in values:
         raise ConfigError("--model is required (or set model in a config file)")

@@ -7,6 +7,10 @@ on the data iff their checksums match.  Every count (clients, rounds, epochs,
 layers, batch size, round index, ``num_points``, the seed from 0) goes through
 ``check_count``, every rate (learning rate, gamma) through ``check_positive``
 and each fraction (``factor``, ``train_fraction``) through ``check_fraction``.
+Every number array (features, params, angles, a circuit gradient) goes
+through ``check_floats``; its owner adds only a shape test.  A setting rule
+refuses a bad value (a bool, a wrong type, NaN or inf) with a ``ValueError``
+naming the setting, never a ``TypeError``; library functions take any numpy seed.
 """
 from __future__ import annotations
 
@@ -73,21 +77,24 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
     return y.astype(int)
 
 
-def check_batch(features, width: int) -> np.ndarray:
-    """The feature-batch rule: a finite float array of shape ``(rows, width)``, rows >= 0.
+def check_floats(values, name: str) -> np.ndarray:
+    """The number-array rule: bool, int, uint or float ``values`` as a finite C-ordered
+    float64 array, not copied if it is one.  Any other dtype (complex, text, bytes,
+    object, ...) is refused by name rather than cast.  Errors call it ``name``."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be bool, int or float numbers, got dtype {a.dtype}")
+    a = np.asarray(a, dtype=float, order="C")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
-    Bool, int, uint and float values pass; any other dtype (complex, text,
-    bytes, object, ...) is refused by name rather than cast.  A C-ordered
-    float64 array comes back as is, not copied.
-    """
-    feats = np.asarray(features)
-    if feats.dtype.kind not in "biuf":
-        raise ValueError(f"features must be bool, int or float numbers, got dtype {feats.dtype}")
-    feats = np.asarray(feats, dtype=float, order="C")
+
+def check_batch(features, width: int) -> np.ndarray:
+    """The feature-batch rule: ``check_floats`` of shape ``(rows, width)``, rows >= 0."""
+    feats = check_floats(features, "features")
     if feats.ndim != 2 or feats.shape[1] != width:
         raise ValueError(f"expected features of shape (batch, {width}), got {feats.shape}")
-    if not np.isfinite(feats).all():
-        raise ValueError("features must be finite")
     return feats
 
 
@@ -167,9 +174,10 @@ def train_split_size(num_points: int, train_fraction: float) -> int:
 def scale_and_split(features, labels, train_fraction: float, seed) -> Dataset:
     """Stratified shuffle/split, then min-max scale into [0, pi] from train stats.
 
-    Each class is split at the same fraction (sizes differ by at most one
-    across classes), so both splits stay balanced.  Test features falling
-    outside the training range are clamped and counted.
+    Both classes must be present.  Each class is split at the same fraction
+    (sizes differ by at most one across classes), so both splits stay
+    balanced.  Test features falling outside the training range are clamped
+    and counted.
     """
     feats, labs = check_samples(features, labels, "the data")
     check_fraction(train_fraction, "train_fraction")

@@ -6,6 +6,8 @@ client, either by value (CLASSICAL_COPY) or by teleporting every stored angle
 model it just trained is evaluated on the held-out set.  Every model kind
 takes the same SGD step: ``loss_grad`` on the batch, then ``step`` by the mean,
 on a shard ``local_train`` checked once per call with ``datagen``'s rule.
+``partition`` checks the whole data with that rule, so ``make_clients``
+refuses a bad shard before any client exists.
 
 Each client owns a private rng for batch shuffling; the teleport channel uses
 its own rng so the two transports consume identical client streams and stay

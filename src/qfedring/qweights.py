@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vqc
-from .datagen import check_count, check_positive
+from .datagen import check_count, check_floats, check_positive
 from .statevec import StateVector, _rx_carriers, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
 from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT, _layer_angles
@@ -126,11 +126,9 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
     parameters, so the inner factor is evaluated as two shifted expectations
     rather than an analytic derivative.
     """
-    cg = np.asarray(circuit_grad, dtype=float)
+    cg = check_floats(circuit_grad, "circuit_grad")
     if cg.shape != store.angles.shape:
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
-    if not np.isfinite(cg).all():
-        raise ValueError("circuit_grad must be finite")
     plus, minus = _rx_z(store.angles + _SHIFT_PAIR)
     return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
 

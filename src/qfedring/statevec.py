@@ -8,7 +8,9 @@ array primitives built on it from here: ``_rx_carriers``, ``_z_signs`` and
 ``_cnot_image``.
 
 States are immutable values: every operation returns a fresh StateVector
-and never mutates its input.
+and never mutates its input.  A StateVector is validated on construction:
+``num_qubits`` a plain ``int`` up to ``MAX_QUBITS`` (``True`` and ``1.0`` are
+refused), the amplitudes finite and of unit norm, both read off one dot product.
 
 Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
 complex numbers, which at a few qubits is cheaper than numpy's per-call

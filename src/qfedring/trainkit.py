@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import check_batch, check_count, check_labels, check_positive
+from .datagen import check_batch, check_count, check_floats, check_labels, check_positive
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel, call_loss
 
@@ -104,11 +104,9 @@ class ClassicalMlp:
     b2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = np.array(self.params, dtype=float)
+        p = check_floats(np.array(self.params), "params")
         if p.shape != (MLP_PARAMS,):
             raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("params must be finite")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
         object.__setattr__(self, "w1", p[:_B1].reshape(2, MLP_HIDDEN))

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datagen import check_batch, check_count
+from .datagen import check_batch, check_count, check_floats
 from .statevec import MAX_QUBITS, _cnot_image, _rx_carriers, _z_signs
 
 
@@ -77,12 +77,10 @@ class VqcModel:
 
 
 def _layer_angles(values, name: str) -> np.ndarray:
-    """Read-only finite float copy of a (layers, qubits, 3) array; errors call it ``name``."""
-    a = np.array(values, dtype=float)
+    """Read-only ``check_floats`` copy of a (layers, qubits, 3) array; errors call it ``name``."""
+    a = check_floats(np.array(values), name)
     if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
         raise ValueError(f"{name} must have shape (layers, qubits, 3), got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
     a.flags.writeable = False
     return a
 

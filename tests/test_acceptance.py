@@ -3,6 +3,7 @@ line with its measured numbers.  Criteria cover gradient correctness, exact
 shift-rule derivatives, teleportation fidelity, simulator conservation,
 degenerate-ring and transport equivalences, the hub-spoke oracle, end-to-end
 learning quality, and byte-level determinism."""
+import hashlib
 import math
 import time
 
@@ -321,6 +322,15 @@ def test_criterion_7_hubspoke_average_oracle(capsys):
     )
 
 
+# sha256 of each default run's metrics CSV: a commit that changes what a
+# default run computes must update its pin here, in the same commit.
+DEFAULT_CSV_SHA256 = {
+    "cfl": "b2606154301a90a631e9f4f4b4aad5f387c753966e4393e81c32fc036083ce5b",
+    "qfl-classical": "78531199aa5fc0fb002df05c327e455ddfb579fa8350d508aba6badbcea02b17",
+    "qfl-quantum": "b6e62a777be3054f356820ba838bae2545061e61d4ced9da5efa5ac053a52707",
+}
+
+
 @pytest.mark.slow
 def test_criterion_8_end_to_end_learning(capsys):
     summary = []
@@ -335,6 +345,9 @@ def test_criterion_8_end_to_end_learning(capsys):
         _, metrics, _ = cli.run_single(config, dataset)
         elapsed = time.perf_counter() - start
         max_elapsed = max(max_elapsed, elapsed)
+        csv_sha256 = hashlib.sha256(cli.metrics_csv_text(metrics).encode()).hexdigest()
+        if csv_sha256 != DEFAULT_CSV_SHA256[model_name]:
+            failures.append(f"{model_name}: metrics CSV sha256 {csv_sha256} is not the pinned one")
         accs = [m.test_accuracy for m in metrics]
         final = accs[-1]
         conv = cli.convergence_round(accs)

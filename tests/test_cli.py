@@ -557,6 +557,14 @@ class TestEndToEnd:
         assert capsys.readouterr().err == f"error: {flag} needs a file name, got an empty path\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_config_path_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An empty --config used to be skipped, so the defaults ran.
+        refuse_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--model", "cfl", *FAST, "--config", ""]) == 2
+        assert capsys.readouterr().err == "error: --config needs a file name, got an empty path\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_check_leaves_no_file_behind(self, tmp_path, monkeypatch):
         """Checking --out neither creates an empty file nor truncates an old
         one that a failure after the check would leave behind."""
@@ -615,6 +623,16 @@ class TestCompare:
         b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1)
         assert cli.main(["--compare", a, b, "--out", ""]) == 2
         assert capsys.readouterr().err == "error: --out needs a file name, got an empty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
+
+    def test_empty_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        # An empty --config used to be accepted beside --compare, and ignored.
+        refuse_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
+        b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1)
+        assert cli.main(["--compare", a, b, "--config", ""]) == 2
+        assert capsys.readouterr().err == "error: compare mode takes config files plus --out only\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
     def test_combined_csv(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """scripts/run_comparison.py writes one config per variant holding only the
 settings it was given, and merges the three runs into one CSV."""
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def test_short_comparison(tmp_path, capsys):
     checksums = {row[-1] for row in rows}
     assert len(checksums) == 1 and len(checksums.pop()) == 64
     assert "combined metrics:" in capsys.readouterr().out
+
+
+def test_ten_round_comparison_is_pinned(tmp_path):
+    # The run CI compares against the base commit; a commit that changes its
+    # combined CSV must update this pin in the same commit.
+    assert load_script().main(["--out-dir", str(tmp_path), "--rounds", "10"]) == 0
+    csv = (tmp_path / "comparison.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "33218709b80e325b05c2e98512d70f1887340b3eb299cfe4b91162d108fab4a9"
+    )
