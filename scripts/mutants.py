@@ -44,20 +44,38 @@ EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
 FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 
-# The eight register amplitudes, each written as 0j + _H?? * p? + _H?? * p?.
-_AMPLITUDES = [f"_H{row}0 * p{j} + _H{row}1 * p{j + 4}" for row in (0, 1) for j in range(4)]
+# The eight register amplitudes, |0..> half then |1..> half, each written as 0j + _H?? * p?.
+_AMPLITUDES = ["_H00 * p0", "_H01 * p5", "_H01 * p6", "_H00 * p3",
+               "_H10 * p0", "_H11 * p5", "_H11 * p6", "_H10 * p3"]
+QUBIT_PARITY = "tests/test_statevec.py::TestQubit::test_refuses_and_passes_as_the_constructor"
 
 MUTANTS = (
     # The teleport channel's Bell measurement on the register's halves.
     Mutant("measurement: second scale dropped", "qfedring/teleport.py",
            "(h0 * s1 * s2, h1 * s1 * s2)", "(h0 * s1, h1 * s1)", (REGISTER,)),
     Mutant("measurement: halves swapped", "qfedring/teleport.py",
-           "reg[4:] if m1 else reg[:4]", "reg[:4] if m1 else reg[4:]", (REGISTER,)),
+           "if not m1:\n        h0,", "if m1:\n        h0,", (REGISTER,)),
     *(
         Mutant(f"register: amplitude {index} without 0j +", "qfedring/teleport.py",
                f"0j + {amplitude}", amplitude, (REGISTER,))
         for index, amplitude in enumerate(_AMPLITUDES)
     ),
+    Mutant("fidelity: message amplitudes not conjugated", "qfedring/teleport.py",
+           "c0.conjugate() * zero + c1.conjugate() * one", "c0 * zero + c1 * one",
+           ("tests/test_teleport.py::TestTeleportState::test_forced_branches_match_gate_by_gate",)),
+    # The amplitude rule StateVector and _qubit share, and what each hands it.
+    Mutant("amplitude rule: norm below 1 taken as normalized", "qfedring/statevec.py",
+           "abs(norm - 1.0) > _NORM_TOL", "norm - 1.0 > _NORM_TOL",
+           ("tests/test_statevec.py::TestStateVector::test_norm_tolerance_edge",)),
+    Mutant("_qubit: |c1|^2 without its imaginary part", "qfedring/statevec.py",
+           "+ (c1.real * c1.real + c1.imag * c1.imag)", "+ (c1.real * c1.real)",
+           (QUBIT_PARITY,)),
+    Mutant("StateVector: text amplitudes parsed", "qfedring/statevec.py",
+           'not in "biufc"', 'not in "biufcSU"',
+           ("tests/test_statevec.py::TestStateVector::test_refuses_non_number_amplitudes",)),
+    Mutant("with_angles: angles not checked", "qfedring/qweights.py",
+           '"angles", _layer_angles(angles, "angles"))', '"angles", angles)',
+           ("tests/test_qweights.py::TestStore::test_with_angles_keeps_gamma_and_checks_angles",)),
     # The in-branch early return of the angle wrap, and the one-shift label test.
     Mutant("canonical_angles: -pi taken as in branch", "qfedring/qweights.py",
            "initial=math.inf) > -math.pi", "initial=math.inf) >= -math.pi",

@@ -13,15 +13,18 @@ the circuit parameters, with the +shift and -shift angles as one array.
 ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
-that rebinding one (as a tracer does) also covers this path.
+that rebinding one (as a tracer does) also covers this path.  A step's new
+store comes from ``with_angles``, which checks the angles as the constructor
+does and hands on the gamma checked when the first store was built.
 ``encode_weight`` wraps one carrier as a validated StateVector; no run
 calls it (the teleport channel builds a whole store's carriers at once),
 and it stays only because the benchmark tracer wraps it, as it does the
 ``apply_gate`` and ``expectation`` imported here.  ``state_expectations``
-reads (<Z>, <Y>) back from what arrives on its two amplitudes as Python
-complex scalars, |c0|^2 - |c1|^2 without numpy's per-call cost.  Every
-value is the same float the gate-by-gate simulator gives (RX on |0>, then
-the Pauli-Z expectation), and the tests hold these functions to that oracle.
+reads (<Z>, <Y>) back from the two amplitudes the teleport channel's
+``statevec._qubit`` state holds, as Python complex scalars, |c0|^2 - |c1|^2
+without numpy's per-call cost.  Every value is the same float the
+gate-by-gate simulator gives (RX on |0>, then the Pauli-Z expectation), and
+the tests hold these functions to that oracle.
 """
 from __future__ import annotations
 
@@ -66,7 +69,12 @@ class QuantumWeightStore:
         return self.angles.shape[1]
 
     def with_angles(self, angles: np.ndarray) -> "QuantumWeightStore":
-        return QuantumWeightStore(angles, self.gamma)
+        """A store of ``angles``, checked as the constructor checks them, and
+        this store's gamma, which was checked when this store was built."""
+        store = object.__new__(QuantumWeightStore)
+        object.__setattr__(store, "angles", _layer_angles(angles, "angles"))
+        object.__setattr__(store, "gamma", self.gamma)
+        return store
 
     def logits(self, features) -> np.ndarray:
         return vqc.forward_batch(materialize(self), features)

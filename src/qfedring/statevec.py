@@ -10,14 +10,23 @@ array primitives built on it from here: ``_rx_carriers``, ``_z_signs`` and
 States are immutable values: every operation returns a fresh StateVector
 and never mutates its input.  A StateVector is validated on construction:
 ``num_qubits`` a plain ``int`` up to ``MAX_QUBITS`` (``True`` and ``1.0`` are
-refused), the amplitudes finite and of unit norm, both read off one dot product.
+refused), the amplitudes bool, int, float or complex numbers (text, bytes and
+objects are refused by dtype, not parsed), then finite and of unit norm.
+That last rule is ``_check_amplitudes``, on the squared norm, which the
+constructor reads off one dot product.  ``_qubit(c0, c1)`` is the one-qubit
+StateVector of two Python complex numbers: the same rule on the scalars,
+with the same refusals and messages, and no numpy check or dataclass
+constructor.  The teleport channel builds every state it makes with it, so
+no run calls ``StateVector.__post_init__`` or the array ``fidelity``, which
+the tests keep as the reference.
 
 Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
 complex numbers, which at a few qubits is cheaper than numpy's per-call
-cost; ``measure_qubits`` runs it with ``_sampling_rule``.  The teleport
-channel measures on its register's halves instead, calling
-``_sampling_rule`` or ``_forcing_rule`` the same way, and its tests replay
-``_born_measure`` as the reference, so no run calls it or ``_bit_sides``.
+cost; ``measure_qubits`` runs it with ``_sampling_rule``, the pick that
+calls ``_sample``.  The teleport channel measures on its register's halves
+instead, calling ``_sample`` as a plain function (or ``_forcing_rule``'s
+pick), and its tests replay ``_born_measure`` as the reference, so no run
+calls it, ``_bit_sides`` or ``_sampling_rule``.
 
 A run calls none of the gate-by-gate names: ``GateOp``, ``gate_matrix``,
 ``apply_gate`` with ``_check_qubit`` and its matrices (``_ry_matrix``,
@@ -75,20 +84,52 @@ class StateVector:
         n = self.num_qubits
         if type(n) is not int or not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if amps.dtype.kind not in "biufc":
+            raise ValueError(
+                f"amplitudes must be bool, int, float or complex numbers, got dtype {amps.dtype}"
+            )
+        amps = np.array(amps, dtype=complex)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got shape {amps.shape}")
-        # One dot product checks both: any NaN or inf amplitude makes the
-        # squared norm non-finite, so the element-wise scan runs only then
-        # (finite amplitudes whose squares overflow fall through to the norm).
-        squared = np.vdot(amps, amps).real
-        if not math.isfinite(squared) and not np.isfinite(amps.view(float)).all():
-            raise ValueError("amplitudes must be finite")
-        norm = math.sqrt(squared)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
+        _check_amplitudes(np.vdot(amps, amps).real, amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _check_amplitudes(squared: float, amps) -> None:
+    """The amplitude rule of a StateVector, given its squared L2 norm: finite, unit norm.
+
+    Any NaN or inf amplitude makes the squared norm non-finite, so the
+    element-wise scan runs only then (finite amplitudes whose squares
+    overflow fall through to the norm).
+    """
+    if not math.isfinite(squared) and not all(map(cmath.isfinite, amps)):
+        raise ValueError("amplitudes must be finite")
+    norm = math.sqrt(squared)
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"amplitudes are not normalized (L2 norm {norm!r})")
+
+
+def _qubit(c0: complex, c1: complex) -> StateVector:
+    """The one-qubit StateVector [c0, c1] from two Python complex amplitudes.
+
+    The amplitude rule runs on the scalars, with StateVector's refusals and
+    messages; the read-only array is built once and the dataclass
+    constructor is skipped.  The squared norm is summed as |c0|^2 + |c1|^2,
+    which can differ from the constructor's dot product in the last bit, so
+    a norm refusal may print a norm one digit apart from the constructor's.
+    """
+    _check_amplitudes(
+        (c0.real * c0.real + c0.imag * c0.imag) + (c1.real * c1.real + c1.imag * c1.imag),
+        (c0, c1),
+    )
+    amps = np.array((c0, c1))
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "num_qubits", 1)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -222,18 +263,24 @@ def _bit_sides(num_qubits: int, target: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(j for j in indices if not j & mask), tuple(j for j in indices if j & mask)
 
 
+def _sample(rng: np.random.Generator, p1: float) -> tuple[int, float]:
+    """Outcome rule of a sampled measurement, for a bit that reads 1 with
+    probability ``p1``: a near-certain bit is taken without a draw, any other
+    is one ``rng.random() < p1`` draw.  Returns the bit and its probability."""
+    if p1 < _MIN_OUTCOME_PROB:
+        outcome = 0
+    elif p1 > 1.0 - _MIN_OUTCOME_PROB:
+        outcome = 1
+    else:
+        outcome = 1 if rng.random() < p1 else 0
+    return outcome, p1 if outcome else 1.0 - p1
+
+
 def _sampling_rule(rng: np.random.Generator):
-    """Outcome rule of a sampled measurement: a near-certain bit is taken
-    without a draw, any other is one ``rng.random() < p1`` draw."""
+    """``_sample`` on ``rng`` as the ``pick(q, p1)`` that ``_born_measure`` calls."""
 
     def pick(q: int, p1: float) -> tuple[int, float]:
-        if p1 < _MIN_OUTCOME_PROB:
-            outcome = 0
-        elif p1 > 1.0 - _MIN_OUTCOME_PROB:
-            outcome = 1
-        else:
-            outcome = 1 if rng.random() < p1 else 0
-        return outcome, p1 if outcome else 1.0 - p1
+        return _sample(rng, p1)
 
     return pick
 

@@ -42,9 +42,17 @@ NOT_RUN = {
     "statevec.measure_qubits",
     "statevec._check_targets",
     # The Born-rule kernel behind measure_qubits, which the teleport tests
-    # replay as the reference for teleport_state's measurement on halves.
+    # replay as the reference for teleport_state's measurement on halves,
+    # with the pick that wraps statevec._sample for it.
     "statevec._born_measure",
     "statevec._bit_sides",
+    "statevec._sampling_rule",
+    "statevec._sampling_rule.pick",
+    # The numpy forms the channel's scalar ones are tested against: runs build
+    # their one-qubit states with statevec._qubit and read the record's
+    # fidelity off its scalars.
+    "statevec.StateVector.__post_init__",
+    "statevec.fidelity",
     # Called once at import, for qweights' RX(pi/2) constant.
     "statevec._rx_matrix",
 }

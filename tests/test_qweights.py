@@ -71,6 +71,22 @@ class TestStore:
         assert other.gamma == 2.0
         assert np.all(other.angles == 1.0)
 
+    def test_with_angles_keeps_gamma_and_checks_angles(self, rng):
+        # The checked gamma is handed on as it is; the angles are checked
+        # as the constructor checks them, and come back as a read-only copy.
+        gamma = math.pi * (1 + 2**-52)
+        store = qw.init_store(rng, gamma=gamma)
+        angles = np.ones((2, 2, 3))
+        other = store.with_angles(angles)
+        assert type(other) is qw.QuantumWeightStore
+        assert other.gamma is store.gamma
+        assert np.array_equal(other.angles, angles) and other.angles is not angles
+        assert not other.angles.flags.writeable
+        for bad, match in ((np.full((2, 2, 3), np.nan), "angles must be finite"),
+                           (np.ones((2, 3)), "angles must have shape")):
+            with pytest.raises(ValueError, match=match):
+                store.with_angles(bad)
+
 
 class TestReadout:
     def test_materialize_is_gamma_cosine(self, rng):

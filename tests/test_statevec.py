@@ -112,6 +112,24 @@ class TestStateVector:
         assert sv.StateVector(1, np.array([1.0 + 5e-11, 0.0])).num_qubits == 1
         assert sv.StateVector(1, np.array([0.0, 1j * (1.0 - 5e-11)])).num_qubits == 1
 
+    @pytest.mark.parametrize(
+        "given",
+        [["1", "0"], [b"1", b"0"], np.array(["1", "0"]), np.array([1, 0], dtype=object),
+         np.array([1 + 0j, 0j], dtype=object)],
+        ids=["str", "bytes", "str-array", "object-int", "object-complex"],
+    )
+    def test_refuses_non_number_amplitudes(self, given):
+        # Text would otherwise be parsed as numbers; named, not cast.
+        kind = np.asarray(given).dtype
+        message = f"amplitudes must be bool, int, float or complex numbers, got dtype {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sv.StateVector(1, given)
+
+    @pytest.mark.parametrize("amps", [[1 + 0j, 0j], [1.0, 0.0], [1, 0], [True, False]])
+    def test_number_amplitudes_pass_bit_equal(self, amps):
+        state = sv.StateVector(1, amps)
+        assert state.amplitudes.tobytes() == np.array([1, 0], dtype=complex).tobytes()
+
     def test_tensor_product_is_kron_bitwise(self, rng):
         for na in (1, 2):
             for nb in (1, 2):
@@ -125,6 +143,46 @@ class TestStateVector:
         joint = oracle.tensor_product(one, oracle.zero_state(1))
         # first factor occupies the high bit: |1> (x) |0> = |10>
         assert_allclose(joint.amplitudes, [0, 0, 1, 0])
+
+
+# Two amplitudes, and the error the amplitude rule gives them (None: they pass).
+NAN, INF = math.nan, math.inf
+QUBIT_CASES = [
+    *[(bad, 0j, "must be finite") for bad in (complex(NAN, 0), complex(INF, 0), complex(-INF, 0))],
+    *[(0j, bad, "must be finite") for bad in (complex(0, NAN), complex(0, INF), complex(0, -INF))],
+    (complex(INF, 0), complex(NAN, 0), "must be finite"),
+    (complex(1 + 2e-10, 0), 0j, "not normalized"),
+    (0j, complex(0, 1 - 2e-10), "not normalized"),
+    (complex(1 + 5e-11, 0), 0j, None),
+    (0j, complex(0, 1 - 5e-11), None),
+    # Finite amplitudes whose squares overflow: a norm error, not a finiteness one.
+    (complex(1e200, 0), 0j, "not normalized"),
+    (0j, complex(0, 1e200), "not normalized"),
+    (complex(1e155, 0), complex(1e155, 0), "not normalized"),
+    (complex(0.6, -0.0), complex(-0.0, 0.8), None),
+]
+
+
+class TestQubit:
+    """``_qubit`` is StateVector(1, ...) on two Python complex amplitudes."""
+
+    @pytest.mark.parametrize("c0, c1, error", QUBIT_CASES)
+    def test_refuses_and_passes_as_the_constructor(self, c0, c1, error):
+        def outcome(build):
+            try:
+                state = build()
+            except Exception as exc:  # noqa: BLE001  (the type and text are compared)
+                return type(exc), str(exc)
+            assert type(state) is sv.StateVector and state.num_qubits == 1
+            assert not state.amplitudes.flags.writeable
+            return state.amplitudes.dtype, state.amplitudes.tobytes()
+
+        got = outcome(lambda: sv._qubit(c0, c1))
+        assert got == outcome(lambda: sv.StateVector(1, [c0, c1]))
+        if error is None:
+            assert got[0] == np.dtype(complex)
+        else:
+            assert got[0] is ValueError and error in got[1]
 
 
 class TestGates:

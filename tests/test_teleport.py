@@ -2,7 +2,6 @@
 branch statistics, whole-store round trips."""
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -60,22 +59,28 @@ def replay_channel(message, pick):
     return (m1, m2), recovered, numpy_readout(recovered)
 
 
-def forced_with_register(message, outcome):
-    """``teleport_state`` forced to ``outcome``, and the eight register
-    amplitudes it measured: its local ``reg``, read as each call returns."""
-    code, registers = tp.teleport_state.__code__, []
+def recording(pick, seen):
+    """``pick``, appending each (qubit, p1) it is handed to ``seen``."""
 
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is code:
-            registers.append(list(frame.f_locals["reg"]))
+    def recorded(q, p1):
+        seen.append((q, p1))
+        return pick(q, p1)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    return recorded
+
+
+def forced_with_probabilities(message, outcome, monkeypatch):
+    """``teleport_state`` forced to ``outcome``, and the (qubit, p1) pairs it
+    handed ``_forcing_rule``'s pick, in call order."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            tp, "_forcing_rule", lambda targets, outcomes: recording(
+                sv._forcing_rule(targets, outcomes), seen
+            )
+        )
         record = tp.teleport_state(message, force_outcome=outcome)
-    finally:
-        sys.setprofile(previous)
-    return record, registers
+    return record, seen
 
 
 def replay_weights(store, rng):
@@ -223,15 +228,18 @@ class TestScalarChannelIsBitEqual:
         ]
         return oracle_messages(rng) + carriers + signed_zeros
 
-    def test_register_matches_numpy_on_every_branch(self, rng):
+    def test_register_matches_numpy_on_every_branch(self, rng, monkeypatch):
+        # The register itself is never built whole, so its bits are read
+        # through what the measurement sees: the two probabilities handed to
+        # the pick, the outcome bits and the recovered amplitudes.
         for message in self.messages(rng):
-            want = numpy_register(message)
             for outcome in OUTCOMES:
-                record, registers = forced_with_register(message, outcome)
-                assert len(registers) == 1
-                assert np.array(registers[0], dtype=complex).tobytes() == want.tobytes()
-                pick = sv._forcing_rule((0, 1), outcome)
+                record, seen = forced_with_probabilities(message, outcome, monkeypatch)
+                want = []
+                pick = recording(sv._forcing_rule((0, 1), outcome), want)
                 bits, recovered, readout = replay_channel(message, pick)
+                assert [q for q, _ in seen] == [0, 1]
+                assert float_bits([p1 for _, p1 in seen]) == float_bits([p1 for _, p1 in want])
                 assert record.bell_outcome == tuple(bits)
                 assert record.recovered_state.amplitudes.tobytes() == recovered.tobytes()
                 assert float_bits(qw.state_expectations(record.recovered_state)) == float_bits(
