@@ -94,8 +94,8 @@ MUTANTS = (
     Mutant("loss: < in place of <= in the logits bound", "qfedring/trainkit.py",
            "initial=0.0) <= _LOGIT_BOUND", "initial=0.0) < _LOGIT_BOUND",
            ("tests/test_trainkit.py::TestLoss::test_largest_accepted_logits_give_a_finite_loss",)),
-    Mutant("loss: logits not made C-ordered", "qfedring/trainkit.py",
-           'np.asarray(logits, dtype=float, order="C")', "np.asarray(logits, dtype=float)",
+    Mutant("loss: logits not made C-ordered", "qfedring/datagen.py",
+           'np.asarray(a, dtype=float, order="C")', "np.asarray(a, dtype=float)",
            (LOSS_BITS,)),
     # The one rule for counts and the one for rates.
     Mutant("check_count: a bool passes as a count", "qfedring/datagen.py",
@@ -135,6 +135,26 @@ MUTANTS = (
     Mutant("_layer_angles: values cast to float before the rule", "qfedring/vqc.py",
            "np.array(values), name)", "np.array(values, dtype=float), name)",
            (NUMBER_RULE,)),
+    # Each public site of the cast put back on a plain float cast.
+    Mutant("loss: logits cast outside the rule", "qfedring/trainkit.py",
+           'as_floats(logits, "logits")', 'np.asarray(logits, dtype=float, order="C")',
+           (NUMBER_RULE,)),
+    Mutant("call_loss: upstream cast outside the rule", "qfedring/vqc.py",
+           'as_floats(upstream, "upstream")', 'np.asarray(upstream, dtype=float, order="C")',
+           (NUMBER_RULE,)),
+    Mutant("SgdOptimizer.step: params cast outside the rule", "qfedring/trainkit.py",
+           'as_floats(params, "params")', "np.asarray(params, dtype=float)", (NUMBER_RULE,)),
+    Mutant("SgdOptimizer.step: grad cast outside the rule", "qfedring/trainkit.py",
+           'as_floats(grad, "grad")', "np.asarray(grad, dtype=float)", (NUMBER_RULE,)),
+    Mutant("canonical_angles: angles cast outside the rule", "qfedring/qweights.py",
+           'a = as_floats(angles, "angles")', "a = np.asarray(angles, dtype=float)",
+           (NUMBER_RULE,)),
+    Mutant("encode_weight: angle through float()", "qfedring/qweights.py",
+           'check_floats(angle, "angle")', "np.float64(angle)", (NUMBER_RULE,)),
+    # A forced Bell bit must be an int.
+    Mutant("_forcing_rule: a bool passes as a bit", "qfedring/statevec.py",
+           " and not isinstance(outcome, bool)", "",
+           ("tests/test_teleport.py::TestTeleportState::test_refuses_a_forced_bit_that_is_not_an_int",)),
     # The pinned default-run CSVs see a readout off by a part in 1e9.
     Mutant("_expectations: readout scaled by 1 + 1e-9", "qfedring/vqc.py",
            "_readout_signs(angles.shape[2])",

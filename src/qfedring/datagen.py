@@ -7,10 +7,16 @@ on the data iff their checksums match.  Every count (clients, rounds, epochs,
 layers, batch size, round index, ``num_points``, the seed from 0) goes through
 ``check_count``, every rate (learning rate, gamma) through ``check_positive``
 and each fraction (``factor``, ``train_fraction``) through ``check_fraction``.
-Every number array (features, params, angles, a circuit gradient) goes
-through ``check_floats``; its owner adds only a shape test.  A setting rule
-refuses a bad value (a bool, a wrong type, NaN or inf) with a ``ValueError``
-naming the setting, never a ``TypeError``; library functions take any numpy seed.
+Every number array has one rule in two halves: ``as_floats`` (the dtype test
+and the one float64 cast) and ``check_floats`` (``as_floats``, then finite).
+Features, params, stored angles, a circuit gradient and a carrier's angle take
+``check_floats``; the loss's logits, ``vqc.call_loss``'s upstream,
+``SgdOptimizer.step`` and ``qweights.canonical_angles`` take ``as_floats``, as
+their finiteness is checked where they lead (the logits bound, the next
+model's constructor, the NaN wrapping branch).  Each owner adds only a shape
+test.  A setting rule refuses a bad value (a bool, a wrong type, NaN or inf)
+with a ``ValueError`` naming the setting, never a ``TypeError``; library
+functions take any numpy seed.
 """
 from __future__ import annotations
 
@@ -77,14 +83,19 @@ def check_labels(labels, num_samples: int) -> np.ndarray:
     return y.astype(int)
 
 
-def check_floats(values, name: str) -> np.ndarray:
-    """The number-array rule: bool, int, uint or float ``values`` as a finite C-ordered
+def as_floats(values, name: str) -> np.ndarray:
+    """The number-array rule's cast: bool, int, uint or float ``values`` as a C-ordered
     float64 array, not copied if it is one.  Any other dtype (complex, text, bytes,
     object, ...) is refused by name rather than cast.  Errors call it ``name``."""
     a = np.asarray(values)
     if a.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be bool, int or float numbers, got dtype {a.dtype}")
-    a = np.asarray(a, dtype=float, order="C")
+    return np.asarray(a, dtype=float, order="C")
+
+
+def check_floats(values, name: str) -> np.ndarray:
+    """The number-array rule: ``as_floats``, then every value finite."""
+    a = as_floats(values, name)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a

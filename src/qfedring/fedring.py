@@ -208,9 +208,9 @@ def run_ring(
 
 
 def _fsum_mean(arrays: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean whose value does not depend on the argument order."""
+    """Elementwise mean of float arrays whose value does not depend on the argument order."""
     shape = arrays[0].shape
-    stack = np.stack([np.asarray(a, dtype=float).reshape(-1) for a in arrays])
+    stack = np.stack([a.reshape(-1) for a in arrays])
     means = np.array([math.fsum(col) for col in stack.T]) / len(arrays)
     return means.reshape(shape)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vqc
-from .datagen import check_count, check_floats, check_positive
+from .datagen import as_floats, check_count, check_floats, check_positive
 from .statevec import StateVector, _rx_carriers, _rx_matrix
 from .statevec import apply_gate, expectation  # noqa: F401  (wrapped by perfbench/spans.py)
 from .vqc import NUM_QUBITS, SHIFT, SHIFT_COEFFICIENT, _layer_angles
@@ -105,9 +105,9 @@ def init_store(
     return QuantumWeightStore(angles, gamma=gamma)
 
 
-def _rx_z(angles) -> np.ndarray:
-    """<Z> of RX(a)|0> for every angle a, as cos(a/2)^2 - sin(a/2)^2."""
-    half = np.asarray(angles, dtype=float) / 2
+def _rx_z(angles: np.ndarray) -> np.ndarray:
+    """<Z> of RX(a)|0> for every angle a of a float array, as cos(a/2)^2 - sin(a/2)^2."""
+    half = angles / 2
     c, s = np.cos(half), np.sin(half)
     return c * c - s * s
 
@@ -119,7 +119,7 @@ def _z_of(c0: complex, c1: complex) -> float:
 
 def encode_weight(angle: float) -> StateVector:
     """The carrier state RX(angle)|0> for one stored weight."""
-    return StateVector(1, _rx_carriers(float(angle)))
+    return StateVector(1, _rx_carriers(check_floats(angle, "angle")))
 
 
 def materialize(store: QuantumWeightStore) -> np.ndarray:
@@ -179,11 +179,12 @@ def canonical_angles(angles: np.ndarray) -> np.ndarray:
     Applied after every optimizer step so that stored angles stay on the same
     branch decode_angle returns, keeping transports interchangeable.  Angles
     already inside the branch pass through bit for bit.  When every angle is
-    inside it, the result is ``np.asarray(angles, dtype=float)`` itself, so
-    it aliases a float64 input array (``QuantumWeightStore`` copies its
-    angles either way); a NaN fails both bounds and takes the wrapping path.
+    inside it, the result is ``datagen.as_floats(angles, "angles")`` itself,
+    so it aliases a C-ordered float64 input array (``QuantumWeightStore``
+    copies its angles either way); a NaN fails both bounds and takes the
+    wrapping path.
     """
-    a = np.asarray(angles, dtype=float)
+    a = as_floats(angles, "angles")
     top = np.maximum.reduce(a, axis=None, initial=-math.inf)
     if top <= math.pi and np.minimum.reduce(a, axis=None, initial=math.inf) > -math.pi:
         return a

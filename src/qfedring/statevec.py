@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,9 +219,10 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return StateVector(n, amps)
 
 
-def _rx_carriers(angles) -> np.ndarray:
-    """RX(a)|0> = [cos(a/2), -i sin(a/2)] for every angle a: shape ``angles.shape + (2,)``."""
-    half = np.asarray(angles, dtype=float) / 2
+def _rx_carriers(angles: np.ndarray) -> np.ndarray:
+    """RX(a)|0> = [cos(a/2), -i sin(a/2)] for every angle a of a float array:
+    shape ``angles.shape + (2,)``."""
+    half = angles / 2
     amps = np.empty(half.shape + (2,), dtype=complex)
     amps[..., 0] = np.cos(half)
     amps[..., 1] = -1j * np.sin(half)
@@ -287,13 +289,15 @@ def _sampling_rule(rng: np.random.Generator):
 
 def _forcing_rule(targets, outcomes):
     """Outcome rule of a forced measurement: the given bit on each target,
-    refused when its probability is below 1e-15."""
+    refused when its probability is below 1e-15.  A bit is a Python or numpy
+    int 0 or 1 (a bool or a float is refused) and is recorded as an int."""
     if len(targets) != len(outcomes):
         raise ValueError("targets and outcomes must pair up")
     for outcome in outcomes:
-        if outcome not in (0, 1):
+        bit = isinstance(outcome, numbers.Integral) and not isinstance(outcome, bool)
+        if not bit or outcome not in (0, 1):
             raise ValueError(f"outcome bits must be 0 or 1, got {outcome!r}")
-    forced = dict(zip(targets, outcomes))
+    forced = dict(zip(targets, map(int, outcomes)))
 
     def pick(q: int, p1: float) -> tuple[int, float]:
         outcome = forced[q]

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .datagen import check_batch, check_count, check_floats, check_labels, check_positive
+from .datagen import as_floats, check_batch, check_count, check_floats, check_labels, check_positive
 from .qweights import QuantumWeightStore
 from .vqc import VqcModel, call_loss
 
@@ -51,7 +51,7 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     scaling or shift would overflow are refused.  The gradient is
     LOGIT_SCALE * (softmax(LOGIT_SCALE * logits) - onehot(label)).
     """
-    lg = np.asarray(logits, dtype=float, order="C")  # C order: dlogits.reshape(-1) is a view
+    lg = as_floats(logits, "logits")  # C order: dlogits.reshape(-1) is a view
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
@@ -79,7 +79,7 @@ class SgdOptimizer:
         check_positive(self.learning_rate, "learning_rate")
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return np.asarray(params, dtype=float) - self.learning_rate * np.asarray(grad, dtype=float)
+        return as_floats(params, "params") - self.learning_rate * as_floats(grad, "grad")
 
 
 # Where b1, w2 and b2 start in the MLP's flat parameter vector, and its length.

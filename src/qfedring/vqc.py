@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .datagen import check_batch, check_count, check_floats
+from .datagen import as_floats, check_batch, check_count, check_floats
 from .statevec import MAX_QUBITS, _cnot_image, _rx_carriers, _z_signs
 
 
@@ -130,7 +130,7 @@ def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.nda
 def call_loss(loss, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The upstream rule: ``loss(logits)`` returns an upstream shaped like the logits."""
     losses, upstream = loss(logits)
-    up = np.asarray(upstream, dtype=float, order="C")
+    up = as_floats(upstream, "upstream")
     if up.shape != logits.shape:
         raise ValueError(f"upstream must have shape {logits.shape}, got {up.shape}")
     return losses, up

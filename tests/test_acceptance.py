@@ -330,6 +330,23 @@ DEFAULT_CSV_SHA256 = {
     "qfl-quantum": "b6e62a777be3054f356820ba838bae2545061e61d4ced9da5efa5ac053a52707",
 }
 
+# sha256 of the metrics CSV of the teleport-handoff benchmark workload's shape
+# (24 clients, 1 local epoch, batch 64) at 5 rounds; the copy transport writes
+# the same bytes.  A commit that changes it must update the pin in the same commit.
+HANDOFF_FLAGS = (
+    "--model", "qfl-quantum", "--clients", "24", "--local-epochs", "1", "--batch-size", "64",
+    "--rounds", "5",
+)
+HANDOFF_CSV_SHA256 = "c71aa3246a0312a439a41c7e7b82fb195149da7318ce5c61098cc26d7df74300"
+
+
+@pytest.mark.parametrize("transport", ["teleport", "copy"])
+def test_handoff_shape_is_pinned(transport):
+    config = cli.parse_config([*HANDOFF_FLAGS, "--transport", transport])
+    _, metrics, _ = cli.run_single(config, cli.build_dataset(config))
+    csv_sha256 = hashlib.sha256(cli.metrics_csv_text(metrics).encode()).hexdigest()
+    assert csv_sha256 == HANDOFF_CSV_SHA256
+
 
 @pytest.mark.slow
 def test_criterion_8_end_to_end_learning(capsys):

@@ -177,6 +177,18 @@ class TestTeleportState:
         with pytest.raises(ValueError, match="rng"):
             tp.teleport_state(oracle.zero_state(1))
 
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0, "1", None])
+    def test_refuses_a_forced_bit_that_is_not_an_int(self, bit):
+        with pytest.raises(ValueError) as refused:
+            tp.teleport_state(qw.encode_weight(0.3), force_outcome=(bit, 0))
+        assert str(refused.value) == f"outcome bits must be 0 or 1, got {bit!r}"
+
+    @pytest.mark.parametrize("bit", [0, 1, np.int64(1)])
+    def test_records_a_forced_int_bit_as_an_int(self, bit):
+        record = tp.teleport_state(qw.encode_weight(0.3), force_outcome=(bit, 0))
+        assert record.bell_outcome == (bit, 0)
+        assert type(record.bell_outcome[0]) is int
+
     def test_basis_state_roundtrip(self, rng):
         record = tp.teleport_state(oracle.zero_state(1), rng=rng)
         assert record.fidelity == pytest.approx(1.0, abs=1e-12)
