@@ -44,17 +44,19 @@ EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
 FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 
-# The eight register amplitudes, |0..> half then |1..> half, each written as 0j + _H?? * p?.
-_AMPLITUDES = ["_H00 * p0", "_H01 * p5", "_H01 * p6", "_H00 * p3",
-               "_H10 * p0", "_H11 * p5", "_H11 * p6", "_H10 * p3"]
+# The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
+# written as 0j + _H?? * p?.
+_AMPLITUDES = ["_H00 * p0", "_H01 * p1", "_H10 * p0", "_H11 * p1"]
 QUBIT_PARITY = "tests/test_statevec.py::TestQubit::test_refuses_and_passes_as_the_constructor"
 
 MUTANTS = (
     # The teleport channel's Bell measurement on the register's halves.
     Mutant("measurement: second scale dropped", "qfedring/teleport.py",
-           "(h0 * s1 * s2, h1 * s1 * s2)", "(h0 * s1, h1 * s1)", (REGISTER,)),
+           "zero, one = a * s2, b * s2", "zero, one = a, b", (REGISTER,)),
     Mutant("measurement: halves swapped", "qfedring/teleport.py",
-           "if not m1:\n        h0,", "if m1:\n        h0,", (REGISTER,)),
+           "if not m1:\n        a, b", "if m1:\n        a, b", (REGISTER,)),
+    Mutant("measurement: qubit 0's p1 not summed in index order", "qfedring/teleport.py",
+           "0.0 + aa + bb + bb + aa", "0.0 + 2 * (aa + bb)", (REGISTER,)),
     *(
         Mutant(f"register: amplitude {index} without 0j +", "qfedring/teleport.py",
                f"0j + {amplitude}", amplitude, (REGISTER,))
@@ -151,10 +153,17 @@ MUTANTS = (
            (NUMBER_RULE,)),
     Mutant("encode_weight: angle through float()", "qfedring/qweights.py",
            'check_floats(angle, "angle")', "np.float64(angle)", (NUMBER_RULE,)),
+    Mutant("encode_weight: a 1-D angle left to the amplitude test", "qfedring/qweights.py",
+           "if a.ndim:", "if a.ndim > 1:",
+           ("tests/test_qweights.py::TestReadout::test_encode_weight_refuses_a_non_scalar_angle",)),
     # A forced Bell bit must be an int.
     Mutant("_forcing_rule: a bool passes as a bit", "qfedring/statevec.py",
            " and not isinstance(outcome, bool)", "",
            ("tests/test_teleport.py::TestTeleportState::test_refuses_a_forced_bit_that_is_not_an_int",)),
+    # The engine's layers, applied in circuit order.
+    Mutant("_expectations: layers applied last to first", "qfedring/vqc.py",
+           "2 * dim, 2 * dim):", "2 * dim, 2 * dim)[::-1]:",
+           ("tests/test_vqc.py::TestBatchedPath::test_engine_matches_gate_by_gate",)),
     # The pinned default-run CSVs see a readout off by a part in 1e9.
     Mutant("_expectations: readout scaled by 1 + 1e-9", "qfedring/vqc.py",
            "_readout_signs(angles.shape[2])",

@@ -119,7 +119,10 @@ def _z_of(c0: complex, c1: complex) -> float:
 
 def encode_weight(angle: float) -> StateVector:
     """The carrier state RX(angle)|0> for one stored weight."""
-    return StateVector(1, _rx_carriers(check_floats(angle, "angle")))
+    a = check_floats(angle, "angle")
+    if a.ndim:
+        raise ValueError(f"angle must be a single number, got shape {a.shape}")
+    return StateVector(1, _rx_carriers(a))
 
 
 def materialize(store: QuantumWeightStore) -> np.ndarray:

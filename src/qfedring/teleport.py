@@ -8,20 +8,17 @@ with the message up to float rounding.
 
 ``teleport_state`` runs on Python complex scalars from the message to the
 record, which at a few amplitudes is cheaper than numpy's per-call cost.
-The register is written out on the message's two amplitudes, the Bell
-pair's nonzero ``_B0`` and ``_B3`` and H's ``_H00``..``_H11``, with
-CNOT(0 -> 1) as the order of the products; the products with the pair's
-zeros would only add signed zeros to sums that start from ``0j``, so they
-are left out and every bit is kept.  The register is measured on its halves
-(qubit 0 is the high bit), the |0..> half built only when the first bit
-reads 0, with ``statevec._sample`` (or ``_forcing_rule``'s pick) called as
-``statevec._born_measure`` calls its pick and the same sums and products,
-so the outcomes, the channel rng draws and the recovered amplitudes are
-bit-equal to that kernel's on the numpy register, which the tests replay as
-the reference.  The corrections act on the receiver's two amplitudes, which
-``statevec._qubit`` checks as a StateVector does; the record's fidelity is
-|conj(c0) zero + conj(c1) one|^2 on the same scalars, and ``decode_angle``'s
-purity gate checks the way out.
+The Bell pair's two nonzero amplitudes are one number, ``_B``, so each half
+of the register is (a, b, b, a): two amplitudes, from the message's two
+and H's ``_H00``..``_H11``.  The register is measured on its halves (qubit
+0 is the high bit), with ``statevec._sample`` (or ``_forcing_rule``'s pick)
+called as ``statevec._born_measure`` calls its pick and the same sums and
+products, so the outcomes, the channel rng draws and the recovered
+amplitudes are bit-equal to that kernel's on the numpy register, which the
+tests replay as the reference.  The corrections act on the receiver's two
+amplitudes, which ``statevec._qubit`` checks as a StateVector does; the
+record's fidelity is |conj(c0) zero + conj(c1) one|^2 on the same scalars,
+and ``decode_angle``'s purity gate checks the way out.
 
 ``teleport_weights`` builds every carrier of a store with one
 ``statevec._rx_carriers`` call and turns them into Python pairs in one
@@ -63,11 +60,9 @@ class TeleportRecord:
     fidelity: float
 
 
-# The register's constants as Python scalars: the Bell pair
-# (|00> + |11>) / sqrt(2) and H's entries.  The Bell amplitudes are those H
-# then CNOT give on |00>, bit for bit: H's minus sign leaves -0.0 on |10>.
-_BELL = (complex(1 / math.sqrt(2), 0.0), 0j, complex(-0.0, 0.0), complex(1 / math.sqrt(2), 0.0))
-_B0, _B3 = _BELL[0], _BELL[3]
+# The register's constants as Python scalars: _B, the |00> and |11>
+# amplitude of the Bell pair (|00> + |11>) / sqrt(2), and H's entries.
+_B = complex(1 / math.sqrt(2), 0.0)
 (_H00, _H01), (_H10, _H11) = _H.tolist()
 
 
@@ -87,36 +82,31 @@ def teleport_state(
     if force_outcome is None and rng is None:
         raise ValueError("provide an rng or force an outcome")
     pick = None if force_outcome is None else _forcing_rule((0, 1), force_outcome)
-    # The message times the Bell pair, then CNOT(0 -> 1): where qubit 0 is 1
-    # it flips qubit 1, so the |1..> half takes the Bell pair as _B2, _B3, _B0, _B1.
-    # Only the products with _B0 and _B3 are kept: those with the zeros _B1
-    # and _B2 are signed zeros, which leave each sum below unchanged.
+    # The message times the Bell pair is c0 _B at |000> and |011> and c1 _B at
+    # |100> and |111>; CNOT(0 -> 1) moves the last two to |110> and |101>, and
+    # H on qubit 0 makes each half (a, b, b, a).  Each amplitude starts from
+    # 0j, so a -0.0 comes out +0.0 as from the numpy register's matmul, and
+    # qubit 0's p1 sums the |1..> half from 0.0 in index order, as
+    # ``_born_measure`` does, so every bit is kept.
     c0, c1 = message.amplitudes.tolist()
-    p0, p3, p5, p6 = c0 * _B0, c0 * _B3, c1 * _B3, c1 * _B0
-    # H acts on qubit 0: each row of H mixes amplitude j with amplitude j + 4.
-    # Each sum starts from 0j, as a matmul's does, so a -0.0 comes out +0.0
-    # and the register equals the 2x4 matmul of H on the eight products bit for bit.
-    # Qubit 0 is the high bit, so its probability of 1 sums the |1..> half,
-    # from 0.0 in index order as in ``_born_measure``; the |0..> half is
-    # built only when that bit reads 0.
-    h0, h1, h2, h3 = 0j + _H10 * p0, 0j + _H11 * p5, 0j + _H11 * p6, 0j + _H10 * p3
-    p_one = (0.0 + (h0.real * h0.real + h0.imag * h0.imag) + (h1.real * h1.real + h1.imag * h1.imag)
-             + (h2.real * h2.real + h2.imag * h2.imag) + (h3.real * h3.real + h3.imag * h3.imag))
+    p0, p1 = c0 * _B, c1 * _B
+    a, b = 0j + _H10 * p0, 0j + _H11 * p1
+    aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
+    p_one = 0.0 + aa + bb + bb + aa
     m1, p = _sample(rng, p_one) if pick is None else pick(0, p_one)
     if not m1:
-        h0, h1, h2, h3 = 0j + _H00 * p0, 0j + _H01 * p5, 0j + _H01 * p6, 0j + _H00 * p3
-    # The kept half is scaled by s1 = 1 / sqrt(p), and qubit 1's probability
-    # of 1 sums that half's |.1.> pair.  Scales are complex-by-float
-    # products, as in ``_born_measure``, so every bit is the same.
+        a, b = 0j + _H00 * p0, 0j + _H01 * p1
+    # The kept half is scaled by s1 = 1 / sqrt(p) as complex-by-float
+    # products, as in ``_born_measure``; qubit 1's p1 sums its |.1.> pair (b, a).
     s1 = 1.0 / math.sqrt(p)
-    h2, h3 = h2 * s1, h3 * s1
-    p_one = 0.0 + (h2.real * h2.real + h2.imag * h2.imag) + (h3.real * h3.real + h3.imag * h3.imag)
+    a, b = a * s1, b * s1
+    p_one = 0.0 + (b.real * b.real + b.imag * b.imag) + (a.real * a.real + a.imag * a.imag)
     m2, p = _sample(rng, p_one) if pick is None else pick(1, p_one)
     s2 = 1.0 / math.sqrt(p)
-    # Qubits 0 and 1 are collapsed to (m1, m2), so the receiver holds the kept
-    # half's pair 2 * m2, scaled by s2 as well.  X (m2 = 1) swaps its two
-    # amplitudes and Z (m1 = 1) flips the sign of the |1> one.
-    zero, one = (h3 * s2, h2 * s2) if m2 else (h0 * s1 * s2, h1 * s1 * s2)
+    # The receiver holds the kept pair (a, b) if m2 is 0 and (b, a) if it is
+    # 1, which X swaps back, so either way it is (a, b) scaled by s2.  Z
+    # (m1 = 1) flips the sign of the |1> amplitude.
+    zero, one = a * s2, b * s2
     if m1:
         one = -one
     # The fidelity |<message|recovered>|^2, on the same four scalars.

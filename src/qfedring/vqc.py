@@ -11,11 +11,11 @@ every row of a batch through S parameter sets at once, with the unitary
 tensor capped at ``_MAX_UNITARY_ENTRIES`` (``fits_unitary_cap`` is that
 test, shared with the CLI's config check).  Every ROT comes from one sine
 (``_ROT_MIX``), and every complex product runs as a real one on float views,
-against the layer unitaries' real 2x2-block forms.  Every set starts from the
-same encoded batch, so the first layer is one 2-D product against all sets'
-blocks side by side; later layers and the readout are per-set products.
-``forward_batch`` runs one set, for evaluation.  ``gradient_batch`` is one
-SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
+against the layer unitaries' real 2x2-block forms.  Every layer and the
+readout are per-set products, the first from the shared encoded batch, so
+under any BLAS kernel and thread count a set's bits in a pass are its bits
+alone.  ``forward_batch`` runs one set, for evaluation.  ``gradient_batch``
+is one SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
 parameters, then the +shift block, then the -shift block, made by adding a
 cached read-only offset tensor to the parameters.  It hands the unshifted
 logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
@@ -216,19 +216,18 @@ def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
 
     Each product psi @ U^T runs on float views: psi's (re, im) pairs times the
     real 2x2-block form of U^T, whose even rows are U^T and odd rows 1j * U^T
-    as complex.  Each layer's blocks lie side by side, (2d, S * 2d), so layer
-    0 is one product from the shared batch; later layers are per-set products.
+    as complex, laid out (layers, S, 2d, 2d).  Every layer is a per-set
+    product, the shared encoded batch broadcast against layer 0, so under any
+    BLAS kernel and thread count a set's bits in a pass are its bits alone.
     """
     u = _layer_unitaries(angles)
     sets, layers, dim = u.shape[0], u.shape[1], u.shape[-1]
-    blocks = np.empty((layers, dim, 2, sets, dim), dtype=complex)
-    blocks[:, :, 0] = u.transpose(1, 3, 0, 2)
-    np.multiply(blocks[:, :, 0], 1j, out=blocks[:, :, 1])
-    real = blocks.view(float).reshape(layers, 2 * dim, sets, 2 * dim)
-    psi = _encode_batch(features).view(float) @ real[0].reshape(2 * dim, -1)
-    psi = psi.reshape(-1, sets, 2 * dim).swapaxes(0, 1)
-    for layer in real[1:]:
-        psi = psi @ layer.swapaxes(0, 1)
+    blocks = np.empty((layers, sets, dim, 2, dim), dtype=complex)
+    blocks[:, :, :, 0] = u.transpose(1, 0, 3, 2)
+    np.multiply(blocks[:, :, :, 0], 1j, out=blocks[:, :, :, 1])
+    psi = _encode_batch(features).view(float)
+    for layer in blocks.view(float).reshape(layers, sets, 2 * dim, 2 * dim):
+        psi = psi @ layer
     return (psi * psi) @ _readout_signs(angles.shape[2])
 
 

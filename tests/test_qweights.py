@@ -1,6 +1,7 @@
 """Quantum weight store checks: carrier-state readout against closed-form
 cosines, angle-chain gradients against finite differences."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestReadout:
             [math.cos(math.pi / 6), -1j * math.sin(math.pi / 6)],
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize(
+        "angle", [np.array([0.3]), [0.1, 0.2], np.zeros((2, 2))], ids=["(1,)", "list", "(2, 2)"]
+    )
+    def test_encode_weight_refuses_a_non_scalar_angle(self, angle):
+        message = f"angle must be a single number, got shape {np.shape(angle)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qw.encode_weight(angle)
 
     def test_state_expectations_closed_form(self, rng):
         for a in rng.uniform(-math.pi, math.pi, 20):

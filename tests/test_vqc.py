@@ -348,10 +348,9 @@ class TestBatchedPath:
             assert np.array_equal(grad, want_grad)
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
-    def test_side_by_side_first_layer_matches_per_set_product(self, num_qubits):
-        """Layer 0 is one real (B, 2d) @ (2d, S * 2d) product with every set's
-        block form side by side; run alone, each set's layer 0 is its own
-        (B, 2d) @ (2d, 2d) product.  Each of a gradient pass's 1 + 2P sets
+    def test_each_set_in_a_pass_matches_its_own_product(self, num_qubits):
+        """Every layer is a per-set (B, 2d) @ (2d, 2d) product, layer 0 from
+        the shared encoded batch, so each of a gradient pass's 1 + 2P sets
         gives the same bits in the pass as on its own, at every qubit count."""
         rng = np.random.default_rng(99)
         for num_layers in (1, 2, 3):
