@@ -16,13 +16,16 @@ rounds each).  Any arguments are ``python -m qfedring`` flags for one run::
 
 Each line is ``<fingerprint>  <csv sha256>  <flags>``, where the middle
 field is the sha256 of the metrics CSV ``python -m qfedring`` writes for the
-same flags, so one training gives both.  Standard library and qfedring only.
+same flags, so one training gives both.  Errors exit as the CLI's do:
+``error: <message>`` on stderr, with exit 2 for bad flags and 1 for a run that
+fails.  Standard library and qfedring only.
 """
 import hashlib
 import sys
 
 from qfedring import cli
 from qfedring.qweights import QuantumWeightStore
+from qfedring.teleport import TransferError
 
 DEFAULT_RUNS = (
     ("--model", "cfl", "--transport", "copy"),
@@ -49,7 +52,7 @@ def run(flags) -> tuple[list, list[float]]:
     """Train the run ``flags`` name; returns its per-round metrics and final values."""
     config = cli.parse_config(list(flags))
     if not isinstance(config, cli.ExperimentConfig):
-        raise SystemExit("fingerprint.py takes the flags of one run, not --compare")
+        raise cli.ConfigError("fingerprint.py takes the flags of one run, not --compare")
     model, metrics, _ = cli.run_single(config, cli.build_dataset(config))
     return metrics, final_values(model)
 
@@ -57,7 +60,11 @@ def run(flags) -> tuple[list, list[float]]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     for flags in [argv] if argv else DEFAULT_RUNS:
-        metrics, values = run(flags)
+        try:
+            metrics, values = run(flags)
+        except (cli.ConfigError, TransferError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, cli.ConfigError) else 1
         csv_sha = hashlib.sha256(cli.metrics_csv_text(metrics).encode()).hexdigest()
         print(f"{fingerprint(metrics, values)}  {csv_sha}  {' '.join(flags)}")
     return 0

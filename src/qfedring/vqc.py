@@ -103,8 +103,9 @@ def entangler_pairs(num_qubits: int) -> list[tuple[int, int]]:
 # Batched engine: every row of a batch through S parameter sets at once.
 
 # Cap on the (sets, layers, 2**n, 2**n) unitary tensor: a gradient reaches 7 qubits
-# and a forward pass 10.  With their real block forms, these widest passes peak at
-# 33 MiB (7-qubit one-layer gradient) and 48 MiB (10-qubit forward) of allocations.
+# or 73 two-qubit layers, and a forward pass 10 qubits.  With their real block forms,
+# the largest passes peak at 53 MiB (73-layer two-qubit gradient), 33 MiB (7-qubit
+# one-layer gradient) and 48 MiB (10-qubit forward) of allocations.
 _MAX_UNITARY_ENTRIES = 1 << 20
 
 

@@ -60,3 +60,18 @@ def test_printed_csv_sha_is_that_of_the_written_csv(script, capsys, tmp_path):
     out = tmp_path / "metrics.csv"
     assert cli.main([*flags, "--out", str(out)]) == 0
     assert csv_sha == hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_bad_flags_exit_2_with_the_clis_message(script, capsys):
+    assert script.main(["--model", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --model: invalid choice: 'nope'")
+    assert "Traceback" not in err
+
+
+def test_a_run_that_fails_exits_1_with_the_clis_message(script, capsys):
+    flags = ["--model", "cfl", "--rounds", "3", "--learning-rate", "1e308"]
+    assert script.main(flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: client 0, epoch 1, step ") and "logits must be finite" in err
+    assert "Traceback" not in err

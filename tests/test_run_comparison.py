@@ -47,3 +47,18 @@ def test_ten_round_comparison_is_pinned(tmp_path):
     assert hashlib.sha256(csv).hexdigest() == (
         "33218709b80e325b05c2e98512d70f1887340b3eb299cfe4b91162d108fab4a9"
     )
+
+
+def test_out_dir_that_is_a_file_exits_1(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert load_script().main(["--out-dir", str(out), "--rounds", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --out-dir {out}: ")
+    assert out.read_text() == "kept\n"
+
+
+def test_bad_setting_exits_2_before_any_file_is_written(tmp_path, capsys):
+    out = tmp_path / "comparison"
+    assert load_script().main(["--out-dir", str(out), "--rounds", "0"]) == 2
+    assert capsys.readouterr().err == "error: cfl: rounds must be an integer >= 1, got 0\n"
+    assert not out.exists()
