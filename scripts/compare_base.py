@@ -51,7 +51,8 @@ print(*sorted(set(sys.modules) - before))
 sys.exit(code)
 """
 # ``python -m timeit`` setup, and each timer's statement: the channel on the
-# default 12-weight store, and one SGD step as local_train runs it, on 32 rows.
+# default 12-weight store, one SGD step as local_train runs it, on 32 rows, and
+# the store's evaluation on the same rows, readout check included.
 TIMER_SETUP = (
     "import numpy as np",
     "from qfedring import qweights, teleport, trainkit, vqc",
@@ -64,7 +65,8 @@ TIMER_SETUP = (
 )
 STEP = "{0}.step({0}.loss_grad(rows, loss)[1] / labels.size, opt)"
 TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
-          **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")}}
+          **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
+          "evaluate timer, store": "trainkit.evaluate(store, rows, labels)"}
 
 
 def run(tree: Path, cwd, *args: str, check=True, **env) -> subprocess.CompletedProcess:

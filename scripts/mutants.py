@@ -75,9 +75,19 @@ MUTANTS = (
     Mutant("StateVector: text amplitudes parsed", "qfedring/statevec.py",
            'not in "biufc"', 'not in "biufcSU"',
            ("tests/test_statevec.py::TestStateVector::test_refuses_non_number_amplitudes",)),
-    Mutant("with_angles: angles not checked", "qfedring/qweights.py",
-           '"angles", _layer_angles(angles, "angles"))', '"angles", angles)',
-           ("tests/test_qweights.py::TestStore::test_with_angles_keeps_gamma_and_checks_angles",)),
+    # One constructor per kind, and one readout rule at every entry point.
+    Mutant("QuantumWeightStore.step: gamma not handed on", "qfedring/qweights.py",
+           "QuantumWeightStore(angles, self.gamma)", "QuantumWeightStore(angles)",
+           ("tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles",)),
+    Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
+           "reshape(shape), store.gamma)", "reshape(shape))",
+           ("tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles",)),
+    Mutant("teleport_weights: a missing rng not refused up front", "qfedring/teleport.py",
+           "    if rng is None:\n        raise", "    if False:\n        raise",
+           ("tests/test_teleport.py::TestTeleportWeights::test_refuses_a_missing_rng_before_any_carrier",)),
+    Mutant("evaluate: readout not checked", "qfedring/trainkit.py",
+           "    check_readout(model)\n    scores", "    scores",
+           ("tests/test_fedring.py::TestMakeClients::test_circuits_need_two_qubits",)),
     # The in-branch early return of the angle wrap, and the one-shift label test.
     Mutant("canonical_angles: -pi taken as in branch", "qfedring/qweights.py",
            "initial=math.inf) > -math.pi", "initial=math.inf) >= -math.pi",

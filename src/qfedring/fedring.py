@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datagen, trainkit, vqc
+from . import datagen, trainkit
 from .qweights import QuantumWeightStore
 from .teleport import TransferError, teleport_weights
-from .trainkit import ClassicalMlp, Model, RoundMetrics, SgdOptimizer
+from .trainkit import Model, RoundMetrics, SgdOptimizer, check_readout
 
 # Namespace for per-client rng streams, kept clear of caller-side seed tags.
 _CLIENT_STREAM = 101
@@ -71,18 +71,6 @@ def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray
     return [(feats[chunk], labs[chunk]) for chunk in np.array_split(order, num_clients)]
 
 
-def _check_readout(model: Model) -> None:
-    """The model must be a known kind, and a circuit must have NUM_QUBITS
-    qubits: the readout gives one class score per qubit."""
-    if not isinstance(model, Model):
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    if not isinstance(model, ClassicalMlp) and model.num_qubits != vqc.NUM_QUBITS:
-        raise ValueError(
-            f"num_qubits must be {vqc.NUM_QUBITS} for the two-class loss, got {model.num_qubits}: "
-            "the circuit readout gives one class score per qubit"
-        )
-
-
 def make_clients(
     features,
     labels,
@@ -94,7 +82,7 @@ def make_clients(
     learning_rate: float = 0.02,
 ) -> list[ClientState]:
     """Partition the data and stand up clients that all start from ``model``."""
-    _check_readout(model)
+    check_readout(model)
     shards = partition(features, labels, num_clients, partition_seed)
     return [
         ClientState(
@@ -285,7 +273,7 @@ def centralized_train(
     A one-client ring over R rounds of E epochs reproduces this exactly
     (same rng consumption, same updates) with epochs = R * E.
     """
-    _check_readout(model)
+    check_readout(model)
     client = ClientState(0, features, labels, model, rng, optimizer)
     losses = local_train(client, epochs, batch_size)
     return client.model, losses

@@ -13,9 +13,7 @@ the circuit parameters, with the +shift and -shift angles as one array.
 ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
-that rebinding one (as a tracer does) also covers this path.  A step's new
-store comes from ``with_angles``, which checks the angles as the constructor
-does and hands on the gamma checked when the first store was built.
+that rebinding one (as a tracer does) also covers this path.
 ``encode_weight`` wraps one carrier as a validated StateVector; no run
 calls it (the teleport channel builds a whole store's carriers at once),
 and it stays only because the benchmark tracer wraps it, as it does the
@@ -68,14 +66,6 @@ class QuantumWeightStore:
     def num_qubits(self) -> int:
         return self.angles.shape[1]
 
-    def with_angles(self, angles: np.ndarray) -> "QuantumWeightStore":
-        """A store of ``angles``, checked as the constructor checks them, and
-        this store's gamma, which was checked when this store was built."""
-        store = object.__new__(QuantumWeightStore)
-        object.__setattr__(store, "angles", _layer_angles(angles, "angles"))
-        object.__setattr__(store, "gamma", self.gamma)
-        return store
-
     def logits(self, features) -> np.ndarray:
         return vqc.forward_batch(materialize(self), features)
 
@@ -88,8 +78,8 @@ class QuantumWeightStore:
         The angles are wrapped back to the branch decode_angle returns, so
         both transports hand on the same store.
         """
-        angle_grad = weight_gradient(self, circuit_grad)
-        return self.with_angles(canonical_angles(optimizer.step(self.angles, angle_grad)))
+        angles = canonical_angles(optimizer.step(self.angles, weight_gradient(self, circuit_grad)))
+        return QuantumWeightStore(angles, self.gamma)
 
 
 def init_store(

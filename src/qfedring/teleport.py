@@ -121,10 +121,13 @@ def teleport_state(
 def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> QuantumWeightStore:
     """Move every stored angle through its own Bell pair, in (layer, qubit, k) order.
 
-    Returns a new store with the decoded angles; raises TransferError naming
-    the first weight whose channel use (validate the carrier, teleport, read
-    out, decode) raised a ValueError.
+    Returns a new store with the decoded angles and ``store``'s gamma; raises
+    TransferError naming the first weight whose channel use (validate the
+    carrier, teleport, read out, decode) raised a ValueError.  A missing
+    ``rng`` is the caller's, so it is refused before any carrier is built.
     """
+    if rng is None:
+        raise ValueError("rng must be a numpy Generator for the Bell measurements, got None")
     shape = store.angles.shape
     out = []
     for c0, c1 in _rx_carriers(store.angles).reshape(-1, 2).tolist():
@@ -137,4 +140,4 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
                 f"weight (layer={layer}, qubit={q}, k={k}) failed in transfer: {exc}",
                 weight_index=(layer, q, k),
             ) from exc
-    return store.with_angles(np.array(out).reshape(shape))
+    return QuantumWeightStore(np.array(out).reshape(shape), store.gamma)

@@ -10,6 +10,10 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path.
 Labels pass ``datagen.check_labels``.
+The readout rule is ``check_readout``: a model must be one of the three
+kinds, and a circuit must have ``vqc.NUM_QUBITS`` qubits, one class score per
+qubit.  ``evaluate``, ``fedring.make_clients`` and
+``fedring.centralized_train`` apply it before they touch the data.
 Every kind's features pass ``datagen.check_batch`` (finite, shape ``(rows,
 width)``, width 2 for the MLP and the qubit count for a circuit), and
 ``loss`` must return an upstream shaped like the logits (``vqc.call_loss``).
@@ -25,7 +29,7 @@ import numpy as np
 
 from .datagen import as_floats, check_batch, check_count, check_floats, check_labels, check_positive
 from .qweights import QuantumWeightStore
-from .vqc import VqcModel, call_loss
+from .vqc import NUM_QUBITS, VqcModel, call_loss
 
 MLP_HIDDEN = 4
 
@@ -130,6 +134,18 @@ class ClassicalMlp:
 Model = Union[ClassicalMlp, VqcModel, QuantumWeightStore]
 
 
+def check_readout(model: Model) -> None:
+    """The model must be a known kind, and a circuit must have NUM_QUBITS
+    qubits: the readout gives one class score per qubit."""
+    if not isinstance(model, Model):
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    if not isinstance(model, ClassicalMlp) and model.num_qubits != NUM_QUBITS:
+        raise ValueError(
+            f"num_qubits must be {NUM_QUBITS} for the two-class loss, got {model.num_qubits}: "
+            "the circuit readout gives one class score per qubit"
+        )
+
+
 def init_mlp(rng: np.random.Generator) -> ClassicalMlp:
     """Gaussian weights scaled by 1/sqrt(fan_in), zero biases."""
     w1 = rng.normal(0.0, 1.0 / math.sqrt(2), size=(2, MLP_HIDDEN))
@@ -160,6 +176,7 @@ def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> Cl
 
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
+    check_readout(model)
     scores = model.logits(features)
     y = check_labels(labels, scores.shape[0])
     if y.size == 0:

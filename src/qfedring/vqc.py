@@ -62,9 +62,6 @@ class VqcModel:
     def num_qubits(self) -> int:
         return self.params.shape[1]
 
-    def with_params(self, params: np.ndarray) -> "VqcModel":
-        return VqcModel(params)
-
     def logits(self, features) -> np.ndarray:
         return forward_batch(self.params, features)
 
@@ -73,7 +70,7 @@ class VqcModel:
 
     def step(self, grad: np.ndarray, optimizer) -> "VqcModel":
         """The model after one optimizer step along ``grad``."""
-        return self.with_params(optimizer.step(self.params, grad))
+        return VqcModel(optimizer.step(self.params, grad))
 
 
 def _layer_angles(values, name: str) -> np.ndarray:

@@ -170,8 +170,8 @@ def gradient(model: VqcModel, features, upstream) -> np.ndarray:
                 minus = np.array(model.params)
                 plus[layer, q, k] += SHIFT
                 minus[layer, q, k] -= SHIFT
-                f_plus = forward(model.with_params(plus), features)
-                f_minus = forward(model.with_params(minus), features)
+                f_plus = forward(VqcModel(plus), features)
+                f_minus = forward(VqcModel(minus), features)
                 grads[layer, q, k] = up @ (SHIFT_COEFFICIENT * (f_plus - f_minus))
     return grads
 

@@ -60,7 +60,7 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         _, dlogits = tk.loss_and_grad(vqc.forward(model, x), label)
         grad = vqc.gradient(model, x, dlogits)
         check(
-            lambda p: tk.loss_and_grad(vqc.forward(model.with_params(p), x), label)[0],
+            lambda p: tk.loss_and_grad(vqc.forward(vqc.VqcModel(p), x), label)[0],
             grad,
             model.params,
         )
@@ -75,7 +75,7 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         grad = qw.weight_gradient(store, cg)
 
         def store_loss(angles, _store=store, _x=x, _label=label):
-            eff = qw.materialize(_store.with_angles(angles))
+            eff = qw.materialize(qw.QuantumWeightStore(angles, _store.gamma))
             return tk.loss_and_grad(vqc.forward(vqc.VqcModel(eff), _x), _label)[0]
 
         check(store_loss, grad, store.angles)

@@ -131,6 +131,15 @@ def test_the_printed_facts_warn_on_nothing(script, facts):
     assert warnings(script, facts, head) == []
     assert "src/ Python lines: base 2141 head 2000" in report
     assert "OPENBLAS_VERBOSE=2: base Core: SkylakeX head Core: Haswell" in report
+    assert "evaluate timer, store: base 150 usec head 300 usec" in report
+
+
+def test_every_timer_statement_runs(script):
+    # The timers' setup and statements, run once on this checkout's package.
+    scope = {}
+    exec("\n".join(script.TIMER_SETUP), scope)
+    for stmt in script.TIMERS.values():
+        exec(stmt, scope)
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])

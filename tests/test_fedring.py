@@ -115,9 +115,22 @@ class TestMakeClients:
             fr.centralized_train(
                 model, fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
             )
+        # Evaluation takes the same rule: on rows of the circuit's own width
+        # it used to score argmax over one or three scores.
+        rows = np.zeros((4, num_qubits))
+        with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
+            tk.evaluate(model, rows, np.arange(4) % 2)
+
+    @pytest.mark.parametrize("kind", ["mlp", "circuit", "store"])
+    def test_two_score_models_still_evaluate(self, rng, kind):
+        _, _, tx, ty = small_shard()
+        model = {"mlp": tk.init_mlp, "circuit": vqc.init_model, "store": qw.init_store}[kind](rng)
+        want = float(np.mean(np.argmax(model.logits(tx), axis=1) == ty))
+        assert tk.evaluate(model, tx, ty) == want
 
     def test_rejects_unknown_model(self, rng):
-        # The one place an unknown kind is named, before any data is split.
+        # The readout rule is the one place an unknown kind is named, before
+        # any data is split or scored.
         fx, fy, _, _ = small_shard()
         with pytest.raises(TypeError, match="unsupported model type object"):
             fr.make_clients(fx, fy, 2, object(), partition_seed=1, client_seed=2)
@@ -125,6 +138,8 @@ class TestMakeClients:
             fr.centralized_train(
                 object(), fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
             )
+        with pytest.raises(TypeError, match="unsupported model type object"):
+            tk.evaluate(object(), fx, fy)
 
 
 class TestLocalTrain:

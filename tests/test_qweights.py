@@ -2,6 +2,7 @@
 cosines, angle-chain gradients against finite differences."""
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from qfedring import qweights as qw
 from qfedring import statevec as sv
+from qfedring import trainkit as tk
 from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
 from tests import oracle
 
@@ -66,27 +68,25 @@ class TestStore:
         with pytest.raises(ValueError):
             store.angles[0, 0, 0] = 1.0
 
-    def test_with_angles(self, rng):
-        store = qw.init_store(rng, gamma=2.0)
-        other = store.with_angles(np.ones((2, 2, 3)))
-        assert other.gamma == 2.0
-        assert np.all(other.angles == 1.0)
-
-    def test_with_angles_keeps_gamma_and_checks_angles(self, rng):
-        # The checked gamma is handed on as it is; the angles are checked
-        # as the constructor checks them, and come back as a read-only copy.
-        gamma = math.pi * (1 + 2**-52)
-        store = qw.init_store(rng, gamma=gamma)
+    def test_step_keeps_gamma_and_checks_angles(self, rng):
+        # A step's store comes from the constructor: the checked gamma is
+        # handed on as it is, and the new angles are checked as any store's
+        # are, and come back as a read-only copy.
+        store = qw.init_store(rng, gamma=math.pi * (1 + 2**-52))
+        grad = rng.normal(size=store.angles.shape)
+        stepped = store.step(grad, tk.SgdOptimizer(0.1))
+        assert type(stepped) is qw.QuantumWeightStore
+        assert stepped.gamma is store.gamma
+        assert not stepped.angles.flags.writeable
+        want = qw.canonical_angles(store.angles - 0.1 * qw.weight_gradient(store, grad))
+        assert stepped.angles.tobytes() == want.tobytes()
         angles = np.ones((2, 2, 3))
-        other = store.with_angles(angles)
-        assert type(other) is qw.QuantumWeightStore
-        assert other.gamma is store.gamma
-        assert np.array_equal(other.angles, angles) and other.angles is not angles
-        assert not other.angles.flags.writeable
+        copied = store.step(grad, SimpleNamespace(step=lambda params, g: angles))
+        assert np.array_equal(copied.angles, angles) and copied.angles is not angles
         for bad, match in ((np.full((2, 2, 3), np.nan), "angles must be finite"),
                            (np.ones((2, 3)), "angles must have shape")):
             with pytest.raises(ValueError, match=match):
-                store.with_angles(bad)
+                store.step(grad, SimpleNamespace(step=lambda params, g, bad=bad: bad))
 
 
 class TestReadout:
@@ -190,8 +190,8 @@ class TestGradient:
             minus = np.array(store.angles)
             plus[idx] += eps
             minus[idx] -= eps
-            vp = qw.materialize(store.with_angles(plus))[idx]
-            vm = qw.materialize(store.with_angles(minus))[idx]
+            vp = qw.materialize(qw.QuantumWeightStore(plus, store.gamma))[idx]
+            vm = qw.materialize(qw.QuantumWeightStore(minus, store.gamma))[idx]
             want[idx] = cg[idx] * (vp - vm) / (2 * eps)
         assert_allclose(got, want, atol=1e-7)
 

@@ -362,6 +362,33 @@ class TestTeleportWeights:
         assert "(layer={}, qubit={}, k={})".format(*want) in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    def test_hand_off_keeps_gamma_and_checks_angles(self, rng, monkeypatch):
+        # The moved store comes from the constructor, as a step's does.
+        store = qw.init_store(rng, gamma=math.pi * (1 + 2**-52))
+        moved = tp.teleport_weights(store, rng)
+        assert type(moved) is qw.QuantumWeightStore
+        assert moved.gamma is store.gamma
+        assert not moved.angles.flags.writeable
+        monkeypatch.setattr(tp, "decode_angle", lambda z, y: math.nan)
+        with pytest.raises(ValueError, match="angles must be finite"):
+            tp.teleport_weights(store, rng)
+
+    def test_refuses_a_missing_rng_before_any_carrier(self, rng, monkeypatch):
+        # A missing rng is the caller's fault, not a weight's: a ValueError
+        # naming it, not a TransferError, and no carrier is built first.
+        calls = {"n": 0}
+        real = tp._rx_carriers
+
+        def counting(angles):
+            calls["n"] += 1
+            return real(angles)
+
+        monkeypatch.setattr(tp, "_rx_carriers", counting)
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator") as excinfo:
+            tp.teleport_weights(qw.init_store(rng), None)
+        assert type(excinfo.value) is ValueError
+        assert calls["n"] == 0
+
     def test_transfer_error_is_runtime_error(self):
         assert issubclass(tp.TransferError, RuntimeError)
         err = tp.TransferError("boom", weight_index=(1, 0, 2))
