@@ -43,6 +43,8 @@ RX_Z_BITS = "tests/test_qweights.py::TestRxZ::test_bit_equal_to_the_carrier_read
 EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
 FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
+GENERATOR_RULE = "tests/test_setting_rules.py::test_generator_refused_by_the_one_rule"
+GATE_INDEX = "tests/test_statevec.py::TestGates::test_gateop_refuses_a_bad_qubit_index"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
 # written as 0j + _H?? * p?.
@@ -82,12 +84,29 @@ MUTANTS = (
     Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
            "reshape(shape), store.gamma)", "reshape(shape))",
            ("tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles",)),
-    Mutant("teleport_weights: a missing rng not refused up front", "qfedring/teleport.py",
-           "    if rng is None:\n        raise", "    if False:\n        raise",
-           ("tests/test_teleport.py::TestTeleportWeights::test_refuses_a_missing_rng_before_any_carrier",)),
     Mutant("evaluate: readout not checked", "qfedring/trainkit.py",
            "    check_readout(model)\n    scores", "    scores",
            ("tests/test_fedring.py::TestMakeClients::test_circuits_need_two_qubits",)),
+    # One generator rule for every sampled measurement, called before any work.
+    Mutant("check_generator: a RandomState passes", "qfedring/datagen.py",
+           "isinstance(rng, np.random.Generator)",
+           "isinstance(rng, (np.random.Generator, np.random.RandomState))", (GENERATOR_RULE,)),
+    Mutant("teleport_weights: the rng not refused up front", "qfedring/teleport.py",
+           '    check_generator(rng, "rng")\n    shape', "    shape",
+           ("tests/test_teleport.py::TestTeleportWeights::"
+            "test_refuses_a_non_generator_before_any_carrier_or_draw",)),
+    Mutant("teleport_state: the rng not checked", "qfedring/teleport.py",
+           '    if pick is None:\n        check_generator(rng, "rng")\n', "", (GENERATOR_RULE,)),
+    Mutant("teleport_state: a forced call needs an rng", "qfedring/teleport.py",
+           "if pick is None:\n        check_generator", "if True:\n        check_generator",
+           ("tests/test_teleport.py::TestTeleportState::test_forced_call_needs_no_rng",)),
+    Mutant("run_ring: the channel rng not checked before training", "qfedring/fedring.py",
+           '        datagen.check_generator(channel_rng, "channel_rng")\n', "",
+           ("tests/test_fedring.py::TestRunRing::"
+            "test_teleport_refuses_a_bad_channel_rng_before_any_client_trains",)),
+    Mutant("measure_qubits: the rng not checked", "qfedring/statevec.py",
+           '    check_generator(rng, "rng")\n    _check_targets', "    _check_targets",
+           (GENERATOR_RULE,)),
     # The in-branch early return of the angle wrap, and the one-shift label test.
     Mutant("canonical_angles: -pi taken as in branch", "qfedring/qweights.py",
            "initial=math.inf) > -math.pi", "initial=math.inf) >= -math.pi",
@@ -134,6 +153,14 @@ MUTANTS = (
     Mutant("train_split_size: an empty test split passes", "qfedring/datagen.py",
            "if train in (0, num_points):", "if train == 0:",
            ("tests/test_cli.py::TestEndToEnd::test_unsplittable_data_exits_2",)),
+    Mutant("scale_and_split: an empty side passes", "qfedring/datagen.py",
+           "if train_idx.size == 0 or test_idx.size == 0:", "if False:",
+           ("tests/test_datagen.py::TestScaleAndSplit::"
+            "test_fraction_that_empties_a_side_is_refused",)),
+    Mutant("config_from_file: a file without a model passes", "qfedring/cli.py",
+           'if "model" not in values:\n        raise ConfigError(f"{path}',
+           'if False:\n        raise ConfigError(f"{path}',
+           ("tests/test_cli.py::TestCompare::test_config_without_model_exits_2",)),
     Mutant("cli: an empty output path passes", "qfedring/cli.py",
            'if path == "":', 'if path == "-":',
            ("tests/test_cli.py::TestEndToEnd::test_empty_output_path_exits_2",
@@ -166,6 +193,13 @@ MUTANTS = (
     Mutant("encode_weight: a 1-D angle left to the amplitude test", "qfedring/qweights.py",
            "if a.ndim:", "if a.ndim > 1:",
            ("tests/test_qweights.py::TestReadout::test_encode_weight_refuses_a_non_scalar_angle",)),
+    # The gate-by-gate path's qubit indices.
+    Mutant("GateOp: a target of -1 passes", "qfedring/statevec.py",
+           "if self.target < 0:", "if self.target < -1:", (GATE_INDEX,)),
+    Mutant("GateOp: a CNOT without a control passes the control test", "qfedring/statevec.py",
+           "            if self.control is None:\n", "            if False:\n", (GATE_INDEX,)),
+    Mutant("GateOp: a control of -1 passes", "qfedring/statevec.py",
+           "if self.control < 0:", "if self.control < -1:", (GATE_INDEX,)),
     # A forced Bell bit must be an int.
     Mutant("_forcing_rule: a bool passes as a bit", "qfedring/statevec.py",
            " and not isinstance(outcome, bool)", "",

@@ -16,7 +16,9 @@ their finiteness is checked where they lead (the logits bound, the next
 model's constructor, the NaN wrapping branch).  Each owner adds only a shape
 test.  A setting rule refuses a bad value (a bool, a wrong type, NaN or inf)
 with a ``ValueError`` naming the setting, never a ``TypeError``; library
-functions take any numpy seed.
+functions take any numpy seed.  Every sampled measurement's stream passes
+``check_generator`` (a numpy ``Generator`` only): ``teleport_state`` unless
+forced, ``teleport_weights``, ``run_ring`` under TELEPORT, ``measure_qubits``.
 """
 from __future__ import annotations
 
@@ -66,6 +68,13 @@ def check_fraction(value, name: str) -> None:
     """Refuse anything but a real strictly inside (0, 1), naming it ``name``; a bool never is."""
     if not isinstance(value, numbers.Real) or not 0 < value < 1:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def check_generator(rng, name: str) -> None:
+    """Refuse anything but a ``numpy.random.Generator`` (None, a seed, a
+    ``RandomState`` too), naming it ``name``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"{name} must be a numpy Generator, got {rng!r}")
 
 
 def check_labels(labels, num_samples: int) -> np.ndarray:

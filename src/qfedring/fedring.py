@@ -171,8 +171,7 @@ def run_ring(
     if schedule.transport is Transport.TELEPORT:
         if kind is not QuantumWeightStore:
             raise ValueError("TELEPORT transport requires quantum weight stores")
-        if channel_rng is None:
-            raise ValueError("TELEPORT transport requires a channel rng")
+        datagen.check_generator(channel_rng, "channel_rng")
     metrics: list[RoundMetrics] = []
     for round_index in range(1, schedule.num_rounds + 1):
         round_losses: list[float] = []

@@ -17,16 +17,16 @@ constructor reads off one dot product.  ``_qubit(c0, c1)`` is the one-qubit
 StateVector of two Python complex numbers: the same rule on the scalars,
 with the same refusals and messages, and no numpy check or dataclass
 constructor.  The teleport channel builds every state it makes with it, so
-no run calls ``StateVector.__post_init__`` or the array ``fidelity``, which
-the tests keep as the reference.
+no run calls ``StateVector.__post_init__``.
 
 Measurement has one kernel, ``_born_measure``, on the amplitudes as Python
 complex numbers, which at a few qubits is cheaper than numpy's per-call
-cost; ``measure_qubits`` runs it with ``_sampling_rule``, the pick that
-calls ``_sample``.  The teleport channel measures on its register's halves
-instead, calling ``_sample`` as a plain function (or ``_forcing_rule``'s
-pick), and its tests replay ``_born_measure`` as the reference, so no run
-calls it, ``_bit_sides`` or ``_sampling_rule``.
+cost, and one sampled outcome rule, ``_sample``, which ``measure_qubits``
+hands the kernel as its pick on an rng that ``datagen.check_generator``
+passed.  The teleport channel measures on its register's halves instead,
+calling ``_sample`` (or ``_forcing_rule``'s pick) itself, and its tests
+replay ``_born_measure`` as the reference, so no run calls it or
+``_bit_sides``.
 
 A run calls none of the gate-by-gate names: ``GateOp``, ``gate_matrix``,
 ``apply_gate`` with ``_check_qubit`` and its matrices (``_ry_matrix``,
@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .datagen import check_generator
 
 MAX_QUBITS = 12
 
@@ -131,13 +133,6 @@ def _qubit(c0: complex, c1: complex) -> StateVector:
     object.__setattr__(state, "num_qubits", 1)
     object.__setattr__(state, "amplitudes", amps)
     return state
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states act on different register sizes")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 # Gate-by-gate simulation: no run calls it, the tracer wraps it (see the module docstring).
@@ -278,15 +273,6 @@ def _sample(rng: np.random.Generator, p1: float) -> tuple[int, float]:
     return outcome, p1 if outcome else 1.0 - p1
 
 
-def _sampling_rule(rng: np.random.Generator):
-    """``_sample`` on ``rng`` as the ``pick(q, p1)`` that ``_born_measure`` calls."""
-
-    def pick(q: int, p1: float) -> tuple[int, float]:
-        return _sample(rng, p1)
-
-    return pick
-
-
 def _forcing_rule(targets, outcomes):
     """Outcome rule of a forced measurement: the given bit on each target,
     refused when its probability is below 1e-15.  A bit is a Python or numpy
@@ -355,9 +341,10 @@ def measure_qubits(
     Deterministic for a given rng state; outcomes whose probability falls
     below 1e-15 are never drawn, and a bit that certain takes no draw.
     """
+    check_generator(rng, "rng")
     _check_targets(targets, state.num_qubits, "measurement")
     outcomes, _, amps = _born_measure(
-        state.amplitudes.tolist(), state.num_qubits, targets, _sampling_rule(rng)
+        state.amplitudes.tolist(), state.num_qubits, targets, lambda q, p1: _sample(rng, p1)
     )
     return outcomes, StateVector(state.num_qubits, amps)
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import check_generator
 from .qweights import QuantumWeightStore, decode_angle, state_expectations
 from .qweights import encode_weight  # noqa: F401  (wrapped by perfbench/spans.py)
 from .statevec import _H, StateVector, _forcing_rule, _qubit, _rx_carriers, _sample
@@ -74,14 +75,14 @@ def teleport_state(
     """Teleport a single-qubit state, sampling the Bell measurement from ``rng``.
 
     ``force_outcome`` pins the two measured bits instead (for tests that
-    enumerate all four branches); exactly one of ``rng``/``force_outcome``
-    is needed.
+    enumerate all four branches); a forced call ignores ``rng`` and draws
+    nothing, any other needs a numpy Generator (``datagen.check_generator``).
     """
     if message.num_qubits != 1:
         raise ValueError("teleportation moves exactly one qubit")
-    if force_outcome is None and rng is None:
-        raise ValueError("provide an rng or force an outcome")
     pick = None if force_outcome is None else _forcing_rule((0, 1), force_outcome)
+    if pick is None:
+        check_generator(rng, "rng")
     # The message times the Bell pair is c0 _B at |000> and |011> and c1 _B at
     # |100> and |111>; CNOT(0 -> 1) moves the last two to |110> and |101>, and
     # H on qubit 0 makes each half (a, b, b, a).  Each amplitude starts from
@@ -123,11 +124,10 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
 
     Returns a new store with the decoded angles and ``store``'s gamma; raises
     TransferError naming the first weight whose channel use (validate the
-    carrier, teleport, read out, decode) raised a ValueError.  A missing
-    ``rng`` is the caller's, so it is refused before any carrier is built.
+    carrier, teleport, read out, decode) raised a ValueError.  An ``rng``
+    that is not a numpy Generator is refused before any carrier is built.
     """
-    if rng is None:
-        raise ValueError("rng must be a numpy Generator for the Bell measurements, got None")
+    check_generator(rng, "rng")
     shape = store.angles.shape
     out = []
     for c0, c1 in _rx_carriers(store.angles).reshape(-1, 2).tolist():

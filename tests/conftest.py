@@ -4,6 +4,16 @@ import pytest
 from qfedring import datagen
 
 
+# What the generator rule refuses: no stream, a seed, text, and the legacy
+# RandomState, which has the Generator's ``random`` method but is not one.
+NOT_GENERATORS = [None, 5, "x", np.random.RandomState(0)]
+
+
+def generator_id(value) -> str:
+    """A stable test id for a NOT_GENERATORS value (a RandomState's repr holds its address)."""
+    return "RandomState" if isinstance(value, np.random.RandomState) else repr(value)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

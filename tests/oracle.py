@@ -4,9 +4,10 @@ A training run never calls these; the tests hold the package to them.  Each
 one walks the computation the plain way, one gate or one sample at a time:
 
 - statevec: ``zero_state``, ``tensor_product``, the gate builders ``rx``,
-  ``rot``, ``cnot``, ``h``, ``x`` and ``z`` for ``statevec.apply_gate``, and
+  ``rot``, ``cnot``, ``h``, ``x`` and ``z`` for ``statevec.apply_gate``,
   ``collapse_qubits``, which forces measurement outcomes through the same
-  kernel as ``measure_qubits``;
+  kernel as ``measure_qubits``, and ``fidelity`` on two StateVectors, the
+  array form of the teleport record's fidelity;
 - vqc: ``encode``, ``_run_layers``, ``forward`` and ``gradient``, the
   circuit one sample and one shifted parameter at a time;
 - trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample,
@@ -106,6 +107,13 @@ def collapse_qubits(
     _check_targets(targets, state.num_qubits, "collapse")
     _, joint, amps = _born_measure(state.amplitudes.tolist(), state.num_qubits, targets, pick)
     return joint, StateVector(state.num_qubits, amps)
+
+
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2, insensitive to global phase."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("states act on different register sizes")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def rx_z(angle: float) -> float:

@@ -635,6 +635,15 @@ class TestCompare:
         assert capsys.readouterr().err == "error: compare mode takes config files plus --out only\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
+    def test_config_without_model_exits_2(self, tmp_path, capsys, monkeypatch):
+        refuse_training(monkeypatch)
+        a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
+        b = write_config(tmp_path / "b.cfg", rounds=1)
+        out = tmp_path / "x.csv"
+        assert cli.main(["--compare", a, b, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {b}: config file must set 'model'\n"
+        assert not out.exists()
+
     def test_combined_csv(self, tmp_path, capsys):
         shared = dict(rounds=2, clients=2, local_epochs=1, num_points=80, batch_size=16)
         a = write_config(tmp_path / "a.cfg", model="cfl", **shared)

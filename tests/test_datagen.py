@@ -133,6 +133,14 @@ class TestScaleAndSplit:
             fixed[:, 0] = 1.0
             dg.scale_and_split(fixed, labels, train_fraction=0.8, seed=0)
 
+    @pytest.mark.parametrize("fraction", [0.3, 0.7])
+    def test_fraction_that_empties_a_side_is_refused(self, fraction):
+        # One row per class: 0.3 rounds each class's training share to 0 rows,
+        # 0.7 to all of them.
+        with pytest.raises(ValueError) as refused:
+            dg.scale_and_split([[0.0, 0.0], [1.0, 1.0]], [0, 1], fraction, seed=0)
+        assert str(refused.value) == "train_fraction leaves one side of the split empty"
+
     def test_overflowing_training_span_is_named_without_warnings(self):
         # Each class has two rows at each extreme, so any 3 of its 4 training
         # rows span 2e308, which used to overflow with numpy warnings (raised

@@ -13,6 +13,7 @@ from qfedring import fedring as fr
 from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
+from tests.conftest import NOT_GENERATORS, generator_id
 
 
 # Counts that are not integers >= 1: a fraction, an integral float, bools
@@ -370,8 +371,20 @@ class TestRunRing:
         store_clients = fr.make_clients(
             fx, fy, 2, qw.init_store(rng), partition_seed=1, client_seed=2
         )
-        with pytest.raises(ValueError, match="channel rng"):
+        with pytest.raises(ValueError, match="^channel_rng must be a numpy Generator"):
             fr.run_ring(schedule, store_clients, tx, ty)
+
+    @pytest.mark.parametrize("bad", NOT_GENERATORS, ids=generator_id)
+    def test_teleport_refuses_a_bad_channel_rng_before_any_client_trains(self, rng, bad):
+        fx, fy, tx, ty = small_shard()
+        store = qw.init_store(rng)
+        clients = fr.make_clients(fx, fy, 2, store, partition_seed=1, client_seed=2)
+        streams = [c.rng.bit_generator.state for c in clients]
+        schedule = fr.RingSchedule(num_clients=2, num_rounds=1, transport=fr.Transport.TELEPORT)
+        with pytest.raises(ValueError, match="^channel_rng must be a numpy Generator"):
+            fr.run_ring(schedule, clients, tx, ty, channel_rng=bad)
+        assert all(c.model is store for c in clients)
+        assert [c.rng.bit_generator.state for c in clients] == streams
 
     def test_teleport_matches_copy(self, rng):
         """The teleport transport reproduces plain copying to float precision."""

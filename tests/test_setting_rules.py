@@ -1,7 +1,8 @@
 """The setting rules in ``datagen``: ``check_count`` (counts, and the seed
 from 0), ``check_positive`` (rates), ``check_fraction`` (``factor`` and
-``train_fraction``) and the noise rule of ``check_circles``.  Every entry
-point that takes such a setting refuses a bad one with the rule's one
+``train_fraction``), the noise rule of ``check_circles`` and
+``check_generator`` (the random stream of every sampled measurement).  Every
+entry point that takes such a setting refuses a bad one with the rule's one
 message, and the config agrees with the rule on any value."""
 import math
 
@@ -14,8 +15,11 @@ from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
 from qfedring import qweights as qw
+from qfedring import statevec as sv
+from qfedring import teleport as tp
 from qfedring import trainkit as tk
 from qfedring import vqc
+from tests.conftest import NOT_GENERATORS, generator_id
 from tests.test_fedring import NOT_COUNTS
 
 BAD_COUNTS = [*NOT_COUNTS, 0, -1]
@@ -38,6 +42,14 @@ def _config(field):
 
 def _split(fraction):
     return dg.scale_and_split(*dg.make_circles(8, 0.1, 0.5, seed=0), fraction, seed=0)
+
+
+def _teleport_ring(channel_rng):
+    feats, labels = dg.make_circles(8, 0.1, 0.5, seed=0)
+    store = qw.init_store(np.random.default_rng(0))
+    clients = fr.make_clients(feats, labels, 2, store, partition_seed=0, client_seed=0)
+    schedule = fr.RingSchedule(2, 1, 1, fr.Transport.TELEPORT)
+    return fr.run_ring(schedule, clients, feats, labels, channel_rng=channel_rng)
 
 
 # (entry point, the name its message gives, a call that passes it the value)
@@ -71,14 +83,22 @@ FRACTION_ENTRIES = [
     ("train_split_size", "train_fraction", lambda v: dg.train_split_size(8, v)),
     *((f"ExperimentConfig.{n}", n, _config(n)) for n in ("factor", "train_fraction")),
 ]
+# RX(0.3)|0> reads 1 with probability sin(0.15)^2, so a measurement would draw.
+GENERATOR_ENTRIES = [
+    ("teleport_state", "rng", lambda v: tp.teleport_state(qw.encode_weight(0.3), v)),
+    ("teleport_weights", "rng",
+     lambda v: tp.teleport_weights(qw.init_store(np.random.default_rng(0)), v)),
+    ("run_ring", "channel_rng", _teleport_ring),
+    ("measure_qubits", "rng", lambda v: sv.measure_qubits(qw.encode_weight(0.3), [0], v)),
+]
 
 
-def _cases(entries, values):
+def _cases(entries, values, label=repr):
     """One case per entry and value; the config raises ConfigError, the library ValueError."""
     cases = []
     for entry, name, call in entries:
         error = cli.ConfigError if entry.startswith("ExperimentConfig") else ValueError
-        cases += [pytest.param(name, call, v, error, id=f"{entry}-{v!r}") for v in values]
+        cases += [pytest.param(name, call, v, error, id=f"{entry}-{label(v)}") for v in values]
     return cases
 
 
@@ -120,6 +140,16 @@ def test_fraction_refused_by_the_one_rule(name, call, value, error):
         call(value)
     assert type(refused.value) is error
     assert str(refused.value) == f"{name} must lie in (0, 1), got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "name, call, value, error", _cases(GENERATOR_ENTRIES, NOT_GENERATORS, generator_id)
+)
+def test_generator_refused_by_the_one_rule(name, call, value, error):
+    with pytest.raises(ValueError) as refused:
+        call(value)
+    assert type(refused.value) is error
+    assert str(refused.value) == f"{name} must be a numpy Generator, got {value!r}"
 
 
 @pytest.mark.parametrize(

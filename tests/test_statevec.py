@@ -217,6 +217,19 @@ class TestGates:
         with pytest.raises(ValueError, match="control"):
             sv.GateOp("H", 0, control=1)
 
+    @pytest.mark.parametrize(
+        "kind, target, control, message",
+        [
+            ("H", -1, None, "target index must be non-negative, got -1"),
+            ("CNOT", 0, None, "CNOT requires a control qubit"),
+            ("CNOT", 0, -1, "control index must be non-negative, got -1"),
+        ],
+    )
+    def test_gateop_refuses_a_bad_qubit_index(self, kind, target, control, message):
+        with pytest.raises(ValueError) as refused:
+            sv.GateOp(kind, target, control)
+        assert str(refused.value) == message
+
     def test_apply_matches_oracle(self, rng):
         for num_qubits in (1, 2, 3, 4):
             state = random_state(rng, num_qubits)
@@ -259,7 +272,7 @@ class TestGates:
     def test_h_self_inverse(self, rng):
         state = random_state(rng, 3)
         back = sv.apply_gate(sv.apply_gate(state, oracle.h(1)), oracle.h(1))
-        assert sv.fidelity(state, back) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.fidelity(state, back) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectation:

@@ -11,7 +11,7 @@ from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring import teleport as tp
 from tests import oracle
-from tests.conftest import random_state
+from tests.conftest import NOT_GENERATORS, generator_id, random_state
 
 OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -88,7 +88,7 @@ def replay_weights(store, rng):
     out = np.empty_like(store.angles)
     for slot in np.ndindex(store.angles.shape):
         message = qw.encode_weight(float(store.angles[slot]))
-        _, _, readout = replay_channel(message, sv._sampling_rule(rng))
+        _, _, readout = replay_channel(message, lambda q, p1: sv._sample(rng, p1))
         out[slot] = qw.decode_angle(*readout)
     return out
 
@@ -142,7 +142,7 @@ class TestTeleportState:
                 want = reference_receiver(reg, outcome)
                 assert_allclose(record.recovered_state.amplitudes, want, rtol=0, atol=1e-15)
                 assert record.fidelity == pytest.approx(
-                    sv.fidelity(message, sv.StateVector(1, want)), rel=0, abs=1e-15
+                    oracle.fidelity(message, sv.StateVector(1, want)), rel=0, abs=1e-15
                 )
 
     def test_sampled_outcome_matches_gate_by_gate(self, rng):
@@ -210,6 +210,17 @@ class TestTeleportState:
         before = channel.bit_generator.state
         tp.teleport_state(qw.encode_weight(0.8), rng=channel, force_outcome=(1, 0))
         assert channel.bit_generator.state == before
+
+    def test_forced_call_needs_no_rng(self, monkeypatch):
+        # A forced call never reaches the generator rule or a draw, so it
+        # gives the same record with no rng as with one.
+        monkeypatch.setattr(tp, "_sample", lambda channel, p1: pytest.fail("a forced call drew"))
+        message = qw.encode_weight(0.8)
+        bare = tp.teleport_state(message, force_outcome=(1, 0))
+        given = tp.teleport_state(message, rng=np.random.default_rng(3), force_outcome=(1, 0))
+        assert bare.bell_outcome == given.bell_outcome == (1, 0)
+        amps = [r.recovered_state.amplitudes.tobytes() for r in (bare, given)]
+        assert amps[0] == amps[1]
 
     def test_deterministic_per_seed(self):
         message = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 0.9))
@@ -373,21 +384,17 @@ class TestTeleportWeights:
         with pytest.raises(ValueError, match="angles must be finite"):
             tp.teleport_weights(store, rng)
 
-    def test_refuses_a_missing_rng_before_any_carrier(self, rng, monkeypatch):
-        # A missing rng is the caller's fault, not a weight's: a ValueError
-        # naming it, not a TransferError, and no carrier is built first.
-        calls = {"n": 0}
-        real = tp._rx_carriers
-
-        def counting(angles):
-            calls["n"] += 1
-            return real(angles)
-
-        monkeypatch.setattr(tp, "_rx_carriers", counting)
+    @pytest.mark.parametrize("bad", NOT_GENERATORS, ids=generator_id)
+    def test_refuses_a_non_generator_before_any_carrier_or_draw(self, rng, monkeypatch, bad):
+        # A bad rng is the caller's fault, not a weight's: a ValueError naming
+        # it, not a TransferError, and no carrier is built or draw made first.
+        calls = []
+        monkeypatch.setattr(tp, "_rx_carriers", lambda angles: calls.append("carriers"))
+        monkeypatch.setattr(tp, "_sample", lambda channel, p1: calls.append("draw"))
         with pytest.raises(ValueError, match="^rng must be a numpy Generator") as excinfo:
-            tp.teleport_weights(qw.init_store(rng), None)
+            tp.teleport_weights(qw.init_store(rng), bad)
         assert type(excinfo.value) is ValueError
-        assert calls["n"] == 0
+        assert calls == []
 
     def test_transfer_error_is_runtime_error(self):
         assert issubclass(tp.TransferError, RuntimeError)
