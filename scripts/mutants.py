@@ -45,6 +45,7 @@ FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 GENERATOR_RULE = "tests/test_setting_rules.py::test_generator_refused_by_the_one_rule"
 GATE_INDEX = "tests/test_statevec.py::TestGates::test_gateop_refuses_a_bad_qubit_index"
+CLIENT_REFUSALS = "tests/test_fedring.py::TestClientRefusals::test_refused_before_any_step"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
 # written as 0j + _H?? * p?.
@@ -107,6 +108,19 @@ MUTANTS = (
     Mutant("measure_qubits: the rng not checked", "qfedring/statevec.py",
            '    check_generator(rng, "rng")\n    _check_targets', "    _check_targets",
            (GENERATOR_RULE,)),
+    Mutant("check_generator: the value shown by its repr again", "qfedring/datagen.py",
+           "got {shown}", "got {rng!r}", (GENERATOR_RULE,)),
+    # A client's stream and optimizer, checked before its first step.
+    Mutant("local_train: the client's rng not checked", "qfedring/fedring.py",
+           """    datagen.check_generator(client.rng, f"{owner}'s rng")\n""", "",
+           (CLIENT_REFUSALS, GENERATOR_RULE)),
+    Mutant("local_train: the optimizer not checked", "qfedring/fedring.py",
+           "    if not isinstance(client.optimizer, SgdOptimizer):", "    if False:",
+           (CLIENT_REFUSALS,)),
+    Mutant("run_ring: a failed hand-off loses its weight index", "qfedring/fedring.py",
+           "-> {exc}\", exc.weight_index", "-> {exc}\", None",
+           ("tests/test_fedring.py::TestRunRing::"
+            "test_failed_hand_off_names_its_round_sender_and_weight",)),
     # The in-branch early return of the angle wrap, and the one-shift label test.
     Mutant("canonical_angles: -pi taken as in branch", "qfedring/qweights.py",
            "initial=math.inf) > -math.pi", "initial=math.inf) >= -math.pi",

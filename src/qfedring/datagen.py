@@ -16,9 +16,9 @@ their finiteness is checked where they lead (the logits bound, the next
 model's constructor, the NaN wrapping branch).  Each owner adds only a shape
 test.  A setting rule refuses a bad value (a bool, a wrong type, NaN or inf)
 with a ``ValueError`` naming the setting, never a ``TypeError``; library
-functions take any numpy seed.  Every sampled measurement's stream passes
-``check_generator`` (a numpy ``Generator`` only): ``teleport_state`` unless
-forced, ``teleport_weights``, ``run_ring`` under TELEPORT, ``measure_qubits``.
+functions take any numpy seed.  Every random stream passes ``check_generator``:
+``teleport_state`` unless forced, ``teleport_weights``, ``run_ring`` under
+TELEPORT, ``measure_qubits`` and a client's own in ``fedring.local_train``.
 """
 from __future__ import annotations
 
@@ -71,10 +71,12 @@ def check_fraction(value, name: str) -> None:
 
 
 def check_generator(rng, name: str) -> None:
-    """Refuse anything but a ``numpy.random.Generator`` (None, a seed, a
-    ``RandomState`` too), naming it ``name``."""
+    """Refuse anything but a ``numpy.random.Generator``, naming it ``name``.  The
+    message shows None, a number or text by its repr, anything else by its type."""
     if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"{name} must be a numpy Generator, got {rng!r}")
+        plain = rng is None or isinstance(rng, (numbers.Number, str, bytes))
+        shown = repr(rng) if plain else type(rng).__name__
+        raise ValueError(f"{name} must be a numpy Generator, got {shown}")
 
 
 def check_labels(labels, num_samples: int) -> np.ndarray:

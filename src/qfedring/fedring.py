@@ -1,17 +1,18 @@
 """Federated orchestration: sequential ring training and a hub-spoke baseline.
 
-In the ring, clients train in a fixed order; each hands its model to the next
-client, either by value (CLASSICAL_COPY) or by teleporting every stored angle
+In the ring, clients train in a fixed order, and ``run_ring`` itself hands
+each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 (TELEPORT, quantum weight stores only).  After the last client of a round the
-model it just trained is evaluated on the held-out set.  Every model kind
-takes the same SGD step: ``loss_grad`` on the batch, then ``step`` by the mean,
-on a shard ``local_train`` checked once per call with ``datagen``'s rule.
-``partition`` checks the whole data with that rule, so ``make_clients``
-refuses a bad shard before any client exists.
+model it just trained is evaluated on the held-out set; both loops build that
+row with ``_round_row``.  Every model kind takes the same SGD step:
+``loss_grad`` on the batch, then ``step`` by the mean, on a shard
+``local_train`` checked once per call with ``datagen``'s rule.  ``partition``
+checks the whole data with that rule, so ``make_clients`` refuses a bad shard
+before any client exists.
 
-Each client owns a private rng for batch shuffling; the teleport channel uses
-its own rng so the two transports consume identical client streams and stay
-comparable run for run.
+Each client owns a private rng for batch shuffling, and all share one
+``SgdOptimizer``; the teleport channel uses its own rng so the two transports
+consume identical client streams and stay comparable run for run.
 """
 from __future__ import annotations
 
@@ -84,29 +85,29 @@ def make_clients(
     """Partition the data and stand up clients that all start from ``model``."""
     check_readout(model)
     shards = partition(features, labels, num_clients, partition_seed)
-    return [
-        ClientState(
-            client_id=cid,
-            features=fx,
-            labels=fy,
-            model=model,
-            rng=np.random.default_rng([client_seed, _CLIENT_STREAM, cid]),
-            optimizer=SgdOptimizer(learning_rate),
-        )
-        for cid, (fx, fy) in enumerate(shards)
-    ]
+    optimizer = SgdOptimizer(learning_rate)  # frozen, so every client shares this one
+    clients = []
+    for cid, (fx, fy) in enumerate(shards):
+        rng = np.random.default_rng([client_seed, _CLIENT_STREAM, cid])
+        clients.append(ClientState(cid, fx, fy, model, rng, optimizer))
+    return clients
 
 
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
     """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
 
     Batch order is a fresh permutation per epoch from the client's own rng,
-    so a client's stream depends only on how many epochs it has run.  A
-    step's ``ValueError`` is re-raised naming the client, epoch and step.
+    so a client's stream depends only on how many epochs it has run.  The
+    rng (``datagen.check_generator``) and the optimizer are checked before any
+    step; a step's ``ValueError`` is re-raised naming the client, epoch and step.
     """
     datagen.check_count(epochs, "epochs")
     datagen.check_count(batch_size, "batch_size")
     owner = f"client {client.client_id}"
+    datagen.check_generator(client.rng, f"{owner}'s rng")
+    if not isinstance(client.optimizer, SgdOptimizer):
+        kind = type(client.optimizer).__name__
+        raise ValueError(f"{owner}'s optimizer must be an SgdOptimizer, got {kind}")
     feats, labels = datagen.check_samples(client.features, client.labels, owner)
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
@@ -129,17 +130,6 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     return losses
 
 
-def _transfer(model: Model, transport: Transport, channel_rng, round_index: int, sender: int):
-    if transport is Transport.CLASSICAL_COPY:
-        return model
-    try:
-        return teleport_weights(model, channel_rng)
-    except TransferError as exc:
-        raise TransferError(
-            f"round {round_index}, client {sender} -> {exc}", exc.weight_index
-        ) from exc
-
-
 def _check_clients(clients: list[ClientState], num_clients: int) -> type:
     if len(clients) != num_clients:
         raise ValueError(f"schedule expects {num_clients} clients, got {len(clients)}")
@@ -149,6 +139,12 @@ def _check_clients(clients: list[ClientState], num_clients: int) -> type:
     if len(kinds) != 1:
         raise ValueError(f"clients must share one model kind, got {sorted(k.__name__ for k in kinds)}")
     return kinds.pop()
+
+
+def _round_row(round_index: int, client_id: int, losses: list[float], model: Model,
+               test_features, test_labels) -> RoundMetrics:
+    accuracy = trainkit.evaluate(model, test_features, test_labels)
+    return RoundMetrics(round_index, client_id, float(np.mean(losses)), accuracy)
 
 
 def run_ring(
@@ -162,8 +158,8 @@ def run_ring(
 ) -> tuple[Model, list[RoundMetrics]]:
     """Train around the ring for the scheduled rounds.
 
-    Per round: each client trains locally then hands its model to the next
-    one (the hand-off replaces the receiver's model); the round's metrics
+    Per round: each client trains locally, then its model replaces the next
+    client's, as is or through ``teleport_weights``; the round's metrics
     evaluate the last client's freshly trained parameters.  Returns that
     model after the final round along with all per-round metrics.
     """
@@ -174,24 +170,23 @@ def run_ring(
         datagen.check_generator(channel_rng, "channel_rng")
     metrics: list[RoundMetrics] = []
     for round_index in range(1, schedule.num_rounds + 1):
-        round_losses: list[float] = []
-        for sender in range(schedule.num_clients):
-            client = clients[sender]
-            round_losses.extend(local_train(client, schedule.local_epochs, batch_size))
-            receiver = clients[(sender + 1) % schedule.num_clients]
-            receiver.model = _transfer(
-                client.model, schedule.transport, channel_rng, round_index, sender
-            )
-        last = clients[schedule.num_clients - 1]
+        losses: list[float] = []
+        for sender, client in enumerate(clients):
+            losses.extend(local_train(client, schedule.local_epochs, batch_size))
+            model = client.model
+            if schedule.transport is Transport.TELEPORT:
+                try:
+                    model = teleport_weights(model, channel_rng)
+                except TransferError as exc:
+                    raise TransferError(
+                        f"round {round_index}, client {sender} -> {exc}", exc.weight_index
+                    ) from exc
+            clients[(sender + 1) % schedule.num_clients].model = model
+        last = clients[-1]
         metrics.append(
-            RoundMetrics(
-                round_index=round_index,
-                client_id=last.client_id,
-                mean_train_loss=float(np.mean(round_losses)),
-                test_accuracy=trainkit.evaluate(last.model, test_features, test_labels),
-            )
+            _round_row(round_index, last.client_id, losses, last.model, test_features, test_labels)
         )
-    return clients[schedule.num_clients - 1].model, metrics
+    return clients[-1].model, metrics
 
 
 def _fsum_mean(arrays: list[np.ndarray]) -> np.ndarray:
@@ -241,19 +236,12 @@ def run_hubspoke(
     global_model = clients[0].model
     metrics: list[RoundMetrics] = []
     for round_index in range(1, schedule.num_rounds + 1):
-        round_losses: list[float] = []
+        losses: list[float] = []
         for client in clients:
             client.model = global_model
-            round_losses.extend(local_train(client, schedule.local_epochs, batch_size))
+            losses.extend(local_train(client, schedule.local_epochs, batch_size))
         global_model = average_models([c.model for c in clients])
-        metrics.append(
-            RoundMetrics(
-                round_index=round_index,
-                client_id=-1,
-                mean_train_loss=float(np.mean(round_losses)),
-                test_accuracy=trainkit.evaluate(global_model, test_features, test_labels),
-            )
-        )
+        metrics.append(_round_row(round_index, -1, losses, global_model, test_features, test_labels))
     return global_model, metrics
 
 

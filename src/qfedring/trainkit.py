@@ -8,12 +8,12 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``loss_grad(features, loss) -> (losses, batch-summed gradient)`` and
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
-so that rebinding one (as a tracer does) also covers this path.
-Labels pass ``datagen.check_labels``.
-The readout rule is ``check_readout``: a model must be one of the three
-kinds, and a circuit must have ``vqc.NUM_QUBITS`` qubits, one class score per
-qubit.  ``evaluate``, ``fedring.make_clients`` and
-``fedring.centralized_train`` apply it before they touch the data.
+so that rebinding one (as a tracer does) also covers this path; its one field
+is ``params``, and ``w1``, ``b1``, ``w2`` and ``b2`` are properties slicing it.
+Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
+a model must be one of the three kinds, and a circuit must have
+``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
+``fedring.make_clients`` and ``fedring.centralized_train`` apply it first.
 Every kind's features pass ``datagen.check_batch`` (finite, shape ``(rows,
 width)``, width 2 for the MLP and the qubit count for a circuit), and
 ``loss`` must return an upstream shaped like the logits (``vqc.call_loss``).
@@ -22,7 +22,7 @@ Zero rows give ``(0, 2)`` logits, empty losses and an all-zero gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -97,15 +97,11 @@ MLP_PARAMS = _B2 + 2
 class ClassicalMlp:
     """2 -> 4 -> 2 network with tanh hidden units (22 parameters).
 
-    ``params`` is one read-only vector: w1 (2, 4) row-major, b1, w2 (4, 2)
-    row-major, b2.  The four arrays are read-only views of it.
+    ``params`` is one read-only vector, the only field: w1 (2, 4) row-major,
+    b1, w2 (4, 2) row-major, b2.  The four are properties: read-only views of it.
     """
 
     params: np.ndarray
-    w1: np.ndarray = field(init=False, repr=False, compare=False)
-    b1: np.ndarray = field(init=False, repr=False, compare=False)
-    w2: np.ndarray = field(init=False, repr=False, compare=False)
-    b2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = check_floats(np.array(self.params), "params")
@@ -113,10 +109,11 @@ class ClassicalMlp:
             raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
-        object.__setattr__(self, "w1", p[:_B1].reshape(2, MLP_HIDDEN))
-        object.__setattr__(self, "b1", p[_B1:_W2])
-        object.__setattr__(self, "w2", p[_W2:_B2].reshape(MLP_HIDDEN, 2))
-        object.__setattr__(self, "b2", p[_B2:])
+
+    w1 = property(lambda self: self.params[:_B1].reshape(2, MLP_HIDDEN))
+    b1 = property(lambda self: self.params[_B1:_W2])
+    w2 = property(lambda self: self.params[_W2:_B2].reshape(MLP_HIDDEN, 2))
+    b2 = property(lambda self: self.params[_B2:])
 
     def logits(self, features) -> np.ndarray:
         hid = np.tanh(np.dot(check_batch(features, 2), self.w1) + self.b1)  # see mlp_batch_grads
@@ -161,9 +158,10 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     # each of these tiny 2-D products, and dot matches it bit for bit only on the
     # C-ordered features and upstream that check_batch and call_loss guarantee.
     feats = check_batch(features, 2)
+    w2 = model.w2  # one view for both products
     hid = np.tanh(np.dot(feats, model.w1) + model.b1)
-    losses, dlogits = call_loss(loss, np.dot(hid, model.w2) + model.b2)
-    dpre = np.dot(dlogits, model.w2.T) * (1.0 - hid**2)
+    losses, dlogits = call_loss(loss, np.dot(hid, w2) + model.b2)
+    dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)
     return losses, np.concatenate(
         [np.dot(feats.T, dpre), dpre.sum(axis=0), np.dot(hid.T, dlogits), dlogits.sum(axis=0)],
         axis=None,

@@ -4,14 +4,17 @@ import pytest
 from qfedring import datagen
 
 
-# What the generator rule refuses: no stream, a seed, text, and the legacy
-# RandomState, which has the Generator's ``random`` method but is not one.
-NOT_GENERATORS = [None, 5, "x", np.random.RandomState(0)]
+# What the generator rule refuses: no stream, a seed, text, the legacy
+# RandomState, which has the Generator's ``random`` method but is not one, and
+# a bare bit generator, which a Generator wraps.
+NOT_GENERATORS = [None, 5, "x", np.random.RandomState(0), np.random.PCG64(0)]
 
 
 def generator_id(value) -> str:
-    """A stable test id for a NOT_GENERATORS value (a RandomState's repr holds its address)."""
-    return "RandomState" if isinstance(value, np.random.RandomState) else repr(value)
+    """How the generator rule's message shows a NOT_GENERATORS value, which is
+    also its test id: the repr of None, a number or text, else the type's name
+    (the repr of a RandomState or a bit generator holds its address)."""
+    return repr(value) if value is None or isinstance(value, (int, str)) else type(value).__name__
 
 
 @pytest.fixture

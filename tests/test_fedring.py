@@ -13,7 +13,9 @@ from qfedring import fedring as fr
 from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
+from qfedring.teleport import TransferError
 from tests.conftest import NOT_GENERATORS, generator_id
+from tests.test_bench_contract import count_calls
 
 
 # Counts that are not integers >= 1: a fraction, an integral float, bools
@@ -89,7 +91,8 @@ class TestMakeClients:
         )
         assert [c.client_id for c in clients] == [0, 1, 2]
         assert all(c.model is model for c in clients)
-        assert all(c.optimizer.learning_rate == 0.05 for c in clients)
+        assert clients[0].optimizer.learning_rate == 0.05
+        assert all(c.optimizer is clients[0].optimizer for c in clients)  # built once
         draws = [c.rng.integers(1 << 30) for c in clients]
         assert len(set(draws)) == 3  # distinct per-client streams
 
@@ -266,6 +269,60 @@ class TestLocalTrain:
         assert client.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+def snapshot(clients):
+    """Every client's model bytes and the state of each stream that is a Generator."""
+    return [
+        (c.model.params.tobytes(),
+         c.rng.bit_generator.state if isinstance(c.rng, np.random.Generator) else None)
+        for c in clients
+    ]
+
+
+# A client field local_train cannot use, and the end of the message that refuses it.
+BAD_FIELDS = [
+    pytest.param("rng", None, "rng must be a numpy Generator, got None", id="rng-None"),
+    pytest.param("rng", np.random.RandomState(0), "rng must be a numpy Generator, got RandomState",
+                 id="rng-RandomState"),
+    pytest.param("optimizer", 0.02, "optimizer must be an SgdOptimizer, got float", id="optimizer-float"),
+    pytest.param("optimizer", None, "optimizer must be an SgdOptimizer, got NoneType",
+                 id="optimizer-None"),
+]
+TRAINING_PATHS = {
+    "local_train": lambda clients, tx, ty: fr.local_train(clients[0], 1, 8),
+    "run_ring": lambda clients, tx, ty: fr.run_ring(fr.RingSchedule(3, 1, 1), clients, tx, ty),
+    "run_hubspoke": lambda clients, tx, ty: fr.run_hubspoke(fr.RingSchedule(3, 1, 1), clients, tx, ty),
+    "centralized_train": lambda clients, tx, ty: fr.centralized_train(
+        clients[0].model, clients[0].features, clients[0].labels,
+        rng=clients[0].rng, optimizer=clients[0].optimizer, epochs=1,
+    ),
+}
+
+
+class TestClientRefusals:
+    """A client's stream and optimizer are refused by rule, with a ValueError
+    naming the client and the field, before any step on every training path."""
+
+    @pytest.mark.parametrize("path", sorted(TRAINING_PATHS))
+    @pytest.mark.parametrize("field, bad, message", BAD_FIELDS)
+    def test_refused_before_any_step(self, path, field, bad, message):
+        fx, fy, tx, ty = small_shard()
+        model = tk.init_mlp(np.random.default_rng(0))
+        clients = fr.make_clients(fx, fy, 3, model, partition_seed=1, client_seed=2)
+        setattr(clients[0], field, bad)
+        before = snapshot(clients)
+        with pytest.raises(ValueError) as refused:
+            TRAINING_PATHS[path](clients, tx, ty)
+        assert str(refused.value) == f"client 0's {message}"
+        assert snapshot(clients) == before
+
+    def test_the_ring_names_the_client_that_holds_it(self, rng):
+        fx, fy, tx, ty = small_shard()
+        clients = fr.make_clients(fx, fy, 3, tk.init_mlp(rng), partition_seed=1, client_seed=2)
+        clients[2].optimizer = 0.02
+        with pytest.raises(ValueError, match="^client 2's optimizer must be an SgdOptimizer"):
+            fr.run_ring(fr.RingSchedule(3, 1, 1), clients, tx, ty)
+
+
 class TestSchedule:
     def test_defaults(self):
         s = fr.RingSchedule()
@@ -385,6 +442,38 @@ class TestRunRing:
             fr.run_ring(schedule, clients, tx, ty, channel_rng=bad)
         assert all(c.model is store for c in clients)
         assert [c.rng.bit_generator.state for c in clients] == streams
+
+    def test_failed_hand_off_names_its_round_sender_and_weight(self, rng, monkeypatch):
+        # The fifth hand-off of a three-client ring is round 2's, from client 1.
+        fx, fy, tx, ty = small_shard()
+        clients = fr.make_clients(fx, fy, 3, qw.init_store(rng), partition_seed=1, client_seed=2)
+        real, calls = fr.teleport_weights, []
+
+        def flaky(model, channel_rng):
+            calls.append(model)
+            if len(calls) == 5:
+                raise TransferError("decode residual above the purity gate", (1, 0, 2))
+            return real(model, channel_rng)
+
+        monkeypatch.setattr(fr, "teleport_weights", flaky)
+        schedule = fr.RingSchedule(3, 2, 1, fr.Transport.TELEPORT)
+        with pytest.raises(TransferError) as failed:
+            fr.run_ring(schedule, clients, tx, ty, channel_rng=np.random.default_rng(0))
+        assert str(failed.value) == "round 2, client 1 -> decode residual above the purity gate"
+        assert failed.value.weight_index == (1, 0, 2)
+        assert isinstance(failed.value.__cause__, TransferError)
+        # The receiver keeps the model it had; the sender's is not handed on.
+        assert clients[1].model is calls[-1] and clients[2].model is not calls[-1]
+
+    @pytest.mark.parametrize("loop", [fr.run_ring, fr.run_hubspoke])
+    def test_each_loop_evaluates_through_the_module_once_per_round(self, rng, monkeypatch, loop):
+        # The tracer times trainkit.evaluate by rebinding the module attribute.
+        calls = count_calls(monkeypatch, ["trainkit.evaluate"])
+        fx, fy, tx, ty = small_shard()
+        clients = fr.make_clients(fx, fy, 2, tk.init_mlp(rng), partition_seed=1, client_seed=2)
+        _, metrics = loop(fr.RingSchedule(2, 3, 1), clients, tx, ty, batch_size=8)
+        assert dict(calls) == {"trainkit.evaluate": 3}
+        assert [m.round_index for m in metrics] == [1, 2, 3]
 
     def test_teleport_matches_copy(self, rng):
         """The teleport transport reproduces plain copying to float precision."""

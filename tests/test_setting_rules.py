@@ -5,6 +5,7 @@ from 0), ``check_positive`` (rates), ``check_fraction`` (``factor`` and
 entry point that takes such a setting refuses a bad one with the rule's one
 message, and the config agrees with the rule on any value."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,11 @@ def _client():
     feats, labels = dg.make_circles(8, 0.1, 0.5, seed=0)
     rng = np.random.default_rng(0)
     return fr.ClientState(0, feats, labels, tk.init_mlp(rng), rng, tk.SgdOptimizer(0.1))
+
+
+def _centralized(rng):
+    c = _client()
+    return fr.centralized_train(c.model, c.features, c.labels, rng=rng, optimizer=c.optimizer, epochs=1)
 
 
 def _config(field):
@@ -90,6 +96,8 @@ GENERATOR_ENTRIES = [
      lambda v: tp.teleport_weights(qw.init_store(np.random.default_rng(0)), v)),
     ("run_ring", "channel_rng", _teleport_ring),
     ("measure_qubits", "rng", lambda v: sv.measure_qubits(qw.encode_weight(0.3), [0], v)),
+    ("local_train", "client 0's rng", lambda v: fr.local_train(replace(_client(), rng=v), 1, 4)),
+    ("centralized_train", "client 0's rng", _centralized),
 ]
 
 
@@ -146,10 +154,12 @@ def test_fraction_refused_by_the_one_rule(name, call, value, error):
     "name, call, value, error", _cases(GENERATOR_ENTRIES, NOT_GENERATORS, generator_id)
 )
 def test_generator_refused_by_the_one_rule(name, call, value, error):
+    """The message shows the value by ``generator_id``'s rule, so it never holds an address."""
     with pytest.raises(ValueError) as refused:
         call(value)
     assert type(refused.value) is error
-    assert str(refused.value) == f"{name} must be a numpy Generator, got {value!r}"
+    assert str(refused.value) == f"{name} must be a numpy Generator, got {generator_id(value)}"
+    assert "0x" not in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Loss head, optimizer, and baseline network checks against finite
 differences and closed-form values."""
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,18 @@ class TestMlp:
         for arr in (mlp.params, mlp.w1, mlp.b1, mlp.w2, mlp.b2):
             assert not arr.flags.writeable
             assert np.shares_memory(arr, mlp.params)
+
+    def test_params_is_the_only_field(self):
+        # w1, b1, w2 and b2 are properties that slice params: nothing else is stored.
+        assert [f.name for f in dataclasses.fields(tk.ClassicalMlp)] == ["params"]
+        mlp = tk.ClassicalMlp(np.arange(22.0))
+        for name in ("w1", "b1", "w2", "b2"):
+            assert isinstance(getattr(tk.ClassicalMlp, name), property)
+            with pytest.raises(AttributeError):  # the frozen dataclass refuses assignment
+                setattr(mlp, name, np.zeros(2))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(mlp, name)[0] = 1.0
+        assert np.array_equal(mlp.params, np.arange(22.0))
 
     def test_init_draws_weights_in_order(self):
         # The same numbers in the same order as drawing w1, then w2, by hand.
