@@ -117,10 +117,15 @@ def facts(tree) -> dict:
 
 
 def bench(tree: Path, workload: str) -> dict:
-    """``BENCH_METRICS`` of one 5 s ``perfbench/run.py`` run of ``tree``."""
+    """``BENCH_METRICS`` of one 5 s ``perfbench/run.py`` run of ``tree``.  The
+    run exits 0 even when a job's CSV differs from the CLI's, so a run that
+    reports itself incorrect or failed raises ValueError."""
     args = ("--workload", workload, "--seconds", "5", "--trace", "0")
     out = run(tree, tree, str(tree / "perfbench" / "run.py"), *args).stdout.splitlines()
-    return {name: json.loads(out[-1])["metrics"][name]["value"] for name in BENCH_METRICS}
+    result = json.loads(out[-1])
+    if not result["correct"] or result["failed"]:
+        raise ValueError(f"{workload}: correct {result['correct']}, failed {result['failed']}")
+    return {name: result["metrics"][name]["value"] for name in BENCH_METRICS}
 
 
 def compare(base: dict, head: dict) -> list[str]:

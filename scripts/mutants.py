@@ -111,12 +111,16 @@ MUTANTS = (
     Mutant("check_generator: the value shown by its repr again", "qfedring/datagen.py",
            "got {shown}", "got {rng!r}", (GENERATOR_RULE,)),
     # A client's stream and optimizer, checked before its first step.
-    Mutant("local_train: the client's rng not checked", "qfedring/fedring.py",
+    Mutant("_check_client: the client's rng not checked", "qfedring/fedring.py",
            """    datagen.check_generator(client.rng, f"{owner}'s rng")\n""", "",
            (CLIENT_REFUSALS, GENERATOR_RULE)),
-    Mutant("local_train: the optimizer not checked", "qfedring/fedring.py",
+    Mutant("_check_client: the optimizer not checked", "qfedring/fedring.py",
            "    if not isinstance(client.optimizer, SgdOptimizer):", "    if False:",
            (CLIENT_REFUSALS,)),
+    Mutant("_check_clients: clients not checked before any trains", "qfedring/fedring.py",
+           "    for client in clients:\n        _check_client(client)\n", "",
+           ("tests/test_fedring.py::TestClientRefusals::"
+            "test_the_ring_names_the_client_that_holds_it",)),
     Mutant("run_ring: a failed hand-off loses its weight index", "qfedring/fedring.py",
            "-> {exc}\", exc.weight_index", "-> {exc}\", None",
            ("tests/test_fedring.py::TestRunRing::"
@@ -227,6 +231,16 @@ MUTANTS = (
            "_readout_signs(angles.shape[2])",
            "_readout_signs(angles.shape[2]) * (1 + 1e-9)",
            ("tests/test_acceptance.py::test_criterion_8_end_to_end_learning",)),
+    # A convergence scan over a final accuracy that is not finite.
+    Mutant("convergence_round: a non-finite final accuracy scanned", "qfedring/cli.py",
+           "    if not math.isfinite(final):\n", "    if False:\n",
+           ("tests/test_cli.py::TestConvergence::"
+            "test_refuses_a_final_accuracy_that_is_not_finite",)),
+    # The package re-exports only what a caller reads from it.
+    Mutant("__init__: run_ring re-exported", "qfedring/__init__.py",
+           "from .vqc import init_model\n",
+           "from .vqc import init_model\nfrom .fedring import run_ring\n",
+           ("tests/test_package.py::test_the_namespace_exports_only_what_a_caller_reads",)),
     # A numpy warning on the way out of the command line.
     Mutant("cli.main: an np.exp overflow", "qfedring/cli.py",
            "    try:\n        request = parse_config(",

@@ -258,10 +258,9 @@ def convergence_round(accuracies) -> int:
     if not accs:
         raise ValueError("no accuracies to scan")
     final = accs[-1]
-    for index, acc in enumerate(accs, start=1):
-        if abs(acc - final) <= CONVERGENCE_TOLERANCE:
-            return index
-    raise AssertionError("unreachable: the final round always qualifies")
+    if not math.isfinite(final):
+        raise ValueError(f"the final accuracy must be finite, got {final}")
+    return next(i for i, acc in enumerate(accs, 1) if abs(acc - final) <= CONVERGENCE_TOLERANCE)
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:

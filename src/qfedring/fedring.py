@@ -93,21 +93,27 @@ def make_clients(
     return clients
 
 
-def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
-    """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
-
-    Batch order is a fresh permutation per epoch from the client's own rng,
-    so a client's stream depends only on how many epochs it has run.  The
-    rng (``datagen.check_generator``) and the optimizer are checked before any
-    step; a step's ``ValueError`` is re-raised naming the client, epoch and step.
-    """
-    datagen.check_count(epochs, "epochs")
-    datagen.check_count(batch_size, "batch_size")
+def _check_client(client: ClientState) -> str:
+    """Refuse a client's rng or optimizer that local_train cannot use; returns its name."""
     owner = f"client {client.client_id}"
     datagen.check_generator(client.rng, f"{owner}'s rng")
     if not isinstance(client.optimizer, SgdOptimizer):
         kind = type(client.optimizer).__name__
         raise ValueError(f"{owner}'s optimizer must be an SgdOptimizer, got {kind}")
+    return owner
+
+
+def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
+    """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
+
+    Batch order is a fresh permutation per epoch from the client's own rng,
+    so a client's stream depends only on how many epochs it has run.  The
+    rng and the optimizer (``_check_client``) are checked before any step; a
+    step's ``ValueError`` is re-raised naming the client, epoch and step.
+    """
+    datagen.check_count(epochs, "epochs")
+    datagen.check_count(batch_size, "batch_size")
+    owner = _check_client(client)
     feats, labels = datagen.check_samples(client.features, client.labels, owner)
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
@@ -135,6 +141,8 @@ def _check_clients(clients: list[ClientState], num_clients: int) -> type:
         raise ValueError(f"schedule expects {num_clients} clients, got {len(clients)}")
     if [c.client_id for c in clients] != list(range(num_clients)):
         raise ValueError("clients must be ordered with ids 0..K-1")
+    for client in clients:
+        _check_client(client)
     kinds = {type(c.model) for c in clients}
     if len(kinds) != 1:
         raise ValueError(f"clients must share one model kind, got {sorted(k.__name__ for k in kinds)}")

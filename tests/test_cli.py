@@ -354,6 +354,13 @@ class TestConvergence:
         with pytest.raises(ValueError, match="no accuracies"):
             cli.convergence_round([])
 
+    @pytest.mark.parametrize("accs, shown", [
+        ([math.nan], "nan"), ([0.5, math.nan], "nan"), ([math.inf], "inf"),
+    ])
+    def test_refuses_a_final_accuracy_that_is_not_finite(self, accs, shown):
+        with pytest.raises(ValueError, match=f"^the final accuracy must be finite, got {shown}$"):
+            cli.convergence_round(accs)
+
     @settings(max_examples=200, deadline=None)
     @given(accs=st.lists(st.floats(0, 1), min_size=1, max_size=30))
     def test_names_first_round_within_tolerance(self, accs):

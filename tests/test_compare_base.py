@@ -1,6 +1,8 @@
 """scripts/compare_base.py: the warning rules, driven on hand-built facts."""
 import copy
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,20 @@ def test_failed_runs_that_only_warn(script, facts, side):
         f"::warning::the {side} channel timer failed",
         "::warning::vqc-ring: the benchmark runs could not be compared",
     ]
+
+
+@pytest.mark.parametrize("correct, failed, read", [
+    (True, 0, True), (False, 0, False), (True, 1, False), (False, 2, False),
+])
+def test_a_benchmark_run_that_fails_its_own_gate_is_not_read(
+        script, monkeypatch, correct, failed, read):
+    # perfbench/run.py exits 0 either way; only its last line tells.
+    metrics = {name: {"value": 5.0, "unit": ""} for name in script.BENCH_METRICS}
+    line = json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
+    done = subprocess.CompletedProcess([], 0, stdout=f"report\n{line}\n", stderr="")
+    monkeypatch.setattr(script, "run", lambda *args, **kwargs: done)
+    got = script.or_none(script.bench, Path("tree"), "vqc-ring")
+    assert got == ({name: 5.0 for name in script.BENCH_METRICS} if read else None)
 
 
 def test_the_printed_facts_warn_on_nothing(script, facts):

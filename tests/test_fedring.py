@@ -316,11 +316,16 @@ class TestClientRefusals:
         assert snapshot(clients) == before
 
     def test_the_ring_names_the_client_that_holds_it(self, rng):
+        # Refused before any client trains: clients 0 and 1 are untouched too.
         fx, fy, tx, ty = small_shard()
-        clients = fr.make_clients(fx, fy, 3, tk.init_mlp(rng), partition_seed=1, client_seed=2)
-        clients[2].optimizer = 0.02
-        with pytest.raises(ValueError, match="^client 2's optimizer must be an SgdOptimizer"):
-            fr.run_ring(fr.RingSchedule(3, 1, 1), clients, tx, ty)
+        model = tk.init_mlp(rng)
+        for path in ("run_ring", "run_hubspoke"):
+            clients = fr.make_clients(fx, fy, 3, model, partition_seed=1, client_seed=2)
+            clients[2].optimizer = 0.02
+            before = snapshot(clients)
+            with pytest.raises(ValueError, match="^client 2's optimizer must be an SgdOptimizer"):
+                TRAINING_PATHS[path](clients, tx, ty)
+            assert snapshot(clients) == before, path
 
 
 class TestSchedule:

@@ -1,10 +1,11 @@
-"""The package namespace: every name it exports must resolve, every
-function in it runs in a CLI run or is named below with its reason, and no
-run imports what it does not use."""
+"""The package namespace: it exports exactly the names callers read from it,
+every one resolves, every function in it runs in a CLI run or is named below
+with its reason, and no run imports what it does not use."""
 import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import qfedring
@@ -66,6 +67,35 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from qfedring import *", namespace)
     assert sorted(set(qfedring.__all__) - set(namespace)) == []
+
+
+def names_read_from_the_package() -> set:
+    """Package-level names that code outside src/ and tests/ reads, as
+    ``qfedring.<name>`` or ``from qfedring import <name>``; modules excluded."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in root.rglob("*.py"):
+        parts = path.relative_to(root).parts
+        if parts[0] in ("src", "tests") or any(part.startswith(".") for part in parts):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "qfedring"):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "qfedring":
+                read.update(alias.name for alias in node.names)
+    return {name for name in read if name not in modules and not name.startswith("__")}
+
+
+def test_the_namespace_exports_only_what_a_caller_reads():
+    # Callers import from the modules; a name the package re-exports that no
+    # one reads from it is a second path to the same object.
+    read = names_read_from_the_package()
+    assert sorted(qfedring.__all__) == sorted(read)
+    exported = {name for name, value in vars(qfedring).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == read
 
 
 def defined_functions() -> dict:
