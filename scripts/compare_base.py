@@ -50,17 +50,20 @@ code = cli.main(sys.argv[1:])
 print(*sorted(set(sys.modules) - before))
 sys.exit(code)
 """
-# ``python -m timeit`` setup, and each timer's statement: the channel on the
-# default 12-weight store, one SGD step as local_train runs it, on 32 rows, and
-# the store's evaluation on the same rows, readout check included.
+# ``python -m timeit`` setup, and each timer's statement, all at the CLI's
+# default settings, read from each side's own ``ExperimentConfig``: the channel
+# on the 12-weight store, one SGD step as local_train runs it, on one batch of
+# rows, and the store's evaluation on the same rows, readout check included.
 TIMER_SETUP = (
     "import numpy as np",
-    "from qfedring import qweights, teleport, trainkit, vqc",
-    "inits = trainkit.init_mlp, vqc.init_model, qweights.init_store",
-    "mlp, circuit, store = (init(np.random.default_rng(1)) for init in inits)",
+    "from qfedring import cli, qweights, teleport, trainkit, vqc",
+    "config, gen = cli.ExperimentConfig(model='qfl-quantum'), np.random.default_rng",
+    "mlp, circuit = trainkit.init_mlp(gen(1)), vqc.init_model(gen(1), config.layers)",
+    "store = qweights.init_store(gen(1), config.layers, config.gamma)",
     "channel = np.random.default_rng(0)",
-    "rows = np.random.default_rng(0).uniform(0, np.pi, (32, 2))",
-    "labels, opt = np.arange(32) % 2, trainkit.SgdOptimizer(0.02)",
+    "rows = np.random.default_rng(0).uniform(0, np.pi, (config.batch_size, 2))",
+    "labels = np.arange(config.batch_size) % 2",
+    "opt = trainkit.SgdOptimizer(config.learning_rate)",
     "loss = lambda logits: trainkit.batch_loss_and_grad(logits, labels)",
 )
 STEP = "{0}.step({0}.loss_grad(rows, loss)[1] / labels.size, opt)"

@@ -78,13 +78,18 @@ MUTANTS = (
     Mutant("StateVector: text amplitudes parsed", "qfedring/statevec.py",
            'not in "biufc"', 'not in "biufcSU"',
            ("tests/test_statevec.py::TestStateVector::test_refuses_non_number_amplitudes",)),
-    # One constructor per kind, and one readout rule at every entry point.
+    # One constructor per kind, and one readout rule at every entry point.  A
+    # store built without its gamma is a TypeError, since gamma has no default.
     Mutant("QuantumWeightStore.step: gamma not handed on", "qfedring/qweights.py",
            "QuantumWeightStore(angles, self.gamma)", "QuantumWeightStore(angles)",
            ("tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles",)),
     Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
            "reshape(shape), store.gamma)", "reshape(shape))",
            ("tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles",)),
+    # Each experiment default lives only in cli.ExperimentConfig.
+    Mutant("QuantumWeightStore: gamma defaults to pi again", "qfedring/qweights.py",
+           "    gamma: float\n", "    gamma: float = math.pi\n",
+           ("tests/test_setting_rules.py::test_only_the_config_gives_a_setting_a_default",)),
     Mutant("evaluate: readout not checked", "qfedring/trainkit.py",
            "    check_readout(model)\n    scores", "    scores",
            ("tests/test_fedring.py::TestMakeClients::test_circuits_need_two_qubits",)),

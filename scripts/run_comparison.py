@@ -36,22 +36,21 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     shared = {k: v for k, v in vars(args).items() if k != "out_dir" and v is not None}
     variants = {name: {**settings, **shared} for name, settings in VARIANTS.items()}
+    config_paths = []
     try:
         for name, lines in variants.items():
             ExperimentConfig(**lines)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name, lines in variants.items():
+            path = out_dir / f"{name}.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+            config_paths.append(str(path))
     except ConfigError as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: --out-dir {out_dir}: {exc}", file=sys.stderr)
         return 1
-
-    config_paths = []
-    for name, lines in variants.items():
-        path = out_dir / f"{name}.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
-        config_paths.append(str(path))
 
     csv_path = out_dir / "comparison.csv"
     code = cli_main(["--compare", *config_paths, "--out", str(csv_path)])

@@ -38,10 +38,10 @@ class Transport(enum.Enum):
 
 @dataclass(frozen=True)
 class RingSchedule:
-    num_clients: int = 3
-    num_rounds: int = 100
-    local_epochs: int = 5
-    transport: Transport = Transport.CLASSICAL_COPY
+    num_clients: int
+    num_rounds: int
+    local_epochs: int
+    transport: Transport
 
     def __post_init__(self) -> None:
         for name in ("num_clients", "num_rounds", "local_epochs"):
@@ -80,7 +80,7 @@ def make_clients(
     *,
     partition_seed,
     client_seed: int,
-    learning_rate: float = 0.02,
+    learning_rate: float,
 ) -> list[ClientState]:
     """Partition the data and stand up clients that all start from ``model``."""
     check_readout(model)
@@ -161,7 +161,7 @@ def run_ring(
     test_features,
     test_labels,
     *,
-    batch_size: int = 32,
+    batch_size: int,
     channel_rng: np.random.Generator | None = None,
 ) -> tuple[Model, list[RoundMetrics]]:
     """Train around the ring for the scheduled rounds.
@@ -227,7 +227,7 @@ def run_hubspoke(
     test_features,
     test_labels,
     *,
-    batch_size: int = 32,
+    batch_size: int,
 ) -> tuple[Model, list[RoundMetrics]]:
     """Baseline: every client trains from the current global model in parallel,
     then the hub replaces it with the elementwise average.
@@ -261,7 +261,7 @@ def centralized_train(
     rng: np.random.Generator,
     optimizer: SgdOptimizer,
     epochs: int,
-    batch_size: int = 32,
+    batch_size: int,
 ) -> tuple[Model, list[float]]:
     """Single-worker training through the same code path as a lone client.
 

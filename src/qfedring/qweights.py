@@ -55,7 +55,7 @@ class QuantumWeightStore:
     """Angles shaped like circuit params [layer][qubit][3], plus the value scale."""
 
     angles: np.ndarray
-    gamma: float = math.pi
+    gamma: float
 
     def __post_init__(self) -> None:
         angles = _layer_angles(self.angles, "angles")
@@ -82,11 +82,7 @@ class QuantumWeightStore:
         return QuantumWeightStore(angles, self.gamma)
 
 
-def init_store(
-    rng: np.random.Generator,
-    num_layers: int = 2,
-    gamma: float = math.pi,
-) -> QuantumWeightStore:
+def init_store(rng: np.random.Generator, num_layers: int, gamma: float) -> QuantumWeightStore:
     """Angles drawn uniformly around pi/2, where <Z> crosses zero at full slope."""
     check_count(num_layers, "num_layers")
     lo = ANGLE_INIT_CENTER - ANGLE_INIT_HALF_WIDTH

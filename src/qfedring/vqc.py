@@ -82,7 +82,7 @@ def _layer_angles(values, name: str) -> np.ndarray:
     return a
 
 
-def init_model(rng: np.random.Generator, num_layers: int = 2) -> VqcModel:
+def init_model(rng: np.random.Generator, num_layers: int) -> VqcModel:
     """Fresh NUM_QUBITS-qubit model with angles drawn uniformly from [-pi/4, pi/4]."""
     check_count(num_layers, "num_layers")
     params = rng.uniform(-math.pi / 4, math.pi / 4, size=(num_layers, NUM_QUBITS, 3))

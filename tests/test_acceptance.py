@@ -67,7 +67,7 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
 
         # (b) quantum-held weights composed through the readout
         store = qw.QuantumWeightStore(
-            rng.uniform(-math.pi + 0.1, math.pi - 0.1, (layers, 2, 3))
+            rng.uniform(-math.pi + 0.1, math.pi - 0.1, (layers, 2, 3)), math.pi
         )
         eff = qw.materialize(store)
         _, dlogits = tk.loss_and_grad(vqc.forward(vqc.VqcModel(eff), x), label)
@@ -163,7 +163,7 @@ def test_criterion_3_teleportation(capsys):
             worst_fid = max(worst_fid, abs(record.fidelity - 1.0))
 
     angles = rng.uniform(-math.pi + 1e-3, math.pi, size=(2, 2, 3))
-    store = qw.QuantumWeightStore(angles)
+    store = qw.QuantumWeightStore(angles, math.pi)
     moved = tp.teleport_weights(store, rng)
     worst_angle = float(np.max(np.abs(moved.angles - store.angles)))
 
@@ -212,16 +212,16 @@ def test_criterion_5_one_client_ring_equals_centralized(capsys):
     init_rng = lambda: np.random.default_rng([42, 3])
     variants = {
         "cfl": tk.init_mlp(init_rng()),
-        "qfl-classical": vqc.init_model(init_rng()),
-        "qfl-quantum": qw.init_store(init_rng()),
+        "qfl-classical": vqc.init_model(init_rng(), 2),
+        "qfl-quantum": qw.init_store(init_rng(), 2, math.pi),
     }
     mismatches = []
     for name, init in variants.items():
         clients = fr.make_clients(
             ds.train_features, ds.train_labels, 1, init,
-            partition_seed=[42, 2], client_seed=42,
+            partition_seed=[42, 2], client_seed=42, learning_rate=0.02,
         )
-        schedule = fr.RingSchedule(num_clients=1, num_rounds=5, local_epochs=2)
+        schedule = fr.RingSchedule(1, 5, 2, fr.Transport.CLASSICAL_COPY)
         ring_model, _ = fr.run_ring(
             schedule, clients, ds.test_features, ds.test_labels, batch_size=32
         )
@@ -281,11 +281,12 @@ def test_criterion_6_teleport_transport_equals_copy(capsys):
 def test_criterion_7_hubspoke_average_oracle(capsys):
     feats, labels = dg.make_circles(240, noise=0.1, factor=0.5, seed=3)
     ds = dg.scale_and_split(feats, labels, 0.8, seed=4)
-    init = vqc.init_model(np.random.default_rng(5))
+    init = vqc.init_model(np.random.default_rng(5), 2)
     clients = fr.make_clients(
-        ds.train_features, ds.train_labels, 3, init, partition_seed=6, client_seed=7
+        ds.train_features, ds.train_labels, 3, init, partition_seed=6, client_seed=7,
+        learning_rate=0.02,
     )
-    schedule = fr.RingSchedule(num_clients=3, num_rounds=1, local_epochs=2)
+    schedule = fr.RingSchedule(3, 1, 2, fr.Transport.CLASSICAL_COPY)
     global_model, _ = fr.run_hubspoke(
         schedule, clients, ds.test_features, ds.test_labels, batch_size=32
     )

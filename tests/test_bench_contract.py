@@ -75,10 +75,16 @@ def test_step_calls_each_traced_binding_once(monkeypatch, kind):
     read 0 calls in the traced run."""
     calls = count_calls(monkeypatch, set().union(*STEP_BINDINGS.values()))
     gen = np.random.default_rng(3)
-    model = {"mlp": tk.init_mlp, "circuit": vqc.init_model, "store": qw.init_store}[kind](gen)
+    model = {
+        "mlp": lambda: tk.init_mlp(gen),
+        "circuit": lambda: vqc.init_model(gen, 2),
+        "store": lambda: qw.init_store(gen, 2, math.pi),
+    }[kind]()
     feats, labels = gen.uniform(0, math.pi, size=(23, 2)), gen.integers(0, 2, size=23)
-    clients = fr.make_clients(feats[:20], labels[:20], 2, model, partition_seed=1, client_seed=2)
-    schedule = fr.RingSchedule(num_clients=2, num_rounds=2, local_epochs=2)
+    clients = fr.make_clients(
+        feats[:20], labels[:20], 2, model, partition_seed=1, client_seed=2, learning_rate=0.02
+    )
+    schedule = fr.RingSchedule(2, 2, 2, fr.Transport.CLASSICAL_COPY)
     fr.run_ring(schedule, clients, feats[20:], labels[20:], batch_size=4)
 
     steps = 2 * 2 * sum(math.ceil(c.labels.size / 4) for c in clients)
@@ -98,7 +104,7 @@ CHANNEL_BINDINGS = (
 @pytest.mark.parametrize("layers", [1, 2, 3])
 def test_channel_calls_each_traced_binding_once_per_weight(monkeypatch, layers):
     calls = count_calls(monkeypatch, CHANNEL_BINDINGS)
-    store = qw.init_store(np.random.default_rng(layers), num_layers=layers)
+    store = qw.init_store(np.random.default_rng(layers), num_layers=layers, gamma=math.pi)
     tp.teleport_weights(store, np.random.default_rng(0))
     assert dict(calls) == {name: 6 * layers for name in CHANNEL_BINDINGS}
 
@@ -107,9 +113,11 @@ def test_teleport_ring_calls_the_channel_bindings_per_hand_off(monkeypatch):
     # fedring.teleport_weights is the binding the tracer wraps for the hand-off.
     calls = count_calls(monkeypatch, CHANNEL_BINDINGS + ("fedring.teleport_weights",))
     gen = np.random.default_rng(5)
-    store = qw.init_store(gen, num_layers=2)
+    store = qw.init_store(gen, num_layers=2, gamma=math.pi)
     feats, labels = gen.uniform(0, math.pi, size=(23, 2)), gen.integers(0, 2, size=23)
-    clients = fr.make_clients(feats[:20], labels[:20], 3, store, partition_seed=1, client_seed=2)
+    clients = fr.make_clients(
+        feats[:20], labels[:20], 3, store, partition_seed=1, client_seed=2, learning_rate=0.02
+    )
     schedule = fr.RingSchedule(
         num_clients=3, num_rounds=2, local_epochs=1, transport=fr.Transport.TELEPORT
     )

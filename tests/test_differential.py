@@ -98,7 +98,7 @@ def _setup(kind, layers, num_rows, seed):
     model = {
         "mlp": lambda: tk.init_mlp(gen),
         "circuit": lambda: vqc.init_model(gen, num_layers=layers),
-        "store": lambda: qw.init_store(gen, num_layers=layers),
+        "store": lambda: qw.init_store(gen, num_layers=layers, gamma=math.pi),
     }[kind]()
     feats = gen.uniform(0.0, math.pi, size=(num_rows + 5, 2))
     labels = gen.integers(0, 2, size=num_rows + 5)

@@ -85,7 +85,7 @@ class TestPartition:
 class TestMakeClients:
     def test_clients_share_init_and_own_rngs(self, rng):
         fx, fy, _, _ = small_shard()
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         clients = fr.make_clients(
             fx, fy, 3, model, partition_seed=1, client_seed=42, learning_rate=0.05
         )
@@ -96,13 +96,6 @@ class TestMakeClients:
         draws = [c.rng.integers(1 << 30) for c in clients]
         assert len(set(draws)) == 3  # distinct per-client streams
 
-    def test_default_learning_rate(self, rng):
-        fx, fy, _, _ = small_shard()
-        clients = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
-        )
-        assert clients[0].optimizer.learning_rate == pytest.approx(0.02)
-
     @pytest.mark.parametrize("num_qubits", [1, 3])
     @pytest.mark.parametrize("kind", ["circuit", "store"])
     def test_circuits_need_two_qubits(self, rng, kind, num_qubits):
@@ -112,12 +105,12 @@ class TestMakeClients:
         if kind == "circuit":
             model = vqc.VqcModel(np.zeros((2, num_qubits, 3)))
         else:
-            model = qw.QuantumWeightStore(np.full((2, num_qubits, 3), math.pi / 2))
+            model = qw.QuantumWeightStore(np.full((2, num_qubits, 3), math.pi / 2), math.pi)
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
-            fr.make_clients(fx, fy, 2, model, partition_seed=1, client_seed=2)
+            fr.make_clients(fx, fy, 2, model, partition_seed=1, client_seed=2, learning_rate=0.02)
         with pytest.raises(ValueError, match="num_qubits must be 2.*one class score per qubit"):
             fr.centralized_train(
-                model, fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+                model, fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1, batch_size=32
             )
         # Evaluation takes the same rule: on rows of the circuit's own width
         # it used to score argmax over one or three scores.
@@ -128,7 +121,11 @@ class TestMakeClients:
     @pytest.mark.parametrize("kind", ["mlp", "circuit", "store"])
     def test_two_score_models_still_evaluate(self, rng, kind):
         _, _, tx, ty = small_shard()
-        model = {"mlp": tk.init_mlp, "circuit": vqc.init_model, "store": qw.init_store}[kind](rng)
+        model = {
+            "mlp": lambda: tk.init_mlp(rng),
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+        }[kind]()
         want = float(np.mean(np.argmax(model.logits(tx), axis=1) == ty))
         assert tk.evaluate(model, tx, ty) == want
 
@@ -137,10 +134,12 @@ class TestMakeClients:
         # any data is split or scored.
         fx, fy, _, _ = small_shard()
         with pytest.raises(TypeError, match="unsupported model type object"):
-            fr.make_clients(fx, fy, 2, object(), partition_seed=1, client_seed=2)
+            fr.make_clients(
+                fx, fy, 2, object(), partition_seed=1, client_seed=2, learning_rate=0.02
+            )
         with pytest.raises(TypeError, match="unsupported model type object"):
             fr.centralized_train(
-                object(), fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+                object(), fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1, batch_size=32
             )
         with pytest.raises(TypeError, match="unsupported model type object"):
             tk.evaluate(object(), fx, fy)
@@ -173,8 +172,8 @@ class TestLocalTrain:
     def test_one_step_matches_hand_computation(self, rng, kind):
         fx, fy, _, _ = small_shard()
         init = {
-            "circuit": lambda: vqc.init_model(rng),
-            "store": lambda: qw.init_store(rng),
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
             "mlp": lambda: tk.init_mlp(rng),
         }[kind]()
         lr = 0.05
@@ -196,7 +195,7 @@ class TestLocalTrain:
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()
         client = fr.ClientState(
-            0, fx, fy, vqc.init_model(rng), np.random.default_rng(0), tk.SgdOptimizer(0.02)
+            0, fx, fy, vqc.init_model(rng, 2), np.random.default_rng(0), tk.SgdOptimizer(0.02)
         )
         losses = fr.local_train(client, epochs=3, batch_size=10)
         assert len(losses) == 3 * math.ceil(fy.size / 10)
@@ -209,8 +208,8 @@ class TestLocalTrain:
         feats = np.vstack([class0, class1])
         labels = np.repeat([0, 1], 16)
         init = {
-            "circuit": lambda: vqc.init_model(rng),
-            "store": lambda: qw.init_store(rng),
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
             "mlp": lambda: tk.init_mlp(rng),
         }[kind]()
         client = fr.ClientState(
@@ -228,10 +227,12 @@ class TestLocalTrain:
         message = f"client 0 has 10 feature rows but {num_labels} labels"
         with pytest.raises(ValueError, match=message):
             fr.centralized_train(
-                tk.init_mlp(rng), feats, labels, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1
+                tk.init_mlp(rng), feats, labels, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1,
+                batch_size=32,
             )
         client = fr.ClientState(
-            3, feats, labels, vqc.init_model(rng), np.random.default_rng(0), tk.SgdOptimizer(0.02)
+            3, feats, labels, vqc.init_model(rng, 2), np.random.default_rng(0),
+            tk.SgdOptimizer(0.02),
         )
         with pytest.raises(ValueError, match="client 3 has 10 feature rows"):
             fr.local_train(client, epochs=1, batch_size=4)
@@ -239,7 +240,7 @@ class TestLocalTrain:
     def test_validation(self, rng):
         fx, fy, _, _ = small_shard()
         client = fr.ClientState(
-            0, fx, fy, vqc.init_model(rng), np.random.default_rng(0), tk.SgdOptimizer(0.02)
+            0, fx, fy, vqc.init_model(rng, 2), np.random.default_rng(0), tk.SgdOptimizer(0.02)
         )
         with pytest.raises(ValueError, match="epochs"):
             fr.local_train(client, epochs=0, batch_size=8)
@@ -249,7 +250,7 @@ class TestLocalTrain:
             1,
             np.zeros((0, 2)),
             np.zeros(0, dtype=int),
-            vqc.init_model(rng),
+            vqc.init_model(rng, 2),
             np.random.default_rng(0),
             tk.SgdOptimizer(0.02),
         )
@@ -259,7 +260,7 @@ class TestLocalTrain:
     @pytest.mark.parametrize("name", ["epochs", "batch_size"])
     def test_counts_must_be_integers(self, rng, name):
         fx, fy, _, _ = small_shard()
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
         for bad in NOT_COUNTS:
             with pytest.raises(ValueError, match=count_refusal(name, bad)):
@@ -289,11 +290,16 @@ BAD_FIELDS = [
 ]
 TRAINING_PATHS = {
     "local_train": lambda clients, tx, ty: fr.local_train(clients[0], 1, 8),
-    "run_ring": lambda clients, tx, ty: fr.run_ring(fr.RingSchedule(3, 1, 1), clients, tx, ty),
-    "run_hubspoke": lambda clients, tx, ty: fr.run_hubspoke(fr.RingSchedule(3, 1, 1), clients, tx, ty),
+    "run_ring": lambda clients, tx, ty: fr.run_ring(
+        fr.RingSchedule(3, 1, 1, fr.Transport.CLASSICAL_COPY), clients, tx, ty, batch_size=32
+    ),
+    "run_hubspoke": lambda clients, tx, ty: fr.run_hubspoke(
+        fr.RingSchedule(3, 1, 1, fr.Transport.CLASSICAL_COPY), clients, tx, ty, batch_size=32
+    ),
     "centralized_train": lambda clients, tx, ty: fr.centralized_train(
         clients[0].model, clients[0].features, clients[0].labels,
         rng=clients[0].rng, optimizer=clients[0].optimizer, epochs=1,
+        batch_size=32,
     ),
 }
 
@@ -307,7 +313,9 @@ class TestClientRefusals:
     def test_refused_before_any_step(self, path, field, bad, message):
         fx, fy, tx, ty = small_shard()
         model = tk.init_mlp(np.random.default_rng(0))
-        clients = fr.make_clients(fx, fy, 3, model, partition_seed=1, client_seed=2)
+        clients = fr.make_clients(
+            fx, fy, 3, model, partition_seed=1, client_seed=2, learning_rate=0.02
+        )
         setattr(clients[0], field, bad)
         before = snapshot(clients)
         with pytest.raises(ValueError) as refused:
@@ -320,7 +328,9 @@ class TestClientRefusals:
         fx, fy, tx, ty = small_shard()
         model = tk.init_mlp(rng)
         for path in ("run_ring", "run_hubspoke"):
-            clients = fr.make_clients(fx, fy, 3, model, partition_seed=1, client_seed=2)
+            clients = fr.make_clients(
+                fx, fy, 3, model, partition_seed=1, client_seed=2, learning_rate=0.02
+            )
             clients[2].optimizer = 0.02
             before = snapshot(clients)
             with pytest.raises(ValueError, match="^client 2's optimizer must be an SgdOptimizer"):
@@ -329,40 +339,37 @@ class TestClientRefusals:
 
 
 class TestSchedule:
-    def test_defaults(self):
-        s = fr.RingSchedule()
-        assert (s.num_clients, s.num_rounds, s.local_epochs) == (3, 100, 5)
-        assert s.transport is fr.Transport.CLASSICAL_COPY
-
     def test_transport_values(self):
         assert fr.Transport.CLASSICAL_COPY.value == "copy"
         assert fr.Transport.TELEPORT.value == "teleport"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_clients"):
-            fr.RingSchedule(num_clients=0)
+            fr.RingSchedule(0, 1, 1, fr.Transport.CLASSICAL_COPY)
         with pytest.raises(ValueError, match="num_rounds"):
-            fr.RingSchedule(num_rounds=0)
+            fr.RingSchedule(1, 0, 1, fr.Transport.CLASSICAL_COPY)
         with pytest.raises(ValueError, match="local_epochs"):
-            fr.RingSchedule(local_epochs=0)
+            fr.RingSchedule(1, 1, 0, fr.Transport.CLASSICAL_COPY)
         with pytest.raises(ValueError, match="transport"):
-            fr.RingSchedule(transport="copy")
+            fr.RingSchedule(1, 1, 1, "copy")
 
     @pytest.mark.parametrize("name", ["num_clients", "num_rounds", "local_epochs"])
     def test_counts_must_be_integers(self, name):
+        fields = dict(num_clients=1, num_rounds=1, local_epochs=1, 
+                      transport=fr.Transport.CLASSICAL_COPY)
         for bad in NOT_COUNTS:
             with pytest.raises(ValueError, match=count_refusal(name, bad)):
-                fr.RingSchedule(**{name: bad})
-        assert getattr(fr.RingSchedule(**{name: np.int64(2)}), name) == 2
+                fr.RingSchedule(**{**fields, name: bad})
+        assert getattr(fr.RingSchedule(**{**fields, name: np.int64(2)}), name) == 2
 
 
 class TestRunRing:
     def test_metrics_shape_and_final_handoff(self, rng):
         fx, fy, tx, ty = small_shard()
         clients = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, vqc.init_model(rng, 2), partition_seed=1, client_seed=2, learning_rate=0.02
         )
-        schedule = fr.RingSchedule(num_clients=2, num_rounds=3, local_epochs=1)
+        schedule = fr.RingSchedule(2, 3, 1, fr.Transport.CLASSICAL_COPY)
         model, metrics = fr.run_ring(schedule, clients, tx, ty, batch_size=8)
         assert [m.round_index for m in metrics] == [1, 2, 3]
         assert all(m.client_id == 1 for m in metrics)
@@ -373,9 +380,11 @@ class TestRunRing:
         """With two clients and one round, client 1 must start from client 0's
         trained parameters, not from the shared init."""
         fx, fy, tx, ty = small_shard(n=32)
-        init = vqc.init_model(rng)
-        clients = fr.make_clients(fx, fy, 2, init, partition_seed=3, client_seed=4)
-        schedule = fr.RingSchedule(num_clients=2, num_rounds=1, local_epochs=1)
+        init = vqc.init_model(rng, 2)
+        clients = fr.make_clients(
+            fx, fy, 2, init, partition_seed=3, client_seed=4, learning_rate=0.02
+        )
+        schedule = fr.RingSchedule(2, 1, 1, fr.Transport.CLASSICAL_COPY)
         fr.run_ring(schedule, clients, tx, ty, batch_size=64)
 
         # Replay: client 0 alone from init, then client 1 from client 0's result.
@@ -402,56 +411,61 @@ class TestRunRing:
     def test_client_validation(self, rng):
         fx, fy, tx, ty = small_shard()
         clients = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, vqc.init_model(rng, 2), partition_seed=1, client_seed=2, learning_rate=0.02
         )
+        three = fr.RingSchedule(3, 1, 5, fr.Transport.CLASSICAL_COPY)
         with pytest.raises(ValueError, match="expects 3 clients"):
-            fr.run_ring(fr.RingSchedule(num_clients=3, num_rounds=1), clients, tx, ty)
+            fr.run_ring(three, clients, tx, ty, batch_size=32)
+        schedule = fr.RingSchedule(2, 1, 5, fr.Transport.CLASSICAL_COPY)
         swapped = [clients[1], clients[0]]
         with pytest.raises(ValueError, match="ordered"):
-            fr.run_ring(
-                fr.RingSchedule(num_clients=2, num_rounds=1), swapped, tx, ty
-            )
+            fr.run_ring(schedule, swapped, tx, ty, batch_size=32)
         mixed = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, vqc.init_model(rng, 2), partition_seed=1, client_seed=2, learning_rate=0.02
         )
         mixed[1].model = tk.init_mlp(rng)
         with pytest.raises(ValueError, match="one model kind"):
-            fr.run_ring(fr.RingSchedule(num_clients=2, num_rounds=1), mixed, tx, ty)
+            fr.run_ring(schedule, mixed, tx, ty, batch_size=32)
 
     def test_teleport_requires_store_and_rng(self, rng):
         fx, fy, tx, ty = small_shard()
-        schedule = fr.RingSchedule(
-            num_clients=2, num_rounds=1, transport=fr.Transport.TELEPORT
-        )
+        schedule = fr.RingSchedule(2, 1, 5, fr.Transport.TELEPORT)
         circuit_clients = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, vqc.init_model(rng, 2), partition_seed=1, client_seed=2, learning_rate=0.02
         )
         with pytest.raises(ValueError, match="quantum weight stores"):
             fr.run_ring(
-                schedule, circuit_clients, tx, ty, channel_rng=np.random.default_rng(0)
+                schedule, circuit_clients, tx, ty, batch_size=32,
+                channel_rng=np.random.default_rng(0),
             )
         store_clients = fr.make_clients(
-            fx, fy, 2, qw.init_store(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, qw.init_store(rng, 2, math.pi), partition_seed=1, client_seed=2,
+            learning_rate=0.02,
         )
         with pytest.raises(ValueError, match="^channel_rng must be a numpy Generator"):
-            fr.run_ring(schedule, store_clients, tx, ty)
+            fr.run_ring(schedule, store_clients, tx, ty, batch_size=32)
 
     @pytest.mark.parametrize("bad", NOT_GENERATORS, ids=generator_id)
     def test_teleport_refuses_a_bad_channel_rng_before_any_client_trains(self, rng, bad):
         fx, fy, tx, ty = small_shard()
-        store = qw.init_store(rng)
-        clients = fr.make_clients(fx, fy, 2, store, partition_seed=1, client_seed=2)
+        store = qw.init_store(rng, 2, math.pi)
+        clients = fr.make_clients(
+            fx, fy, 2, store, partition_seed=1, client_seed=2, learning_rate=0.02
+        )
         streams = [c.rng.bit_generator.state for c in clients]
-        schedule = fr.RingSchedule(num_clients=2, num_rounds=1, transport=fr.Transport.TELEPORT)
+        schedule = fr.RingSchedule(2, 1, 5, fr.Transport.TELEPORT)
         with pytest.raises(ValueError, match="^channel_rng must be a numpy Generator"):
-            fr.run_ring(schedule, clients, tx, ty, channel_rng=bad)
+            fr.run_ring(schedule, clients, tx, ty, channel_rng=bad, batch_size=32)
         assert all(c.model is store for c in clients)
         assert [c.rng.bit_generator.state for c in clients] == streams
 
     def test_failed_hand_off_names_its_round_sender_and_weight(self, rng, monkeypatch):
         # The fifth hand-off of a three-client ring is round 2's, from client 1.
         fx, fy, tx, ty = small_shard()
-        clients = fr.make_clients(fx, fy, 3, qw.init_store(rng), partition_seed=1, client_seed=2)
+        clients = fr.make_clients(
+            fx, fy, 3, qw.init_store(rng, 2, math.pi), partition_seed=1, client_seed=2,
+            learning_rate=0.02,
+        )
         real, calls = fr.teleport_weights, []
 
         def flaky(model, channel_rng):
@@ -463,7 +477,9 @@ class TestRunRing:
         monkeypatch.setattr(fr, "teleport_weights", flaky)
         schedule = fr.RingSchedule(3, 2, 1, fr.Transport.TELEPORT)
         with pytest.raises(TransferError) as failed:
-            fr.run_ring(schedule, clients, tx, ty, channel_rng=np.random.default_rng(0))
+            fr.run_ring(
+                schedule, clients, tx, ty, channel_rng=np.random.default_rng(0), batch_size=32
+            )
         assert str(failed.value) == "round 2, client 1 -> decode residual above the purity gate"
         assert failed.value.weight_index == (1, 0, 2)
         assert isinstance(failed.value.__cause__, TransferError)
@@ -475,18 +491,23 @@ class TestRunRing:
         # The tracer times trainkit.evaluate by rebinding the module attribute.
         calls = count_calls(monkeypatch, ["trainkit.evaluate"])
         fx, fy, tx, ty = small_shard()
-        clients = fr.make_clients(fx, fy, 2, tk.init_mlp(rng), partition_seed=1, client_seed=2)
-        _, metrics = loop(fr.RingSchedule(2, 3, 1), clients, tx, ty, batch_size=8)
+        clients = fr.make_clients(
+            fx, fy, 2, tk.init_mlp(rng), partition_seed=1, client_seed=2, learning_rate=0.02
+        )
+        schedule = fr.RingSchedule(2, 3, 1, fr.Transport.CLASSICAL_COPY)
+        _, metrics = loop(schedule, clients, tx, ty, batch_size=8)
         assert dict(calls) == {"trainkit.evaluate": 3}
         assert [m.round_index for m in metrics] == [1, 2, 3]
 
     def test_teleport_matches_copy(self, rng):
         """The teleport transport reproduces plain copying to float precision."""
         fx, fy, tx, ty = small_shard(n=32)
-        init = qw.init_store(rng)
+        init = qw.init_store(rng, 2, math.pi)
         runs = {}
         for transport in (fr.Transport.CLASSICAL_COPY, fr.Transport.TELEPORT):
-            clients = fr.make_clients(fx, fy, 2, init, partition_seed=3, client_seed=4)
+            clients = fr.make_clients(
+                fx, fy, 2, init, partition_seed=3, client_seed=4, learning_rate=0.02
+            )
             schedule = fr.RingSchedule(
                 num_clients=2, num_rounds=2, local_epochs=1, transport=transport
             )
@@ -512,12 +533,14 @@ class TestCentralizedEquivalence:
     def test_one_client_ring_is_centralized(self, rng, kind):
         fx, fy, tx, ty = small_shard(n=32)
         init = {
-            "circuit": lambda: vqc.init_model(rng),
-            "store": lambda: qw.init_store(rng),
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
             "mlp": lambda: tk.init_mlp(rng),
         }[kind]()
-        clients = fr.make_clients(fx, fy, 1, init, partition_seed=5, client_seed=6)
-        schedule = fr.RingSchedule(num_clients=1, num_rounds=3, local_epochs=2)
+        clients = fr.make_clients(
+            fx, fy, 1, init, partition_seed=5, client_seed=6, learning_rate=0.02
+        )
+        schedule = fr.RingSchedule(1, 3, 2, fr.Transport.CLASSICAL_COPY)
         ring_model, _ = fr.run_ring(schedule, clients, tx, ty, batch_size=8)
 
         central_model, _ = fr.centralized_train(
@@ -541,7 +564,7 @@ class TestAveraging:
         assert_allclose(fr._fsum_mean(arrays), [2.0, 4.0], atol=0)
 
     def test_average_models_permutation_invariant_bitwise(self, rng):
-        models = [vqc.init_model(np.random.default_rng(s)) for s in range(5)]
+        models = [vqc.init_model(np.random.default_rng(s), 2) for s in range(5)]
         base = fr.average_models(models)
         for perm_seed in range(3):
             order = np.random.default_rng(perm_seed).permutation(5)
@@ -560,9 +583,9 @@ class TestAveraging:
         with pytest.raises(ValueError, match="nothing"):
             fr.average_models([])
         with pytest.raises(ValueError, match="one kind"):
-            fr.average_models([vqc.init_model(rng), tk.init_mlp(rng)])
+            fr.average_models([vqc.init_model(rng, 2), tk.init_mlp(rng)])
         with pytest.raises(TypeError, match="average"):
-            fr.average_models([qw.init_store(rng), qw.init_store(rng)])
+            fr.average_models([qw.init_store(rng, 2, math.pi), qw.init_store(rng, 2, math.pi)])
 
     def test_average_models_names_both_shapes(self):
         # Used to fail inside numpy as "all input arrays must have the same shape".
@@ -574,9 +597,11 @@ class TestAveraging:
 class TestHubSpoke:
     def test_matches_independent_training_plus_average(self, rng):
         fx, fy, tx, ty = small_shard(n=48)
-        init = vqc.init_model(rng)
-        clients = fr.make_clients(fx, fy, 3, init, partition_seed=7, client_seed=8)
-        schedule = fr.RingSchedule(num_clients=3, num_rounds=1, local_epochs=2)
+        init = vqc.init_model(rng, 2)
+        clients = fr.make_clients(
+            fx, fy, 3, init, partition_seed=7, client_seed=8, learning_rate=0.02
+        )
+        schedule = fr.RingSchedule(3, 1, 2, fr.Transport.CLASSICAL_COPY)
         global_model, metrics = fr.run_hubspoke(schedule, clients, tx, ty, batch_size=8)
 
         trained = []
@@ -601,11 +626,13 @@ class TestHubSpoke:
         # centralized training bit for bit, one round per pair of epochs.
         fx, fy, tx, ty = small_shard(n=32)
         init = {
-            "circuit": lambda: vqc.init_model(rng),
+            "circuit": lambda: vqc.init_model(rng, 2),
             "mlp": lambda: tk.init_mlp(rng),
         }[kind]()
-        clients = fr.make_clients(fx, fy, 1, init, partition_seed=5, client_seed=9)
-        schedule = fr.RingSchedule(num_clients=1, num_rounds=3, local_epochs=2)
+        clients = fr.make_clients(
+            fx, fy, 1, init, partition_seed=5, client_seed=9, learning_rate=0.02
+        )
+        schedule = fr.RingSchedule(1, 3, 2, fr.Transport.CLASSICAL_COPY)
         hub_model, _ = fr.run_hubspoke(schedule, clients, tx, ty, batch_size=8)
 
         central_model, _ = fr.centralized_train(
@@ -622,23 +649,24 @@ class TestHubSpoke:
     def test_rejects_stores_and_teleport(self, rng):
         fx, fy, tx, ty = small_shard()
         store_clients = fr.make_clients(
-            fx, fy, 2, qw.init_store(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, qw.init_store(rng, 2, math.pi), partition_seed=1, client_seed=2,
+            learning_rate=0.02,
         )
         with pytest.raises(TypeError, match="quantum-held"):
             fr.run_hubspoke(
-                fr.RingSchedule(num_clients=2, num_rounds=1), store_clients, tx, ty
+                fr.RingSchedule(2, 1, 5, fr.Transport.CLASSICAL_COPY), store_clients, tx, ty,
+                batch_size=32,
             )
         clients = fr.make_clients(
-            fx, fy, 2, vqc.init_model(rng), partition_seed=1, client_seed=2
+            fx, fy, 2, vqc.init_model(rng, 2), partition_seed=1, client_seed=2, learning_rate=0.02
         )
         with pytest.raises(ValueError, match="CLASSICAL_COPY"):
             fr.run_hubspoke(
-                fr.RingSchedule(
-                    num_clients=2, num_rounds=1, transport=fr.Transport.TELEPORT
-                ),
+                fr.RingSchedule(2, 1, 5, fr.Transport.TELEPORT),
                 clients,
                 tx,
                 ty,
+                batch_size=32,
             )
 
 
@@ -662,6 +690,7 @@ class TestSeed7Probe:
             cli._init_model(config),
             partition_seed=[7, 2],
             client_seed=7,
+            learning_rate=0.02,
         )
         per_client = []
         for _ in range(config.rounds):

@@ -10,6 +10,7 @@ numbers, and an object array (Fractions, or ints past int64) would be
 converted one entry at a time.  Where ``check_floats`` runs, a non-finite
 value is refused as well.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,8 @@ CIRCUIT = (2, 2, 3)
 FEATS = np.random.default_rng(5).uniform(0, np.pi, size=(8, 2))
 LABELS = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 LOGITS = (len(LABELS), 2)
-STORE = qw.init_store(np.random.default_rng(0))
-CIRCUIT_PARAMS = vqc.init_model(np.random.default_rng(1)).params
+STORE = qw.init_store(np.random.default_rng(0), 2, math.pi)
+CIRCUIT_PARAMS = vqc.init_model(np.random.default_rng(1), 2).params
 MLP = tk.init_mlp(np.random.default_rng(2))
 OPT = tk.SgdOptimizer(0.02)
 
@@ -43,7 +44,7 @@ def _upstream(value):
 # points whose array goes through check_floats.
 CHECKED = {
     "VqcModel": (CIRCUIT, "params", lambda v: vqc.VqcModel(v).params),
-    "QuantumWeightStore": (CIRCUIT, "angles", lambda v: qw.QuantumWeightStore(v).angles),
+    "QuantumWeightStore": (CIRCUIT, "angles", lambda v: qw.QuantumWeightStore(v, math.pi).angles),
     "ClassicalMlp": ((tk.MLP_PARAMS,), "params", lambda v: tk.ClassicalMlp(v).params),
     "forward_batch": (CIRCUIT, "params", lambda v: vqc.forward_batch(v, FEATS)),
     "gradient_batch": (CIRCUIT, "params", lambda v: vqc.gradient_batch(v, FEATS, _loss)),

@@ -46,7 +46,7 @@ def oracle_angles(rng) -> np.ndarray:
 
 class TestStore:
     def test_init_store_window(self, rng):
-        store = qw.init_store(rng, num_layers=3)
+        store = qw.init_store(rng, num_layers=3, gamma=math.pi)
         assert store.angles.shape == (3, 2, 3)
         lo = qw.ANGLE_INIT_CENTER - qw.ANGLE_INIT_HALF_WIDTH
         hi = qw.ANGLE_INIT_CENTER + qw.ANGLE_INIT_HALF_WIDTH
@@ -55,16 +55,16 @@ class TestStore:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            qw.QuantumWeightStore(np.zeros((2, 3)))
+            qw.QuantumWeightStore(np.zeros((2, 3)), math.pi)
         with pytest.raises(ValueError, match="finite"):
-            qw.QuantumWeightStore(np.full((1, 2, 3), np.inf))
+            qw.QuantumWeightStore(np.full((1, 2, 3), np.inf), math.pi)
         with pytest.raises(ValueError, match="gamma"):
             qw.QuantumWeightStore(np.zeros((1, 2, 3)), gamma=0.0)
         with pytest.raises(ValueError, match="gamma"):
             qw.QuantumWeightStore(np.zeros((1, 2, 3)), gamma=-1.0)
 
     def test_angles_frozen(self, rng):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         with pytest.raises(ValueError):
             store.angles[0, 0, 0] = 1.0
 
@@ -72,7 +72,7 @@ class TestStore:
         # A step's store comes from the constructor: the checked gamma is
         # handed on as it is, and the new angles are checked as any store's
         # are, and come back as a read-only copy.
-        store = qw.init_store(rng, gamma=math.pi * (1 + 2**-52))
+        store = qw.init_store(rng, 2, math.pi * (1 + 2**-52))
         grad = rng.normal(size=store.angles.shape)
         stepped = store.step(grad, tk.SgdOptimizer(0.1))
         assert type(stepped) is qw.QuantumWeightStore
@@ -91,7 +91,7 @@ class TestStore:
 
 class TestReadout:
     def test_materialize_is_gamma_cosine(self, rng):
-        store = qw.init_store(rng, gamma=math.pi)
+        store = qw.init_store(rng, 2, math.pi)
         assert_allclose(qw.materialize(store), math.pi * np.cos(store.angles), atol=1e-12)
 
     def test_materialize_respects_gamma(self, rng):
@@ -180,7 +180,7 @@ class TestGateByGateOracle:
 
 class TestGradient:
     def test_weight_gradient_matches_finite_differences(self, rng):
-        store = qw.init_store(rng, gamma=math.pi)
+        store = qw.init_store(rng, 2, math.pi)
         cg = rng.normal(size=store.angles.shape)
         got = qw.weight_gradient(store, cg)
         eps = 1e-6
@@ -196,7 +196,7 @@ class TestGradient:
         assert_allclose(got, want, atol=1e-7)
 
     def test_weight_gradient_is_minus_gamma_sine(self, rng):
-        store = qw.init_store(rng, gamma=math.pi)
+        store = qw.init_store(rng, 2, math.pi)
         ones = np.ones_like(store.angles)
         assert_allclose(
             qw.weight_gradient(store, ones),
@@ -220,7 +220,7 @@ class TestGradient:
             assert np.array_equal(qw.weight_gradient(store, cg), want)
 
     def test_weight_gradient_validation(self, rng):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         with pytest.raises(ValueError, match="shape"):
             qw.weight_gradient(store, np.zeros((1, 1, 3)))
         with pytest.raises(ValueError, match="finite"):

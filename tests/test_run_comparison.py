@@ -57,6 +57,17 @@ def test_out_dir_that_is_a_file_exits_1(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
+def test_config_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # A directory where the first config file goes: the write used to end
+    # in an IsADirectoryError traceback.
+    out = tmp_path / "out"
+    (out / "cfl.cfg").mkdir(parents=True)
+    assert load_script().main(["--out-dir", str(out), "--rounds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out-dir {out}: ") and "Is a directory" in err
+    assert sorted(p.name for p in out.iterdir()) == ["cfl.cfg"]
+
+
 def test_bad_setting_exits_2_before_any_file_is_written(tmp_path, capsys):
     out = tmp_path / "comparison"
     assert load_script().main(["--out-dir", str(out), "--rounds", "0"]) == 2

@@ -15,6 +15,7 @@ naming labels or features, or saying that the set is empty.  A model batch
 may be empty: every model kind's ``logits`` and ``loss_grad`` take no labels
 and apply ``datagen.check_batch`` with the model's width.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,11 @@ LOGITS = np.random.default_rng(6).normal(size=(8, 2))
 INT = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
 
-KINDS = {"mlp": tk.init_mlp, "vqc": vqc.init_model, "store": qw.init_store}
+KINDS = {
+    "mlp": tk.init_mlp,
+    "vqc": lambda rng: vqc.init_model(rng, 2),
+    "store": lambda rng: qw.init_store(rng, 2, math.pi),
+}
 
 
 def _model(kind="mlp"):
@@ -78,7 +83,9 @@ def _centralized_train(feats, labels):
 
 
 def _make_clients(feats, labels):
-    clients = fr.make_clients(feats, labels, 2, _model(), partition_seed=3, client_seed=1)
+    clients = fr.make_clients(
+        feats, labels, 2, _model(), partition_seed=3, client_seed=1, learning_rate=0.02
+    )
     return [(c.features, c.labels) for c in clients]
 
 
@@ -247,7 +254,9 @@ def test_make_clients_refuses_a_bad_shard_before_any_client_exists(case, message
     # The first two used to pass make_clients and fail at client 0, epoch 1, step 1.
     _, feats, labels, _ = CASES[case]
     with pytest.raises(ValueError, match=message):
-        fr.make_clients(feats, labels, 2, _model(), partition_seed=3, client_seed=1)
+        fr.make_clients(
+            feats, labels, 2, _model(), partition_seed=3, client_seed=1, learning_rate=0.02
+        )
 
 
 def test_a_nan_feature_is_named_as_the_shard_s_features():

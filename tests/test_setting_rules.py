@@ -4,14 +4,18 @@ from 0), ``check_positive`` (rates), ``check_fraction`` (``factor`` and
 ``check_generator`` (the random stream of every sampled measurement).  Every
 entry point that takes such a setting refuses a bad one with the rule's one
 message, and the config agrees with the rule on any value."""
+import importlib
+import inspect
 import math
-from dataclasses import replace
+import pkgutil
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfedring
 from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
@@ -39,7 +43,9 @@ def _client():
 
 def _centralized(rng):
     c = _client()
-    return fr.centralized_train(c.model, c.features, c.labels, rng=rng, optimizer=c.optimizer, epochs=1)
+    return fr.centralized_train(
+        c.model, c.features, c.labels, rng=rng, optimizer=c.optimizer, epochs=1, batch_size=4
+    )
 
 
 def _config(field):
@@ -52,21 +58,27 @@ def _split(fraction):
 
 def _teleport_ring(channel_rng):
     feats, labels = dg.make_circles(8, 0.1, 0.5, seed=0)
-    store = qw.init_store(np.random.default_rng(0))
-    clients = fr.make_clients(feats, labels, 2, store, partition_seed=0, client_seed=0)
+    store = qw.init_store(np.random.default_rng(0), 2, math.pi)
+    clients = fr.make_clients(
+        feats, labels, 2, store, partition_seed=0, client_seed=0, learning_rate=0.02
+    )
     schedule = fr.RingSchedule(2, 1, 1, fr.Transport.TELEPORT)
-    return fr.run_ring(schedule, clients, feats, labels, channel_rng=channel_rng)
+    return fr.run_ring(schedule, clients, feats, labels, batch_size=32, channel_rng=channel_rng)
 
+
+# A valid one-round schedule; each count entry replaces one of its fields.
+ONE_RING = dict(num_clients=1, num_rounds=1, local_epochs=1, transport=fr.Transport.CLASSICAL_COPY)
 
 # (entry point, the name its message gives, a call that passes it the value)
 COUNT_ENTRIES = [
-    *((f"RingSchedule.{n}", n, lambda v, n=n: fr.RingSchedule(**{n: v}))
+    *((f"RingSchedule.{n}", n, lambda v, n=n: fr.RingSchedule(**{**ONE_RING, n: v}))
       for n in ("num_clients", "num_rounds", "local_epochs")),
     ("partition", "num_clients", lambda v: fr.partition(np.zeros((4, 2)), [0, 1, 0, 1], v, 0)),
     ("local_train.epochs", "epochs", lambda v: fr.local_train(_client(), v, 4)),
     ("local_train.batch_size", "batch_size", lambda v: fr.local_train(_client(), 1, v)),
     ("vqc.init_model", "num_layers", lambda v: vqc.init_model(np.random.default_rng(0), v)),
-    ("qweights.init_store", "num_layers", lambda v: qw.init_store(np.random.default_rng(0), v)),
+    ("qweights.init_store", "num_layers",
+     lambda v: qw.init_store(np.random.default_rng(0), v, math.pi)),
     ("RoundMetrics", "round_index", lambda v: tk.RoundMetrics(v, 0, 0.5, 0.5)),
     ("make_circles", "num_points", lambda v: dg.make_circles(v, 0.1, 0.5, seed=0)),
     *((f"ExperimentConfig.{n}", n, _config(n))
@@ -75,7 +87,7 @@ COUNT_ENTRIES = [
 RATE_ENTRIES = [
     ("SgdOptimizer", "learning_rate", tk.SgdOptimizer),
     ("QuantumWeightStore", "gamma", lambda v: qw.QuantumWeightStore(np.zeros((1, 2, 3)), v)),
-    ("qweights.init_store", "gamma", lambda v: qw.init_store(np.random.default_rng(0), gamma=v)),
+    ("qweights.init_store", "gamma", lambda v: qw.init_store(np.random.default_rng(0), 2, v)),
     *((f"ExperimentConfig.{n}", n, _config(n)) for n in ("learning_rate", "gamma")),
 ]
 SEED_ENTRIES = [("ExperimentConfig.seed", "seed", _config("seed"))]
@@ -93,7 +105,7 @@ FRACTION_ENTRIES = [
 GENERATOR_ENTRIES = [
     ("teleport_state", "rng", lambda v: tp.teleport_state(qw.encode_weight(0.3), v)),
     ("teleport_weights", "rng",
-     lambda v: tp.teleport_weights(qw.init_store(np.random.default_rng(0)), v)),
+     lambda v: tp.teleport_weights(qw.init_store(np.random.default_rng(0), 2, math.pi), v)),
     ("run_ring", "channel_rng", _teleport_ring),
     ("measure_qubits", "rng", lambda v: sv.measure_qubits(qw.encode_weight(0.3), [0], v)),
     ("local_train", "client 0's rng", lambda v: fr.local_train(replace(_client(), rng=v), 1, 4)),
@@ -216,3 +228,38 @@ def test_config_refuses_exactly_what_the_rule_refuses(field, value):
     values = {"model": "qfl-quantum", "clients": 1, field: value}
     got = _refusal(lambda: cli.ExperimentConfig(**values), cli.ConfigError)
     assert got == want
+
+
+# Each experiment setting a library entry point takes, by the name it takes it under.
+SETTING_PARAMETERS = {
+    fr.RingSchedule: ("num_clients", "num_rounds", "local_epochs", "transport"),
+    fr.make_clients: ("learning_rate",),
+    fr.run_ring: ("batch_size",),
+    fr.run_hubspoke: ("batch_size",),
+    fr.centralized_train: ("batch_size",),
+    vqc.init_model: ("num_layers",),
+    qw.init_store: ("num_layers", "gamma"),
+    qw.QuantumWeightStore: ("gamma",),
+}
+
+
+def test_only_the_config_gives_a_setting_a_default():
+    # A library default would be a second copy of the config's, and one a
+    # caller could fall back to unseen (a store built without gamma read pi).
+    names = {name for params in SETTING_PARAMETERS.values() for name in params}
+    taken, defaulted = set(), []
+    for info in pkgutil.iter_modules(qfedring.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"qfedring.{info.name}")
+        for obj in vars(module).values():
+            kept = inspect.isfunction(obj) or inspect.isclass(obj) and is_dataclass(obj)
+            if not kept or obj.__module__ != module.__name__ or obj is cli.ExperimentConfig:
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.name in names:
+                    taken.add((obj, param.name))
+                    if param.default is not param.empty:
+                        defaulted.append(f"{obj.__qualname__}({param.name}={param.default!r})")
+    assert defaulted == []
+    assert {(obj, name) for obj, params in SETTING_PARAMETERS.items() for name in params} <= taken

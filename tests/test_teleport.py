@@ -276,7 +276,7 @@ class TestScalarChannelIsBitEqual:
         gen = np.random.default_rng(seed)
         angles = gen.uniform(-math.pi, math.pi, size=(layers, 2, 3))
         angles.reshape(-1)[: 2 * layers] = [0.0, math.pi] * layers
-        store = qw.QuantumWeightStore(angles)
+        store = qw.QuantumWeightStore(angles, math.pi)
         channel, twin = np.random.default_rng(100 + seed), np.random.default_rng(100 + seed)
         moved = tp.teleport_weights(store, channel)
         assert moved.angles.tobytes() == replay_weights(store, twin).tobytes()
@@ -285,31 +285,31 @@ class TestScalarChannelIsBitEqual:
 
 class TestTeleportWeights:
     def test_round_trip_preserves_angles(self, rng):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         moved = tp.teleport_weights(store, rng)
         assert_allclose(moved.angles, store.angles, atol=1e-9)
         assert moved.gamma == store.gamma
 
     def test_round_trip_outside_init_window(self, rng):
         angles = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, size=(2, 2, 3))
-        store = qw.QuantumWeightStore(angles)
+        store = qw.QuantumWeightStore(angles, math.pi)
         moved = tp.teleport_weights(store, rng)
         assert_allclose(moved.angles, angles, atol=1e-9)
 
     def test_materialized_values_survive_transfer(self, rng):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         moved = tp.teleport_weights(store, rng)
         assert_allclose(qw.materialize(moved), qw.materialize(store), atol=1e-9)
 
     def test_zero_angle_store_is_nearly_exact(self, rng):
         # A zero angle encodes |0>, whose readout is (1, 0) up to the channel's
         # 1/sqrt(2) arithmetic, so recovery error stays at the last-bit level.
-        store = qw.QuantumWeightStore(np.zeros((1, 2, 3)))
+        store = qw.QuantumWeightStore(np.zeros((1, 2, 3)), math.pi)
         moved = tp.teleport_weights(store, rng)
         assert_allclose(moved.angles, store.angles, atol=1e-13)
 
     def test_one_channel_use_per_weight(self, rng, monkeypatch):
-        store = qw.init_store(rng, num_layers=1)  # shape (1, 2, 3): six weights
+        store = qw.init_store(rng, num_layers=1, gamma=math.pi)  # shape (1, 2, 3): six weights
         calls = {"n": 0}
         real = tp.teleport_state
 
@@ -322,7 +322,7 @@ class TestTeleportWeights:
         assert calls["n"] == store.angles.size == 6
 
     def test_two_channel_draws_per_weight(self, rng):
-        store = qw.init_store(rng, num_layers=3)  # 18 weights
+        store = qw.init_store(rng, num_layers=3, gamma=math.pi)  # 18 weights
         channel = np.random.default_rng(99)
         tp.teleport_weights(store, channel)
         twin = np.random.default_rng(99)
@@ -330,13 +330,13 @@ class TestTeleportWeights:
         assert channel.random() == twin.random()
 
     def test_store_transfer_deterministic_per_seed(self, rng):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         a = tp.teleport_weights(store, np.random.default_rng(23))
         b = tp.teleport_weights(store, np.random.default_rng(23))
         assert np.array_equal(a.angles, b.angles)
 
     def test_transfer_error_names_weight(self, rng, monkeypatch):
-        store = qw.init_store(rng)
+        store = qw.init_store(rng, 2, math.pi)
         calls = {"n": 0}
         real = tp.state_expectations
 
@@ -354,7 +354,7 @@ class TestTeleportWeights:
 
     @pytest.mark.parametrize("slot", [0, 4, 11])
     def test_channel_failure_names_its_weight(self, rng, monkeypatch, slot):
-        store = qw.init_store(rng)  # shape (2, 2, 3)
+        store = qw.init_store(rng, 2, math.pi)  # shape (2, 2, 3)
         calls = {"n": 0}
         real = tp.teleport_state
 
@@ -375,7 +375,7 @@ class TestTeleportWeights:
 
     def test_hand_off_keeps_gamma_and_checks_angles(self, rng, monkeypatch):
         # The moved store comes from the constructor, as a step's does.
-        store = qw.init_store(rng, gamma=math.pi * (1 + 2**-52))
+        store = qw.init_store(rng, 2, math.pi * (1 + 2**-52))
         moved = tp.teleport_weights(store, rng)
         assert type(moved) is qw.QuantumWeightStore
         assert moved.gamma is store.gamma
@@ -392,7 +392,7 @@ class TestTeleportWeights:
         monkeypatch.setattr(tp, "_rx_carriers", lambda angles: calls.append("carriers"))
         monkeypatch.setattr(tp, "_sample", lambda channel, p1: calls.append("draw"))
         with pytest.raises(ValueError, match="^rng must be a numpy Generator") as excinfo:
-            tp.teleport_weights(qw.init_store(rng), bad)
+            tp.teleport_weights(qw.init_store(rng, 2, math.pi), bad)
         assert type(excinfo.value) is ValueError
         assert calls == []
 

@@ -338,7 +338,8 @@ class TestModelDispatch:
         # Each row against the single-sample oracle of its kind; a store reads
         # as the gate-by-gate circuit on its materialized parameters.
         feats = rng.uniform(0, math.pi, size=(5, 2))
-        mlp, circuit, store = tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)
+        mlp, circuit = tk.init_mlp(rng), vqc.init_model(rng, 2)
+        store = qw.init_store(rng, 2, math.pi)
         stored_circuit = vqc.VqcModel(qw.materialize(store))
         for model, reference in [
             (mlp, lambda x: np.tanh(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2),
@@ -353,7 +354,7 @@ class TestModelDispatch:
     def test_batch_matches_single(self, rng):
         # A row's scores do not depend on the rest of the batch.
         feats = rng.uniform(0, math.pi, size=(5, 2))
-        for model in (tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)):
+        for model in (tk.init_mlp(rng), vqc.init_model(rng, 2), qw.init_store(rng, 2, math.pi)):
             batched = model.logits(feats)
             for i in range(5):
                 alone = model.logits(feats[i : i + 1])
@@ -371,12 +372,12 @@ class TestModelDispatch:
 
     def test_evaluate_rejects_empty(self, rng):
         with pytest.raises(ValueError, match="empty"):
-            tk.evaluate(vqc.init_model(rng), np.zeros((0, 2)), np.zeros(0, dtype=int))
+            tk.evaluate(vqc.init_model(rng, 2), np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_evaluate_rejects_label_count_mismatch(self, rng):
         # One label against five rows used to broadcast and score 1.0.
         feats = rng.uniform(0, math.pi, size=(5, 2))
-        for model in (tk.init_mlp(rng), vqc.init_model(rng), qw.init_store(rng)):
+        for model in (tk.init_mlp(rng), vqc.init_model(rng, 2), qw.init_store(rng, 2, math.pi)):
             with pytest.raises(ValueError, match="labels of shape \\(1,\\) for 5 samples"):
                 tk.evaluate(model, feats, np.array([1]))
             with pytest.raises(ValueError, match="labels of shape \\(6,\\) for 5 samples"):

@@ -73,7 +73,7 @@ class TestModel:
         assert vqc.VqcModel(np.zeros((1, 3, 3))).num_qubits == 3
 
     def test_params_frozen(self, rng):
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         with pytest.raises(ValueError):
             model.params[0, 0, 0] = 1.0
 
@@ -89,12 +89,12 @@ class TestForward:
         assert_allclose(oracle.forward(model, [0.0, 0.0]), [1.0, 1.0], atol=1e-15)
 
     def test_encode_rx_amplitudes(self, rng):
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         state = oracle.encode(model, [math.pi, 0.0])
         assert_allclose(state.amplitudes, [0, 0, -1j, 0], atol=1e-15)
 
     def test_encode_expectation_is_cosine(self, rng):
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         for x in rng.uniform(0, math.pi, 10):
             state = oracle.encode(model, [x, 0.5])
             assert sv.expectation(state, 0) == pytest.approx(math.cos(x))
@@ -107,7 +107,7 @@ class TestForward:
         assert_allclose(oracle.forward(model, [0.0, 0.0]), [-1.0, 1.0], atol=1e-12)
 
     def test_forward_rejects_bad_features(self, rng):
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         with pytest.raises(ValueError, match="features"):
             oracle.forward(model, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
@@ -171,7 +171,7 @@ class TestGradient:
         assert len(calls) == 2 * model.params.size
 
     def test_rejects_bad_upstream(self, rng):
-        model = vqc.init_model(rng)
+        model = vqc.init_model(rng, 2)
         with pytest.raises(ValueError, match="upstream"):
             oracle.gradient(model, [0.1, 0.2], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
@@ -332,7 +332,7 @@ class TestBatchedPath:
             if kind == "circuit":
                 params = random_model(rng, num_layers=num_layers).params
             else:
-                params = qw.materialize(qw.init_store(rng, num_layers=num_layers))
+                params = qw.materialize(qw.init_store(rng, num_layers=num_layers, gamma=math.pi))
             feats = rng.uniform(0, math.pi, size=(batch, 2))
             labels = rng.integers(0, 2, size=batch)
             want_losses, want_grad = two_call_step(params, feats, labels)
