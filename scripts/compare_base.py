@@ -4,7 +4,8 @@
     python scripts/compare_base.py REF
 
 Extracts REF with ``git archive``.  Each fact comes from its side's own code,
-but this checkout's ``scripts/fingerprint.py`` runs on both packages.  Prints
+but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
+its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV.  Prints
 the facts side by side, with a ``::warning::`` line for each that differs.
 Exits 1, naming the side and the command, if a fingerprint, comparison or
 ``--help`` run fails, and 2 if git cannot archive REF; any other failed run
@@ -30,7 +31,7 @@ RUNS = (
     "--model qfl-quantum --transport teleport",
     "--model qfl-quantum --transport teleport --clients 24 --local-epochs 1 --batch-size 64",
 )
-COMPARISON = "scripts/run_comparison.py --rounds 10"
+COMPARISON = "qfedring --compare configs/*.cfg at 10 rounds"
 # Each on a one-round cfl run in an empty directory of its own.
 BAD_FLAGS = (
     "--seed -1", "--train-fraction 0.0001", "--noise -1", "--factor 1", "--clients 2000",
@@ -97,9 +98,11 @@ def facts(tree) -> dict:
             args = (ROOT / "scripts" / "fingerprint.py", *shlex.split(flags), "--rounds", "10")
             bits, csv = run(tree, work, *map(str, args)).stdout.split()[:2]
             got["runs"][flags] = {"bits": bits, "csv": csv}
-        script, *flags = COMPARISON.split()
-        run(tree, work, str(tree / script), *flags, "--out-dir", "out")
-        got["comparison"] = hashlib.sha256((work / "out/comparison.csv").read_bytes()).hexdigest()
+        names = sorted(path.name for path in (ROOT / "configs").glob("*.cfg"))
+        for name in names:
+            (work / name).write_text((ROOT / "configs" / name).read_text() + "rounds = 10\n")
+        run(tree, work, "-m", "qfedring", "--compare", *names, "--out", "comparison.csv")
+        got["comparison"] = hashlib.sha256((work / "comparison.csv").read_bytes()).hexdigest()
         got["help"] = run(tree, work, "-m", "qfedring", "--help").stdout
         for flags in BAD_FLAGS:
             args = ("-m", "qfedring", "--model", "cfl", "--rounds", "1", *shlex.split(flags))

@@ -191,6 +191,15 @@ MUTANTS = (
     Mutant("cli: an empty --config beside --compare passes", "qfedring/cli.py",
            "if ns.config is not None or extras:", "if ns.config or extras:",
            ("tests/test_cli.py::TestCompare::test_empty_config_exits_2",)),
+    Mutant("cli: compare mode refuses flags without naming them", "qfedring/cli.py",
+           "not {refused}; ", "", ("tests/test_cli.py::TestParsing::test_compare_validation",)),
+    Mutant("cli: a NUL byte in an output path passes", "qfedring/cli.py",
+           'if path and "\\0" in path:', "if False:",
+           ("tests/test_cli.py::TestEndToEnd::test_nul_in_an_output_path_exits_2",)),
+    Mutant("cli: a config file that is not UTF-8 escapes its catch", "qfedring/cli.py",
+           "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:",
+           ("tests/test_cli.py::TestConfigFileProperties::"
+            "test_any_bytes_load_or_are_refused_naming_the_file",)),
     # The one number-array rule, and the circuit's copy of weights and angles.
     Mutant("check_floats: a complex array passes", "qfedring/datagen.py",
            'not in "biuf":', 'not in "biufc":', (NUMBER_RULE,)),

@@ -11,8 +11,9 @@ by the field's annotation.  Each setting passes its one ``datagen`` rule,
 then three cross-field checks run: teleport needs ``qfl-quantum``, a
 circuit's depth must pass ``vqc.fits_unitary_cap`` (``--layers`` above 73 is
 refused), and ``clients`` may not exceed the training rows.  So a bad value
-exits 2 before any data is built, as does an empty ``--config``, ``--out`` or
-``--dump-dataset`` path, named by its flag.
+exits 2 before any data is built, as do a config file that cannot be read as
+text, named by its path, an empty ``--config`` path, and an ``--out`` or
+``--dump-dataset`` path that is empty or holds a NUL byte, named by its flag.
 
 Seed discipline: every random stream is derived from the experiment seed
 with a fixed tag ([seed, 0] dataset, [seed, 1] split, [seed, 2] partition,
@@ -141,7 +142,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,9 +187,11 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
     if ns.compare:
         if len(ns.compare) < 2:
             raise ConfigError("--compare needs at least two config files")
-        extras = sorted(set(flag_values) - {"out"})
+        extras = ["--" + name.replace("_", "-") for name in sorted(set(flag_values) - {"out"})]
         if ns.config is not None or extras:
-            raise ConfigError("compare mode takes config files plus --out only")
+            refused = ", ".join((["--config"] if ns.config is not None else []) + extras)
+            raise ConfigError(f"compare mode takes config files plus --out only, not {refused}; "
+                              "each setting goes in its config file")
         out = "compare.csv" if ns.out is None else ns.out
         request = CompareRequest(tuple(ns.compare), out=out)
         _check_files([("--out", request.out)], [("--compare", p) for p in ns.compare])
@@ -206,13 +209,16 @@ def parse_config(argv) -> ExperimentConfig | CompareRequest:
 
 
 def _check_files(outputs, inputs) -> None:
-    """Refuse an empty output path, naming its flag, and an output that
-    resolves to the same file as another output or an input, naming both;
+    """Refuse an output path that is empty or holds a NUL byte, which no file
+    name can, naming its flag, and an output that resolves to the same file
+    as another output or an input, naming both;
     ``outputs`` and ``inputs`` are (flag, path) pairs and an unset (None)
     path is skipped.  Two inputs may be one file."""
     for flag, path in outputs:
         if path == "":
             raise ConfigError(f"{flag} needs a file name, got an empty path")
+        if path and "\0" in path:
+            raise ConfigError(f"{flag} {path!r}: a file name cannot hold a NUL byte")
     named = [(flag, path, True) for flag, path in outputs if path]
     named += [(flag, path, False) for flag, path in inputs if path]
     for i, (flag, path, written) in enumerate(named):

@@ -35,6 +35,8 @@ def _run_fresh_cli(*args) -> subprocess.CompletedProcess:
     )
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 FAST = [
     "--clients", "2", "--rounds", "2", "--local-epochs", "1",
     "--num-points", "80", "--batch-size", "16",
@@ -168,6 +170,21 @@ class TestConfigFileProperties:
         path.write_text("\n".join([*lines[:at], line, *lines[at:]]) + "\n")
         with pytest.raises(cli.ConfigError, match=f"run.cfg:{at + 1}: {message}"):
             cli._load_config_file(str(path))
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(config=config_files(), data=st.data(), junk=st.binary(max_size=16))
+    def test_any_bytes_load_or_are_refused_naming_the_file(self, tmp_path, config, data, junk):
+        # Bytes that are not UTF-8 used to escape as a UnicodeDecodeError, which exits 1.
+        text = ("\n".join(config[1]) + "\n").encode()
+        at = data.draw(st.integers(0, len(text)))
+        path = tmp_path / "run.cfg"
+        path.write_bytes(text[:at] + junk + text[at:])
+        try:
+            cli._load_config_file(str(path))
+        except cli.ConfigError as exc:
+            assert str(path) in str(exc)
 
 
 # A valid value other than the default for every ExperimentConfig field.
@@ -315,10 +332,18 @@ class TestParsing:
         with pytest.raises(cli.ConfigError, match="two config files"):
             cli.parse_config(["--compare", a])
         b = write_config(tmp_path / "b.cfg", model="cfl")
-        with pytest.raises(cli.ConfigError, match="config files plus --out"):
-            cli.parse_config(["--compare", a, b, "--rounds", "5"])
-        with pytest.raises(cli.ConfigError, match="config files plus --out"):
-            cli.parse_config(["--compare", a, b, "--config", a])
+        for flags, named in [
+            (["--rounds", "5"], "--rounds"),
+            (["--config", a], "--config"),
+            (["--rounds", "5", "--config", a, "--local-epochs", "2"],
+             "--config, --local-epochs, --rounds"),
+        ]:
+            with pytest.raises(cli.ConfigError) as refused:
+                cli.parse_config(["--compare", a, b, *flags])
+            assert str(refused.value) == (
+                f"compare mode takes config files plus --out only, not {named}; "
+                "each setting goes in its config file"
+            )
 
 
 class TestCsv:
@@ -572,6 +597,20 @@ class TestEndToEnd:
         assert capsys.readouterr().err == "error: --config needs a file name, got an empty path\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["out", "dump_dataset"])
+    def test_nul_in_an_output_path_exits_2(self, tmp_path, capsys, monkeypatch, key):
+        # Only a config file can carry a NUL; resolving the path used to raise
+        # "embedded null byte", which exits 1 without naming the flag.
+        refuse_training(monkeypatch)
+        flag = "--" + key.replace("_", "-")
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "run.cfg", model="cfl", **{key: "a\0b.csv"})
+        assert cli.main(["--config", config]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} 'a\\x00b.csv': a file name cannot hold a NUL byte\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_out_check_leaves_no_file_behind(self, tmp_path, monkeypatch):
         """Checking --out neither creates an empty file nor truncates an old
         one that a failure after the check would leave behind."""
@@ -639,7 +678,10 @@ class TestCompare:
         a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1)
         b = write_config(tmp_path / "b.cfg", model="qfl-classical", rounds=1)
         assert cli.main(["--compare", a, b, "--config", ""]) == 2
-        assert capsys.readouterr().err == "error: compare mode takes config files plus --out only\n"
+        assert capsys.readouterr().err == (
+            "error: compare mode takes config files plus --out only, not --config; "
+            "each setting goes in its config file\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
     def test_config_without_model_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -671,6 +713,26 @@ class TestCompare:
         assert transports == {"copy", "teleport"}
         checksums = {line.split(",")[-1] for line in lines[1:]}
         assert len(checksums) == 1 and len(checksums.pop()) == 64
+
+    def test_committed_configs_are_the_three_variants(self):
+        configs = {path.name: cli.config_from_file(str(path)) for path in CONFIGS.iterdir()}
+        assert configs == {
+            "cfl.cfg": cli.ExperimentConfig(model="cfl"),
+            "qfl-classical.cfg": cli.ExperimentConfig(model="qfl-classical"),
+            "qfl-quantum.cfg": cli.ExperimentConfig(model="qfl-quantum", transport="teleport"),
+        }
+
+    def test_ten_round_comparison_is_pinned(self, tmp_path):
+        # The committed configs at 10 rounds, as scripts/compare_base.py runs
+        # them; a commit that changes this CSV must update the pin with it.
+        paths = [tmp_path / path.name for path in sorted(CONFIGS.glob("*.cfg"))]
+        for path in paths:
+            path.write_text((CONFIGS / path.name).read_text() + "rounds = 10\n")
+        out = tmp_path / "comparison.csv"
+        assert cli.main(["--compare", *map(str, paths), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "33218709b80e325b05c2e98512d70f1887340b3eb299cfe4b91162d108fab4a9"
+        )
 
     def test_dataset_mismatch_exits_2(self, tmp_path, capsys):
         a = write_config(tmp_path / "a.cfg", model="cfl", rounds=1, num_points=80)

@@ -60,7 +60,8 @@ def test_a_changed_comparison_csv_warns_once(script, facts):
     head = copy.deepcopy(facts)
     head["comparison"] = "another csv"
     assert warnings(script, facts, head) == [
-        "::warning::scripts/run_comparison.py --rounds 10: metrics CSV differs from the base commit"
+        "::warning::qfedring --compare configs/*.cfg at 10 rounds: metrics CSV differs from the "
+        "base commit"
     ]
 
 
