@@ -46,6 +46,8 @@ NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 GENERATOR_RULE = "tests/test_setting_rules.py::test_generator_refused_by_the_one_rule"
 GATE_INDEX = "tests/test_statevec.py::TestGates::test_gateop_refuses_a_bad_qubit_index"
 CLIENT_REFUSALS = "tests/test_fedring.py::TestClientRefusals::test_refused_before_any_step"
+CIRCUIT_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[circuit]"
+STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[store]"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
 # written as 0j + _H?? * p?.
@@ -250,6 +252,21 @@ MUTANTS = (
            "    if not math.isfinite(final):\n", "    if False:\n",
            ("tests/test_cli.py::TestConvergence::"
             "test_refuses_a_final_accuracy_that_is_not_finite",)),
+    # The benchmark tracer's counters read these calls' positional arguments.
+    Mutant("VqcModel.loss_grad: gradient_batch called by keyword", "qfedring/vqc.py",
+           "gradient_batch(self.params, features, loss)",
+           "gradient_batch(self.params, features=features, loss=loss)", (CIRCUIT_STEP_CONTRACT,)),
+    Mutant("QuantumWeightStore.step: canonical_angles called by keyword", "qfedring/qweights.py",
+           "canonical_angles(optimizer.step(", "canonical_angles(angles=optimizer.step(",
+           (STORE_STEP_CONTRACT,)),
+    Mutant("QuantumWeightStore.logits: forward_batch called by keyword", "qfedring/qweights.py",
+           "vqc.forward_batch(materialize(self), features)",
+           "vqc.forward_batch(materialize(self), features=features)", (STORE_STEP_CONTRACT,)),
+    Mutant("teleport_weights: decode_angle called by keyword", "qfedring/teleport.py",
+           "            out.append(decode_angle(*state_expectations(record.recovered_state)))\n",
+           "            expect_z, expect_y = state_expectations(record.recovered_state)\n"
+           "            out.append(decode_angle(expect_z=expect_z, expect_y=expect_y))\n",
+           ("tests/test_bench_contract.py::test_channel_calls_each_traced_binding_once_per_weight[2]",)),
     # The package re-exports only what a caller reads from it.
     Mutant("__init__: run_ring re-exported", "qfedring/__init__.py",
            "from .vqc import init_model\n",

@@ -15,7 +15,7 @@ from qfedring import trainkit as tk
 from qfedring import vqc
 from qfedring.teleport import TransferError
 from tests.conftest import NOT_GENERATORS, generator_id
-from tests.test_bench_contract import count_calls
+from tests.test_bench_contract import traced
 
 
 # Counts that are not integers >= 1: a fraction, an integral float, bools
@@ -487,16 +487,16 @@ class TestRunRing:
         assert clients[1].model is calls[-1] and clients[2].model is not calls[-1]
 
     @pytest.mark.parametrize("loop", [fr.run_ring, fr.run_hubspoke])
-    def test_each_loop_evaluates_through_the_module_once_per_round(self, rng, monkeypatch, loop):
+    def test_each_loop_evaluates_through_the_module_once_per_round(self, rng, loop):
         # The tracer times trainkit.evaluate by rebinding the module attribute.
-        calls = count_calls(monkeypatch, ["trainkit.evaluate"])
         fx, fy, tx, ty = small_shard()
         clients = fr.make_clients(
             fx, fy, 2, tk.init_mlp(rng), partition_seed=1, client_seed=2, learning_rate=0.02
         )
         schedule = fr.RingSchedule(2, 3, 1, fr.Transport.CLASSICAL_COPY)
-        _, metrics = loop(schedule, clients, tx, ty, batch_size=8)
-        assert dict(calls) == {"trainkit.evaluate": 3}
+        with traced() as tracer:
+            _, metrics = loop(schedule, clients, tx, ty, batch_size=8)
+        assert tracer.layer_metrics()["trainkit.evaluate.calls"] == 3
         assert [m.round_index for m in metrics] == [1, 2, 3]
 
     def test_teleport_matches_copy(self, rng):

@@ -380,7 +380,7 @@ class TestTeleportWeights:
         assert type(moved) is qw.QuantumWeightStore
         assert moved.gamma is store.gamma
         assert not moved.angles.flags.writeable
-        monkeypatch.setattr(tp, "decode_angle", lambda z, y: math.nan)
+        monkeypatch.setattr(tp, "decode_angle", lambda expect_z, expect_y: math.nan)
         with pytest.raises(ValueError, match="angles must be finite"):
             tp.teleport_weights(store, rng)
 
