@@ -54,10 +54,12 @@ sys.exit(code)
 # ``python -m timeit`` setup, and each timer's statement, all at the CLI's
 # default settings, read from each side's own ``ExperimentConfig``: the channel
 # on the 12-weight store, one SGD step as local_train runs it, on one batch of
-# rows, and the store's evaluation on the same rows, readout check included.
+# rows, the store's evaluation on the same rows, readout check included, and
+# one local_train epoch of the MLP on a default-sized shard (960 training rows
+# over 3 clients), whose batching a one-batch step timer cannot see.
 TIMER_SETUP = (
     "import numpy as np",
-    "from qfedring import cli, qweights, teleport, trainkit, vqc",
+    "from qfedring import cli, fedring, qweights, teleport, trainkit, vqc",
     "config, gen = cli.ExperimentConfig(model='qfl-quantum'), np.random.default_rng",
     "mlp, circuit = trainkit.init_mlp(gen(1)), vqc.init_model(gen(1), config.layers)",
     "store = qweights.init_store(gen(1), config.layers, config.gamma)",
@@ -66,11 +68,14 @@ TIMER_SETUP = (
     "labels = np.arange(config.batch_size) % 2",
     "opt = trainkit.SgdOptimizer(config.learning_rate)",
     "loss = lambda logits: trainkit.batch_loss_and_grad(logits, labels)",
+    "shard = np.random.default_rng(0).uniform(0, np.pi, (320, 2)), np.arange(320) % 2",
+    "client = fedring.ClientState(0, *shard, mlp, np.random.default_rng(0), opt)",
 )
 STEP = "{0}.step({0}.loss_grad(rows, loss)[1] / labels.size, opt)"
 TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
           **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
-          "evaluate timer, store": "trainkit.evaluate(store, rows, labels)"}
+          "evaluate timer, store": "trainkit.evaluate(store, rows, labels)",
+          "local_train epoch timer, mlp": "fedring.local_train(client, 1, config.batch_size)"}
 
 
 def run(tree: Path, cwd, *args: str, check=True, **env) -> subprocess.CompletedProcess:

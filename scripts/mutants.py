@@ -144,6 +144,14 @@ MUTANTS = (
            "return c * c - s * s", "return (c - s) * (c + s)", (RX_Z_BITS,)),
     Mutant("_rx_z: cos(a)", "qfedring/qweights.py",
            "return c * c - s * s", "return np.cos(np.asarray(angles, dtype=float))", (RX_Z_BITS,)),
+    # local_train's per-epoch gather, and the MLP gradient written in place.
+    Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",
+           "targets[start : start + batch_size]", "labels[start : start + batch_size]",
+           ("tests/test_fedring.py::TestLocalTrain::"
+            "test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
+    Mutant("mlp_batch_grads: one module-level gradient buffer reused", "qfedring/trainkit.py",
+           "grad = np.empty(MLP_PARAMS)", 'grad = globals().setdefault("_GRAD", np.empty(MLP_PARAMS))',
+           ("tests/test_trainkit.py::TestMlp::test_batch_grads_writes_a_fresh_gradient_each_call",)),
     # The two-class loss.
     Mutant("loss: last bit of the gathered label column", "qfedring/trainkit.py",
            "- shifted.take(flat)", "- shifted.take(flat) * (1 + 2**-52)", (LOSS_BITS,)),

@@ -6,9 +6,10 @@ each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 model it just trained is evaluated on the held-out set; both loops build that
 row with ``_round_row``.  Every model kind takes the same SGD step:
 ``loss_grad`` on the batch, then ``step`` by the mean, on a shard
-``local_train`` checked once per call with ``datagen``'s rule.  ``partition``
-checks the whole data with that rule, so ``make_clients`` refuses a bad shard
-before any client exists.
+``local_train`` checked once per call with ``datagen``'s rule.  Each epoch
+gathers the shard once, in its permutation's order, and a batch is a row slice
+of that.  ``partition`` checks the whole data with that rule, so
+``make_clients`` refuses a bad shard before any client exists.
 
 Each client owns a private rng for batch shuffling, and all share one
 ``SgdOptimizer``; the teleport channel uses its own rng so the two transports
@@ -122,12 +123,12 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = client.rng.permutation(len(labels))
+            rows, targets = feats[order], labels[order]
             for step, start in enumerate(range(0, len(labels), batch_size), 1):
-                idx = order[start : start + batch_size]
-                fy = labels[idx]
+                fx, fy = rows[start : start + batch_size], targets[start : start + batch_size]
                 try:
                     batch, grad = client.model.loss_grad(
-                        feats[idx], lambda logits: trainkit.batch_loss_and_grad(logits, fy)
+                        fx, lambda logits: trainkit.batch_loss_and_grad(logits, fy)
                     )
                     client.model = client.model.step(grad / fy.size, client.optimizer)
                 except ValueError as exc:

@@ -10,6 +10,8 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path; its one field
 is ``params``, and ``w1``, ``b1``, ``w2`` and ``b2`` are properties slicing it.
+``mlp_batch_grads`` slices the four from one read of ``params`` and writes the
+gradient's four blocks in place into one new array laid out the same way.
 Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
 ``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
@@ -151,21 +153,23 @@ def init_mlp(rng: np.random.Generator) -> ClassicalMlp:
 
 
 def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np.ndarray]:
-    """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient
-    laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``, as for
-    ``vqc.gradient_batch``."""
+    """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient a
+    new array laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``,
+    as for ``vqc.gradient_batch``."""
     # np.dot, not @ (here and in ClassicalMlp.logits): @ pays gufunc dispatch on
     # each of these tiny 2-D products, and dot matches it bit for bit only on the
     # C-ordered features and upstream that check_batch and call_loss guarantee.
-    feats = check_batch(features, 2)
-    w2 = model.w2  # one view for both products
-    hid = np.tanh(np.dot(feats, model.w1) + model.b1)
-    losses, dlogits = call_loss(loss, np.dot(hid, w2) + model.b2)
+    feats, p = check_batch(features, 2), model.params
+    w2 = p[_W2:_B2].reshape(MLP_HIDDEN, 2)  # one view for both products
+    hid = np.tanh(np.dot(feats, p[:_B1].reshape(2, MLP_HIDDEN)) + p[_B1:_W2])
+    losses, dlogits = call_loss(loss, np.dot(hid, w2) + p[_B2:])
     dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)
-    return losses, np.concatenate(
-        [np.dot(feats.T, dpre), dpre.sum(axis=0), np.dot(hid.T, dlogits), dlogits.sum(axis=0)],
-        axis=None,
-    )
+    grad = np.empty(MLP_PARAMS)  # each block written once, in place
+    np.dot(feats.T, dpre, out=grad[:_B1].reshape(2, MLP_HIDDEN))
+    np.add.reduce(dpre, axis=0, out=grad[_B1:_W2])
+    np.dot(hid.T, dlogits, out=grad[_W2:_B2].reshape(MLP_HIDDEN, 2))
+    np.add.reduce(dlogits, axis=0, out=grad[_B2:])
+    return losses, grad
 
 
 def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:

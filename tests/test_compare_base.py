@@ -157,6 +157,9 @@ def test_every_timer_statement_runs(script):
     exec("\n".join(script.TIMER_SETUP), scope)
     for stmt in script.TIMERS.values():
         exec(stmt, scope)
+    # One epoch of the 320-row shard steps 320 / 32 batches at the default size.
+    epoch = eval(script.TIMERS["local_train epoch timer, mlp"], scope)
+    assert len(epoch) == 320 // scope["config"].batch_size == 10
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])

@@ -192,6 +192,35 @@ class TestLocalTrain:
         held = client.model.angles if kind == "store" else client.model.params
         assert np.array_equal(held, want)
 
+    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
+    def test_epochs_replay_bit_for_bit_with_a_short_last_batch(self, rng, kind):
+        # 23 rows in batches of 5 end each epoch on 3 rows.  The replay gathers
+        # each batch's rows and labels through its own slice of the permutation.
+        fx, fy, _, _ = small_shard()
+        fx, fy = fx[:23], fy[:23]
+        model = {
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+            "mlp": lambda: tk.init_mlp(rng),
+        }[kind]()
+        opt = tk.SgdOptimizer(0.05)
+        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(31), opt)
+        replay_rng, want_losses = np.random.default_rng(31), []
+        for _ in range(3):
+            order = replay_rng.permutation(fy.size)
+            for start in range(0, fy.size, 5):
+                idx = order[start : start + 5]
+                batch, grad = model.loss_grad(
+                    fx[idx], lambda logits: tk.batch_loss_and_grad(logits, fy[idx])
+                )
+                model = model.step(grad / idx.size, opt)
+                want_losses.append(float(np.add.reduce(batch) / batch.size))
+        losses = fr.local_train(client, epochs=3, batch_size=5)
+        assert losses == want_losses and len(losses) == 3 * 5
+        held = "angles" if kind == "store" else "params"
+        assert getattr(client.model, held).tobytes() == getattr(model, held).tobytes()
+        assert client.rng.bit_generator.state == replay_rng.bit_generator.state
+
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()
         client = fr.ClientState(

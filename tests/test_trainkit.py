@@ -321,6 +321,33 @@ class TestMlp:
                 differ.append(rows)
         assert differ == []
 
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_batch_grads_writes_a_fresh_gradient_each_call(self, rng, rows):
+        # The gradient blocks are written in place into a new array: nothing the
+        # caller holds (params, features, the last gradient) is aliased or written.
+        model = tk.init_mlp(rng)
+        big = rng.uniform(0.0, np.pi, size=(rows + 3, 2))
+        big.flags.writeable = False
+        # A row slice, as local_train passes; read-only, so a write into it would raise.
+        feats, labels = big[1 : rows + 1], rng.integers(0, 2, size=rows)
+
+        def loss(logits):
+            return tk.batch_loss_and_grad(logits, labels)
+
+        before, grads = big.tobytes(), [tk.mlp_batch_grads(model, feats, loss)[1] for _ in range(2)]
+        first = grads[0].copy()
+        _, want = tk.mlp_batch_grads(model, feats.copy(), loss)
+        assert big.tobytes() == before
+        for grad in grads:
+            assert grad.shape == (22,) and grad.dtype == float
+            assert grad.flags.writeable and grad.flags.c_contiguous and grad.flags.owndata
+            assert grad.tobytes() == want.tobytes()
+            for held in (model.params, big):
+                assert not np.shares_memory(grad, held)
+        assert not np.shares_memory(grads[0], grads[1])
+        grads[1][:] = np.nan  # the caller may write a gradient; the last one keeps its values
+        assert grads[0].tobytes() == first.tobytes()
+
     def test_hidden_unit_permutation_symmetry(self, rng):
         # Relabeling hidden units (and their fan-in/fan-out weights) cannot
         # change the function the network computes.
