@@ -117,7 +117,7 @@ def facts(tree) -> dict:
         modules = ("-c", MODULES, *shlex.split(RUNS[3]), "--rounds", "1")
         got["modules"] = or_none(lambda: run(tree, work, *modules).stdout.splitlines()[-1].split())
         got["lines"] = {name: sum(path.read_bytes().count(b"\n") for path in
-                                  (tree / name).rglob("*.py")) for name in ("src", "tests")}
+                                  (tree / name).rglob("*.py")) for name in ("src", "tests", "scripts")}
         numpy = run(tree, work, "-c", "import numpy", OPENBLAS_VERBOSE="2").stderr.splitlines()
         got["kernel"] = next((line for line in numpy if "Core:" in line), None)
         timeit = ("-m", "timeit", "-n", "200", "-r", "7", *(f"-s{line}" for line in TIMER_SETUP))

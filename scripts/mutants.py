@@ -44,7 +44,7 @@ EDGE_VALUES = "tests/test_setting_rules.py::test_edge_values_pass"
 FRACTIONS = "tests/test_setting_rules.py::test_fraction_refused_by_the_one_rule"
 NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 GENERATOR_RULE = "tests/test_setting_rules.py::test_generator_refused_by_the_one_rule"
-GATE_INDEX = "tests/test_statevec.py::TestGates::test_gateop_refuses_a_bad_qubit_index"
+GATE_REFUSALS = "tests/test_statevec.py::TestGates::test_apply_refuses_a_bad_gate"
 CLIENT_REFUSALS = "tests/test_fedring.py::TestClientRefusals::test_refused_before_any_step"
 CIRCUIT_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[circuit]"
 STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[store]"
@@ -144,6 +144,11 @@ MUTANTS = (
            "return c * c - s * s", "return (c - s) * (c + s)", (RX_Z_BITS,)),
     Mutant("_rx_z: cos(a)", "qfedring/qweights.py",
            "return c * c - s * s", "return np.cos(np.asarray(angles, dtype=float))", (RX_Z_BITS,)),
+    # A store step moves the circuit gamma^2 sin^2(a) times as far as a circuit step.
+    Mutant("weight_gradient: gamma dropped", "qfedring/qweights.py",
+           "return cg * store.gamma * (", "return cg * (",
+           ("tests/test_qweights.py::TestGradient::"
+            "test_store_step_moves_the_circuit_gamma_squared_sine_squared_as_far",)),
     # local_train's per-epoch gather, and the MLP gradient written in place.
     Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",
            "targets[start : start + batch_size]", "labels[start : start + batch_size]",
@@ -235,13 +240,13 @@ MUTANTS = (
     Mutant("encode_weight: a 1-D angle left to the amplitude test", "qfedring/qweights.py",
            "if a.ndim:", "if a.ndim > 1:",
            ("tests/test_qweights.py::TestReadout::test_encode_weight_refuses_a_non_scalar_angle",)),
-    # The gate-by-gate path's qubit indices.
-    Mutant("GateOp: a target of -1 passes", "qfedring/statevec.py",
-           "if self.target < 0:", "if self.target < -1:", (GATE_INDEX,)),
-    Mutant("GateOp: a CNOT without a control passes the control test", "qfedring/statevec.py",
-           "            if self.control is None:\n", "            if False:\n", (GATE_INDEX,)),
-    Mutant("GateOp: a control of -1 passes", "qfedring/statevec.py",
-           "if self.control < 0:", "if self.control < -1:", (GATE_INDEX,)),
+    # The gate-by-gate path's refusals of a bad gate.
+    Mutant("apply_gate: the qubit check dropped", "qfedring/statevec.py",
+           '    _check_targets(qubits, n, "gate")\n', "", (GATE_REFUSALS,)),
+    Mutant("apply_gate: a gate on no qubit passes", "qfedring/statevec.py",
+           "    if not k:\n", "    if False:\n", (GATE_REFUSALS,)),
+    Mutant("apply_gate: the matrix shape test dropped", "qfedring/statevec.py",
+           "if u.shape != (2**k, 2**k):", "if False:", (GATE_REFUSALS,)),
     # A forced Bell bit must be an int.
     Mutant("_forcing_rule: a bool passes as a bit", "qfedring/statevec.py",
            " and not isinstance(outcome, bool)", "",

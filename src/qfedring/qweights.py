@@ -9,7 +9,10 @@ form ``tests/oracle.py`` keeps as ``_z_expectation``), so
 ``materialize`` reads a whole store in one pass and ``weight_gradient``
 chains the circuit gradient back through the same two-point shift rule as
 the circuit parameters, with the +shift and -shift angles as one array.
-``QuantumWeightStore`` has the model interface ``trainkit`` describes: its
+So an SGD step on the angles moves ``materialize(store)`` about
+gamma^2 sin^2(a) times as far as a circuit step at the same rate: 7.6 to 9.9
+at gamma = pi over ``init_store``'s angles.  ``QuantumWeightStore`` has the
+model interface ``trainkit`` describes: its
 ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so

@@ -28,12 +28,12 @@ calling ``_sample`` (or ``_forcing_rule``'s pick) itself, and its tests
 replay ``_born_measure`` as the reference, so no run calls it or
 ``_bit_sides``.
 
-A run calls none of the gate-by-gate names: ``GateOp``, ``gate_matrix``,
-``apply_gate`` with ``_check_qubit`` and its matrices (``_ry_matrix``,
-``_rz_matrix``, ``_rot_matrix``, ``_X``, ``_Z``), ``expectation``, and
-``measure_qubits`` with ``_check_targets``.  They stay here only because the
-benchmark tracer (``perfbench/spans.py``) wraps them by module attribute;
-the tests drive them with the gate builders in ``tests/oracle.py``.
+A run calls none of the gate-by-gate names: ``apply_gate``, which applies
+any dense matrix to the qubits it names, ``expectation`` and
+``measure_qubits``, with their qubit checks ``_check_qubit`` and
+``_check_targets``.  They stay here only because the benchmark tracer
+(``perfbench/spans.py``) wraps the first three by module attribute; the
+tests drive ``apply_gate`` with the gate matrices ``tests/oracle.py`` builds.
 """
 from __future__ import annotations
 
@@ -53,27 +53,11 @@ _NORM_TOL = 1e-10
 _MIN_OUTCOME_PROB = 1e-15
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _rx_matrix(a: float) -> np.ndarray:
     c, s = math.cos(a / 2), math.sin(a / 2)
     return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _ry_matrix(a: float) -> np.ndarray:
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz_matrix(a: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]])
-
-
-def _rot_matrix(phi: float, theta: float, omega: float) -> np.ndarray:
-    # RZ(omega) @ RY(theta) @ RZ(phi): RZ(phi) hits the state first.
-    return _rz_matrix(omega) @ _ry_matrix(theta) @ _rz_matrix(phi)
 
 
 @dataclass(frozen=True)
@@ -135,82 +119,25 @@ def _qubit(c0: complex, c1: complex) -> StateVector:
     return state
 
 
-# Gate-by-gate simulation: no run calls it, the tracer wraps it (see the module docstring).
-_GATE_NUM_ANGLES = {"RX": 1, "ROT": 3, "CNOT": 0, "H": 0, "X": 0, "Z": 0}
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One gate: a kind, a target qubit, an optional control, and its angles."""
-
-    kind: str
-    target: int
-    control: int | None = None
-    angles: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in _GATE_NUM_ANGLES:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.angles) != _GATE_NUM_ANGLES[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_GATE_NUM_ANGLES[self.kind]} angle(s), got {len(self.angles)}"
-            )
-        if not all(math.isfinite(a) for a in self.angles):
-            raise ValueError(f"{self.kind} angles must be finite, got {self.angles}")
-        if self.target < 0:
-            raise ValueError(f"target index must be non-negative, got {self.target}")
-        if self.kind == "CNOT":
-            if self.control is None:
-                raise ValueError("CNOT requires a control qubit")
-            if self.control < 0:
-                raise ValueError(f"control index must be non-negative, got {self.control}")
-            if self.control == self.target:
-                raise ValueError("CNOT control and target must differ")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} takes no control qubit")
-
-
-def gate_matrix(gate: GateOp) -> np.ndarray:
-    """Dense matrix of the gate: 2x2, or 4x4 for CNOT (control on the high bit)."""
-    if gate.kind == "RX":
-        return _rx_matrix(gate.angles[0])
-    if gate.kind == "ROT":
-        return _rot_matrix(*gate.angles)
-    if gate.kind == "H":
-        return _H.copy()
-    if gate.kind == "X":
-        return _X.copy()
-    if gate.kind == "Z":
-        return _Z.copy()
-    # CNOT on the (control, target) pair ordered control-first
-    m = np.eye(4, dtype=complex)
-    m[[2, 3]] = m[[3, 2]]
-    return m
-
-
 def _check_qubit(index: int, num_qubits: int, role: str) -> None:
     if not 0 <= index < num_qubits:
         raise ValueError(f"{role} qubit {index} out of range for {num_qubits}-qubit state")
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Return U|state>; the input state is left untouched."""
-    n = state.num_qubits
-    _check_qubit(gate.target, n, "target")
-    if gate.kind == "CNOT":
-        _check_qubit(gate.control, n, "control")
-        t = state.amplitudes.reshape((2,) * n).copy()
-        sel: list = [slice(None)] * n
-        sel[gate.control] = 1
-        tgt_axis = gate.target - 1 if gate.target > gate.control else gate.target
-        t[tuple(sel)] = np.flip(t[tuple(sel)], axis=tgt_axis)
-        amps = t.reshape(-1)
-    else:
-        mat = gate_matrix(gate)
-        t = state.amplitudes.reshape((2,) * n)
-        t = np.moveaxis(t, gate.target, -1)
-        t = t @ mat.T
-        amps = np.moveaxis(t, -1, gate.target).reshape(-1)
+def apply_gate(state: StateVector, matrix, *qubits: int) -> StateVector:
+    """Return U|state> for a dense (2**k, 2**k) matrix U on k distinct qubits,
+    the first of them the high bit of U's index; the input is left untouched."""
+    n, k = state.num_qubits, len(qubits)
+    if not k:
+        raise ValueError("a gate acts on at least one qubit")
+    _check_targets(qubits, n, "gate")
+    u = np.asarray(matrix)
+    if u.shape != (2**k, 2**k):
+        raise ValueError(f"a {k}-qubit gate takes a {(2**k, 2**k)} matrix, got shape {u.shape}")
+    moved = range(n - k, n)
+    t = np.moveaxis(state.amplitudes.reshape((2,) * n), qubits, moved)
+    t = t.reshape(t.shape[: n - k] + (2**k,)) @ u.T
+    amps = np.moveaxis(t.reshape((2,) * n), moved, qubits).reshape(-1)
     return StateVector(n, amps)
 
 

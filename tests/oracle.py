@@ -3,8 +3,10 @@
 A training run never calls these; the tests hold the package to them.  Each
 one walks the computation the plain way, one gate or one sample at a time:
 
-- statevec: ``zero_state``, ``tensor_product``, the gate builders ``rx``,
-  ``rot``, ``cnot``, ``h``, ``x`` and ``z`` for ``statevec.apply_gate``,
+- statevec: ``zero_state``, ``tensor_product``, the rotation matrices
+  ``ry_matrix``, ``rz_matrix`` and ``rot_matrix``, the gate builders ``rx``,
+  ``rot``, ``cnot``, ``h``, ``x`` and ``z``, each of which returns the
+  ``(matrix, *qubits)`` that ``statevec.apply_gate`` takes after the state,
   ``collapse_qubits``, which forces measurement outcomes through the same
   kernel as ``measure_qubits``, and ``fidelity`` on two StateVectors, the
   array form of the teleport record's fidelity;
@@ -21,29 +23,23 @@ one walks the computation the plain way, one gate or one sample at a time:
   of single-qubit amplitudes, the form ``qweights._rx_z`` is held to bit
   for bit on ``statevec._rx_carriers``, and ``canonical_angles_reference``,
   the wrap as first written, with no early return for in-branch angles.
-
-``sv``, ``tk`` and ``vqc`` are the package modules with the references the
-acceptance criteria call beside their own names, so those tests read
-``vqc.forward`` next to ``vqc.VqcModel``.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
-from qfedring import statevec as _sv
-from qfedring import trainkit as _tk
-from qfedring import vqc as _vqc
 from qfedring.datagen import check_labels
 from qfedring.statevec import (
+    _H,
     MAX_QUBITS,
-    GateOp,
     StateVector,
     _born_measure,
     _check_targets,
     _forcing_rule,
+    _rx_matrix,
     apply_gate,
     expectation,
 )
@@ -71,28 +67,42 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, joint)
 
 
-def rx(target: int, angle: float) -> GateOp:
-    return GateOp("RX", target, angles=(float(angle),))
+def ry_matrix(a: float) -> np.ndarray:
+    c, s = math.cos(a / 2), math.sin(a / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def rot(target: int, phi: float, theta: float, omega: float) -> GateOp:
-    return GateOp("ROT", target, angles=(float(phi), float(theta), float(omega)))
+def rz_matrix(a: float) -> np.ndarray:
+    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]])
 
 
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp("CNOT", target, control=control)
+def rot_matrix(phi: float, theta: float, omega: float) -> np.ndarray:
+    """RZ(omega) @ RY(theta) @ RZ(phi): RZ(phi) hits the state first."""
+    return rz_matrix(omega) @ ry_matrix(theta) @ rz_matrix(phi)
 
 
-def h(target: int) -> GateOp:
-    return GateOp("H", target)
+def rx(target: int, angle: float) -> tuple:
+    return _rx_matrix(float(angle)), target
 
 
-def x(target: int) -> GateOp:
-    return GateOp("X", target)
+def rot(target: int, phi: float, theta: float, omega: float) -> tuple:
+    return rot_matrix(float(phi), float(theta), float(omega)), target
 
 
-def z(target: int) -> GateOp:
-    return GateOp("Z", target)
+def cnot(control: int, target: int) -> tuple:
+    return np.eye(4, dtype=complex)[[0, 1, 3, 2]], control, target
+
+
+def h(target: int) -> tuple:
+    return _H, target
+
+
+def x(target: int) -> tuple:
+    return np.array([[0, 1], [1, 0]], dtype=complex), target
+
+
+def z(target: int) -> tuple:
+    return np.array([[1, 0], [0, -1]], dtype=complex), target
 
 
 def collapse_qubits(
@@ -118,7 +128,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def rx_z(angle: float) -> float:
     """<Z> of a stored weight's carrier RX(angle)|0>, gate by gate."""
-    return expectation(apply_gate(zero_state(1), rx(0, angle)), 0)
+    return expectation(apply_gate(zero_state(1), *rx(0, angle)), 0)
 
 
 def _z_expectation(amps: np.ndarray) -> np.ndarray:
@@ -140,7 +150,7 @@ def encode(model: VqcModel, features) -> StateVector:
         raise ValueError("features must be finite")
     state = zero_state(model.num_qubits)
     for q, angle in enumerate(feats):
-        state = apply_gate(state, rx(q, angle))
+        state = apply_gate(state, *rx(q, angle))
     return state
 
 
@@ -148,9 +158,9 @@ def _run_layers(state: StateVector, params: np.ndarray) -> StateVector:
     num_qubits = params.shape[1]
     for layer in params:
         for control, target in entangler_pairs(num_qubits):
-            state = apply_gate(state, cnot(control, target))
+            state = apply_gate(state, *cnot(control, target))
         for q in range(num_qubits):
-            state = apply_gate(state, rot(q, *layer[q]))
+            state = apply_gate(state, *rot(q, *layer[q]))
     return state
 
 
@@ -273,8 +283,8 @@ def mlp_batch_reference(model: ClassicalMlp, features, loss):
 
 def bell_pair() -> StateVector:
     """(|00> + |11>) / sqrt(2)."""
-    state = apply_gate(zero_state(2), h(0))
-    return apply_gate(state, cnot(0, 1))
+    state = apply_gate(zero_state(2), *h(0))
+    return apply_gate(state, *cnot(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +311,3 @@ def canonical_angles_reference(angles) -> np.ndarray:
     wrapped = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
     wrapped = np.where(wrapped == -math.pi, math.pi, wrapped)
     return np.where((a > math.pi) | (a <= -math.pi), wrapped, a)
-
-
-# ---------------------------------------------------------------------------
-# Package modules with the references beside their own names.
-
-
-def _with_references(module, **references) -> SimpleNamespace:
-    return SimpleNamespace(**{**vars(module), **references})
-
-
-sv = _with_references(_sv, zero_state=zero_state, rx=rx, rot=rot)
-tk = _with_references(_tk, loss_and_grad=loss_and_grad, mlp_forward_backward=mlp_forward_backward)
-vqc = _with_references(_vqc, forward=forward, gradient=gradient)

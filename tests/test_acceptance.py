@@ -14,9 +14,12 @@ from qfedring import cli
 from qfedring import datagen as dg
 from qfedring import fedring as fr
 from qfedring import qweights as qw
+from qfedring import statevec as sv
 from qfedring import teleport as tp
+from qfedring import trainkit as tk
+from qfedring import vqc
+from tests import oracle
 from tests.conftest import random_state
-from tests.oracle import sv, tk, vqc
 from tests.test_statevec import random_gate
 
 
@@ -57,10 +60,10 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
 
         # (a) circuit classifier with classical parameters
         model = vqc.VqcModel(rng.uniform(-math.pi, math.pi, (layers, 2, 3)))
-        _, dlogits = tk.loss_and_grad(vqc.forward(model, x), label)
-        grad = vqc.gradient(model, x, dlogits)
+        _, dlogits = oracle.loss_and_grad(oracle.forward(model, x), label)
+        grad = oracle.gradient(model, x, dlogits)
         check(
-            lambda p: tk.loss_and_grad(vqc.forward(vqc.VqcModel(p), x), label)[0],
+            lambda p: oracle.loss_and_grad(oracle.forward(vqc.VqcModel(p), x), label)[0],
             grad,
             model.params,
         )
@@ -70,23 +73,23 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
             rng.uniform(-math.pi + 0.1, math.pi - 0.1, (layers, 2, 3)), math.pi
         )
         eff = qw.materialize(store)
-        _, dlogits = tk.loss_and_grad(vqc.forward(vqc.VqcModel(eff), x), label)
-        cg = vqc.gradient(vqc.VqcModel(eff), x, dlogits)
+        _, dlogits = oracle.loss_and_grad(oracle.forward(vqc.VqcModel(eff), x), label)
+        cg = oracle.gradient(vqc.VqcModel(eff), x, dlogits)
         grad = qw.weight_gradient(store, cg)
 
         def store_loss(angles, _store=store, _x=x, _label=label):
             eff = qw.materialize(qw.QuantumWeightStore(angles, _store.gamma))
-            return tk.loss_and_grad(vqc.forward(vqc.VqcModel(eff), _x), _label)[0]
+            return oracle.loss_and_grad(oracle.forward(vqc.VqcModel(eff), _x), _label)[0]
 
         check(store_loss, grad, store.angles)
 
         # (c) classical MLP baseline
         mlp = tk.init_mlp(rng)
         feats = rng.normal(size=2)
-        _, grad = tk.mlp_forward_backward(mlp, feats, label)
+        _, grad = oracle.mlp_forward_backward(mlp, feats, label)
 
         def mlp_loss(params, _f=feats, _label=label):
-            return tk.mlp_forward_backward(tk.ClassicalMlp(params), _f, _label)[0]
+            return oracle.mlp_forward_backward(tk.ClassicalMlp(params), _f, _label)[0]
 
         check(mlp_loss, grad, mlp.params)
 
@@ -124,8 +127,8 @@ def test_criterion_2_shift_rule_is_exact(capsys):
     ]
 
     def measured_z(values):
-        state = sv.apply_gate(sv.zero_state(1), sv.rx(0, values[0]))
-        state = sv.apply_gate(state, sv.rot(0, values[1], values[2], values[3]))
+        state = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, values[0]))
+        state = sv.apply_gate(state, *oracle.rot(0, values[1], values[2], values[3]))
         return sv.expectation(state, 0)
 
     rng = np.random.default_rng(555)
@@ -167,7 +170,7 @@ def test_criterion_3_teleportation(capsys):
     moved = tp.teleport_weights(store, rng)
     worst_angle = float(np.max(np.abs(moved.angles - store.angles)))
 
-    message = sv.apply_gate(sv.zero_state(1), sv.rx(0, 1.1))
+    message = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, 1.1))
     counts = {o: 0 for o in [(0, 0), (0, 1), (1, 0), (1, 1)]}
     trials = 10_000
     for _ in range(trials):
@@ -196,7 +199,7 @@ def test_criterion_4_norm_conservation(capsys):
     for _ in range(100):
         state = random_state(rng, 4)
         for _ in range(100):
-            state = sv.apply_gate(state, random_gate(rng, 4))
+            state = sv.apply_gate(state, *random_gate(rng, 4))
         worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
     ok = worst <= 1e-9
     _report(

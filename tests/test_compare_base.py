@@ -28,7 +28,7 @@ def facts(script):
         "help": "usage: qfedring [-h]\n\noptions:\n  -h, --help\n",
         "refusals": {flags: "exit 2: error: bad" for flags in script.BAD_FLAGS},
         "modules": ["argparse", "qfedring", "qfedring.cli"],
-        "lines": {"src": 2141, "tests": 5386},
+        "lines": {"src": 2141, "tests": 5386, "scripts": 638},
         "kernel": "Core: SkylakeX",
         "timers": {name: "150 usec" for name in script.TIMERS},
         "bench": {workload: [{"samples_per_s": 1000.0, "round_ms.p50": 10.0}] * 2
@@ -141,12 +141,13 @@ def test_a_benchmark_run_that_fails_its_own_gate_is_not_read(
 
 def test_the_printed_facts_warn_on_nothing(script, facts):
     head = copy.deepcopy(facts)
-    head["lines"] = {"src": 2000, "tests": 6000}
+    head["lines"] = {"src": 2000, "tests": 6000, "scripts": 650}
     head["kernel"] = "Core: Haswell"
     head["timers"] = {name: "300 usec" for name in script.TIMERS}
     report = script.compare(facts, head)
     assert warnings(script, facts, head) == []
     assert "src/ Python lines: base 2141 head 2000" in report
+    assert "scripts/ Python lines: base 638 head 650" in report
     assert "OPENBLAS_VERBOSE=2: base Core: SkylakeX head Core: Haswell" in report
     assert "evaluate timer, store: base 150 usec head 300 usec" in report
 

@@ -32,13 +32,8 @@ NOT_RUN = {
     "teleport.TransferError.__init__",
     # Bound by perfbench/spans.py by module attribute.
     "qweights.encode_weight",
-    "statevec.GateOp.__post_init__",
-    "statevec.gate_matrix",
     "statevec._check_qubit",
     "statevec.apply_gate",
-    "statevec._ry_matrix",
-    "statevec._rz_matrix",
-    "statevec._rot_matrix",
     "statevec.expectation",
     "statevec.measure_qubits",
     "statevec._check_targets",

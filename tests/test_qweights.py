@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+from qfedring import cli
 from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring import trainkit as tk
+from qfedring import vqc
 from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
 from tests import oracle
 
@@ -169,12 +171,12 @@ class TestGateByGateOracle:
     def test_encode_weight_and_readout(self, rng):
         y_basis = oracle.rx(0, math.pi / 2)
         for a in oracle_angles(rng).reshape(-1):
-            gates = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a))
+            gates = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a))
             carrier = qw.encode_weight(a)
             assert_allclose(carrier.amplitudes, gates.amplitudes, rtol=0, atol=1e-15)
             ez, ey = qw.state_expectations(carrier)
             assert ez == pytest.approx(sv.expectation(gates, 0), rel=0, abs=1e-15)
-            want_y = sv.expectation(sv.apply_gate(gates, y_basis), 0)
+            want_y = sv.expectation(sv.apply_gate(gates, *y_basis), 0)
             assert ey == pytest.approx(want_y, rel=0, abs=1e-15)
 
 
@@ -218,6 +220,42 @@ class TestGradient:
             minus = oracle._z_expectation(sv._rx_carriers(store.angles - SHIFT))
             want = cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
             assert np.array_equal(qw.weight_gradient(store, cg), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_store_step_moves_the_circuit_gamma_squared_sine_squared_as_far(self, seed):
+        """At the default settings, a store step moves materialize(store) by
+        gamma^2 sin^2(a) times what a circuit step at the same rate moves the
+        same parameters, both along the same circuit gradient g.
+
+        The store step moves a by delta = lr * gamma * sin(a) * g, so
+        p = gamma * cos(a) moves by -lr * gamma^2 sin^2(a) * g, with a Taylor
+        remainder of at most gamma * delta^2 / 2; the circuit step moves p by
+        -lr * g.  The quotient's bound is that remainder over lr * |g|, plus
+        16 ulps of gamma over lr * |g| for the rounding of the two
+        materializations, the angle step and the circuit step.  Entries whose
+        circuit gradient is zero up to rounding are skipped: exactly the last
+        layer's omega, which commutes with the Pauli-Z readout."""
+        config = cli.ExperimentConfig("qfl-quantum")
+        lr, gamma = config.learning_rate, config.gamma
+        rng = np.random.default_rng(seed)
+        store = qw.init_store(rng, config.layers, gamma)
+        feats = rng.uniform(0, math.pi, size=(config.batch_size, 2))
+        labels = rng.integers(0, 2, size=config.batch_size)
+        _, grad = store.loss_grad(feats, lambda lg: tk.batch_loss_and_grad(lg, labels))
+        g = grad / config.batch_size  # the step local_train takes
+        opt = tk.SgdOptimizer(lr)
+        params = qw.materialize(store)
+        store_moved = qw.materialize(store.step(g, opt)) - params
+        circuit_moved = vqc.VqcModel(params).step(g, opt).params - params
+
+        zero = np.abs(g) <= 1e-12 * np.abs(g).max()
+        assert np.argwhere(zero).tolist() == [[config.layers - 1, q, 2] for q in range(2)]
+        sin2 = np.sin(store.angles[~zero]) ** 2
+        step = lr * np.abs(g[~zero])
+        want = gamma**2 * sin2
+        bound = gamma**3 * sin2 * step / 2 + 16 * np.finfo(float).eps * gamma * (1 + want) / step
+        got = store_moved[~zero] / circuit_moved[~zero]
+        assert np.all(np.abs(got - want) <= bound), (got, want, bound)
 
     def test_weight_gradient_validation(self, rng):
         store = qw.init_store(rng, 2, math.pi)

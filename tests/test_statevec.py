@@ -17,25 +17,29 @@ ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=Fa
 
 
 def oracle_apply(amps, gate, num_qubits):
-    """Apply a gate by explicit basis-index bookkeeping, independent of the
-    tensor-reshape path under test."""
+    """Apply a ``(matrix, *qubits)`` gate by explicit basis-index bookkeeping,
+    independent of the tensor-reshape path under test: each basis state |j>
+    sends amplitude matrix[row, col] * amps[j] to the basis state whose gate
+    qubits read ``row``, where ``col`` is what they read in j."""
+    matrix, *qubits = gate
+    k = len(qubits)
     out = np.zeros_like(amps)
-    mat = sv.gate_matrix(gate)
     for j in range(2**num_qubits):
         bits = [(j >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-        if gate.kind == "CNOT":
+        col = sum(bits[q] << (k - 1 - i) for i, q in enumerate(qubits))
+        for row in range(2**k):
             new_bits = list(bits)
-            if bits[gate.control]:
-                new_bits[gate.target] ^= 1
-            idx = int("".join(map(str, new_bits)), 2)
-            out[idx] += amps[j]
-        else:
-            for new_bit in (0, 1):
-                new_bits = list(bits)
-                new_bits[gate.target] = new_bit
-                idx = int("".join(map(str, new_bits)), 2)
-                out[idx] += mat[new_bit, bits[gate.target]] * amps[j]
+            for i, q in enumerate(qubits):
+                new_bits[q] = (row >> (k - 1 - i)) & 1
+            idx = sum(b << (num_qubits - 1 - q) for q, b in enumerate(new_bits))
+            out[idx] += matrix[row, col] * amps[j]
     return out
+
+
+def random_unitary(rng, dim):
+    """A Haar-ish random unitary: Q of the QR of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 def random_gate(rng, num_qubits):
@@ -139,7 +143,7 @@ class TestStateVector:
                 assert np.array_equal(joint.view(float), kron.view(float))
 
     def test_tensor_product_ordering(self):
-        one = sv.apply_gate(oracle.zero_state(1), oracle.x(0))
+        one = sv.apply_gate(oracle.zero_state(1), *oracle.x(0))
         joint = oracle.tensor_product(one, oracle.zero_state(1))
         # first factor occupies the high bit: |1> (x) |0> = |10>
         assert_allclose(joint.amplitudes, [0, 0, 1, 0])
@@ -188,13 +192,13 @@ class TestQubit:
 class TestGates:
     def test_gate_matrices_unitary(self, rng):
         for _ in range(50):
-            g = random_gate(rng, 3)
-            m = sv.gate_matrix(g)
+            m = random_gate(rng, 3)[0]
             assert_allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=1e-12)
 
     def test_rx_matrix_values(self):
-        m = sv.gate_matrix(oracle.rx(0, math.pi))
+        m, target = oracle.rx(0, math.pi)
         assert_allclose(m, [[0, -1j], [-1j, 0]], atol=1e-15)
+        assert target == 0
 
     def test_rot_is_rz_ry_rz(self):
         phi, theta, omega = 0.3, -1.1, 2.2
@@ -203,31 +207,25 @@ class TestGates:
             [[math.cos(theta / 2), -math.sin(theta / 2)], [math.sin(theta / 2), math.cos(theta / 2)]]
         )
         expected = rz(omega) @ ry @ rz(phi)
-        assert_allclose(sv.gate_matrix(oracle.rot(0, phi, theta, omega)), expected, atol=1e-15)
-
-    def test_gateop_validation(self):
-        with pytest.raises(ValueError, match="unknown gate"):
-            sv.GateOp("RY", 0, angles=(0.1,))
-        with pytest.raises(ValueError, match="angle"):
-            sv.GateOp("RX", 0)
-        with pytest.raises(ValueError, match="finite"):
-            oracle.rx(0, math.nan)
-        with pytest.raises(ValueError, match="differ"):
-            oracle.cnot(1, 1)
-        with pytest.raises(ValueError, match="control"):
-            sv.GateOp("H", 0, control=1)
+        assert_allclose(oracle.rot(0, phi, theta, omega)[0], expected, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "kind, target, control, message",
+        "matrix, qubits, message",
         [
-            ("H", -1, None, "target index must be non-negative, got -1"),
-            ("CNOT", 0, None, "CNOT requires a control qubit"),
-            ("CNOT", 0, -1, "control index must be non-negative, got -1"),
+            (np.eye(2), (-1,), "gate qubit -1 out of range for 3-qubit state"),
+            (np.eye(2), (3,), "gate qubit 3 out of range for 3-qubit state"),
+            (np.eye(4), (1, 1), "gate targets must be distinct, got (1, 1)"),
+            (np.eye(2), (), "a gate acts on at least one qubit"),
+            (np.eye(4), (0,), "a 1-qubit gate takes a (2, 2) matrix, got shape (4, 4)"),
+            (np.eye(2), (0, 1), "a 2-qubit gate takes a (4, 4) matrix, got shape (2, 2)"),
+            (np.eye(4)[:2], (0,), "a 1-qubit gate takes a (2, 2) matrix, got shape (2, 4)"),
         ],
+        ids=["below", "above", "repeated", "none", "too-few-qubits", "too-many-qubits",
+             "not-square"],
     )
-    def test_gateop_refuses_a_bad_qubit_index(self, kind, target, control, message):
+    def test_apply_refuses_a_bad_gate(self, matrix, qubits, message):
         with pytest.raises(ValueError) as refused:
-            sv.GateOp(kind, target, control)
+            sv.apply_gate(oracle.zero_state(3), matrix, *qubits)
         assert str(refused.value) == message
 
     def test_apply_matches_oracle(self, rng):
@@ -235,29 +233,50 @@ class TestGates:
             state = random_state(rng, num_qubits)
             for _ in range(20):
                 g = random_gate(rng, num_qubits)
-                got = sv.apply_gate(state, g)
+                got = sv.apply_gate(state, *g)
                 want = oracle_apply(state.amplitudes, g, num_qubits)
                 assert_allclose(got.amplitudes, want, atol=1e-12)
                 state = got
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_any_width_matches_oracle(self, rng, num_qubits):
+        # Every ordered choice of qubits, so the high bit of the matrix index
+        # lands on each qubit and the moved axes come in every order.
+        state = random_state(rng, num_qubits)
+        for k in range(1, num_qubits + 1):
+            for qubits in itertools.permutations(range(num_qubits), k):
+                gate = (random_unitary(rng, 2**k), *qubits)
+                got = sv.apply_gate(state, *gate).amplitudes
+                assert_allclose(got, oracle_apply(state.amplitudes, gate, num_qubits), atol=1e-12)
+
+    def test_one_qubit_gates_keep_their_bits(self, rng):
+        # A one-qubit gate is the moved array times U.T, the product the
+        # gate-built references' pinned bits were made with.
+        state = random_state(rng, 3)
+        for q in range(3):
+            u = random_unitary(rng, 2)
+            t = np.moveaxis(state.amplitudes.reshape(2, 2, 2), q, -1) @ u.T
+            want = np.moveaxis(t, -1, q).reshape(-1)
+            assert sv.apply_gate(state, u, q).amplitudes.tobytes() == want.tobytes()
+
     def test_apply_leaves_input_untouched(self, rng):
         state = random_state(rng, 2)
         before = state.amplitudes.copy()
-        sv.apply_gate(state, oracle.h(0))
+        sv.apply_gate(state, *oracle.h(0))
         assert_allclose(state.amplitudes, before)
 
     def test_bad_targets_rejected(self):
         s = oracle.zero_state(2)
         with pytest.raises(ValueError, match="out of range"):
-            sv.apply_gate(s, oracle.h(2))
+            sv.apply_gate(s, *oracle.h(2))
         with pytest.raises(ValueError, match="out of range"):
-            sv.apply_gate(s, oracle.cnot(3, 0))
+            sv.apply_gate(s, *oracle.cnot(3, 0))
 
     @given(a=ANGLES, b=ANGLES)
     @settings(max_examples=40, deadline=None)
     def test_rx_composition(self, a, b):
-        s = sv.apply_gate(sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a)), oracle.rx(0, b))
-        direct = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a + b))
+        s = sv.apply_gate(sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a)), *oracle.rx(0, b))
+        direct = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a + b))
         assert_allclose(s.amplitudes, direct.amplitudes, atol=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
@@ -266,12 +285,12 @@ class TestGates:
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)
         for _ in range(10):
-            state = sv.apply_gate(state, random_gate(rng, n) if n > 1 else oracle.h(0))
+            state = sv.apply_gate(state, *(random_gate(rng, n) if n > 1 else oracle.h(0)))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_h_self_inverse(self, rng):
         state = random_state(rng, 3)
-        back = sv.apply_gate(sv.apply_gate(state, oracle.h(1)), oracle.h(1))
+        back = sv.apply_gate(sv.apply_gate(state, *oracle.h(1)), *oracle.h(1))
         assert oracle.fidelity(state, back) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -293,13 +312,13 @@ class TestExpectation:
 
     def test_basis_states(self):
         assert sv.expectation(oracle.zero_state(2), 0) == 1.0
-        flipped = sv.apply_gate(oracle.zero_state(2), oracle.x(1))
+        flipped = sv.apply_gate(oracle.zero_state(2), *oracle.x(1))
         assert sv.expectation(flipped, 1) == -1.0
         assert sv.expectation(flipped, 0) == 1.0
 
     def test_rx_gives_cos(self):
         for a in np.linspace(-3, 3, 13):
-            s = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, a))
+            s = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a))
             assert sv.expectation(s, 0) == pytest.approx(math.cos(a), abs=1e-12)
 
     def test_observable_validation(self):
@@ -334,14 +353,14 @@ class TestMeasurement:
     def test_never_samples_zero_probability(self):
         # rng.random() == p1 would pick outcome 0 anyway; a zero-amplitude
         # branch must never appear no matter the draw
-        state = sv.apply_gate(oracle.zero_state(1), oracle.x(0))
+        state = sv.apply_gate(oracle.zero_state(1), *oracle.x(0))
         for seed in range(50):
             outcomes, _ = sv.measure_qubits(state, [0], np.random.default_rng(seed))
             assert outcomes == [1]
 
     def test_born_frequencies(self):
         # RX(2*pi/3)|0>: p(0) = cos^2(pi/3) = 1/4
-        state = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 2 * math.pi / 3))
+        state = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, 2 * math.pi / 3))
         rng = np.random.default_rng(99)
         zeros = sum(
             sv.measure_qubits(state, [0], rng)[0][0] == 0 for _ in range(10_000)
@@ -349,7 +368,7 @@ class TestMeasurement:
         assert zeros / 10_000 == pytest.approx(0.25, abs=0.02)
 
     def test_post_state_collapsed(self, rng):
-        state = sv.apply_gate(oracle.zero_state(2), oracle.h(0))
+        state = sv.apply_gate(oracle.zero_state(2), *oracle.h(0))
         outcomes, post = sv.measure_qubits(state, [0], rng)
         # measuring the control of a superposition pins the bit
         assert sv.expectation(post, 0) == pytest.approx(1.0 - 2.0 * outcomes[0])
@@ -374,15 +393,15 @@ class TestMeasurement:
             oracle.collapse_qubits(oracle.zero_state(1), [0], [1])
 
     def test_measurement_reproducible(self):
-        state = sv.apply_gate(oracle.zero_state(2), oracle.h(0))
-        state = sv.apply_gate(state, oracle.h(1))
+        state = sv.apply_gate(oracle.zero_state(2), *oracle.h(0))
+        state = sv.apply_gate(state, *oracle.h(1))
         a = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         b = [sv.measure_qubits(state, [0, 1], np.random.default_rng(5))[0] for _ in range(20)]
         assert a == b
 
     def test_certain_bits_take_no_draw(self):
         # Basis states never reach the rng: every bit is certain.
-        for state in (oracle.zero_state(3), sv.apply_gate(oracle.zero_state(2), oracle.x(1))):
+        for state in (oracle.zero_state(3), sv.apply_gate(oracle.zero_state(2), *oracle.x(1))):
             rng = np.random.default_rng(8)
             before = rng.bit_generator.state
             sv.measure_qubits(state, list(range(state.num_qubits)), rng)

@@ -19,8 +19,8 @@ OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 def reference_register(message):
     """Sender's side gate by gate: message (x) Bell pair, CNOT(0 -> 1), H(0)."""
     reg = oracle.tensor_product(message, oracle.bell_pair())
-    reg = sv.apply_gate(reg, oracle.cnot(0, 1))
-    return sv.apply_gate(reg, oracle.h(0))
+    reg = sv.apply_gate(reg, *oracle.cnot(0, 1))
+    return sv.apply_gate(reg, *oracle.h(0))
 
 
 def reference_receiver(reg, outcome):
@@ -28,9 +28,9 @@ def reference_receiver(reg, outcome):
     m1, m2 = outcome
     _, reg = oracle.collapse_qubits(reg, [0, 1], [m1, m2])
     if m2:
-        reg = sv.apply_gate(reg, oracle.x(2))
+        reg = sv.apply_gate(reg, *oracle.x(2))
     if m1:
-        reg = sv.apply_gate(reg, oracle.z(2))
+        reg = sv.apply_gate(reg, *oracle.z(2))
     return reg.amplitudes.reshape(2, 2, 2)[m1, m2, :]
 
 
@@ -98,7 +98,7 @@ def float_bits(values):
 
 
 def oracle_messages(rng):
-    basis = [oracle.zero_state(1), sv.apply_gate(oracle.zero_state(1), oracle.x(0))]
+    basis = [oracle.zero_state(1), sv.apply_gate(oracle.zero_state(1), *oracle.x(0))]
     carriers = [qw.encode_weight(a) for a in (0.0, math.pi, -math.pi, 2.5)]
     return basis + carriers + [random_state(rng, 1) for _ in range(20)]
 
@@ -162,7 +162,7 @@ class TestTeleportState:
             assert record.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_frequencies_uniform(self, rng):
-        message = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 1.1))
+        message = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, 1.1))
         counts = {o: 0 for o in OUTCOMES}
         trials = 4000
         for _ in range(trials):
@@ -223,7 +223,7 @@ class TestTeleportState:
         assert amps[0] == amps[1]
 
     def test_deterministic_per_seed(self):
-        message = sv.apply_gate(oracle.zero_state(1), oracle.rx(0, 0.9))
+        message = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, 0.9))
         a = tp.teleport_state(message, rng=np.random.default_rng(17))
         b = tp.teleport_state(message, rng=np.random.default_rng(17))
         assert a.bell_outcome == b.bell_outcome

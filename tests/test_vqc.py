@@ -278,7 +278,7 @@ class TestBatchedPath:
             amps[b] = 1.0
             state = sv.StateVector(num_qubits, amps)
             for control, target in pairs:
-                state = sv.apply_gate(state, oracle.cnot(control, target))
+                state = sv.apply_gate(state, *oracle.cnot(control, target))
             assert np.flatnonzero(state.amplitudes) == [image[b]]
         if num_qubits == 1:
             assert list(image) == [0, 1]
@@ -368,7 +368,7 @@ class TestBatchedPath:
         for scale in (1, 10, 100, 1e3):
             angles = rng.uniform(-scale, scale, size=(2000, 3))
             got = vqc._layer_unitaries(angles[:, None, None, :])[:, 0]
-            want = np.array([sv._rot_matrix(*a) for a in angles])
+            want = np.array([oracle.rot_matrix(*a) for a in angles])
             assert np.abs(got - want).max() <= 2 * np.finfo(float).eps * (1 + scale)
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (2, 2, 3), (3, 2, 3), (1, 3, 3)])
