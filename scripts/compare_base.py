@@ -13,6 +13,7 @@ is a warning.
 """
 import difflib
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -23,13 +24,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def load_job():
+    """``perfbench/job.py``, loaded by path: it declares the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_job", ROOT / "perfbench" / "job.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # At 10 rounds; the last is the teleport-handoff benchmark workload's shape.
 RUNS = (
     "--model cfl --transport copy",
     "--model qfl-classical --transport copy",
     "--model qfl-quantum --transport copy",
     "--model qfl-quantum --transport teleport",
-    "--model qfl-quantum --transport teleport --clients 24 --local-epochs 1 --batch-size 64",
+    " ".join(load_job().WORKLOADS["teleport-handoff"]["flags"]),
 )
 COMPARISON = "qfedring --compare configs/*.cfg at 10 rounds"
 # Each on a one-round cfl run in an empty directory of its own.

@@ -70,6 +70,10 @@ MUTANTS = (
     Mutant("fidelity: message amplitudes not conjugated", "qfedring/teleport.py",
            "c0.conjugate() * zero + c1.conjugate() * one", "c0 * zero + c1 * one",
            ("tests/test_teleport.py::TestTeleportState::test_forced_branches_match_gate_by_gate",)),
+    # The Born kernel the channel's measurement on halves is held to.
+    Mutant("_born_measure: the other side kept", "qfedring/statevec.py",
+           "& 1 == outcome else 0j", "& 1 != outcome else 0j",
+           (REGISTER, "tests/test_statevec.py::TestMeasurement::test_kernel_matches_enumerated_oracle")),
     # The amplitude rule StateVector and _qubit share, and what each hands it.
     Mutant("amplitude rule: norm below 1 taken as normalized", "qfedring/statevec.py",
            "abs(norm - 1.0) > _NORM_TOL", "norm - 1.0 > _NORM_TOL",
@@ -154,6 +158,9 @@ MUTANTS = (
            "targets[start : start + batch_size]", "labels[start : start + batch_size]",
            ("tests/test_fedring.py::TestLocalTrain::"
             "test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
+    Mutant("_mlp_forward: b1 dropped", "qfedring/trainkit.py",
+           " + params[_B1:_W2])", ")",
+           ("tests/test_trainkit.py::TestMlp::test_batch_is_bit_equal_to_the_reference_in_any_layout",)),
     Mutant("mlp_batch_grads: one module-level gradient buffer reused", "qfedring/trainkit.py",
            "grad = np.empty(MLP_PARAMS)", 'grad = globals().setdefault("_GRAD", np.empty(MLP_PARAMS))',
            ("tests/test_trainkit.py::TestMlp::test_batch_grads_writes_a_fresh_gradient_each_call",)),
@@ -240,9 +247,12 @@ MUTANTS = (
     Mutant("encode_weight: a 1-D angle left to the amplitude test", "qfedring/qweights.py",
            "if a.ndim:", "if a.ndim > 1:",
            ("tests/test_qweights.py::TestReadout::test_encode_weight_refuses_a_non_scalar_angle",)),
-    # The gate-by-gate path's refusals of a bad gate.
+    # The gate-by-gate path's refusals of a bad gate or qubit.
     Mutant("apply_gate: the qubit check dropped", "qfedring/statevec.py",
            '    _check_targets(qubits, n, "gate")\n', "", (GATE_REFUSALS,)),
+    Mutant("_check_targets: a negative qubit passes", "qfedring/statevec.py",
+           "if not 0 <= q < num_qubits:", "if not q < num_qubits:",
+           ("tests/test_statevec.py::TestExpectation::test_observable_validation",)),
     Mutant("apply_gate: a gate on no qubit passes", "qfedring/statevec.py",
            "    if not k:\n", "    if False:\n", (GATE_REFUSALS,)),
     Mutant("apply_gate: the matrix shape test dropped", "qfedring/statevec.py",

@@ -317,7 +317,8 @@ def run_single(config: ExperimentConfig, dataset: Dataset):
     return model, metrics, time.perf_counter() - start
 
 
-def _print_summary(config: ExperimentConfig, dataset: Dataset, metrics, elapsed: float) -> None:
+def _print_summary(config: ExperimentConfig, dataset: Dataset, checksum: str, metrics,
+                   elapsed: float) -> None:
     accs = [m.test_accuracy for m in metrics]
     print(
         f"model={config.model} transport={config.transport} seed={config.seed} "
@@ -325,7 +326,7 @@ def _print_summary(config: ExperimentConfig, dataset: Dataset, metrics, elapsed:
     )
     print(
         f"dataset: train={dataset.train_labels.size} test={dataset.test_labels.size} "
-        f"clamped={dataset.num_clamped} checksum={datagen.dataset_checksum(dataset)[:16]}"
+        f"clamped={dataset.num_clamped} checksum={checksum[:16]}"
     )
     print(f"final_test_accuracy={_format(accs[-1])}")
     print(f"convergence_round={convergence_round(accs)}")
@@ -342,7 +343,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         print(f"wrote {config.dump_dataset}")
     _, metrics, elapsed = run_single(config, dataset)
     write_metrics_csv(config.out, metrics)
-    _print_summary(config, dataset, metrics, elapsed)
+    _print_summary(config, dataset, datagen.dataset_checksum(dataset), metrics, elapsed)
     print(f"wrote {config.out}")
     return 0
 
@@ -366,7 +367,7 @@ def compare(request: CompareRequest) -> int:
         _, metrics, elapsed = run_single(config, dataset)
         prefix = f"{config.model},{config.transport}"
         lines.extend(f"{prefix},{_csv_row(m)},{checksum}" for m in metrics)
-        _print_summary(config, dataset, metrics, elapsed)
+        _print_summary(config, dataset, checksum, metrics, elapsed)
     with open(request.out, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {request.out}")

@@ -25,15 +25,15 @@ cost, and one sampled outcome rule, ``_sample``, which ``measure_qubits``
 hands the kernel as its pick on an rng that ``datagen.check_generator``
 passed.  The teleport channel measures on its register's halves instead,
 calling ``_sample`` (or ``_forcing_rule``'s pick) itself, and its tests
-replay ``_born_measure`` as the reference, so no run calls it or
-``_bit_sides``.
+replay ``_born_measure`` as the reference, so no run calls it.  It reads
+each basis index's bit with the shift ``_z_signs`` and ``_cnot_image`` use.
 
 A run calls none of the gate-by-gate names: ``apply_gate``, which applies
 any dense matrix to the qubits it names, ``expectation`` and
-``measure_qubits``, with their qubit checks ``_check_qubit`` and
-``_check_targets``.  They stay here only because the benchmark tracer
-(``perfbench/spans.py``) wraps the first three by module attribute; the
-tests drive ``apply_gate`` with the gate matrices ``tests/oracle.py`` builds.
+``measure_qubits``, with their one qubit check ``_check_targets``.  They
+stay here only because the benchmark tracer (``perfbench/spans.py``) wraps
+the first three by module attribute; the tests drive ``apply_gate`` with the
+gate matrices ``tests/oracle.py`` builds.
 """
 from __future__ import annotations
 
@@ -119,11 +119,6 @@ def _qubit(c0: complex, c1: complex) -> StateVector:
     return state
 
 
-def _check_qubit(index: int, num_qubits: int, role: str) -> None:
-    if not 0 <= index < num_qubits:
-        raise ValueError(f"{role} qubit {index} out of range for {num_qubits}-qubit state")
-
-
 def apply_gate(state: StateVector, matrix, *qubits: int) -> StateVector:
     """Return U|state> for a dense (2**k, 2**k) matrix U on k distinct qubits,
     the first of them the high bit of U's index; the input is left untouched."""
@@ -174,17 +169,9 @@ def _cnot_image(num_qubits: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarr
 
 def expectation(state: StateVector, target: int) -> float:
     """<state| Z_target |state>, computed exactly from the amplitudes."""
-    _check_qubit(target, state.num_qubits, "observable target")
+    _check_targets((target,), state.num_qubits, "observable target")
     a = state.amplitudes
     return float(_z_signs(state.num_qubits)[target] @ (a.real**2 + a.imag**2))
-
-
-@lru_cache(maxsize=128)
-def _bit_sides(num_qubits: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Basis indices whose ``target`` bit is 0, then those whose bit is 1, ascending."""
-    mask = 1 << (num_qubits - 1 - target)
-    indices = range(2**num_qubits)
-    return tuple(j for j in indices if not j & mask), tuple(j for j in indices if j & mask)
 
 
 def _sample(rng: np.random.Generator, p1: float) -> tuple[int, float]:
@@ -236,17 +223,14 @@ def _born_measure(amps: list, num_qubits: int, targets, pick) -> tuple[list[int]
     outcomes: list[int] = []
     joint = 1.0
     for q in targets:
-        sides = _bit_sides(num_qubits, q)
+        shift = num_qubits - 1 - q
         p1 = 0.0
-        for j in sides[1]:
-            a = amps[j]
-            p1 += a.real * a.real + a.imag * a.imag
+        for j, a in enumerate(amps):
+            if (j >> shift) & 1:
+                p1 += a.real * a.real + a.imag * a.imag
         outcome, p = pick(q, p1)
         scale = 1.0 / math.sqrt(p)
-        kept = [0j] * len(amps)
-        for j in sides[outcome]:
-            kept[j] = amps[j] * scale
-        amps = kept
+        amps = [a * scale if (j >> shift) & 1 == outcome else 0j for j, a in enumerate(amps)]
         outcomes.append(outcome)
         joint *= p
     return outcomes, joint, amps
@@ -256,7 +240,8 @@ def _check_targets(targets, num_qubits: int, role: str) -> None:
     if len(set(targets)) != len(targets):
         raise ValueError(f"{role} targets must be distinct, got {targets}")
     for q in targets:
-        _check_qubit(q, num_qubits, role)
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"{role} qubit {q} out of range for {num_qubits}-qubit state")
 
 
 def measure_qubits(

@@ -47,7 +47,7 @@ from .statevec import apply_gate, measure_qubits  # noqa: F401  (wrapped by perf
 class TransferError(RuntimeError):
     """A weight could not be moved; ``weight_index`` names the (layer, qubit, k) slot."""
 
-    def __init__(self, message: str, weight_index: tuple[int, int, int] | None = None):
+    def __init__(self, message: str, weight_index: tuple[int, int, int]):
         super().__init__(message)
         self.weight_index = weight_index
 

@@ -9,9 +9,10 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path; its one field
-is ``params``, and ``w1``, ``b1``, ``w2`` and ``b2`` are properties slicing it.
-``mlp_batch_grads`` slices the four from one read of ``params`` and writes the
-gradient's four blocks in place into one new array laid out the same way.
+is ``params``.  ``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one
+forward pass, ``_mlp_forward``, which slices w1, b1, w2 and b2 from one read
+of ``params``; ``mlp_batch_grads`` writes the gradient's four blocks in place
+into one new array laid out the same way.
 Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
 ``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
@@ -100,7 +101,7 @@ class ClassicalMlp:
     """2 -> 4 -> 2 network with tanh hidden units (22 parameters).
 
     ``params`` is one read-only vector, the only field: w1 (2, 4) row-major,
-    b1, w2 (4, 2) row-major, b2.  The four are properties: read-only views of it.
+    b1, w2 (4, 2) row-major, b2.
     """
 
     params: np.ndarray
@@ -112,14 +113,8 @@ class ClassicalMlp:
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
 
-    w1 = property(lambda self: self.params[:_B1].reshape(2, MLP_HIDDEN))
-    b1 = property(lambda self: self.params[_B1:_W2])
-    w2 = property(lambda self: self.params[_W2:_B2].reshape(MLP_HIDDEN, 2))
-    b2 = property(lambda self: self.params[_B2:])
-
     def logits(self, features) -> np.ndarray:
-        hid = np.tanh(np.dot(check_batch(features, 2), self.w1) + self.b1)  # see mlp_batch_grads
-        return np.dot(hid, self.w2) + self.b2
+        return _mlp_forward(self.params, check_batch(features, 2))[2]
 
     def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
         return mlp_batch_grads(self, features, loss)
@@ -152,17 +147,24 @@ def init_mlp(rng: np.random.Generator) -> ClassicalMlp:
     return ClassicalMlp(np.concatenate([w1, np.zeros(MLP_HIDDEN), w2, np.zeros(2)], axis=None))
 
 
+def _mlp_forward(params: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(hidden activations, w2, logits)`` of checked features, slicing the
+    four blocks from one read of ``params``."""
+    # np.dot, not @ (here and in mlp_batch_grads): @ pays gufunc dispatch on
+    # each of these tiny 2-D products, and dot matches it bit for bit only on the
+    # C-ordered features and upstream that check_batch and call_loss guarantee.
+    w2 = params[_W2:_B2].reshape(MLP_HIDDEN, 2)  # one view for both products
+    hid = np.tanh(np.dot(feats, params[:_B1].reshape(2, MLP_HIDDEN)) + params[_B1:_W2])
+    return hid, w2, np.dot(hid, w2) + params[_B2:]
+
+
 def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np.ndarray]:
     """One SGD step's pass: ``(losses, batch-summed gradient)``, the gradient a
     new array laid out like ``params``.  ``loss(logits) -> (losses, dlogits)``,
     as for ``vqc.gradient_batch``."""
-    # np.dot, not @ (here and in ClassicalMlp.logits): @ pays gufunc dispatch on
-    # each of these tiny 2-D products, and dot matches it bit for bit only on the
-    # C-ordered features and upstream that check_batch and call_loss guarantee.
-    feats, p = check_batch(features, 2), model.params
-    w2 = p[_W2:_B2].reshape(MLP_HIDDEN, 2)  # one view for both products
-    hid = np.tanh(np.dot(feats, p[:_B1].reshape(2, MLP_HIDDEN)) + p[_B1:_W2])
-    losses, dlogits = call_loss(loss, np.dot(hid, w2) + p[_B2:])
+    feats = check_batch(features, 2)
+    hid, w2, logits = _mlp_forward(model.params, feats)
+    losses, dlogits = call_loss(loss, logits)
     dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)
     grad = np.empty(MLP_PARAMS)  # each block written once, in place
     np.dot(feats.T, dpre, out=grad[:_B1].reshape(2, MLP_HIDDEN))

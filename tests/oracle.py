@@ -14,7 +14,9 @@ one walks the computation the plain way, one gate or one sample at a time:
   circuit one sample and one shifted parameter at a time;
 - trainkit: ``loss_and_grad`` and ``mlp_forward_backward``, one sample,
   ``batch_loss_reference``, the batched loss in its first form, and
-  ``mlp_batch_reference``, the batched MLP pass on ``@`` products;
+  ``mlp_batch_reference``, the batched MLP pass on ``@`` products, both MLP
+  references on the arrays ``mlp_arrays`` splits from a flat vector at the
+  literal offsets of its documented layout;
 - teleport: ``bell_pair``, H then CNOT on |00>;
 - datagen: ``check_labels_reference``, the label rule with the integer test
   as first written (``np.right_shift(y, 1).any()``);
@@ -43,7 +45,7 @@ from qfedring.statevec import (
     apply_gate,
     expectation,
 )
-from qfedring.trainkit import _LOGIT_BOUND, LOGIT_SCALE, ClassicalMlp
+from qfedring.trainkit import _LOGIT_BOUND, LOGIT_SCALE
 from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT, VqcModel, entangler_pairs
 
 # ---------------------------------------------------------------------------
@@ -245,33 +247,42 @@ def batch_loss_reference(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     return losses, dlogits
 
 
-def mlp_forward_backward(model: ClassicalMlp, features, label: int) -> tuple[float, np.ndarray]:
+def mlp_arrays(params) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(w1, b1, w2, b2)`` of a flat (22,) MLP vector laid out w1 (2, 4)
+    row-major, b1, w2 (4, 2) row-major, b2."""
+    w1, b1, w2, b2 = np.split(np.asarray(params, dtype=float), [8, 12, 20])
+    return w1.reshape(2, 4), b1, w2.reshape(4, 2), b2
+
+
+def mlp_forward_backward(params, features, label: int) -> tuple[float, np.ndarray]:
     """Loss and exact gradient for one sample, laid out like ``params``."""
     feats = np.asarray(features, dtype=float)
     if feats.shape != (2,):
         raise ValueError(f"expected 2 features, got shape {feats.shape}")
-    pre = feats @ model.w1 + model.b1
+    w1, b1, w2, b2 = mlp_arrays(params)
+    pre = feats @ w1 + b1
     hid = np.tanh(pre)
-    logits = hid @ model.w2 + model.b2
+    logits = hid @ w2 + b2
     loss, dlogits = loss_and_grad(logits, label)
-    dhid = model.w2 @ dlogits
+    dhid = w2 @ dlogits
     dpre = dhid * (1.0 - hid**2)
     return loss, np.concatenate(
         [np.outer(feats, dpre), dpre, np.outer(hid, dlogits), dlogits], axis=None
     )
 
 
-def mlp_batch_reference(model: ClassicalMlp, features, loss):
+def mlp_batch_reference(params, features, loss):
     """``(logits, losses, batch-summed gradient)`` for a feature batch, the
     bodies of ``ClassicalMlp.logits`` and ``trainkit.mlp_batch_grads`` as they
     were on ``@`` products.  ``loss(logits) -> (losses, dlogits)``.  The
     package must match it bit for bit on C-ordered copies of any input."""
     feats = np.asarray(features, dtype=float)
-    hid = np.tanh(feats @ model.w1 + model.b1)
-    logits = hid @ model.w2 + model.b2
+    w1, b1, w2, b2 = mlp_arrays(params)
+    hid = np.tanh(feats @ w1 + b1)
+    logits = hid @ w2 + b2
     losses, upstream = loss(logits)
     dlogits = np.asarray(upstream, dtype=float)
-    dpre = (dlogits @ model.w2.T) * (1.0 - hid**2)
+    dpre = (dlogits @ w2.T) * (1.0 - hid**2)
     return logits, losses, np.concatenate(
         [feats.T @ dpre, dpre.sum(axis=0), hid.T @ dlogits, dlogits.sum(axis=0)], axis=None
     )

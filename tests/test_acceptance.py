@@ -4,8 +4,10 @@ shift-rule derivatives, teleportation fidelity, simulator conservation,
 degenerate-ring and transport equivalences, the hub-spoke oracle, end-to-end
 learning quality, and byte-level determinism."""
 import hashlib
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,10 +88,10 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
         # (c) classical MLP baseline
         mlp = tk.init_mlp(rng)
         feats = rng.normal(size=2)
-        _, grad = oracle.mlp_forward_backward(mlp, feats, label)
+        _, grad = oracle.mlp_forward_backward(mlp.params, feats, label)
 
         def mlp_loss(params, _f=feats, _label=label):
-            return oracle.mlp_forward_backward(tk.ClassicalMlp(params), _f, _label)[0]
+            return oracle.mlp_forward_backward(params, _f, _label)[0]
 
         check(mlp_loss, grad, mlp.params)
 
@@ -237,15 +239,10 @@ def test_criterion_5_one_client_ring_equals_centralized(capsys):
             epochs=10,
             batch_size=32,
         )
-        if isinstance(init, vqc.VqcModel):
-            same = np.array_equal(ring_model.params, central_model.params)
-        elif isinstance(init, qw.QuantumWeightStore):
+        if isinstance(init, qw.QuantumWeightStore):
             same = np.array_equal(ring_model.angles, central_model.angles)
-        else:
-            same = all(
-                np.array_equal(getattr(ring_model, f), getattr(central_model, f))
-                for f in ("w1", "b1", "w2", "b2")
-            )
+        else:  # a circuit or the MLP: one params array
+            same = np.array_equal(ring_model.params, central_model.params)
         if not same:
             mismatches.append(name)
     ok = not mismatches
@@ -334,13 +331,21 @@ DEFAULT_CSV_SHA256 = {
     "qfl-quantum": "b6e62a777be3054f356820ba838bae2545061e61d4ced9da5efa5ac053a52707",
 }
 
+JOB = Path(__file__).resolve().parents[1] / "perfbench" / "job.py"
+
+
+def load_job():
+    spec = importlib.util.spec_from_file_location("perfbench_job", JOB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # sha256 of the metrics CSV of the teleport-handoff benchmark workload's shape
 # (24 clients, 1 local epoch, batch 64) at 5 rounds; the copy transport writes
 # the same bytes.  A commit that changes it must update the pin in the same commit.
-HANDOFF_FLAGS = (
-    "--model", "qfl-quantum", "--clients", "24", "--local-epochs", "1", "--batch-size", "64",
-    "--rounds", "5",
-)
+# The flags are the benchmark's own; a later --transport or --rounds wins.
+HANDOFF_FLAGS = (*load_job().WORKLOADS["teleport-handoff"]["flags"], "--rounds", "5")
 HANDOFF_CSV_SHA256 = "c71aa3246a0312a439a41c7e7b82fb195149da7318ce5c61098cc26d7df74300"
 
 

@@ -714,6 +714,22 @@ class TestCompare:
         checksums = {line.split(",")[-1] for line in lines[1:]}
         assert len(checksums) == 1 and len(checksums.pop()) == 64
 
+    def test_dataset_checksum_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        # The CSV column and every run's summary share one checksum of the data.
+        calls = []
+        checksum = dg.dataset_checksum
+        monkeypatch.setattr(dg, "dataset_checksum", lambda ds: calls.append(ds) or checksum(ds))
+        paths = [tmp_path / name for name in ("cfl.cfg", "qfl-classical.cfg")]
+        for path in paths:
+            path.write_text((CONFIGS / path.name).read_text() + "rounds = 1\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["--compare", *map(str, paths), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        (column,) = {line.split(",")[-1] for line in out.read_text().splitlines()[1:]}
+        printed = re.findall(r"checksum=([0-9a-f]+)", capsys.readouterr().out)
+        assert len(printed) == len(paths)
+        assert all(column.startswith(prefix) for prefix in printed)
+
     def test_committed_configs_are_the_three_variants(self):
         configs = {path.name: cli.config_from_file(str(path)) for path in CONFIGS.iterdir()}
         assert configs == {

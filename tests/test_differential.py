@@ -14,7 +14,6 @@ every row gate by gate), with explicit examples for batch size 1, a short
 last batch, three layers, four clients and the teleport transport.
 """
 import math
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -36,17 +35,8 @@ def _z_all(angles: np.ndarray) -> np.ndarray:
     return np.array([oracle.rx_z(a) for a in angles.reshape(-1)]).reshape(angles.shape)
 
 
-def _mlp_arrays(flat: np.ndarray) -> SimpleNamespace:
-    """The MLP arrays of a flat (22,) vector laid out w1 row-major, b1, w2
-    row-major, b2: the fields ``mlp_forward_backward`` reads."""
-    w1, b1, w2, b2 = np.split(flat, [8, 12, 20])
-    return SimpleNamespace(w1=w1.reshape(2, 4), b1=b1, w2=w2.reshape(4, 2), b2=b2)
-
-
 def _held(kind: str, model) -> np.ndarray:
     """The values a model holds and SGD moves, as one array."""
-    if kind == "mlp":
-        return np.concatenate([model.w1, model.b1, model.w2, model.b2], axis=None)
     return model.angles if kind == "store" else model.params
 
 
@@ -56,8 +46,8 @@ def _circuit_params(kind: str, held: np.ndarray, gamma: float) -> np.ndarray:
 
 def _oracle_logits(kind: str, held: np.ndarray, gamma: float, x: np.ndarray) -> np.ndarray:
     if kind == "mlp":
-        m = _mlp_arrays(held)
-        return np.tanh(x @ m.w1 + m.b1) @ m.w2 + m.b2
+        w1, b1, w2, b2 = oracle.mlp_arrays(held)
+        return np.tanh(x @ w1 + b1) @ w2 + b2
     return oracle.forward(vqc.VqcModel(_circuit_params(kind, held, gamma)), x)
 
 
@@ -67,7 +57,7 @@ def _oracle_step(kind, held, gamma, feats, labels, opt):
     circuit = None if kind == "mlp" else vqc.VqcModel(_circuit_params(kind, held, gamma))
     for x, y in zip(feats, labels):
         if kind == "mlp":
-            loss, grad = oracle.mlp_forward_backward(_mlp_arrays(held), x, int(y))
+            loss, grad = oracle.mlp_forward_backward(held, x, int(y))
             grad = np.concatenate(grad, axis=None)
         else:
             loss, upstream = oracle.loss_and_grad(oracle.forward(circuit, x), int(y))

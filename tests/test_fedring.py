@@ -1,5 +1,7 @@
 """Federated orchestration checks: partitioning, a hand-computed SGD step,
 ring hand-offs, hub-spoke averaging, and centralized equivalence."""
+import copy
+import dataclasses
 import math
 import re
 
@@ -604,9 +606,8 @@ class TestAveraging:
         models = [tk.init_mlp(np.random.default_rng(s)) for s in range(3)]
         avg = fr.average_models(models)
         assert isinstance(avg, tk.ClassicalMlp)
-        for name in ("params", "w1", "b1", "w2", "b2"):
-            want = np.mean([getattr(m, name) for m in models], axis=0)
-            assert_allclose(getattr(avg, name), want, atol=1e-15)
+        want = np.mean([m.params for m in models], axis=0)
+        assert_allclose(avg.params, want, atol=1e-15)
 
     def test_average_models_validation(self, rng):
         with pytest.raises(ValueError, match="nothing"):
@@ -704,9 +705,16 @@ class TestSeed7Probe:
     the model handed round the ring is good for most of each round: the last
     client's step sends it back to one class, and the metrics evaluate only
     that model, as the protocol does.  This replays the rounds, evaluating
-    after every client, until the run itself can report per-hand-off accuracy."""
+    after every client, until the run itself can report per-hand-off accuracy.
 
-    def test_round_end_accuracy_hides_a_good_model_mid_round(self):
+    A store step moves the circuit about gamma^2 sin^2(a) times as far as a
+    circuit step at the same rate (``qweights``).  The replay also repeats
+    each round's last step on a twin of that client, with a copy of its rng
+    (so the same batch) and the rate divided by the median of that factor
+    over the store's angles before the step."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
         config = cli.ExperimentConfig(
             model="qfl-quantum", clients=24, rounds=25, local_epochs=1, batch_size=64, seed=7
         )
@@ -721,17 +729,40 @@ class TestSeed7Probe:
             client_seed=7,
             learning_rate=0.02,
         )
-        per_client = []
+        per_client, matched = [], []
         for _ in range(config.rounds):
             accuracies = []
             for sender, client in enumerate(clients):
+                if sender == config.clients - 1:
+                    store = client.model
+                    factor = np.median(store.gamma**2 * np.sin(store.angles) ** 2)
+                    twin = dataclasses.replace(
+                        client,
+                        rng=copy.deepcopy(client.rng),
+                        optimizer=tk.SgdOptimizer(config.learning_rate / float(factor)),
+                    )
+                    fr.local_train(twin, config.local_epochs, config.batch_size)
+                    matched.append(
+                        tk.evaluate(twin.model, dataset.test_features, dataset.test_labels)
+                    )
                 fr.local_train(client, config.local_epochs, config.batch_size)
                 clients[(sender + 1) % config.clients].model = client.model
                 accuracies.append(
                     tk.evaluate(client.model, dataset.test_features, dataset.test_labels)
                 )
             per_client.append(accuracies)
+        return metrics, per_client, matched
+
+    def test_round_end_accuracy_hides_a_good_model_mid_round(self, replay):
+        metrics, per_client, _ = replay
         # The replay is faithful: its round ends are the run's own metrics.
         assert [acc[-1] for acc in per_client] == [m.test_accuracy for m in metrics]
         for accuracies in per_client[1:]:
             assert max(accuracies) >= 0.95 and accuracies[-1] <= 0.6
+
+    def test_a_matched_rate_last_step_improves_the_model(self, replay):
+        # The model the last client receives is the one its predecessor was
+        # evaluated on; the matched-rate step leaves it better in every round.
+        _, per_client, matched = replay
+        before = [accuracies[-2] for accuracies in per_client]
+        assert all(m > b for m, b in zip(matched, before, strict=True))

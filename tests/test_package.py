@@ -32,7 +32,6 @@ NOT_RUN = {
     "teleport.TransferError.__init__",
     # Bound by perfbench/spans.py by module attribute.
     "qweights.encode_weight",
-    "statevec._check_qubit",
     "statevec.apply_gate",
     "statevec.expectation",
     "statevec.measure_qubits",
@@ -40,7 +39,6 @@ NOT_RUN = {
     # The Born-rule kernel behind measure_qubits, which the teleport tests
     # replay as the reference for teleport_state's measurement on halves.
     "statevec._born_measure",
-    "statevec._bit_sides",
     # The numpy form the channel's scalar one is tested against: runs build
     # their one-qubit states with statevec._qubit.
     "statevec.StateVector.__post_init__",

@@ -211,30 +211,28 @@ def mlp_from(w1, b1, w2, b2):
 
 class TestMlp:
     def test_parameter_count(self, rng):
-        mlp = tk.init_mlp(rng)
-        assert sum(getattr(mlp, name).size for name in ("w1", "b1", "w2", "b2")) == 22
+        assert tk.init_mlp(rng).params.shape == (22,) == (tk.MLP_PARAMS,)
 
     def test_flat_layout(self):
-        # w1 row-major, then b1, then w2 row-major, then b2; all read-only views.
-        mlp = tk.ClassicalMlp(np.arange(22.0))
-        assert np.array_equal(mlp.w1, np.arange(8.0).reshape(2, 4))
-        assert np.array_equal(mlp.b1, np.arange(8.0, 12.0))
-        assert np.array_equal(mlp.w2, np.arange(12.0, 20.0).reshape(4, 2))
-        assert np.array_equal(mlp.b2, [20.0, 21.0])
-        for arr in (mlp.params, mlp.w1, mlp.b1, mlp.w2, mlp.b2):
-            assert not arr.flags.writeable
-            assert np.shares_memory(arr, mlp.params)
+        # w1 (2, 4) row-major, then b1, then w2 (4, 2) row-major, then b2,
+        # written out by hand here: each block moves the logits as its role says.
+        params = np.arange(22.0) / 40.0
+        x = np.array([[0.3, -1.1], [2.0, 0.5]])
+        w1, b1 = params[:8].reshape(2, 4), params[8:12]
+        w2, b2 = params[12:20].reshape(4, 2), params[20:]
+        want = np.tanh(x @ w1 + b1) @ w2 + b2
+        assert_allclose(tk.ClassicalMlp(params).logits(x), want, atol=1e-15)
 
     def test_params_is_the_only_field(self):
-        # w1, b1, w2 and b2 are properties that slice params: nothing else is stored.
+        # params is stored once, read-only; no view of a block is kept beside it.
         assert [f.name for f in dataclasses.fields(tk.ClassicalMlp)] == ["params"]
         mlp = tk.ClassicalMlp(np.arange(22.0))
         for name in ("w1", "b1", "w2", "b2"):
-            assert isinstance(getattr(tk.ClassicalMlp, name), property)
-            with pytest.raises(AttributeError):  # the frozen dataclass refuses assignment
-                setattr(mlp, name, np.zeros(2))
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(mlp, name)[0] = 1.0
+            assert not hasattr(mlp, name)
+        with pytest.raises(AttributeError):  # the frozen dataclass refuses assignment
+            mlp.params = np.zeros(22)
+        with pytest.raises(ValueError, match="read-only"):
+            mlp.params[0] = 1.0
         assert np.array_equal(mlp.params, np.arange(22.0))
 
     def test_init_draws_weights_in_order(self):
@@ -261,15 +259,15 @@ class TestMlp:
         model = tk.init_mlp(rng)
         feats = rng.normal(size=2)
         label = 1
-        _, grad = oracle.mlp_forward_backward(model, feats, label)
+        _, grad = oracle.mlp_forward_backward(model.params, feats, label)
         assert grad.shape == (22,)
         eps = 1e-6
         for i in range(22):
             params = np.array(model.params)
             params[i] += eps
-            up, _ = oracle.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            up, _ = oracle.mlp_forward_backward(params, feats, label)
             params[i] -= 2 * eps
-            down, _ = oracle.mlp_forward_backward(tk.ClassicalMlp(params), feats, label)
+            down, _ = oracle.mlp_forward_backward(params, feats, label)
             assert grad[i] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
 
     def test_batch_grads_are_means_of_singles(self, rng):
@@ -277,7 +275,9 @@ class TestMlp:
         feats = rng.normal(size=(6, 2))
         labels = rng.integers(0, 2, size=6)
         losses, grad = model.loss_grad(feats, lambda lg: tk.batch_loss_and_grad(lg, labels))
-        singles = [oracle.mlp_forward_backward(model, feats[i], int(labels[i])) for i in range(6)]
+        singles = [
+            oracle.mlp_forward_backward(model.params, feats[i], int(labels[i])) for i in range(6)
+        ]
         assert_allclose(losses, [s[0] for s in singles], atol=1e-12)
         # loss_grad returns the batch sum; a step applies the mean.
         assert_allclose(grad / 6, np.mean([s[1] for s in singles], axis=0), atol=1e-12)
@@ -315,7 +315,7 @@ class TestMlp:
 
             x = lay_feats(feats)
             got = (model.logits(x), *tk.mlp_batch_grads(model, x, laid_out_loss))
-            want = oracle.mlp_batch_reference(model, feats, loss)
+            want = oracle.mlp_batch_reference(model.params, feats, loss)
             as_bytes = [[(a.dtype, a.shape, a.tobytes()) for a in r] for r in (got, want)]
             if as_bytes[0] != as_bytes[1]:
                 differ.append(rows)
@@ -355,7 +355,8 @@ class TestMlp:
             rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=2)
         )
         perm = np.array([2, 0, 3, 1])
-        permuted = mlp_from(model.w1[:, perm], model.b1[perm], model.w2[perm, :], model.b2)
+        w1, b1, w2, b2 = oracle.mlp_arrays(model.params)
+        permuted = mlp_from(w1[:, perm], b1[perm], w2[perm, :], b2)
         batch = rng.normal(size=(8, 2))
         assert_allclose(permuted.logits(batch), model.logits(batch), atol=1e-12)
 
@@ -368,8 +369,9 @@ class TestModelDispatch:
         mlp, circuit = tk.init_mlp(rng), vqc.init_model(rng, 2)
         store = qw.init_store(rng, 2, math.pi)
         stored_circuit = vqc.VqcModel(qw.materialize(store))
+        w1, b1, w2, b2 = oracle.mlp_arrays(mlp.params)
         for model, reference in [
-            (mlp, lambda x: np.tanh(x @ mlp.w1 + mlp.b1) @ mlp.w2 + mlp.b2),
+            (mlp, lambda x: np.tanh(x @ w1 + b1) @ w2 + b2),
             (circuit, lambda x: oracle.forward(circuit, x)),
             (store, lambda x: oracle.forward(stored_circuit, x)),
         ]:
