@@ -1,22 +1,33 @@
 #!/usr/bin/env python3
 """Set this checkout (the head) beside a base commit, fact by fact.
 
-    python scripts/compare_base.py REF
+    python scripts/compare_base.py REF [--pairs N] [--seconds S]
 
 Extracts REF with ``git archive``.  Each fact comes from its side's own code,
 but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
 its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV.  Prints
 the facts side by side, with a ``::warning::`` line for each that differs.
-Exits 1, naming the side and the command, if a fingerprint, comparison or
-``--help`` run fails, and 2 if git cannot archive REF; any other failed run
-is a warning.
+Then it runs N pairs (2 unless given) of S-second (5 unless given)
+``perfbench/run.py --trace 0`` jobs per workload, the base first in odd pairs
+and the head first in even ones.  For each end-to-end metric of
+``BENCHMARK.json`` it prints each side's median and IQR, the head/base ratio,
+how many pairs the head won, and one verdict line: a gain holds when the head
+wins at least nine tenths of the pairs (9 of 10) and its median gain exceeds
+the base's IQR.  A metric whose IQR is wider than its bound is unresolved,
+unless every head run beats every base run; one whose median is worse by more
+than its bound warns.  Exits 1, naming the side and the command, if a
+fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments or
+if git cannot archive REF; any other failed run is a warning.
 """
+import argparse
 import difflib
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,7 +60,9 @@ BAD_FLAGS = (
     '--out ""', '--dump-dataset ""', '--config ""',
 )
 WORKLOADS = ("mlp-ring", "vqc-ring", "teleport-handoff")
-BENCH_METRICS = ("samples_per_s", "round_ms.p50")
+# The benchmark's end-to-end metrics, each with its "better" direction and bound.
+SPEC = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+BENCH_METRICS = tuple(SPEC)
 # A new heavy import (numpy.ma once cost every run about 15 ms and 1 MB) shows
 # as a module that only the head's one-round teleport run loads.
 MODULES = """
@@ -86,6 +99,42 @@ TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
           **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
           "evaluate timer, store": "trainkit.evaluate(store, rows, labels)",
           "local_train epoch timer, mlp": "fedring.local_train(client, 1, config.batch_size)"}
+# A check-free floor: the MLP step's arithmetic on raw arrays, with no check and
+# no ClassicalMlp, giving the step's new params bit for bit.  The step and its
+# floor are timed in one process (``PAIRED``), so step / floor does not move
+# with the host's speed; it bounds what a change that keeps the checks can win.
+FLOOR_SETUP = (
+    "scale, offsets = trainkit.LOGIT_SCALE, np.arange(0, 2 * labels.size, 2)",
+    "def floor(params):\n"
+    "    w2 = params[12:20].reshape(4, 2)\n"
+    "    hid = np.tanh(np.dot(rows, params[:8].reshape(2, 4)) + params[8:12])\n"
+    "    scaled = scale * (np.dot(hid, w2) + params[20:])\n"
+    "    shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])\n"
+    "    exps = np.exp(shifted)\n"
+    "    totals = exps[:, 0] + exps[:, 1]\n"
+    "    flat = labels + offsets\n"
+    "    losses = np.log(totals) - shifted.take(flat)\n"
+    "    dlogits = np.multiply(exps, scale / totals[:, None], out=exps)\n"
+    "    dlogits.reshape(-1)[flat] -= scale\n"
+    "    dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)\n"
+    "    grad = np.empty(22)\n"
+    "    np.dot(rows.T, dpre, out=grad[:8].reshape(2, 4))\n"
+    "    np.add.reduce(dpre, axis=0, out=grad[8:12])\n"
+    "    np.dot(hid.T, dlogits, out=grad[12:20].reshape(4, 2))\n"
+    "    np.add.reduce(dlogits, axis=0, out=grad[20:])\n"
+    "    return losses, params - opt.learning_rate * (grad / labels.size)",
+)
+FLOORS = {"SGD step timer, mlp": "floor(mlp.params)"}
+# Times a statement and its floor in one process: 7 alternating rounds of 200
+# loops each; prints the best per-loop seconds of each as a JSON pair.
+PAIRED = """
+import json, sys, timeit
+scope = {}
+exec(sys.argv[1], scope)
+step, floor = (timeit.Timer(stmt, globals=scope) for stmt in sys.argv[2:])
+rounds = [(step.timeit(200), floor.timeit(200)) for _ in range(7)]
+print(json.dumps([min(times) / 200 for times in zip(*rounds)]))
+"""
 
 
 def run(tree: Path, cwd, *args: str, check=True, **env) -> subprocess.CompletedProcess:
@@ -108,7 +157,7 @@ def facts(tree) -> dict:
     fingerprint, comparison or ``--help`` run raises CalledProcessError."""
     tree = Path(tree).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        work, got = Path(tmp), {"runs": {}, "refusals": {}, "timers": {}}
+        work, got = Path(tmp), {"runs": {}, "refusals": {}, "timers": {}, "floors": {}}
         for flags in RUNS:
             args = (ROOT / "scripts" / "fingerprint.py", *shlex.split(flags), "--rounds", "10")
             bits, csv = run(tree, work, *map(str, args)).stdout.split()[:2]
@@ -132,21 +181,74 @@ def facts(tree) -> dict:
         got["kernel"] = next((line for line in numpy if "Core:" in line), None)
         timeit = ("-m", "timeit", "-n", "200", "-r", "7", *(f"-s{line}" for line in TIMER_SETUP))
         for name, stmt in TIMERS.items():
+            if name in FLOORS:
+                setup = "\n".join((*TIMER_SETUP, *FLOOR_SETUP))
+                paired = or_none(lambda: json.loads(
+                    run(tree, work, "-c", PAIRED, setup, stmt, FLOORS[name]).stdout))
+                got["floors"][name] = paired
+                got["timers"][name] = paired and f"{paired[0] * 1e6:.3g} usec"
+                continue
             timed = or_none(run, tree, work, *timeit, stmt)
             got["timers"][name] = timed and timed.stdout.split(" per loop")[0].split(": ")[-1]
         return got
 
 
-def bench(tree: Path, workload: str) -> dict:
-    """``BENCH_METRICS`` of one 5 s ``perfbench/run.py`` run of ``tree``.  The
-    run exits 0 even when a job's CSV differs from the CLI's, so a run that
-    reports itself incorrect or failed raises ValueError."""
-    args = ("--workload", workload, "--seconds", "5", "--trace", "0")
+def bench(tree: Path, workload: str, seconds: int) -> dict:
+    """``BENCH_METRICS`` of one ``seconds``-long ``perfbench/run.py`` run of
+    ``tree``.  The run exits 0 even when a job's CSV differs from the CLI's, so
+    a run that reports itself incorrect or failed raises ValueError."""
+    args = ("--workload", workload, "--seconds", str(seconds), "--trace", "0")
     out = run(tree, tree, str(tree / "perfbench" / "run.py"), *args).stdout.splitlines()
     result = json.loads(out[-1])
     if not result["correct"] or result["failed"]:
         raise ValueError(f"{workload}: correct {result['correct']}, failed {result['failed']}")
     return {name: result["metrics"][name]["value"] for name in BENCH_METRICS}
+
+
+def pairs(trees: dict, count: int, seconds: int) -> dict:
+    """``count`` pairs of benchmark runs per workload, the base first in odd
+    pairs and the head first in even ones: ``{side: {workload: [run, ...]}}``,
+    a failed run read as None."""
+    got = {side: {workload: [] for workload in WORKLOADS} for side in ("base", "head")}
+    for workload in WORKLOADS:
+        for index in range(count):
+            for side in ("base", "head") if index % 2 == 0 else ("head", "base"):
+                got[side][workload].append(or_none(bench, trees[side], workload, seconds))
+    return got
+
+
+def median_iqr(values) -> tuple[float, float]:
+    """The median and the distance between the quartiles (inclusive method)."""
+    low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
+    return mid, high - low
+
+
+def judge(workload: str, name: str, base: list, head: list) -> list[str]:
+    """The report on metric ``name`` of ``workload`` over paired runs: each
+    side's median and IQR with the head/base ratio, then the verdict, then a
+    warning if the head is worse than the bound allows.  A gain holds when the head wins at least nine tenths of the pairs, ties
+    counting for neither, and its median gain exceeds the base's IQR."""
+    label, spec = f"{workload} {name}", SPEC[name]
+    sign, bound = (1 if spec["better"] == "higher" else -1), spec["bound"]
+    (b_med, b_iqr), (h_med, h_iqr) = median_iqr(base), median_iqr(head)
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    need, gain = math.ceil(0.9 * len(base)), sign * (h_med - b_med)
+    every = min(sign * h for h in head) > max(sign * b for b in base)
+    if wins >= need and gain > b_iqr:
+        outcome = "gain holds"
+    elif max(b_iqr, h_iqr) > bound * abs(b_med) and not every:
+        outcome = f"unresolved, an IQR is wider than the {bound:.0%} bound"
+    elif -gain > bound * abs(b_med):
+        outcome = f"worse by {-gain / abs(b_med):.0%}, past the {bound:.0%} bound"
+    else:
+        outcome = f"no gain, within the {bound:.0%} bound"
+    out = [f"{label}: base median {b_med:.6g} IQR {b_iqr:.6g}; head median {h_med:.6g} "
+           f"IQR {h_iqr:.6g}; head/base {h_med / b_med:.3f}",
+           f"{label} verdict: {outcome}: head better in {wins} of {len(base)} pairs ({need} "
+           f"needed), median gain {gain:.6g} against the base IQR {b_iqr:.6g}"]
+    if outcome.startswith("worse"):
+        out.append(f"::warning::{label} at the head is {outcome}")
+    return out
 
 
 def compare(base: dict, head: dict) -> list[str]:
@@ -188,32 +290,37 @@ def compare(base: dict, head: dict) -> list[str]:
         for side, value in (("base", base["timers"][name]), ("head", h)):
             if value is None:
                 out.append(f"::warning::the {side} {name} failed")
-    # The head warns when it is worse in both pairs by more than the metric's bound.
-    spec = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        if name in FLOORS and None not in (base["floors"][name], head["floors"][name]):
+            (b_step, b_floor), (h_step, h_floor) = base["floors"][name], head["floors"][name]
+            out.append(f"{name}, check-free floor: base {b_floor * 1e6:.3g} usec head "
+                       f"{h_floor * 1e6:.3g} usec; step / floor base {b_step / b_floor:.2f} "
+                       f"head {h_step / h_floor:.2f}")
     for workload, runs in head["bench"].items():
-        pairs = list(zip(base["bench"][workload], runs))
-        if None in [run for pair in pairs for run in pair]:
+        if None in [*base["bench"][workload], *runs]:
             out.append(f"::warning::{workload}: the benchmark runs could not be compared")
             continue
         for name in BENCH_METRICS:
-            sign = -1 if spec[name]["better"] == "higher" else 1
-            worse = min(sign * (h[name] - b[name]) / b[name] for b, h in pairs)
-            out.append(f"{workload} {name}: " + "; ".join(
-                f"base {b[name]:.1f} head {h[name]:.1f}" for b, h in pairs))
-            if worse > spec[name]["bound"]:
-                out.append(f"::warning::{workload} {name} is worse at the head in both pairs, by "
-                           f"{worse:.0%} or more (bound {spec[name]['bound']:.0%})")
+            b, h = [run[name] for run in base["bench"][workload]], [run[name] for run in runs]
+            out.extend(judge(workload, name, b, h))
     return out
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: compare_base.py REF", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="compare_base.py", description=__doc__.split("\n")[0])
+    parser.add_argument("ref", metavar="REF", help="the base commit")
+    parser.add_argument("--pairs", type=int, default=2, metavar="N",
+                        help="benchmark pairs per workload, at least 2 (default 2)")
+    parser.add_argument("--seconds", type=int, default=5, metavar="S",
+                        help="seconds per benchmark run, at least 1 (default 5)")
+    try:
+        args = parser.parse_args(argv)
+        if args.pairs < 2 or args.seconds < 1:
+            parser.error(f"need --pairs >= 2 and --seconds >= 1, got {args.pairs} and {args.seconds}")
+    except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
+        return exc.code
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"base": Path(tmp), "head": ROOT}
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0]],
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref],
                                  stdout=subprocess.PIPE)
         if archive.returncode != 0:
             return 2
@@ -221,14 +328,13 @@ def main(argv=None) -> int:
         got = {}
         for side, tree in trees.items():
             try:
-                got[side] = {**facts(tree), "bench": {}}
+                got[side] = facts(tree)
             except subprocess.CalledProcessError as exc:
                 failed = f"{side}: {shlex.join(exc.cmd)} exited {exc.returncode}"
                 print(f"{exc.stderr}error: {failed}", file=sys.stderr)
                 return 1
-        for workload in WORKLOADS:
-            runs = [or_none(bench, trees[side], workload) for side in ("base", "head") * 2]
-            got["base"]["bench"][workload], got["head"]["bench"][workload] = runs[::2], runs[1::2]
+        for side, runs in pairs(trees, args.pairs, args.seconds).items():
+            got[side]["bench"] = runs
     print("\n".join(compare(got["base"], got["head"])))
     return 0
 

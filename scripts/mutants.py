@@ -48,6 +48,9 @@ GATE_REFUSALS = "tests/test_statevec.py::TestGates::test_apply_refuses_a_bad_gat
 CLIENT_REFUSALS = "tests/test_fedring.py::TestClientRefusals::test_refused_before_any_step"
 CIRCUIT_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[circuit]"
 STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[store]"
+STEP_RULE = "tests/test_trainkit.py::TestModelDispatch::test_step_builds_a_checked_read_only_copy"
+STORE_STEP = "tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles"
+HAND_OFF = "tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
 # written as 0j + _H?? * p?.
@@ -84,14 +87,29 @@ MUTANTS = (
     Mutant("StateVector: text amplitudes parsed", "qfedring/statevec.py",
            'not in "biufc"', 'not in "biufcSU"',
            ("tests/test_statevec.py::TestStateVector::test_refuses_non_number_amplitudes",)),
-    # One constructor per kind, and one readout rule at every entry point.  A
-    # store built without its gamma is a TypeError, since gamma has no default.
+    # One rule per kind, and one readout rule at every entry point.  A step or a
+    # hand-off builds its next model with the kind's private constructor, which
+    # applies the rule and hands a store's gamma on as it is.
     Mutant("QuantumWeightStore.step: gamma not handed on", "qfedring/qweights.py",
-           "QuantumWeightStore(angles, self.gamma)", "QuantumWeightStore(angles)",
-           ("tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles",)),
+           "_store(angles, self.gamma)", "_store(angles, math.pi)", (STORE_STEP,)),
     Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
-           "reshape(shape), store.gamma)", "reshape(shape))",
-           ("tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles",)),
+           "reshape(shape), store.gamma)", "reshape(shape), math.pi)", (HAND_OFF,)),
+    Mutant("_mlp: a non-finite result passes", "qfedring/trainkit.py",
+           "_mlp_params(params))", "_mlp_params(np.nan_to_num(params)))", (f"{STEP_RULE}[mlp]",)),
+    Mutant("_mlp: the read-only flag dropped", "qfedring/trainkit.py",
+           "_mlp_params(params))", "_mlp_params(params).copy())", (f"{STEP_RULE}[mlp]",)),
+    Mutant("_vqc: a non-finite result passes", "qfedring/vqc.py",
+           '_layer_angles(params, "params"))', '_layer_angles(np.nan_to_num(params), "params"))',
+           (f"{STEP_RULE}[circuit]",)),
+    Mutant("_vqc: the read-only flag dropped", "qfedring/vqc.py",
+           '_layer_angles(params, "params"))', '_layer_angles(params, "params").copy())',
+           (f"{STEP_RULE}[circuit]",)),
+    Mutant("_store: a non-finite result passes", "qfedring/qweights.py",
+           '_layer_angles(angles, "angles"))', '_layer_angles(np.nan_to_num(angles), "angles"))',
+           (STORE_STEP, HAND_OFF)),
+    Mutant("_store: the read-only flag dropped", "qfedring/qweights.py",
+           '_layer_angles(angles, "angles"))', '_layer_angles(angles, "angles").copy())',
+           (STORE_STEP, HAND_OFF)),
     # Each experiment default lives only in cli.ExperimentConfig.
     Mutant("QuantumWeightStore: gamma defaults to pi again", "qfedring/qweights.py",
            "    gamma: float\n", "    gamma: float = math.pi\n",
@@ -165,6 +183,9 @@ MUTANTS = (
            "grad = np.empty(MLP_PARAMS)", 'grad = globals().setdefault("_GRAD", np.empty(MLP_PARAMS))',
            ("tests/test_trainkit.py::TestMlp::test_batch_grads_writes_a_fresh_gradient_each_call",)),
     # The two-class loss.
+    Mutant("_row_offsets: a writable table", "qfedring/trainkit.py",
+           "    offsets.flags.writeable = False\n", "",
+           ("tests/test_trainkit.py::TestRowOffsets::test_one_cached_read_only_table_per_batch_size",)),
     Mutant("loss: last bit of the gathered label column", "qfedring/trainkit.py",
            "- shifted.take(flat)", "- shifted.take(flat) * (1 + 2**-52)", (LOSS_BITS,)),
     Mutant("loss: < in place of <= in the logits bound", "qfedring/trainkit.py",
@@ -225,8 +246,8 @@ MUTANTS = (
     # The one number-array rule, and the circuit's copy of weights and angles.
     Mutant("check_floats: a complex array passes", "qfedring/datagen.py",
            'not in "biuf":', 'not in "biufc":', (NUMBER_RULE,)),
-    Mutant("_layer_angles: values cast to float before the rule", "qfedring/vqc.py",
-           "np.array(values), name)", "np.array(values, dtype=float), name)",
+    Mutant("_check_layers: values cast to float before the rule", "qfedring/vqc.py",
+           "check_floats(values, name)", "check_floats(np.array(values, dtype=float), name)",
            (NUMBER_RULE,)),
     # Each public site of the cast put back on a plain float cast.
     Mutant("loss: logits cast outside the rule", "qfedring/trainkit.py",

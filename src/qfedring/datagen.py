@@ -107,7 +107,7 @@ def as_floats(values, name: str) -> np.ndarray:
 def check_floats(values, name: str) -> np.ndarray:
     """The number-array rule: ``as_floats``, then every value finite."""
     a = as_floats(values, name)
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{name} must be finite")
     return a
 

@@ -16,7 +16,11 @@ model interface ``trainkit`` describes: its
 ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
-that rebinding one (as a tracer does) also covers this path.
+that rebinding one (as a tracer does) also covers this path.  The step, and
+the teleport channel's hand-off, build the next store with ``_store``, which
+applies the angles rule ``vqc._layer_angles`` and sets both fields directly,
+handing on the gamma the store already holds without checking it again;
+``QuantumWeightStore`` applies the same rule and checks gamma.
 ``encode_weight`` wraps one carrier as a validated StateVector; no run
 calls it (the teleport channel builds a whole store's carriers at once),
 and it stays only because the benchmark tracer wraps it, as it does the
@@ -82,7 +86,17 @@ class QuantumWeightStore:
         both transports hand on the same store.
         """
         angles = canonical_angles(optimizer.step(self.angles, weight_gradient(self, circuit_grad)))
-        return QuantumWeightStore(angles, self.gamma)
+        return _store(angles, self.gamma)
+
+
+def _store(angles, gamma: float) -> QuantumWeightStore:
+    """``QuantumWeightStore(angles, gamma)`` for a ``gamma`` a store already
+    holds, built without the dataclass constructor: the angles rule, with both
+    fields set directly and gamma not checked again."""
+    store = object.__new__(QuantumWeightStore)
+    object.__setattr__(store, "angles", _layer_angles(angles, "angles"))
+    object.__setattr__(store, "gamma", gamma)
+    return store
 
 
 def init_store(rng: np.random.Generator, num_layers: int, gamma: float) -> QuantumWeightStore:

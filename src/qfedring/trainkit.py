@@ -9,7 +9,11 @@ and averaging never ask which kind they hold: ``logits(features)``,
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path; its one field
-is ``params``.  ``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one
+is ``params``.  ``sgd_step_mlp`` builds the next model with ``_mlp``, which
+applies the params rule ``_mlp_params`` (one float cast, one finiteness test,
+the shape test, a read-only copy) and sets the field directly, without the
+dataclass constructor; ``ClassicalMlp`` applies the same rule, so the kind has
+one.  ``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one
 forward pass, ``_mlp_forward``, which slices w1, b1, w2 and b2 from one read
 of ``params``; ``mlp_batch_grads`` writes the gradient's four blocks in place
 into one new array laid out the same way.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -49,6 +54,15 @@ LOGIT_SCALE = 8.0
 _LOGIT_BOUND = float(np.finfo(float).max) / (2 * LOGIT_SCALE)
 
 
+@lru_cache(maxsize=16)
+def _row_offsets(rows: int) -> np.ndarray:
+    """Read-only ``np.arange(0, 2 * rows, 2)``: the flat index of each row's
+    first column in a C-ordered (rows, 2) array."""
+    offsets = np.arange(0, 2 * rows, 2)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy over two class scores per row and its gradient:
     per-sample losses (B,) and gradients (B, 2).
@@ -69,9 +83,9 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])
     exps = np.exp(shifted)
     totals = exps[:, 0] + exps[:, 1]
-    flat = y + np.arange(0, 2 * lg.shape[0], 2)
+    flat = y + _row_offsets(lg.shape[0])
     losses = np.log(totals) - shifted.take(flat)
-    dlogits = exps * (LOGIT_SCALE / totals[:, None])
+    dlogits = np.multiply(exps, LOGIT_SCALE / totals[:, None], out=exps)
     dlogits.reshape(-1)[flat] -= LOGIT_SCALE
     return losses, dlogits
 
@@ -107,11 +121,7 @@ class ClassicalMlp:
     params: np.ndarray
 
     def __post_init__(self) -> None:
-        p = check_floats(np.array(self.params), "params")
-        if p.shape != (MLP_PARAMS,):
-            raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-        p.flags.writeable = False
-        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "params", _mlp_params(self.params))
 
     def logits(self, features) -> np.ndarray:
         return _mlp_forward(self.params, check_batch(features, 2))[2]
@@ -122,6 +132,23 @@ class ClassicalMlp:
     def step(self, grad: np.ndarray, optimizer: SgdOptimizer) -> "ClassicalMlp":
         """The model after one optimizer step along ``grad``."""
         return sgd_step_mlp(self, grad, optimizer)
+
+
+def _mlp_params(values) -> np.ndarray:
+    """The MLP's params rule: a read-only ``check_floats`` copy of shape (MLP_PARAMS,)."""
+    p = np.array(check_floats(values, "params"))
+    if p.shape != (MLP_PARAMS,):
+        raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
+    p.flags.writeable = False
+    return p
+
+
+def _mlp(params) -> ClassicalMlp:
+    """``ClassicalMlp(params)``, built without the dataclass constructor: the
+    same rule, with the field set directly."""
+    model = object.__new__(ClassicalMlp)
+    object.__setattr__(model, "params", _mlp_params(params))
+    return model
 
 
 # isinstance accepts this union, so it doubles as the list of known kinds.
@@ -175,7 +202,7 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
 
 
 def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:
-    return ClassicalMlp(opt.step(model.params, grad))
+    return _mlp(opt.step(model.params, grad))
 
 
 def evaluate(model: Model, features, labels) -> float:

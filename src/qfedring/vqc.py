@@ -20,14 +20,18 @@ parameters, then the +shift block, then the -shift block, made by adding a
 cached read-only offset tensor to the parameters.  It hands the unshifted
 logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
 contracts the shifted sets with that upstream, so a step encodes its batch
-and builds its unitaries once.  ``_check_batch`` applies ``_layer_angles``,
-the cap and ``datagen.check_batch``; ``call_loss`` is the upstream rule.
+and builds its unitaries once.  ``_check_batch`` applies ``_check_layers``
+(the number rule and the (layers, qubits, 3) shape, without a copy), the cap
+and ``datagen.check_batch``; ``call_loss`` is the upstream rule.
 The offsets are built on first use per shape, not at import; the RX
 carriers, CNOT map and Z signs are statevec's.
 
 ``VqcModel`` holds only its parameter array; its ``logits``, ``loss_grad``
 and ``step`` (the model interface ``trainkit`` describes) are
-``forward_batch``, ``gradient_batch`` and one optimizer step.
+``forward_batch``, ``gradient_batch`` and one optimizer step.  A step builds
+its next model with ``_vqc``, which applies the params rule ``_layer_angles``
+(``_check_layers``, then a read-only copy) and sets the field directly,
+without the dataclass constructor; ``VqcModel`` applies the same rule.
 """
 from __future__ import annotations
 
@@ -70,16 +74,32 @@ class VqcModel:
 
     def step(self, grad: np.ndarray, optimizer) -> "VqcModel":
         """The model after one optimizer step along ``grad``."""
-        return VqcModel(optimizer.step(self.params, grad))
+        return _vqc(optimizer.step(self.params, grad))
+
+
+def _check_layers(values, name: str) -> np.ndarray:
+    """``check_floats`` of a (layers, qubits, 3) array, not copied if it is one;
+    errors call it ``name``."""
+    a = check_floats(values, name)
+    if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
+        raise ValueError(f"{name} must have shape (layers, qubits, 3), got {a.shape}")
+    return a
 
 
 def _layer_angles(values, name: str) -> np.ndarray:
-    """Read-only ``check_floats`` copy of a (layers, qubits, 3) array; errors call it ``name``."""
-    a = check_floats(np.array(values), name)
-    if a.ndim != 3 or a.shape[2] != 3 or 0 in a.shape:
-        raise ValueError(f"{name} must have shape (layers, qubits, 3), got {a.shape}")
+    """The rule for circuit params and stored angles: a read-only copy of
+    ``_check_layers(values, name)``."""
+    a = np.array(_check_layers(values, name))
     a.flags.writeable = False
     return a
+
+
+def _vqc(params) -> VqcModel:
+    """``VqcModel(params)``, built without the dataclass constructor: the same
+    rule, with the field set directly."""
+    model = object.__new__(VqcModel)
+    object.__setattr__(model, "params", _layer_angles(params, "params"))
+    return model
 
 
 def init_model(rng: np.random.Generator, num_layers: int) -> VqcModel:
@@ -118,7 +138,7 @@ def fits_unitary_cap(num_layers: int, num_qubits: int, *, shifted: bool) -> bool
 
 
 def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
-    p = _layer_angles(params, "params")
+    p = _check_layers(params, "params")
     layers, n, _ = p.shape
     if not fits_unitary_cap(layers, n, shifted=shifted):
         raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")

@@ -1,4 +1,5 @@
-"""scripts/compare_base.py: the warning rules, driven on hand-built facts."""
+"""scripts/compare_base.py: the warning rules and the benchmark verdict, driven
+on hand-built facts and faked runs; nothing here takes a timing."""
 import copy
 import importlib.util
 import json
@@ -31,7 +32,9 @@ def facts(script):
         "lines": {"src": 2141, "tests": 5386, "scripts": 638},
         "kernel": "Core: SkylakeX",
         "timers": {name: "150 usec" for name in script.TIMERS},
-        "bench": {workload: [{"samples_per_s": 1000.0, "round_ms.p50": 10.0}] * 2
+        "floors": {name: [40e-6, 26e-6] for name in script.FLOORS},
+        "bench": {workload: [{**{name: 10.0 for name in script.BENCH_METRICS},
+                              "samples_per_s": 1000.0}] * 2
                   for workload in script.WORKLOADS},
     }
 
@@ -134,9 +137,11 @@ def test_a_benchmark_run_that_fails_its_own_gate_is_not_read(
     metrics = {name: {"value": 5.0, "unit": ""} for name in script.BENCH_METRICS}
     line = json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
     done = subprocess.CompletedProcess([], 0, stdout=f"report\n{line}\n", stderr="")
-    monkeypatch.setattr(script, "run", lambda *args, **kwargs: done)
-    got = script.or_none(script.bench, Path("tree"), "vqc-ring")
+    called = []
+    monkeypatch.setattr(script, "run", lambda *args, **kwargs: called.append(args) or done)
+    got = script.or_none(script.bench, Path("tree"), "vqc-ring", 7)
     assert got == ({name: 5.0 for name in script.BENCH_METRICS} if read else None)
+    assert called[0][-6:] == ("--workload", "vqc-ring", "--seconds", "7", "--trace", "0")
 
 
 def test_the_printed_facts_warn_on_nothing(script, facts):
@@ -144,8 +149,11 @@ def test_the_printed_facts_warn_on_nothing(script, facts):
     head["lines"] = {"src": 2000, "tests": 6000, "scripts": 650}
     head["kernel"] = "Core: Haswell"
     head["timers"] = {name: "300 usec" for name in script.TIMERS}
+    head["floors"] = {name: [39e-6, 26e-6] for name in script.FLOORS}
     report = script.compare(facts, head)
     assert warnings(script, facts, head) == []
+    assert ("SGD step timer, mlp, check-free floor: base 26 usec head 26 usec; "
+            "step / floor base 1.54 head 1.50") in report
     assert "src/ Python lines: base 2141 head 2000" in report
     assert "scripts/ Python lines: base 638 head 650" in report
     assert "OPENBLAS_VERBOSE=2: base Core: SkylakeX head Core: Haswell" in report
@@ -161,6 +169,12 @@ def test_every_timer_statement_runs(script):
     # One epoch of the 320-row shard steps 320 / 32 batches at the default size.
     epoch = eval(script.TIMERS["local_train epoch timer, mlp"], scope)
     assert len(epoch) == 320 // scope["config"].batch_size == 10
+    # Each floor does its step's arithmetic: the same losses and params, bit for bit.
+    exec("\n".join(script.FLOOR_SETUP), scope)
+    for name, stmt in script.FLOORS.items():
+        losses, params = eval(stmt, scope)
+        assert params.tobytes() == eval(script.TIMERS[name], scope).params.tobytes()
+        assert losses.tobytes() == eval("mlp.loss_grad(rows, loss)[0]", scope).tobytes()
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])
@@ -178,8 +192,7 @@ def test_a_head_worse_in_both_pairs_past_the_bound_warns_once(script, facts, nam
     run = facts["bench"]["teleport-handoff"][0]
     head["bench"]["teleport-handoff"] = [{**run, name: worse}] * 2
     assert warnings(script, facts, head) == [
-        f"::warning::teleport-handoff {name} is worse at the head in both pairs, by 30% or more "
-        "(bound 20%)"
+        f"::warning::teleport-handoff {name} at the head is worse by 30%, past the 20% bound"
     ]
     # Worse in both pairs, but by less than the bound.
     head["bench"]["teleport-handoff"] = [{**run, name: within}] * 2
@@ -187,9 +200,69 @@ def test_a_head_worse_in_both_pairs_past_the_bound_warns_once(script, facts, nam
 
 
 def test_main_takes_one_ref(script, capsys):
+    usage = "usage: compare_base.py [-h] [--pairs N] [--seconds S] REF\n"
     assert script.main([]) == 2
     assert script.main(["HEAD", "HEAD~1"]) == 2
-    assert capsys.readouterr().err == "usage: compare_base.py REF\n" * 2
+    assert script.main(["HEAD", "--pairs", "1"]) == 2
+    assert script.main(["HEAD", "--seconds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(usage) == 4
+    assert "need --pairs >= 2 and --seconds >= 1, got 1 and 5" in err
+    assert "need --pairs >= 2 and --seconds >= 1, got 2 and 0" in err
+
+
+def test_pairs_alternate_which_side_runs_first(script, monkeypatch):
+    calls = []
+
+    def fake_bench(tree, workload, seconds):
+        calls.append((tree, workload, seconds))
+        return {"call": len(calls)}
+
+    monkeypatch.setattr(script, "bench", fake_bench)
+    got = script.pairs({"base": "B", "head": "H"}, 4, 20)
+    # Base first in pairs 1 and 3, head first in pairs 2 and 4, one workload after another.
+    order = ["B", "H", "H", "B", "B", "H", "H", "B"]
+    assert calls == [(tree, workload, 20) for workload in script.WORKLOADS for tree in order]
+    for start, workload in enumerate(script.WORKLOADS):
+        calls_before = 8 * start
+        assert [run["call"] - calls_before for run in got["base"][workload]] == [1, 4, 5, 8]
+        assert [run["call"] - calls_before for run in got["head"][workload]] == [2, 3, 6, 7]
+
+
+# Ten base runs with median 102 and IQR 4 (quartiles 100 and 104, inclusive method).
+BASE = [100.0] * 5 + [104.0] * 5
+
+
+def nudged(delta, *lower):
+    """BASE moved ``delta`` towards better, but 1 below its base in the pairs ``lower``."""
+    return [b - 1 if i in lower else b + delta for i, b in enumerate(BASE)]
+
+
+@pytest.mark.parametrize("head, outcome", [
+    (nudged(10, 0), "gain holds: head better in 9 of 10 pairs (9 needed), median gain 10 "),
+    (nudged(10, 0, 5), "no gain, within the 20% bound: head better in 8 of 10 pairs (9 needed), "
+                       "median gain 8 "),
+    (nudged(4), "no gain, within the 20% bound: head better in 10 of 10 pairs (9 needed), "
+                "median gain 4 "),
+    (nudged(4.01), "gain holds: head better in 10 of 10 pairs (9 needed), median gain 4.01 "),
+], ids=["9 wins", "8 wins", "gain equal to the IQR", "gain just past the IQR"])
+@pytest.mark.parametrize("name", ["samples_per_s", "round_ms.p50"])
+def test_the_verdict_needs_nine_wins_in_ten_and_a_gain_past_the_iqr(script, name, head, outcome):
+    # A lower-is-better metric reads the same runs mirrored about zero.
+    sign = 1 if script.SPEC[name]["better"] == "higher" else -1
+    base, head = [sign * b for b in BASE], [sign * h for h in head]
+    lines = script.judge("mlp-ring", name, base, head)
+    assert lines[1].startswith(f"mlp-ring {name} verdict: {outcome}")
+    assert lines[1].endswith("against the base IQR 4")
+    assert len(lines) == 2
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved(script):
+    base = [50.0] * 5 + [150.0] * 5
+    head = [b - 1 for b in base]
+    verdict = script.judge("vqc-ring", "samples_per_s", base, head)[1]
+    assert verdict.startswith("vqc-ring samples_per_s verdict: unresolved, an IQR is wider than "
+                              "the 20% bound: head better in 0 of 10 pairs")
 
 
 def test_a_failed_fingerprint_run_raises_naming_the_command(script, tmp_path):

@@ -58,7 +58,6 @@ def _oracle_step(kind, held, gamma, feats, labels, opt):
     for x, y in zip(feats, labels):
         if kind == "mlp":
             loss, grad = oracle.mlp_forward_backward(held, x, int(y))
-            grad = np.concatenate(grad, axis=None)
         else:
             loss, upstream = oracle.loss_and_grad(oracle.forward(circuit, x), int(y))
             grad = oracle.gradient(circuit, x, upstream)

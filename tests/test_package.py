@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import qfedring
-from qfedring import cli, statevec, vqc
+from qfedring import cli, statevec, trainkit, vqc
 
 PACKAGE = Path(qfedring.__file__).parent
 
@@ -26,10 +26,11 @@ NOT_RUN = {
     "fedring.average_models",
     "fedring._fsum_mean",
     "fedring.centralized_train",
-    # teleport_state(force_outcome=), and a failed channel use.
+    # teleport_state(force_outcome=), and a failed channel use (pickled or not).
     "statevec._forcing_rule",
     "statevec._forcing_rule.pick",
     "teleport.TransferError.__init__",
+    "teleport.TransferError.__reduce__",
     # Bound by perfbench/spans.py by module attribute.
     "qweights.encode_weight",
     "statevec.apply_gate",
@@ -112,7 +113,7 @@ def defined_functions() -> dict:
 def test_every_function_runs_or_is_listed(tmp_path, capsys):
     """The four variants' CLI runs, profiled, call every function but NOT_RUN."""
     # An earlier test may have filled a cache, and a cache hit calls nothing.
-    for module in (statevec, vqc):
+    for module in (statevec, trainkit, vqc):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

@@ -1,7 +1,9 @@
 """Teleportation checks: exact recovery on every measurement branch, uniform
 branch statistics, whole-store round trips."""
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -400,3 +402,11 @@ class TestTeleportWeights:
         assert issubclass(tp.TransferError, RuntimeError)
         err = tp.TransferError("boom", weight_index=(1, 0, 2))
         assert err.weight_index == (1, 0, 2)
+
+    def test_transfer_error_survives_pickle_and_copy(self):
+        # weight_index has no default, so a round trip must hand it back.
+        err = tp.TransferError("weight (layer=1, qubit=0, k=2) failed", (1, 0, 2))
+        for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+            assert type(back) is tp.TransferError
+            assert str(back) == "weight (layer=1, qubit=0, k=2) failed"
+            assert back.weight_index == (1, 0, 2)

@@ -2,6 +2,8 @@
 differences and closed-form values."""
 import dataclasses
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +192,16 @@ class TestLoss:
             got = _loss_outcome(tk.batch_loss_and_grad, logits, labels)
             want = _loss_outcome(oracle.batch_loss_reference, logits, labels)
         assert got == want
+
+
+class TestRowOffsets:
+    @pytest.mark.parametrize("rows", [0, 1, 5, 32])
+    def test_one_cached_read_only_table_per_batch_size(self, rows):
+        # Every loss call at a batch size shares this table, so no caller may write it.
+        offsets = tk._row_offsets(rows)
+        assert offsets is tk._row_offsets(rows)
+        assert not offsets.flags.writeable
+        assert np.array_equal(offsets, np.arange(0, 2 * rows, 2))
 
 
 class TestOptimizer:
@@ -390,6 +402,30 @@ class TestModelDispatch:
                 assert_allclose(batched[i], alone[0], atol=1e-12)
             with pytest.raises(ValueError, match="batch"):
                 tk.evaluate(model, feats[0], np.array([0, 1]))
+
+    @pytest.mark.parametrize("kind, wrong, message", [
+        ("mlp", np.ones(21), "params must have shape (22,), got (21,)"),
+        ("circuit", np.ones((2, 3)), "params must have shape (layers, qubits, 3), got (2, 3)"),
+    ], ids=["mlp", "circuit"])
+    def test_step_builds_a_checked_read_only_copy(self, rng, kind, wrong, message):
+        # A step's model goes through the kind's one params rule, as the
+        # constructor's does: the optimizer's result is checked, and comes back
+        # as a read-only copy even when the caller keeps the array
+        # (QuantumWeightStore's step: test_step_keeps_gamma_and_checks_angles).
+        model = tk.init_mlp(rng) if kind == "mlp" else vqc.init_model(rng, 2)
+        grad = rng.normal(size=model.params.shape)
+        stepped = model.step(grad, tk.SgdOptimizer(0.1))
+        assert type(stepped) is type(model)
+        assert not stepped.params.flags.writeable
+        assert stepped.params.tobytes() == (model.params - 0.1 * grad).tobytes()
+        kept = np.ones(model.params.shape)
+        copied = model.step(grad, SimpleNamespace(step=lambda params, g: kept))
+        assert np.array_equal(copied.params, kept) and not np.shares_memory(copied.params, kept)
+        assert not copied.params.flags.writeable and kept.flags.writeable
+        for bad, match in ((np.full(model.params.shape, np.nan), "params must be finite"),
+                           (wrong, message)):
+            with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+                model.step(grad, SimpleNamespace(step=lambda params, g, bad=bad: bad))
 
     def test_evaluate_trivials(self, rng):
         model = vqc.VqcModel(np.zeros((1, 2, 3)))
