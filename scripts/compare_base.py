@@ -3,7 +3,10 @@
 
     python scripts/compare_base.py REF [--pairs N] [--seconds S]
 
-Extracts REF with ``git archive``.  Each fact comes from its side's own code,
+Both sides run from fresh copies side by side in one temporary directory:
+the base extracted with ``git archive REF``, the head copied from each file of
+this checkout that git tracks or would add.  So where a tree sits is the same
+for both, which ``peak_rss_mb`` reads.  Each fact comes from its side's own code,
 but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
 its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV.  Prints
 the facts side by side, with a ``::warning::`` line for each that differs.
@@ -17,7 +20,8 @@ the base's IQR.  A metric whose IQR is wider than its bound is unresolved,
 unless every head run beats every base run; one whose median is worse by more
 than its bound warns.  Exits 1, naming the side and the command, if a
 fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments or
-if git cannot archive REF; any other failed run is a warning.
+if git cannot archive REF or list this checkout; any other failed run is a
+warning.
 """
 import argparse
 import difflib
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -79,7 +84,9 @@ sys.exit(code)
 # on the 12-weight store, one SGD step as local_train runs it, on one batch of
 # rows, the store's evaluation on the same rows, readout check included, and
 # one local_train epoch of the MLP on a default-sized shard (960 training rows
-# over 3 clients), whose batching a one-batch step timer cannot see.
+# over 3 clients), whose batching a one-batch step timer cannot see.  A step
+# reads the rows its model's ``prepare`` made once, where a model has one; a
+# model without it (an older tree) read raw rows and encoded them each step.
 TIMER_SETUP = (
     "import numpy as np",
     "from qfedring import cli, fedring, qweights, teleport, trainkit, vqc",
@@ -91,24 +98,27 @@ TIMER_SETUP = (
     "labels = np.arange(config.batch_size) % 2",
     "opt = trainkit.SgdOptimizer(config.learning_rate)",
     "loss = lambda logits: trainkit.batch_loss_and_grad(logits, labels)",
+    "prep = lambda model: model.prepare(rows) if hasattr(model, 'prepare') else rows",
+    "mlp_rows, circuit_rows, store_rows = prep(mlp), prep(circuit), prep(store)",
     "shard = np.random.default_rng(0).uniform(0, np.pi, (320, 2)), np.arange(320) % 2",
     "client = fedring.ClientState(0, *shard, mlp, np.random.default_rng(0), opt)",
 )
-STEP = "{0}.step({0}.loss_grad(rows, loss)[1] / labels.size, opt)"
+STEP = "{0}.step({0}.loss_grad({0}_rows, loss)[1] / labels.size, opt)"
 TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
           **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
           "evaluate timer, store": "trainkit.evaluate(store, rows, labels)",
           "local_train epoch timer, mlp": "fedring.local_train(client, 1, config.batch_size)"}
-# A check-free floor: the MLP step's arithmetic on raw arrays, with no check and
-# no ClassicalMlp, giving the step's new params bit for bit.  The step and its
-# floor are timed in one process (``PAIRED``), so step / floor does not move
-# with the host's speed; it bounds what a change that keeps the checks can win.
+# Check-free floors: a step's arithmetic on raw arrays, with no check and no
+# model value, giving the step's losses and new params bit for bit.  The
+# circuit floor reads states encoded once in its setup, with the RX product
+# written out, and runs the engine's own kernels (``_shift_offsets``,
+# ``_layer_unitaries``, ``_readout_signs``, in every tree since the engine
+# took its real block form).  A step and its floor are timed in one process
+# (``PAIRED``), so step / floor does not move with the host's speed; it bounds
+# what a change that keeps the checks can win.
 FLOOR_SETUP = (
     "scale, offsets = trainkit.LOGIT_SCALE, np.arange(0, 2 * labels.size, 2)",
-    "def floor(params):\n"
-    "    w2 = params[12:20].reshape(4, 2)\n"
-    "    hid = np.tanh(np.dot(rows, params[:8].reshape(2, 4)) + params[8:12])\n"
-    "    scaled = scale * (np.dot(hid, w2) + params[20:])\n"
+    "def raw_loss(scaled):\n"
     "    shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])\n"
     "    exps = np.exp(shifted)\n"
     "    totals = exps[:, 0] + exps[:, 1]\n"
@@ -116,6 +126,11 @@ FLOOR_SETUP = (
     "    losses = np.log(totals) - shifted.take(flat)\n"
     "    dlogits = np.multiply(exps, scale / totals[:, None], out=exps)\n"
     "    dlogits.reshape(-1)[flat] -= scale\n"
+    "    return losses, dlogits",
+    "def floor(params):\n"
+    "    w2 = params[12:20].reshape(4, 2)\n"
+    "    hid = np.tanh(np.dot(rows, params[:8].reshape(2, 4)) + params[8:12])\n"
+    "    losses, dlogits = raw_loss(scale * (np.dot(hid, w2) + params[20:]))\n"
     "    dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)\n"
     "    grad = np.empty(22)\n"
     "    np.dot(rows.T, dpre, out=grad[:8].reshape(2, 4))\n"
@@ -123,8 +138,26 @@ FLOOR_SETUP = (
     "    np.dot(hid.T, dlogits, out=grad[12:20].reshape(4, 2))\n"
     "    np.add.reduce(dlogits, axis=0, out=grad[20:])\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
+    "carriers = np.empty((labels.size, 2, 2), dtype=complex)",
+    "carriers[..., 0], carriers[..., 1] = np.cos(rows / 2), -1j * np.sin(rows / 2)",
+    "states = (carriers[:, 0, :, None] * carriers[:, 1, None, :]).reshape(labels.size, 4)",
+    "def circuit_floor(params):\n"
+    "    u = vqc._layer_unitaries(params + vqc._shift_offsets(params.shape))\n"
+    "    sets, layers, dim = u.shape[0], u.shape[1], u.shape[-1]\n"
+    "    blocks = np.empty((layers, sets, dim, 2, dim), dtype=complex)\n"
+    "    blocks[:, :, :, 0] = u.transpose(1, 0, 3, 2)\n"
+    "    np.multiply(blocks[:, :, :, 0], 1j, out=blocks[:, :, :, 1])\n"
+    "    psi = states.view(float)\n"
+    "    for layer in blocks.view(float).reshape(layers, sets, 2 * dim, 2 * dim):\n"
+    "        psi = psi @ layer\n"
+    "    out = (psi * psi) @ vqc._readout_signs(2)\n"
+    "    losses, dlogits = raw_loss(scale * out[0])\n"
+    "    delta = vqc.SHIFT_COEFFICIENT * (out[1 : params.size + 1] - out[params.size + 1 :])\n"
+    "    grad = np.add.reduce(dlogits * delta, axis=(1, 2)).reshape(params.shape)\n"
+    "    return losses, params - opt.learning_rate * (grad / labels.size)",
 )
-FLOORS = {"SGD step timer, mlp": "floor(mlp.params)"}
+FLOORS = {"SGD step timer, mlp": "floor(mlp.params)",
+          "SGD step timer, circuit": "circuit_floor(circuit.params)"}
 # Times a statement and its floor in one process: 7 alternating rounds of 200
 # loops each; prints the best per-loop seconds of each as a JSON pair.
 PAIRED = """
@@ -135,6 +168,29 @@ step, floor = (timeit.Timer(stmt, globals=scope) for stmt in sys.argv[2:])
 rounds = [(step.timeit(200), floor.timeit(200)) for _ in range(7)]
 print(json.dumps([min(times) / 200 for times in zip(*rounds)]))
 """
+
+
+def git(*args: str) -> bytes:
+    """The output of ``git args`` in this checkout; CalledProcessError if git fails."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], stdout=subprocess.PIPE,
+                          check=True).stdout
+
+
+def checkouts(ref: str, parent: Path) -> dict:
+    """``{"base": tree, "head": tree}``, side by side under ``parent``: REF from
+    ``git archive``, and a copy of each file of this checkout that git tracks or
+    would add.  CalledProcessError if git cannot archive REF or list the files."""
+    trees = {side: parent / side for side in ("base", "head")}
+    archive = git("archive", ref)
+    trees["base"].mkdir()
+    subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=archive, check=True)
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0"):
+        source = ROOT / os.fsdecode(name)
+        if name and source.is_file():  # a tracked file deleted in the checkout is left out
+            target = trees["head"] / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+    return trees
 
 
 def run(tree: Path, cwd, *args: str, check=True, **env) -> subprocess.CompletedProcess:
@@ -319,12 +375,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
         return exc.code
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"base": Path(tmp), "head": ROOT}
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref],
-                                 stdout=subprocess.PIPE)
-        if archive.returncode != 0:
+        try:
+            trees = checkouts(args.ref, Path(tmp))
+        except subprocess.CalledProcessError:
             return 2
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         got = {}
         for side, tree in trees.items():
             try:

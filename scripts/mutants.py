@@ -51,6 +51,7 @@ STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced
 STEP_RULE = "tests/test_trainkit.py::TestModelDispatch::test_step_builds_a_checked_read_only_copy"
 STORE_STEP = "tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles"
 HAND_OFF = "tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles"
+STATES_RULE = "tests/test_vqc.py::TestEncode::test_the_states_rule_refuses_by_name"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
 # written as 0j + _H?? * p?.
@@ -171,6 +172,34 @@ MUTANTS = (
            "return cg * store.gamma * (", "return cg * (",
            ("tests/test_qweights.py::TestGradient::"
             "test_store_step_moves_the_circuit_gamma_squared_sine_squared_as_far",)),
+    # The engine reads states: encode is the one way in, row by row, and the
+    # states rule refuses by name what encode could not have made.
+    Mutant("states rule: the finiteness test dropped", "qfedring/vqc.py",
+           "if not np.logical_and.reduce(np.isfinite(s), axis=None):", "if False:",
+           (f"{STATES_RULE}[nan]", f"{STATES_RULE}[inf]")),
+    Mutant("states rule: the width test dropped", "qfedring/vqc.py",
+           "s.ndim != 2 or s.shape[1] != 2**n", "s.ndim != 2",
+           (f"{STATES_RULE}[narrow]", f"{STATES_RULE}[wide]")),
+    Mutant("encode: the qubit count not checked", "qfedring/vqc.py",
+           '    check_count(num_qubits, "num_qubits")\n', "",
+           ("tests/test_vqc.py::TestEncode::test_refuses_a_qubit_count_that_is_not_a_count",)),
+    Mutant("encode: a row's bits depend on the batch's size", "qfedring/vqc.py",
+           "amps = cols[:, 0]", "amps = cols[:, 0] * (1 + 2**-52 * (len(feats) % 2))",
+           ("tests/test_vqc.py::TestEncode::test_rows_are_encoded_independently",)),
+    # local_train prepares its shard once per call, refusing it naming the client.
+    Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
+           "fx, fy = rows[start : start + batch_size],",
+           "fx, fy = client.model.prepare(feats[order][start : start + batch_size]),",
+           ("tests/test_fedring.py::TestLocalTrain::test_prepares_the_shard_once_per_call",)),
+    Mutant("local_train: prepare applied to the unpermuted shard", "qfedring/fedring.py",
+           "rows, targets = prepared[order], labels[order]",
+           "rows, targets = prepared, labels[order]",
+           ("tests/test_fedring.py::TestLocalTrain::"
+            "test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
+    Mutant("local_train: a refused shard not named for its client", "qfedring/fedring.py",
+           'raise ValueError(f"{owner}: {exc}") from exc', "raise",
+           ("tests/test_fedring.py::TestLocalTrain::"
+            "test_a_circuit_of_another_width_is_refused_naming_the_client",)),
     # local_train's per-epoch gather, and the MLP gradient written in place.
     Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",
            "targets[start : start + batch_size]", "labels[start : start + batch_size]",
@@ -298,14 +327,14 @@ MUTANTS = (
             "test_refuses_a_final_accuracy_that_is_not_finite",)),
     # The benchmark tracer's counters read these calls' positional arguments.
     Mutant("VqcModel.loss_grad: gradient_batch called by keyword", "qfedring/vqc.py",
-           "gradient_batch(self.params, features, loss)",
-           "gradient_batch(self.params, features=features, loss=loss)", (CIRCUIT_STEP_CONTRACT,)),
+           "gradient_batch(self.params, states, loss)",
+           "gradient_batch(self.params, states=states, loss=loss)", (CIRCUIT_STEP_CONTRACT,)),
     Mutant("QuantumWeightStore.step: canonical_angles called by keyword", "qfedring/qweights.py",
            "canonical_angles(optimizer.step(", "canonical_angles(angles=optimizer.step(",
            (STORE_STEP_CONTRACT,)),
     Mutant("QuantumWeightStore.logits: forward_batch called by keyword", "qfedring/qweights.py",
-           "vqc.forward_batch(materialize(self), features)",
-           "vqc.forward_batch(materialize(self), features=features)", (STORE_STEP_CONTRACT,)),
+           "vqc.forward_batch(materialize(self), states)",
+           "vqc.forward_batch(materialize(self), states=states)", (STORE_STEP_CONTRACT,)),
     Mutant("teleport_weights: decode_angle called by keyword", "qfedring/teleport.py",
            "            out.append(decode_angle(*state_expectations(record.recovered_state)))\n",
            "            expect_z, expect_y = state_expectations(record.recovered_state)\n"

@@ -5,10 +5,10 @@ each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 (TELEPORT, quantum weight stores only).  After the last client of a round the
 model it just trained is evaluated on the held-out set; both loops build that
 row with ``_round_row``.  Every model kind takes the same SGD step:
-``loss_grad`` on the batch, then ``step`` by the mean, on a shard
-``local_train`` checked once per call with ``datagen``'s rule.  Each epoch
-gathers the shard once, in its permutation's order, and a batch is a row slice
-of that.  ``partition`` checks the whole data with that rule, so
+``loss_grad`` on the batch, then ``step`` by the mean, on a shard that
+``local_train`` checks with ``datagen``'s rule and ``prepare``s once per call.
+Each epoch gathers it once, in its permutation's order, and a batch is a row
+slice of that.  ``partition`` checks the whole data with that rule, so
 ``make_clients`` refuses a bad shard before any client exists.
 
 Each client owns a private rng for batch shuffling, and all share one
@@ -109,13 +109,18 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
 
     Batch order is a fresh permutation per epoch from the client's own rng,
     so a client's stream depends only on how many epochs it has run.  The
-    rng and the optimizer (``_check_client``) are checked before any step; a
-    step's ``ValueError`` is re-raised naming the client, epoch and step.
+    rng, the optimizer (``_check_client``) and the shard, prepared once, are
+    checked before any step, naming the client; a step's ``ValueError`` is
+    re-raised naming the client, epoch and step.
     """
     datagen.check_count(epochs, "epochs")
     datagen.check_count(batch_size, "batch_size")
     owner = _check_client(client)
     feats, labels = datagen.check_samples(client.features, client.labels, owner)
+    try:
+        prepared = client.model.prepare(feats)
+    except ValueError as exc:
+        raise ValueError(f"{owner}: {exc}") from exc
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
     # logits bound and the finite-parameter checks then raise the error that
@@ -123,7 +128,7 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = client.rng.permutation(len(labels))
-            rows, targets = feats[order], labels[order]
+            rows, targets = prepared[order], labels[order]
             for step, start in enumerate(range(0, len(labels), batch_size), 1):
                 fx, fy = rows[start : start + batch_size], targets[start : start + batch_size]
                 try:

@@ -12,8 +12,8 @@ the circuit parameters, with the +shift and -shift angles as one array.
 So an SGD step on the angles moves ``materialize(store)`` about
 gamma^2 sin^2(a) times as far as a circuit step at the same rate: 7.6 to 9.9
 at gamma = pi over ``init_store``'s angles.  ``QuantumWeightStore`` has the
-model interface ``trainkit`` describes: its
-``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
+model interface ``trainkit`` describes: its ``prepare`` is ``vqc.encode``,
+its ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
 that rebinding one (as a tracer does) also covers this path.  The step, and
@@ -73,11 +73,14 @@ class QuantumWeightStore:
     def num_qubits(self) -> int:
         return self.angles.shape[1]
 
-    def logits(self, features) -> np.ndarray:
-        return vqc.forward_batch(materialize(self), features)
+    def prepare(self, features) -> np.ndarray:
+        return vqc.encode(features, self.num_qubits)
 
-    def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
-        return vqc.gradient_batch(materialize(self), features, loss)
+    def logits(self, states) -> np.ndarray:
+        return vqc.forward_batch(materialize(self), states)
+
+    def loss_grad(self, states, loss) -> tuple[np.ndarray, np.ndarray]:
+        return vqc.gradient_batch(materialize(self), states, loss)
 
     def step(self, circuit_grad: np.ndarray, optimizer) -> "QuantumWeightStore":
         """One optimizer step on the angles, chained from a circuit gradient.

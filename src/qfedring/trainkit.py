@@ -3,9 +3,11 @@
 All three model kinds (ClassicalMlp, VqcModel, QuantumWeightStore) expose two
 class scores; classification is argmax over them and the training loss is
 softmax cross-entropy on the same pair, so the variants are comparable run
-for run.  Every kind has the same three methods, so training, evaluation
-and averaging never ask which kind they hold: ``logits(features)``,
-``loss_grad(features, loss) -> (losses, batch-summed gradient)`` and
+for run.  Every kind has the same four methods, so training, evaluation
+and averaging never ask which kind they hold: ``prepare(features) -> rows``
+(the features rule and each row's per-step work, done once: checked features
+for the MLP, ``vqc.encode`` states for a circuit), ``logits(rows)``,
+``loss_grad(rows, loss) -> (losses, batch-summed gradient)`` and
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path; its one field
@@ -21,8 +23,9 @@ Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
 ``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
 ``fedring.make_clients`` and ``fedring.centralized_train`` apply it first.
-Every kind's features pass ``datagen.check_batch`` (finite, shape ``(rows,
-width)``, width 2 for the MLP and the qubit count for a circuit), and
+Every kind's ``prepare`` applies ``datagen.check_batch`` (finite, shape
+``(rows, width)``, width 2 for the MLP and the qubit count for a circuit);
+the passes check their rows again (a circuit's by the states rule), and
 ``loss`` must return an upstream shaped like the logits (``vqc.call_loss``).
 Zero rows give ``(0, 2)`` logits, empty losses and an all-zero gradient.
 """
@@ -123,6 +126,9 @@ class ClassicalMlp:
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", _mlp_params(self.params))
 
+    def prepare(self, features) -> np.ndarray:
+        return check_batch(features, 2)
+
     def logits(self, features) -> np.ndarray:
         return _mlp_forward(self.params, check_batch(features, 2))[2]
 
@@ -208,7 +214,7 @@ def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> Cl
 def evaluate(model: Model, features, labels) -> float:
     """Fraction of samples whose argmax score matches the label."""
     check_readout(model)
-    scores = model.logits(features)
+    scores = model.logits(model.prepare(features))
     y = check_labels(labels, scores.shape[0])
     if y.size == 0:
         raise ValueError("cannot evaluate on an empty set")

@@ -4,34 +4,39 @@ rotation layers, per-qubit Pauli-Z readout.
 Gradients use the two-point parameter shift (``SHIFT`` = pi/2,
 ``SHIFT_COEFFICIENT`` = 1/2), which is exact for these rotation gates.
 ``init_model`` builds the experiment's ``NUM_QUBITS`` = 2 qubits; the
-engine takes any qubit count.
+engine takes any qubit count.  The engine reads states, not features:
+``encode(features, n)``, the only map from one to the other, applies
+``datagen.check_batch`` at width n and gives each row's RX product state,
+(rows, 2**n) complex128, row by row, so a client encodes its shard once per
+``local_train`` call.  Unit norm comes from ``encode``, cos^2 + sin^2 per
+qubit by construction; no pass tests it.
 
 ``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
-every row of a batch through S parameter sets at once, with the unitary
+every state of a batch through S parameter sets at once, with the unitary
 tensor capped at ``_MAX_UNITARY_ENTRIES`` (``fits_unitary_cap`` is that
 test, shared with the CLI's config check).  Every ROT comes from one sine
 (``_ROT_MIX``), and every complex product runs as a real one on float views,
 against the layer unitaries' real 2x2-block forms.  Every layer and the
-readout are per-set products, the first from the shared encoded batch, so
+readout are per-set products, the first from the shared states, so
 under any BLAS kernel and thread count a set's bits in a pass are its bits
 alone.  ``forward_batch`` runs one set, for evaluation.  ``gradient_batch``
 is one SGD step's circuit work in a single pass of 1 + 2P sets: the unshifted
 parameters, then the +shift block, then the -shift block, made by adding a
 cached read-only offset tensor to the parameters.  It hands the unshifted
 logits to a loss callable, ``loss(logits) -> (losses, upstream)``, and
-contracts the shifted sets with that upstream, so a step encodes its batch
-and builds its unitaries once.  ``_check_batch`` applies ``_check_layers``
-(the number rule and the (layers, qubits, 3) shape, without a copy), the cap
-and ``datagen.check_batch``; ``call_loss`` is the upstream rule.
-The offsets are built on first use per shape, not at import; the RX
+contracts the shifted sets with that upstream, so a step builds its
+unitaries once.  ``_check_batch`` applies ``_check_layers`` (the number rule
+and the (layers, qubits, 3) shape, without a copy), the cap and the states
+rule (complex128, shape (rows, 2**n), finite); ``call_loss`` is the upstream
+rule.  The offsets are built on first use per shape, not at import; the RX
 carriers, CNOT map and Z signs are statevec's.
 
-``VqcModel`` holds only its parameter array; its ``logits``, ``loss_grad``
-and ``step`` (the model interface ``trainkit`` describes) are
-``forward_batch``, ``gradient_batch`` and one optimizer step.  A step builds
-its next model with ``_vqc``, which applies the params rule ``_layer_angles``
-(``_check_layers``, then a read-only copy) and sets the field directly,
-without the dataclass constructor; ``VqcModel`` applies the same rule.
+``VqcModel`` holds only its parameter array; its ``prepare``, ``logits``,
+``loss_grad`` and ``step`` (the model interface ``trainkit`` describes) are
+``encode``, ``forward_batch``, ``gradient_batch`` and one optimizer step.  A
+step builds its next model with ``_vqc``, which applies the params rule
+``_layer_angles`` (``_check_layers``, then a read-only copy) and sets the field
+directly, without the dataclass constructor; ``VqcModel`` applies the same rule.
 """
 from __future__ import annotations
 
@@ -66,11 +71,14 @@ class VqcModel:
     def num_qubits(self) -> int:
         return self.params.shape[1]
 
-    def logits(self, features) -> np.ndarray:
-        return forward_batch(self.params, features)
+    def prepare(self, features) -> np.ndarray:
+        return encode(features, self.num_qubits)
 
-    def loss_grad(self, features, loss) -> tuple[np.ndarray, np.ndarray]:
-        return gradient_batch(self.params, features, loss)
+    def logits(self, states) -> np.ndarray:
+        return forward_batch(self.params, states)
+
+    def loss_grad(self, states, loss) -> tuple[np.ndarray, np.ndarray]:
+        return gradient_batch(self.params, states, loss)
 
     def step(self, grad: np.ndarray, optimizer) -> "VqcModel":
         """The model after one optimizer step along ``grad``."""
@@ -137,12 +145,17 @@ def fits_unitary_cap(num_layers: int, num_qubits: int, *, shifted: bool) -> bool
     return sets * num_layers * 4**num_qubits <= _MAX_UNITARY_ENTRIES
 
 
-def _check_batch(params, features, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(params, states, *, shifted: bool) -> tuple[np.ndarray, np.ndarray]:
     p = _check_layers(params, "params")
     layers, n, _ = p.shape
     if not fits_unitary_cap(layers, n, shifted=shifted):
         raise ValueError(f"params {p.shape} exceed the {_MAX_UNITARY_ENTRIES}-entry unitary cap")
-    return p, check_batch(features, n)
+    s = np.asarray(states, order="C")
+    if s.dtype != complex or s.ndim != 2 or s.shape[1] != 2**n:
+        raise ValueError(f"states must be complex128 (rows, {2**n}), got {s.dtype} {s.shape}")
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
+        raise ValueError("states must be finite")
+    return p, s
 
 
 def call_loss(loss, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,12 +167,15 @@ def call_loss(loss, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return losses, up
 
 
-def _encode_batch(features: np.ndarray) -> np.ndarray:
-    """Product-state amplitudes of RX(x_q) on each qubit of |0...0>, one row per sample."""
-    cols = _rx_carriers(features)  # (batch, qubit, bit)
+def encode(features, num_qubits: int) -> np.ndarray:
+    """The engine's states of ``check_batch(features, num_qubits)``: RX(x_q) on
+    each qubit of |0...0>, one (2**n,) complex row of amplitudes per sample."""
+    check_count(num_qubits, "num_qubits")
+    feats = check_batch(features, num_qubits)
+    cols = _rx_carriers(feats)  # (batch, qubit, bit)
     amps = cols[:, 0]
-    for q in range(1, features.shape[1]):
-        amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(features.shape[0], 2 ** (q + 1))
+    for q in range(1, num_qubits):
+        amps = (amps[:, :, None] * cols[:, q, None, :]).reshape(feats.shape[0], 2 ** (q + 1))
     return amps
 
 
@@ -229,13 +245,13 @@ def _readout_signs(num_qubits: int) -> np.ndarray:
     return signs
 
 
-def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, n) -> (S, B, n).
+def _expectations(angles: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<Z_q> for every parameter set and row: (S, L, n, 3) on (B, 2**n) -> (S, B, n).
 
     Each product psi @ U^T runs on float views: psi's (re, im) pairs times the
     real 2x2-block form of U^T, whose even rows are U^T and odd rows 1j * U^T
     as complex, laid out (layers, S, 2d, 2d).  Every layer is a per-set
-    product, the shared encoded batch broadcast against layer 0, so under any
+    product, the shared states broadcast against layer 0, so under any
     BLAS kernel and thread count a set's bits in a pass are its bits alone.
     """
     u = _layer_unitaries(angles)
@@ -243,19 +259,19 @@ def _expectations(angles: np.ndarray, features: np.ndarray) -> np.ndarray:
     blocks = np.empty((layers, sets, dim, 2, dim), dtype=complex)
     blocks[:, :, :, 0] = u.transpose(1, 0, 3, 2)
     np.multiply(blocks[:, :, :, 0], 1j, out=blocks[:, :, :, 1])
-    psi = _encode_batch(features).view(float)
+    psi = states.view(float)
     for layer in blocks.view(float).reshape(layers, sets, 2 * dim, 2 * dim):
         psi = psi @ layer
     return (psi * psi) @ _readout_signs(angles.shape[2])
 
 
-def forward_batch(params: np.ndarray, features) -> np.ndarray:
-    """Logits for a whole batch at once, one row per sample."""
-    p, feats = _check_batch(params, features, shifted=False)
-    return _expectations(p[None], feats)[0]
+def forward_batch(params: np.ndarray, states) -> np.ndarray:
+    """Logits for a whole batch of ``encode``d states at once, one row per sample."""
+    p, s = _check_batch(params, states, shifted=False)
+    return _expectations(p[None], s)[0]
 
 
-def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.ndarray]:
+def gradient_batch(params: np.ndarray, states, loss) -> tuple[np.ndarray, np.ndarray]:
     """One SGD step's circuit pass: ``(losses, batch-summed parameter-shift gradient)``.
 
     The unshifted set, the +shift block and the -shift block (1 + 2P sets)
@@ -264,8 +280,8 @@ def gradient_batch(params: np.ndarray, features, loss) -> tuple[np.ndarray, np.n
     the logits, weighs the shifted sets, and ``losses`` is passed back as is.
     The caller divides the gradient by the batch size when it wants a mean.
     """
-    p, feats = _check_batch(params, features, shifted=True)
-    out = _expectations(p + _shift_offsets(p.shape), feats)
+    p, s = _check_batch(params, states, shifted=True)
+    out = _expectations(p + _shift_offsets(p.shape), s)
     losses, up = call_loss(loss, out[0])
     delta = SHIFT_COEFFICIENT * (out[1 : p.size + 1] - out[p.size + 1 :])
     return losses, np.add.reduce(up * delta, axis=(1, 2)).reshape(p.shape)

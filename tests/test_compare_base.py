@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -171,10 +172,15 @@ def test_every_timer_statement_runs(script):
     assert len(epoch) == 320 // scope["config"].batch_size == 10
     # Each floor does its step's arithmetic: the same losses and params, bit for bit.
     exec("\n".join(script.FLOOR_SETUP), scope)
+    assert sorted(script.FLOORS) == ["SGD step timer, circuit", "SGD step timer, mlp"]
     for name, stmt in script.FLOORS.items():
+        kind = name.rsplit(", ", 1)[1]
         losses, params = eval(stmt, scope)
         assert params.tobytes() == eval(script.TIMERS[name], scope).params.tobytes()
-        assert losses.tobytes() == eval("mlp.loss_grad(rows, loss)[0]", scope).tobytes()
+        step_losses = eval(f"{kind}.loss_grad({kind}_rows, loss)[0]", scope)
+        assert losses.tobytes() == step_losses.tobytes()
+    # The circuit floor's written-out RX product is the engine's encoding.
+    assert scope["states"].tobytes() == scope["circuit_rows"].tobytes()
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])
@@ -273,3 +279,42 @@ def test_a_failed_fingerprint_run_raises_naming_the_command(script, tmp_path):
         script.facts(tmp_path)
     assert str(SCRIPT.parent / "fingerprint.py") in failed.value.cmd
     assert "broken on purpose" in failed.value.stderr
+
+
+def test_both_sides_run_from_sibling_copies(script, facts, monkeypatch, tmp_path):
+    # git is faked: REF archives to one file, and the checkout lists two of its
+    # own files, one of them deleted since.
+    archive = tmp_path / "archive.tar"
+    with tarfile.open(archive, "w") as tar:
+        tar.add(SCRIPT, arcname="scripts/compare_base.py")
+    listed = {"archive": archive.read_bytes(),
+              "ls-files": b"scripts/compare_base.py\0src/qfedring/gone.py\0"}
+    monkeypatch.setattr(script, "git", lambda command, *args: listed[command])
+    seen = []
+
+    def fake_facts(tree):
+        files = sorted(str(path.relative_to(tree)) for path in tree.rglob("*") if path.is_file())
+        seen.append(("facts", tree, files, (tree / "scripts" / "compare_base.py").read_bytes()))
+        return copy.deepcopy(facts)
+
+    def fake_pairs(trees, count, seconds):
+        seen.append(("pairs", trees, count, seconds))
+        return {side: facts["bench"] for side in ("base", "head")}
+
+    monkeypatch.setattr(script, "facts", fake_facts)
+    monkeypatch.setattr(script, "pairs", fake_pairs)
+    assert script.main(["REF", "--pairs", "3", "--seconds", "4"]) == 0
+    (_, base, *base_got), (_, head, *head_got), (_, trees, count, seconds) = seen
+    assert trees == {"base": base, "head": head} and (count, seconds) == (3, 4)
+    assert (base.name, head.name) == ("base", "head") and base.parent == head.parent
+    assert base_got == head_got == [["scripts/compare_base.py"], SCRIPT.read_bytes()]
+    assert not base.parent.exists()  # the copies go when the comparison ends
+
+
+def test_a_ref_git_cannot_archive_exits_2(script, monkeypatch):
+    def refuse(*args):
+        raise subprocess.CalledProcessError(128, ["git", *args])
+
+    monkeypatch.setattr(script, "git", refuse)
+    monkeypatch.setattr(script, "facts", lambda tree: pytest.fail("no facts without a tree"))
+    assert script.main(["no-such-ref"]) == 2

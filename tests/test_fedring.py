@@ -128,7 +128,7 @@ class TestMakeClients:
             "circuit": lambda: vqc.init_model(rng, 2),
             "store": lambda: qw.init_store(rng, 2, math.pi),
         }[kind]()
-        want = float(np.mean(np.argmax(model.logits(tx), axis=1) == ty))
+        want = float(np.mean(np.argmax(model.logits(model.prepare(tx)), axis=1) == ty))
         assert tk.evaluate(model, tx, ty) == want
 
     def test_rejects_unknown_model(self, rng):
@@ -151,18 +151,18 @@ class TestLocalTrain:
     def expected_single_batch_update(self, model, feats, labels, order, lr):
         """Replay one whole-set batch step by hand, in the permuted order."""
         fx, fy = feats[order], labels[order]
-        n = fy.size
+        n, states = fy.size, vqc.encode(fx, 2)
         if isinstance(model, vqc.VqcModel):
-            logits = vqc.forward_batch(model.params, fx)
+            logits = vqc.forward_batch(model.params, states)
             _, dlogits = tk.batch_loss_and_grad(logits, fy)
-            _, grad = vqc.gradient_batch(model.params, fx, lambda _: (None, dlogits))
+            _, grad = vqc.gradient_batch(model.params, states, lambda _: (None, dlogits))
             grad = grad / n
             return model.params - lr * grad
         if isinstance(model, qw.QuantumWeightStore):
             eff = qw.materialize(model)
-            logits = vqc.forward_batch(eff, fx)
+            logits = vqc.forward_batch(eff, states)
             _, dlogits = tk.batch_loss_and_grad(logits, fy)
-            _, circuit_grad = vqc.gradient_batch(eff, fx, lambda _: (None, dlogits))
+            _, circuit_grad = vqc.gradient_batch(eff, states, lambda _: (None, dlogits))
             circuit_grad = circuit_grad / n
             angle_grad = qw.weight_gradient(model, circuit_grad)
             return qw.canonical_angles(model.angles - lr * angle_grad)
@@ -197,7 +197,9 @@ class TestLocalTrain:
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_epochs_replay_bit_for_bit_with_a_short_last_batch(self, rng, kind):
         # 23 rows in batches of 5 end each epoch on 3 rows.  The replay gathers
-        # each batch's rows and labels through its own slice of the permutation.
+        # each batch's rows and labels through its own slice of the permutation
+        # and prepares each batch on its own, where local_train prepares the
+        # shard once per call and gathers the prepared rows once per epoch.
         fx, fy, _, _ = small_shard()
         fx, fy = fx[:23], fy[:23]
         model = {
@@ -213,7 +215,7 @@ class TestLocalTrain:
             for start in range(0, fy.size, 5):
                 idx = order[start : start + 5]
                 batch, grad = model.loss_grad(
-                    fx[idx], lambda logits: tk.batch_loss_and_grad(logits, fy[idx])
+                    model.prepare(fx[idx]), lambda logits: tk.batch_loss_and_grad(logits, fy[idx])
                 )
                 model = model.step(grad / idx.size, opt)
                 want_losses.append(float(np.add.reduce(batch) / batch.size))
@@ -222,6 +224,39 @@ class TestLocalTrain:
         held = "angles" if kind == "store" else "params"
         assert getattr(client.model, held).tobytes() == getattr(model, held).tobytes()
         assert client.rng.bit_generator.state == replay_rng.bit_generator.state
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
+    def test_prepares_the_shard_once_per_call(self, rng, monkeypatch, kind, epochs):
+        fx, fy, _, _ = small_shard()
+        model = {
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+            "mlp": lambda: tk.init_mlp(rng),
+        }[kind]()
+        prepare, seen = type(model).prepare, []
+        monkeypatch.setattr(type(model), "prepare",
+                            lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
+        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        for call in range(1, 3):
+            losses = fr.local_train(client, epochs=epochs, batch_size=10)
+            assert len(losses) == epochs * math.ceil(fy.size / 10)
+            assert seen == [fy.size] * call
+
+    @pytest.mark.parametrize("kind", ["circuit", "store"])
+    def test_a_circuit_of_another_width_is_refused_naming_the_client(self, kind):
+        # local_train applies no readout rule, so a three-qubit circuit reaches
+        # prepare, which refuses the shard's two feature columns before any step.
+        fx, fy, _, _ = small_shard()
+        if kind == "circuit":
+            model = vqc.VqcModel(np.zeros((2, 3, 3)))
+        else:
+            model = qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi)
+        client = fr.ClientState(5, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        message = rf"^client 5: expected features of shape \(batch, 3\), got \({fy.size}, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            fr.local_train(client, epochs=1, batch_size=10)
+        assert client.model is model
 
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()

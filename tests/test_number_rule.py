@@ -23,6 +23,7 @@ from qfedring import vqc
 
 CIRCUIT = (2, 2, 3)
 FEATS = np.random.default_rng(5).uniform(0, np.pi, size=(8, 2))
+STATES = vqc.encode(FEATS, 2)
 LABELS = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 LOGITS = (len(LABELS), 2)
 STORE = qw.init_store(np.random.default_rng(0), 2, math.pi)
@@ -46,8 +47,8 @@ CHECKED = {
     "VqcModel": (CIRCUIT, "params", lambda v: vqc.VqcModel(v).params),
     "QuantumWeightStore": (CIRCUIT, "angles", lambda v: qw.QuantumWeightStore(v, math.pi).angles),
     "ClassicalMlp": ((tk.MLP_PARAMS,), "params", lambda v: tk.ClassicalMlp(v).params),
-    "forward_batch": (CIRCUIT, "params", lambda v: vqc.forward_batch(v, FEATS)),
-    "gradient_batch": (CIRCUIT, "params", lambda v: vqc.gradient_batch(v, FEATS, _loss)),
+    "forward_batch": (CIRCUIT, "params", lambda v: vqc.forward_batch(v, STATES)),
+    "gradient_batch": (CIRCUIT, "params", lambda v: vqc.gradient_batch(v, STATES, _loss)),
     "weight_gradient": (CIRCUIT, "circuit_grad", lambda v: qw.weight_gradient(STORE, v)),
     "encode_weight": ((), "angle", lambda v: qw.encode_weight(v).amplitudes),
 }
@@ -58,7 +59,7 @@ CHECKED = {
 CAST = {
     "batch_loss_and_grad": (LOGITS, "logits", lambda v: tk.batch_loss_and_grad(v, LABELS)),
     "gradient_batch upstream": (
-        LOGITS, "upstream", lambda v: vqc.gradient_batch(CIRCUIT_PARAMS, FEATS, _upstream(v))
+        LOGITS, "upstream", lambda v: vqc.gradient_batch(CIRCUIT_PARAMS, STATES, _upstream(v))
     ),
     "mlp_batch_grads upstream": (
         LOGITS, "upstream", lambda v: tk.mlp_batch_grads(MLP, FEATS, _upstream(v))

@@ -241,7 +241,9 @@ class TestGradient:
         store = qw.init_store(rng, config.layers, gamma)
         feats = rng.uniform(0, math.pi, size=(config.batch_size, 2))
         labels = rng.integers(0, 2, size=config.batch_size)
-        _, grad = store.loss_grad(feats, lambda lg: tk.batch_loss_and_grad(lg, labels))
+        _, grad = store.loss_grad(
+            store.prepare(feats), lambda lg: tk.batch_loss_and_grad(lg, labels)
+        )
         g = grad / config.batch_size  # the step local_train takes
         opt = tk.SgdOptimizer(lr)
         params = qw.materialize(store)

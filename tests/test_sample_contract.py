@@ -12,8 +12,9 @@ integers), and a shard has at least one row.  ``Dataset``,
 inputs and must reach the same verdict: an accepted form gives results
 bit-equal to the integer labels, a rejected one raises a ``ValueError``
 naming labels or features, or saying that the set is empty.  A model batch
-may be empty: every model kind's ``logits`` and ``loss_grad`` take no labels
-and apply ``datagen.check_batch`` with the model's width.
+may be empty: every model kind's ``prepare`` applies ``datagen.check_batch``
+with the model's width, and its ``logits`` and ``loss_grad`` take no labels
+and read the prepared rows.
 """
 import math
 from fractions import Fraction
@@ -48,11 +49,17 @@ def _model(kind="mlp"):
 
 
 def _logits(kind):
-    return lambda f, y: _model(kind).logits(f)
+    def call(f, y):
+        model = _model(kind)
+        return model.logits(model.prepare(f))
+    return call
 
 
 def _loss_grad(kind):
-    return lambda f, y: _model(kind).loss_grad(f, lambda lg: tk.batch_loss_and_grad(lg, y))
+    def call(f, y):
+        model = _model(kind)
+        return model.loss_grad(model.prepare(f), lambda lg: tk.batch_loss_and_grad(lg, y))
+    return call
 
 
 def _dataset(feats, labels):
@@ -283,14 +290,16 @@ def test_a_wrong_shaped_upstream_is_named_for_every_kind(kind, shape):
     # The upstream is named for every kind, not left to fail inside numpy's matmul.
     model = _model(kind)
     with pytest.raises(ValueError, match=r"upstream must have shape \(8, 2\)"):
-        model.loss_grad(FEATS, lambda logits: (np.zeros(len(logits)), np.zeros(shape)))
+        model.loss_grad(
+            model.prepare(FEATS), lambda logits: (np.zeros(len(logits)), np.zeros(shape))
+        )
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_zero_rows_give_empty_scores_and_a_zero_gradient_for_every_kind(kind):
     # An empty batch is a valid batch for every kind, the circuit encoder included.
     model = _model(kind)
-    empty = np.zeros((0, 2))
+    empty = model.prepare(np.zeros((0, 2)))
     assert model.logits(empty).shape == (0, 2)
     losses, grad = model.loss_grad(empty, lambda lg: tk.batch_loss_and_grad(lg, INT[:0]))
     params = model.angles if kind == "store" else model.params

@@ -387,7 +387,7 @@ class TestModelDispatch:
             (circuit, lambda x: oracle.forward(circuit, x)),
             (store, lambda x: oracle.forward(stored_circuit, x)),
         ]:
-            batched = model.logits(feats)
+            batched = model.logits(model.prepare(feats))
             assert batched.shape == (5, 2)
             for i in range(5):
                 assert_allclose(batched[i], reference(feats[i]), atol=1e-12)
@@ -396,9 +396,9 @@ class TestModelDispatch:
         # A row's scores do not depend on the rest of the batch.
         feats = rng.uniform(0, math.pi, size=(5, 2))
         for model in (tk.init_mlp(rng), vqc.init_model(rng, 2), qw.init_store(rng, 2, math.pi)):
-            batched = model.logits(feats)
+            batched = model.logits(model.prepare(feats))
             for i in range(5):
-                alone = model.logits(feats[i : i + 1])
+                alone = model.logits(model.prepare(feats[i : i + 1]))
                 assert_allclose(batched[i], alone[0], atol=1e-12)
             with pytest.raises(ValueError, match="batch"):
                 tk.evaluate(model, feats[0], np.array([0, 1]))

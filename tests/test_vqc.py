@@ -37,13 +37,13 @@ def random_model(rng, num_layers=2, num_qubits=2, scale=math.pi):
     return vqc.VqcModel(params)
 
 
-def two_call_step(params, feats, labels):
+def two_call_step(params, states, labels):
     """The step gradient_batch fuses, as two engine calls: forward_batch, the
     loss, then the +shift/-shift contraction of the 2P shifted sets."""
-    losses, upstream = tk.batch_loss_and_grad(vqc.forward_batch(params, feats), labels)
+    losses, upstream = tk.batch_loss_and_grad(vqc.forward_batch(params, states), labels)
     p = np.asarray(params, dtype=float)
     shifts = vqc.SHIFT * np.eye(p.size).reshape(p.size, *p.shape)
-    out = vqc._expectations(np.concatenate([p + shifts, p - shifts]), feats)
+    out = vqc._expectations(np.concatenate([p + shifts, p - shifts]), states)
     delta = vqc.SHIFT_COEFFICIENT * (out[: p.size] - out[p.size :])
     return losses, np.sum(upstream * delta, axis=(1, 2)).reshape(p.shape)
 
@@ -199,11 +199,75 @@ class TestGradient:
         )
 
 
+class TestEncode:
+    """``encode`` is the one map from features to the engine's states, and the
+    engine refuses by name anything that is not such states."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 32, 320])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_rows_are_encoded_independently(self, num_qubits, rows):
+        """A slice or a gather of an encoded shard is bit for bit the encoding
+        of those rows alone, signed zeros included: local_train encodes its
+        shard once and slices every batch from it."""
+        gen = np.random.default_rng(10 * rows + num_qubits)
+        feats = gen.uniform(-math.pi, 2 * math.pi, size=(rows, num_qubits))
+        feats.flat[::5], feats.flat[1::7], feats.flat[2::11] = 0.0, -0.0, math.pi
+        shard = vqc.encode(feats, num_qubits)
+        assert shard.dtype == complex and shard.shape == (rows, 2**num_qubits)
+        parts = [slice(None), slice(0, 0), slice(0, 1), slice(rows // 3, rows),
+                 slice(1, max(rows - 1, 1)), slice(None, None, 2)]
+        order = gen.permutation(rows)
+        parts += [order[start : start + 32] for start in range(0, rows, 32)]
+        for part in parts:
+            assert vqc.encode(feats[part], num_qubits).tobytes() == shard[part].tobytes()
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_matches_the_gate_built_state_with_unit_norm(self, rng, num_qubits):
+        model = random_model(rng, num_qubits=num_qubits)
+        feats = rng.uniform(0, math.pi, size=(6, num_qubits))
+        states = vqc.encode(feats, num_qubits)
+        for row, x in zip(states, feats):
+            assert_allclose(row, oracle.encode(model, x).amplitudes, atol=1e-15)
+        assert np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1).max() <= 4 * np.finfo(float).eps
+
+    def test_refuses_a_qubit_count_that_is_not_a_count(self):
+        with pytest.raises(ValueError, match="num_qubits"):
+            vqc.encode(np.zeros((3, 0)), 0)
+
+    STATES = vqc.encode(np.random.default_rng(4).uniform(0, math.pi, size=(5, 2)), 2)
+
+    @pytest.mark.parametrize("bad, message", [
+        (STATES.real, r"states must be complex128 \(rows, 4\), got float64 \(5, 4\)"),
+        (np.random.default_rng(4).uniform(0, math.pi, size=(5, 2)),
+         r"states must be complex128 \(rows, 4\), got float64 \(5, 2\)"),
+        (STATES[:, :2], r"states must be complex128 \(rows, 4\), got complex128 \(5, 2\)"),
+        (np.hstack([STATES, STATES]),
+         r"states must be complex128 \(rows, 4\), got complex128 \(5, 8\)"),
+        (STATES[0], r"states must be complex128 \(rows, 4\), got complex128 \(4,\)"),
+        (STATES.astype(np.complex64),
+         r"states must be complex128 \(rows, 4\), got complex64 \(5, 4\)"),
+        (np.where(np.arange(4) == 3, complex(math.nan, 0), STATES), "states must be finite"),
+        (np.where(np.arange(4) == 1, complex(0, math.inf), STATES), "states must be finite"),
+    ], ids=["float", "features", "narrow", "wide", "one row", "complex64", "nan", "inf"])
+    def test_the_states_rule_refuses_by_name(self, rng, bad, message):
+        params = random_model(rng).params
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vqc.forward_batch(params, bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            vqc.gradient_batch(params, bad, lambda out: (None, np.ones_like(out)))
+
+    def test_the_states_rule_takes_any_memory_order(self, rng):
+        params = random_model(rng).params
+        want = vqc.forward_batch(params, self.STATES)
+        assert vqc.forward_batch(params, np.asfortranarray(self.STATES)).tobytes() == want.tobytes()
+        assert vqc.forward_batch(params, self.STATES.tolist()).tobytes() == want.tobytes()
+
+
 class TestBatchedPath:
     def test_forward_batch_matches_reference(self, rng):
         model = random_model(rng, num_layers=3)
         feats = rng.uniform(0, math.pi, size=(16, 2))
-        batched = vqc.forward_batch(model.params, feats)
+        batched = vqc.forward_batch(model.params, vqc.encode(feats, 2))
         for row, x in zip(batched, feats):
             assert_allclose(row, oracle.forward(model, x), atol=1e-12)
 
@@ -211,7 +275,9 @@ class TestBatchedPath:
         model = random_model(rng)
         feats = rng.uniform(0, math.pi, size=(8, 2))
         upstream = rng.normal(size=(8, 2))
-        _, batched = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
+        _, batched = vqc.gradient_batch(
+            model.params, vqc.encode(feats, 2), lambda _: (None, upstream)
+        )
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
             summed += oracle.gradient(model, x, up)
@@ -220,27 +286,25 @@ class TestBatchedPath:
     def test_batch_path_validation(self, rng):
         model = random_model(rng)
         with pytest.raises(ValueError, match="batch"):
-            vqc.forward_batch(model.params, np.zeros((4, 3)))
+            vqc.encode(np.zeros((4, 3)), 2)
         with pytest.raises(ValueError, match=r"features of shape \(batch, 3\), got \(4, 2\)"):
-            vqc.forward_batch(np.zeros((1, 3, 3)), np.zeros((4, 2)))
+            vqc.encode(np.zeros((4, 2)), 3)
         for shape in [(3, 2), (4,), (2, 4), (4, 3)]:
             with pytest.raises(ValueError, match="upstream"):
                 vqc.gradient_batch(
-                    model.params, np.zeros((4, 2)), lambda _: (None, np.zeros(shape))
+                    model.params, vqc.encode(np.zeros((4, 2)), 2), lambda _: (None, np.zeros(shape))
                 )
-        # Refused as encode() refuses them, not turned into NaN logits.
+        # Refused by encode(), the one way in to the engine, not turned into NaN logits.
         for bad in (math.nan, math.inf, -math.inf):
             feats = np.array([[0.3, 0.1], [bad, 0.0]])
             with pytest.raises(ValueError, match="features must be finite"):
-                vqc.forward_batch(model.params, feats)
-            with pytest.raises(ValueError, match="features must be finite"):
-                vqc.gradient_batch(model.params, feats, lambda out: (None, np.ones_like(out)))
+                vqc.encode(feats, 2)
 
     def test_single_row_batch(self, rng):
         model = random_model(rng)
         x = rng.uniform(0, math.pi, 2)
         assert_allclose(
-            vqc.forward_batch(model.params, x[None, :])[0],
+            vqc.forward_batch(model.params, vqc.encode(x[None, :], 2))[0],
             oracle.forward(model, x),
             atol=1e-12,
         )
@@ -252,14 +316,15 @@ class TestBatchedPath:
         model = random_model(rng, num_layers=num_layers, num_qubits=num_qubits)
         feats = rng.uniform(0, math.pi, size=(batch, num_qubits))
         upstream = rng.normal(size=(batch, num_qubits))
-        batched = vqc.forward_batch(model.params, feats)
+        states = vqc.encode(feats, num_qubits)
+        batched = vqc.forward_batch(model.params, states)
         assert batched.shape == (batch, num_qubits)
         for row, x in zip(batched, feats):
             assert_allclose(row, oracle.forward(model, x), atol=1e-12)
         summed = np.zeros_like(model.params)
         for x, up in zip(feats, upstream):
             summed += oracle.gradient(model, x, up)
-        _, batched_grad = vqc.gradient_batch(model.params, feats, lambda _: (None, upstream))
+        _, batched_grad = vqc.gradient_batch(model.params, states, lambda _: (None, upstream))
         assert_allclose(batched_grad, summed, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -287,15 +352,13 @@ class TestBatchedPath:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="params"):
-                vqc.gradient_batch(
-                    np.zeros((1, 9, 3)), np.zeros((2, 9)), lambda _: (None, np.zeros((2, 9)))
-                )
+                vqc.gradient_batch(np.zeros((1, 9, 3)), np.zeros((2, 2**9), complex),
+                                   lambda _: (None, np.zeros((2, 9))))
             with pytest.raises(ValueError, match="params"):
-                vqc.forward_batch(np.zeros((1, 11, 3)), np.zeros((2, 11)))
+                vqc.forward_batch(np.zeros((1, 11, 3)), np.zeros((2, 2**11), complex))
             with pytest.raises(ValueError, match="params"):
-                vqc.gradient_batch(
-                    np.zeros((500, 2, 3)), np.zeros((2, 2)), lambda _: (None, np.zeros((2, 2)))
-                )
+                vqc.gradient_batch(np.zeros((500, 2, 3)), np.zeros((2, 4), complex),
+                                   lambda _: (None, np.zeros((2, 2))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,10 +370,10 @@ class TestBatchedPath:
         allocations (the complex engine they replaced peaked at 21.6 and
         54.7 MiB); the real block forms may cost at most twice that."""
         for shape, complex_mib in (((1, 7, 3), 21.6), ((73, 2, 3), 54.7)):
-            up = np.zeros((4, shape[1]))
+            up, states = np.zeros((4, shape[1])), vqc.encode(np.zeros((4, shape[1])), shape[1])
             tracemalloc.start()
             try:
-                vqc.gradient_batch(np.zeros(shape), np.zeros((4, shape[1])), lambda _: (None, up))
+                vqc.gradient_batch(np.zeros(shape), states, lambda _: (None, up))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -333,11 +396,11 @@ class TestBatchedPath:
                 params = random_model(rng, num_layers=num_layers).params
             else:
                 params = qw.materialize(qw.init_store(rng, num_layers=num_layers, gamma=math.pi))
-            feats = rng.uniform(0, math.pi, size=(batch, 2))
+            states = vqc.encode(rng.uniform(0, math.pi, size=(batch, 2)), 2)
             labels = rng.integers(0, 2, size=batch)
-            want_losses, want_grad = two_call_step(params, feats, labels)
+            want_losses, want_grad = two_call_step(params, states, labels)
             losses, grad = vqc.gradient_batch(
-                params, feats, lambda logits: tk.batch_loss_and_grad(logits, labels)
+                params, states, lambda logits: tk.batch_loss_and_grad(logits, labels)
             )
             assert np.array_equal(losses, want_losses)
             assert np.array_equal(grad, want_grad)
@@ -345,17 +408,18 @@ class TestBatchedPath:
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_each_set_in_a_pass_matches_its_own_product(self, num_qubits):
         """Every layer is a per-set (B, 2d) @ (2d, 2d) product, layer 0 from
-        the shared encoded batch, so each of a gradient pass's 1 + 2P sets
+        the shared states, so each of a gradient pass's 1 + 2P sets
         gives the same bits in the pass as on its own, at every qubit count."""
         rng = np.random.default_rng(99)
         for num_layers in (1, 2, 3):
             for batch in range(1, 41):
                 params = rng.uniform(-math.pi, math.pi, size=(num_layers, num_qubits, 3))
                 feats = rng.uniform(0, math.pi, size=(batch, num_qubits))
+                states = vqc.encode(feats, num_qubits)
                 angles = params + vqc._shift_offsets(params.shape)
-                together = vqc._expectations(angles, feats)
+                together = vqc._expectations(angles, states)
                 for s in range(angles.shape[0]):
-                    alone = vqc._expectations(angles[s : s + 1], feats)[0]
+                    alone = vqc._expectations(angles[s : s + 1], states)[0]
                     assert np.array_equal(together[s], alone)
 
     def test_rotation_build_matches_gate_built_rot(self):
@@ -399,7 +463,7 @@ class TestBatchedPath:
 
     def test_loss_called_once_with_unshifted_logits(self, rng):
         model = random_model(rng, num_layers=2)
-        feats = rng.uniform(0, math.pi, size=(9, 2))
+        states = vqc.encode(rng.uniform(0, math.pi, size=(9, 2)), 2)
         labels = rng.integers(0, 2, size=9)
         seen = []
 
@@ -407,6 +471,6 @@ class TestBatchedPath:
             seen.append(np.array(logits))
             return tk.batch_loss_and_grad(logits, labels)
 
-        vqc.gradient_batch(model.params, feats, loss)
+        vqc.gradient_batch(model.params, states, loss)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], vqc.forward_batch(model.params, feats))
+        assert np.array_equal(seen[0], vqc.forward_batch(model.params, states))
