@@ -113,7 +113,10 @@ TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
 # circuit floor reads states encoded once in its setup, with the RX product
 # written out, and runs the engine's own kernels (``_shift_offsets``,
 # ``_layer_unitaries``, ``_readout_signs``, in every tree since the engine
-# took its real block form).  A step and its floor are timed in one process
+# took its real block form).  The store floor reads gamma <Z> of its angles,
+# runs the circuit floor's pass on that, chains the gradient back through the
+# +shift and -shift angles, steps, and wraps the angles to (-pi, pi] as
+# ``canonical_angles`` does.  A step and its floor are timed in one process
 # (``PAIRED``), so step / floor does not move with the host's speed; it bounds
 # what a change that keeps the checks can win.
 FLOOR_SETUP = (
@@ -141,7 +144,7 @@ FLOOR_SETUP = (
     "carriers = np.empty((labels.size, 2, 2), dtype=complex)",
     "carriers[..., 0], carriers[..., 1] = np.cos(rows / 2), -1j * np.sin(rows / 2)",
     "states = (carriers[:, 0, :, None] * carriers[:, 1, None, :]).reshape(labels.size, 4)",
-    "def circuit_floor(params):\n"
+    "def circuit_pass(params):\n"
     "    u = vqc._layer_unitaries(params + vqc._shift_offsets(params.shape))\n"
     "    sets, layers, dim = u.shape[0], u.shape[1], u.shape[-1]\n"
     "    blocks = np.empty((layers, sets, dim, 2, dim), dtype=complex)\n"
@@ -153,11 +156,28 @@ FLOOR_SETUP = (
     "    out = (psi * psi) @ vqc._readout_signs(2)\n"
     "    losses, dlogits = raw_loss(scale * out[0])\n"
     "    delta = vqc.SHIFT_COEFFICIENT * (out[1 : params.size + 1] - out[params.size + 1 :])\n"
-    "    grad = np.add.reduce(dlogits * delta, axis=(1, 2)).reshape(params.shape)\n"
+    "    return losses, np.add.reduce(dlogits * delta, axis=(1, 2)).reshape(params.shape)",
+    "def circuit_floor(params):\n"
+    "    losses, grad = circuit_pass(params)\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
+    "shift_pair = np.array([vqc.SHIFT, -vqc.SHIFT]).reshape(2, 1, 1, 1)",
+    "def rx_z(angles):\n"
+    "    c, s = np.cos(angles / 2), np.sin(angles / 2)\n"
+    "    return c * c - s * s",
+    "def store_floor(angles):\n"
+    "    losses, grad = circuit_pass(store.gamma * rx_z(angles))\n"
+    "    plus, minus = rx_z(angles + shift_pair)\n"
+    "    chained = grad / labels.size * store.gamma * (vqc.SHIFT_COEFFICIENT * (plus - minus))\n"
+    "    a = angles - opt.learning_rate * chained\n"
+    "    if np.maximum.reduce(a, axis=None) <= np.pi and np.minimum.reduce(a, axis=None) > -np.pi:\n"
+    "        return losses, a\n"
+    "    wrapped = np.mod(a + np.pi, 2.0 * np.pi) - np.pi\n"
+    "    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)\n"
+    "    return losses, np.where((a > np.pi) | (a <= -np.pi), wrapped, a)",
 )
 FLOORS = {"SGD step timer, mlp": "floor(mlp.params)",
-          "SGD step timer, circuit": "circuit_floor(circuit.params)"}
+          "SGD step timer, circuit": "circuit_floor(circuit.params)",
+          "SGD step timer, store": "store_floor(store.angles)"}
 # Times a statement and its floor in one process: 7 alternating rounds of 200
 # loops each; prints the best per-loop seconds of each as a JSON pair.
 PAIRED = """

@@ -14,7 +14,9 @@ is never changed.
 
 It prints one line per mutant, then ``killed / total``, and exits 0 only
 when every mutant is killed.  Each mutant costs one pytest start, so this
-runs beside the test suite, not in it.  Standard library and pytest only.
+runs beside the test suite, not in it; ``tests/test_mutants.py`` checks in
+the suite that each old text still occurs once and each named test exists.
+Standard library and pytest only.
 """
 from __future__ import annotations
 
@@ -89,31 +91,43 @@ MUTANTS = (
            'not in "biufc"', 'not in "biufcSU"',
            ("tests/test_statevec.py::TestStateVector::test_refuses_non_number_amplitudes",)),
     # One rule per kind, and one readout rule at every entry point.  A step or a
-    # hand-off builds its next model with the kind's private constructor, which
-    # applies the rule and hands a store's gamma on as it is.
+    # hand-off builds its next model with the kind's one constructor, which
+    # applies the rule and keeps a store's gamma as it is.
     Mutant("QuantumWeightStore.step: gamma not handed on", "qfedring/qweights.py",
-           "_store(angles, self.gamma)", "_store(angles, math.pi)", (STORE_STEP,)),
+           "QuantumWeightStore(angles, self.gamma)", "QuantumWeightStore(angles, math.pi)",
+           (STORE_STEP,)),
     Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
            "reshape(shape), store.gamma)", "reshape(shape), math.pi)", (HAND_OFF,)),
-    Mutant("_mlp: a non-finite result passes", "qfedring/trainkit.py",
-           "_mlp_params(params))", "_mlp_params(np.nan_to_num(params)))", (f"{STEP_RULE}[mlp]",)),
-    Mutant("_mlp: the read-only flag dropped", "qfedring/trainkit.py",
-           "_mlp_params(params))", "_mlp_params(params).copy())", (f"{STEP_RULE}[mlp]",)),
-    Mutant("_vqc: a non-finite result passes", "qfedring/vqc.py",
+    Mutant("ClassicalMlp.__init__: non-finite params pass", "qfedring/trainkit.py",
+           'check_floats(params, "params")', 'check_floats(np.nan_to_num(params), "params")',
+           (f"{STEP_RULE}[mlp]",)),
+    Mutant("ClassicalMlp.__init__: the read-only flag dropped", "qfedring/trainkit.py",
+           'object.__setattr__(self, "params", p)', 'object.__setattr__(self, "params", p.copy())',
+           (f"{STEP_RULE}[mlp]",)),
+    Mutant("VqcModel.__init__: non-finite params pass", "qfedring/vqc.py",
            '_layer_angles(params, "params"))', '_layer_angles(np.nan_to_num(params), "params"))',
            (f"{STEP_RULE}[circuit]",)),
-    Mutant("_vqc: the read-only flag dropped", "qfedring/vqc.py",
+    Mutant("VqcModel.__init__: the read-only flag dropped", "qfedring/vqc.py",
            '_layer_angles(params, "params"))', '_layer_angles(params, "params").copy())',
            (f"{STEP_RULE}[circuit]",)),
-    Mutant("_store: a non-finite result passes", "qfedring/qweights.py",
+    Mutant("QuantumWeightStore.__init__: non-finite angles pass", "qfedring/qweights.py",
            '_layer_angles(angles, "angles"))', '_layer_angles(np.nan_to_num(angles), "angles"))',
            (STORE_STEP, HAND_OFF)),
-    Mutant("_store: the read-only flag dropped", "qfedring/qweights.py",
+    Mutant("QuantumWeightStore.__init__: the read-only flag dropped", "qfedring/qweights.py",
            '_layer_angles(angles, "angles"))', '_layer_angles(angles, "angles").copy())',
            (STORE_STEP, HAND_OFF)),
-    # Each experiment default lives only in cli.ExperimentConfig.
+    # No second constructor: nothing but statevec._qubit calls object.__new__.
+    Mutant("sgd_step_mlp: the next model built through object.__new__", "qfedring/trainkit.py",
+           "    return ClassicalMlp(opt.step(model.params, grad))\n",
+           "    stepped = object.__new__(ClassicalMlp)\n"
+           "    stepped.__init__(opt.step(model.params, grad))\n"
+           "    return stepped\n",
+           ("tests/test_package.py::test_only_qubit_builds_without_a_constructor",)),
+    # Each experiment default lives only in cli.ExperimentConfig; with init=False
+    # the store's signature is its __init__'s.
     Mutant("QuantumWeightStore: gamma defaults to pi again", "qfedring/qweights.py",
-           "    gamma: float\n", "    gamma: float = math.pi\n",
+           "def __init__(self, angles, gamma: float)",
+           "def __init__(self, angles, gamma: float = math.pi)",
            ("tests/test_setting_rules.py::test_only_the_config_gives_a_setting_a_default",)),
     Mutant("evaluate: readout not checked", "qfedring/trainkit.py",
            "    check_readout(model)\n    scores", "    scores",
@@ -236,6 +250,9 @@ MUTANTS = (
            "qfedring/datagen.py", "or value < minimum:", "or value < 1:", (EDGE_VALUES,)),
     Mutant("ExperimentConfig: the seed left unchecked", "qfedring/cli.py",
            '            datagen.check_count(self.seed, "seed", minimum=0)\n', "",
+           ("tests/test_setting_rules.py::test_seed_refused_by_the_count_rule",)),
+    Mutant("make_clients: the client seed left unchecked", "qfedring/fedring.py",
+           '    datagen.check_count(client_seed, "client_seed", minimum=0)\n', "",
            ("tests/test_setting_rules.py::test_seed_refused_by_the_count_rule",)),
     Mutant("check_circles: a bool passes as a sigma", "qfedring/datagen.py",
            "isinstance(noise, bool) or ", "",

@@ -85,6 +85,7 @@ def make_clients(
 ) -> list[ClientState]:
     """Partition the data and stand up clients that all start from ``model``."""
     check_readout(model)
+    datagen.check_count(client_seed, "client_seed", minimum=0)
     shards = partition(features, labels, num_clients, partition_seed)
     optimizer = SgdOptimizer(learning_rate)  # frozen, so every client shares this one
     clients = []

@@ -16,11 +16,10 @@ model interface ``trainkit`` describes: its ``prepare`` is ``vqc.encode``,
 its ``logits`` and ``loss_grad`` run the circuit engine on ``materialize(store)``,
 and ``step(circuit_grad, optimizer)`` runs ``weight_gradient``, the optimizer
 and ``canonical_angles``, each called through its module-level name so
-that rebinding one (as a tracer does) also covers this path.  The step, and
-the teleport channel's hand-off, build the next store with ``_store``, which
-applies the angles rule ``vqc._layer_angles`` and sets both fields directly,
-handing on the gamma the store already holds without checking it again;
-``QuantumWeightStore`` applies the same rule and checks gamma.
+that rebinding one (as a tracer does) also covers this path.  The step and
+the teleport channel's hand-off build the next store with the constructor,
+the one place its rule runs: the angles rule ``vqc._layer_angles``, then
+``check_positive`` on gamma.
 ``encode_weight`` wraps one carrier as a validated StateVector; no run
 calls it (the teleport channel builds a whole store's carriers at once),
 and it stays only because the benchmark tracer wraps it, as it does the
@@ -57,17 +56,17 @@ _SHIFT_PAIR.flags.writeable = False
 _RX_HALF_PI_T = tuple(map(tuple, _rx_matrix(math.pi / 2).T.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuantumWeightStore:
     """Angles shaped like circuit params [layer][qubit][3], plus the value scale."""
 
     angles: np.ndarray
     gamma: float
 
-    def __post_init__(self) -> None:
-        angles = _layer_angles(self.angles, "angles")
-        check_positive(self.gamma, "gamma")
-        object.__setattr__(self, "angles", angles)
+    def __init__(self, angles, gamma: float) -> None:
+        object.__setattr__(self, "angles", _layer_angles(angles, "angles"))
+        check_positive(gamma, "gamma")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def num_qubits(self) -> int:
@@ -89,17 +88,7 @@ class QuantumWeightStore:
         both transports hand on the same store.
         """
         angles = canonical_angles(optimizer.step(self.angles, weight_gradient(self, circuit_grad)))
-        return _store(angles, self.gamma)
-
-
-def _store(angles, gamma: float) -> QuantumWeightStore:
-    """``QuantumWeightStore(angles, gamma)`` for a ``gamma`` a store already
-    holds, built without the dataclass constructor: the angles rule, with both
-    fields set directly and gamma not checked again."""
-    store = object.__new__(QuantumWeightStore)
-    object.__setattr__(store, "angles", _layer_angles(angles, "angles"))
-    object.__setattr__(store, "gamma", gamma)
-    return store
+        return QuantumWeightStore(angles, self.gamma)
 
 
 def init_store(rng: np.random.Generator, num_layers: int, gamma: float) -> QuantumWeightStore:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import check_generator
-from .qweights import QuantumWeightStore, _store, decode_angle, state_expectations
+from .qweights import QuantumWeightStore, decode_angle, state_expectations
 from .qweights import encode_weight  # noqa: F401  (wrapped by perfbench/spans.py)
 from .statevec import _H, StateVector, _forcing_rule, _qubit, _rx_carriers, _sample
 from .statevec import apply_gate, measure_qubits  # noqa: F401  (wrapped by perfbench/spans.py)
@@ -144,4 +144,4 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
                 f"weight (layer={layer}, qubit={q}, k={k}) failed in transfer: {exc}",
                 weight_index=(layer, q, k),
             ) from exc
-    return _store(np.array(out).reshape(shape), store.gamma)
+    return QuantumWeightStore(np.array(out).reshape(shape), store.gamma)

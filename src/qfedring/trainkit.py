@@ -11,14 +11,13 @@ for the MLP, ``vqc.encode`` states for a circuit), ``logits(rows)``,
 ``step(grad, optimizer)``.  The MLP's ``loss_grad`` and ``step`` call
 ``mlp_batch_grads`` and ``sgd_step_mlp`` through their module-level names,
 so that rebinding one (as a tracer does) also covers this path; its one field
-is ``params``.  ``sgd_step_mlp`` builds the next model with ``_mlp``, which
-applies the params rule ``_mlp_params`` (one float cast, one finiteness test,
-the shape test, a read-only copy) and sets the field directly, without the
-dataclass constructor; ``ClassicalMlp`` applies the same rule, so the kind has
-one.  ``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one
-forward pass, ``_mlp_forward``, which slices w1, b1, w2 and b2 from one read
-of ``params``; ``mlp_batch_grads`` writes the gradient's four blocks in place
-into one new array laid out the same way.
+is ``params``.  Each kind's constructor is the one place its rule runs:
+``ClassicalMlp``'s makes one float cast, one finiteness test, the shape test
+and a read-only copy, and ``sgd_step_mlp`` builds the next model through it.
+``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one forward pass,
+``_mlp_forward``, which slices w1, b1, w2 and b2 from one read of ``params``;
+``mlp_batch_grads`` writes the gradient's four blocks in place into one new
+array laid out the same way.
 Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
 ``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
@@ -113,7 +112,7 @@ _B2 = _W2 + 2 * MLP_HIDDEN
 MLP_PARAMS = _B2 + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassicalMlp:
     """2 -> 4 -> 2 network with tanh hidden units (22 parameters).
 
@@ -123,8 +122,12 @@ class ClassicalMlp:
 
     params: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _mlp_params(self.params))
+    def __init__(self, params) -> None:
+        p = np.array(check_floats(params, "params"))
+        if p.shape != (MLP_PARAMS,):
+            raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
+        p.flags.writeable = False
+        object.__setattr__(self, "params", p)
 
     def prepare(self, features) -> np.ndarray:
         return check_batch(features, 2)
@@ -138,23 +141,6 @@ class ClassicalMlp:
     def step(self, grad: np.ndarray, optimizer: SgdOptimizer) -> "ClassicalMlp":
         """The model after one optimizer step along ``grad``."""
         return sgd_step_mlp(self, grad, optimizer)
-
-
-def _mlp_params(values) -> np.ndarray:
-    """The MLP's params rule: a read-only ``check_floats`` copy of shape (MLP_PARAMS,)."""
-    p = np.array(check_floats(values, "params"))
-    if p.shape != (MLP_PARAMS,):
-        raise ValueError(f"params must have shape ({MLP_PARAMS},), got {p.shape}")
-    p.flags.writeable = False
-    return p
-
-
-def _mlp(params) -> ClassicalMlp:
-    """``ClassicalMlp(params)``, built without the dataclass constructor: the
-    same rule, with the field set directly."""
-    model = object.__new__(ClassicalMlp)
-    object.__setattr__(model, "params", _mlp_params(params))
-    return model
 
 
 # isinstance accepts this union, so it doubles as the list of known kinds.
@@ -208,7 +194,7 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
 
 
 def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:
-    return _mlp(opt.step(model.params, grad))
+    return ClassicalMlp(opt.step(model.params, grad))
 
 
 def evaluate(model: Model, features, labels) -> float:

@@ -33,10 +33,9 @@ carriers, CNOT map and Z signs are statevec's.
 
 ``VqcModel`` holds only its parameter array; its ``prepare``, ``logits``,
 ``loss_grad`` and ``step`` (the model interface ``trainkit`` describes) are
-``encode``, ``forward_batch``, ``gradient_batch`` and one optimizer step.  A
-step builds its next model with ``_vqc``, which applies the params rule
-``_layer_angles`` (``_check_layers``, then a read-only copy) and sets the field
-directly, without the dataclass constructor; ``VqcModel`` applies the same rule.
+``encode``, ``forward_batch``, ``gradient_batch`` and one optimizer step.  Its
+constructor, through which a step builds the next model, is the one place its
+params rule ``_layer_angles`` (``_check_layers``, then a read-only copy) runs.
 """
 from __future__ import annotations
 
@@ -58,14 +57,14 @@ SHIFT = math.pi / 2
 SHIFT_COEFFICIENT = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VqcModel:
     """Trainable circuit parameters, shaped [layer][qubit][(phi, theta, omega)]."""
 
     params: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _layer_angles(self.params, "params"))
+    def __init__(self, params) -> None:
+        object.__setattr__(self, "params", _layer_angles(params, "params"))
 
     @property
     def num_qubits(self) -> int:
@@ -82,7 +81,7 @@ class VqcModel:
 
     def step(self, grad: np.ndarray, optimizer) -> "VqcModel":
         """The model after one optimizer step along ``grad``."""
-        return _vqc(optimizer.step(self.params, grad))
+        return VqcModel(optimizer.step(self.params, grad))
 
 
 def _check_layers(values, name: str) -> np.ndarray:
@@ -100,14 +99,6 @@ def _layer_angles(values, name: str) -> np.ndarray:
     a = np.array(_check_layers(values, name))
     a.flags.writeable = False
     return a
-
-
-def _vqc(params) -> VqcModel:
-    """``VqcModel(params)``, built without the dataclass constructor: the same
-    rule, with the field set directly."""
-    model = object.__new__(VqcModel)
-    object.__setattr__(model, "params", _layer_angles(params, "params"))
-    return model
 
 
 def init_model(rng: np.random.Generator, num_layers: int) -> VqcModel:

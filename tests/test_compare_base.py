@@ -7,6 +7,7 @@ import subprocess
 import tarfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_base.py"
@@ -172,13 +173,22 @@ def test_every_timer_statement_runs(script):
     assert len(epoch) == 320 // scope["config"].batch_size == 10
     # Each floor does its step's arithmetic: the same losses and params, bit for bit.
     exec("\n".join(script.FLOOR_SETUP), scope)
-    assert sorted(script.FLOORS) == ["SGD step timer, circuit", "SGD step timer, mlp"]
+    assert sorted(script.FLOORS) == [f"SGD step timer, {kind}" for kind in ("circuit", "mlp", "store")]
     for name, stmt in script.FLOORS.items():
         kind = name.rsplit(", ", 1)[1]
         losses, params = eval(stmt, scope)
-        assert params.tobytes() == eval(script.TIMERS[name], scope).params.tobytes()
+        stepped = eval(script.TIMERS[name], scope)
+        want = stepped.angles if kind == "store" else stepped.params
+        assert params.tobytes() == want.tobytes()
         step_losses = eval(f"{kind}.loss_grad({kind}_rows, loss)[0]", scope)
         assert losses.tobytes() == step_losses.tobytes()
+    # The store floor's wrap, on angles of which a step leaves some outside (-pi, pi].
+    wide = np.random.default_rng(0).uniform(-4, 4, scope["store"].angles.shape)
+    scope["store"] = type(scope["store"])(wide, scope["store"].gamma)
+    name = "SGD step timer, store"
+    params = eval(script.FLOORS[name], scope)[1]
+    assert np.abs(params - wide).max() > 1 and np.abs(params).max() <= np.pi
+    assert params.tobytes() == eval(script.TIMERS[name], scope).angles.tobytes()
     # The circuit floor's written-out RX product is the engine's encoding.
     assert scope["states"].tobytes() == scope["circuit_rows"].tobytes()
 

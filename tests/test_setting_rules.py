@@ -90,7 +90,13 @@ RATE_ENTRIES = [
     ("qweights.init_store", "gamma", lambda v: qw.init_store(np.random.default_rng(0), 2, v)),
     *((f"ExperimentConfig.{n}", n, _config(n)) for n in ("learning_rate", "gamma")),
 ]
-SEED_ENTRIES = [("ExperimentConfig.seed", "seed", _config("seed"))]
+SEED_ENTRIES = [
+    ("ExperimentConfig.seed", "seed", _config("seed")),
+    ("make_clients", "client_seed",
+     lambda v: fr.make_clients(*dg.make_circles(8, 0.1, 0.5, seed=0), 2,
+                               tk.init_mlp(np.random.default_rng(0)), partition_seed=0,
+                               client_seed=v, learning_rate=0.02)),
+]
 NOISE_ENTRIES = [
     ("make_circles", "noise", lambda v: dg.make_circles(8, v, 0.5, seed=0)),
     ("ExperimentConfig.noise", "noise", _config("noise")),
