@@ -10,17 +10,19 @@ for both, which ``peak_rss_mb`` reads.  Each fact comes from its side's own code
 but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
 its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV.  Prints
 the facts side by side, with a ``::warning::`` line for each that differs.
-Then it runs N pairs (2 unless given) of S-second (5 unless given)
-``perfbench/run.py --trace 0`` jobs per workload, the base first in odd pairs
-and the head first in even ones.  For each end-to-end metric of
-``BENCHMARK.json`` it prints each side's median and IQR, the head/base ratio,
-how many pairs the head won, and one verdict line: a gain holds when the head
-wins at least nine tenths of the pairs (9 of 10) and its median gain exceeds
-the base's IQR.  A metric whose IQR is wider than its bound is unresolved,
-unless every head run beats every base run; one whose median is worse by more
-than its bound warns.  Exits 1, naming the side and the command, if a
-fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments or
-if git cannot archive REF or list this checkout; any other failed run is a
+Then it runs N pairs (2 unless given) of timer runs, each a fresh process
+timing every layer timer, and of S-second (5 unless given) ``perfbench/run.py
+--trace 0`` jobs per workload, the base first in odd pairs and the head first
+in even ones.  A timer reads as each side's median and IQR, as does a step's
+check-free floor, with the median step / floor.  For each end-to-end metric
+of ``BENCHMARK.json`` it prints each side's median and IQR, the head/base
+ratio, how many pairs the head won, and one verdict line: a gain holds when
+the head wins at least nine tenths of the pairs (9 of 10) and its median gain
+exceeds the base's IQR.  A metric whose IQR is wider than its bound is
+unresolved, unless every head run beats every base run; one whose median is
+worse by more than its bound warns.  Exits 1, naming the side and the command,
+if a fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments
+or if git cannot archive REF or list this checkout; any other failed run is a
 warning.
 """
 import argparse
@@ -79,14 +81,13 @@ code = cli.main(sys.argv[1:])
 print(*sorted(set(sys.modules) - before))
 sys.exit(code)
 """
-# ``python -m timeit`` setup, and each timer's statement, all at the CLI's
-# default settings, read from each side's own ``ExperimentConfig``: the channel
-# on the 12-weight store, one SGD step as local_train runs it, on one batch of
-# rows, the store's evaluation on the same rows, readout check included, and
-# one local_train epoch of the MLP on a default-sized shard (960 training rows
+# The timers' setup, and each timer's statement, all at the CLI's default
+# settings, read from each side's own ``ExperimentConfig``: the channel on the
+# 12-weight store, one SGD step as local_train runs it, on one batch of rows,
+# the store's evaluation on the same rows, readout check included, and one
+# local_train epoch of the MLP on a default-sized shard (960 training rows
 # over 3 clients), whose batching a one-batch step timer cannot see.  A step
-# reads the rows its model's ``prepare`` made once, where a model has one; a
-# model without it (an older tree) read raw rows and encoded them each step.
+# reads the rows its model's ``prepare`` made once.
 TIMER_SETUP = (
     "import numpy as np",
     "from qfedring import cli, fedring, qweights, teleport, trainkit, vqc",
@@ -98,8 +99,7 @@ TIMER_SETUP = (
     "labels = np.arange(config.batch_size) % 2",
     "opt = trainkit.SgdOptimizer(config.learning_rate)",
     "loss = lambda logits: trainkit.batch_loss_and_grad(logits, labels)",
-    "prep = lambda model: model.prepare(rows) if hasattr(model, 'prepare') else rows",
-    "mlp_rows, circuit_rows, store_rows = prep(mlp), prep(circuit), prep(store)",
+    "mlp_rows, circuit_rows, store_rows = (m.prepare(rows) for m in (mlp, circuit, store))",
     "shard = np.random.default_rng(0).uniform(0, np.pi, (320, 2)), np.arange(320) % 2",
     "client = fedring.ClientState(0, *shard, mlp, np.random.default_rng(0), opt)",
 )
@@ -108,17 +108,13 @@ TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
           **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
           "evaluate timer, store": "trainkit.evaluate(store, rows, labels)",
           "local_train epoch timer, mlp": "fedring.local_train(client, 1, config.batch_size)"}
-# Check-free floors: a step's arithmetic on raw arrays, with no check and no
-# model value, giving the step's losses and new params bit for bit.  The
-# circuit floor reads states encoded once in its setup, with the RX product
-# written out, and runs the engine's own kernels (``_shift_offsets``,
-# ``_layer_unitaries``, ``_readout_signs``, in every tree since the engine
-# took its real block form).  The store floor reads gamma <Z> of its angles,
-# runs the circuit floor's pass on that, chains the gradient back through the
-# +shift and -shift angles, steps, and wraps the angles to (-pi, pi] as
-# ``canonical_angles`` does.  A step and its floor are timed in one process
-# (``PAIRED``), so step / floor does not move with the host's speed; it bounds
-# what a change that keeps the checks can win.
+# Check-free floors: a step's arithmetic with no check and no model value,
+# giving the step's losses and new params bit for bit, on the package's own
+# check-free kernels and the rows its model's ``prepare`` made.  Only the loss,
+# the MLP gradient blocks, the shift-rule chain, the update and the wrap to
+# (-pi, pi] that ``canonical_angles`` does are written out.  A step and its
+# floor are timed in one process, so step / floor does not move with the
+# host's speed; it bounds what a change that keeps the checks can win.
 FLOOR_SETUP = (
     "scale, offsets = trainkit.LOGIT_SCALE, np.arange(0, 2 * labels.size, 2)",
     "def raw_loss(scaled):\n"
@@ -131,42 +127,26 @@ FLOOR_SETUP = (
     "    dlogits.reshape(-1)[flat] -= scale\n"
     "    return losses, dlogits",
     "def floor(params):\n"
-    "    w2 = params[12:20].reshape(4, 2)\n"
-    "    hid = np.tanh(np.dot(rows, params[:8].reshape(2, 4)) + params[8:12])\n"
-    "    losses, dlogits = raw_loss(scale * (np.dot(hid, w2) + params[20:]))\n"
+    "    hid, w2, logits = trainkit._mlp_forward(params, mlp_rows)\n"
+    "    losses, dlogits = raw_loss(scale * logits)\n"
     "    dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)\n"
     "    grad = np.empty(22)\n"
-    "    np.dot(rows.T, dpre, out=grad[:8].reshape(2, 4))\n"
+    "    np.dot(mlp_rows.T, dpre, out=grad[:8].reshape(2, 4))\n"
     "    np.add.reduce(dpre, axis=0, out=grad[8:12])\n"
     "    np.dot(hid.T, dlogits, out=grad[12:20].reshape(4, 2))\n"
     "    np.add.reduce(dlogits, axis=0, out=grad[20:])\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
-    "carriers = np.empty((labels.size, 2, 2), dtype=complex)",
-    "carriers[..., 0], carriers[..., 1] = np.cos(rows / 2), -1j * np.sin(rows / 2)",
-    "states = (carriers[:, 0, :, None] * carriers[:, 1, None, :]).reshape(labels.size, 4)",
-    "def circuit_pass(params):\n"
-    "    u = vqc._layer_unitaries(params + vqc._shift_offsets(params.shape))\n"
-    "    sets, layers, dim = u.shape[0], u.shape[1], u.shape[-1]\n"
-    "    blocks = np.empty((layers, sets, dim, 2, dim), dtype=complex)\n"
-    "    blocks[:, :, :, 0] = u.transpose(1, 0, 3, 2)\n"
-    "    np.multiply(blocks[:, :, :, 0], 1j, out=blocks[:, :, :, 1])\n"
-    "    psi = states.view(float)\n"
-    "    for layer in blocks.view(float).reshape(layers, sets, 2 * dim, 2 * dim):\n"
-    "        psi = psi @ layer\n"
-    "    out = (psi * psi) @ vqc._readout_signs(2)\n"
+    "def circuit_pass(params, states):\n"
+    "    out = vqc._expectations(params + vqc._shift_offsets(params.shape), states)\n"
     "    losses, dlogits = raw_loss(scale * out[0])\n"
     "    delta = vqc.SHIFT_COEFFICIENT * (out[1 : params.size + 1] - out[params.size + 1 :])\n"
     "    return losses, np.add.reduce(dlogits * delta, axis=(1, 2)).reshape(params.shape)",
     "def circuit_floor(params):\n"
-    "    losses, grad = circuit_pass(params)\n"
+    "    losses, grad = circuit_pass(params, circuit_rows)\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
-    "shift_pair = np.array([vqc.SHIFT, -vqc.SHIFT]).reshape(2, 1, 1, 1)",
-    "def rx_z(angles):\n"
-    "    c, s = np.cos(angles / 2), np.sin(angles / 2)\n"
-    "    return c * c - s * s",
     "def store_floor(angles):\n"
-    "    losses, grad = circuit_pass(store.gamma * rx_z(angles))\n"
-    "    plus, minus = rx_z(angles + shift_pair)\n"
+    "    losses, grad = circuit_pass(store.gamma * qweights._rx_z(angles), store_rows)\n"
+    "    plus, minus = qweights._rx_z(angles + qweights._SHIFT_PAIR)\n"
     "    chained = grad / labels.size * store.gamma * (vqc.SHIFT_COEFFICIENT * (plus - minus))\n"
     "    a = angles - opt.learning_rate * chained\n"
     "    if np.maximum.reduce(a, axis=None) <= np.pi and np.minimum.reduce(a, axis=None) > -np.pi:\n"
@@ -178,15 +158,22 @@ FLOOR_SETUP = (
 FLOORS = {"SGD step timer, mlp": "floor(mlp.params)",
           "SGD step timer, circuit": "circuit_floor(circuit.params)",
           "SGD step timer, store": "store_floor(store.angles)"}
-# Times a statement and its floor in one process: 7 alternating rounds of 200
-# loops each; prints the best per-loop seconds of each as a JSON pair.
-PAIRED = """
+# Times each of TIMERS in one process beside its floor in FLOORS, if any: 7
+# alternating rounds of 200 loops each.  Prints each timer's best per-loop
+# seconds, [step] or [step, floor], or null if it raised, as a JSON object.
+HARNESS = """
 import json, sys, timeit
 scope = {}
 exec(sys.argv[1], scope)
-step, floor = (timeit.Timer(stmt, globals=scope) for stmt in sys.argv[2:])
-rounds = [(step.timeit(200), floor.timeit(200)) for _ in range(7)]
-print(json.dumps([min(times) / 200 for times in zip(*rounds)]))
+got, floors = {}, json.loads(sys.argv[3])
+for name, stmt in json.loads(sys.argv[2]).items():
+    try:
+        timers = [timeit.Timer(s, globals=scope) for s in (stmt, floors.get(name)) if s]
+        rounds = [[timer.timeit(200) for timer in timers] for _ in range(7)]
+        got[name] = [min(times) / 200 for times in zip(*rounds)]
+    except Exception:
+        got[name] = None
+print(json.dumps(got))
 """
 
 
@@ -229,11 +216,11 @@ def or_none(collect, *args):
 
 
 def facts(tree) -> dict:
-    """Every fact but the benchmark's, each from ``tree``'s own code.  A failed
+    """Every fact but the paired runs', each from ``tree``'s own code.  A failed
     fingerprint, comparison or ``--help`` run raises CalledProcessError."""
     tree = Path(tree).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        work, got = Path(tmp), {"runs": {}, "refusals": {}, "timers": {}, "floors": {}}
+        work, got = Path(tmp), {"runs": {}, "refusals": {}}
         for flags in RUNS:
             args = (ROOT / "scripts" / "fingerprint.py", *shlex.split(flags), "--rounds", "10")
             bits, csv = run(tree, work, *map(str, args)).stdout.split()[:2]
@@ -255,17 +242,6 @@ def facts(tree) -> dict:
                                   (tree / name).rglob("*.py")) for name in ("src", "tests", "scripts")}
         numpy = run(tree, work, "-c", "import numpy", OPENBLAS_VERBOSE="2").stderr.splitlines()
         got["kernel"] = next((line for line in numpy if "Core:" in line), None)
-        timeit = ("-m", "timeit", "-n", "200", "-r", "7", *(f"-s{line}" for line in TIMER_SETUP))
-        for name, stmt in TIMERS.items():
-            if name in FLOORS:
-                setup = "\n".join((*TIMER_SETUP, *FLOOR_SETUP))
-                paired = or_none(lambda: json.loads(
-                    run(tree, work, "-c", PAIRED, setup, stmt, FLOORS[name]).stdout))
-                got["floors"][name] = paired
-                got["timers"][name] = paired and f"{paired[0] * 1e6:.3g} usec"
-                continue
-            timed = or_none(run, tree, work, *timeit, stmt)
-            got["timers"][name] = timed and timed.stdout.split(" per loop")[0].split(": ")[-1]
         return got
 
 
@@ -281,15 +257,24 @@ def bench(tree: Path, workload: str, seconds: int) -> dict:
     return {name: result["metrics"][name]["value"] for name in BENCH_METRICS}
 
 
+def timers(tree: Path) -> dict:
+    """One ``HARNESS`` run on ``tree``'s package, in a fresh process: ``{name:
+    [step] or [step, floor] seconds per loop, or None if its statement raised}``."""
+    setup = "\n".join((*TIMER_SETUP, *FLOOR_SETUP))
+    args = ("-c", HARNESS, setup, json.dumps(TIMERS), json.dumps(FLOORS))
+    return json.loads(run(tree, tree, *args).stdout)
+
+
 def pairs(trees: dict, count: int, seconds: int) -> dict:
-    """``count`` pairs of benchmark runs per workload, the base first in odd
-    pairs and the head first in even ones: ``{side: {workload: [run, ...]}}``,
-    a failed run read as None."""
-    got = {side: {workload: [] for workload in WORKLOADS} for side in ("base", "head")}
-    for workload in WORKLOADS:
+    """``count`` pairs of timer runs, then of benchmark runs per workload, the
+    base first in odd pairs and the head first in even ones: ``{side:
+    {"timers": [run, ...], workload: [run, ...]}}``, a failed run read as None."""
+    got = {side: {job: [] for job in ("timers", *WORKLOADS)} for side in ("base", "head")}
+    for job in got["base"]:
         for index in range(count):
             for side in ("base", "head") if index % 2 == 0 else ("head", "base"):
-                got[side][workload].append(or_none(bench, trees[side], workload, seconds))
+                got[side][job].append(or_none(timers, trees[side]) if job == "timers"
+                                      else or_none(bench, trees[side], job, seconds))
     return got
 
 
@@ -297,6 +282,26 @@ def median_iqr(values) -> tuple[float, float]:
     """The median and the distance between the quartiles (inclusive method)."""
     low, mid, high = statistics.quantiles(values, n=4, method="inclusive")
     return mid, high - low
+
+
+def usec(seconds) -> str:
+    """The median and IQR of per-loop ``seconds``, in microseconds."""
+    mid, iqr = median_iqr([value * 1e6 for value in seconds])
+    return f"median {mid:.3g} IQR {iqr:.3g} usec"
+
+
+def timer_lines(name: str, side: str, runs: list) -> list[str]:
+    """Timer ``name`` over ``side``'s runs: the median and IQR of its step and,
+    for a floored step, of its floor, with the median step / floor; or a
+    warning if a run failed."""
+    readings = [run and run[name] for run in runs]
+    if None in readings:
+        return [f"{name}, {side}: failed", f"::warning::the {side} {name} failed"]
+    line = f"{name}, {side}: {usec(step for step, *_ in readings)}"
+    if name in FLOORS:
+        ratio = statistics.median(step / floor for step, floor in readings)
+        line += f"; floor {usec(floor for _, floor in readings)}; median step / floor {ratio:.2f}"
+    return [line]
 
 
 def judge(workload: str, name: str, base: list, head: list) -> list[str]:
@@ -361,22 +366,16 @@ def compare(base: dict, head: dict) -> list[str]:
     for name, b in base["lines"].items():
         out.append(f"{name}/ Python lines: base {b} head {head['lines'][name]}")
     out.append(f"OPENBLAS_VERBOSE=2: base {base['kernel']} head {head['kernel']}")
-    for name, h in head["timers"].items():
-        out.append(f"{name}: base {base['timers'][name]} head {h}")
-        for side, value in (("base", base["timers"][name]), ("head", h)):
-            if value is None:
-                out.append(f"::warning::the {side} {name} failed")
-        if name in FLOORS and None not in (base["floors"][name], head["floors"][name]):
-            (b_step, b_floor), (h_step, h_floor) = base["floors"][name], head["floors"][name]
-            out.append(f"{name}, check-free floor: base {b_floor * 1e6:.3g} usec head "
-                       f"{h_floor * 1e6:.3g} usec; step / floor base {b_step / b_floor:.2f} "
-                       f"head {h_step / h_floor:.2f}")
-    for workload, runs in head["bench"].items():
-        if None in [*base["bench"][workload], *runs]:
+    for name in TIMERS:
+        for side, got in (("base", base), ("head", head)):
+            out.extend(timer_lines(name, side, got["pairs"]["timers"]))
+    for workload in WORKLOADS:
+        b_runs, h_runs = base["pairs"][workload], head["pairs"][workload]
+        if None in [*b_runs, *h_runs]:
             out.append(f"::warning::{workload}: the benchmark runs could not be compared")
             continue
         for name in BENCH_METRICS:
-            b, h = [run[name] for run in base["bench"][workload]], [run[name] for run in runs]
+            b, h = [run[name] for run in b_runs], [run[name] for run in h_runs]
             out.extend(judge(workload, name, b, h))
     return out
 
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="compare_base.py", description=__doc__.split("\n")[0])
     parser.add_argument("ref", metavar="REF", help="the base commit")
     parser.add_argument("--pairs", type=int, default=2, metavar="N",
-                        help="benchmark pairs per workload, at least 2 (default 2)")
+                        help="pairs of timer runs and of runs per workload, at least 2 (default 2)")
     parser.add_argument("--seconds", type=int, default=5, metavar="S",
                         help="seconds per benchmark run, at least 1 (default 5)")
     try:
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
                 print(f"{exc.stderr}error: {failed}", file=sys.stderr)
                 return 1
         for side, runs in pairs(trees, args.pairs, args.seconds).items():
-            got[side]["bench"] = runs
+            got[side]["pairs"] = runs
     print("\n".join(compare(got["base"], got["head"])))
     return 0
 

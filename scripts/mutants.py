@@ -53,6 +53,8 @@ STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced
 STEP_RULE = "tests/test_trainkit.py::TestModelDispatch::test_step_builds_a_checked_read_only_copy"
 STORE_STEP = "tests/test_qweights.py::TestStore::test_step_keeps_gamma_and_checks_angles"
 HAND_OFF = "tests/test_teleport.py::TestTeleportWeights::test_hand_off_keeps_gamma_and_checks_angles"
+HAND_OFF_KIND = ("tests/test_teleport.py::TestTeleportWeights::"
+                 "test_refuses_a_model_that_is_not_a_store_before_any_carrier_or_draw")
 STATES_RULE = "tests/test_vqc.py::TestEncode::test_the_states_rule_refuses_by_name"
 
 # The register's two amplitudes (a, b) of each half, |0..> then |1..>, each
@@ -98,6 +100,8 @@ MUTANTS = (
            (STORE_STEP,)),
     Mutant("teleport_weights: gamma not handed on", "qfedring/teleport.py",
            "reshape(shape), store.gamma)", "reshape(shape), math.pi)", (HAND_OFF,)),
+    Mutant("teleport_weights: any model kind taken", "qfedring/teleport.py",
+           "if not isinstance(store, QuantumWeightStore):", "if False:", (HAND_OFF_KIND,)),
     Mutant("ClassicalMlp.__init__: non-finite params pass", "qfedring/trainkit.py",
            'check_floats(params, "params")', 'check_floats(np.nan_to_num(params), "params")',
            (f"{STEP_RULE}[mlp]",)),

@@ -128,9 +128,12 @@ def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> Qua
 
     Returns a new store with the decoded angles and ``store``'s gamma; raises
     TransferError naming the first weight whose channel use (validate the
-    carrier, teleport, read out, decode) raised a ValueError.  An ``rng``
-    that is not a numpy Generator is refused before any carrier is built.
+    carrier, teleport, read out, decode) raised a ValueError.  Anything but a
+    QuantumWeightStore (TypeError naming its kind) and an ``rng`` that is not
+    a numpy Generator are refused before any carrier is built or draw made.
     """
+    if not isinstance(store, QuantumWeightStore):
+        raise TypeError(f"teleport_weights moves a QuantumWeightStore, got {type(store).__name__}")
     check_generator(rng, "rng")
     shape = store.angles.shape
     out = []

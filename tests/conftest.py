@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qfedring import datagen
+
+# Tier-1 draws a fixed example set per property test, derived from the test's
+# own source, and replays nothing from a database, so every run of one commit
+# tests the same inputs.  "random" draws fresh seeds and prints each failing
+# example's blob; select it with ``pytest --hypothesis-profile random``, and
+# add what it finds to its test as an @example.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False, database=None, print_blob=True)
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    # Loaded here, not at import: test modules import this file again as
+    # tests.conftest, which must not undo --hypothesis-profile.  tryfirst runs
+    # this before hypothesis's own pytest_configure, which loads that option.
+    settings.load_profile("tier1")
 
 
 # What the generator rule refuses: no stream, a seed, text, the legacy

@@ -1,5 +1,5 @@
 """scripts/compare_base.py: the warning rules and the benchmark verdict, driven
-on hand-built facts and faked runs; nothing here takes a timing."""
+on hand-built facts and faked runs; nothing here times the package."""
 import copy
 import importlib.util
 import json
@@ -33,11 +33,13 @@ def facts(script):
         "modules": ["argparse", "qfedring", "qfedring.cli"],
         "lines": {"src": 2141, "tests": 5386, "scripts": 638},
         "kernel": "Core: SkylakeX",
-        "timers": {name: "150 usec" for name in script.TIMERS},
-        "floors": {name: [40e-6, 26e-6] for name in script.FLOORS},
-        "bench": {workload: [{**{name: 10.0 for name in script.BENCH_METRICS},
-                              "samples_per_s": 1000.0}] * 2
-                  for workload in script.WORKLOADS},
+        "pairs": {
+            "timers": [{name: [40e-6, 26e-6] if name in script.FLOORS else [150e-6]
+                        for name in script.TIMERS}] * 2,
+            **{workload: [{**{name: 10.0 for name in script.BENCH_METRICS},
+                           "samples_per_s": 1000.0}] * 2
+               for workload in script.WORKLOADS},
+        },
     }
 
 
@@ -121,12 +123,28 @@ def test_failed_runs_that_only_warn(script, facts, side):
     base, head = facts, copy.deepcopy(facts)
     failed = base if side == "base" else head
     failed["modules"] = None
-    failed["timers"]["channel timer"] = None
-    failed["bench"]["vqc-ring"][1] = None
+    failed["pairs"]["timers"][0] = {**failed["pairs"]["timers"][0], "channel timer": None}
+    failed["pairs"]["vqc-ring"][1] = None
     assert warnings(script, base, head) == [
         f"::warning::the {side} run for the module list failed",
         f"::warning::the {side} channel timer failed",
         "::warning::vqc-ring: the benchmark runs could not be compared",
+    ]
+
+
+@pytest.mark.parametrize("side", ["base", "head"])
+def test_a_failed_timer_run_warns_once_naming_the_side_and_the_timer(script, facts, side):
+    base, head = facts, copy.deepcopy(facts)
+    failed = base if side == "base" else head
+    name = "SGD step timer, store"
+    # The timer raised in both of the side's runs: one warning, not one per run.
+    failed["pairs"]["timers"] = [{**run, name: None} for run in failed["pairs"]["timers"]]
+    assert warnings(script, base, head) == [f"::warning::the {side} {name} failed"]
+    assert f"{name}, {side}: failed" in script.compare(base, head)
+    # A harness process that failed reads as None: each timer warns once.
+    failed["pairs"]["timers"][1] = None
+    assert warnings(script, base, head) == [
+        f"::warning::the {side} {timer} failed" for timer in script.TIMERS
     ]
 
 
@@ -150,16 +168,34 @@ def test_the_printed_facts_warn_on_nothing(script, facts):
     head = copy.deepcopy(facts)
     head["lines"] = {"src": 2000, "tests": 6000, "scripts": 650}
     head["kernel"] = "Core: Haswell"
-    head["timers"] = {name: "300 usec" for name in script.TIMERS}
-    head["floors"] = {name: [39e-6, 26e-6] for name in script.FLOORS}
+    head["pairs"]["timers"] = [{name: [step, 26e-6] if name in script.FLOORS else [300e-6]
+                                for name in script.TIMERS} for step in (39e-6, 41e-6)]
     report = script.compare(facts, head)
     assert warnings(script, facts, head) == []
-    assert ("SGD step timer, mlp, check-free floor: base 26 usec head 26 usec; "
-            "step / floor base 1.54 head 1.50") in report
+    # Each side's median and IQR over its runs, then the floor's, then the
+    # median of each run's step / floor (39 / 26 and 41 / 26 at the head).
+    assert ("SGD step timer, mlp, base: median 40 IQR 0 usec; floor median 26 IQR 0 usec; "
+            "median step / floor 1.54") in report
+    assert ("SGD step timer, mlp, head: median 40 IQR 1 usec; floor median 26 IQR 0 usec; "
+            "median step / floor 1.54") in report
     assert "src/ Python lines: base 2141 head 2000" in report
     assert "scripts/ Python lines: base 638 head 650" in report
     assert "OPENBLAS_VERBOSE=2: base Core: SkylakeX head Core: Haswell" in report
-    assert "evaluate timer, store: base 150 usec head 300 usec" in report
+    assert "evaluate timer, store, base: median 150 IQR 0 usec" in report
+    assert "evaluate timer, store, head: median 300 IQR 0 usec" in report
+
+
+def test_the_harness_times_each_step_beside_its_floor(script, monkeypatch, tmp_path):
+    # One fresh process on toy statements: a timer without a floor reads as
+    # [step], one with a floor as [step, floor], one that raises as None.
+    monkeypatch.setattr(script, "TIMER_SETUP", ("x = 1",))
+    monkeypatch.setattr(script, "FLOOR_SETUP", ("y = 2",))
+    monkeypatch.setattr(script, "TIMERS", {"plain": "x + 1", "floored": "x * y", "raises": "1 / 0"})
+    monkeypatch.setattr(script, "FLOORS", {"floored": "y", "raises": "y"})
+    got = script.timers(tmp_path)
+    assert list(got) == ["plain", "floored", "raises"] and got["raises"] is None
+    assert [len(got["plain"]), len(got["floored"])] == [1, 2]
+    assert all(0 < seconds < 1e-3 for seconds in got["plain"] + got["floored"])
 
 
 def test_every_timer_statement_runs(script):
@@ -189,14 +225,12 @@ def test_every_timer_statement_runs(script):
     params = eval(script.FLOORS[name], scope)[1]
     assert np.abs(params - wide).max() > 1 and np.abs(params).max() <= np.pi
     assert params.tobytes() == eval(script.TIMERS[name], scope).angles.tobytes()
-    # The circuit floor's written-out RX product is the engine's encoding.
-    assert scope["states"].tobytes() == scope["circuit_rows"].tobytes()
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])
 def test_a_head_worse_in_one_pair_warns_on_nothing(script, facts, name, worse):
     head = copy.deepcopy(facts)
-    head["bench"]["mlp-ring"][0] = {**facts["bench"]["mlp-ring"][0], name: worse}
+    head["pairs"]["mlp-ring"][0] = {**facts["pairs"]["mlp-ring"][0], name: worse}
     assert warnings(script, facts, head) == []
 
 
@@ -205,13 +239,13 @@ def test_a_head_worse_in_one_pair_warns_on_nothing(script, facts, name, worse):
 ])
 def test_a_head_worse_in_both_pairs_past_the_bound_warns_once(script, facts, name, worse, within):
     head = copy.deepcopy(facts)
-    run = facts["bench"]["teleport-handoff"][0]
-    head["bench"]["teleport-handoff"] = [{**run, name: worse}] * 2
+    run = facts["pairs"]["teleport-handoff"][0]
+    head["pairs"]["teleport-handoff"] = [{**run, name: worse}] * 2
     assert warnings(script, facts, head) == [
         f"::warning::teleport-handoff {name} at the head is worse by 30%, past the 20% bound"
     ]
     # Worse in both pairs, but by less than the bound.
-    head["bench"]["teleport-handoff"] = [{**run, name: within}] * 2
+    head["pairs"]["teleport-handoff"] = [{**run, name: within}] * 2
     assert warnings(script, facts, head) == []
 
 
@@ -234,15 +268,23 @@ def test_pairs_alternate_which_side_runs_first(script, monkeypatch):
         calls.append((tree, workload, seconds))
         return {"call": len(calls)}
 
+    def fake_timers(tree):
+        calls.append((tree, "timers", None))
+        return {"call": len(calls)}
+
     monkeypatch.setattr(script, "bench", fake_bench)
+    monkeypatch.setattr(script, "timers", fake_timers)
     got = script.pairs({"base": "B", "head": "H"}, 4, 20)
-    # Base first in pairs 1 and 3, head first in pairs 2 and 4, one workload after another.
+    # Base first in pairs 1 and 3, head first in pairs 2 and 4: the timer
+    # harness runs first, then one workload after another, each alternating alike.
     order = ["B", "H", "H", "B", "B", "H", "H", "B"]
-    assert calls == [(tree, workload, 20) for workload in script.WORKLOADS for tree in order]
-    for start, workload in enumerate(script.WORKLOADS):
+    jobs = ("timers", *script.WORKLOADS)
+    assert calls == [(tree, job, None if job == "timers" else 20) for job in jobs for tree in order]
+    assert [list(got[side]) for side in ("base", "head")] == [list(jobs)] * 2
+    for start, job in enumerate(jobs):
         calls_before = 8 * start
-        assert [run["call"] - calls_before for run in got["base"][workload]] == [1, 4, 5, 8]
-        assert [run["call"] - calls_before for run in got["head"][workload]] == [2, 3, 6, 7]
+        assert [run["call"] - calls_before for run in got["base"][job]] == [1, 4, 5, 8]
+        assert [run["call"] - calls_before for run in got["head"][job]] == [2, 3, 6, 7]
 
 
 # Ten base runs with median 102 and IQR 4 (quartiles 100 and 104, inclusive method).
@@ -309,7 +351,7 @@ def test_both_sides_run_from_sibling_copies(script, facts, monkeypatch, tmp_path
 
     def fake_pairs(trees, count, seconds):
         seen.append(("pairs", trees, count, seconds))
-        return {side: facts["bench"] for side in ("base", "head")}
+        return {side: facts["pairs"] for side in ("base", "head")}
 
     monkeypatch.setattr(script, "facts", fake_facts)
     monkeypatch.setattr(script, "pairs", fake_pairs)

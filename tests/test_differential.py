@@ -104,7 +104,7 @@ SHAPES = dict(
 )
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None)
 @given(num_rows=st.integers(1, 5), **SHAPES)
 @example(kind="circuit", layers=3, epochs=2, batch_size=2, learning_rate=0.05, seed=1, num_rows=5)
 @example(kind="store", layers=2, epochs=1, batch_size=1, learning_rate=0.05, seed=2, num_rows=3)
@@ -128,7 +128,7 @@ def test_local_train_replays_oracle(
     assert client.rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
+@settings(max_examples=8, deadline=None)
 @given(
     clients=st.integers(1, 4),
     rows_per_client=st.integers(1, 2),
@@ -189,3 +189,17 @@ def test_run_ring_replays_oracle(
     for c, oracle_rng in zip(ring, rngs):
         assert c.rng.bit_generator.state == oracle_rng.bit_generator.state
     assert channel.bit_generator.state == oracle_channel.bit_generator.state
+
+
+def test_tier1_loads_the_derandomized_profile(request):
+    # Every property test of a Tier-1 run draws the same examples and replays
+    # none from a database, unless --hypothesis-profile asks for another profile.
+    tier1 = settings.get_profile("tier1")
+    assert tier1.derandomize is True and tier1.database is None
+    asked = request.config.getoption("--hypothesis-profile") or "tier1"
+    assert settings.get_current_profile_name() == asked
+    assert settings.default.derandomize is settings.get_profile(asked).derandomize
+    assert settings.default.database is settings.get_profile(asked).database
+    # A test's own @settings takes what it does not set from the loaded profile.
+    for test in (test_local_train_replays_oracle, test_run_ring_replays_oracle):
+        assert test._hypothesis_internal_use_settings.derandomize is settings.default.derandomize

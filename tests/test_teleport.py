@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from qfedring import qweights as qw
 from qfedring import statevec as sv
 from qfedring import teleport as tp
+from qfedring import trainkit as tk
+from qfedring import vqc
 from tests import oracle
 from tests.conftest import NOT_GENERATORS, generator_id, random_state
 
@@ -397,6 +399,22 @@ class TestTeleportWeights:
             tp.teleport_weights(qw.init_store(rng, 2, math.pi), bad)
         assert type(excinfo.value) is ValueError
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["mlp", "circuit"])
+    def test_refuses_a_model_that_is_not_a_store_before_any_carrier_or_draw(
+            self, rng, monkeypatch, kind):
+        # Only a store holds its weights as angles; another kind is named in
+        # a TypeError, as trainkit.check_readout names it, before any work.
+        model = tk.init_mlp(rng) if kind == "mlp" else vqc.init_model(rng, 2)
+        channel = np.random.default_rng(5)
+        before = channel.bit_generator.state
+        calls = []
+        monkeypatch.setattr(tp, "_rx_carriers", lambda angles: calls.append("carriers"))
+        want = f"^teleport_weights moves a QuantumWeightStore, got {type(model).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            tp.teleport_weights(model, channel)
+        assert calls == []
+        assert channel.bit_generator.state == before
 
     def test_transfer_error_is_runtime_error(self):
         assert issubclass(tp.TransferError, RuntimeError)
