@@ -1,29 +1,35 @@
 #!/usr/bin/env python3
 """Set this checkout (the head) beside a base commit, fact by fact.
 
-    python scripts/compare_base.py REF [--pairs N] [--seconds S]
+    python scripts/compare_base.py REF [--pairs N] [--seconds S] [--seed K] [--bench-out DIR]
 
 Both sides run from fresh copies side by side in one temporary directory:
 the base extracted with ``git archive REF``, the head copied from each file of
 this checkout that git tracks or would add.  So where a tree sits is the same
 for both, which ``peak_rss_mb`` reads.  Each fact comes from its side's own code,
 but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
-its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV.  Prints
-the facts side by side, with a ``::warning::`` line for each that differs.
-Then it runs N pairs (2 unless given) of timer runs, each a fresh process
-timing every layer timer, and of S-second (5 unless given) ``perfbench/run.py
---trace 0`` jobs per workload, the base first in odd pairs and the head first
-in even ones.  A timer reads as each side's median and IQR, as does a step's
-check-free floor, with the median step / floor.  For each end-to-end metric
-of ``BENCHMARK.json`` it prints each side's median and IQR, the head/base
-ratio, how many pairs the head won, and one verdict line: a gain holds when
-the head wins at least nine tenths of the pairs (9 of 10) and its median gain
-exceeds the base's IQR.  A metric whose IQR is wider than its bound is
-unresolved, unless every head run beats every base run; one whose median is
-worse by more than its bound warns.  Exits 1, naming the side and the command,
-if a fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments
-or if git cannot archive REF or list this checkout; any other failed run is a
-warning.
+its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV, and its
+four default 100-round runs.  Prints the facts side by side, with a
+``::warning::`` line for each that differs.  Then it runs N pairs (2 unless
+given) of timer runs, each a fresh process timing every layer timer, and of
+S-second (5 unless given) ``perfbench/run.py --trace 0 --seed K`` (42 unless
+given) jobs per workload, the base first in odd pairs and the head first in
+even ones.  A timer reads as each side's median and IQR, as does a step's or
+the channel's check-free floor, with the median step / floor.  For each
+end-to-end metric of ``BENCHMARK.json`` it prints each side's median and IQR,
+the head/base ratio, how many pairs the head won, and one verdict line: a gain
+holds when at least 10 pairs ran, the head wins at least nine tenths of them
+(9 of 10) and its median gain exceeds the base's IQR.  A metric whose IQR is
+wider than its bound is unresolved, unless every head run beats every base
+run; one whose median is worse by more than its bound warns.
+
+With ``--bench-out DIR`` it also writes ``DIR/base.json`` and
+``DIR/head.json``, one sorted-key JSON object per side (``bench_record``),
+which a performance change commits as its ``BENCH_<n>.json``.  An existing
+file is refused before any run.  Exits 1, naming the side and the command, if
+a fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments, an
+existing ``--bench-out`` file, or if git cannot archive REF or list this
+checkout; any other failed run is a warning.
 """
 import argparse
 import difflib
@@ -67,6 +73,8 @@ BAD_FLAGS = (
     '--out ""', '--dump-dataset ""', '--config ""',
 )
 WORKLOADS = ("mlp-ring", "vqc-ring", "teleport-handoff")
+# A gain is claimed from at least this many pairs, nine tenths of them won.
+MIN_PAIRS = 10
 # The benchmark's end-to-end metrics, each with its "better" direction and bound.
 SPEC = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 BENCH_METRICS = tuple(SPEC)
@@ -80,6 +88,19 @@ from qfedring import cli
 code = cli.main(sys.argv[1:])
 print(*sorted(set(sys.modules) - before))
 sys.exit(code)
+"""
+# The Python and numpy versions, and numpy's SIMD levels in use: its baseline,
+# then each dispatch target this CPU has.
+MACHINE = """
+import json, platform
+import numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+have = umath.__cpu_features__
+simd = [*umath.__cpu_baseline__, *(name for name in umath.__cpu_dispatch__ if have.get(name))]
+print(json.dumps({"python": platform.python_version(), "numpy": numpy.__version__, "simd": simd}))
 """
 # The timers' setup, and each timer's statement, all at the CLI's default
 # settings, read from each side's own ``ExperimentConfig``: the channel on the
@@ -112,10 +133,15 @@ TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
 # giving the step's losses and new params bit for bit, on the package's own
 # check-free kernels and the rows its model's ``prepare`` made.  Only the loss,
 # the MLP gradient blocks, the shift-rule chain, the update and the wrap to
-# (-pi, pi] that ``canonical_angles`` does are written out.  A step and its
-# floor are timed in one process, so step / floor does not move with the
-# host's speed; it bounds what a change that keeps the checks can win.
+# (-pi, pi] that ``canonical_angles`` does are written out.  The channel's
+# floor is ``teleport_weights``' per-weight arithmetic on Python scalars, with
+# no StateVector, no record and no per-call check, on the same carriers, the
+# same ``_sample`` draws and the same decode, giving its angles bit for bit.
+# A step and its floor are timed in one process, so step / floor does not move
+# with the host's speed; it bounds what a change that keeps the checks can win.
 FLOOR_SETUP = (
+    "import math",
+    "from qfedring import statevec",
     "scale, offsets = trainkit.LOGIT_SCALE, np.arange(0, 2 * labels.size, 2)",
     "def raw_loss(scaled):\n"
     "    shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])\n"
@@ -154,8 +180,31 @@ FLOOR_SETUP = (
     "    wrapped = np.mod(a + np.pi, 2.0 * np.pi) - np.pi\n"
     "    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)\n"
     "    return losses, np.where((a > np.pi) | (a <= -np.pi), wrapped, a)",
+    "(r00, r01), (r10, r11) = qweights._RX_HALF_PI_T",
+    "def channel_floor(angles, rng):\n"
+    "    out, sample, z_of = [], statevec._sample, qweights._z_of\n"
+    "    for c0, c1 in statevec._rx_carriers(angles).reshape(-1, 2).tolist():\n"
+    "        p0, p1 = c0 * teleport._B, c1 * teleport._B\n"
+    "        a, b = 0j + teleport._H10 * p0, 0j + teleport._H11 * p1\n"
+    "        aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag\n"
+    "        m1, p = sample(rng, 0.0 + aa + bb + bb + aa)\n"
+    "        if not m1:\n"
+    "            a, b = 0j + teleport._H00 * p0, 0j + teleport._H01 * p1\n"
+    "        s1 = 1.0 / math.sqrt(p)\n"
+    "        a, b = a * s1, b * s1\n"
+    "        m2, p = sample(rng, 0.0 + (b.real * b.real + b.imag * b.imag)\n"
+    "                       + (a.real * a.real + a.imag * a.imag))\n"
+    "        s2 = 1.0 / math.sqrt(p)\n"
+    "        zero, one = a * s2, b * s2\n"
+    "        if m1:\n"
+    "            one = -one\n"
+    "        z, y = z_of(zero, one), z_of(zero * r00 + one * r10, zero * r01 + one * r11)\n"
+    "        angle = math.atan2(-y, z)\n"
+    "        out.append(math.pi if angle <= -math.pi else angle)\n"
+    "    return np.array(out).reshape(angles.shape)",
 )
-FLOORS = {"SGD step timer, mlp": "floor(mlp.params)",
+FLOORS = {"channel timer": "channel_floor(store.angles, channel)",
+          "SGD step timer, mlp": "floor(mlp.params)",
           "SGD step timer, circuit": "circuit_floor(circuit.params)",
           "SGD step timer, store": "store_floor(store.angles)"}
 # Times each of TIMERS in one process beside its floor in FLOORS, if any: 7
@@ -215,6 +264,14 @@ def or_none(collect, *args):
         return None
 
 
+def fingerprints(tree: Path, cwd, *flags: str) -> dict:
+    """``{flags: {"bits": fingerprint, "csv": sha256}}`` of each run that this
+    checkout's ``scripts/fingerprint.py`` prints for ``flags`` on ``tree``'s package."""
+    out = run(tree, cwd, str(ROOT / "scripts" / "fingerprint.py"), *flags).stdout
+    return {run_flags: {"bits": bits, "csv": csv}
+            for bits, csv, run_flags in (line.split(None, 2) for line in out.splitlines())}
+
+
 def facts(tree) -> dict:
     """Every fact but the paired runs', each from ``tree``'s own code.  A failed
     fingerprint, comparison or ``--help`` run raises CalledProcessError."""
@@ -222,9 +279,9 @@ def facts(tree) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         work, got = Path(tmp), {"runs": {}, "refusals": {}}
         for flags in RUNS:
-            args = (ROOT / "scripts" / "fingerprint.py", *shlex.split(flags), "--rounds", "10")
-            bits, csv = run(tree, work, *map(str, args)).stdout.split()[:2]
-            got["runs"][flags] = {"bits": bits, "csv": csv}
+            shape = fingerprints(tree, work, *shlex.split(flags), "--rounds", "10")
+            (got["runs"][flags],) = shape.values()
+        got["defaults"] = fingerprints(tree, work)
         names = sorted(path.name for path in (ROOT / "configs").glob("*.cfg"))
         for name in names:
             (work / name).write_text((ROOT / "configs" / name).read_text() + "rounds = 10\n")
@@ -240,21 +297,32 @@ def facts(tree) -> dict:
         got["modules"] = or_none(lambda: run(tree, work, *modules).stdout.splitlines()[-1].split())
         got["lines"] = {name: sum(path.read_bytes().count(b"\n") for path in
                                   (tree / name).rglob("*.py")) for name in ("src", "tests", "scripts")}
-        numpy = run(tree, work, "-c", "import numpy", OPENBLAS_VERBOSE="2").stderr.splitlines()
-        got["kernel"] = next((line for line in numpy if "Core:" in line), None)
+        machine = run(tree, work, "-c", MACHINE, OPENBLAS_VERBOSE="2")
+        got["machine"] = json.loads(machine.stdout)
+        kernel = [line for line in machine.stderr.splitlines() if "Core:" in line]
+        got["kernel"] = kernel[0] if kernel else None
         return got
 
 
-def bench(tree: Path, workload: str, seconds: int) -> dict:
-    """``BENCH_METRICS`` of one ``seconds``-long ``perfbench/run.py`` run of
-    ``tree``.  The run exits 0 even when a job's CSV differs from the CLI's, so
-    a run that reports itself incorrect or failed raises ValueError."""
-    args = ("--workload", workload, "--seconds", str(seconds), "--trace", "0")
+# What a BENCH file keeps of a benchmark run besides its BENCH_METRICS, from
+# the detail file that perfbench/run.py writes beside its output.
+RUN_DETAIL = ("host_speed", "rounds_measured", "round_ms.tail_pct")
+
+
+def bench(tree: Path, workload: str, seconds: int, seed: int = 42) -> dict:
+    """``BENCH_METRICS`` and ``RUN_DETAIL`` of one ``seconds``-long
+    ``perfbench/run.py`` run of ``tree`` at ``seed``.  The run exits 0 even
+    when a job's CSV differs from the CLI's, so a run that reports itself
+    incorrect or failed raises ValueError."""
+    args = ("--seed", str(seed), "--workload", workload, "--seconds", str(seconds), "--trace", "0")
     out = run(tree, tree, str(tree / "perfbench" / "run.py"), *args).stdout.splitlines()
     result = json.loads(out[-1])
     if not result["correct"] or result["failed"]:
         raise ValueError(f"{workload}: correct {result['correct']}, failed {result['failed']}")
-    return {name: result["metrics"][name]["value"] for name in BENCH_METRICS}
+    detail = tree / ".perfbench_out" / f"result-{workload}-s{seed}-t0.json"
+    kept = json.loads(detail.read_text())
+    return {**{name: result["metrics"][name]["value"] for name in BENCH_METRICS},
+            **{name: kept[name] for name in RUN_DETAIL}}
 
 
 def timers(tree: Path) -> dict:
@@ -265,7 +333,7 @@ def timers(tree: Path) -> dict:
     return json.loads(run(tree, tree, *args).stdout)
 
 
-def pairs(trees: dict, count: int, seconds: int) -> dict:
+def pairs(trees: dict, count: int, seconds: int, seed: int = 42) -> dict:
     """``count`` pairs of timer runs, then of benchmark runs per workload, the
     base first in odd pairs and the head first in even ones: ``{side:
     {"timers": [run, ...], workload: [run, ...]}}``, a failed run read as None."""
@@ -274,7 +342,7 @@ def pairs(trees: dict, count: int, seconds: int) -> dict:
         for index in range(count):
             for side in ("base", "head") if index % 2 == 0 else ("head", "base"):
                 got[side][job].append(or_none(timers, trees[side]) if job == "timers"
-                                      else or_none(bench, trees[side], job, seconds))
+                                      else or_none(bench, trees[side], job, seconds, seed))
     return got
 
 
@@ -307,8 +375,10 @@ def timer_lines(name: str, side: str, runs: list) -> list[str]:
 def judge(workload: str, name: str, base: list, head: list) -> list[str]:
     """The report on metric ``name`` of ``workload`` over paired runs: each
     side's median and IQR with the head/base ratio, then the verdict, then a
-    warning if the head is worse than the bound allows.  A gain holds when the head wins at least nine tenths of the pairs, ties
-    counting for neither, and its median gain exceeds the base's IQR."""
+    warning if the head is worse than the bound allows.  A gain holds when at
+    least MIN_PAIRS pairs ran, the head wins at least nine tenths of them, ties
+    counting for neither, and its median gain exceeds the base's IQR; with
+    fewer pairs the verdict says that they are too few."""
     label, spec = f"{workload} {name}", SPEC[name]
     sign, bound = (1 if spec["better"] == "higher" else -1), spec["bound"]
     (b_med, b_iqr), (h_med, h_iqr) = median_iqr(base), median_iqr(head)
@@ -316,7 +386,8 @@ def judge(workload: str, name: str, base: list, head: list) -> list[str]:
     need, gain = math.ceil(0.9 * len(base)), sign * (h_med - b_med)
     every = min(sign * h for h in head) > max(sign * b for b in base)
     if wins >= need and gain > b_iqr:
-        outcome = "gain holds"
+        outcome = ("gain holds" if len(base) >= MIN_PAIRS else
+                   f"too few pairs to claim a gain, {len(base)} run and {MIN_PAIRS} needed")
     elif max(b_iqr, h_iqr) > bound * abs(b_med) and not every:
         outcome = f"unresolved, an IQR is wider than the {bound:.0%} bound"
     elif -gain > bound * abs(b_med):
@@ -332,18 +403,26 @@ def judge(workload: str, name: str, base: list, head: list) -> list[str]:
     return out
 
 
-def compare(base: dict, head: dict) -> list[str]:
-    """The report, base beside head, with a ``::warning::`` line per fact that differs."""
+def run_lines(base_runs: dict, head_runs: dict, rounds: str = "") -> list[str]:
+    """Each run's CSV sha256 and fingerprint, base beside head, with its result
+    level, and a warning for each whose CSV differs; ``rounds`` follows its flags."""
     out = []
-    for flags, h in head["runs"].items():
-        b = base["runs"][flags]
+    for flags, h in head_runs.items():
+        b, label = base_runs[flags], flags + rounds
         level = "bits equal" if b["bits"] == h["bits"] else "drifted"
         if level == "drifted" and b["csv"] == h["csv"]:
             level = "CSV equal, bits drifted"
-        out.append(f"{flags}: CSV base {b['csv']} head {h['csv']}")
-        out.append(f"{flags}: fingerprint base {b['bits']} head {h['bits']} ({level})")
+        out.append(f"{label}: CSV base {b['csv']} head {h['csv']}")
+        out.append(f"{label}: fingerprint base {b['bits']} head {h['bits']} ({level})")
         if b["csv"] != h["csv"]:
-            out.append(f"::warning::{flags}: metrics CSV differs from the base commit")
+            out.append(f"::warning::{label}: metrics CSV differs from the base commit")
+    return out
+
+
+def compare(base: dict, head: dict) -> list[str]:
+    """The report, base beside head, with a ``::warning::`` line per fact that differs."""
+    out = run_lines(base["runs"], head["runs"])
+    out.extend(run_lines(base["defaults"], head["defaults"], " at 100 rounds"))
     out.append(f"{COMPARISON}: CSV base {base['comparison']} head {head['comparison']}")
     if base["comparison"] != head["comparison"]:
         out.append(f"::warning::{COMPARISON}: metrics CSV differs from the base commit")
@@ -380,6 +459,37 @@ def compare(base: dict, head: dict) -> list[str]:
     return out
 
 
+def bench_record(got: dict, verdicts: list[str], commit) -> dict:
+    """One side's BENCH file from its facts ``got``: the machine, with each
+    benchmark run's host-speed factor; per workload, the median and IQR of each
+    end-to-end metric over the side's runs, with each run's ``rounds_measured``
+    and the percentile that its ``round_ms.tail`` is (null if a run failed); ``verdicts``,
+    the head's against the base, so none in the base's file; the default
+    fingerprints with their CSV sha256s and the comparison CSV's; the line
+    counts; and ``commit``, the base's commit or null for the checkout."""
+    workloads, host_speed = {}, {}
+    for workload in WORKLOADS:
+        runs = got["pairs"][workload]
+        host_speed[workload] = [run and run["host_speed"] for run in runs]
+        if None in runs:
+            workloads[workload] = None
+            continue
+        metrics = {}
+        for name in BENCH_METRICS:
+            mid, iqr = median_iqr([run[name] for run in runs])
+            metrics[name] = {"median": mid, "iqr": iqr}
+        workloads[workload] = {"metrics": metrics, **{
+            name: [run[name] for run in runs] for name in ("rounds_measured", "round_ms.tail_pct")}}
+    return {
+        "commit": commit,
+        "machine": {**got["machine"], "openblas": got["kernel"], "host_speed": host_speed},
+        "workloads": workloads,
+        "verdicts": verdicts,
+        "results": {"defaults": got["defaults"], "comparison_csv": got["comparison"]},
+        "lines": got["lines"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="compare_base.py", description=__doc__.split("\n")[0])
     parser.add_argument("ref", metavar="REF", help="the base commit")
@@ -387,15 +497,27 @@ def main(argv=None) -> int:
                         help="pairs of timer runs and of runs per workload, at least 2 (default 2)")
     parser.add_argument("--seconds", type=int, default=5, metavar="S",
                         help="seconds per benchmark run, at least 1 (default 5)")
+    parser.add_argument("--seed", type=int, default=42, metavar="K",
+                        help="the benchmark runs' seed (default 42)")
+    parser.add_argument("--bench-out", type=Path, metavar="DIR",
+                        help="write each side's BENCH record to DIR/base.json and DIR/head.json")
     try:
         args = parser.parse_args(argv)
         if args.pairs < 2 or args.seconds < 1:
             parser.error(f"need --pairs >= 2 and --seconds >= 1, got {args.pairs} and {args.seconds}")
     except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
         return exc.code
+    sides = ("base", "head") if args.bench_out else ()
+    outs = {side: args.bench_out / f"{side}.json" for side in sides}
+    for path in outs.values():
+        if path.exists():
+            print(f"error: --bench-out would overwrite {path}", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         try:
             trees = checkouts(args.ref, Path(tmp))
+            base = git("rev-parse", "--verify", f"{args.ref}^{{commit}}") if outs else b""
+            commits = {"base": base.decode().strip(), "head": None}
         except subprocess.CalledProcessError:
             return 2
         got = {}
@@ -406,9 +528,17 @@ def main(argv=None) -> int:
                 failed = f"{side}: {shlex.join(exc.cmd)} exited {exc.returncode}"
                 print(f"{exc.stderr}error: {failed}", file=sys.stderr)
                 return 1
-        for side, runs in pairs(trees, args.pairs, args.seconds).items():
+        for side, runs in pairs(trees, args.pairs, args.seconds, args.seed).items():
             got[side]["pairs"] = runs
-    print("\n".join(compare(got["base"], got["head"])))
+    report = compare(got["base"], got["head"])
+    print("\n".join(report))
+    if outs:
+        verdicts = {"base": [], "head": [line for line in report if " verdict: " in line]}
+        args.bench_out.mkdir(parents=True, exist_ok=True)
+        for side, path in outs.items():
+            record = bench_record(got[side], verdicts[side], commits[side])
+            with path.open("x") as out:
+                out.write(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -48,6 +48,7 @@ NUMBER_RULE = "tests/test_number_rule.py::test_refused_by_name"
 GENERATOR_RULE = "tests/test_setting_rules.py::test_generator_refused_by_the_one_rule"
 GATE_REFUSALS = "tests/test_statevec.py::TestGates::test_apply_refuses_a_bad_gate"
 CLIENT_REFUSALS = "tests/test_fedring.py::TestClientRefusals::test_refused_before_any_step"
+LOCAL_TRAIN = "tests/test_fedring.py::TestLocalTrain"
 CIRCUIT_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[circuit]"
 STORE_STEP_CONTRACT = "tests/test_bench_contract.py::test_step_calls_each_traced_binding_once[store]"
 STEP_RULE = "tests/test_trainkit.py::TestModelDispatch::test_step_builds_a_checked_read_only_copy"
@@ -204,25 +205,35 @@ MUTANTS = (
     Mutant("encode: a row's bits depend on the batch's size", "qfedring/vqc.py",
            "amps = cols[:, 0]", "amps = cols[:, 0] * (1 + 2**-52 * (len(feats) % 2))",
            ("tests/test_vqc.py::TestEncode::test_rows_are_encoded_independently",)),
-    # local_train prepares its shard once per call, refusing it naming the client.
+    # local_train checks and prepares a client's shard once, keeps it read-only
+    # beside the rows, and refuses a bad shard naming the client.
     Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
            "fx, fy = rows[start : start + batch_size],",
-           "fx, fy = client.model.prepare(feats[order][start : start + batch_size]),",
-           ("tests/test_fedring.py::TestLocalTrain::test_prepares_the_shard_once_per_call",)),
+           "fx, fy = client.model.prepare(client.features[order][start : start + batch_size]),",
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
     Mutant("local_train: prepare applied to the unpermuted shard", "qfedring/fedring.py",
            "rows, targets = prepared[order], labels[order]",
            "rows, targets = prepared, labels[order]",
-           ("tests/test_fedring.py::TestLocalTrain::"
-            "test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
+           (f"{LOCAL_TRAIN}::test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
     Mutant("local_train: a refused shard not named for its client", "qfedring/fedring.py",
            'raise ValueError(f"{owner}: {exc}") from exc', "raise",
-           ("tests/test_fedring.py::TestLocalTrain::"
-            "test_a_circuit_of_another_width_is_refused_naming_the_client",)),
+           (f"{LOCAL_TRAIN}::test_a_circuit_of_another_width_is_refused_naming_the_client",)),
+    Mutant("local_train: kept rows reused after the shard is reassigned", "qfedring/fedring.py",
+           "kept[0] is client.features and ", "",
+           (f"{LOCAL_TRAIN}::test_a_reassigned_shard_is_checked_again_naming_the_client",)),
+    Mutant("local_train: kept rows reused for a model of another kind", "qfedring/fedring.py",
+           "kept[2] == key and ", "",
+           (f"{LOCAL_TRAIN}::test_a_model_of_another_kind_prepares_the_shard_again",)),
+    Mutant("local_train: kept rows reused for a shard made writeable again", "qfedring/fedring.py",
+           " and not kept[0].flags.writeable and not kept[1].flags.writeable", "",
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
+    Mutant("local_train: the kept shard left writeable", "qfedring/fedring.py",
+           "        array.flags.writeable = False\n", "        pass\n",
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
     # local_train's per-epoch gather, and the MLP gradient written in place.
     Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",
            "targets[start : start + batch_size]", "labels[start : start + batch_size]",
-           ("tests/test_fedring.py::TestLocalTrain::"
-            "test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
+           (f"{LOCAL_TRAIN}::test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
     Mutant("_mlp_forward: b1 dropped", "qfedring/trainkit.py",
            " + params[_B1:_W2])", ")",
            ("tests/test_trainkit.py::TestMlp::test_batch_is_bit_equal_to_the_reference_in_any_layout",)),

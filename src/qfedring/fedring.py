@@ -6,10 +6,12 @@ each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 model it just trained is evaluated on the held-out set; both loops build that
 row with ``_round_row``.  Every model kind takes the same SGD step:
 ``loss_grad`` on the batch, then ``step`` by the mean, on a shard that
-``local_train`` checks with ``datagen``'s rule and ``prepare``s once per call.
-Each epoch gathers it once, in its permutation's order, and a batch is a row
-slice of that.  ``partition`` checks the whole data with that rule, so
-``make_clients`` refuses a bad shard before any client exists.
+``local_train`` checks with ``datagen``'s rule and ``prepare``s once per
+client, then keeps on the client, read-only, until the shard or the model's
+kind or width changes (``_shard``).  Each epoch gathers the prepared rows
+once, in its permutation's order, and a batch is a row slice of that.
+``partition`` checks the whole data with that rule, so ``make_clients``
+refuses a bad shard before any client exists.
 
 Each client owns a private rng for batch shuffling, and all share one
 ``SgdOptimizer``; the teleport channel uses its own rng so the two transports
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +63,9 @@ class ClientState:
     model: Model
     rng: np.random.Generator
     optimizer: SgdOptimizer
+    # local_train's checked features and labels, the model kind and qubit
+    # count it prepared them for, and the prepared rows (``_shard``).
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -105,23 +110,43 @@ def _check_client(client: ClientState) -> str:
     return owner
 
 
+def _shard(client: ClientState, owner: str) -> tuple[np.ndarray, np.ndarray]:
+    """The client's prepared rows and labels.  An earlier call's are reused while
+    ``client.features`` and ``client.labels`` are still the arrays it kept, still
+    read-only, and the model has the same kind and qubit count.  Otherwise the
+    shard is checked and prepared, and the checked arrays replace the client's
+    own, read-only, so that a write into them raises."""
+    model = client.model
+    key = (type(model), getattr(model, "num_qubits", None))
+    kept = client._kept
+    if (kept is not None and kept[0] is client.features and kept[1] is client.labels
+            and kept[2] == key and not kept[0].flags.writeable and not kept[1].flags.writeable):
+        return kept[3], kept[1]
+    feats, labels = datagen.check_samples(client.features, client.labels, owner)
+    try:
+        rows = model.prepare(feats)
+    except ValueError as exc:
+        raise ValueError(f"{owner}: {exc}") from exc
+    for array in (feats, labels, rows):
+        array.flags.writeable = False
+    client.features, client.labels, client._kept = feats, labels, (feats, labels, key, rows)
+    return rows, labels
+
+
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
     """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
 
     Batch order is a fresh permutation per epoch from the client's own rng,
     so a client's stream depends only on how many epochs it has run.  The
-    rng, the optimizer (``_check_client``) and the shard, prepared once, are
-    checked before any step, naming the client; a step's ``ValueError`` is
-    re-raised naming the client, epoch and step.
+    rng, the optimizer (``_check_client``) and the shard, checked and prepared
+    once per client (``_shard``), are checked before any step, naming the
+    client; a step's ``ValueError`` is re-raised naming the client, epoch and
+    step.
     """
     datagen.check_count(epochs, "epochs")
     datagen.check_count(batch_size, "batch_size")
     owner = _check_client(client)
-    feats, labels = datagen.check_samples(client.features, client.labels, owner)
-    try:
-        prepared = client.model.prepare(feats)
-    except ValueError as exc:
-        raise ValueError(f"{owner}: {exc}") from exc
+    prepared, labels = _shard(client, owner)
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
     # logits bound and the finite-parameter checks then raise the error that

@@ -21,7 +21,7 @@ from qfedring import teleport as tp
 from qfedring import trainkit as tk
 from qfedring import vqc
 from tests import oracle
-from tests.conftest import random_state
+from tests.helpers import random_state
 from tests.test_statevec import random_gate
 
 

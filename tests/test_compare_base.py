@@ -27,17 +27,21 @@ def facts(script):
     return {
         "runs": {flags: {"bits": f"bits {i}", "csv": f"csv {i}"}
                  for i, flags in enumerate(script.RUNS)},
+        "defaults": {flags: {"bits": f"100-round bits {i}", "csv": f"100-round csv {i}"}
+                     for i, flags in enumerate(script.RUNS[:4])},
         "comparison": "comparison csv",
         "help": "usage: qfedring [-h]\n\noptions:\n  -h, --help\n",
         "refusals": {flags: "exit 2: error: bad" for flags in script.BAD_FLAGS},
         "modules": ["argparse", "qfedring", "qfedring.cli"],
         "lines": {"src": 2141, "tests": 5386, "scripts": 638},
         "kernel": "Core: SkylakeX",
+        "machine": {"python": "3.11.7", "numpy": "2.4.6", "simd": ["X86_V2", "X86_V3"]},
         "pairs": {
             "timers": [{name: [40e-6, 26e-6] if name in script.FLOORS else [150e-6]
                         for name in script.TIMERS}] * 2,
             **{workload: [{**{name: 10.0 for name in script.BENCH_METRICS},
-                           "samples_per_s": 1000.0}] * 2
+                           "samples_per_s": 1000.0, "host_speed": 1.25, "rounds_measured": 30,
+                           "round_ms.tail_pct": 75.0}] * 2
                for workload in script.WORKLOADS},
         },
     }
@@ -50,7 +54,8 @@ def warnings(script, base, head):
 def test_facts_compared_with_themselves_warn_on_nothing(script, facts):
     report = script.compare(facts, copy.deepcopy(facts))
     assert not [line for line in report if line.startswith("::warning::")]
-    assert sum(line.endswith("(bits equal)") for line in report) == len(script.RUNS)
+    # The 10-round runs, then the four default 100-round runs.
+    assert sum(line.endswith("(bits equal)") for line in report) == len(script.RUNS) + 4
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -61,6 +66,17 @@ def test_a_changed_run_csv_warns_once_naming_the_run(script, facts, index):
     assert warnings(script, facts, head) == [
         f"::warning::{flags}: metrics CSV differs from the base commit"
     ]
+
+
+def test_a_changed_default_csv_warns_once_naming_the_run(script, facts):
+    head = copy.deepcopy(facts)
+    flags = script.RUNS[3]
+    head["defaults"][flags] = {"bits": "other bits", "csv": "another csv"}
+    assert warnings(script, facts, head) == [
+        f"::warning::{flags} at 100 rounds: metrics CSV differs from the base commit"
+    ]
+    assert (f"{flags} at 100 rounds: fingerprint base 100-round bits 3 head other bits (drifted)"
+            in script.compare(facts, head))
 
 
 def test_a_changed_comparison_csv_warns_once(script, facts):
@@ -152,16 +168,23 @@ def test_a_failed_timer_run_warns_once_naming_the_side_and_the_timer(script, fac
     (True, 0, True), (False, 0, False), (True, 1, False), (False, 2, False),
 ])
 def test_a_benchmark_run_that_fails_its_own_gate_is_not_read(
-        script, monkeypatch, correct, failed, read):
-    # perfbench/run.py exits 0 either way; only its last line tells.
+        script, monkeypatch, tmp_path, correct, failed, read):
+    # perfbench/run.py exits 0 either way; only its last line tells.  The run's
+    # host speed, rounds and tail percentile come from the detail file it writes.
     metrics = {name: {"value": 5.0, "unit": ""} for name in script.BENCH_METRICS}
     line = json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
     done = subprocess.CompletedProcess([], 0, stdout=f"report\n{line}\n", stderr="")
+    detail = {"host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0, "seed": 3}
+    (tmp_path / ".perfbench_out").mkdir()
+    (tmp_path / ".perfbench_out" / "result-vqc-ring-s3-t0.json").write_text(json.dumps(detail))
     called = []
     monkeypatch.setattr(script, "run", lambda *args, **kwargs: called.append(args) or done)
-    got = script.or_none(script.bench, Path("tree"), "vqc-ring", 7)
-    assert got == ({name: 5.0 for name in script.BENCH_METRICS} if read else None)
-    assert called[0][-6:] == ("--workload", "vqc-ring", "--seconds", "7", "--trace", "0")
+    got = script.or_none(script.bench, tmp_path, "vqc-ring", 7, 3)
+    want = {**{name: 5.0 for name in script.BENCH_METRICS},
+            "host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0}
+    assert got == (want if read else None)
+    assert called[0][-8:] == ("--seed", "3", "--workload", "vqc-ring", "--seconds", "7",
+                              "--trace", "0")
 
 
 def test_the_printed_facts_warn_on_nothing(script, facts):
@@ -209,9 +232,10 @@ def test_every_timer_statement_runs(script):
     assert len(epoch) == 320 // scope["config"].batch_size == 10
     # Each floor does its step's arithmetic: the same losses and params, bit for bit.
     exec("\n".join(script.FLOOR_SETUP), scope)
-    assert sorted(script.FLOORS) == [f"SGD step timer, {kind}" for kind in ("circuit", "mlp", "store")]
-    for name, stmt in script.FLOORS.items():
-        kind = name.rsplit(", ", 1)[1]
+    steps = [f"SGD step timer, {kind}" for kind in ("circuit", "mlp", "store")]
+    assert sorted(script.FLOORS) == sorted(["channel timer", *steps])
+    for name in steps:
+        stmt, kind = script.FLOORS[name], name.rsplit(", ", 1)[1]
         losses, params = eval(stmt, scope)
         stepped = eval(script.TIMERS[name], scope)
         want = stepped.angles if kind == "store" else stepped.params
@@ -225,6 +249,24 @@ def test_every_timer_statement_runs(script):
     params = eval(script.FLOORS[name], scope)[1]
     assert np.abs(params - wide).max() > 1 and np.abs(params).max() <= np.pi
     assert params.tobytes() == eval(script.TIMERS[name], scope).angles.tobytes()
+    # The channel's floor moves the angles as teleport_weights does, bit for bit,
+    # with the same channel draws, on stores with angles across (-pi, pi] whose
+    # channel uses take every Bell outcome.
+    name, outcomes = "channel timer", set()
+    for seed in range(8):
+        angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, scope["store"].angles.shape)
+        scope["store"] = type(scope["store"])(angles, scope["store"].gamma)
+        scope["channel"] = np.random.default_rng(seed)
+        moved = eval(script.TIMERS[name], scope).angles
+        after = scope["channel"].bit_generator.state
+        scope["channel"] = np.random.default_rng(seed)
+        assert eval(script.FLOORS[name], scope).tobytes() == moved.tobytes()
+        assert scope["channel"].bit_generator.state == after
+        replay = np.random.default_rng(seed)
+        for c0, c1 in scope["statevec"]._rx_carriers(angles).reshape(-1, 2).tolist():
+            state = scope["statevec"]._qubit(c0, c1)
+            outcomes.add(scope["teleport"].teleport_state(state, replay).bell_outcome)
+    assert outcomes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 @pytest.mark.parametrize("name, worse", [("samples_per_s", 700.0), ("round_ms.p50", 13.0)])
@@ -250,7 +292,8 @@ def test_a_head_worse_in_both_pairs_past_the_bound_warns_once(script, facts, nam
 
 
 def test_main_takes_one_ref(script, capsys):
-    usage = "usage: compare_base.py [-h] [--pairs N] [--seconds S] REF\n"
+    usage = ("usage: compare_base.py [-h] [--pairs N] [--seconds S] [--seed K]\n"
+             f"{'':23}[--bench-out DIR]\n{'':23}REF\n")
     assert script.main([]) == 2
     assert script.main(["HEAD", "HEAD~1"]) == 2
     assert script.main(["HEAD", "--pairs", "1"]) == 2
@@ -264,8 +307,9 @@ def test_main_takes_one_ref(script, capsys):
 def test_pairs_alternate_which_side_runs_first(script, monkeypatch):
     calls = []
 
-    def fake_bench(tree, workload, seconds):
+    def fake_bench(tree, workload, seconds, seed):
         calls.append((tree, workload, seconds))
+        assert seed == 7
         return {"call": len(calls)}
 
     def fake_timers(tree):
@@ -274,7 +318,7 @@ def test_pairs_alternate_which_side_runs_first(script, monkeypatch):
 
     monkeypatch.setattr(script, "bench", fake_bench)
     monkeypatch.setattr(script, "timers", fake_timers)
-    got = script.pairs({"base": "B", "head": "H"}, 4, 20)
+    got = script.pairs({"base": "B", "head": "H"}, 4, 20, 7)
     # Base first in pairs 1 and 3, head first in pairs 2 and 4: the timer
     # harness runs first, then one workload after another, each alternating alike.
     order = ["B", "H", "H", "B", "B", "H", "H", "B"]
@@ -315,6 +359,17 @@ def test_the_verdict_needs_nine_wins_in_ten_and_a_gain_past_the_iqr(script, name
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("name", ["samples_per_s", "round_ms.p50"])
+def test_two_winning_pairs_are_too_few_to_claim_a_gain(script, name):
+    # Both pairs won, by far more than the base's IQR, but 2 pairs are not 10.
+    sign = 1 if script.SPEC[name]["better"] == "higher" else -1
+    base, head = [sign * 100.0, sign * 104.0], [sign * 150.0, sign * 154.0]
+    assert script.judge("mlp-ring", name, base, head)[1] == (
+        f"mlp-ring {name} verdict: too few pairs to claim a gain, 2 run and 10 needed: "
+        "head better in 2 of 2 pairs (2 needed), median gain 50 against the base IQR 2"
+    )
+
+
 def test_a_spread_wider_than_the_bound_is_unresolved(script):
     base = [50.0] * 5 + [150.0] * 5
     head = [b - 1 for b in base]
@@ -349,8 +404,9 @@ def test_both_sides_run_from_sibling_copies(script, facts, monkeypatch, tmp_path
         seen.append(("facts", tree, files, (tree / "scripts" / "compare_base.py").read_bytes()))
         return copy.deepcopy(facts)
 
-    def fake_pairs(trees, count, seconds):
+    def fake_pairs(trees, count, seconds, seed):
         seen.append(("pairs", trees, count, seconds))
+        assert seed == 42
         return {side: facts["pairs"] for side in ("base", "head")}
 
     monkeypatch.setattr(script, "facts", fake_facts)
@@ -370,3 +426,84 @@ def test_a_ref_git_cannot_archive_exits_2(script, monkeypatch):
     monkeypatch.setattr(script, "git", refuse)
     monkeypatch.setattr(script, "facts", lambda tree: pytest.fail("no facts without a tree"))
     assert script.main(["no-such-ref"]) == 2
+
+
+def fake_main_run(script, facts, monkeypatch, tmp_path):
+    """``main`` with git, the facts and the pairs faked: the base is ``facts``,
+    the head has other line counts, another machine and a faster mlp-ring."""
+    monkeypatch.setattr(script, "checkouts", lambda ref, parent: {"base": "B", "head": "H"})
+    monkeypatch.setattr(script, "git", lambda *args: b"0123abcd\n")
+    head = copy.deepcopy(facts)
+    head["lines"] = {"src": 2000, "tests": 6000, "scripts": 650}
+    head["machine"] = {**facts["machine"], "numpy": "2.5.0"}
+    head["defaults"][script.RUNS[0]]["bits"] = "other bits"
+    runs = [{**facts["pairs"]["mlp-ring"][0], "samples_per_s": rate, "host_speed": speed}
+            for rate, speed in ((1100.0, 0.75), (1200.0, 1.5))]
+    head["pairs"]["mlp-ring"] = runs
+    sides = {"B": facts, "H": head}
+    monkeypatch.setattr(script, "facts", lambda tree: {k: v for k, v in sides[tree].items()
+                                                       if k != "pairs"})
+    monkeypatch.setattr(script, "pairs", lambda trees, count, seconds, seed: {
+        side: sides[tree]["pairs"] for side, tree in trees.items()})
+    return head
+
+
+def test_bench_out_writes_each_sides_own_facts_as_sorted_key_json(
+        script, facts, monkeypatch, tmp_path, capsys):
+    head = fake_main_run(script, facts, monkeypatch, tmp_path)
+    out = tmp_path / "bench" / "new"
+    assert script.main(["REF", "--bench-out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["base.json", "head.json"]
+    got = {}
+    for side in ("base", "head"):
+        text = (out / f"{side}.json").read_text()
+        got[side] = json.loads(text)
+        assert text == json.dumps(got[side], indent=1, sort_keys=True) + "\n"
+        assert sorted(got[side]) == ["commit", "lines", "machine", "results", "verdicts",
+                                     "workloads"]
+        assert sorted(got[side]["workloads"]) == sorted(script.WORKLOADS)
+        for record in got[side]["workloads"].values():
+            assert sorted(record) == ["metrics", "round_ms.tail_pct", "rounds_measured"]
+            assert sorted(record["metrics"]) == sorted(script.BENCH_METRICS)
+    base, new = got["base"], got["head"]
+    assert (base["commit"], new["commit"]) == ("0123abcd", None)
+    assert (base["lines"], new["lines"]) == (facts["lines"], head["lines"])
+    assert base["machine"] == {**facts["machine"], "openblas": "Core: SkylakeX",
+                               "host_speed": {w: [1.25, 1.25] for w in script.WORKLOADS}}
+    assert new["machine"]["numpy"] == "2.5.0"
+    assert new["machine"]["host_speed"]["mlp-ring"] == [0.75, 1.5]
+    assert base["results"] == {"defaults": facts["defaults"], "comparison_csv": "comparison csv"}
+    assert new["results"]["defaults"][script.RUNS[0]]["bits"] == "other bits"
+    # Median and IQR over the side's runs; rounds and tail percentile as the runs read.
+    assert base["workloads"]["mlp-ring"]["metrics"]["samples_per_s"] == {"median": 1000.0,
+                                                                          "iqr": 0.0}
+    assert new["workloads"]["mlp-ring"]["metrics"]["samples_per_s"] == {"median": 1150.0,
+                                                                         "iqr": 50.0}
+    assert new["workloads"]["mlp-ring"] == {**new["workloads"]["mlp-ring"],
+                                            "rounds_measured": [30, 30],
+                                            "round_ms.tail_pct": [75.0, 75.0]}
+    # The verdicts are the head's, against the base, exactly as printed.
+    printed = capsys.readouterr().out.splitlines()
+    assert base["verdicts"] == []
+    assert new["verdicts"] == [line for line in printed if " verdict: " in line]
+    assert len(new["verdicts"]) == len(script.WORKLOADS) * len(script.BENCH_METRICS)
+
+
+def test_bench_out_refuses_an_existing_file_before_any_run(
+        script, facts, monkeypatch, tmp_path, capsys):
+    fake_main_run(script, facts, monkeypatch, tmp_path)
+    monkeypatch.setattr(script, "checkouts", lambda ref, parent: pytest.fail("no run"))
+    (tmp_path / "head.json").write_text("kept\n")
+    assert script.main(["REF", "--bench-out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --bench-out would overwrite {tmp_path / 'head.json'}\n")
+    assert (tmp_path / "head.json").read_text() == "kept\n"
+    assert not (tmp_path / "base.json").exists()
+
+
+def test_a_failed_benchmark_run_leaves_its_workload_null(script, facts):
+    facts["pairs"]["vqc-ring"][1] = None
+    record = script.bench_record(facts, [], None)
+    assert record["workloads"]["vqc-ring"] is None
+    assert record["machine"]["host_speed"]["vqc-ring"] == [1.25, None]
+    assert record["workloads"]["mlp-ring"]["rounds_measured"] == [30, 30]

@@ -16,7 +16,7 @@ from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
 from qfedring.teleport import TransferError
-from tests.conftest import NOT_GENERATORS, generator_id
+from tests.helpers import NOT_GENERATORS, generator_id
 from tests.test_bench_contract import traced
 
 
@@ -227,7 +227,7 @@ class TestLocalTrain:
 
     @pytest.mark.parametrize("epochs", [1, 3])
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
-    def test_prepares_the_shard_once_per_call(self, rng, monkeypatch, kind, epochs):
+    def test_prepares_the_shard_once_per_client(self, rng, monkeypatch, kind, epochs):
         fx, fy, _, _ = small_shard()
         model = {
             "circuit": lambda: vqc.init_model(rng, 2),
@@ -238,10 +238,65 @@ class TestLocalTrain:
         monkeypatch.setattr(type(model), "prepare",
                             lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
         client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
-        for call in range(1, 3):
+        for _ in range(3):
             losses = fr.local_train(client, epochs=epochs, batch_size=10)
             assert len(losses) == epochs * math.ceil(fy.size / 10)
-            assert seen == [fy.size] * call
+        assert seen == [fy.size]
+        # The checked copies replace the shard, read-only, so a write into one raises.
+        assert np.array_equal(client.features, fx) and client.features is not fx
+        assert np.array_equal(client.labels, fy) and client.labels is not fy
+        for array in (client.features, client.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # A reassigned shard is checked and prepared again, then kept.
+        client.features = fx[::-1].copy()
+        for _ in range(2):
+            fr.local_train(client, epochs=epochs, batch_size=10)
+        assert seen == [fy.size] * 2
+        # So is a copy of the client, whose arrays come back writeable.
+        twin = copy.deepcopy(client)
+        twin.features[0] = 0.5
+        fr.local_train(twin, epochs=epochs, batch_size=10)
+        assert seen == [fy.size] * 3 and not twin.features.flags.writeable
+
+    @pytest.mark.parametrize("first", ["circuit", "store"])
+    def test_a_model_of_another_kind_prepares_the_shard_again(self, rng, monkeypatch, first):
+        # A circuit and a store of one width prepare the same states, yet a
+        # hand-over between the two kinds prepares the shard again all the same.
+        fx, fy, _, _ = small_shard()
+        seen = []
+        for cls in (vqc.VqcModel, qw.QuantumWeightStore):
+            monkeypatch.setattr(cls, "prepare", lambda self, feats, prepare=cls.prepare:
+                                seen.append(type(self).__name__) or prepare(self, feats))
+        models = {"circuit": vqc.init_model(rng, 2), "store": qw.init_store(rng, 2, math.pi)}
+        order = [first, *(kind for kind in models if kind != first), first]
+        client = fr.ClientState(0, fx, fy, models[first], np.random.default_rng(0),
+                                tk.SgdOptimizer(0.02))
+        for kind in order:
+            client.model = models[kind]
+            fr.local_train(client, epochs=1, batch_size=10)
+            fr.local_train(client, epochs=1, batch_size=10)
+        assert seen == [type(models[kind]).__name__ for kind in order]
+
+    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
+    def test_a_reassigned_shard_is_checked_again_naming_the_client(self, rng, kind):
+        fx, fy, _, _ = small_shard()
+        model = {
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+            "mlp": lambda: tk.init_mlp(rng),
+        }[kind]()
+        client = fr.ClientState(4, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        fr.local_train(client, epochs=1, batch_size=10)
+        trained, stream = client.model, client.rng.bit_generator.state
+        bad = fx.copy()
+        bad[3, 1] = np.nan
+        client.features = bad
+        with pytest.raises(ValueError, match=r"^client 4: features must be finite$"):
+            fr.local_train(client, epochs=1, batch_size=10)
+        # Refused before any step, and the refused shard is not kept.
+        assert client.model is trained and client.rng.bit_generator.state == stream
+        assert client.features is bad
 
     @pytest.mark.parametrize("kind", ["circuit", "store"])
     def test_a_circuit_of_another_width_is_refused_naming_the_client(self, kind):

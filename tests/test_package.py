@@ -181,3 +181,9 @@ def test_only_qubit_builds_without_a_constructor():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert found == ["statevec._qubit"]
+
+
+def test_no_test_module_imports_the_conftest_again():
+    # pytest loads tests/conftest.py once; a test module that imported it as
+    # tests.conftest would run it a second time.  Shared values live in tests/helpers.py.
+    assert "tests.conftest" not in sys.modules

@@ -24,7 +24,7 @@ from qfedring import statevec as sv
 from qfedring import teleport as tp
 from qfedring import trainkit as tk
 from qfedring import vqc
-from tests.conftest import NOT_GENERATORS, generator_id
+from tests.helpers import NOT_GENERATORS, generator_id
 from tests.test_fedring import NOT_COUNTS
 
 BAD_COUNTS = [*NOT_COUNTS, 0, -1]

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from qfedring import statevec as sv
 from tests import oracle
-from tests.conftest import random_state
+from tests.helpers import random_state
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
 

@@ -15,7 +15,7 @@ from qfedring import teleport as tp
 from qfedring import trainkit as tk
 from qfedring import vqc
 from tests import oracle
-from tests.conftest import NOT_GENERATORS, generator_id, random_state
+from tests.helpers import NOT_GENERATORS, generator_id, random_state
 
 OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
