@@ -21,15 +21,18 @@ the head/base ratio, how many pairs the head won, and one verdict line: a gain
 holds when at least 10 pairs ran, the head wins at least nine tenths of them
 (9 of 10) and its median gain exceeds the base's IQR.  A metric whose IQR is
 wider than its bound is unresolved, unless every head run beats every base
-run; one whose median is worse by more than its bound warns.
+run; one whose median is worse by more than its bound warns.  Each workload's
+final accuracy, convergence round and CSV sha256 print base beside head, with
+a warning if the CSV differs.
 
 With ``--bench-out DIR`` it also writes ``DIR/base.json`` and
 ``DIR/head.json``, one sorted-key JSON object per side (``bench_record``),
 which a performance change commits as its ``BENCH_<n>.json``.  An existing
 file is refused before any run.  Exits 1, naming the side and the command, if
-a fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments, an
-existing ``--bench-out`` file, or if git cannot archive REF or list this
-checkout; any other failed run is a warning.
+a fingerprint, comparison or ``--help`` run fails, and 2 on bad arguments (a
+negative ``--seed`` too) before any run, an existing ``--bench-out`` file, or
+if git cannot archive REF or list this checkout; any other failed run is a
+warning.
 """
 import argparse
 import difflib
@@ -304,9 +307,11 @@ def facts(tree) -> dict:
         return got
 
 
+# A benchmark run's results, which the report sets base beside head.
+RESULTS = ("final_accuracy", "convergence_round", "csv_sha256")
 # What a BENCH file keeps of a benchmark run besides its BENCH_METRICS, from
 # the detail file that perfbench/run.py writes beside its output.
-RUN_DETAIL = ("host_speed", "rounds_measured", "round_ms.tail_pct")
+RUN_DETAIL = ("host_speed", "rounds_measured", "round_ms.tail_pct", *RESULTS)
 
 
 def bench(tree: Path, workload: str, seconds: int, seed: int = 42) -> dict:
@@ -453,6 +458,12 @@ def compare(base: dict, head: dict) -> list[str]:
         if None in [*b_runs, *h_runs]:
             out.append(f"::warning::{workload}: the benchmark runs could not be compared")
             continue
+        for name in RESULTS:
+            b, h = (" ".join(sorted({str(run[name]) for run in runs})) for runs in (b_runs, h_runs))
+            out.append(f"{workload} {name}: base {b} head {h}")
+            if name == "csv_sha256" and b != h:
+                out.append(f"::warning::{workload}: the benchmark's metrics CSV differs "
+                           "from the base commit")
         for name in BENCH_METRICS:
             b, h = [run[name] for run in b_runs], [run[name] for run in h_runs]
             out.extend(judge(workload, name, b, h))
@@ -462,11 +473,12 @@ def compare(base: dict, head: dict) -> list[str]:
 def bench_record(got: dict, verdicts: list[str], commit) -> dict:
     """One side's BENCH file from its facts ``got``: the machine, with each
     benchmark run's host-speed factor; per workload, the median and IQR of each
-    end-to-end metric over the side's runs, with each run's ``rounds_measured``
-    and the percentile that its ``round_ms.tail`` is (null if a run failed); ``verdicts``,
-    the head's against the base, so none in the base's file; the default
-    fingerprints with their CSV sha256s and the comparison CSV's; the line
-    counts; and ``commit``, the base's commit or null for the checkout."""
+    end-to-end metric over the side's runs, with each run's ``rounds_measured``,
+    the percentile that its ``round_ms.tail`` is and its ``RESULTS`` (null if a
+    run failed); ``verdicts``, the head's against the base, so none in the
+    base's file; the default fingerprints with their CSV sha256s and the
+    comparison CSV's; the line counts; and ``commit``, the base's commit or
+    null for the checkout."""
     workloads, host_speed = {}, {}
     for workload in WORKLOADS:
         runs = got["pairs"][workload]
@@ -479,7 +491,7 @@ def bench_record(got: dict, verdicts: list[str], commit) -> dict:
             mid, iqr = median_iqr([run[name] for run in runs])
             metrics[name] = {"median": mid, "iqr": iqr}
         workloads[workload] = {"metrics": metrics, **{
-            name: [run[name] for run in runs] for name in ("rounds_measured", "round_ms.tail_pct")}}
+            name: [run[name] for run in runs] for name in RUN_DETAIL if name != "host_speed"}}
     return {
         "commit": commit,
         "machine": {**got["machine"], "openblas": got["kernel"], "host_speed": host_speed},
@@ -498,13 +510,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=5, metavar="S",
                         help="seconds per benchmark run, at least 1 (default 5)")
     parser.add_argument("--seed", type=int, default=42, metavar="K",
-                        help="the benchmark runs' seed (default 42)")
+                        help="the benchmark runs' seed, at least 0 (default 42)")
     parser.add_argument("--bench-out", type=Path, metavar="DIR",
                         help="write each side's BENCH record to DIR/base.json and DIR/head.json")
     try:
         args = parser.parse_args(argv)
-        if args.pairs < 2 or args.seconds < 1:
-            parser.error(f"need --pairs >= 2 and --seconds >= 1, got {args.pairs} and {args.seconds}")
+        if args.pairs < 2 or args.seconds < 1 or args.seed < 0:
+            parser.error("need --pairs >= 2, --seconds >= 1 and --seed >= 0, got "
+                         f"{args.pairs}, {args.seconds} and {args.seed}")
     except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
         return exc.code
     sides = ("base", "head") if args.bench_out else ()

@@ -159,17 +159,23 @@ MUTANTS = (
            (GENERATOR_RULE,)),
     Mutant("check_generator: the value shown by its repr again", "qfedring/datagen.py",
            "got {shown}", "got {rng!r}", (GENERATOR_RULE,)),
-    # A client's stream and optimizer, checked before its first step.
-    Mutant("_check_client: the client's rng not checked", "qfedring/fedring.py",
-           """    datagen.check_generator(client.rng, f"{owner}'s rng")\n""", "",
+    # A client's stream and optimizer, checked when the client is made; then
+    # only its model may be set, and a copy is made by the constructor again.
+    Mutant("ClientState: the client's rng not checked", "qfedring/fedring.py",
+           """        datagen.check_generator(self.rng, f"{owner}'s rng")\n""", "",
            (CLIENT_REFUSALS, GENERATOR_RULE)),
-    Mutant("_check_client: the optimizer not checked", "qfedring/fedring.py",
-           "    if not isinstance(client.optimizer, SgdOptimizer):", "    if False:",
-           (CLIENT_REFUSALS,)),
-    Mutant("_check_clients: clients not checked before any trains", "qfedring/fedring.py",
-           "    for client in clients:\n        _check_client(client)\n", "",
-           ("tests/test_fedring.py::TestClientRefusals::"
-            "test_the_ring_names_the_client_that_holds_it",)),
+    Mutant("ClientState: the optimizer not checked", "qfedring/fedring.py",
+           "        if not isinstance(self.optimizer, SgdOptimizer):", "        if False:",
+           (CLIENT_REFUSALS, "tests/test_fedring.py::TestClientRefusals::"
+            "test_the_ring_names_the_client_that_holds_it")),
+    Mutant("ClientState: any field set once the client is made", "qfedring/fedring.py",
+           'if name != "model" and "_prepared" in self.__dict__:', "if False:",
+           (f"{LOCAL_TRAIN}::test_a_reassigned_shard_is_checked_again_naming_the_client",
+            "tests/test_fedring.py::TestClientRefusals::"
+            "test_the_ring_names_the_client_that_holds_it")),
+    Mutant("ClientState: a copy made without the constructor", "qfedring/fedring.py",
+           "    def __reduce__(self):", "    def _reduce(self):",
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
     Mutant("run_ring: a failed hand-off loses its weight index", "qfedring/fedring.py",
            "-> {exc}\", exc.weight_index", "-> {exc}\", None",
            ("tests/test_fedring.py::TestRunRing::"
@@ -205,8 +211,8 @@ MUTANTS = (
     Mutant("encode: a row's bits depend on the batch's size", "qfedring/vqc.py",
            "amps = cols[:, 0]", "amps = cols[:, 0] * (1 + 2**-52 * (len(feats) % 2))",
            ("tests/test_vqc.py::TestEncode::test_rows_are_encoded_independently",)),
-    # local_train checks and prepares a client's shard once, keeps it read-only
-    # beside the rows, and refuses a bad shard naming the client.
+    # ClientState keeps its checked shard read-only; local_train prepares it
+    # once per model kind and qubit count, refusing it naming the client.
     Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
            "fx, fy = rows[start : start + batch_size],",
            "fx, fy = client.model.prepare(client.features[order][start : start + batch_size]),",
@@ -218,17 +224,14 @@ MUTANTS = (
     Mutant("local_train: a refused shard not named for its client", "qfedring/fedring.py",
            'raise ValueError(f"{owner}: {exc}") from exc', "raise",
            (f"{LOCAL_TRAIN}::test_a_circuit_of_another_width_is_refused_naming_the_client",)),
-    Mutant("local_train: kept rows reused after the shard is reassigned", "qfedring/fedring.py",
-           "kept[0] is client.features and ", "",
-           (f"{LOCAL_TRAIN}::test_a_reassigned_shard_is_checked_again_naming_the_client",)),
     Mutant("local_train: kept rows reused for a model of another kind", "qfedring/fedring.py",
-           "kept[2] == key and ", "",
+           "key = (type(model), ", "key = (",
            (f"{LOCAL_TRAIN}::test_a_model_of_another_kind_prepares_the_shard_again",)),
-    Mutant("local_train: kept rows reused for a shard made writeable again", "qfedring/fedring.py",
-           " and not kept[0].flags.writeable and not kept[1].flags.writeable", "",
-           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
-    Mutant("local_train: the kept shard left writeable", "qfedring/fedring.py",
-           "        array.flags.writeable = False\n", "        pass\n",
+    Mutant("local_train: kept rows reused for a model of another width", "qfedring/fedring.py",
+           'getattr(model, "num_qubits", None))', "None)",
+           (f"{LOCAL_TRAIN}::test_a_circuit_of_another_width_is_refused_naming_the_client",)),
+    Mutant("ClientState: the shard left writeable", "qfedring/fedring.py",
+           "            array.flags.writeable = False\n", "            pass\n",
            (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
     # local_train's per-epoch gather, and the MLP gradient written in place.
     Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",

@@ -5,13 +5,13 @@ each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 (TELEPORT, quantum weight stores only).  After the last client of a round the
 model it just trained is evaluated on the held-out set; both loops build that
 row with ``_round_row``.  Every model kind takes the same SGD step:
-``loss_grad`` on the batch, then ``step`` by the mean, on a shard that
-``local_train`` checks with ``datagen``'s rule and ``prepare``s once per
-client, then keeps on the client, read-only, until the shard or the model's
-kind or width changes (``_shard``).  Each epoch gathers the prepared rows
-once, in its permutation's order, and a batch is a row slice of that.
-``partition`` checks the whole data with that rule, so ``make_clients``
-refuses a bad shard before any client exists.
+``loss_grad`` on the batch, then ``step`` by the mean.  ``ClientState``'s
+constructor runs the client rule once (the rng, the optimizer, then the shard
+by ``datagen``'s rule, kept read-only); ``local_train`` ``prepare``s the shard
+once per model kind and qubit count, each epoch gathers those rows once, in
+its permutation's order, and a batch is a row slice of that.  ``partition``
+checks the whole data with the shard rule, so ``make_clients`` refuses a bad
+shard before any client exists.
 
 Each client owns a private rng for batch shuffling, and all share one
 ``SgdOptimizer``; the teleport channel uses its own rng so the two transports
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,7 +55,11 @@ class RingSchedule:
 
 @dataclass
 class ClientState:
-    """One participant: its data shard, current model, rng, and optimizer."""
+    """One participant: its data shard, current model, rng, and optimizer.
+    The constructor runs the client rule (the rng, the optimizer, then the
+    shard, each refusal naming the client) and keeps the shard as read-only
+    copies; then only ``model`` may be set, and a copy is made by the
+    constructor again."""
 
     client_id: int
     features: np.ndarray
@@ -63,9 +67,28 @@ class ClientState:
     model: Model
     rng: np.random.Generator
     optimizer: SgdOptimizer
-    # local_train's checked features and labels, the model kind and qubit
-    # count it prepared them for, and the prepared rows (``_shard``).
-    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        owner = f"client {self.client_id}"
+        datagen.check_generator(self.rng, f"{owner}'s rng")
+        if not isinstance(self.optimizer, SgdOptimizer):
+            kind = type(self.optimizer).__name__
+            raise ValueError(f"{owner}'s optimizer must be an SgdOptimizer, got {kind}")
+        self.features, self.labels = datagen.check_samples(self.features, self.labels, owner)
+        for array in (self.features, self.labels):
+            array.flags.writeable = False
+        # local_train's prepared rows per (model kind, qubit count); set last,
+        # so from here on __setattr__ lets only the model change.
+        self._prepared: dict = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        if name != "model" and "_prepared" in self.__dict__:
+            raise AttributeError(
+                f"cannot set client {self.client_id}'s {name}: only its model may change")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def partition(features, labels, num_clients: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -100,53 +123,28 @@ def make_clients(
     return clients
 
 
-def _check_client(client: ClientState) -> str:
-    """Refuse a client's rng or optimizer that local_train cannot use; returns its name."""
-    owner = f"client {client.client_id}"
-    datagen.check_generator(client.rng, f"{owner}'s rng")
-    if not isinstance(client.optimizer, SgdOptimizer):
-        kind = type(client.optimizer).__name__
-        raise ValueError(f"{owner}'s optimizer must be an SgdOptimizer, got {kind}")
-    return owner
-
-
-def _shard(client: ClientState, owner: str) -> tuple[np.ndarray, np.ndarray]:
-    """The client's prepared rows and labels.  An earlier call's are reused while
-    ``client.features`` and ``client.labels`` are still the arrays it kept, still
-    read-only, and the model has the same kind and qubit count.  Otherwise the
-    shard is checked and prepared, and the checked arrays replace the client's
-    own, read-only, so that a write into them raises."""
-    model = client.model
-    key = (type(model), getattr(model, "num_qubits", None))
-    kept = client._kept
-    if (kept is not None and kept[0] is client.features and kept[1] is client.labels
-            and kept[2] == key and not kept[0].flags.writeable and not kept[1].flags.writeable):
-        return kept[3], kept[1]
-    feats, labels = datagen.check_samples(client.features, client.labels, owner)
-    try:
-        rows = model.prepare(feats)
-    except ValueError as exc:
-        raise ValueError(f"{owner}: {exc}") from exc
-    for array in (feats, labels, rows):
-        array.flags.writeable = False
-    client.features, client.labels, client._kept = feats, labels, (feats, labels, key, rows)
-    return rows, labels
-
-
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
     """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
 
     Batch order is a fresh permutation per epoch from the client's own rng,
     so a client's stream depends only on how many epochs it has run.  The
-    rng, the optimizer (``_check_client``) and the shard, checked and prepared
-    once per client (``_shard``), are checked before any step, naming the
-    client; a step's ``ValueError`` is re-raised naming the client, epoch and
-    step.
+    shard is prepared on the first call with a model of its kind and qubit
+    count, refused naming the client if the model cannot take it, and the
+    rows are kept for later calls; a step's ``ValueError`` is re-raised
+    naming the client, epoch and step.
     """
     datagen.check_count(epochs, "epochs")
     datagen.check_count(batch_size, "batch_size")
-    owner = _check_client(client)
-    prepared, labels = _shard(client, owner)
+    owner, model, labels = f"client {client.client_id}", client.model, client.labels
+    key = (type(model), getattr(model, "num_qubits", None))
+    prepared = client._prepared.get(key)
+    if prepared is None:
+        try:
+            prepared = model.prepare(client.features)
+        except ValueError as exc:
+            raise ValueError(f"{owner}: {exc}") from exc
+        prepared.flags.writeable = False
+        client._prepared[key] = prepared
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
     # logits bound and the finite-parameter checks then raise the error that
@@ -173,8 +171,6 @@ def _check_clients(clients: list[ClientState], num_clients: int) -> type:
         raise ValueError(f"schedule expects {num_clients} clients, got {len(clients)}")
     if [c.client_id for c in clients] != list(range(num_clients)):
         raise ValueError("clients must be ordered with ids 0..K-1")
-    for client in clients:
-        _check_client(client)
     kinds = {type(c.model) for c in clients}
     if len(kinds) != 1:
         raise ValueError(f"clients must share one model kind, got {sorted(k.__name__ for k in kinds)}")

@@ -6,11 +6,13 @@ from qfedring import datagen
 
 # Tier-1 draws a fixed example set per property test, derived from the test's
 # own source, and replays nothing from a database, so every run of one commit
-# tests the same inputs.  "random" draws fresh seeds and prints each failing
-# example's blob; select it with ``pytest --hypothesis-profile random``, and
-# add what it finds to its test as an @example.
+# tests the same inputs.  "random" draws fresh seeds, ten times as many
+# examples (each test scales its count with ``tests.helpers.examples``), and
+# prints each failing example's blob; select it with ``pytest
+# --hypothesis-profile random``, and add what it finds to its test as an @example.
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.register_profile("random", derandomize=False, database=None, print_blob=True)
+settings.register_profile("random", derandomize=False, database=None, print_blob=True,
+                          max_examples=1000)
 
 
 @pytest.hookimpl(tryfirst=True)

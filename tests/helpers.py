@@ -1,6 +1,7 @@
 """Values and builders that several test modules share; a plain module, so
 that no test imports ``conftest`` a second time under another name."""
 import numpy as np
+from hypothesis import settings
 
 from qfedring.statevec import StateVector
 
@@ -15,6 +16,14 @@ def generator_id(value) -> str:
     also its test id: the repr of None, a number or text, else the type's name
     (the repr of a RandomState or a bit generator holds its address)."""
     return repr(value) if value is None or isinstance(value, (int, str)) else type(value).__name__
+
+
+def examples(count: int) -> int:
+    """A property test's ``max_examples``: ``count`` scaled by the loaded
+    profile's ``max_examples`` over hypothesis's default of 100, so ``count``
+    under the ``tier1`` profile and ten times that under ``random``.  Read as
+    the test module is imported, after ``--hypothesis-profile`` is loaded."""
+    return count * settings.default.max_examples // 100
 
 
 def random_state(rng, num_qubits):

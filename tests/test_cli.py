@@ -22,6 +22,7 @@ from qfedring import fedring as fr
 from qfedring import teleport as tp
 from qfedring.teleport import TransferError
 from qfedring.trainkit import RoundMetrics
+from tests.helpers import examples
 
 
 def _run_fresh_cli(*args) -> subprocess.CompletedProcess:
@@ -137,7 +138,7 @@ def config_files(draw):
 
 class TestConfigFileProperties:
     @settings(
-        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+        max_examples=examples(100), deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(config=config_files())
     def test_round_trips(self, tmp_path, config):
@@ -147,7 +148,7 @@ class TestConfigFileProperties:
         assert cli._load_config_file(str(path)) == values
 
     @settings(
-        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+        max_examples=examples(100), deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(
         config=config_files(),
@@ -172,7 +173,7 @@ class TestConfigFileProperties:
             cli._load_config_file(str(path))
 
     @settings(
-        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+        max_examples=examples(100), deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(config=config_files(), data=st.data(), junk=st.binary(max_size=16))
     def test_any_bytes_load_or_are_refused_naming_the_file(self, tmp_path, config, data, junk):
@@ -386,7 +387,7 @@ class TestConvergence:
         with pytest.raises(ValueError, match=f"^the final accuracy must be finite, got {shown}$"):
             cli.convergence_round(accs)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(accs=st.lists(st.floats(0, 1), min_size=1, max_size=30))
     def test_names_first_round_within_tolerance(self, accs):
         tolerance = cli.CONVERGENCE_TOLERANCE

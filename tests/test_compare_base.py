@@ -41,7 +41,8 @@ def facts(script):
                         for name in script.TIMERS}] * 2,
             **{workload: [{**{name: 10.0 for name in script.BENCH_METRICS},
                            "samples_per_s": 1000.0, "host_speed": 1.25, "rounds_measured": 30,
-                           "round_ms.tail_pct": 75.0}] * 2
+                           "round_ms.tail_pct": 75.0, "final_accuracy": 0.971,
+                           "convergence_round": 3, "csv_sha256": f"{workload} csv"}] * 2
                for workload in script.WORKLOADS},
         },
     }
@@ -170,21 +171,43 @@ def test_a_failed_timer_run_warns_once_naming_the_side_and_the_timer(script, fac
 def test_a_benchmark_run_that_fails_its_own_gate_is_not_read(
         script, monkeypatch, tmp_path, correct, failed, read):
     # perfbench/run.py exits 0 either way; only its last line tells.  The run's
-    # host speed, rounds and tail percentile come from the detail file it writes.
+    # host speed, rounds, tail percentile and results come from the detail
+    # file it writes.
     metrics = {name: {"value": 5.0, "unit": ""} for name in script.BENCH_METRICS}
     line = json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
     done = subprocess.CompletedProcess([], 0, stdout=f"report\n{line}\n", stderr="")
-    detail = {"host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0, "seed": 3}
+    results = {"final_accuracy": 0.983, "convergence_round": 4, "csv_sha256": "78531199"}
+    detail = {"host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0, "seed": 3,
+              **results}
     (tmp_path / ".perfbench_out").mkdir()
     (tmp_path / ".perfbench_out" / "result-vqc-ring-s3-t0.json").write_text(json.dumps(detail))
     called = []
     monkeypatch.setattr(script, "run", lambda *args, **kwargs: called.append(args) or done)
     got = script.or_none(script.bench, tmp_path, "vqc-ring", 7, 3)
     want = {**{name: 5.0 for name in script.BENCH_METRICS},
-            "host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0}
+            "host_speed": 0.9, "rounds_measured": 40, "round_ms.tail_pct": 75.0, **results}
     assert got == (want if read else None)
     assert called[0][-8:] == ("--seed", "3", "--workload", "vqc-ring", "--seconds", "7",
                               "--trace", "0")
+
+
+def test_each_workload_prints_its_results_and_warns_once_on_a_changed_csv(script, facts):
+    head = copy.deepcopy(facts)
+    report = script.compare(facts, head)
+    for workload in script.WORKLOADS:
+        assert f"{workload} final_accuracy: base 0.971 head 0.971" in report
+        assert f"{workload} convergence_round: base 3 head 3" in report
+        assert f"{workload} csv_sha256: base {workload} csv head {workload} csv" in report
+    # Another result at the head, in one run of two: both values print, and
+    # the changed CSV warns once.
+    head["pairs"]["vqc-ring"][1] = {**head["pairs"]["vqc-ring"][1], "final_accuracy": 0.983,
+                                    "convergence_round": 4, "csv_sha256": "other csv"}
+    report = script.compare(facts, head)
+    assert "vqc-ring final_accuracy: base 0.971 head 0.971 0.983" in report
+    assert "vqc-ring convergence_round: base 3 head 3 4" in report
+    assert "vqc-ring csv_sha256: base vqc-ring csv head other csv vqc-ring csv" in report
+    assert warnings(script, facts, head) == [
+        "::warning::vqc-ring: the benchmark's metrics CSV differs from the base commit"]
 
 
 def test_the_printed_facts_warn_on_nothing(script, facts):
@@ -298,10 +321,13 @@ def test_main_takes_one_ref(script, capsys):
     assert script.main(["HEAD", "HEAD~1"]) == 2
     assert script.main(["HEAD", "--pairs", "1"]) == 2
     assert script.main(["HEAD", "--seconds", "0"]) == 2
+    # A negative seed used to pass here and fail every benchmark run later.
+    assert script.main(["HEAD", "--seed", "-1"]) == 2
     err = capsys.readouterr().err
-    assert err.count(usage) == 4
-    assert "need --pairs >= 2 and --seconds >= 1, got 1 and 5" in err
-    assert "need --pairs >= 2 and --seconds >= 1, got 2 and 0" in err
+    assert err.count(usage) == 5
+    assert "need --pairs >= 2, --seconds >= 1 and --seed >= 0, got 1, 5 and 42" in err
+    assert "need --pairs >= 2, --seconds >= 1 and --seed >= 0, got 2, 0 and 42" in err
+    assert "need --pairs >= 2, --seconds >= 1 and --seed >= 0, got 2, 5 and -1" in err
 
 
 def test_pairs_alternate_which_side_runs_first(script, monkeypatch):
@@ -463,7 +489,8 @@ def test_bench_out_writes_each_sides_own_facts_as_sorted_key_json(
                                      "workloads"]
         assert sorted(got[side]["workloads"]) == sorted(script.WORKLOADS)
         for record in got[side]["workloads"].values():
-            assert sorted(record) == ["metrics", "round_ms.tail_pct", "rounds_measured"]
+            assert sorted(record) == ["convergence_round", "csv_sha256", "final_accuracy",
+                                      "metrics", "round_ms.tail_pct", "rounds_measured"]
             assert sorted(record["metrics"]) == sorted(script.BENCH_METRICS)
     base, new = got["base"], got["head"]
     assert (base["commit"], new["commit"]) == ("0123abcd", None)
@@ -481,7 +508,10 @@ def test_bench_out_writes_each_sides_own_facts_as_sorted_key_json(
                                                                          "iqr": 50.0}
     assert new["workloads"]["mlp-ring"] == {**new["workloads"]["mlp-ring"],
                                             "rounds_measured": [30, 30],
-                                            "round_ms.tail_pct": [75.0, 75.0]}
+                                            "round_ms.tail_pct": [75.0, 75.0],
+                                            "final_accuracy": [0.971, 0.971],
+                                            "convergence_round": [3, 3],
+                                            "csv_sha256": ["mlp-ring csv"] * 2}
     # The verdicts are the head's, against the base, exactly as printed.
     printed = capsys.readouterr().out.splitlines()
     assert base["verdicts"] == []

@@ -26,6 +26,7 @@ from qfedring import trainkit as tk
 from qfedring import vqc
 from qfedring.teleport import teleport_weights
 from tests import oracle
+from tests.helpers import examples
 
 TOL = 1e-12
 KINDS = ("mlp", "circuit", "store")
@@ -104,7 +105,7 @@ SHAPES = dict(
 )
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 @given(num_rows=st.integers(1, 5), **SHAPES)
 @example(kind="circuit", layers=3, epochs=2, batch_size=2, learning_rate=0.05, seed=1, num_rows=5)
 @example(kind="store", layers=2, epochs=1, batch_size=1, learning_rate=0.05, seed=2, num_rows=3)
@@ -128,7 +129,7 @@ def test_local_train_replays_oracle(
     assert client.rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 @given(
     clients=st.integers(1, 4),
     rows_per_client=st.integers(1, 2),
@@ -200,6 +201,12 @@ def test_tier1_loads_the_derandomized_profile(request):
     assert settings.get_current_profile_name() == asked
     assert settings.default.derandomize is settings.get_profile(asked).derandomize
     assert settings.default.database is settings.get_profile(asked).database
-    # A test's own @settings takes what it does not set from the loaded profile.
+    # A test's own @settings takes what it does not set from the loaded profile,
+    # and scales its example count by the profile's: as written under tier1,
+    # ten times that under random.
+    assert settings.get_profile("tier1").max_examples == 100
+    assert settings.get_profile("random").max_examples == 1000
     for test in (test_local_train_replays_oracle, test_run_ring_replays_oracle):
-        assert test._hypothesis_internal_use_settings.derandomize is settings.default.derandomize
+        own = test._hypothesis_internal_use_settings
+        assert own.derandomize is settings.default.derandomize
+        assert own.max_examples == 8 * settings.default.max_examples // 100

@@ -238,48 +238,57 @@ class TestLocalTrain:
         monkeypatch.setattr(type(model), "prepare",
                             lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
         client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
-        for _ in range(3):
-            losses = fr.local_train(client, epochs=epochs, batch_size=10)
-            assert len(losses) == epochs * math.ceil(fy.size / 10)
-        assert seen == [fy.size]
-        # The checked copies replace the shard, read-only, so a write into one raises.
+        # The constructor keeps checked copies of the shard, read-only, so a write into one raises.
         assert np.array_equal(client.features, fx) and client.features is not fx
         assert np.array_equal(client.labels, fy) and client.labels is not fy
         for array in (client.features, client.labels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # A reassigned shard is checked and prepared again, then kept.
-        client.features = fx[::-1].copy()
-        for _ in range(2):
-            fr.local_train(client, epochs=epochs, batch_size=10)
-        assert seen == [fy.size] * 2
-        # So is a copy of the client, whose arrays come back writeable.
+        for _ in range(3):
+            losses = fr.local_train(client, epochs=epochs, batch_size=10)
+            assert len(losses) == epochs * math.ceil(fy.size / 10)
+        assert seen == [fy.size]
+        # A copy is made by the constructor: checked, read-only copies, and no rows yet.
         twin = copy.deepcopy(client)
-        twin.features[0] = 0.5
-        fr.local_train(twin, epochs=epochs, batch_size=10)
-        assert seen == [fy.size] * 3 and not twin.features.flags.writeable
+        assert np.array_equal(twin.features, fx) and twin.features is not client.features
+        assert not twin.features.flags.writeable and not twin.labels.flags.writeable
+        for _ in range(2):
+            fr.local_train(twin, epochs=epochs, batch_size=10)
+        assert seen == [fy.size] * 2
 
-    @pytest.mark.parametrize("first", ["circuit", "store"])
+    @pytest.mark.parametrize("first", ["circuit", "store", "mlp"])
     def test_a_model_of_another_kind_prepares_the_shard_again(self, rng, monkeypatch, first):
-        # A circuit and a store of one width prepare the same states, yet a
-        # hand-over between the two kinds prepares the shard again all the same.
+        # Once a client is made, local_train runs no part of the client rule
+        # again, and prepares the shard once per model kind and qubit count over
+        # repeated calls and hand-overs.  A circuit and a store of one width
+        # prepare the same states, yet each kind prepares its own rows.
         fx, fy, _, _ = small_shard()
+        models = {"circuit": vqc.init_model(rng, 2), "store": qw.init_store(rng, 2, math.pi),
+                  "mlp": tk.init_mlp(rng)}
         seen = []
-        for cls in (vqc.VqcModel, qw.QuantumWeightStore):
+        for cls in (type(model) for model in models.values()):
             monkeypatch.setattr(cls, "prepare", lambda self, feats, prepare=cls.prepare:
                                 seen.append(type(self).__name__) or prepare(self, feats))
-        models = {"circuit": vqc.init_model(rng, 2), "store": qw.init_store(rng, 2, math.pi)}
-        order = [first, *(kind for kind in models if kind != first), first]
         client = fr.ClientState(0, fx, fy, models[first], np.random.default_rng(0),
                                 tk.SgdOptimizer(0.02))
-        for kind in order:
+
+        def refuse(*args):
+            raise AssertionError("the client rule ran again")
+
+        monkeypatch.setattr(dg, "check_samples", refuse)
+        monkeypatch.setattr(dg, "check_generator", refuse)
+        order = [first, *(kind for kind in models if kind != first)]
+        for kind in order * 2:
             client.model = models[kind]
-            fr.local_train(client, epochs=1, batch_size=10)
-            fr.local_train(client, epochs=1, batch_size=10)
+            for _ in range(2):
+                assert len(fr.local_train(client, epochs=1, batch_size=10)) == 3
         assert seen == [type(models[kind]).__name__ for kind in order]
 
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_a_reassigned_shard_is_checked_again_naming_the_client(self, rng, kind):
+        # Only a client's model may change once it is made: setting any other
+        # field is refused naming the client and the field, and a copy with a
+        # new shard is made, and checked, by the constructor again.
         fx, fy, _, _ = small_shard()
         model = {
             "circuit": lambda: vqc.init_model(rng, 2),
@@ -288,30 +297,37 @@ class TestLocalTrain:
         }[kind]()
         client = fr.ClientState(4, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
         fr.local_train(client, epochs=1, batch_size=10)
-        trained, stream = client.model, client.rng.bit_generator.state
+        trained, stream, shard = client.model, client.rng.bit_generator.state, client.features
         bad = fx.copy()
         bad[3, 1] = np.nan
-        client.features = bad
+        for name, value in [("features", bad), ("labels", fy), ("rng", np.random.default_rng(1)),
+                            ("optimizer", tk.SgdOptimizer(0.1)), ("client_id", 5)]:
+            message = rf"^cannot set client 4's {name}: only its model may change$"
+            with pytest.raises(AttributeError, match=message):
+                setattr(client, name, value)
         with pytest.raises(ValueError, match=r"^client 4: features must be finite$"):
-            fr.local_train(client, epochs=1, batch_size=10)
-        # Refused before any step, and the refused shard is not kept.
+            dataclasses.replace(client, features=bad)
+        assert client.features is shard and client.client_id == 4
         assert client.model is trained and client.rng.bit_generator.state == stream
-        assert client.features is bad
 
     @pytest.mark.parametrize("kind", ["circuit", "store"])
-    def test_a_circuit_of_another_width_is_refused_naming_the_client(self, kind):
+    def test_a_circuit_of_another_width_is_refused_naming_the_client(self, rng, kind):
         # local_train applies no readout rule, so a three-qubit circuit reaches
-        # prepare, which refuses the shard's two feature columns before any step.
+        # prepare, which refuses the shard's two feature columns before any step,
+        # though the client holds rows that a two-qubit model of its kind prepared.
         fx, fy, _, _ = small_shard()
         if kind == "circuit":
-            model = vqc.VqcModel(np.zeros((2, 3, 3)))
+            first, model = vqc.init_model(rng, 2), vqc.VqcModel(np.zeros((2, 3, 3)))
         else:
+            first = qw.init_store(rng, 2, math.pi)
             model = qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi)
-        client = fr.ClientState(5, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        client = fr.ClientState(5, fx, fy, first, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        fr.local_train(client, epochs=1, batch_size=10)
+        client.model, stream = model, client.rng.bit_generator.state
         message = rf"^client 5: expected features of shape \(batch, 3\), got \({fy.size}, 2\)$"
         with pytest.raises(ValueError, match=message):
             fr.local_train(client, epochs=1, batch_size=10)
-        assert client.model is model
+        assert client.model is model and client.rng.bit_generator.state == stream
 
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()
@@ -351,12 +367,9 @@ class TestLocalTrain:
                 tk.init_mlp(rng), feats, labels, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1,
                 batch_size=32,
             )
-        client = fr.ClientState(
-            3, feats, labels, vqc.init_model(rng, 2), np.random.default_rng(0),
-            tk.SgdOptimizer(0.02),
-        )
         with pytest.raises(ValueError, match="client 3 has 10 feature rows"):
-            fr.local_train(client, epochs=1, batch_size=4)
+            fr.ClientState(3, feats, labels, vqc.init_model(rng, 2), np.random.default_rng(0),
+                           tk.SgdOptimizer(0.02))
 
     def test_validation(self, rng):
         fx, fy, _, _ = small_shard()
@@ -367,16 +380,9 @@ class TestLocalTrain:
             fr.local_train(client, epochs=0, batch_size=8)
         with pytest.raises(ValueError, match="batch_size"):
             fr.local_train(client, epochs=1, batch_size=0)
-        empty = fr.ClientState(
-            1,
-            np.zeros((0, 2)),
-            np.zeros(0, dtype=int),
-            vqc.init_model(rng, 2),
-            np.random.default_rng(0),
-            tk.SgdOptimizer(0.02),
-        )
         with pytest.raises(ValueError, match="client 1 has no samples"):
-            fr.local_train(empty, epochs=1, batch_size=8)
+            fr.ClientState(1, np.zeros((0, 2)), np.zeros(0, dtype=int), vqc.init_model(rng, 2),
+                           np.random.default_rng(0), tk.SgdOptimizer(0.02))
 
     @pytest.mark.parametrize("name", ["epochs", "batch_size"])
     def test_counts_must_be_integers(self, rng, name):
@@ -392,15 +398,16 @@ class TestLocalTrain:
 
 
 def snapshot(clients):
-    """Every client's model bytes and the state of each stream that is a Generator."""
-    return [
-        (c.model.params.tobytes(),
-         c.rng.bit_generator.state if isinstance(c.rng, np.random.Generator) else None)
-        for c in clients
-    ]
+    """Every client's model bytes and the state of its stream."""
+    return [(c.model.params.tobytes(), c.rng.bit_generator.state) for c in clients]
 
 
-# A client field local_train cannot use, and the end of the message that refuses it.
+def with_fields(clients, bad, index=0):
+    """The clients, with client ``index`` made again with the fields in ``bad``."""
+    return [dataclasses.replace(c, **bad) if c.client_id == index else c for c in clients]
+
+
+# A client field the constructor refuses, and the end of the message that refuses it.
 BAD_FIELDS = [
     pytest.param("rng", None, "rng must be a numpy Generator, got None", id="rng-None"),
     pytest.param("rng", np.random.RandomState(0), "rng must be a numpy Generator, got RandomState",
@@ -409,25 +416,29 @@ BAD_FIELDS = [
     pytest.param("optimizer", None, "optimizer must be an SgdOptimizer, got NoneType",
                  id="optimizer-None"),
 ]
+SCHEDULE = fr.RingSchedule(3, 1, 1, fr.Transport.CLASSICAL_COPY)
+# Each training path, handed client 0's bad fields the only way it can take them:
+# a client made with them, or centralized_train's own keywords.
 TRAINING_PATHS = {
-    "local_train": lambda clients, tx, ty: fr.local_train(clients[0], 1, 8),
-    "run_ring": lambda clients, tx, ty: fr.run_ring(
-        fr.RingSchedule(3, 1, 1, fr.Transport.CLASSICAL_COPY), clients, tx, ty, batch_size=32
+    "local_train": lambda clients, tx, ty, bad: fr.local_train(with_fields(clients, bad)[0], 1, 8),
+    "run_ring": lambda clients, tx, ty, bad: fr.run_ring(
+        SCHEDULE, with_fields(clients, bad), tx, ty, batch_size=32
     ),
-    "run_hubspoke": lambda clients, tx, ty: fr.run_hubspoke(
-        fr.RingSchedule(3, 1, 1, fr.Transport.CLASSICAL_COPY), clients, tx, ty, batch_size=32
+    "run_hubspoke": lambda clients, tx, ty, bad: fr.run_hubspoke(
+        SCHEDULE, with_fields(clients, bad), tx, ty, batch_size=32
     ),
-    "centralized_train": lambda clients, tx, ty: fr.centralized_train(
+    "centralized_train": lambda clients, tx, ty, bad: fr.centralized_train(
         clients[0].model, clients[0].features, clients[0].labels,
-        rng=clients[0].rng, optimizer=clients[0].optimizer, epochs=1,
+        **{"rng": clients[0].rng, "optimizer": clients[0].optimizer, **bad}, epochs=1,
         batch_size=32,
     ),
 }
 
 
 class TestClientRefusals:
-    """A client's stream and optimizer are refused by rule, with a ValueError
-    naming the client and the field, before any step on every training path."""
+    """A client's stream and optimizer are refused by rule when the client is
+    made, with a ValueError naming the client and the field, so no training
+    path takes a step with one."""
 
     @pytest.mark.parametrize("path", sorted(TRAINING_PATHS))
     @pytest.mark.parametrize("field, bad, message", BAD_FIELDS)
@@ -437,26 +448,27 @@ class TestClientRefusals:
         clients = fr.make_clients(
             fx, fy, 3, model, partition_seed=1, client_seed=2, learning_rate=0.02
         )
-        setattr(clients[0], field, bad)
         before = snapshot(clients)
         with pytest.raises(ValueError) as refused:
-            TRAINING_PATHS[path](clients, tx, ty)
+            TRAINING_PATHS[path](clients, tx, ty, {field: bad})
         assert str(refused.value) == f"client 0's {message}"
         assert snapshot(clients) == before
 
     def test_the_ring_names_the_client_that_holds_it(self, rng):
-        # Refused before any client trains: clients 0 and 1 are untouched too.
+        # Refused before any client trains: clients 0 and 1 are untouched too,
+        # and the optimizer cannot be set on client 2 in place either.
         fx, fy, tx, ty = small_shard()
         model = tk.init_mlp(rng)
-        for path in ("run_ring", "run_hubspoke"):
+        for train in (fr.run_ring, fr.run_hubspoke):
             clients = fr.make_clients(
                 fx, fy, 3, model, partition_seed=1, client_seed=2, learning_rate=0.02
             )
-            clients[2].optimizer = 0.02
             before = snapshot(clients)
             with pytest.raises(ValueError, match="^client 2's optimizer must be an SgdOptimizer"):
-                TRAINING_PATHS[path](clients, tx, ty)
-            assert snapshot(clients) == before, path
+                train(SCHEDULE, with_fields(clients, {"optimizer": 0.02}, 2), tx, ty, batch_size=32)
+            with pytest.raises(AttributeError, match="^cannot set client 2's optimizer"):
+                clients[2].optimizer = 0.02
+            assert snapshot(clients) == before, train.__name__
 
 
 class TestSchedule:

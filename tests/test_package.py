@@ -26,6 +26,8 @@ NOT_RUN = {
     "fedring.average_models",
     "fedring._fsum_mean",
     "fedring.centralized_train",
+    # A copy of a client (copy, deepcopy or pickle), which its constructor makes.
+    "fedring.ClientState.__reduce__",
     # teleport_state(force_outcome=), and a failed channel use (pickled or not).
     "statevec._forcing_rule",
     "statevec._forcing_rule.pick",

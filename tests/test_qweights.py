@@ -18,6 +18,7 @@ from qfedring import trainkit as tk
 from qfedring import vqc
 from qfedring.vqc import SHIFT, SHIFT_COEFFICIENT
 from tests import oracle
+from tests.helpers import examples
 
 ANGLES = st.floats(-3 * math.pi, 3 * math.pi, allow_nan=False, allow_infinity=False)
 
@@ -128,7 +129,7 @@ class TestReadout:
         with pytest.raises(ValueError, match="single-qubit"):
             qw.state_expectations(oracle.zero_state(2))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(a=ANGLES, gamma=st.floats(0.5, 4.0))
     def test_materialized_values_bounded_by_gamma(self, a, gamma):
         store = qw.QuantumWeightStore(np.full((1, 2, 3), a), gamma=gamma)
@@ -137,7 +138,7 @@ class TestReadout:
 
 
 class TestRxZ:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(a=hnp.arrays(float, STORE_SHAPES, elements=ANY_ANGLE, fill=st.nothing()))
     def test_bit_equal_to_the_carrier_readout(self, a):
         """cos(a/2)^2 - sin(a/2)^2 gives the same bits as |c0|^2 - |c1|^2 of
@@ -327,7 +328,7 @@ class TestCanonicalAngles:
         assert np.all(out == a)
         assert out is a  # the documented alias of an in-branch float64 array
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(a=wrap_arrays())
     def test_bit_equal_to_the_mod_where_form(self, a):
         """The early return for in-branch arrays changes no bit, NaN included."""
@@ -350,7 +351,7 @@ class TestCanonicalAngles:
         assert out[0] == math.pi
         assert out[1] == pytest.approx(math.pi)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(a=ANGLES)
     def test_wrapping_preserves_carrier_state(self, a):
         wrapped = float(qw.canonical_angles(np.array([a]))[0])

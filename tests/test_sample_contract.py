@@ -7,8 +7,8 @@ shape ``(rows, 2)``), there is
 one row per label, labels pass ``datagen.check_labels`` (shape ``(n,)``,
 every entry 0 or 1; ints, bools and integral floats pass and are used as
 integers), and a shard has at least one row.  ``Dataset``,
-``scale_and_split``, ``partition`` (so ``make_clients``) and ``local_train``
-(so ``centralized_train``) call it.  Each entry point below gets the same
+``scale_and_split``, ``partition`` (so ``make_clients``) and ``ClientState``
+(so ``local_train``'s clients and ``centralized_train``) call it.  Each entry point below gets the same
 inputs and must reach the same verdict: an accepted form gives results
 bit-equal to the integer labels, a rejected one raises a ``ValueError``
 naming labels or features, or saying that the set is empty.  A model batch
@@ -31,6 +31,7 @@ from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
 from tests import oracle
+from tests.helpers import examples
 
 FEATS = np.random.default_rng(5).uniform(0, np.pi, size=(8, 2))
 LOGITS = np.random.default_rng(6).normal(size=(8, 2))
@@ -224,7 +225,7 @@ def integer_labels(draw):
     return y
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(y=integer_labels())
 def test_check_labels_matches_the_elementwise_shift_rule(y):
     """One OR-reduction and one shift give the verdict and the output of
@@ -268,11 +269,8 @@ def test_make_clients_refuses_a_bad_shard_before_any_client_exists(case, message
 
 def test_a_nan_feature_is_named_as_the_shard_s_features():
     # The MLP used to fail this one step later, as "logits must be finite".
-    client = fr.ClientState(
-        4, _NAN_FEATS, INT, _model(), np.random.default_rng(1), tk.SgdOptimizer(0.05)
-    )
     with pytest.raises(ValueError, match="client 4: features must be finite"):
-        fr.local_train(client, epochs=1, batch_size=8)
+        fr.ClientState(4, _NAN_FEATS, INT, _model(), np.random.default_rng(1), tk.SgdOptimizer(0.05))
 
 
 @pytest.mark.parametrize("init", KINDS.values())

@@ -24,7 +24,7 @@ from qfedring import statevec as sv
 from qfedring import teleport as tp
 from qfedring import trainkit as tk
 from qfedring import vqc
-from tests.helpers import NOT_GENERATORS, generator_id
+from tests.helpers import NOT_GENERATORS, examples, generator_id
 from tests.test_fedring import NOT_COUNTS
 
 BAD_COUNTS = [*NOT_COUNTS, 0, -1]
@@ -226,7 +226,7 @@ def _refusal(call, error):
 
 
 @pytest.mark.parametrize("field", CONFIG_RULES)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(value=VALUES)
 def test_config_refuses_exactly_what_the_rule_refuses(field, value):
     want = _refusal(lambda: CONFIG_RULES[field](value, field), ValueError)

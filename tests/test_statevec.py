@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from qfedring import statevec as sv
 from tests import oracle
-from tests.helpers import random_state
+from tests.helpers import examples, random_state
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
 
@@ -273,14 +273,14 @@ class TestGates:
             sv.apply_gate(s, *oracle.cnot(3, 0))
 
     @given(a=ANGLES, b=ANGLES)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_rx_composition(self, a, b):
         s = sv.apply_gate(sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a)), *oracle.rx(0, b))
         direct = sv.apply_gate(oracle.zero_state(1), *oracle.rx(0, a + b))
         assert_allclose(s.amplitudes, direct.amplitudes, atol=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_norm_preserved(self, seed, n):
         rng = np.random.default_rng(seed)
         state = random_state(rng, n)

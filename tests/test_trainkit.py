@@ -16,6 +16,7 @@ from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
 from tests import oracle
+from tests.helpers import examples
 
 FINITE = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -175,14 +176,14 @@ class TestLoss:
         losses, grads = tk.batch_loss_and_grad(np.zeros((0, 2)), np.zeros(0, dtype=int))
         assert losses.shape == (0,) and grads.shape == (0, 2)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(a=FINITE, b=FINITE, label=st.integers(0, 1))
     def test_loss_nonnegative_and_finite(self, a, b, label):
         loss, grad = oracle.loss_and_grad([a, b], label)
         assert loss >= -1e-12
         assert np.all(np.isfinite(grad))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(case=_loss_inputs())
     def test_batch_is_bit_equal_to_the_reference(self, case):
         # The package's loss must give the same bytes as the form it was

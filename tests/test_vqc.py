@@ -14,6 +14,7 @@ from qfedring import statevec as sv
 from qfedring import trainkit as tk
 from qfedring import vqc
 from tests import oracle
+from tests.helpers import examples
 
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False, allow_infinity=False)
 
@@ -113,7 +114,7 @@ class TestForward:
         with pytest.raises(ValueError, match="finite"):
             oracle.forward(model, [np.nan, 0.0])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(x1=ANGLES, x2=ANGLES, seed=st.integers(0, 2**31 - 1))
     def test_logits_bounded(self, x1, x2, seed):
         model = random_model(np.random.default_rng(seed))
