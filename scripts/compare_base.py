@@ -9,7 +9,8 @@ this checkout that git tracks or would add.  So where a tree sits is the same
 for both, which ``peak_rss_mb`` reads.  Each fact comes from its side's own code,
 but this checkout's ``scripts/fingerprint.py`` runs on both packages, as do
 its ``configs/*.cfg``, each at 10 rounds, for the comparison CSV, and its
-four default 100-round runs.  Prints the facts side by side, with a
+four default 100-round runs; each run's final accuracy and convergence round
+print beside its fingerprint.  Prints the facts side by side, with a
 ``::warning::`` line for each that differs.  Then it runs N pairs (2 unless
 given) of timer runs, each a fresh process timing every layer timer, and of
 S-second (5 unless given) ``perfbench/run.py --trace 0 --seed K`` (42 unless
@@ -268,11 +269,14 @@ def or_none(collect, *args):
 
 
 def fingerprints(tree: Path, cwd, *flags: str) -> dict:
-    """``{flags: {"bits": fingerprint, "csv": sha256}}`` of each run that this
-    checkout's ``scripts/fingerprint.py`` prints for ``flags`` on ``tree``'s package."""
+    """``{flags: {"bits": fingerprint, "csv": sha256, "accuracy": final accuracy,
+    "converged": convergence round}}`` of each run that this checkout's
+    ``scripts/fingerprint.py`` prints for ``flags`` on ``tree``'s package."""
     out = run(tree, cwd, str(ROOT / "scripts" / "fingerprint.py"), *flags).stdout
-    return {run_flags: {"bits": bits, "csv": csv}
-            for bits, csv, run_flags in (line.split(None, 2) for line in out.splitlines())}
+    return {run_flags: {"bits": bits, "csv": csv, "accuracy": float(accuracy),
+                        "converged": int(converged)}
+            for bits, csv, accuracy, converged, run_flags in
+            (line.split(None, 4) for line in out.splitlines())}
 
 
 def facts(tree) -> dict:
@@ -409,8 +413,9 @@ def judge(workload: str, name: str, base: list, head: list) -> list[str]:
 
 
 def run_lines(base_runs: dict, head_runs: dict, rounds: str = "") -> list[str]:
-    """Each run's CSV sha256 and fingerprint, base beside head, with its result
-    level, and a warning for each whose CSV differs; ``rounds`` follows its flags."""
+    """Each run's CSV sha256, fingerprint with its result level, final accuracy
+    and convergence round, base beside head, and a warning for each whose CSV
+    differs; ``rounds`` follows its flags."""
     out = []
     for flags, h in head_runs.items():
         b, label = base_runs[flags], flags + rounds
@@ -419,6 +424,8 @@ def run_lines(base_runs: dict, head_runs: dict, rounds: str = "") -> list[str]:
             level = "CSV equal, bits drifted"
         out.append(f"{label}: CSV base {b['csv']} head {h['csv']}")
         out.append(f"{label}: fingerprint base {b['bits']} head {h['bits']} ({level})")
+        out.append(f"{label}: final accuracy base {b['accuracy']!r} head {h['accuracy']!r}, "
+                   f"converged at round base {b['converged']} head {h['converged']}")
         if b["csv"] != h["csv"]:
             out.append(f"::warning::{label}: metrics CSV differs from the base commit")
     return out
@@ -476,9 +483,9 @@ def bench_record(got: dict, verdicts: list[str], commit) -> dict:
     end-to-end metric over the side's runs, with each run's ``rounds_measured``,
     the percentile that its ``round_ms.tail`` is and its ``RESULTS`` (null if a
     run failed); ``verdicts``, the head's against the base, so none in the
-    base's file; the default fingerprints with their CSV sha256s and the
-    comparison CSV's; the line counts; and ``commit``, the base's commit or
-    null for the checkout."""
+    base's file; the default fingerprints with their CSV sha256s, final
+    accuracies and convergence rounds, and the comparison CSV's sha256; the
+    line counts; and ``commit``, the base's commit or null for the checkout."""
     workloads, host_speed = {}, {}
     for workload in WORKLOADS:
         runs = got["pairs"][workload]

@@ -14,11 +14,13 @@ rounds each).  Any arguments are ``python -m qfedring`` flags for one run::
     PYTHONPATH=src python scripts/fingerprint.py
     PYTHONPATH=src python scripts/fingerprint.py --model qfl-classical --rounds 10
 
-Each line is ``<fingerprint>  <csv sha256>  <flags>``, where the middle
-field is the sha256 of the metrics CSV ``python -m qfedring`` writes for the
-same flags, so one training gives both.  Errors exit as the CLI's do:
-``error: <message>`` on stderr, with exit 2 for bad flags and 1 for a run that
-fails.  Standard library and qfedring only.
+Each line is ``<fingerprint>  <csv sha256>  <final accuracy>  <convergence
+round>  <flags>``: the second field is the sha256 of the metrics CSV
+``python -m qfedring`` writes for the same flags, so one training gives both,
+then the last round's test accuracy (its ``repr``) and the round the CLI
+reports the run converged at (``cli.convergence_round``).  Errors exit as the
+CLI's do: ``error: <message>`` on stderr, with exit 2 for bad flags and 1 for
+a run that fails.  Standard library and qfedring only.
 """
 import hashlib
 import sys
@@ -66,7 +68,10 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, cli.ConfigError) else 1
         csv_sha = hashlib.sha256(cli.metrics_csv_text(metrics).encode()).hexdigest()
-        print(f"{fingerprint(metrics, values)}  {csv_sha}  {' '.join(flags)}")
+        accuracies = [float(m.test_accuracy) for m in metrics]
+        converged = cli.convergence_round(accuracies)
+        print(f"{fingerprint(metrics, values)}  {csv_sha}  {accuracies[-1]!r}  {converged}  "
+              f"{' '.join(flags)}")
     return 0
 
 

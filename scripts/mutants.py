@@ -169,7 +169,7 @@ MUTANTS = (
            (CLIENT_REFUSALS, "tests/test_fedring.py::TestClientRefusals::"
             "test_the_ring_names_the_client_that_holds_it")),
     Mutant("ClientState: any field set once the client is made", "qfedring/fedring.py",
-           'if name != "model" and "_prepared" in self.__dict__:', "if False:",
+           'if name != "model" and "rows" in self.__dict__:', "if False:",
            (f"{LOCAL_TRAIN}::test_a_reassigned_shard_is_checked_again_naming_the_client",
             "tests/test_fedring.py::TestClientRefusals::"
             "test_the_ring_names_the_client_that_holds_it")),
@@ -211,28 +211,39 @@ MUTANTS = (
     Mutant("encode: a row's bits depend on the batch's size", "qfedring/vqc.py",
            "amps = cols[:, 0]", "amps = cols[:, 0] * (1 + 2**-52 * (len(feats) % 2))",
            ("tests/test_vqc.py::TestEncode::test_rows_are_encoded_independently",)),
-    # ClientState keeps its checked shard read-only; local_train prepares it
-    # once per model kind and qubit count, refusing it naming the client.
+    # ClientState applies the readout rule, keeps its checked shard read-only
+    # and prepares its rows once, read-only; local_train is only the step loop,
+    # naming the client in a refusal, and hands the trained model back.
+    Mutant("ClientState: the readout rule dropped", "qfedring/fedring.py",
+           "        check_readout(self.model)\n", "",
+           ("tests/test_fedring.py::TestMakeClients::test_rejects_unknown_model",
+            "tests/test_fedring.py::TestMakeClients::test_circuits_need_two_qubits")),
     Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
            "fx, fy = rows[start : start + batch_size],",
-           "fx, fy = client.model.prepare(client.features[order][start : start + batch_size]),",
-           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
+           "fx, fy = model.prepare(client.features[order][start : start + batch_size]),",
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",
+            f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made")),
     Mutant("local_train: prepare applied to the unpermuted shard", "qfedring/fedring.py",
-           "rows, targets = prepared[order], labels[order]",
-           "rows, targets = prepared, labels[order]",
+           "rows, targets = client.rows[order], labels[order]",
+           "rows, targets = client.rows, labels[order]",
            (f"{LOCAL_TRAIN}::test_epochs_replay_bit_for_bit_with_a_short_last_batch",)),
-    Mutant("local_train: a refused shard not named for its client", "qfedring/fedring.py",
-           'raise ValueError(f"{owner}: {exc}") from exc', "raise",
-           (f"{LOCAL_TRAIN}::test_a_circuit_of_another_width_is_refused_naming_the_client",)),
-    Mutant("local_train: kept rows reused for a model of another kind", "qfedring/fedring.py",
-           "key = (type(model), ", "key = (",
-           (f"{LOCAL_TRAIN}::test_a_model_of_another_kind_prepares_the_shard_again",)),
-    Mutant("local_train: kept rows reused for a model of another width", "qfedring/fedring.py",
-           'getattr(model, "num_qubits", None))', "None)",
-           (f"{LOCAL_TRAIN}::test_a_circuit_of_another_width_is_refused_naming_the_client",)),
+    Mutant("local_train: a refused step not named for its client", "qfedring/fedring.py",
+           'raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc', "raise",
+           (f"{LOCAL_TRAIN}::test_a_model_that_cannot_take_the_rows_is_refused",)),
+    Mutant("local_train: the trained model not handed back", "qfedring/fedring.py",
+           "    client.model = model\n", "",
+           (f"{LOCAL_TRAIN}::test_one_step_matches_hand_computation",
+            f"{LOCAL_TRAIN}::test_epochs_replay_bit_for_bit_with_a_short_last_batch")),
+    Mutant("local_train: each step's model stored on the client", "qfedring/fedring.py",
+           "                    model = model.step(",
+           "                    model = client.model = model.step(",
+           (f"{LOCAL_TRAIN}::test_a_refused_step_leaves_the_model_as_before_the_call",)),
     Mutant("ClientState: the shard left writeable", "qfedring/fedring.py",
            "            array.flags.writeable = False\n", "            pass\n",
            (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
+    Mutant("ClientState: the rows left writeable", "qfedring/fedring.py",
+           "        rows.flags.writeable = False\n", "",
+           (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
     # local_train's per-epoch gather, and the MLP gradient written in place.
     Mutant("local_train: batch labels sliced from the unpermuted labels", "qfedring/fedring.py",
            "targets[start : start + batch_size]", "labels[start : start + batch_size]",

@@ -6,12 +6,13 @@ each model on: by value (CLASSICAL_COPY) or through ``teleport_weights``
 model it just trained is evaluated on the held-out set; both loops build that
 row with ``_round_row``.  Every model kind takes the same SGD step:
 ``loss_grad`` on the batch, then ``step`` by the mean.  ``ClientState``'s
-constructor runs the client rule once (the rng, the optimizer, then the shard
-by ``datagen``'s rule, kept read-only); ``local_train`` ``prepare``s the shard
-once per model kind and qubit count, each epoch gathers those rows once, in
-its permutation's order, and a batch is a row slice of that.  ``partition``
-checks the whole data with the shard rule, so ``make_clients`` refuses a bad
-shard before any client exists.
+constructor runs the client rule once (the readout rule, the rng, the
+optimizer, then the shard by ``datagen``'s rule, kept read-only), and a client
+prepares its rows once, when it is made.  ``local_train`` is only the step
+loop: each epoch gathers those rows once, in its permutation's order, a batch
+is a row slice of that, and the trained model goes to the client at the end.
+``partition`` checks the whole data with the shard rule, so ``make_clients``
+refuses a bad shard before any client exists.
 
 Each client owns a private rng for batch shuffling, and all share one
 ``SgdOptimizer``; the teleport channel uses its own rng so the two transports
@@ -56,10 +57,11 @@ class RingSchedule:
 @dataclass
 class ClientState:
     """One participant: its data shard, current model, rng, and optimizer.
-    The constructor runs the client rule (the rng, the optimizer, then the
-    shard, each refusal naming the client) and keeps the shard as read-only
-    copies; then only ``model`` may be set, and a copy is made by the
-    constructor again."""
+    The constructor runs the client rule (the readout rule on the model; then
+    the rng, the optimizer and the shard, each refusal naming the client) and
+    keeps the shard as read-only copies; a client prepares its rows once, when
+    it is made, as ``rows``, read-only.  Then only ``model`` may be set, and a
+    copy is made by the constructor again."""
 
     client_id: int
     features: np.ndarray
@@ -69,6 +71,7 @@ class ClientState:
     optimizer: SgdOptimizer
 
     def __post_init__(self) -> None:
+        check_readout(self.model)
         owner = f"client {self.client_id}"
         datagen.check_generator(self.rng, f"{owner}'s rng")
         if not isinstance(self.optimizer, SgdOptimizer):
@@ -77,12 +80,13 @@ class ClientState:
         self.features, self.labels = datagen.check_samples(self.features, self.labels, owner)
         for array in (self.features, self.labels):
             array.flags.writeable = False
-        # local_train's prepared rows per (model kind, qubit count); set last,
-        # so from here on __setattr__ lets only the model change.
-        self._prepared: dict = {}
+        rows = self.model.prepare(self.features)
+        rows.flags.writeable = False
+        # Set last, so from here on __setattr__ lets only the model change.
+        self.rows = rows
 
     def __setattr__(self, name: str, value) -> None:
-        if name != "model" and "_prepared" in self.__dict__:
+        if name != "model" and "rows" in self.__dict__:
             raise AttributeError(
                 f"cannot set client {self.client_id}'s {name}: only its model may change")
         object.__setattr__(self, name, value)
@@ -112,7 +116,6 @@ def make_clients(
     learning_rate: float,
 ) -> list[ClientState]:
     """Partition the data and stand up clients that all start from ``model``."""
-    check_readout(model)
     datagen.check_count(client_seed, "client_seed", minimum=0)
     shards = partition(features, labels, num_clients, partition_seed)
     optimizer = SgdOptimizer(learning_rate)  # frozen, so every client shares this one
@@ -124,27 +127,18 @@ def make_clients(
 
 
 def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float]:
-    """Run local epochs of mini-batch SGD in place; returns per-batch mean losses.
+    """Run local epochs of mini-batch SGD on the client's rows; returns per-batch mean losses.
 
     Batch order is a fresh permutation per epoch from the client's own rng,
-    so a client's stream depends only on how many epochs it has run.  The
-    shard is prepared on the first call with a model of its kind and qubit
-    count, refused naming the client if the model cannot take it, and the
-    rows are kept for later calls; a step's ``ValueError`` is re-raised
-    naming the client, epoch and step.
+    so a client's stream depends only on how many epochs it has run.  A
+    client prepares its rows once, when it is made, so this is only the step
+    loop; the trained model goes to the client at the end of the call.  A
+    step's ``ValueError`` is re-raised naming the client, epoch and step, and
+    leaves the client's model as it was before the call.
     """
     datagen.check_count(epochs, "epochs")
     datagen.check_count(batch_size, "batch_size")
     owner, model, labels = f"client {client.client_id}", client.model, client.labels
-    key = (type(model), getattr(model, "num_qubits", None))
-    prepared = client._prepared.get(key)
-    if prepared is None:
-        try:
-            prepared = model.prepare(client.features)
-        except ValueError as exc:
-            raise ValueError(f"{owner}: {exc}") from exc
-        prepared.flags.writeable = False
-        client._prepared[key] = prepared
     losses: list[float] = []
     # A diverging step overflows inside numpy before a check sees it; the
     # logits bound and the finite-parameter checks then raise the error that
@@ -152,17 +146,18 @@ def local_train(client: ClientState, epochs: int, batch_size: int) -> list[float
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = client.rng.permutation(len(labels))
-            rows, targets = prepared[order], labels[order]
+            rows, targets = client.rows[order], labels[order]
             for step, start in enumerate(range(0, len(labels), batch_size), 1):
                 fx, fy = rows[start : start + batch_size], targets[start : start + batch_size]
                 try:
-                    batch, grad = client.model.loss_grad(
+                    batch, grad = model.loss_grad(
                         fx, lambda logits: trainkit.batch_loss_and_grad(logits, fy)
                     )
-                    client.model = client.model.step(grad / fy.size, client.optimizer)
+                    model = model.step(grad / fy.size, client.optimizer)
                 except ValueError as exc:
                     raise ValueError(f"{owner}, epoch {epoch}, step {step}: {exc}") from exc
                 losses.append(float(np.add.reduce(batch)) / batch.size)  # np.mean: sum, then divide
+    client.model = model
     return losses
 
 
@@ -296,7 +291,6 @@ def centralized_train(
     A one-client ring over R rounds of E epochs reproduces this exactly
     (same rng consumption, same updates) with epochs = R * E.
     """
-    check_readout(model)
     client = ClientState(0, features, labels, model, rng, optimizer)
     losses = local_train(client, epochs, batch_size)
     return client.model, losses

@@ -20,8 +20,8 @@ and a read-only copy, and ``sgd_step_mlp`` builds the next model through it.
 array laid out the same way.
 Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
-``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate``,
-``fedring.make_clients`` and ``fedring.centralized_train`` apply it first.
+``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate`` and
+``fedring.ClientState``'s constructor apply it first.
 Every kind's ``prepare`` applies ``datagen.check_batch`` (finite, shape
 ``(rows, width)``, width 2 for the MLP and the qubit count for a circuit);
 the passes check their rows again (a circuit's by the states rule), and

@@ -25,9 +25,11 @@ def script():
 def facts(script):
     """One side's facts, as ``facts`` and the benchmark pairs leave them."""
     return {
-        "runs": {flags: {"bits": f"bits {i}", "csv": f"csv {i}"}
+        "runs": {flags: {"bits": f"bits {i}", "csv": f"csv {i}", "accuracy": 0.95,
+                         "converged": 4}
                  for i, flags in enumerate(script.RUNS)},
-        "defaults": {flags: {"bits": f"100-round bits {i}", "csv": f"100-round csv {i}"}
+        "defaults": {flags: {"bits": f"100-round bits {i}", "csv": f"100-round csv {i}",
+                             "accuracy": 0.9714285714285714, "converged": 3}
                      for i, flags in enumerate(script.RUNS[:4])},
         "comparison": "comparison csv",
         "help": "usage: qfedring [-h]\n\noptions:\n  -h, --help\n",
@@ -72,7 +74,7 @@ def test_a_changed_run_csv_warns_once_naming_the_run(script, facts, index):
 def test_a_changed_default_csv_warns_once_naming_the_run(script, facts):
     head = copy.deepcopy(facts)
     flags = script.RUNS[3]
-    head["defaults"][flags] = {"bits": "other bits", "csv": "another csv"}
+    head["defaults"][flags].update(bits="other bits", csv="another csv")
     assert warnings(script, facts, head) == [
         f"::warning::{flags} at 100 rounds: metrics CSV differs from the base commit"
     ]
@@ -103,6 +105,30 @@ def test_fingerprint_levels(script, facts):
     assert level() == "CSV equal, bits drifted"
     head["runs"][flags]["csv"] = "other csv"
     assert level() == "drifted"
+
+
+def test_each_runs_accuracy_and_convergence_round_print_base_beside_head(script, facts):
+    head = copy.deepcopy(facts)
+    flags = script.RUNS[2]
+    head["defaults"][flags].update(accuracy=0.9666666666666667, converged=5)
+    report = script.compare(facts, head)
+    assert (f"{flags} at 100 rounds: final accuracy base 0.9714285714285714 head "
+            "0.9666666666666667, converged at round base 3 head 5") in report
+    assert (f"{script.RUNS[0]}: final accuracy base 0.95 head 0.95, converged at round base 4 "
+            "head 4") in report
+    # A result line alone warns of nothing: the CSV, which holds every round, does.
+    assert warnings(script, facts, head) == []
+
+
+def test_fingerprints_reads_the_five_fields_of_each_line(script, tmp_path):
+    root = SCRIPT.parents[1]
+    got = script.fingerprints(root, tmp_path, "--model", "cfl", "--rounds", "2")
+    (flags, run), = got.items()
+    assert flags == "--model cfl --rounds 2"
+    assert sorted(run) == ["accuracy", "bits", "converged", "csv"]
+    assert len(run["bits"]) == len(run["csv"]) == 64
+    assert isinstance(run["accuracy"], float) and 0.0 <= run["accuracy"] <= 1.0
+    assert run["converged"] in (1, 2)
 
 
 @pytest.mark.parametrize("flags", ["--seed -1", '--config ""'])
@@ -500,7 +526,9 @@ def test_bench_out_writes_each_sides_own_facts_as_sorted_key_json(
     assert new["machine"]["numpy"] == "2.5.0"
     assert new["machine"]["host_speed"]["mlp-ring"] == [0.75, 1.5]
     assert base["results"] == {"defaults": facts["defaults"], "comparison_csv": "comparison csv"}
-    assert new["results"]["defaults"][script.RUNS[0]]["bits"] == "other bits"
+    assert new["results"]["defaults"][script.RUNS[0]] == {
+        "bits": "other bits", "csv": "100-round csv 0", "accuracy": 0.9714285714285714,
+        "converged": 3}
     # Median and IQR over the side's runs; rounds and tail percentile as the runs read.
     assert base["workloads"]["mlp-ring"]["metrics"]["samples_per_s"] == {"median": 1000.0,
                                                                           "iqr": 0.0}

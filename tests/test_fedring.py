@@ -144,6 +144,8 @@ class TestMakeClients:
                 object(), fx, fy, rng=rng, optimizer=tk.SgdOptimizer(0.02), epochs=1, batch_size=32
             )
         with pytest.raises(TypeError, match="unsupported model type object"):
+            fr.ClientState(0, fx, fy, object(), np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        with pytest.raises(TypeError, match="unsupported model type object"):
             tk.evaluate(object(), fx, fy)
 
 
@@ -248,7 +250,7 @@ class TestLocalTrain:
             losses = fr.local_train(client, epochs=epochs, batch_size=10)
             assert len(losses) == epochs * math.ceil(fy.size / 10)
         assert seen == [fy.size]
-        # A copy is made by the constructor: checked, read-only copies, and no rows yet.
+        # A copy is made by the constructor: checked, read-only copies, and its own rows.
         twin = copy.deepcopy(client)
         assert np.array_equal(twin.features, fx) and twin.features is not client.features
         assert not twin.features.flags.writeable and not twin.labels.flags.writeable
@@ -256,33 +258,42 @@ class TestLocalTrain:
             fr.local_train(twin, epochs=epochs, batch_size=10)
         assert seen == [fy.size] * 2
 
-    @pytest.mark.parametrize("first", ["circuit", "store", "mlp"])
-    def test_a_model_of_another_kind_prepares_the_shard_again(self, rng, monkeypatch, first):
-        # Once a client is made, local_train runs no part of the client rule
-        # again, and prepares the shard once per model kind and qubit count over
-        # repeated calls and hand-overs.  A circuit and a store of one width
-        # prepare the same states, yet each kind prepares its own rows.
+    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
+    def test_prepares_its_rows_once_when_made(self, rng, monkeypatch, kind):
+        # A client prepares its rows in its constructor, read-only, and never
+        # in local_train or when it is handed a model of its kind; once it is
+        # made, no part of the client rule runs again.  A deep copy prepares
+        # its own rows once, through the constructor.
         fx, fy, _, _ = small_shard()
-        models = {"circuit": vqc.init_model(rng, 2), "store": qw.init_store(rng, 2, math.pi),
-                  "mlp": tk.init_mlp(rng)}
-        seen = []
-        for cls in (type(model) for model in models.values()):
-            monkeypatch.setattr(cls, "prepare", lambda self, feats, prepare=cls.prepare:
-                                seen.append(type(self).__name__) or prepare(self, feats))
-        client = fr.ClientState(0, fx, fy, models[first], np.random.default_rng(0),
-                                tk.SgdOptimizer(0.02))
+        make = {
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+            "mlp": lambda: tk.init_mlp(rng),
+        }[kind]
+        model, seen = make(), []
+        want, prepare = model.prepare(fx), type(model).prepare
+        monkeypatch.setattr(type(model), "prepare",
+                            lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
+        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        assert seen == [fy.size] and client.rows.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            client.rows[0] = 0
 
         def refuse(*args):
             raise AssertionError("the client rule ran again")
 
-        monkeypatch.setattr(dg, "check_samples", refuse)
-        monkeypatch.setattr(dg, "check_generator", refuse)
-        order = [first, *(kind for kind in models if kind != first)]
-        for kind in order * 2:
-            client.model = models[kind]
+        with monkeypatch.context() as rule:
+            rule.setattr(dg, "check_samples", refuse)
+            rule.setattr(dg, "check_generator", refuse)
             for _ in range(2):
-                assert len(fr.local_train(client, epochs=1, batch_size=10)) == 3
-        assert seen == [type(models[kind]).__name__ for kind in order]
+                client.model = make()
+                for _ in range(2):
+                    assert len(fr.local_train(client, epochs=1, batch_size=10)) == 3
+        assert seen == [fy.size]
+        twin = copy.deepcopy(client)
+        assert seen == [fy.size] * 2
+        assert twin.rows.tobytes() == want.tobytes() and twin.rows is not client.rows
+        assert not twin.rows.flags.writeable
 
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_a_reassigned_shard_is_checked_again_naming_the_client(self, rng, kind):
@@ -301,7 +312,8 @@ class TestLocalTrain:
         bad = fx.copy()
         bad[3, 1] = np.nan
         for name, value in [("features", bad), ("labels", fy), ("rng", np.random.default_rng(1)),
-                            ("optimizer", tk.SgdOptimizer(0.1)), ("client_id", 5)]:
+                            ("optimizer", tk.SgdOptimizer(0.1)), ("client_id", 5),
+                            ("rows", client.rows.copy())]:
             message = rf"^cannot set client 4's {name}: only its model may change$"
             with pytest.raises(AttributeError, match=message):
                 setattr(client, name, value)
@@ -310,24 +322,54 @@ class TestLocalTrain:
         assert client.features is shard and client.client_id == 4
         assert client.model is trained and client.rng.bit_generator.state == stream
 
-    @pytest.mark.parametrize("kind", ["circuit", "store"])
-    def test_a_circuit_of_another_width_is_refused_naming_the_client(self, rng, kind):
-        # local_train applies no readout rule, so a three-qubit circuit reaches
-        # prepare, which refuses the shard's two feature columns before any step,
-        # though the client holds rows that a two-qubit model of its kind prepared.
+    @pytest.mark.parametrize("first, handed, message", [
+        pytest.param("circuit", "mlp", "features must be bool, int or float numbers, got dtype "
+                     "complex128", id="mlp"),
+        pytest.param("mlp", "circuit", r"states must be complex128 \(rows, 4\), got float64 "
+                     r"\(10, 2\)", id="circuit"),
+        pytest.param("circuit", "circuit3", r"states must be complex128 \(rows, 8\), got "
+                     r"complex128 \(10, 4\)", id="circuit3"),
+        pytest.param("store", "store3", r"states must be complex128 \(rows, 8\), got "
+                     r"complex128 \(10, 4\)", id="store3"),
+    ])
+    def test_a_model_that_cannot_take_the_rows_is_refused(self, rng, first, handed, message):
+        # A client's rows are prepared for the model it was made with.  A model
+        # handed over later that cannot take them is refused by its own step,
+        # naming the client, epoch and step, and the client keeps that model.
         fx, fy, _, _ = small_shard()
-        if kind == "circuit":
-            first, model = vqc.init_model(rng, 2), vqc.VqcModel(np.zeros((2, 3, 3)))
-        else:
-            first = qw.init_store(rng, 2, math.pi)
-            model = qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi)
-        client = fr.ClientState(5, fx, fy, first, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        make = {
+            "circuit": lambda: vqc.init_model(rng, 2),
+            "store": lambda: qw.init_store(rng, 2, math.pi),
+            "mlp": lambda: tk.init_mlp(rng),
+            "circuit3": lambda: vqc.VqcModel(np.zeros((2, 3, 3))),
+            "store3": lambda: qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi),
+        }
+        client = fr.ClientState(5, fx, fy, make[first](), np.random.default_rng(0),
+                                tk.SgdOptimizer(0.02))
         fr.local_train(client, epochs=1, batch_size=10)
-        client.model, stream = model, client.rng.bit_generator.state
-        message = rf"^client 5: expected features of shape \(batch, 3\), got \({fy.size}, 2\)$"
-        with pytest.raises(ValueError, match=message):
+        client.model = model = make[handed]()
+        with pytest.raises(ValueError, match=rf"^client 5, epoch 1, step 1: {message}$"):
             fr.local_train(client, epochs=1, batch_size=10)
-        assert client.model is model and client.rng.bit_generator.state == stream
+        assert client.model is model
+
+    def test_a_refused_step_leaves_the_model_as_before_the_call(self, rng, monkeypatch):
+        # The trained model goes to the client once, at the end of the call, so
+        # a step refused after two good ones leaves the model the call began with.
+        fx, fy, _, _ = small_shard()
+        model = tk.init_mlp(rng)
+        client = fr.ClientState(2, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        step, calls = tk.ClassicalMlp.step, []
+
+        def refuse_the_third(self, grad, optimizer):
+            calls.append(grad)
+            if len(calls) == 3:
+                raise ValueError("refused")
+            return step(self, grad, optimizer)
+
+        monkeypatch.setattr(tk.ClassicalMlp, "step", refuse_the_third)
+        with pytest.raises(ValueError, match="^client 2, epoch 1, step 3: refused$"):
+            fr.local_train(client, epochs=1, batch_size=10)
+        assert client.model is model
 
     def test_batch_count(self, rng):
         fx, fy, _, _ = small_shard()

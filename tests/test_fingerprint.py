@@ -46,11 +46,18 @@ def test_one_ulp_changes_the_fingerprint(script, short_runs):
     assert script.fingerprint(metrics[:1], values) != want
 
 
-def test_main_prints_one_line_per_run(script, capsys):
-    assert script.main(["--model", "cfl", "--rounds", "1"]) == 0
-    digest, csv_sha, flags = capsys.readouterr().out.rstrip("\n").split("  ")
+def test_main_prints_one_line_per_run(script, capsys, tmp_path):
+    flags = ["--model", "qfl-classical", "--rounds", "3"]
+    assert script.main(flags) == 0
+    line = capsys.readouterr().out.rstrip("\n")
+    digest, csv_sha, accuracy, converged, printed = line.split("  ")
     assert len(digest) == len(csv_sha) == 64 and digest != csv_sha
-    assert flags == "--model cfl --rounds 1"
+    assert printed == "--model qfl-classical --rounds 3"
+    # The final accuracy and convergence round are the ones the CLI reports for the run.
+    assert cli.main([*flags, "--out", str(tmp_path / "metrics.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert f"final_test_accuracy={float(accuracy):.9g}" in summary
+    assert f"convergence_round={int(converged)}" in summary
 
 
 def test_printed_csv_sha_is_that_of_the_written_csv(script, capsys, tmp_path):
