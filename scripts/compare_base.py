@@ -53,22 +53,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_job():
-    """``perfbench/job.py``, loaded by path: it declares the benchmark's workloads."""
-    spec = importlib.util.spec_from_file_location("perfbench_job", ROOT / "perfbench" / "job.py")
+def load(relative: str):
+    """The module at ``relative`` in this checkout, loaded by path."""
+    spec = importlib.util.spec_from_file_location(Path(relative).stem, ROOT / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-# At 10 rounds; the last is the teleport-handoff benchmark workload's shape.
-RUNS = (
-    "--model cfl --transport copy",
-    "--model qfl-classical --transport copy",
-    "--model qfl-quantum --transport copy",
-    "--model qfl-quantum --transport teleport",
-    " ".join(load_job().WORKLOADS["teleport-handoff"]["flags"]),
-)
+sys.path.insert(0, str(ROOT / "src"))  # fingerprint.py imports this checkout's package
+# At 10 rounds: fingerprint.py's four default runs, then the shape of the
+# teleport-handoff benchmark workload, which perfbench/job.py declares.
+RUNS = (*map(" ".join, load("scripts/fingerprint.py").DEFAULT_RUNS),
+        " ".join(load("perfbench/job.py").WORKLOADS["teleport-handoff"]["flags"]))
 COMPARISON = "qfedring --compare configs/*.cfg at 10 rounds"
 # Each on a one-round cfl run in an empty directory of its own.
 BAD_FLAGS = (
@@ -133,84 +130,41 @@ TIMERS = {"channel timer": "teleport.teleport_weights(store, channel)",
           **{f"SGD step timer, {kind}": STEP.format(kind) for kind in ("mlp", "circuit", "store")},
           "evaluate timer, store": "trainkit.evaluate(store, rows, labels)",
           "local_train epoch timer, mlp": "fedring.local_train(client, 1, config.batch_size)"}
-# Check-free floors: a step's arithmetic with no check and no model value,
-# giving the step's losses and new params bit for bit, on the package's own
-# check-free kernels and the rows its model's ``prepare`` made.  Only the loss,
-# the MLP gradient blocks, the shift-rule chain, the update and the wrap to
-# (-pi, pi] that ``canonical_angles`` does are written out.  The channel's
-# floor is ``teleport_weights``' per-weight arithmetic on Python scalars, with
-# no StateVector, no record and no per-call check, on the same carriers, the
-# same ``_sample`` draws and the same decode, giving its angles bit for bit.
-# A step and its floor are timed in one process, so step / floor does not move
-# with the host's speed; it bounds what a change that keeps the checks can win.
+# Check-free floors: each step without its checks and per-step model values,
+# on the package's own check-free kernels and the rows its model's ``prepare``
+# made, plus the update p - lr * g, giving the step's losses and new params
+# bit for bit; the channel's is ``teleport_weights`` without StateVectors,
+# records or checks, giving its angles bit for bit.  Step and floor run in one
+# process, so step / floor does not move with the host's speed; it bounds what
+# a change that keeps the checks can win.
 FLOOR_SETUP = (
-    "import math",
-    "from qfedring import statevec",
-    "scale, offsets = trainkit.LOGIT_SCALE, np.arange(0, 2 * labels.size, 2)",
-    "def raw_loss(scaled):\n"
-    "    shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])\n"
-    "    exps = np.exp(shifted)\n"
-    "    totals = exps[:, 0] + exps[:, 1]\n"
-    "    flat = labels + offsets\n"
-    "    losses = np.log(totals) - shifted.take(flat)\n"
-    "    dlogits = np.multiply(exps, scale / totals[:, None], out=exps)\n"
-    "    dlogits.reshape(-1)[flat] -= scale\n"
-    "    return losses, dlogits",
-    "def floor(params):\n"
+    "def mlp_floor(params):\n"
     "    hid, w2, logits = trainkit._mlp_forward(params, mlp_rows)\n"
-    "    losses, dlogits = raw_loss(scale * logits)\n"
-    "    dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)\n"
-    "    grad = np.empty(22)\n"
-    "    np.dot(mlp_rows.T, dpre, out=grad[:8].reshape(2, 4))\n"
-    "    np.add.reduce(dpre, axis=0, out=grad[8:12])\n"
-    "    np.dot(hid.T, dlogits, out=grad[12:20].reshape(4, 2))\n"
-    "    np.add.reduce(dlogits, axis=0, out=grad[20:])\n"
+    "    losses, dlogits = trainkit._softmax_loss(logits, labels)\n"
+    "    grad = trainkit._mlp_backward(mlp_rows, hid, w2, dlogits)\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
     "def circuit_pass(params, states):\n"
     "    out = vqc._expectations(params + vqc._shift_offsets(params.shape), states)\n"
-    "    losses, dlogits = raw_loss(scale * out[0])\n"
-    "    delta = vqc.SHIFT_COEFFICIENT * (out[1 : params.size + 1] - out[params.size + 1 :])\n"
-    "    return losses, np.add.reduce(dlogits * delta, axis=(1, 2)).reshape(params.shape)",
+    "    losses, up = trainkit._softmax_loss(out[0], labels)\n"
+    "    return losses, vqc._shift_gradient(params, out, up)",
     "def circuit_floor(params):\n"
     "    losses, grad = circuit_pass(params, circuit_rows)\n"
     "    return losses, params - opt.learning_rate * (grad / labels.size)",
-    "def store_floor(angles):\n"
-    "    losses, grad = circuit_pass(store.gamma * qweights._rx_z(angles), store_rows)\n"
-    "    plus, minus = qweights._rx_z(angles + qweights._SHIFT_PAIR)\n"
-    "    chained = grad / labels.size * store.gamma * (vqc.SHIFT_COEFFICIENT * (plus - minus))\n"
-    "    a = angles - opt.learning_rate * chained\n"
-    "    if np.maximum.reduce(a, axis=None) <= np.pi and np.minimum.reduce(a, axis=None) > -np.pi:\n"
-    "        return losses, a\n"
-    "    wrapped = np.mod(a + np.pi, 2.0 * np.pi) - np.pi\n"
-    "    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)\n"
-    "    return losses, np.where((a > np.pi) | (a <= -np.pi), wrapped, a)",
-    "(r00, r01), (r10, r11) = qweights._RX_HALF_PI_T",
+    "def store_floor(store):\n"
+    "    losses, grad = circuit_pass(qweights.materialize(store), store_rows)\n"
+    "    chained = qweights._chain(store.angles, store.gamma, grad / labels.size)\n"
+    "    return losses, qweights._wrap(store.angles - opt.learning_rate * chained)",
     "def channel_floor(angles, rng):\n"
-    "    out, sample, z_of = [], statevec._sample, qweights._z_of\n"
-    "    for c0, c1 in statevec._rx_carriers(angles).reshape(-1, 2).tolist():\n"
-    "        p0, p1 = c0 * teleport._B, c1 * teleport._B\n"
-    "        a, b = 0j + teleport._H10 * p0, 0j + teleport._H11 * p1\n"
-    "        aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag\n"
-    "        m1, p = sample(rng, 0.0 + aa + bb + bb + aa)\n"
-    "        if not m1:\n"
-    "            a, b = 0j + teleport._H00 * p0, 0j + teleport._H01 * p1\n"
-    "        s1 = 1.0 / math.sqrt(p)\n"
-    "        a, b = a * s1, b * s1\n"
-    "        m2, p = sample(rng, 0.0 + (b.real * b.real + b.imag * b.imag)\n"
-    "                       + (a.real * a.real + a.imag * a.imag))\n"
-    "        s2 = 1.0 / math.sqrt(p)\n"
-    "        zero, one = a * s2, b * s2\n"
-    "        if m1:\n"
-    "            one = -one\n"
-    "        z, y = z_of(zero, one), z_of(zero * r00 + one * r10, zero * r01 + one * r11)\n"
-    "        angle = math.atan2(-y, z)\n"
-    "        out.append(math.pi if angle <= -math.pi else angle)\n"
+    "    out = []\n"
+    "    for c0, c1 in teleport._rx_carriers(angles).reshape(-1, 2).tolist():\n"
+    "        _, _, zero, one = teleport._register(c0, c1, rng, None)\n"
+    "        out.append(qweights._decode(*qweights._z_y(zero, one)))\n"
     "    return np.array(out).reshape(angles.shape)",
 )
 FLOORS = {"channel timer": "channel_floor(store.angles, channel)",
-          "SGD step timer, mlp": "floor(mlp.params)",
+          "SGD step timer, mlp": "mlp_floor(mlp.params)",
           "SGD step timer, circuit": "circuit_floor(circuit.params)",
-          "SGD step timer, store": "store_floor(store.angles)"}
+          "SGD step timer, store": "store_floor(store)"}
 # Times each of TIMERS in one process beside its floor in FLOORS, if any: 7
 # alternating rounds of 200 loops each.  Prints each timer's best per-loop
 # seconds, [step] or [step, floor], or null if it raised, as a JSON object.

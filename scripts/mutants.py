@@ -175,7 +175,7 @@ MUTANTS = (
             "test_the_ring_names_the_client_that_holds_it")),
     Mutant("ClientState: a copy made without the constructor", "qfedring/fedring.py",
            "    def __reduce__(self):", "    def _reduce(self):",
-           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
+           (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
     Mutant("run_ring: a failed hand-off loses its weight index", "qfedring/fedring.py",
            "-> {exc}\", exc.weight_index", "-> {exc}\", None",
            ("tests/test_fedring.py::TestRunRing::"
@@ -194,7 +194,7 @@ MUTANTS = (
            "return c * c - s * s", "return np.cos(np.asarray(angles, dtype=float))", (RX_Z_BITS,)),
     # A store step moves the circuit gamma^2 sin^2(a) times as far as a circuit step.
     Mutant("weight_gradient: gamma dropped", "qfedring/qweights.py",
-           "return cg * store.gamma * (", "return cg * (",
+           "return circuit_grad * gamma * (", "return circuit_grad * (",
            ("tests/test_qweights.py::TestGradient::"
             "test_store_step_moves_the_circuit_gamma_squared_sine_squared_as_far",)),
     # The engine reads states: encode is the one way in, row by row, and the
@@ -221,8 +221,7 @@ MUTANTS = (
     Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
            "fx, fy = rows[start : start + batch_size],",
            "fx, fy = model.prepare(client.features[order][start : start + batch_size]),",
-           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",
-            f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made")),
+           (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
     Mutant("local_train: prepare applied to the unpermuted shard", "qfedring/fedring.py",
            "rows, targets = client.rows[order], labels[order]",
            "rows, targets = client.rows, labels[order]",
@@ -240,7 +239,7 @@ MUTANTS = (
            (f"{LOCAL_TRAIN}::test_a_refused_step_leaves_the_model_as_before_the_call",)),
     Mutant("ClientState: the shard left writeable", "qfedring/fedring.py",
            "            array.flags.writeable = False\n", "            pass\n",
-           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",)),
+           (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
     Mutant("ClientState: the rows left writeable", "qfedring/fedring.py",
            "        rows.flags.writeable = False\n", "",
            (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
@@ -318,6 +317,10 @@ MUTANTS = (
            "except (OSError, UnicodeDecodeError) as exc:", "except OSError as exc:",
            ("tests/test_cli.py::TestConfigFileProperties::"
             "test_any_bytes_load_or_are_refused_naming_the_file",)),
+    Mutant("cli: a config file read in the locale's encoding", "qfedring/cli.py",
+           'read_text(encoding="utf-8")', "read_text()",
+           ("tests/test_cli.py::TestConfigFileProperties::"
+            "test_a_utf8_config_loads_under_an_ascii_locale",)),
     # The one number-array rule, and the circuit's copy of weights and angles.
     Mutant("check_floats: a complex array passes", "qfedring/datagen.py",
            'not in "biuf":', 'not in "biufc":', (NUMBER_RULE,)),
@@ -336,7 +339,7 @@ MUTANTS = (
     Mutant("SgdOptimizer.step: grad cast outside the rule", "qfedring/trainkit.py",
            'as_floats(grad, "grad")', "np.asarray(grad, dtype=float)", (NUMBER_RULE,)),
     Mutant("canonical_angles: angles cast outside the rule", "qfedring/qweights.py",
-           'a = as_floats(angles, "angles")', "a = np.asarray(angles, dtype=float)",
+           '_wrap(as_floats(angles, "angles"))', "_wrap(np.asarray(angles, dtype=float))",
            (NUMBER_RULE,)),
     Mutant("encode_weight: angle through float()", "qfedring/qweights.py",
            'check_floats(angle, "angle")', "np.float64(angle)", (NUMBER_RULE,)),

@@ -141,7 +141,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 def _load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict = {}

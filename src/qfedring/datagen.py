@@ -18,7 +18,8 @@ test.  A setting rule refuses a bad value (a bool, a wrong type, NaN or inf)
 with a ``ValueError`` naming the setting, never a ``TypeError``; library
 functions take any numpy seed.  Every random stream passes ``check_generator``:
 ``teleport_state`` unless forced, ``teleport_weights``, ``run_ring`` under
-TELEPORT, ``measure_qubits`` and a client's own in ``fedring.local_train``.
+TELEPORT, ``measure_qubits`` and a client's own in ``fedring.ClientState``'s
+constructor.
 """
 from __future__ import annotations
 

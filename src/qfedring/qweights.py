@@ -135,8 +135,13 @@ def weight_gradient(store: QuantumWeightStore, circuit_grad: np.ndarray) -> np.n
     cg = check_floats(circuit_grad, "circuit_grad")
     if cg.shape != store.angles.shape:
         raise ValueError(f"circuit_grad shape {cg.shape} != angles shape {store.angles.shape}")
-    plus, minus = _rx_z(store.angles + _SHIFT_PAIR)
-    return cg * store.gamma * (SHIFT_COEFFICIENT * (plus - minus))
+    return _chain(store.angles, store.gamma, cg)
+
+
+def _chain(angles: np.ndarray, gamma: float, circuit_grad: np.ndarray) -> np.ndarray:
+    """``weight_gradient``'s arithmetic on a gradient its checks passed."""
+    plus, minus = _rx_z(angles + _SHIFT_PAIR)
+    return circuit_grad * gamma * (SHIFT_COEFFICIENT * (plus - minus))
 
 
 def state_expectations(state: StateVector) -> tuple[float, float]:
@@ -147,7 +152,11 @@ def state_expectations(state: StateVector) -> tuple[float, float]:
     """
     if state.num_qubits != 1:
         raise ValueError("expected a single-qubit state")
-    c0, c1 = state.amplitudes.tolist()
+    return _z_y(*state.amplitudes.tolist())
+
+
+def _z_y(c0: complex, c1: complex) -> tuple[float, float]:
+    """(<Z>, <Y>) of one qubit's two amplitudes, on Python scalars."""
     (r00, r01), (r10, r11) = _RX_HALF_PI_T
     return _z_of(c0, c1), _z_of(c0 * r00 + c1 * r10, c0 * r01 + c1 * r11)
 
@@ -165,10 +174,13 @@ def decode_angle(expect_z: float, expect_y: float) -> float:
             f"expectation pair ({expect_z!r}, {expect_y!r}) is off the unit circle "
             f"by {residual:.3e}"
         )
+    return _decode(expect_z, expect_y)
+
+
+def _decode(expect_z: float, expect_y: float) -> float:
+    """The angle in (-pi, pi] of a pair that ``decode_angle``'s purity gate passed."""
     angle = math.atan2(-expect_y, expect_z)
-    if angle <= -math.pi:
-        angle = math.pi
-    return angle
+    return math.pi if angle <= -math.pi else angle
 
 
 def canonical_angles(angles: np.ndarray) -> np.ndarray:
@@ -182,7 +194,11 @@ def canonical_angles(angles: np.ndarray) -> np.ndarray:
     copies its angles either way); a NaN fails both bounds and takes the
     wrapping path.
     """
-    a = as_floats(angles, "angles")
+    return _wrap(as_floats(angles, "angles"))
+
+
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """``canonical_angles`` of a float array, with no cast or check."""
     top = np.maximum.reduce(a, axis=None, initial=-math.inf)
     if top <= math.pi and np.minimum.reduce(a, axis=None, initial=math.inf) > -math.pi:
         return a

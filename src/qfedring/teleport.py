@@ -87,13 +87,26 @@ def teleport_state(
     pick = None if force_outcome is None else _forcing_rule((0, 1), force_outcome)
     if pick is None:
         check_generator(rng, "rng")
+    c0, c1 = message.amplitudes.tolist()
+    m1, m2, zero, one = _register(c0, c1, rng, pick)
+    # The fidelity |<message|recovered>|^2, on the same four scalars.
+    overlap = c0.conjugate() * zero + c1.conjugate() * one
+    return TeleportRecord(
+        bell_outcome=(m1, m2),
+        recovered_state=_qubit(zero, one),
+        fidelity=abs(overlap) ** 2,
+    )
+
+
+def _register(c0: complex, c1: complex, rng, pick) -> tuple[int, int, complex, complex]:
+    """``teleport_state``'s Bell bits (drawn from ``rng`` if ``pick`` is None)
+    and the receiver's corrected amplitudes, from the message's ``c0``, ``c1``."""
     # The message times the Bell pair is c0 _B at |000> and |011> and c1 _B at
     # |100> and |111>; CNOT(0 -> 1) moves the last two to |110> and |101>, and
     # H on qubit 0 makes each half (a, b, b, a).  Each amplitude starts from
     # 0j, so a -0.0 comes out +0.0 as from the numpy register's matmul, and
     # qubit 0's p1 sums the |1..> half from 0.0 in index order, as
     # ``_born_measure`` does, so every bit is kept.
-    c0, c1 = message.amplitudes.tolist()
     p0, p1 = c0 * _B, c1 * _B
     a, b = 0j + _H10 * p0, 0j + _H11 * p1
     aa, bb = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag
@@ -112,15 +125,7 @@ def teleport_state(
     # 1, which X swaps back, so either way it is (a, b) scaled by s2.  Z
     # (m1 = 1) flips the sign of the |1> amplitude.
     zero, one = a * s2, b * s2
-    if m1:
-        one = -one
-    # The fidelity |<message|recovered>|^2, on the same four scalars.
-    overlap = c0.conjugate() * zero + c1.conjugate() * one
-    return TeleportRecord(
-        bell_outcome=(m1, m2),
-        recovered_state=_qubit(zero, one),
-        fidelity=abs(overlap) ** 2,
-    )
+    return m1, m2, zero, (-one if m1 else one)
 
 
 def teleport_weights(store: QuantumWeightStore, rng: np.random.Generator) -> QuantumWeightStore:

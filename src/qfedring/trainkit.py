@@ -16,8 +16,11 @@ is ``params``.  Each kind's constructor is the one place its rule runs:
 and a read-only copy, and ``sgd_step_mlp`` builds the next model through it.
 ``ClassicalMlp.logits`` and ``mlp_batch_grads`` share one forward pass,
 ``_mlp_forward``, which slices w1, b1, w2 and b2 from one read of ``params``;
-``mlp_batch_grads`` writes the gradient's four blocks in place into one new
-array laid out the same way.
+``mlp_batch_grads``' backward pass, ``_mlp_backward``, writes the gradient's
+four blocks in place into one new array laid out the same way.  Each public
+function that a step or the channel runs, here and in ``vqc``, ``qweights``
+and ``teleport``, is its checks then one check-free kernel (the loss's is
+``_softmax_loss``), which ``scripts/compare_base.py``'s floors call too.
 Labels pass ``datagen.check_labels``.  The readout rule is ``check_readout``:
 a model must be one of the three kinds, and a circuit must have
 ``vqc.NUM_QUBITS`` qubits, one class score per qubit.  ``evaluate`` and
@@ -78,9 +81,14 @@ def batch_loss_and_grad(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     if lg.ndim != 2 or lg.shape[1] != 2:
         raise ValueError(f"expected logits of shape (batch, 2), got {lg.shape}")
     y = check_labels(labels, lg.shape[0])
-    # Two-column ops beat axis-1 reductions here; row i's label is flat index 2 * i + y[i].
     if not np.maximum.reduce(np.abs(lg), axis=None, initial=0.0) <= _LOGIT_BOUND:
         raise ValueError(f"logits must be finite and of magnitude at most {_LOGIT_BOUND:.3e}")
+    return _softmax_loss(lg, y)
+
+
+def _softmax_loss(lg: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``batch_loss_and_grad``'s arithmetic on logits and labels its checks passed."""
+    # Two-column ops beat axis-1 reductions here; row i's label is flat index 2 * i + y[i].
     scaled = LOGIT_SCALE * lg
     shifted = scaled - np.maximum(scaled[:, :1], scaled[:, 1:])
     exps = np.exp(shifted)
@@ -184,13 +192,18 @@ def mlp_batch_grads(model: ClassicalMlp, features, loss) -> tuple[np.ndarray, np
     feats = check_batch(features, 2)
     hid, w2, logits = _mlp_forward(model.params, feats)
     losses, dlogits = call_loss(loss, logits)
+    return losses, _mlp_backward(feats, hid, w2, dlogits)
+
+
+def _mlp_backward(feats, hid, w2, dlogits) -> np.ndarray:
+    """``mlp_batch_grads``' gradient from ``_mlp_forward``'s values and the upstream."""
     dpre = np.dot(dlogits, w2.T) * (1.0 - hid**2)
     grad = np.empty(MLP_PARAMS)  # each block written once, in place
     np.dot(feats.T, dpre, out=grad[:_B1].reshape(2, MLP_HIDDEN))
     np.add.reduce(dpre, axis=0, out=grad[_B1:_W2])
     np.dot(hid.T, dlogits, out=grad[_W2:_B2].reshape(MLP_HIDDEN, 2))
     np.add.reduce(dlogits, axis=0, out=grad[_B2:])
-    return losses, grad
+    return grad
 
 
 def sgd_step_mlp(model: ClassicalMlp, grad: np.ndarray, opt: SgdOptimizer) -> ClassicalMlp:

@@ -7,8 +7,8 @@ Gradients use the two-point parameter shift (``SHIFT`` = pi/2,
 engine takes any qubit count.  The engine reads states, not features:
 ``encode(features, n)``, the only map from one to the other, applies
 ``datagen.check_batch`` at width n and gives each row's RX product state,
-(rows, 2**n) complex128, row by row, so a client encodes its shard once per
-``local_train`` call.  Unit norm comes from ``encode``, cos^2 + sin^2 per
+(rows, 2**n) complex128, row by row, so a client encodes its shard once,
+when it is made.  Unit norm comes from ``encode``, cos^2 + sin^2 per
 qubit by construction; no pass tests it.
 
 ``forward_batch`` and ``gradient_batch`` are one engine for any qubit count:
@@ -274,5 +274,10 @@ def gradient_batch(params: np.ndarray, states, loss) -> tuple[np.ndarray, np.nda
     p, s = _check_batch(params, states, shifted=True)
     out = _expectations(p + _shift_offsets(p.shape), s)
     losses, up = call_loss(loss, out[0])
-    delta = SHIFT_COEFFICIENT * (out[1 : p.size + 1] - out[p.size + 1 :])
-    return losses, np.add.reduce(up * delta, axis=(1, 2)).reshape(p.shape)
+    return losses, _shift_gradient(p, out, up)
+
+
+def _shift_gradient(params: np.ndarray, out: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """``gradient_batch``'s contraction of its pass ``out`` with the upstream ``up``."""
+    delta = SHIFT_COEFFICIENT * (out[1 : params.size + 1] - out[params.size + 1 :])
+    return np.add.reduce(up * delta, axis=(1, 2)).reshape(params.shape)

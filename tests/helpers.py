@@ -1,8 +1,11 @@
 """Values and builders that several test modules share; a plain module, so
 that no test imports ``conftest`` a second time under another name."""
+import math
+
 import numpy as np
 from hypothesis import settings
 
+from qfedring import qweights, trainkit, vqc
 from qfedring.statevec import StateVector
 
 # What the generator rule refuses: no stream, a seed, text, the legacy
@@ -30,3 +33,13 @@ def random_state(rng, num_qubits):
     """Haar-ish random pure state, good enough for invariance tests."""
     raw = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return StateVector(num_qubits, raw / np.linalg.norm(raw))
+
+
+def make_model(kind: str, rng):
+    """A fresh model of ``kind``, "mlp", "circuit" or "store", drawn from
+    ``rng``: a circuit or a store has 2 layers, and a store gamma pi."""
+    if kind == "mlp":
+        return trainkit.init_mlp(rng)
+    if kind == "circuit":
+        return vqc.init_model(rng, 2)
+    return qweights.init_store(rng, 2, math.pi)

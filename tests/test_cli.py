@@ -25,14 +25,15 @@ from qfedring.trainkit import RoundMetrics
 from tests.helpers import examples
 
 
-def _run_fresh_cli(*args) -> subprocess.CompletedProcess:
-    """``python -W default -m qfedring *args`` in a fresh interpreter, so that
-    numpy's warnings reach its stderr (in-process, pytest captures them)."""
+def _run_fresh_cli(*args, **env) -> subprocess.CompletedProcess:
+    """``python -W default -m qfedring *args`` in a fresh interpreter, with
+    ``env`` added to its environment, so that numpy's warnings reach its
+    stderr (in-process, pytest captures them)."""
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "default", "-m", "qfedring", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -186,6 +187,14 @@ class TestConfigFileProperties:
             cli._load_config_file(str(path))
         except cli.ConfigError as exc:
             assert str(path) in str(exc)
+
+    def test_a_utf8_config_loads_under_an_ascii_locale(self, tmp_path):
+        # A config file is read as UTF-8 whatever the locale's encoding is.
+        path = tmp_path / "run.cfg"
+        path.write_text("# \u03c0 in a comment\nmodel = cfl\n", encoding="utf-8")
+        proc = _run_fresh_cli("--config", str(path), *FAST, "--out", str(tmp_path / "m.csv"),
+                              PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        assert proc.returncode == 0, proc.stderr
 
 
 # A valid value other than the default for every ExperimentConfig field.

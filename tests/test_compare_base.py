@@ -279,8 +279,12 @@ def test_every_timer_statement_runs(script):
     # One epoch of the 320-row shard steps 320 / 32 batches at the default size.
     epoch = eval(script.TIMERS["local_train epoch timer, mlp"], scope)
     assert len(epoch) == 320 // scope["config"].batch_size == 10
-    # Each floor does its step's arithmetic: the same losses and params, bit for bit.
-    exec("\n".join(script.FLOOR_SETUP), scope)
+    # Each floor does its step's arithmetic: the same losses and params, bit for
+    # bit, from the package's own kernels, with none of their arithmetic written out.
+    floors = "\n".join(script.FLOOR_SETUP)
+    assert not [word for word in ("np.exp", "np.log", "np.mod", "atan2", "sqrt", "np.empty",
+                                  "teleport._H") if word in floors]
+    exec(floors, scope)
     steps = [f"SGD step timer, {kind}" for kind in ("circuit", "mlp", "store")]
     assert sorted(script.FLOORS) == sorted(["channel timer", *steps])
     for name in steps:
@@ -312,8 +316,8 @@ def test_every_timer_statement_runs(script):
         assert eval(script.FLOORS[name], scope).tobytes() == moved.tobytes()
         assert scope["channel"].bit_generator.state == after
         replay = np.random.default_rng(seed)
-        for c0, c1 in scope["statevec"]._rx_carriers(angles).reshape(-1, 2).tolist():
-            state = scope["statevec"]._qubit(c0, c1)
+        for c0, c1 in scope["teleport"]._rx_carriers(angles).reshape(-1, 2).tolist():
+            state = scope["teleport"]._qubit(c0, c1)
             outcomes.add(scope["teleport"].teleport_state(state, replay).bell_outcome)
     assert outcomes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 

@@ -16,7 +16,7 @@ from qfedring import qweights as qw
 from qfedring import trainkit as tk
 from qfedring import vqc
 from qfedring.teleport import TransferError
-from tests.helpers import NOT_GENERATORS, generator_id
+from tests.helpers import NOT_GENERATORS, generator_id, make_model
 from tests.test_bench_contract import traced
 
 
@@ -123,11 +123,7 @@ class TestMakeClients:
     @pytest.mark.parametrize("kind", ["mlp", "circuit", "store"])
     def test_two_score_models_still_evaluate(self, rng, kind):
         _, _, tx, ty = small_shard()
-        model = {
-            "mlp": lambda: tk.init_mlp(rng),
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-        }[kind]()
+        model = make_model(kind, rng)
         want = float(np.mean(np.argmax(model.logits(model.prepare(tx)), axis=1) == ty))
         assert tk.evaluate(model, tx, ty) == want
 
@@ -175,11 +171,7 @@ class TestLocalTrain:
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_one_step_matches_hand_computation(self, rng, kind):
         fx, fy, _, _ = small_shard()
-        init = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        init = make_model(kind, rng)
         lr = 0.05
         client = fr.ClientState(
             client_id=0,
@@ -204,11 +196,7 @@ class TestLocalTrain:
         # shard once per call and gathers the prepared rows once per epoch.
         fx, fy, _, _ = small_shard()
         fx, fy = fx[:23], fy[:23]
-        model = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        model = make_model(kind, rng)
         opt = tk.SgdOptimizer(0.05)
         client = fr.ClientState(0, fx, fy, model, np.random.default_rng(31), opt)
         replay_rng, want_losses = np.random.default_rng(31), []
@@ -227,57 +215,25 @@ class TestLocalTrain:
         assert getattr(client.model, held).tobytes() == getattr(model, held).tobytes()
         assert client.rng.bit_generator.state == replay_rng.bit_generator.state
 
-    @pytest.mark.parametrize("epochs", [1, 3])
-    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
-    def test_prepares_the_shard_once_per_client(self, rng, monkeypatch, kind, epochs):
-        fx, fy, _, _ = small_shard()
-        model = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
-        prepare, seen = type(model).prepare, []
-        monkeypatch.setattr(type(model), "prepare",
-                            lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
-        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
-        # The constructor keeps checked copies of the shard, read-only, so a write into one raises.
-        assert np.array_equal(client.features, fx) and client.features is not fx
-        assert np.array_equal(client.labels, fy) and client.labels is not fy
-        for array in (client.features, client.labels):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
-        for _ in range(3):
-            losses = fr.local_train(client, epochs=epochs, batch_size=10)
-            assert len(losses) == epochs * math.ceil(fy.size / 10)
-        assert seen == [fy.size]
-        # A copy is made by the constructor: checked, read-only copies, and its own rows.
-        twin = copy.deepcopy(client)
-        assert np.array_equal(twin.features, fx) and twin.features is not client.features
-        assert not twin.features.flags.writeable and not twin.labels.flags.writeable
-        for _ in range(2):
-            fr.local_train(twin, epochs=epochs, batch_size=10)
-        assert seen == [fy.size] * 2
-
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_prepares_its_rows_once_when_made(self, rng, monkeypatch, kind):
-        # A client prepares its rows in its constructor, read-only, and never
-        # in local_train or when it is handed a model of its kind; once it is
-        # made, no part of the client rule runs again.  A deep copy prepares
-        # its own rows once, through the constructor.
+        # A client keeps checked, read-only copies of its shard and prepares
+        # its rows in its constructor, read-only, and never in local_train or
+        # when it is handed a model of its kind; once it is made, no part of
+        # the client rule runs again.  A deep copy is made by the constructor:
+        # its own checked, read-only copies, and its own rows, prepared once.
         fx, fy, _, _ = small_shard()
-        make = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]
-        model, seen = make(), []
+        model, seen = make_model(kind, rng), []
         want, prepare = model.prepare(fx), type(model).prepare
         monkeypatch.setattr(type(model), "prepare",
                             lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
         client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
         assert seen == [fy.size] and client.rows.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            client.rows[0] = 0
+        assert np.array_equal(client.features, fx) and client.features is not fx
+        assert np.array_equal(client.labels, fy) and client.labels is not fy
+        for array in (client.features, client.labels, client.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
         def refuse(*args):
             raise AssertionError("the client rule ran again")
@@ -286,14 +242,15 @@ class TestLocalTrain:
             rule.setattr(dg, "check_samples", refuse)
             rule.setattr(dg, "check_generator", refuse)
             for _ in range(2):
-                client.model = make()
+                client.model = make_model(kind, rng)
                 for _ in range(2):
                     assert len(fr.local_train(client, epochs=1, batch_size=10)) == 3
         assert seen == [fy.size]
         twin = copy.deepcopy(client)
         assert seen == [fy.size] * 2
         assert twin.rows.tobytes() == want.tobytes() and twin.rows is not client.rows
-        assert not twin.rows.flags.writeable
+        assert np.array_equal(twin.features, fx) and twin.features is not client.features
+        assert not any(array.flags.writeable for array in (twin.features, twin.labels, twin.rows))
 
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_a_reassigned_shard_is_checked_again_naming_the_client(self, rng, kind):
@@ -301,11 +258,7 @@ class TestLocalTrain:
         # field is refused naming the client and the field, and a copy with a
         # new shard is made, and checked, by the constructor again.
         fx, fy, _, _ = small_shard()
-        model = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        model = make_model(kind, rng)
         client = fr.ClientState(4, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
         fr.local_train(client, epochs=1, batch_size=10)
         trained, stream, shard = client.model, client.rng.bit_generator.state, client.features
@@ -337,17 +290,12 @@ class TestLocalTrain:
         # handed over later that cannot take them is refused by its own step,
         # naming the client, epoch and step, and the client keeps that model.
         fx, fy, _, _ = small_shard()
-        make = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-            "circuit3": lambda: vqc.VqcModel(np.zeros((2, 3, 3))),
-            "store3": lambda: qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi),
-        }
-        client = fr.ClientState(5, fx, fy, make[first](), np.random.default_rng(0),
+        wide = {"circuit3": lambda: vqc.VqcModel(np.zeros((2, 3, 3))),
+                "store3": lambda: qw.QuantumWeightStore(np.full((2, 3, 3), math.pi / 2), math.pi)}
+        client = fr.ClientState(5, fx, fy, make_model(first, rng), np.random.default_rng(0),
                                 tk.SgdOptimizer(0.02))
         fr.local_train(client, epochs=1, batch_size=10)
-        client.model = model = make[handed]()
+        client.model = model = wide[handed]() if handed in wide else make_model(handed, rng)
         with pytest.raises(ValueError, match=rf"^client 5, epoch 1, step 1: {message}$"):
             fr.local_train(client, epochs=1, batch_size=10)
         assert client.model is model
@@ -386,11 +334,7 @@ class TestLocalTrain:
         class1 = gen.normal([2.5, 2.5], 0.1, size=(16, 2))
         feats = np.vstack([class0, class1])
         labels = np.repeat([0, 1], 16)
-        init = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        init = make_model(kind, rng)
         client = fr.ClientState(
             0, feats, labels, init, np.random.default_rng(1), tk.SgdOptimizer(0.02)
         )
@@ -707,11 +651,7 @@ class TestCentralizedEquivalence:
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_one_client_ring_is_centralized(self, rng, kind):
         fx, fy, tx, ty = small_shard(n=32)
-        init = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "store": lambda: qw.init_store(rng, 2, math.pi),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        init = make_model(kind, rng)
         clients = fr.make_clients(
             fx, fy, 1, init, partition_seed=5, client_seed=6, learning_rate=0.02
         )
@@ -799,10 +739,7 @@ class TestHubSpoke:
         # Averaging a single model is exact, so K=1 hub-spoke must replay
         # centralized training bit for bit, one round per pair of epochs.
         fx, fy, tx, ty = small_shard(n=32)
-        init = {
-            "circuit": lambda: vqc.init_model(rng, 2),
-            "mlp": lambda: tk.init_mlp(rng),
-        }[kind]()
+        init = make_model(kind, rng)
         clients = fr.make_clients(
             fx, fy, 1, init, partition_seed=5, client_seed=9, learning_rate=0.02
         )
