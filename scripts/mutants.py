@@ -221,7 +221,8 @@ MUTANTS = (
     Mutant("local_train: prepare moved inside the step loop", "qfedring/fedring.py",
            "fx, fy = rows[start : start + batch_size],",
            "fx, fy = model.prepare(client.features[order][start : start + batch_size]),",
-           (f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made",)),
+           (f"{LOCAL_TRAIN}::test_prepares_the_shard_once_per_client",
+            f"{LOCAL_TRAIN}::test_prepares_its_rows_once_when_made")),
     Mutant("local_train: prepare applied to the unpermuted shard", "qfedring/fedring.py",
            "rows, targets = client.rows[order], labels[order]",
            "rows, targets = client.rows, labels[order]",

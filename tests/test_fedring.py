@@ -215,6 +215,27 @@ class TestLocalTrain:
         assert getattr(client.model, held).tobytes() == getattr(model, held).tobytes()
         assert client.rng.bit_generator.state == replay_rng.bit_generator.state
 
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
+    def test_prepares_the_shard_once_per_client(self, rng, monkeypatch, kind, epochs):
+        # However many epochs a visit runs, and however many visits, a client
+        # and its deep copy each prepare the shard once, and every epoch
+        # steps over all of its batches.
+        fx, fy, _, _ = small_shard()
+        model, seen = make_model(kind, rng), []
+        prepare = type(model).prepare
+        monkeypatch.setattr(type(model), "prepare",
+                            lambda self, feats: seen.append(len(feats)) or prepare(self, feats))
+        client = fr.ClientState(0, fx, fy, model, np.random.default_rng(0), tk.SgdOptimizer(0.02))
+        for _ in range(3):
+            losses = fr.local_train(client, epochs=epochs, batch_size=10)
+            assert len(losses) == epochs * math.ceil(fy.size / 10)
+        assert seen == [fy.size]
+        twin = copy.deepcopy(client)
+        for _ in range(2):
+            fr.local_train(twin, epochs=epochs, batch_size=10)
+        assert seen == [fy.size] * 2
+
     @pytest.mark.parametrize("kind", ["circuit", "store", "mlp"])
     def test_prepares_its_rows_once_when_made(self, rng, monkeypatch, kind):
         # A client keeps checked, read-only copies of its shard and prepares
